@@ -1227,46 +1227,8 @@ impl Engine {
             return false;
         }
         let adopt = adoptable(m);
-        if adopt && !self.overlay.has_free_fanout(Member::Peer(i)) {
-            // Make room for the victim by orphaning i's laxest fragment
-            // child.
-            // A forged fanout cache can report i full with no children
-            // to discard; impossible on a valid overlay.
-            let Some(discard) = self
-                .overlay
-                .children(i)
-                .iter()
-                .copied()
-                .max_by_key(|&c| (self.population.latency(c), c.get()))
-            else {
-                return false;
-            };
-            self.overlay.detach(discard).expect("child of i");
-            self.counters.detaches += 1;
-            self.emit_detach(discard, Member::Peer(i), DetachCause::Discarded);
-        }
-        self.overlay.detach(m).expect("m is a child of j");
-        self.emit_detach(m, Member::Peer(j), DetachCause::Displaced);
-        if self.overlay.attach(i, Member::Peer(j)).is_err() {
-            // Forged caches can make the O(1) cycle check refuse an
-            // attach the bounded walk approved; impossible on a valid
-            // overlay. m restarts construction from j's neighborhood.
-            self.proto[m.index()].referral = Some(Member::Peer(j));
-            self.counters.detaches += 1;
-            return false;
-        }
-        self.emit_attach(i, Member::Peer(j));
-        if adopt && self.overlay.attach(m, Member::Peer(i)).is_ok() {
-            self.counters.attaches += 1;
-            self.emit_attach(m, Member::Peer(i));
-        } else {
-            // m restarts construction from its displacer's neighborhood.
-            self.proto[m.index()].referral = Some(Member::Peer(j));
-        }
-        self.counters.displacements += 1;
-        self.counters.detaches += 1;
-        self.counters.attaches += 1;
-        true
+        // m restarts construction from j's neighborhood if orphaned.
+        self.swap_in(Member::Peer(j), m, i, adopt, Member::Peer(j))
     }
 
     /// The `j ← i ← k` reconfiguration: parent-less `i` takes `j`'s slot
@@ -1337,10 +1299,29 @@ impl Engine {
         if overflowed {
             return false;
         }
-        if can_adopt && !self.overlay.has_free_fanout(Member::Peer(i)) {
-            // Discard the laxest current child to make room for j. A
-            // forged fanout cache can report i full with no children to
-            // discard; impossible on a valid overlay.
+        // An orphaned j restarts construction pointed back at its
+        // displacer, so its fragment can re-merge nearby.
+        self.swap_in(parent, j, i, can_adopt, Member::Peer(i))
+    }
+
+    /// The shared tail of both displacement forms, entered once every
+    /// protocol check has passed: parent-less `i` takes `victim`'s slot
+    /// under `parent`. With `adopt`, `i` also adopts the victim —
+    /// [`Overlay::interpose`], one pass over the victim's subtree —
+    /// after orphaning its own laxest child if its fanout is full;
+    /// otherwise the victim becomes a fragment root with `referral` as
+    /// its restart hint. Returns whether `i` got the slot.
+    fn swap_in(
+        &mut self,
+        parent: Member,
+        victim: PeerId,
+        i: PeerId,
+        adopt: bool,
+        referral: Member,
+    ) -> bool {
+        if adopt && !self.overlay.has_free_fanout(Member::Peer(i)) {
+            // A forged fanout cache can report i full with no children
+            // to discard; impossible on a valid overlay.
             let Some(discard) = self
                 .overlay
                 .children(i)
@@ -1354,24 +1335,27 @@ impl Engine {
             self.counters.detaches += 1;
             self.emit_detach(discard, Member::Peer(i), DetachCause::Discarded);
         }
-        self.overlay.detach(j).expect("j is a child of parent");
-        self.emit_detach(j, parent, DetachCause::Displaced);
-        if self.overlay.attach(i, parent).is_err() {
-            // Forged caches can make the O(1) cycle check refuse an
-            // attach the bounded walk approved; impossible on a valid
-            // overlay. j restarts construction near its displacer.
-            self.proto[j.index()].referral = Some(Member::Peer(i));
+        // Forged caches can make the splice refuse what the caller's
+        // checks approved (impossible on a valid overlay); the stepwise
+        // calls below then fail at the same check, as they always have.
+        let spliced = adopt && self.overlay.interpose(i, victim).is_ok();
+        if !spliced {
+            self.overlay
+                .detach(victim)
+                .expect("victim is a child of parent");
+        }
+        self.emit_detach(victim, parent, DetachCause::Displaced);
+        if !spliced && self.overlay.attach(i, parent).is_err() {
+            self.proto[victim.index()].referral = Some(referral);
             self.counters.detaches += 1;
             return false;
         }
         self.emit_attach(i, parent);
-        if can_adopt && self.overlay.attach(j, Member::Peer(i)).is_ok() {
+        if spliced || (adopt && self.overlay.attach(victim, Member::Peer(i)).is_ok()) {
             self.counters.attaches += 1;
-            self.emit_attach(j, Member::Peer(i));
+            self.emit_attach(victim, Member::Peer(i));
         } else {
-            // j restarts construction; point it back at its displacer so
-            // its fragment can re-merge nearby.
-            self.proto[j.index()].referral = Some(Member::Peer(i));
+            self.proto[victim.index()].referral = Some(referral);
         }
         self.counters.displacements += 1;
         self.counters.detaches += 1;

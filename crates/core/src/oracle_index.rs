@@ -8,8 +8,21 @@
 //!
 //! * a Fenwick tree over the online bitmap (O1),
 //! * a Fenwick tree over "online with unused fanout" (O2a),
-//! * per-delay sorted id sets of online rooted peers (O3), plus the
-//!   free-fanout subset of each (O2b).
+//! * per-delay bitmaps (over peer ids, with a member count per 512
+//!   ids) of online rooted peers *inside the latency horizon* (O3),
+//!   plus the free-fanout subset of each (O2b).
+//!
+//! # Latency horizon
+//!
+//! O3/O2b only ever read buckets `DelayAt < l` with `l ≤
+//! population.max_latency()`, so a peer at `DelayAt ≥ max_latency` can
+//! never be a candidate and is not filed at all (its mirrored delay is
+//! [`DELAY_NONE`], like an unrooted peer's). A displacement burst that
+//! pushes subtrees hundreds of hops deep therefore touches the buckets
+//! only while a peer crosses the horizon, and the buckets number at
+//! most `max_latency`: worst-case memory is `2 · max_latency · n/8`
+//! bytes of bitmap (plus 1/16 of that in counts), each bitmap
+//! allocated on its bucket's first insert.
 //!
 //! # Draw-order contract
 //!
@@ -18,7 +31,9 @@
 //! exists, none otherwise. O1/O2a enumerate candidates in id order —
 //! the historical order — so they are bit-compatible with the original
 //! scan. O3/O2b enumerate in *(delay asc, id asc)* order, the only
-//! order the bucketed index can serve in O(log n); the naive
+//! order the bucketed index can serve without a scan of the peers
+//! (a query costs `l` bucket lengths, n/512 counts and ≤ 8 popcounts);
+//! the naive
 //! implementations in [`crate::oracle`] use the same order, so indexed
 //! and unindexed runs stay bit-identical (the distribution is uniform
 //! over the same candidate set either way).
@@ -33,11 +48,12 @@ use lagover_sim::SimRng;
 use crate::node::{Member, PeerId, Population};
 use crate::overlay::Overlay;
 
-/// Packed "not in any delay bucket" sentinel (offline or unrooted).
+/// Packed "not in any delay bucket" sentinel (offline, unrooted, or at
+/// or beyond the latency horizon).
 const DELAY_NONE: u32 = u32::MAX;
 
-/// Target size of one [`IdSet`] block; blocks split at twice this.
-const BLOCK: usize = 512;
+/// 64-bit words per [`BitSet`] count group (512 ids).
+const GROUP_WORDS: usize = 8;
 
 /// A Fenwick (binary indexed) tree over 0/1 slot occupancy, supporting
 /// O(log n) point update, prefix count, and k-th-member selection.
@@ -94,78 +110,84 @@ impl Fenwick {
     }
 }
 
-/// A sorted set of peer ids stored as a list of bounded sorted blocks:
-/// O(√n)-ish insert/remove, O(blocks) select and rank. Block count
-/// stays small because bucket populations are a fraction of n.
+/// A set of peer ids as a bitmap over the id universe plus a member
+/// count per [`GROUP_WORDS`] words: insert/remove are two word writes,
+/// select/rank scan n/512 counts and popcount at most one group.
+/// Enumeration order is ascending id. The bitmap is allocated by the
+/// first insert, so a bucket nobody ever enters costs nothing.
 #[derive(Debug, Clone, Default)]
-struct IdSet {
-    blocks: Vec<Vec<u32>>,
+struct BitSet {
+    words: Vec<u64>,
+    /// Members in each group of [`GROUP_WORDS`] words.
+    counts: Vec<u32>,
     len: usize,
 }
 
-impl IdSet {
+impl BitSet {
     fn len(&self) -> usize {
         self.len
     }
 
-    /// Index of the block that holds (or should hold) `id`.
-    fn block_for(&self, id: u32) -> usize {
-        self.blocks
-            .partition_point(|b| *b.last().expect("blocks are never empty") < id)
-            .min(self.blocks.len().saturating_sub(1))
-    }
-
-    fn insert(&mut self, id: u32) {
+    /// Adds `id`, absent until now, out of a universe of `universe` ids.
+    fn insert(&mut self, id: u32, universe: usize) {
+        if self.words.is_empty() {
+            let words = universe.div_ceil(64);
+            self.words = vec![0; words];
+            self.counts = vec![0; words.div_ceil(GROUP_WORDS)];
+        }
+        let (w, bit) = (id as usize / 64, 1u64 << (id % 64));
+        debug_assert!(self.words[w] & bit == 0, "duplicate insert");
+        self.words[w] |= bit;
+        self.counts[w / GROUP_WORDS] += 1;
         self.len += 1;
-        if self.blocks.is_empty() {
-            self.blocks.push(vec![id]);
-            return;
-        }
-        let bi = self.block_for(id);
-        let block = &mut self.blocks[bi];
-        let pos = block.partition_point(|&x| x < id);
-        debug_assert!(pos >= block.len() || block[pos] != id, "duplicate insert");
-        block.insert(pos, id);
-        if block.len() > 2 * BLOCK {
-            let tail = block.split_off(BLOCK);
-            self.blocks.insert(bi + 1, tail);
-        }
     }
 
+    /// Removes `id`, a member until now.
     fn remove(&mut self, id: u32) {
-        let bi = self.block_for(id);
-        let block = &mut self.blocks[bi];
-        let pos = block.partition_point(|&x| x < id);
-        debug_assert!(pos < block.len() && block[pos] == id, "remove of absent id");
-        block.remove(pos);
-        if block.is_empty() {
-            self.blocks.remove(bi);
-        }
+        let (w, bit) = (id as usize / 64, 1u64 << (id % 64));
+        debug_assert!(self.words[w] & bit != 0, "remove of absent id");
+        self.words[w] &= !bit;
+        self.counts[w / GROUP_WORDS] -= 1;
         self.len -= 1;
     }
 
     /// The `(k+1)`-th smallest member (`k < len`).
-    fn select(&self, mut k: usize) -> u32 {
-        for block in &self.blocks {
-            if k < block.len() {
-                return block[k];
+    fn select(&self, k: usize) -> u32 {
+        let mut k = k as u32;
+        for (g, &count) in self.counts.iter().enumerate() {
+            if k >= count {
+                k -= count;
+                continue;
             }
-            k -= block.len();
+            for (w, &word) in self.words.iter().enumerate().skip(g * GROUP_WORDS) {
+                let ones = word.count_ones();
+                if k >= ones {
+                    k -= ones;
+                    continue;
+                }
+                let mut rest = word;
+                for _ in 0..k {
+                    rest &= rest - 1; // clear the lowest set bit
+                }
+                return (w * 64) as u32 + rest.trailing_zeros();
+            }
         }
         unreachable!("select index out of range")
     }
 
-    /// Number of members `< id`.
+    /// Number of members `< id`, for an `id` inside the universe of a
+    /// set that has seen an insert.
     fn rank(&self, id: u32) -> usize {
-        let mut rank = 0;
-        for block in &self.blocks {
-            if *block.last().expect("blocks are never empty") < id {
-                rank += block.len();
-            } else {
-                return rank + block.partition_point(|&x| x < id);
-            }
-        }
-        rank
+        let w = id as usize / 64;
+        let first = w / GROUP_WORDS * GROUP_WORDS;
+        let below_in_word = self.words[w] & ((1u64 << (id % 64)) - 1);
+        let rank = self.counts[..w / GROUP_WORDS].iter().sum::<u32>()
+            + self.words[first..w]
+                .iter()
+                .map(|word| word.count_ones())
+                .sum::<u32>()
+            + below_in_word.count_ones();
+        rank as usize
     }
 }
 
@@ -181,10 +203,11 @@ pub(crate) struct OracleIndex {
     online_fw: Fenwick,
     /// Online peers with unused fanout, by id (O2a's candidate set).
     free_fw: Fenwick,
-    /// Online rooted peers bucketed by `DelayAt` (O3's candidate set).
-    by_delay: Vec<IdSet>,
+    /// Online rooted peers with `DelayAt < horizon`, bucketed by
+    /// `DelayAt` (O3's candidate set).
+    by_delay: Vec<BitSet>,
     /// The unused-fanout subset of each delay bucket (O2b).
-    free_by_delay: Vec<IdSet>,
+    free_by_delay: Vec<BitSet>,
     /// Mirror of the engine's online bitmap.
     online: Vec<bool>,
     /// Whether the peer is currently a member of `free_fw`.
@@ -192,6 +215,9 @@ pub(crate) struct OracleIndex {
     /// The delay bucket each peer currently occupies ([`DELAY_NONE`]
     /// when in none).
     delay: Vec<u32>,
+    /// `population.max_latency()`: no query reads a bucket at or past
+    /// it, so no peer is filed there.
+    horizon: u32,
 }
 
 impl OracleIndex {
@@ -206,6 +232,7 @@ impl OracleIndex {
             online: vec![false; n],
             in_free: vec![false; n],
             delay: vec![DELAY_NONE; n],
+            horizon: population.max_latency(),
         };
         for (i, &on) in online.iter().enumerate() {
             if on {
@@ -251,7 +278,7 @@ impl OracleIndex {
         let d = self.delay[i];
         if d != DELAY_NONE {
             if target {
-                self.free_by_delay[d as usize].insert(p.get());
+                self.free_by_delay[d as usize].insert(p.get(), self.online.len());
             } else {
                 self.free_by_delay[d as usize].remove(p.get());
             }
@@ -262,10 +289,9 @@ impl OracleIndex {
     /// `DelayAt(p)`.
     pub(crate) fn note_delay(&mut self, p: PeerId, new: Option<u32>) {
         let i = p.index();
-        let target = if self.online[i] {
-            new.unwrap_or(DELAY_NONE)
-        } else {
-            DELAY_NONE
+        let target = match new {
+            Some(d) if d < self.horizon && self.online[i] => d,
+            _ => DELAY_NONE,
         };
         let old = self.delay[i];
         if old == target {
@@ -280,12 +306,12 @@ impl OracleIndex {
         if target != DELAY_NONE {
             let d = target as usize;
             if d >= self.by_delay.len() {
-                self.by_delay.resize_with(d + 1, IdSet::default);
-                self.free_by_delay.resize_with(d + 1, IdSet::default);
+                self.by_delay.resize_with(d + 1, BitSet::default);
+                self.free_by_delay.resize_with(d + 1, BitSet::default);
             }
-            self.by_delay[d].insert(p.get());
+            self.by_delay[d].insert(p.get(), self.online.len());
             if self.in_free[i] {
-                self.free_by_delay[d].insert(p.get());
+                self.free_by_delay[d].insert(p.get(), self.online.len());
             }
         }
         self.delay[i] = target;
@@ -363,14 +389,18 @@ impl OracleIndex {
     /// enquirer — candidates enumerated in (delay asc, id asc) order.
     fn sample_buckets(
         &self,
-        buckets: &[IdSet],
+        buckets: &[BitSet],
         enq_in: bool,
         enquirer: PeerId,
         l: u32,
         rng: &mut SimRng,
     ) -> Option<PeerId> {
+        debug_assert!(
+            l <= self.horizon,
+            "a query past the horizon sees no deeper peers"
+        );
         let lim = (l as usize).min(buckets.len());
-        let mut count: usize = buckets[..lim].iter().map(IdSet::len).sum();
+        let mut count: usize = buckets[..lim].iter().map(BitSet::len).sum();
         if enq_in {
             count -= 1;
         }
@@ -380,7 +410,7 @@ impl OracleIndex {
         let mut k = rng.index(count);
         if enq_in {
             let ed = self.delay[enquirer.index()] as usize;
-            let rank = buckets[..ed].iter().map(IdSet::len).sum::<usize>()
+            let rank = buckets[..ed].iter().map(BitSet::len).sum::<usize>()
                 + buckets[ed].rank(enquirer.get());
             if k >= rank {
                 k += 1;
@@ -433,15 +463,45 @@ mod tests {
     }
 
     #[test]
-    fn idset_tracks_a_sorted_vec_through_churn() {
-        let mut set = IdSet::default();
+    fn bitset_tracks_a_sorted_vec_through_churn() {
+        // 31 whole words plus 16 bits: three whole count groups, a
+        // partial fourth, a partial last word.
+        const UNIVERSE: u32 = 2_000;
+        // Both sides of every word / count-group seam, and the two ends.
+        const SEAMS: [u32; 12] = [0, 1, 63, 64, 65, 511, 512, 513, 1_023, 1_024, 1_984, 1_999];
+        let check = |set: &BitSet, reference: &[u32]| {
+            assert_eq!(set.len(), reference.len());
+            for (k, &id) in reference.iter().enumerate() {
+                assert_eq!(set.select(k), id, "select({k})");
+                assert_eq!(set.rank(id), k, "rank({id})");
+            }
+            // Rank of an absent id is its insertion point.
+            for id in SEAMS {
+                assert_eq!(
+                    set.rank(id),
+                    reference.partition_point(|&x| x < id),
+                    "rank({id})"
+                );
+            }
+        };
+        let mut set = BitSet::default();
         let mut reference: Vec<u32> = Vec::new();
+        for id in SEAMS {
+            set.insert(id, UNIVERSE as usize);
+            reference.push(id);
+        }
+        check(&set, &reference);
         let mut x = 3u64;
-        for _ in 0..4_000 {
+        for step in 0..4_000 {
             x = x
                 .wrapping_mul(6364136223846793005)
                 .wrapping_add(1442695040888963407);
-            let id = (x >> 40) as u32 % 2_048;
+            // Every fourth toggle lands on a seam, the rest anywhere.
+            let id = if step % 4 == 0 {
+                SEAMS[(x >> 40) as usize % SEAMS.len()]
+            } else {
+                (x >> 40) as u32 % UNIVERSE
+            };
             match reference.binary_search(&id) {
                 Ok(pos) => {
                     reference.remove(pos);
@@ -449,29 +509,13 @@ mod tests {
                 }
                 Err(pos) => {
                     reference.insert(pos, id);
-                    set.insert(id);
+                    set.insert(id, UNIVERSE as usize);
                 }
             }
+            if step % 101 == 0 {
+                check(&set, &reference);
+            }
         }
-        assert_eq!(set.len(), reference.len());
-        for (k, &id) in reference.iter().enumerate() {
-            assert_eq!(set.select(k), id);
-            assert_eq!(set.rank(id), k);
-        }
-        // Rank of an absent id is its insertion point.
-        assert_eq!(set.rank(u32::MAX), reference.len());
-    }
-
-    #[test]
-    fn idset_splits_oversized_blocks() {
-        let mut set = IdSet::default();
-        for id in 0..(3 * BLOCK as u32) {
-            set.insert(id);
-        }
-        assert!(set.blocks.len() >= 2, "grown past one block");
-        assert!(set.blocks.iter().all(|b| b.len() <= 2 * BLOCK));
-        for id in 0..(3 * BLOCK as u32) {
-            assert_eq!(set.select(id as usize), id);
-        }
+        check(&set, &reference);
     }
 }

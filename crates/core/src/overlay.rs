@@ -266,10 +266,11 @@ impl Overlay {
         }
     }
 
-    /// Rewrites the cached root and shifts the cached hop count by
-    /// `delta` for every peer in the subtree of `top` (including `top`).
-    /// O(subtree size); this is the *only* place the caches change.
-    fn update_subtree_cache(&mut self, top: PeerId, new_root: ChainRoot, delta: i64) {
+    /// Rewrites the cached root and moves the cached hop count — first
+    /// down by `rebase` (saturating), then by `delta` — for every peer
+    /// in the subtree of `top` (including `top`). O(subtree size); this
+    /// is the *only* place the caches change.
+    fn update_subtree_cache(&mut self, top: PeerId, new_root: ChainRoot, rebase: u32, delta: i64) {
         let packed_root = new_root.pack();
         let rooted = packed_root == ROOT_SOURCE;
         let mut stack = std::mem::take(&mut self.scratch);
@@ -287,7 +288,8 @@ impl Overlay {
             budget -= 1;
             let i = s.index();
             self.root[i] = packed_root;
-            self.hops[i] = (i64::from(self.hops[i]) + delta).clamp(0, i64::from(u32::MAX)) as u32;
+            let rebased = i64::from(self.hops[i].saturating_sub(rebase));
+            self.hops[i] = (rebased + delta).clamp(0, i64::from(u32::MAX)) as u32;
             if self.track_deltas {
                 let delay = rooted.then_some(self.hops[i]);
                 self.delay_deltas.push((s, delay));
@@ -296,6 +298,34 @@ impl Overlay {
         }
         stack.clear();
         self.scratch = stack; // drained by the loop; capacity retained
+    }
+
+    /// The cached `(root, hops)` a peer attached directly under
+    /// `parent` takes on.
+    #[inline]
+    fn cache_under(&self, parent: Member) -> (ChainRoot, u32) {
+        match parent {
+            Member::Source => (ChainRoot::Source, 1),
+            Member::Peer(p) => (
+                ChainRoot::unpack(self.root[p.index()]),
+                self.hops[p.index()] + 1,
+            ),
+        }
+    }
+
+    /// Appends `child` to the live child slots of `parent`, which has
+    /// room for it.
+    #[inline]
+    fn push_child(&mut self, parent: Member, child: PeerId) {
+        match parent {
+            Member::Source => self.source_children.push(child),
+            Member::Peer(p) => {
+                let i = p.index();
+                let slot = self.child_off[i] as usize + self.child_cnt[i] as usize;
+                self.child_pool[slot] = child;
+                self.child_cnt[i] += 1;
+            }
+        }
     }
 
     /// Number of peers the forest was sized for.
@@ -456,28 +486,12 @@ impl Overlay {
         // A parent-less child is the root of its own fragment, so the
         // prospective parent descends from it iff the parent's cached
         // chain root *is* the child — an O(1) cycle check.
-        let (new_root, base) = match parent {
-            Member::Source => (ChainRoot::Source, 1),
-            Member::Peer(p) => {
-                if self.root[p.index()] == child.get() {
-                    return Err(OverlayError::WouldCycle);
-                }
-                (
-                    ChainRoot::unpack(self.root[p.index()]),
-                    self.hops[p.index()] + 1,
-                )
-            }
-        };
-        self.parent[child.index()] = pack_parent(Some(parent));
-        match parent {
-            Member::Source => self.source_children.push(child),
-            Member::Peer(p) => {
-                let i = p.index();
-                let slot = self.child_off[i] as usize + self.child_cnt[i] as usize;
-                self.child_pool[slot] = child;
-                self.child_cnt[i] += 1;
-            }
+        if matches!(parent, Member::Peer(p) if self.root[p.index()] == child.get()) {
+            return Err(OverlayError::WouldCycle);
         }
+        let (new_root, base) = self.cache_under(parent);
+        self.parent[child.index()] = pack_parent(Some(parent));
+        self.push_child(parent, child);
         self.note_fanout_delta(parent);
         // The child was a fragment root, normally at hops 0, so its
         // whole subtree shifts down to the child's new depth and adopts
@@ -485,7 +499,87 @@ impl Overlay {
         // (rather than assuming 0) keeps the subtree internally
         // consistent even when a corruption forged the child's cache.
         let shift = i64::from(base) - i64::from(self.hops[child.index()]);
-        self.update_subtree_cache(child, new_root, shift);
+        self.update_subtree_cache(child, new_root, 0, shift);
+        Ok(())
+    }
+
+    /// The paper's `j ← i ← k` as one reconfiguration: parent-less `i`
+    /// takes the place of `j` under `j`'s parent `k` and adopts `j`,
+    /// whose subtree comes along one hop deeper.
+    ///
+    /// The outcome — child-slot order, caches, and the last delta
+    /// record of every peer — is exactly that of `detach(j)`,
+    /// `attach(i, k)`, `attach(j, i)`, but `j`'s subtree is re-stamped
+    /// once rather than twice, and nothing is touched unless all three
+    /// calls would succeed.
+    ///
+    /// # Errors
+    ///
+    /// [`OverlayError::NoParent`] if `j` has no parent or its parent
+    /// does not list it; otherwise whatever either attach would return:
+    /// [`OverlayError::SelfParent`], [`OverlayError::HasParent`] (`i`
+    /// has a parent), [`OverlayError::ParentFull`] (`i` is full, or `k`
+    /// holds more children than it advertises), or
+    /// [`OverlayError::WouldCycle`] (`k`'s cached root names `i` or
+    /// `j`).
+    pub fn interpose(&mut self, i: PeerId, j: PeerId) -> Result<(), OverlayError> {
+        let parent = unpack_parent(self.parent[j.index()]).ok_or(OverlayError::NoParent)?;
+        if i == j || parent == Member::Peer(i) {
+            return Err(OverlayError::SelfParent);
+        }
+        if self.parent[i.index()] != NO_PARENT {
+            return Err(OverlayError::HasParent);
+        }
+        let (siblings, advertised) = match parent {
+            Member::Source => (&self.source_children[..], self.source_fanout),
+            Member::Peer(k) => (self.kids(k.index()), self.fanout[k.index()]),
+        };
+        let pos = siblings
+            .iter()
+            .position(|&c| c == j)
+            .ok_or(OverlayError::NoParent)?;
+        // Removing j frees the one slot i needs — unless a corruption
+        // left the parent over its advertised fanout.
+        if siblings.len() as u32 > advertised || !self.has_free_fanout(Member::Peer(i)) {
+            return Err(OverlayError::ParentFull);
+        }
+        // attach(i, k) refuses a k inside i's fragment; attach(j, i)
+        // then reads the root i inherited from k.
+        if let Member::Peer(k) = parent {
+            let root_k = self.root[k.index()];
+            if root_k == i.get() || root_k == j.get() {
+                return Err(OverlayError::WouldCycle);
+            }
+        }
+
+        // Slot order of swap_remove-then-push: the last sibling moves
+        // into j's slot and i goes last.
+        match parent {
+            Member::Source => {
+                self.source_children.swap_remove(pos);
+                self.source_children.push(i);
+            }
+            Member::Peer(k) => {
+                let off = self.child_off[k.index()] as usize;
+                let last = off + self.child_cnt[k.index()] as usize - 1;
+                self.child_pool[off + pos] = self.child_pool[last];
+                self.child_pool[last] = i;
+            }
+        }
+        let (new_root, base) = self.cache_under(parent);
+        self.parent[i.index()] = pack_parent(Some(parent));
+        // i's own fragment moves under k before j joins it, so j's
+        // subtree is not visited at i's shift.
+        let shift = i64::from(base) - i64::from(self.hops[i.index()]);
+        self.update_subtree_cache(i, new_root, 0, shift);
+        self.parent[j.index()] = i.get();
+        self.push_child(Member::Peer(i), j);
+        self.note_fanout_delta(Member::Peer(i));
+        // Depths relative to j are kept and re-based one hop below i
+        // (`hops + 1` on a valid overlay).
+        let old_hops = self.hops[j.index()];
+        let below_i = i64::from(self.hops[i.index()]) + 1;
+        self.update_subtree_cache(j, new_root, old_hops, below_i);
         Ok(())
     }
 
@@ -525,7 +619,7 @@ impl Overlay {
         // The detached subtree keeps its internal shape: every member's
         // depth drops by the child's old depth, rooted at the child.
         let old_hops = self.hops[child.index()];
-        self.update_subtree_cache(child, ChainRoot::Fragment(child), -i64::from(old_hops));
+        self.update_subtree_cache(child, ChainRoot::Fragment(child), old_hops, 0);
         Ok(parent)
     }
 
@@ -548,7 +642,7 @@ impl Overlay {
             // fragment root `p` (unless a corruption forged its cache);
             // it now becomes its own fragment root at hops 0.
             let old_hops = self.hops[c.index()];
-            self.update_subtree_cache(c, ChainRoot::Fragment(c), -i64::from(old_hops));
+            self.update_subtree_cache(c, ChainRoot::Fragment(c), old_hops, 0);
         }
         orphans
     }
@@ -826,9 +920,7 @@ impl Overlay {
         if self.child_cnt[i] >= self.child_capacity(p) || self.kids(i).contains(&child) {
             return false;
         }
-        let slot = self.child_off[i] as usize + self.child_cnt[i] as usize;
-        self.child_pool[slot] = child;
-        self.child_cnt[i] += 1;
+        self.push_child(Member::Peer(p), child);
         self.note_fanout_delta(Member::Peer(p));
         true
     }
@@ -1084,6 +1176,97 @@ mod tests {
             Err(OverlayError::WouldCycle)
         );
         o.validate().unwrap();
+    }
+
+    /// The chain source ← 0 ← 1 ← 2 beside the fragment 3 ← 4; every
+    /// peer has fanout 2.
+    fn chain_and_fragment() -> Overlay {
+        let population = pop(1, &[(2, 9); 5]);
+        let mut o = Overlay::new(&population);
+        o.attach(p(0), Member::Source).unwrap();
+        o.attach(p(1), Member::Peer(p(0))).unwrap();
+        o.attach(p(2), Member::Peer(p(1))).unwrap();
+        o.attach(p(4), Member::Peer(p(3))).unwrap();
+        o
+    }
+
+    #[test]
+    fn interpose_splices_a_fragment_root_above_a_child() {
+        let mut o = chain_and_fragment();
+        o.interpose(p(3), p(1)).unwrap();
+        assert_eq!(o.children(p(0)), &[p(3)]);
+        assert_eq!(o.children(p(3)), &[p(4), p(1)]);
+        let delays: Vec<_> = (0..5).map(|i| o.delay(p(i))).collect();
+        assert_eq!(delays, [Some(1), Some(3), Some(4), Some(2), Some(3)]);
+        o.validate().unwrap();
+
+        // Under the source too, where the last sibling fills j's slot.
+        let population = pop(3, &[(0, 9), (0, 9), (0, 9), (1, 9)]);
+        let mut o = Overlay::new(&population);
+        for i in 0..3 {
+            o.attach(p(i), Member::Source).unwrap();
+        }
+        o.interpose(p(3), p(0)).unwrap();
+        assert_eq!(o.source_children(), &[p(2), p(1), p(3)]);
+        assert_eq!(o.delay(p(0)), Some(2));
+        o.validate().unwrap();
+    }
+
+    #[test]
+    fn interpose_refuses_before_mutating() {
+        let refused = |corrupt: &dyn Fn(&mut Overlay), error: OverlayError| {
+            let mut o = chain_and_fragment();
+            corrupt(&mut o);
+            o.set_delta_tracking(true);
+            let before = o.clone();
+            assert_eq!(o.interpose(p(3), p(1)), Err(error));
+            assert_eq!(o, before);
+            assert!(!o.has_pending_deltas());
+        };
+        // k's forged root cache names i: attach(i, k) would refuse.
+        refused(
+            &|o| o.raw_set_cache(p(0), ChainRoot::Fragment(p(3)), 1),
+            OverlayError::WouldCycle,
+        );
+        // ... or names j, which i would inherit: attach(j, i) would.
+        refused(
+            &|o| o.raw_set_cache(p(0), ChainRoot::Fragment(p(1)), 1),
+            OverlayError::WouldCycle,
+        );
+        // i advertises no slot for j.
+        refused(&|o| o.raw_set_fanout(p(3), 1), OverlayError::ParentFull);
+        // k holds more children than it advertises, so j's leaving
+        // frees no slot for i.
+        refused(
+            &|o| {
+                o.raw_add_child(p(0), p(4));
+                o.raw_set_fanout(p(0), 1);
+            },
+            OverlayError::ParentFull,
+        );
+        // The checks either attach makes on a valid overlay.
+        refused(&|o| assert!(o.detach(p(1)).is_ok()), OverlayError::NoParent);
+        refused(
+            &|o| o.attach(p(3), Member::Peer(p(2))).unwrap(),
+            OverlayError::HasParent,
+        );
+    }
+
+    #[test]
+    fn interpose_terminates_on_a_grafted_ancestor() {
+        // 2 lists its own ancestor 0 as a child: the child lists below
+        // j = 1 loop (1 → 2 → 0 → 1 …). The re-stamp is bounded by the
+        // population size and the hop arithmetic clamps.
+        let mut o = chain_and_fragment();
+        assert!(o.raw_add_child(p(2), p(0)));
+        o.set_delta_tracking(true);
+        o.interpose(p(3), p(1)).unwrap();
+        assert_eq!(o.parent(p(1)), Some(Member::Peer(p(3))));
+        assert_eq!(o.children(p(3)), &[p(4), p(1)]);
+        let (mut delays, mut fanouts) = (Vec::new(), Vec::new());
+        o.take_deltas_into(&mut delays, &mut fanouts);
+        // i's pass stamps 3 and 4; j's pass stops after one budget.
+        assert!(delays.len() <= 2 + o.len());
     }
 
     #[test]

@@ -304,8 +304,13 @@ where
     M: Fn(std::ops::Range<usize>) -> T + Sync,
     C: Fn(T, T) -> T,
 {
+    // Size first: the thread count costs an env lookup and a syscall,
+    // and the engine's per-round probes land here on every round.
+    if count < PAR_FOLD_MIN {
+        return map(0..count);
+    }
     let threads = default_threads().min(count);
-    if count < PAR_FOLD_MIN || threads <= 1 {
+    if threads <= 1 {
         return map(0..count);
     }
     let plan = chunk_plan(count, threads);

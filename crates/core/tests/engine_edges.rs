@@ -305,3 +305,31 @@ fn snapshot_preserves_overlay_view() {
     let snapshot = engine.snapshot();
     assert_eq!(snapshot.overlay(), engine.overlay());
 }
+
+#[test]
+fn large_snapshot_round_trips_through_json() {
+    // Parsing used to re-validate the whole remaining document for
+    // every string character, so a checkpoint of this size took
+    // minutes; it must read back in time linear in its length.
+    let n = 20_000u32;
+    let population = Population::new(
+        4,
+        (0..n)
+            .map(|i| Constraints::new(i % 4, 1 + i % 20))
+            .collect(),
+    );
+    let config = ConstructionConfig::new(Algorithm::Greedy, OracleKind::Random);
+    let mut engine = Engine::new(&population, &config, 5);
+    for _ in 0..3 {
+        engine.step();
+    }
+    let json = engine.snapshot().to_json_string();
+    let back = lagover_core::EngineSnapshot::from_json_str(&json).expect("snapshot deserializes");
+    assert_eq!(back.round(), engine.round());
+    assert_eq!(back.overlay(), engine.overlay());
+    assert_eq!(
+        back.to_json_string(),
+        json,
+        "re-serializes to the same bytes"
+    );
+}

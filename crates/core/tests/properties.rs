@@ -10,6 +10,8 @@
 //!   or (greedy) break the `l_parent <= l_child` invariant — regardless
 //!   of workload, oracle, or seed.
 
+use std::collections::BTreeMap;
+
 use proptest::prelude::*;
 
 use lagover_core::node::{Constraints, Member, PeerId, Population};
@@ -55,6 +57,40 @@ fn op_strategy(n: usize) -> impl Strategy<Value = Op> {
     ]
 }
 
+/// Applies `op` where its indices exist in the overlay. The mutation
+/// may legitimately fail; it must never corrupt.
+fn apply_op(overlay: &mut Overlay, op: &Op) {
+    let n = overlay.len();
+    match *op {
+        Op::Attach { child, parent } => {
+            if child < n {
+                let parent = match parent {
+                    Some(p) if p < n => Member::Peer(PeerId::new(p as u32)),
+                    _ => Member::Source,
+                };
+                let _ = overlay.attach(PeerId::new(child as u32), parent);
+            }
+        }
+        Op::Detach { peer } => {
+            if peer < n {
+                let _ = overlay.detach(PeerId::new(peer as u32));
+            }
+        }
+        Op::Remove { peer } => {
+            if peer < n {
+                let _ = overlay.remove_peer(PeerId::new(peer as u32));
+            }
+        }
+    }
+}
+
+/// The last delay record of every peer in a drained delta feed.
+fn last_delay_records(overlay: &mut Overlay) -> BTreeMap<PeerId, Option<u32>> {
+    let (mut delays, mut fanouts) = (Vec::new(), Vec::new());
+    overlay.take_deltas_into(&mut delays, &mut fanouts);
+    delays.into_iter().collect()
+}
+
 proptest! {
     /// Any sequence of overlay mutations leaves the structure valid:
     /// parent/child links consistent, fanouts respected, no cycles.
@@ -63,31 +99,9 @@ proptest! {
         population in population_strategy(),
         ops in prop::collection::vec(op_strategy(12), 0..60),
     ) {
-        let n = population.len();
         let mut overlay = Overlay::new(&population);
         for op in ops {
-            match op {
-                Op::Attach { child, parent } => {
-                    if child < n {
-                        let parent = match parent {
-                            Some(p) if p < n => Member::Peer(PeerId::new(p as u32)),
-                            _ => Member::Source,
-                        };
-                        // May legitimately fail; must never corrupt.
-                        let _ = overlay.attach(PeerId::new(child as u32), parent);
-                    }
-                }
-                Op::Detach { peer } => {
-                    if peer < n {
-                        let _ = overlay.detach(PeerId::new(peer as u32));
-                    }
-                }
-                Op::Remove { peer } => {
-                    if peer < n {
-                        let _ = overlay.remove_peer(PeerId::new(peer as u32));
-                    }
-                }
-            }
+            apply_op(&mut overlay, &op);
             prop_assert_eq!(overlay.validate(), Ok(()));
         }
     }
@@ -102,35 +116,63 @@ proptest! {
         population in population_strategy(),
         ops in prop::collection::vec(op_strategy(12), 0..60),
     ) {
-        let n = population.len();
         let mut overlay = Overlay::new(&population);
         for op in ops {
-            match op {
-                Op::Attach { child, parent } => {
-                    if child < n {
-                        let parent = match parent {
-                            Some(p) if p < n => Member::Peer(PeerId::new(p as u32)),
-                            _ => Member::Source,
-                        };
-                        let _ = overlay.attach(PeerId::new(child as u32), parent);
-                    }
-                }
-                Op::Detach { peer } => {
-                    if peer < n {
-                        let _ = overlay.detach(PeerId::new(peer as u32));
-                    }
-                }
-                Op::Remove { peer } => {
-                    if peer < n {
-                        let _ = overlay.remove_peer(PeerId::new(peer as u32));
-                    }
-                }
-            }
+            apply_op(&mut overlay, &op);
             for p in population.peer_ids() {
                 prop_assert_eq!(overlay.root(p), overlay.walk_root(p));
                 prop_assert_eq!(overlay.hops_to_root(p), overlay.walk_hops_to_root(p));
                 prop_assert_eq!(overlay.delay(p), overlay.walk_delay(p));
             }
+        }
+    }
+
+    /// `interpose(i, j)` is `detach(j); attach(i, k); attach(j, i)` in
+    /// one pass: on any forest it succeeds exactly when all three calls
+    /// do, and then leaves the same overlay (child order and caches
+    /// included), a valid one, and a delta feed with the same last
+    /// record per peer; when it refuses, nothing has changed.
+    #[test]
+    fn interpose_equals_detach_attach_attach(
+        population in population_strategy(),
+        ops in prop::collection::vec(op_strategy(12), 0..60),
+        picks in (0usize..12, 0usize..12),
+        aimed in any::<bool>(),
+    ) {
+        let mut before = Overlay::new(&population);
+        for op in &ops {
+            apply_op(&mut before, op);
+        }
+        // Half the cases aim at a pair that can splice (a fragment root
+        // and a parented peer), the rest take any pair, errors and all.
+        let peers: Vec<PeerId> = population.peer_ids().collect();
+        let (roots, parented): (Vec<PeerId>, Vec<PeerId>) =
+            peers.iter().partition(|&&p| before.parent(p).is_none());
+        let (i, j) = if aimed && !roots.is_empty() && !parented.is_empty() {
+            (roots[picks.0 % roots.len()], parented[picks.1 % parented.len()])
+        } else {
+            (peers[picks.0 % peers.len()], peers[picks.1 % peers.len()])
+        };
+        before.set_delta_tracking(true);
+
+        let mut stepwise = before.clone();
+        let all_three = stepwise.detach(j).and_then(|k| {
+            stepwise.attach(i, k)?;
+            stepwise.attach(j, Member::Peer(i))
+        });
+        let mut spliced = before.clone();
+        let outcome = spliced.interpose(i, j);
+        prop_assert_eq!(outcome.is_ok(), all_three.is_ok(), "{:?} vs {:?}", outcome, all_three);
+        if outcome.is_ok() {
+            prop_assert_eq!(&spliced, &stepwise);
+            prop_assert_eq!(spliced.validate(), Ok(()));
+            prop_assert_eq!(
+                last_delay_records(&mut spliced),
+                last_delay_records(&mut stepwise)
+            );
+        } else {
+            prop_assert_eq!(&spliced, &before);
+            prop_assert!(!spliced.has_pending_deltas());
         }
     }
 
@@ -439,6 +481,18 @@ fn sized_population(n: usize, seed: u64) -> Population {
     Population::new(source_fanout, peers)
 }
 
+/// `n` peers of fanout 2 and latency 2..=4 under a source of fanout 2:
+/// trees this thin cannot hold everyone within four hops, so while
+/// construction thrashes, displacement pushes rooted subtrees well
+/// below every latency constraint.
+fn low_fanout_population(n: usize, seed: u64) -> Population {
+    let mut rng = SimRng::seed_from(seed ^ 0x0C4A_1200_0C4A_1200);
+    let peers = (0..n)
+        .map(|_| Constraints::new(2, 2 + rng.index(3) as u32))
+        .collect();
+    Population::new(2, peers)
+}
+
 /// Asserts two engines are on byte-identical trajectories: same RNG
 /// draw count, same counters, and the same overlay down to children
 /// order and online sets.
@@ -460,33 +514,63 @@ fn engines_agree(a: &Engine, b: &Engine, population: &Population) -> Result<(), 
     Ok(())
 }
 
+/// Steps an indexed engine and a naive-scan engine side by side,
+/// asserting agreement after every round; returns the deepest rooted
+/// `DelayAt` seen on the way.
+fn index_tracks_reference(
+    population: &Population,
+    oracle: OracleKind,
+    seed: u64,
+) -> Result<u32, TestCaseError> {
+    let config = ConstructionConfig::new(Algorithm::Hybrid, oracle).with_max_rounds(5_000);
+    let mut indexed = Engine::new(population, &config, seed);
+    prop_assert!(indexed.oracle_indexing(), "indexing is the default");
+    let mut reference = Engine::new(population, &config, seed);
+    reference.set_oracle_indexing(false);
+    prop_assert!(!reference.oracle_indexing());
+    let rounds = if population.len() >= 1_000 { 25 } else { 60 };
+    let mut deepest = 0;
+    for _ in 0..rounds {
+        indexed.step();
+        reference.step();
+        engines_agree(&indexed, &reference, population)?;
+        let depths = population
+            .peer_ids()
+            .filter_map(|p| indexed.overlay().delay(p));
+        deepest = deepest.max(depths.max().unwrap_or(0));
+    }
+    Ok(deepest)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// The indexed oracle sampler (Fenwick / delay-bucket path) against
+    /// The indexed oracle sampler (Fenwick / delay-bitmap path) against
     /// the retained naive reference path: identical attach/detach
     /// trajectories, depths, and RNG draw counts at the sizes the scale
-    /// scenarios care about, for every oracle kind.
+    /// scenarios care about, for every oracle kind — and, under all
+    /// four oracles, on the low-fanout population whose rooted peers
+    /// sink to `max_latency` and below, where the index stops filing
+    /// them, so
+    /// the horizon is held against the naive scan too.
     #[test]
     fn indexed_oracle_matches_reference_path(
         size_idx in 0usize..3,
         oracle_idx in 0usize..4,
         seed in 0u64..100_000,
     ) {
-        let n = [16, 120, 1_000][size_idx];
-        let population = sized_population(n, seed);
-        let config = ConstructionConfig::new(Algorithm::Hybrid, OracleKind::ALL[oracle_idx])
-            .with_max_rounds(5_000);
-        let mut indexed = Engine::new(&population, &config, seed);
-        prop_assert!(indexed.oracle_indexing(), "indexing is the default");
-        let mut reference = Engine::new(&population, &config, seed);
-        reference.set_oracle_indexing(false);
-        prop_assert!(!reference.oracle_indexing());
-        let rounds = if n >= 1_000 { 25 } else { 60 };
-        for _ in 0..rounds {
-            indexed.step();
-            reference.step();
-            engines_agree(&indexed, &reference, &population)?;
+        let population = sized_population([16, 120, 1_000][size_idx], seed);
+        index_tracks_reference(&population, OracleKind::ALL[oracle_idx], seed)?;
+        let thin = low_fanout_population(120, seed);
+        for oracle in OracleKind::ALL {
+            let deepest = index_tracks_reference(&thin, oracle, seed)?;
+            prop_assert!(
+                deepest >= thin.max_latency(),
+                "{:?}: rooted depth {} never reached the horizon {}",
+                oracle,
+                deepest,
+                thin.max_latency()
+            );
         }
     }
 

@@ -11,6 +11,7 @@ const MAX_DEPTH: usize = 128;
 /// On any syntax error, with a byte offset in the message.
 pub fn parse(text: &str) -> Result<Json, JsonError> {
     let mut p = Parser {
+        text,
         bytes: text.as_bytes(),
         pos: 0,
     };
@@ -24,6 +25,8 @@ pub fn parse(text: &str) -> Result<Json, JsonError> {
 }
 
 struct Parser<'a> {
+    text: &'a str,
+    /// `text.as_bytes()`.
     bytes: &'a [u8],
     pos: usize,
 }
@@ -188,16 +191,16 @@ impl Parser<'_> {
                     return Err(err(format!("raw control byte in string at {}", self.pos)))
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (input is &str, so this is
-                    // always a valid boundary-to-boundary step).
-                    let rest = &self.bytes[self.pos..];
-                    let step = std::str::from_utf8(rest)
-                        .map_err(|_| err("invalid utf-8"))?
-                        .chars()
-                        .next()
-                        .map_or(1, char::len_utf8);
-                    out.push_str(std::str::from_utf8(&rest[..step]).expect("checked utf-8"));
-                    self.pos += step;
+                    // Consume one UTF-8 scalar: every step above moves
+                    // `pos` over whole ASCII bytes or whole scalars, so
+                    // it sits on a char boundary of the input `&str`.
+                    let c = self
+                        .text
+                        .get(self.pos..)
+                        .and_then(|rest| rest.chars().next())
+                        .ok_or_else(|| err("invalid utf-8"))?;
+                    out.push(c);
+                    self.pos += c.len_utf8();
                 }
             }
         }
