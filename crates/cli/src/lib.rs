@@ -36,14 +36,14 @@ use std::fmt;
 use lagover_core::analysis;
 use lagover_core::node::{PeerId, Population};
 use lagover_core::{
-    check_sufficiency, construct_observed, exact_feasibility, parallel_runs, run_recovery,
-    Algorithm, ConstructionConfig, Engine, FaultScenario, OracleKind,
+    check_sufficiency, exact_feasibility, parallel_runs, Algorithm, ConstructionConfig, Engine,
+    FaultScenario, OracleKind, Run,
 };
 use lagover_feed::{compare_server_load, disseminate, DisseminationConfig, PublishSchedule};
 use lagover_node::{
     run_harness, run_mesh, run_udp_node, HarnessOptions, Scenario, ScenarioSpec, UdpNodeOptions,
 };
-use lagover_obs::ObsReport;
+use lagover_obs::{Event, Node, ObsReport};
 use lagover_stream::{stream, StreamConfig};
 use lagover_workload::{TopologicalConstraint, WorkloadSpec};
 
@@ -676,13 +676,32 @@ fn cmd_stream(opts: &Options) -> Result<String, CliError> {
 fn cmd_evolve(opts: &Options) -> Result<String, CliError> {
     let population = resolve_population(opts)?;
     let mut engine = build(opts, &population);
-    engine.enable_trace(1_000_000);
+    engine.obs_mut().enable_journal(1_000_000);
     let converged = engine.run_to_convergence();
-    let log = engine.take_trace().expect("tracing enabled");
+    let journal = engine.obs_mut().take_journal().expect("journal enabled");
+    // Only the structural (attach/detach) events, oldest first; only
+    // the first `--trace` of them are rendered.
+    let mut total = 0usize;
     let mut out = String::new();
-    let total = log.len();
-    for event in log.iter().take(opts.trace) {
-        out += &format!("{event}\n");
+    for event in journal.iter() {
+        let line = match *event {
+            Event::Attach {
+                round,
+                child,
+                parent,
+            } => format!("r{round}: {} <- {parent}\n", Node::Peer(child)),
+            Event::Detach {
+                round,
+                child,
+                parent,
+                cause,
+            } => format!("r{round}: {} !<- {parent} ({cause})\n", Node::Peer(child)),
+            _ => continue,
+        };
+        total += 1;
+        if total <= opts.trace {
+            out += &line;
+        }
     }
     if total > opts.trace {
         out += &format!("… {} more events (raise --trace)\n", total - opts.trace);
@@ -707,7 +726,9 @@ fn cmd_recover(opts: &Options) -> Result<String, CliError> {
         message_loss: opts.message_loss,
         blackout_rounds: opts.blackout,
     };
-    let outcome = run_recovery(&population, &config, &scenario, opts.rounds, opts.seed);
+    let outcome = Run::new(&population, &config, opts.seed)
+        .recover(&scenario, opts.rounds)
+        .outcome;
     let mut out = match outcome.construction_converged_at {
         Some(round) => format!("constructed in {round} rounds\n"),
         None => format!(
@@ -762,27 +783,10 @@ fn cmd_obs(opts: &Options) -> Result<String, CliError> {
     // `LAGOVER_THREADS` setting).
     let reports: Vec<ObsReport> = parallel_runs(opts.runs, |r| {
         let seed = opts.seed.wrapping_add(r as u64);
-        let observed = construct_observed(
-            &population,
-            &config,
-            seed,
-            OBS_JOURNAL_CAPACITY,
-            OBS_SAMPLE_INTERVAL,
-        );
-        ObsReport {
-            label: label.clone(),
-            peers: population.len() as u64,
-            runs: 1,
-            seed,
-            rounds: observed.outcome.rounds_run,
-            converged: observed.outcome.converged() as u64,
-            converged_rounds: observed.outcome.converged_at.unwrap_or(0),
-            counters: observed.outcome.counters,
-            profile: observed.profile,
-            scrapes: observed.scrapes,
-            health: observed.health,
-            journal: Some(observed.journal),
-        }
+        Run::new(&population, &config, seed)
+            .observe(OBS_JOURNAL_CAPACITY, OBS_SAMPLE_INTERVAL)
+            .construct()
+            .into_report(&label, population.len(), seed)
     });
     let mut it = reports.into_iter();
     let mut merged = it.next().expect("--runs >= 1");

@@ -11,17 +11,17 @@
 //! replace-and-adopt reconfiguration (`j ← i ← k`).
 
 use lagover_obs::{
-    wall_mark, Event, HealthSample, InconsistencyCause, Pipeline, RepairKind, Scrape, Work,
+    wall_mark, DetachCause, Event, HealthSample, InconsistencyCause, Pipeline, RepairKind, Scrape,
+    Work,
 };
 use lagover_sim::{ChurnProcess, FaultPlan, Round, SimRng};
 use serde::{Deserialize, Serialize};
 
 use crate::config::{Algorithm, ConstructionConfig};
-use crate::node::{Member, PeerId, Population};
+use crate::node::{member_to_node, Member, PeerId, Population};
 use crate::oracle::{Oracle, OracleKind, OracleView};
 use crate::oracle_index::OracleIndex;
 use crate::overlay::Overlay;
-use crate::trace::{member_to_node, DetachCause, TraceLog};
 use crate::{greedy, hybrid, maintenance, stabilize};
 
 // Moved to `lagover-obs` (the counters are the registry's raw
@@ -250,33 +250,6 @@ impl Engine {
             crashed_total: 0,
             stabilizing: false,
         }
-    }
-
-    /// Enables event journaling, keeping at most `capacity` events
-    /// (ring buffer). Equivalent to enabling the journal on
-    /// [`Engine::obs_mut`]; kept as the stable name the structural
-    /// tracing API has always had.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity == 0`.
-    pub fn enable_trace(&mut self, capacity: usize) {
-        self.obs.enable_journal(capacity);
-    }
-
-    /// The structural trace, if journaling is enabled — a typed
-    /// attach/detach projection materialized from the event journal
-    /// (use [`Engine::obs`] for the full journal).
-    pub fn trace(&self) -> Option<TraceLog> {
-        self.obs.journal().map(TraceLog::from_journal)
-    }
-
-    /// Takes the journal (disabling journaling) and returns its
-    /// structural projection.
-    pub fn take_trace(&mut self) -> Option<TraceLog> {
-        self.obs
-            .take_journal()
-            .map(|journal| TraceLog::from_journal(&journal))
     }
 
     /// The observability pipeline.
@@ -788,7 +761,7 @@ impl Engine {
 
     /// Work done since a `(rng draws, counters)` baseline — the
     /// profiler's per-phase delta.
-    fn work_since(&self, draws0: u64, counters0: &EngineCounters, actions: u64) -> Work {
+    pub(crate) fn work_since(&self, draws0: u64, counters0: &EngineCounters, actions: u64) -> Work {
         let c = &self.counters;
         Work {
             actions,

@@ -20,13 +20,14 @@
 //!   into;
 //! * the **greedy** (§3.1) and **hybrid** (§3.4, Algorithm 2)
 //!   construction algorithms with the maintenance protocol
-//!   (Algorithm 1), driven by the round-based [`Engine`] or the
-//!   event-driven asynchronous runner ([`run_async`]);
+//!   (Algorithm 1), executed by the [`Engine`];
 //! * [`sufficiency`] — the §3.3 existence condition and an exact
 //!   feasibility checker;
-//! * [`runner`] — convergence, churn, and crash-recovery run
-//!   orchestration (the latter driven by the deterministic
-//!   fault-injection plans of `lagover_sim::faults`);
+//! * [`run`] — one [`Run`] description and its verbs (construct,
+//!   under churn, recover from crashes, stabilize from corruption), on
+//!   the round clock or on virtual time, observed or not; [`outcome`]
+//!   holds what they record, [`runner`] the deterministic thread
+//!   fan-out the experiment drivers use;
 //! * [`stabilize`] — self-stabilization from arbitrary corrupted
 //!   state: adversarial snapshot injection
 //!   (`lagover_sim::CorruptionPlan`) and the always-on local
@@ -53,42 +54,35 @@
 //! ```
 
 pub mod analysis;
-pub mod async_engine;
 pub mod config;
 pub mod engine;
 pub mod forest;
 pub mod node;
 pub mod oracle;
+pub mod outcome;
 pub mod overlay;
+pub mod run;
 pub mod runner;
 pub mod stabilize;
 pub mod sufficiency;
-pub mod trace;
 
 mod greedy;
 mod hybrid;
 mod maintenance;
 mod oracle_index;
 
-pub use async_engine::{
-    as_construction_outcome, run_async, run_async_lockstep, run_async_observed, run_async_recovery,
-    run_async_recovery_lockstep, run_async_recovery_observed, run_async_with_churn,
-    AsyncChurnOutcome, AsyncOutcome, AsyncRecoveryOutcome, ObservedAsyncRecovery, ObservedAsyncRun,
-};
 pub use config::{Algorithm, ConstructionConfig, SourceMode};
 pub use engine::{Engine, EngineCounters, EngineSnapshot};
 pub use forest::{carve, CarveError, ForestPlan, StreamBudgets, TreePlan};
+pub use lagover_obs::DetachCause;
 pub use node::{Constraints, Member, PeerId, Population};
 pub use oracle::{Oracle, OracleKind, OracleView};
-pub use overlay::{ChainRoot, Overlay, OverlayError};
-pub use runner::{
-    chunk_plan, construct, construct_many, construct_observed, construct_with_oracle,
-    parallel_fold, parallel_runs, parallel_runs_with, run_recovery, run_recovery_observed,
-    run_recovery_with_oracle, run_stabilization, run_stabilization_observed,
-    run_stabilization_with_oracle, run_with_churn, ChurnOutcome, ConstructionOutcome,
-    FaultScenario, ObservedRecovery, ObservedRun, ObservedStabilization, RecoveryOutcome,
-    StabilizationOutcome,
+pub use outcome::{
+    AsyncChurnOutcome, AsyncOutcome, AsyncRecoveryOutcome, AsyncStabilizationOutcome, ChurnOutcome,
+    ConstructionOutcome, Observed, RecoveryOutcome, StabilizationOutcome, Trail,
 };
+pub use overlay::{ChainRoot, Overlay, OverlayError};
+pub use run::{construct, FaultScenario, FixedActionDuration, InteractionDurations, Run, TimedRun};
+pub use runner::{chunk_plan, parallel_fold, parallel_runs, parallel_runs_with};
 pub use stabilize::apply_corruption;
 pub use sufficiency::{check as check_sufficiency, exact_feasibility, SufficiencyReport};
-pub use trace::{DetachCause, TraceEvent, TraceLog};

@@ -77,6 +77,22 @@ impl fmt::Display for Member {
     }
 }
 
+/// Converts a typed tree member to the event journal's raw form.
+pub fn member_to_node(member: Member) -> lagover_obs::Node {
+    match member {
+        Member::Source => lagover_obs::Node::Source,
+        Member::Peer(p) => lagover_obs::Node::Peer(p.get()),
+    }
+}
+
+/// Converts the event journal's raw member form back to the typed one.
+pub fn node_to_member(node: lagover_obs::Node) -> Member {
+    match node {
+        lagover_obs::Node::Source => Member::Source,
+        lagover_obs::Node::Peer(id) => Member::Peer(PeerId::new(id)),
+    }
+}
+
 /// A consumer's declared constraints: the paper's `(f_i, l_i)` pair.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct Constraints {
@@ -310,6 +326,13 @@ mod tests {
         assert_eq!(p.index(), 7);
         assert_eq!(p.get(), 7);
         assert_eq!(p.to_string(), "peer 7");
+    }
+
+    #[test]
+    fn member_node_round_trip() {
+        for member in [Member::Source, Member::Peer(PeerId::new(5))] {
+            assert_eq!(node_to_member(member_to_node(member)), member);
+        }
     }
 
     #[test]

@@ -1,12 +1,12 @@
-//! Engine edge cases: adversarial oracles, trace coherence, and
+//! Engine edge cases: adversarial oracles, journal coherence, and
 //! referral robustness.
 
 use std::collections::HashMap;
 
-use lagover_core::node::{Constraints, Member, PeerId, Population};
+use lagover_core::node::{node_to_member, Constraints, Member, PeerId, Population};
 use lagover_core::oracle::{Oracle, OracleView};
-use lagover_core::trace::TraceEvent;
-use lagover_core::{Algorithm, ConstructionConfig, Engine, OracleKind};
+use lagover_core::{Algorithm, ConstructionConfig, Engine, FixedActionDuration, OracleKind, Run};
+use lagover_obs::Event;
 use lagover_sim::{ChurnProcess, SimRng, Transitions};
 
 fn population() -> Population {
@@ -142,25 +142,32 @@ fn trace_replay_reconstructs_the_final_overlay() {
             .generate(5)
             .unwrap();
     let mut engine = Engine::new(&population, &config, 5);
-    engine.enable_trace(1_000_000);
+    engine.obs_mut().enable_journal(1_000_000);
     engine.run_to_convergence().expect("converges");
 
     // Replay every structural event over an empty parent map; the
     // result must equal the engine's final parent map. This proves the
-    // trace is complete (no untraced mutation paths).
+    // journal is complete (no unjournaled mutation paths).
     let mut parents: HashMap<PeerId, Member> = HashMap::new();
-    let log = engine.trace().expect("enabled");
+    let log = engine.obs().journal().expect("enabled");
     assert_eq!(log.dropped(), 0, "capacity must not truncate this test");
     for event in log.iter() {
         match *event {
-            TraceEvent::Attach { child, parent, .. } => {
-                let prev = parents.insert(child, parent);
+            Event::Attach { child, parent, .. } => {
+                let child = PeerId::new(child);
+                let prev = parents.insert(child, node_to_member(parent));
                 assert!(prev.is_none(), "attach over existing parent for {child}");
             }
-            TraceEvent::Detach { child, parent, .. } => {
+            Event::Detach { child, parent, .. } => {
+                let child = PeerId::new(child);
                 let prev = parents.remove(&child);
-                assert_eq!(prev, Some(parent), "detach mismatch for {child}");
+                assert_eq!(
+                    prev,
+                    Some(node_to_member(parent)),
+                    "detach mismatch for {child}"
+                );
             }
+            _ => {}
         }
     }
     for p in population.peer_ids() {
@@ -181,21 +188,24 @@ fn trace_survives_churn_runs() {
     let config =
         ConstructionConfig::new(Algorithm::Hybrid, OracleKind::RandomDelay).with_max_rounds(10_000);
     let mut engine = Engine::new(&population, &config, 9);
-    engine.enable_trace(100_000);
+    engine.obs_mut().enable_journal(100_000);
     let mut churn = lagover_sim::BernoulliChurn::new(0.05, 0.3);
     for _ in 0..200 {
         engine.apply_churn(&mut churn);
         engine.step();
     }
-    let log = engine.take_trace().expect("enabled");
-    assert!(engine.trace().is_none(), "take_trace disables tracing");
+    let log = engine.obs_mut().take_journal().expect("enabled");
+    assert!(
+        engine.obs().journal().is_none(),
+        "take_journal disables journaling"
+    );
     // Churn-caused detaches must appear.
     let churn_detaches = log
         .iter()
         .filter(|e| {
             matches!(
                 e,
-                TraceEvent::Detach {
+                Event::Detach {
                     cause: lagover_core::DetachCause::Churn,
                     ..
                 }
@@ -209,15 +219,13 @@ fn trace_survives_churn_runs() {
 fn disabled_trace_costs_nothing_and_returns_none() {
     let config = ConstructionConfig::new(Algorithm::Greedy, OracleKind::RandomDelay);
     let mut engine = Engine::new(&population(), &config, 7);
-    assert!(engine.trace().is_none());
+    assert!(engine.obs().journal().is_none());
     engine.run_to_convergence().expect("converges");
-    assert!(engine.take_trace().is_none());
+    assert!(engine.obs_mut().take_journal().is_none());
 }
 
 #[test]
 fn async_with_churn_sustains_satisfaction() {
-    use lagover_core::async_engine::FixedActionDuration;
-    use lagover_core::run_async_with_churn;
     let population =
         lagover_workload::WorkloadSpec::new(lagover_workload::TopologicalConstraint::Rand, 40)
             .generate(21)
@@ -225,14 +233,10 @@ fn async_with_churn_sustains_satisfaction() {
     let config =
         ConstructionConfig::new(Algorithm::Hybrid, OracleKind::RandomDelay).with_max_rounds(10_000);
     let mut churn = lagover_sim::BernoulliChurn::paper();
-    let outcome = run_async_with_churn(
-        &population,
-        &config,
-        FixedActionDuration(1.0),
-        &mut churn,
-        800.0,
-        21,
-    );
+    let outcome = Run::new(&population, &config, 21)
+        .timed(FixedActionDuration(1.0), 800.0)
+        .under_churn(&mut churn)
+        .outcome;
     assert!(outcome.actions > 1_000);
     assert!(
         outcome.steady_state_fraction > 0.7,
@@ -244,7 +248,6 @@ fn async_with_churn_sustains_satisfaction() {
 
 #[test]
 fn async_with_heterogeneous_durations_and_churn() {
-    use lagover_core::run_async_with_churn;
     let population =
         lagover_workload::WorkloadSpec::new(lagover_workload::TopologicalConstraint::BiUnCorr, 30)
             .generate(4)
@@ -253,7 +256,10 @@ fn async_with_heterogeneous_durations_and_churn() {
         ConstructionConfig::new(Algorithm::Greedy, OracleKind::RandomDelay).with_max_rounds(10_000);
     let mut churn = lagover_sim::BernoulliChurn::new(0.005, 0.2);
     let durations = |p: PeerId, rng: &mut SimRng| 1.0 + rng.f64() * (1.0 + p.index() as f64 % 3.0);
-    let outcome = run_async_with_churn(&population, &config, durations, &mut churn, 1_500.0, 4);
+    let outcome = Run::new(&population, &config, 4)
+        .timed(durations, 1_500.0)
+        .under_churn(&mut churn)
+        .outcome;
     assert!(
         outcome.steady_state_fraction > 0.6,
         "steady state {}",

@@ -10,7 +10,7 @@
 //! cargo test -p lagover-core --test obs_golden   # recompiles the fixture in
 //! ```
 
-use lagover_core::{construct_observed, Algorithm, ConstructionConfig, OracleKind};
+use lagover_core::{Algorithm, ConstructionConfig, OracleKind, Run};
 use lagover_workload::{TopologicalConstraint, WorkloadSpec};
 
 const PEERS: usize = 12;
@@ -22,17 +22,20 @@ fn journal_json() -> String {
         .expect("repairable");
     let config =
         ConstructionConfig::new(Algorithm::Hybrid, OracleKind::RandomDelay).with_max_rounds(400);
-    let observed = construct_observed(&population, &config, SEED, 4_096, 5);
+    let observed = Run::new(&population, &config, SEED)
+        .observe(4_096, 5)
+        .construct();
     assert!(
         observed.outcome.converged(),
         "the pinned run must converge so the journal is complete"
     );
-    assert_eq!(observed.journal.dropped(), 0, "capacity covers the run");
+    let journal = observed.trail.expect("observed").journal;
+    assert_eq!(journal.dropped(), 0, "capacity covers the run");
     assert!(
-        observed.journal.len() > 10,
+        journal.len() > 10,
         "the pinned run should produce a non-trivial journal"
     );
-    lagover_jsonio::to_string_pretty(&observed.journal)
+    lagover_jsonio::to_string_pretty(&journal)
 }
 
 #[test]

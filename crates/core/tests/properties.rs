@@ -18,7 +18,7 @@ use lagover_core::node::{Constraints, Member, PeerId, Population};
 use lagover_core::overlay::Overlay;
 use lagover_core::sufficiency::{check, exact_feasibility, validate_assignment};
 use lagover_core::{
-    construct, run_stabilization, Algorithm, ConstructionConfig, Engine, OracleKind,
+    construct, Algorithm, ConstructionConfig, Engine, FixedActionDuration, OracleKind, Run,
 };
 use lagover_sim::{BernoulliChurn, CorruptionClass, CorruptionPlan, SimRng};
 
@@ -364,7 +364,9 @@ proptest! {
 
     /// Feasible-and-sufficient populations always converge under the
     /// hybrid algorithm with the recommended oracle — the engine's
-    /// completeness on its intended domain.
+    /// completeness on its intended domain — on the round clock and on
+    /// lockstep virtual time alike. (Off that domain the two clocks can
+    /// disagree on *whether* a population converges within the cap.)
     #[test]
     fn hybrid_converges_on_sufficient_populations(
         population in population_strategy(),
@@ -377,6 +379,14 @@ proptest! {
             prop_assert!(
                 outcome.converged(),
                 "hybrid failed on a sufficient population: {population:?}"
+            );
+            let timed = Run::new(&population, &config, seed)
+                .timed(FixedActionDuration(1.0), 5_000.0)
+                .construct()
+                .outcome;
+            prop_assert!(
+                timed.converged(),
+                "hybrid failed on the lockstep clock: {population:?}"
             );
         }
     }
@@ -692,7 +702,9 @@ proptest! {
         let config = ConstructionConfig::new(Algorithm::Hybrid, OracleKind::RandomDelay)
             .with_max_rounds(20_000);
         let horizon = 2_500;
-        let outcome = run_stabilization(&population, &config, &plan, horizon, seed);
+        let outcome = Run::new(&population, &config, seed)
+            .stabilize(&plan, horizon)
+            .outcome;
         prop_assert!(
             outcome.construction_converged_at.is_some(),
             "pre-corruption construction failed on a sufficient population"
@@ -736,7 +748,9 @@ fn every_corruption_class_recovers_at_all_scales() {
             .with_max_rounds(20_000);
         for class in CorruptionClass::ALL {
             let plan = CorruptionPlan::new(9).with_class(class).with_severity(0.35);
-            let outcome = run_stabilization(&population, &config, &plan, 2_500, 7);
+            let outcome = Run::new(&population, &config, 7)
+                .stabilize(&plan, 2_500)
+                .outcome;
             assert!(
                 outcome.construction_converged_at.is_some(),
                 "n={n} {class}: construction failed"

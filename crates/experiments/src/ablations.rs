@@ -10,9 +10,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use lagover_core::{
-    construct, run_with_churn, Algorithm, ConstructionConfig, OracleKind, SourceMode,
-};
+use lagover_core::{construct, Algorithm, ConstructionConfig, OracleKind, Run, SourceMode};
 use lagover_sim::churn::{SessionChurn, SessionDistribution};
 use lagover_sim::stats;
 use lagover_workload::{ChurnSpec, TopologicalConstraint, WorkloadSpec};
@@ -167,7 +165,9 @@ pub fn run(params: &Params) -> AblationReport {
                 .with_max_rounds(params.max_rounds);
             let outcome = if i == 0 {
                 let mut churn = ChurnSpec::Paper.build();
-                run_with_churn(&population, &config, churn.as_mut(), horizon, seed)
+                Run::new(&population, &config, seed)
+                    .under_churn(churn.as_mut(), horizon)
+                    .outcome
             } else {
                 // Mean on-session 100 rounds (heavy-tailed), mean
                 // off-session ~5 rounds: same ~95% availability as the
@@ -179,7 +179,9 @@ pub fn run(params: &Params) -> AblationReport {
                     },
                     SessionDistribution::Exponential { mean: 5.0 },
                 );
-                run_with_churn(&population, &config, &mut churn, horizon, seed)
+                Run::new(&population, &config, seed)
+                    .under_churn(&mut churn, horizon)
+                    .outcome
             };
             if outcome.first_converged_at.is_some() {
                 converged += 1;

@@ -15,7 +15,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use lagover_core::{run_async, Algorithm, ConstructionConfig, OracleKind};
+use lagover_core::{Algorithm, ConstructionConfig, FixedActionDuration, OracleKind, Run};
 use lagover_net::{DurationModel, SpaceSpec, SubstrateModel};
 use lagover_sim::{stats, SimRng};
 use lagover_workload::{TopologicalConstraint, WorkloadSpec};
@@ -128,8 +128,9 @@ pub fn run(params: &Params) -> AsyncReport {
                     .expect("repairable");
                 let config = ConstructionConfig::new(Algorithm::Hybrid, OracleKind::RandomDelay)
                     .with_max_rounds(params.max_rounds);
+                let run = Run::new(&population, &config, seed);
                 let outcome = if mode == "lockstep" {
-                    lagover_core::run_async_lockstep(&population, &config, max_time, seed)
+                    run.timed(FixedActionDuration(1.0), max_time).construct()
                 } else {
                     let mut model_rng = SimRng::seed_from(seed).split(5);
                     let model = NormalizedModel::new(
@@ -137,16 +138,12 @@ pub fn run(params: &Params) -> AsyncReport {
                         params.peers,
                         &mut model_rng,
                     );
-                    run_async(
-                        &population,
-                        &config,
-                        move |p: lagover_core::PeerId, rng: &mut SimRng| {
-                            model.duration(p.index(), rng)
-                        },
-                        max_time,
-                        seed,
-                    )
-                };
+                    let durations = move |p: lagover_core::PeerId, rng: &mut SimRng| {
+                        model.duration(p.index(), rng)
+                    };
+                    run.timed(durations, max_time).construct()
+                }
+                .outcome;
                 if let Some(at) = outcome.converged_at {
                     converged += 1;
                     times.push(at);
@@ -192,39 +189,17 @@ pub fn observed(params: &Params) -> lagover_obs::ObsReport {
                 params.peers,
                 &mut model_rng,
             );
-            let observed = lagover_core::run_async_observed(
-                &population,
-                &config,
-                move |p: lagover_core::PeerId, rng: &mut SimRng| model.duration(p.index(), rng),
-                max_time,
-                seed,
-                crate::obs_exp::JOURNAL_CAPACITY,
-                crate::obs_exp::SAMPLE_INTERVAL as f64,
-            );
-            let final_time = observed
-                .outcome
-                .satisfied_series
-                .last()
-                .map(|(x, _)| x.ceil() as u64)
-                .unwrap_or(0);
-            lagover_obs::ObsReport {
-                label: format!("async {class} hybrid/rtt n={}", params.peers),
-                peers: population.len() as u64,
-                runs: 1,
-                seed,
-                rounds: final_time,
-                converged: observed.outcome.converged() as u64,
-                converged_rounds: observed
-                    .outcome
-                    .converged_at
-                    .map(|t| t.ceil() as u64)
-                    .unwrap_or(0),
-                counters: observed.counters,
-                profile: observed.profile.clone(),
-                scrapes: observed.scrapes.clone(),
-                health: observed.health.clone(),
-                journal: Some(observed.journal.clone()),
-            }
+            let durations =
+                move |p: lagover_core::PeerId, rng: &mut SimRng| model.duration(p.index(), rng);
+            let label = format!("async {class} hybrid/rtt n={}", params.peers);
+            Run::new(&population, &config, seed)
+                .observe(
+                    crate::obs_exp::JOURNAL_CAPACITY,
+                    crate::obs_exp::SAMPLE_INTERVAL,
+                )
+                .timed(durations, max_time)
+                .construct()
+                .into_report(&label, population.len(), seed)
         })
         .collect();
     crate::obs_exp::merge_reports(reports)

@@ -9,9 +9,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use lagover_core::{
-    construct, parallel_runs, run_with_churn, Algorithm, ConstructionConfig, OracleKind,
-};
+use lagover_core::{construct, parallel_runs, Algorithm, ConstructionConfig, OracleKind, Run};
 use lagover_sim::stats;
 use lagover_sim::stats::mann_whitney_less;
 use lagover_workload::{ChurnSpec, TopologicalConstraint, WorkloadSpec};
@@ -134,13 +132,9 @@ pub fn run_on(params: &Params, class: TopologicalConstraint) -> Fig4Report {
                     }
                     _ => {
                         let mut churn = churn_spec.build();
-                        let outcome = run_with_churn(
-                            &population,
-                            &config,
-                            churn.as_mut(),
-                            churn_rounds,
-                            seed,
-                        );
+                        let outcome = Run::new(&population, &config, seed)
+                            .under_churn(churn.as_mut(), churn_rounds)
+                            .outcome;
                         (
                             outcome.first_converged_at.is_some(),
                             outcome

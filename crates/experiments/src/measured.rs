@@ -22,7 +22,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use lagover_core::{run_async, Algorithm, ConstructionConfig, OracleKind};
+use lagover_core::{Algorithm, ConstructionConfig, OracleKind, Run};
 use lagover_net::{MeasuredConfig, MeasuredSpace, SpaceSpec};
 use lagover_sim::{stats, SimRng};
 use lagover_workload::{TopologicalConstraint, WorkloadSpec};
@@ -125,13 +125,12 @@ pub fn run(params: &Params) -> MeasuredReport {
                     ConstructionConfig::new(*algorithm, *kind).with_max_rounds(params.max_rounds);
                 let mut model_rng = SimRng::seed_from(seed).split(5);
                 let model = NormalizedModel::new(spec, params.peers, &mut model_rng);
-                let outcome = run_async(
-                    &population,
-                    &config,
-                    move |p: lagover_core::PeerId, rng: &mut SimRng| model.duration(p.index(), rng),
-                    max_time,
-                    seed,
-                );
+                let durations =
+                    move |p: lagover_core::PeerId, rng: &mut SimRng| model.duration(p.index(), rng);
+                let outcome = Run::new(&population, &config, seed)
+                    .timed(durations, max_time)
+                    .construct()
+                    .outcome;
                 if let Some(at) = outcome.converged_at {
                     converged += 1;
                     times.push(at);

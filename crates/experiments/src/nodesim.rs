@@ -11,9 +11,8 @@
 
 use serde::{Deserialize, Serialize};
 
-use lagover_core::async_engine::FixedActionDuration;
 use lagover_core::{
-    run_async_observed, run_async_recovery_observed, Algorithm, ConstructionConfig, OracleKind,
+    Algorithm, ConstructionConfig, FaultScenario, FixedActionDuration, OracleKind, Run,
 };
 use lagover_jsonio::to_string;
 use lagover_node::{run_mesh, Scenario, ScenarioSpec};
@@ -118,32 +117,20 @@ pub fn run(params: &Params) -> NodesimReport {
             journal_capacity: JOURNAL_CAPACITY,
         };
         let mesh = run_mesh(&population, &spec, seed).expect("mesh completes");
-        let twin_journal = match scenario {
-            Scenario::Construction => {
-                run_async_observed(
-                    &population,
-                    &spec.config,
-                    FixedActionDuration(1.0),
-                    max_time,
-                    seed,
-                    JOURNAL_CAPACITY,
-                    10.0,
-                )
-                .journal
-            }
+        let twin = Run::new(&population, &spec.config, seed)
+            .observe(JOURNAL_CAPACITY, 10)
+            .timed(FixedActionDuration(1.0), max_time);
+        let twin_trail = match scenario {
+            Scenario::Construction => twin.construct().trail,
             Scenario::Recovery { crash_fraction } => {
-                run_async_recovery_observed(
-                    &population,
-                    &spec.config,
-                    FixedActionDuration(1.0),
+                twin.recover(&FaultScenario {
                     crash_fraction,
-                    max_time,
-                    seed,
-                    JOURNAL_CAPACITY,
-                )
-                .journal
+                    ..FaultScenario::none()
+                })
+                .trail
             }
         };
+        let twin_journal = twin_trail.expect("observed").journal;
         rows.push(NodesimRow {
             scenario: match scenario {
                 Scenario::Construction => "construction".into(),

@@ -17,7 +17,7 @@ use lagover_jsonio::{object, Json, ToJson};
 use lagover_obs::ObsReport;
 
 use lagover_core::node::Population;
-use lagover_core::{construct_observed, parallel_runs, ConstructionConfig, ObservedRun};
+use lagover_core::{parallel_runs, ConstructionConfig, Run};
 
 use crate::Params;
 
@@ -27,29 +27,6 @@ pub const JOURNAL_CAPACITY: usize = 8_192;
 
 /// Scrape/health sampling interval, in rounds.
 pub const SAMPLE_INTERVAL: u64 = 10;
-
-/// Builds the single-run [`ObsReport`] for one observed construction.
-pub fn report_for_run(
-    label: &str,
-    population: &Population,
-    seed: u64,
-    observed: &ObservedRun,
-) -> ObsReport {
-    ObsReport {
-        label: label.to_string(),
-        peers: population.len() as u64,
-        runs: 1,
-        seed,
-        rounds: observed.outcome.rounds_run,
-        converged: observed.outcome.converged() as u64,
-        converged_rounds: observed.outcome.converged_at.unwrap_or(0),
-        counters: observed.outcome.counters,
-        profile: observed.profile.clone(),
-        scrapes: observed.scrapes.clone(),
-        health: observed.health.clone(),
-        journal: Some(observed.journal.clone()),
-    }
-}
 
 /// Observes `params.runs` construction runs — seeded
 /// `params.run_seed(salt, r)` like the source experiment — and merges
@@ -65,14 +42,10 @@ pub fn observe_construction(
         let seed = params.run_seed(salt, r as u64);
         let population = make_population(seed);
         let config = make_config();
-        let observed = construct_observed(
-            &population,
-            &config,
-            seed,
-            JOURNAL_CAPACITY,
-            SAMPLE_INTERVAL,
-        );
-        report_for_run(label, &population, seed, &observed)
+        Run::new(&population, &config, seed)
+            .observe(JOURNAL_CAPACITY, SAMPLE_INTERVAL)
+            .construct()
+            .into_report(label, population.len(), seed)
     });
     merge_reports(reports)
 }

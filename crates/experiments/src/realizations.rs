@@ -9,7 +9,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use lagover_core::{construct, construct_with_oracle, Algorithm, ConstructionConfig, OracleKind};
+use lagover_core::{construct, Algorithm, ConstructionConfig, OracleKind, Run};
 use lagover_sim::{stats, SimRng};
 use lagover_workload::{TopologicalConstraint, WorkloadSpec};
 
@@ -116,7 +116,11 @@ pub fn run(params: &Params) -> RealizationsReport {
             .with_max_rounds(max_rounds);
         let mut rng = SimRng::seed_from(seed).split(91);
         let oracle = GossipWalkOracle::new(peers, 6, 10, &mut rng);
-        construct_with_oracle(&population_for(seed), &config, Box::new(oracle), seed).converged_at
+        Run::new(&population_for(seed), &config, seed)
+            .oracle(Box::new(oracle))
+            .construct()
+            .outcome
+            .converged_at
     });
     measure("Random-Delay (reference)", &mut |seed| {
         let config = ConstructionConfig::new(Algorithm::Greedy, OracleKind::RandomDelay)
@@ -131,7 +135,11 @@ pub fn run(params: &Params) -> RealizationsReport {
         // query keep records reasonably fresh.
         let ttl = 4 * peers as u64;
         let oracle = DirectoryOracle::new(OracleKind::RandomDelay, 32, ttl, 4, &mut rng);
-        construct_with_oracle(&population_for(seed), &config, Box::new(oracle), seed).converged_at
+        Run::new(&population_for(seed), &config, seed)
+            .oracle(Box::new(oracle))
+            .construct()
+            .outcome
+            .converged_at
     });
     measure("Random-Delay (directory, ring churn)", &mut |seed| {
         let config = ConstructionConfig::new(Algorithm::Greedy, OracleKind::RandomDelay)
@@ -142,7 +150,11 @@ pub fn run(params: &Params) -> RealizationsReport {
         // query repairs routing incrementally.
         let oracle = DirectoryOracle::new(OracleKind::RandomDelay, 32, ttl, 4, &mut rng)
             .with_ring_churn(0.02, 1);
-        construct_with_oracle(&population_for(seed), &config, Box::new(oracle), seed).converged_at
+        Run::new(&population_for(seed), &config, seed)
+            .oracle(Box::new(oracle))
+            .construct()
+            .outcome
+            .converged_at
     });
 
     RealizationsReport {

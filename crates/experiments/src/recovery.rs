@@ -12,8 +12,7 @@ use serde::{Deserialize, Serialize};
 
 use lagover_core::node::Population;
 use lagover_core::{
-    parallel_runs, run_recovery, run_recovery_with_oracle, Algorithm, ConstructionConfig,
-    OracleKind, RecoveryOutcome,
+    parallel_runs, Algorithm, ConstructionConfig, OracleKind, RecoveryOutcome, Run,
 };
 use lagover_sim::{stats, SimRng, TimeSeries};
 use lagover_workload::{FaultSpec, TopologicalConstraint, WorkloadSpec};
@@ -163,7 +162,9 @@ pub fn run(params: &Params) -> RecoveryReport {
                 let population = satisfiable_population(class, params.peers, seed);
                 let config = ConstructionConfig::new(algorithm, OracleKind::RandomDelay)
                     .with_max_rounds(params.max_rounds);
-                run_recovery(&population, &config, &scenario, horizon, seed)
+                Run::new(&population, &config, seed)
+                    .recover(&scenario, horizon)
+                    .outcome
             });
             let crashed: Vec<f64> = outcomes.iter().map(|o| o.crashed_peers as f64).collect();
             let recovery: Vec<f64> = outcomes
@@ -205,7 +206,10 @@ pub fn run(params: &Params) -> RecoveryReport {
                         .with_ring_churn(0.02, 1),
                 ),
             };
-            run_recovery_with_oracle(&population, &config, oracle, &compound, horizon, seed)
+            Run::new(&population, &config, seed)
+                .oracle(oracle)
+                .recover(&compound, horizon)
+                .outcome
         });
         let crashed: Vec<f64> = outcomes.iter().map(|o| o.crashed_peers as f64).collect();
         let recovery: Vec<f64> = outcomes
@@ -263,29 +267,14 @@ pub fn observed(params: &Params) -> lagover_obs::ObsReport {
         let population = satisfiable_population(class, params.peers, seed);
         let config = ConstructionConfig::new(Algorithm::Hybrid, OracleKind::RandomDelay)
             .with_max_rounds(params.max_rounds);
-        let observed = lagover_core::run_recovery_observed(
-            &population,
-            &config,
-            &scenario,
-            horizon,
-            seed,
-            crate::obs_exp::JOURNAL_CAPACITY,
-            crate::obs_exp::SAMPLE_INTERVAL,
-        );
-        lagover_obs::ObsReport {
-            label: format!("recovery crash/hybrid {class} n={}", params.peers),
-            peers: population.len() as u64,
-            runs: 1,
-            seed,
-            rounds: observed.outcome.rounds_run,
-            converged: observed.outcome.recovered() as u64,
-            converged_rounds: observed.outcome.recovery_rounds.unwrap_or(0),
-            counters: observed.outcome.counters,
-            profile: observed.profile.clone(),
-            scrapes: observed.scrapes.clone(),
-            health: observed.health.clone(),
-            journal: Some(observed.journal.clone()),
-        }
+        let observed = Run::new(&population, &config, seed)
+            .observe(
+                crate::obs_exp::JOURNAL_CAPACITY,
+                crate::obs_exp::SAMPLE_INTERVAL,
+            )
+            .recover(&scenario, horizon);
+        let label = format!("recovery crash/hybrid {class} n={}", params.peers);
+        observed.into_report(&label, population.len(), seed)
     });
     crate::obs_exp::merge_reports(reports)
 }

@@ -17,8 +17,7 @@ use serde::{Deserialize, Serialize};
 
 use lagover_core::node::Population;
 use lagover_core::{
-    parallel_runs, run_stabilization, run_stabilization_with_oracle, Algorithm, ConstructionConfig,
-    OracleKind, StabilizationOutcome,
+    parallel_runs, Algorithm, ConstructionConfig, OracleKind, Run, StabilizationOutcome,
 };
 use lagover_sim::{stats, CorruptionClass, SimRng, TimeSeries};
 use lagover_workload::{CorruptionSpec, TopologicalConstraint, WorkloadSpec};
@@ -208,7 +207,9 @@ pub fn run(params: &Params) -> StabilizationReport {
                     let config = ConstructionConfig::new(algorithm, OracleKind::RandomDelay)
                         .with_max_rounds(params.max_rounds);
                     let plan = spec_for(&classes, severity).plan(seed);
-                    run_stabilization(&population, &config, &plan, horizon, seed)
+                    Run::new(&population, &config, seed)
+                        .stabilize(&plan, horizon)
+                        .outcome
                 });
                 rows.push(summarize(
                     &label,
@@ -243,7 +244,10 @@ pub fn run(params: &Params) -> StabilizationReport {
                         .with_ring_churn(0.02, 1),
                 ),
             };
-            run_stabilization_with_oracle(&population, &config, oracle, &plan, horizon, seed)
+            Run::new(&population, &config, seed)
+                .oracle(oracle)
+                .stabilize(&plan, horizon)
+                .outcome
         });
         realization_rows.push(summarize(
             "combined",
@@ -301,29 +305,14 @@ pub fn observed(params: &Params) -> lagover_obs::ObsReport {
         let config = ConstructionConfig::new(Algorithm::Hybrid, OracleKind::RandomDelay)
             .with_max_rounds(params.max_rounds);
         let plan = spec_for(&combined, severity).plan(seed);
-        let observed = lagover_core::run_stabilization_observed(
-            &population,
-            &config,
-            &plan,
-            horizon,
-            seed,
-            crate::obs_exp::JOURNAL_CAPACITY,
-            crate::obs_exp::SAMPLE_INTERVAL,
-        );
-        lagover_obs::ObsReport {
-            label: format!("stabilization combined/hybrid {class} n={}", params.peers),
-            peers: population.len() as u64,
-            runs: 1,
-            seed,
-            rounds: observed.outcome.rounds_run,
-            converged: observed.outcome.stabilized() as u64,
-            converged_rounds: observed.outcome.clean_rounds.unwrap_or(0),
-            counters: observed.outcome.counters,
-            profile: observed.profile.clone(),
-            scrapes: observed.scrapes.clone(),
-            health: observed.health.clone(),
-            journal: Some(observed.journal.clone()),
-        }
+        let observed = Run::new(&population, &config, seed)
+            .observe(
+                crate::obs_exp::JOURNAL_CAPACITY,
+                crate::obs_exp::SAMPLE_INTERVAL,
+            )
+            .stabilize(&plan, horizon);
+        let label = format!("stabilization combined/hybrid {class} n={}", params.peers);
+        observed.into_report(&label, population.len(), seed)
     });
     crate::obs_exp::merge_reports(reports)
 }

@@ -16,7 +16,8 @@ use serde::{Deserialize, Serialize};
 
 use lagover_core::node::Population;
 use lagover_core::{
-    parallel_runs, Algorithm, CarveError, ConstructionConfig, Engine, OracleKind, StreamBudgets,
+    parallel_runs, Algorithm, CarveError, ConstructionConfig, Engine, OracleKind, Run,
+    StreamBudgets,
 };
 use lagover_feed::PublishSchedule;
 use lagover_obs::ObsReport;
@@ -276,34 +277,16 @@ pub fn observed(params: &Params) -> ObsReport {
         let construction = ConstructionConfig::new(Algorithm::Hybrid, OracleKind::RandomDelay)
             .with_max_rounds(params.max_rounds);
 
-        // Observed construction, inlined from `construct_observed` so
-        // the engine (and its overlay) stays in hand for streaming.
+        // Observed construction on an engine kept in hand, so its
+        // overlay is there to stream over.
         let interval = crate::obs_exp::SAMPLE_INTERVAL;
-        let mut engine = Engine::new(&population, &construction, seed);
-        engine
-            .obs_mut()
-            .enable_journal(crate::obs_exp::JOURNAL_CAPACITY)
-            .enable_registry()
-            .enable_profiler();
-        let mut scrapes = Vec::new();
-        let mut health = Vec::new();
-        health.push(engine.health_sample());
-        scrapes.push(engine.scrape().expect("registry enabled"));
-        let mut converged_at = engine.is_converged().then(|| engine.round().get());
-        while converged_at.is_none() && engine.round().get() < params.max_rounds {
-            engine.step();
-            if engine.is_converged() {
-                converged_at = Some(engine.round().get());
-            }
-            if engine.round().get().is_multiple_of(interval) || converged_at.is_some() {
-                health.push(engine.health_sample());
-                scrapes.push(engine.scrape().expect("registry enabled"));
-            }
-        }
-        let construction_rounds = engine.round().get();
-        let counters = *engine.counters();
-        let mut profile = engine.obs().profiler().cloned().expect("profiler enabled");
-        let mut journal = engine.obs_mut().take_journal().expect("journal enabled");
+        let mut run = Run::new(&population, &construction, seed)
+            .observe(crate::obs_exp::JOURNAL_CAPACITY, interval);
+        let mut engine = run.engine();
+        let constructed = run.construct_on(&mut engine);
+        let construction_rounds = constructed.outcome.rounds_run;
+        let label = format!("streams ample k=4 hybrid {class} n={}", params.peers);
+        let mut report = constructed.into_report(&label, population.len(), seed);
 
         let budgets = StreamBudgets::uniform(params.peers, per_peer, SOURCE_BUDGET);
         let streamed = stream_observed(
@@ -316,29 +299,22 @@ pub fn observed(params: &Params) -> ObsReport {
             interval,
         )
         .expect("the ample tier is feasible");
+        let journal = report.journal.as_mut().expect("observed");
         for event in streamed.journal.iter() {
             journal.push(*event);
         }
-        for mut scrape in streamed.scrapes {
-            scrape.round += construction_rounds;
-            scrapes.push(scrape);
+        report
+            .scrapes
+            .extend(streamed.scrapes.into_iter().map(|mut scrape| {
+                scrape.round += construction_rounds;
+                scrape
+            }));
+        report.profile.merge(&streamed.profile);
+        report.rounds += streamed.report.rounds_run;
+        if streamed.report.undelivered != 0 {
+            report.converged = 0;
         }
-        profile.merge(&streamed.profile);
-
-        ObsReport {
-            label: format!("streams ample k=4 hybrid {class} n={}", params.peers),
-            peers: population.len() as u64,
-            runs: 1,
-            seed,
-            rounds: construction_rounds + streamed.report.rounds_run,
-            converged: (converged_at.is_some() && streamed.report.undelivered == 0) as u64,
-            converged_rounds: converged_at.unwrap_or(0),
-            counters,
-            profile,
-            scrapes,
-            health,
-            journal: Some(journal),
-        }
+        report
     });
     crate::obs_exp::merge_reports(reports)
 }

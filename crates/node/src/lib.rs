@@ -18,8 +18,9 @@
 //! entries for application on remote replicas. Convergence, crash
 //! injection, and healing are detected at the same global action index
 //! on every node, so the per-node journals merge back into the exact
-//! byte sequence the simulator twin (`run_async_lockstep` /
-//! `run_async_recovery`) journals — pinned by replay-diff.
+//! byte sequence the simulator twin (`Run::timed` at
+//! `FixedActionDuration(1.0)`, verbs `construct` / `recover`) journals
+//! — pinned by replay-diff.
 //!
 //! ## Layers
 //!

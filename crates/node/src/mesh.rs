@@ -182,10 +182,9 @@ fn execute(
 mod tests {
     use super::*;
     use crate::replica::Scenario;
-    use lagover_core::async_engine::FixedActionDuration;
     use lagover_core::{
-        run_async_observed, run_async_recovery_observed, Algorithm, Constraints,
-        ConstructionConfig, OracleKind,
+        Algorithm, Constraints, ConstructionConfig, FaultScenario, FixedActionDuration, OracleKind,
+        Run,
     };
     use lagover_jsonio::to_string;
     use lagover_obs::Event;
@@ -210,22 +209,17 @@ mod tests {
         let pop = population(24);
         let s = spec(Scenario::Construction);
         let run = run_mesh(&pop, &s, 7).expect("mesh completes");
-        let twin = run_async_observed(
-            &pop,
-            &s.config,
-            FixedActionDuration(1.0),
-            s.max_time,
-            7,
-            s.journal_capacity,
-            10.0,
-        );
+        let twin = Run::new(&pop, &s.config, 7)
+            .observe(s.journal_capacity, 10)
+            .timed(FixedActionDuration(1.0), s.max_time)
+            .construct();
+        assert_eq!(run.merged.report.converged_at, twin.outcome.converged_at);
+        assert_eq!(run.merged.report.counters, twin.outcome.counters);
         assert_eq!(
             to_string(&run.merged.journal),
-            to_string(&twin.journal),
+            to_string(&twin.trail.expect("observed").journal),
             "merged mesh journal must serialize byte-identically to the twin"
         );
-        assert_eq!(run.merged.report.converged_at, twin.outcome.converged_at);
-        assert_eq!(run.merged.report.counters, twin.counters);
         assert!(run.merged.finished());
     }
 
@@ -236,16 +230,17 @@ mod tests {
             crash_fraction: 0.2,
         });
         let run = run_mesh(&pop, &s, 7).expect("mesh completes");
-        let twin = run_async_recovery_observed(
-            &pop,
-            &s.config,
-            FixedActionDuration(1.0),
-            0.2,
-            s.max_time,
-            7,
-            s.journal_capacity,
+        let twin = Run::new(&pop, &s.config, 7)
+            .observe(s.journal_capacity, 10)
+            .timed(FixedActionDuration(1.0), s.max_time)
+            .recover(&FaultScenario {
+                crash_fraction: 0.2,
+                ..FaultScenario::none()
+            });
+        assert_eq!(
+            to_string(&run.merged.journal),
+            to_string(&twin.trail.as_ref().expect("observed").journal)
         );
-        assert_eq!(to_string(&run.merged.journal), to_string(&twin.journal));
         assert_eq!(
             run.merged.report.converged_at,
             twin.outcome.construction_converged_at

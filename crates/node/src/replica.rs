@@ -2,7 +2,7 @@
 //!
 //! The node runtime is lockstep state-machine replication: every node
 //! holds a full [`Engine`] replica plus the same virtual-time action
-//! schedule the simulator's `run_async_lockstep` uses (initial offsets
+//! schedule the simulator's lockstep `Run::timed` clock uses (initial offsets
 //! from `SimRng::seed_from(seed).split(0x5EED_A57C)`, one entry per
 //! peer rescheduled one time unit after each pop, FIFO tie-break by
 //! insertion order — literally the same [`EventQueue`]). The whole
@@ -348,10 +348,8 @@ impl Replica {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lagover_core::async_engine::FixedActionDuration;
     use lagover_core::{
-        run_async_lockstep, run_async_observed, run_async_recovery_lockstep,
-        run_async_recovery_observed, Algorithm, Constraints, OracleKind,
+        Algorithm, Constraints, FaultScenario, FixedActionDuration, OracleKind, Run, TimedRun,
     };
 
     fn population(n: u32) -> Population {
@@ -367,6 +365,19 @@ mod tests {
             max_time: 10_000.0,
             journal_capacity: 8_192,
         }
+    }
+
+    /// The simulator twin of `spec`, plain or journaled.
+    fn twin<'a>(
+        pop: &'a Population,
+        spec: &'a ScenarioSpec,
+        observe: bool,
+    ) -> TimedRun<'a, FixedActionDuration> {
+        let mut run = Run::new(pop, &spec.config, 7);
+        if observe {
+            run = run.observe(spec.journal_capacity, 10);
+        }
+        run.timed(FixedActionDuration(1.0), spec.max_time)
     }
 
     /// Drives a replica unconditionally (no token gating) and collects
@@ -389,20 +400,13 @@ mod tests {
         let s = spec(Scenario::Construction);
         let mut replica = Replica::new(&pop, &s, 7);
         let events = drive(&mut replica);
-        let twin = run_async_observed(
-            &pop,
-            &s.config,
-            FixedActionDuration(1.0),
-            s.max_time,
-            7,
-            s.journal_capacity,
-            10.0,
-        );
-        assert_eq!(replica.converged_at(), twin.outcome.converged_at);
-        assert_eq!(replica.actions(), twin.outcome.actions);
-        let twin_events: Vec<Event> = twin.journal.iter().copied().collect();
+        let observed = twin(&pop, &s, true).construct();
+        assert_eq!(replica.converged_at(), observed.outcome.converged_at);
+        assert_eq!(replica.actions(), observed.outcome.actions);
+        let journal = observed.trail.expect("observed").journal;
+        let twin_events: Vec<Event> = journal.iter().copied().collect();
         assert_eq!(events, twin_events, "journal event streams must match");
-        let plain = run_async_lockstep(&pop, &s.config, s.max_time, 7);
+        let plain = twin(&pop, &s, false).construct().outcome;
         assert_eq!(replica.satisfied_fraction(), plain.final_satisfied_fraction);
     }
 
@@ -414,26 +418,21 @@ mod tests {
         });
         let mut replica = Replica::new(&pop, &s, 7);
         let events = drive(&mut replica);
-        let twin = run_async_recovery_observed(
-            &pop,
-            &s.config,
-            FixedActionDuration(1.0),
-            0.2,
-            s.max_time,
-            7,
-            s.journal_capacity,
-        );
-        assert_eq!(
-            replica.converged_at(),
-            twin.outcome.construction_converged_at
-        );
-        assert_eq!(replica.healed_at(), twin.outcome.healed_at);
-        assert_eq!(replica.crashed_peers(), Some(twin.outcome.crashed_peers));
-        assert_eq!(replica.actions(), twin.outcome.actions);
-        assert_eq!(replica.counters(), twin.counters);
-        let twin_events: Vec<Event> = twin.journal.iter().copied().collect();
+        let crash = FaultScenario {
+            crash_fraction: 0.2,
+            ..FaultScenario::none()
+        };
+        let observed = twin(&pop, &s, true).recover(&crash);
+        let outcome = &observed.outcome;
+        assert_eq!(replica.converged_at(), outcome.construction_converged_at);
+        assert_eq!(replica.healed_at(), outcome.healed_at);
+        assert_eq!(replica.crashed_peers(), Some(outcome.crashed_peers));
+        assert_eq!(replica.actions(), outcome.actions);
+        assert_eq!(replica.counters(), outcome.counters);
+        let journal = observed.trail.expect("observed").journal;
+        let twin_events: Vec<Event> = journal.iter().copied().collect();
         assert_eq!(events, twin_events, "journal event streams must match");
-        let plain = run_async_recovery_lockstep(&pop, &s.config, 0.2, s.max_time, 7);
+        let plain = twin(&pop, &s, false).recover(&crash).outcome;
         assert!(plain.healed());
     }
 

@@ -1,8 +1,8 @@
 //! Replay-diff property: the in-process mesh, driven purely by wire
 //! tokens and timers, merges to a journal byte-identical to the
-//! simulator twin — construction against `run_async_observed`,
-//! recovery against `run_async_recovery_observed` — across seeds and
-//! at both a small (16) and a wide (120) population.
+//! simulator twin — the observed lockstep `Run::timed` clock, verbs
+//! `construct` and `recover` — across seeds and at both a small (16)
+//! and a wide (120) population.
 //!
 //! Thread counts are pinned by CI instead: the `replay-diff` nodesim
 //! target re-runs this comparison under `LAGOVER_THREADS` ∈ {1, 8},
@@ -10,10 +10,9 @@
 
 use proptest::prelude::*;
 
-use lagover_core::async_engine::FixedActionDuration;
 use lagover_core::{
-    run_async_observed, run_async_recovery_observed, Algorithm, Constraints, ConstructionConfig,
-    OracleKind, Population,
+    Algorithm, Constraints, ConstructionConfig, FaultScenario, FixedActionDuration, OracleKind,
+    Population, Run, TimedRun,
 };
 use lagover_jsonio::to_string;
 use lagover_node::{run_mesh, Scenario, ScenarioSpec};
@@ -38,45 +37,43 @@ fn spec(scenario: Scenario) -> ScenarioSpec {
     }
 }
 
+/// The simulator twin of `spec`: observed, on the lockstep clock.
+fn twin<'a>(
+    pop: &'a Population,
+    spec: &'a ScenarioSpec,
+    seed: u64,
+) -> TimedRun<'a, FixedActionDuration> {
+    Run::new(pop, &spec.config, seed)
+        .observe(spec.journal_capacity, 10)
+        .timed(FixedActionDuration(1.0), spec.max_time)
+}
+
 fn assert_construction_matches(n: u32, seed: u64) {
     let pop = population(n);
     let s = spec(Scenario::Construction);
     let run = run_mesh(&pop, &s, seed).expect("mesh completes");
-    let twin = run_async_observed(
-        &pop,
-        &s.config,
-        FixedActionDuration(1.0),
-        s.max_time,
-        seed,
-        s.journal_capacity,
-        10.0,
-    );
-    assert_eq!(
-        to_string(&run.merged.journal),
-        to_string(&twin.journal),
-        "n={n} seed={seed}: merged mesh journal diverged from the twin"
-    );
+    let twin = twin(&pop, &s, seed).construct();
     assert_eq!(run.merged.report.converged_at, twin.outcome.converged_at);
     assert_eq!(run.merged.report.actions, twin.outcome.actions);
-    assert_eq!(run.merged.report.counters, twin.counters);
+    assert_eq!(run.merged.report.counters, twin.outcome.counters);
+    assert_eq!(
+        to_string(&run.merged.journal),
+        to_string(&twin.trail.expect("observed").journal),
+        "n={n} seed={seed}: merged mesh journal diverged from the twin"
+    );
 }
 
 fn assert_recovery_matches(n: u32, seed: u64, crash_fraction: f64) {
     let pop = population(n);
     let s = spec(Scenario::Recovery { crash_fraction });
     let run = run_mesh(&pop, &s, seed).expect("mesh completes");
-    let twin = run_async_recovery_observed(
-        &pop,
-        &s.config,
-        FixedActionDuration(1.0),
+    let twin = twin(&pop, &s, seed).recover(&FaultScenario {
         crash_fraction,
-        s.max_time,
-        seed,
-        s.journal_capacity,
-    );
+        ..FaultScenario::none()
+    });
     assert_eq!(
         to_string(&run.merged.journal),
-        to_string(&twin.journal),
+        to_string(&twin.trail.as_ref().expect("observed").journal),
         "n={n} seed={seed} f={crash_fraction}: recovery journal diverged from the twin"
     );
     assert_eq!(
@@ -88,7 +85,7 @@ fn assert_recovery_matches(n: u32, seed: u64, crash_fraction: f64) {
         run.merged.report.crashed_peers,
         twin.outcome.crashed_peers as u64
     );
-    assert_eq!(run.merged.report.counters, twin.counters);
+    assert_eq!(run.merged.report.counters, twin.outcome.counters);
 }
 
 proptest! {

@@ -1,8 +1,6 @@
 //! The bounded event journal: a ring buffer of [`Event`]s.
 //!
-//! Generalizes the old `core::trace::TraceLog` from structural events
-//! to the full taxonomy. When the capacity is reached the *oldest*
-//! events are dropped, so long runs keep the recent history that
+//! When the capacity is reached the *oldest* events are dropped, so long runs keep the recent history that
 //! matters for debugging, and the drop count is carried in the
 //! serialized form so a truncated journal is never mistaken for a
 //! complete one.

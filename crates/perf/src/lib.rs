@@ -21,9 +21,10 @@
 //!   runs on the same runner, within the `perf.gate.toml` percentage
 //!   budget.
 //!
-//! The three `lagover-bench` binaries (`construction_bench`,
-//! `obs_bench`, `recovery_bench`) are thin wrappers over this crate,
-//! and `lagover perf` exposes the harness from the CLI.
+//! The committed single-scenario documents (`BENCH_obs.json`,
+//! `BENCH_recovery.json`) are this crate's binary run with one
+//! `--scenario` (DESIGN.md §12.2 gives the invocations), and
+//! `lagover perf` exposes the harness from the CLI.
 
 pub mod baseline;
 pub mod scenarios;
@@ -33,7 +34,6 @@ pub use baseline::{
     baseline_params, Baseline, PerfParams, ScenarioBaseline, WorkLayer, SCHEMA_VERSION,
 };
 pub use scenarios::{
-    collect_baseline, construction_throughput, default_scenario_names, replay_figures,
-    run_scenario, scenario_names, single_scenario_document,
+    collect_baseline, default_scenario_names, replay_figures, run_scenario, scenario_names,
 };
 pub use wall::{EnvTag, WallLayer};

@@ -9,8 +9,7 @@
 //! across `LAGOVER_THREADS` settings and chunkings.
 
 use lagover_core::{
-    construct, construct_observed, run_recovery_observed, Algorithm, Constraints,
-    ConstructionConfig, FaultScenario, OracleKind, Population,
+    Algorithm, Constraints, ConstructionConfig, FaultScenario, OracleKind, Population, Run,
 };
 use lagover_experiments::{fig2, fig3, fig4, obs_exp, recovery, stabilization, streams};
 use lagover_obs::ObsReport;
@@ -154,27 +153,11 @@ fn construction_at_scale(name: &str, peers: usize, seed: u64) -> ObsReport {
     let population = layered_population(peers);
     let config = ConstructionConfig::new(Algorithm::Hybrid, OracleKind::RandomDelay)
         .with_max_rounds(SCALE_MAX_ROUNDS);
-    let observed = construct_observed(
-        &population,
-        &config,
-        seed,
-        SCALE_JOURNAL_CAPACITY,
-        SCALE_SAMPLE_INTERVAL,
-    );
-    ObsReport {
-        label: format!("{name} layered hybrid/oracle-random-delay n={peers}"),
-        peers: peers as u64,
-        runs: 1,
-        seed,
-        rounds: observed.outcome.rounds_run,
-        converged: observed.outcome.converged() as u64,
-        converged_rounds: observed.outcome.converged_at.unwrap_or(0),
-        counters: observed.outcome.counters,
-        profile: observed.profile,
-        scrapes: observed.scrapes,
-        health: observed.health,
-        journal: Some(observed.journal),
-    }
+    let label = format!("{name} layered hybrid/oracle-random-delay n={peers}");
+    Run::new(&population, &config, seed)
+        .observe(SCALE_JOURNAL_CAPACITY, SCALE_SAMPLE_INTERVAL)
+        .construct()
+        .into_report(&label, peers, seed)
 }
 
 /// Large-n crash recovery on the layered population: converge, crash
@@ -183,39 +166,23 @@ fn recovery_at_scale(name: &str, peers: usize, seed: u64) -> ObsReport {
     let population = layered_population(peers);
     let config = ConstructionConfig::new(Algorithm::Hybrid, OracleKind::RandomDelay)
         .with_max_rounds(SCALE_MAX_ROUNDS);
-    let scenario = FaultScenario {
-        crash_fraction: SCALE_CRASH_FRACTION,
-        message_loss: 0.0,
-        blackout_rounds: 0,
-    };
-    let observed = run_recovery_observed(
-        &population,
-        &config,
-        &scenario,
-        SCALE_MAX_ROUNDS,
-        seed,
-        SCALE_JOURNAL_CAPACITY,
-        SCALE_SAMPLE_INTERVAL,
-    );
-    ObsReport {
-        label: format!("{name} layered hybrid/oracle-random-delay n={peers}"),
-        peers: peers as u64,
-        runs: 1,
-        seed,
-        rounds: observed.outcome.rounds_run,
-        converged: observed.outcome.recovered() as u64,
-        converged_rounds: observed.outcome.recovery_rounds.unwrap_or(0),
-        counters: observed.outcome.counters,
-        profile: observed.profile,
-        scrapes: observed.scrapes,
-        health: observed.health,
-        journal: Some(observed.journal),
-    }
+    let label = format!("{name} layered hybrid/oracle-random-delay n={peers}");
+    Run::new(&population, &config, seed)
+        .observe(SCALE_JOURNAL_CAPACITY, SCALE_SAMPLE_INTERVAL)
+        .recover(
+            &FaultScenario {
+                crash_fraction: SCALE_CRASH_FRACTION,
+                ..FaultScenario::none()
+            },
+            SCALE_MAX_ROUNDS,
+        )
+        .into_report(&label, peers, seed)
 }
 
 /// The `obs` scenario: the instrumentation footprint of a fully
 /// observed Rand/Hybrid construction — journal volume, scrape count,
-/// and pipeline work — mirroring what `obs_bench` tracks.
+/// and pipeline work (the committed `BENCH_obs.json` is this scenario
+/// at n = 1000).
 fn obs_footprint(params: &PerfParams) -> ObsReport {
     obs_exp::observe_construction(
         &format!("obs rand hybrid/oracle-random-delay n={}", params.peers),
@@ -264,80 +231,6 @@ pub fn collect_baseline(params: &PerfParams, wall_samples: usize, only: &[String
         schema_version: SCHEMA_VERSION,
         params: *params,
         scenarios,
-    }
-}
-
-/// Wraps a single scenario report into a standalone one-scenario
-/// baseline document — the unified `BENCH_<name>.json` shape the
-/// `lagover-bench` thin wrappers emit.
-pub fn single_scenario_document(
-    name: &str,
-    params: &PerfParams,
-    wall_samples: usize,
-) -> Option<Baseline> {
-    let report = run_scenario(name, params)?;
-    let wall = wall::try_measure(wall_samples, || {
-        run_scenario(name, params);
-    });
-    Some(Baseline {
-        schema_version: SCHEMA_VERSION,
-        params: *params,
-        scenarios: vec![ScenarioBaseline {
-            name: name.to_string(),
-            label: report.label.clone(),
-            work: WorkLayer::from_report(&report),
-            wall,
-        }],
-    })
-}
-
-/// The construction-throughput scenario behind `construction_bench`:
-/// one observed run for the work layer plus `wall_samples` plain
-/// (uninstrumented) constructions for the wall layer, at whatever
-/// scale the caller asks for.
-pub fn construction_throughput(
-    peers: usize,
-    max_rounds: u64,
-    seed: u64,
-    wall_samples: usize,
-) -> Baseline {
-    let population = WorkloadSpec::new(TopologicalConstraint::Rand, peers)
-        .generate(seed)
-        .expect("Rand workloads are repairable");
-    let config = ConstructionConfig::new(Algorithm::Hybrid, OracleKind::RandomDelay)
-        .with_max_rounds(max_rounds);
-    let observed = construct_observed(&population, &config, seed, 1 << 16, 50);
-    let report = ObsReport {
-        label: format!("construction rand hybrid/oracle-random-delay n={peers}"),
-        peers: peers as u64,
-        runs: 1,
-        seed,
-        rounds: observed.outcome.rounds_run,
-        converged: observed.outcome.converged() as u64,
-        converged_rounds: observed.outcome.converged_at.unwrap_or(0),
-        counters: observed.outcome.counters,
-        profile: observed.profile,
-        scrapes: observed.scrapes,
-        health: observed.health,
-        journal: Some(observed.journal),
-    };
-    let wall = wall::try_measure(wall_samples, || {
-        construct(&population, &config, seed);
-    });
-    Baseline {
-        schema_version: SCHEMA_VERSION,
-        params: PerfParams {
-            peers,
-            runs: 1,
-            max_rounds,
-            seed,
-        },
-        scenarios: vec![ScenarioBaseline {
-            name: "construction".to_string(),
-            label: format!("construction rand hybrid/oracle-random-delay n={peers}"),
-            work: WorkLayer::from_report(&report),
-            wall,
-        }],
     }
 }
 
@@ -508,25 +401,5 @@ mod tests {
         assert_eq!(wet.scenarios[0].work, dry.scenarios[0].work);
         let wall = wet.scenarios[0].wall.as_ref().expect("wall layer present");
         assert_eq!(wall.samples_secs.len(), 2);
-    }
-
-    #[test]
-    fn single_scenario_document_matches_collection_entry() {
-        let params = quick();
-        let single = single_scenario_document("recovery", &params, 0).expect("known scenario");
-        let full = collect_baseline(&params, 0, &[]);
-        assert_eq!(
-            single.scenarios[0],
-            *full.scenario("recovery").expect("in registry")
-        );
-        assert!(single_scenario_document("nope", &params, 0).is_none());
-    }
-
-    #[test]
-    fn construction_throughput_emits_one_converged_scenario() {
-        let doc = construction_throughput(60, 2_000, 7, 0);
-        assert_eq!(doc.scenarios.len(), 1);
-        assert_eq!(doc.scenarios[0].name, "construction");
-        assert_eq!(doc.scenarios[0].work.converged, 1);
     }
 }

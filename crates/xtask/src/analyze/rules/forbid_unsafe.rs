@@ -127,10 +127,10 @@ mod tests {
         let m = Model::load(&root).unwrap();
         let roots = crate_roots(&m);
         // The known root inventory: one lib or main per crate plus the
-        // bench bins; growing the workspace grows this list.
+        // bins beside a lib; growing the workspace grows this list.
         assert!(roots.contains(&"src/lib.rs".to_string()));
         assert!(roots.contains(&"crates/xtask/src/main.rs".to_string()));
-        assert!(roots.contains(&"crates/bench/src/bin/obs_bench.rs".to_string()));
+        assert!(roots.contains(&"crates/perf/src/main.rs".to_string()));
         assert!(
             roots.len() >= 20,
             "expected >= 20 crate roots, got {}",

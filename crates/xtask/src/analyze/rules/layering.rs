@@ -32,7 +32,6 @@ pub const LAYERS: &[(&str, u32)] = &[
     ("lagover-experiments", 7),
     ("lagover-perf", 8),
     ("lagover", 9),
-    ("lagover-bench", 9),
     ("lagover-cli", 9),
     ("xtask", 9),
 ];

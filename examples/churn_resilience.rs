@@ -8,7 +8,7 @@
 //! cargo run --example churn_resilience
 //! ```
 
-use lagover::core::{run_with_churn, Algorithm, ConstructionConfig, OracleKind};
+use lagover::core::{Algorithm, ConstructionConfig, OracleKind, Run};
 use lagover::workload::{ChurnSpec, TopologicalConstraint, WorkloadSpec};
 
 fn sparkline(ys: &[f64]) -> String {
@@ -31,7 +31,9 @@ fn main() {
         let config =
             ConstructionConfig::new(algorithm, OracleKind::RandomDelay).with_max_rounds(10_000);
         let mut churn = ChurnSpec::Paper.build();
-        let outcome = run_with_churn(&population, &config, churn.as_mut(), rounds, 42);
+        let outcome = Run::new(&population, &config, 42)
+            .under_churn(churn.as_mut(), rounds)
+            .outcome;
 
         // Downsample the series to an 80-character sparkline.
         let ys: Vec<f64> = outcome.satisfied_series.ys().to_vec();

@@ -6,7 +6,7 @@
 //! cargo run --example oracle_realizations
 //! ```
 
-use lagover::core::{construct, construct_with_oracle, Algorithm, ConstructionConfig, OracleKind};
+use lagover::core::{construct, Algorithm, ConstructionConfig, OracleKind, Run};
 use lagover::experiments::oracle_impls::{DirectoryOracle, GossipWalkOracle};
 use lagover::sim::SimRng;
 use lagover::workload::{TopologicalConstraint, WorkloadSpec};
@@ -34,7 +34,10 @@ fn main() {
     let mut rng = SimRng::seed_from(seed).split(1);
     let directory =
         DirectoryOracle::new(OracleKind::RandomDelay, 32, 4 * peers as u64, 4, &mut rng);
-    let over_dht = construct_with_oracle(&population, &config, Box::new(directory), seed);
+    let over_dht = Run::new(&population, &config, seed)
+        .oracle(Box::new(directory))
+        .construct()
+        .outcome;
     println!(
         "Random-Delay (DHT directory) : converged in {:>4} rounds",
         over_dht.converged_at.expect("converges")
@@ -46,7 +49,10 @@ fn main() {
         ConstructionConfig::new(Algorithm::Hybrid, OracleKind::Random).with_max_rounds(10_000);
     let mut rng = SimRng::seed_from(seed).split(2);
     let walker = GossipWalkOracle::new(peers, 6, 10, &mut rng);
-    let over_gossip = construct_with_oracle(&population, &random_config, Box::new(walker), seed);
+    let over_gossip = Run::new(&population, &random_config, seed)
+        .oracle(Box::new(walker))
+        .construct()
+        .outcome;
     println!(
         "Random (gossip walk)         : converged in {:>4} rounds",
         over_gossip.converged_at.expect("converges")

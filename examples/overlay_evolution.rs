@@ -91,7 +91,7 @@ fn main() {
     let mut engine = Engine::new(&population, &config, 20);
 
     // Record the run's structural history through the unified
-    // observability pipeline (replaces the old `core::trace` API).
+    // observability pipeline.
     let mut pipeline = Pipeline::disabled();
     pipeline.enable_journal(4_096);
     engine.set_obs(pipeline);

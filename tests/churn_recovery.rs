@@ -1,8 +1,6 @@
 //! Failure injection and churn-recovery integration tests.
 
-use lagover::core::{
-    run_recovery, Algorithm, ConstructionConfig, Engine, FaultScenario, OracleKind,
-};
+use lagover::core::{Algorithm, ConstructionConfig, Engine, FaultScenario, OracleKind, Run};
 use lagover::sim::{ChurnProcess, FaultPlan, SimRng, Transitions};
 use lagover::workload::{ChurnSpec, FaultSpec, TopologicalConstraint, WorkloadSpec};
 
@@ -107,7 +105,9 @@ fn paper_churn_sustains_high_satisfaction_on_all_workloads() {
         let config = ConstructionConfig::new(Algorithm::Hybrid, OracleKind::RandomDelay)
             .with_max_rounds(10_000);
         let mut churn = ChurnSpec::Paper.build();
-        let outcome = lagover::core::run_with_churn(&population, &config, churn.as_mut(), 600, 13);
+        let outcome = Run::new(&population, &config, 13)
+            .under_churn(churn.as_mut(), 600)
+            .outcome;
         assert!(
             outcome.steady_state_fraction > 0.6,
             "{class}: steady state {} too low under paper churn",
@@ -131,7 +131,9 @@ fn silent_crashes_heal_end_to_end_through_the_facade() {
         blackout_rounds: 15,
     }
     .scenario();
-    let outcome = run_recovery(&population, &config, &scenario, 5_000, 21);
+    let outcome = Run::new(&population, &config, 21)
+        .recover(&scenario, 5_000)
+        .outcome;
     assert!(outcome.crashed_peers >= 1, "nothing crashed");
     assert!(
         outcome.recovered(),
@@ -174,7 +176,9 @@ fn faultless_scenario_is_byte_identical_to_plain_construction() {
     let mut plain = Engine::new(&population, &config, 29);
     let plain_converged = plain.run_to_convergence().map(|r| r.get());
     assert!(plain_converged.is_some());
-    let outcome = run_recovery(&population, &config, &FaultScenario::none(), 100, 29);
+    let outcome = Run::new(&population, &config, 29)
+        .recover(&FaultScenario::none(), 100)
+        .outcome;
     assert_eq!(
         outcome.construction_converged_at, plain_converged,
         "an empty fault plan changed construction"

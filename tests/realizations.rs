@@ -1,6 +1,6 @@
 //! Oracle realizations over the DHT and gossip substrates, end to end.
 
-use lagover::core::{construct_with_oracle, Algorithm, ConstructionConfig, OracleKind};
+use lagover::core::{Algorithm, ConstructionConfig, OracleKind, Run};
 use lagover::experiments::oracle_impls::{DirectoryOracle, GossipWalkOracle};
 use lagover::sim::SimRng;
 use lagover::workload::{TopologicalConstraint, WorkloadSpec};
@@ -15,7 +15,10 @@ fn construction_over_dht_directory_oracle_converges() {
             ConstructionConfig::new(algorithm, OracleKind::RandomDelay).with_max_rounds(8_000);
         let mut rng = SimRng::seed_from(2).split(7);
         let oracle = DirectoryOracle::new(OracleKind::RandomDelay, 32, 200, 4, &mut rng);
-        let outcome = construct_with_oracle(&population, &config, Box::new(oracle), 2);
+        let outcome = Run::new(&population, &config, 2)
+            .oracle(Box::new(oracle))
+            .construct()
+            .outcome;
         assert!(
             outcome.converged(),
             "{algorithm} over the directory oracle failed to converge"
@@ -32,7 +35,10 @@ fn construction_over_gossip_walk_oracle_converges() {
         ConstructionConfig::new(Algorithm::Hybrid, OracleKind::Random).with_max_rounds(8_000);
     let mut rng = SimRng::seed_from(4).split(9);
     let oracle = GossipWalkOracle::new(50, 5, 10, &mut rng);
-    let outcome = construct_with_oracle(&population, &config, Box::new(oracle), 4);
+    let outcome = Run::new(&population, &config, 4)
+        .oracle(Box::new(oracle))
+        .construct()
+        .outcome;
     assert!(outcome.converged(), "gossip-walk oracle failed to converge");
 }
 
@@ -47,7 +53,10 @@ fn directory_oracle_with_tiny_ttl_still_makes_progress() {
         ConstructionConfig::new(Algorithm::Hybrid, OracleKind::RandomDelay).with_max_rounds(10_000);
     let mut rng = SimRng::seed_from(6).split(3);
     let oracle = DirectoryOracle::new(OracleKind::RandomDelay, 16, 5, 1, &mut rng);
-    let outcome = construct_with_oracle(&population, &config, Box::new(oracle), 6);
+    let outcome = Run::new(&population, &config, 6)
+        .oracle(Box::new(oracle))
+        .construct()
+        .outcome;
     assert!(
         outcome.final_satisfied_fraction > 0.8,
         "tiny-TTL directory collapsed construction: {}",
