@@ -16,7 +16,7 @@
 //! lagover evolve     (--spec FILE | --workload …) [--trace N]
 //! lagover recover    (--spec FILE | --workload …) [--crash-fraction F] [--message-loss P] [--blackout N]
 //! lagover obs        (--spec FILE | --workload …) [--runs N] [--json]
-//! lagover perf       [--scenario NAME]... [--wall K] [--peers N] [--runs N] [--json]
+//! lagover perf       [--scenario NAME]... [--peers N] [--runs N] [--max-rounds N] [--seed N] [--json]
 //! lagover node       (--spec FILE | --workload …) [--transport mesh|udp] [--scenario-kind construction|recovery]
 //!                    [--node-id I --out-dir DIR] [--base-port P] [--tick-ms T] [--deadline-ms T] [--max-time T]
 //! ```
@@ -113,12 +113,14 @@ pub struct Options {
     pub runs: usize,
     /// `--json` (obs: emit the report as JSON instead of text).
     pub json: bool,
-    /// `--wall K` (perf: wall-clock samples per scenario; 0 keeps the
-    /// document fully deterministic).
-    pub wall: usize,
     /// `--scenario NAME` (perf: repeatable scenario subset; empty runs
     /// the full registry).
     pub scenarios: Vec<String>,
+    /// perf: the values of `--peers` / `--runs` / `--max-rounds` /
+    /// `--seed` that were actually given — each replaces that field of
+    /// every selected row's pinned parameters; a bare `lagover perf`
+    /// reproduces `BENCH.json`.
+    pub perf_overrides: lagover_perf::ParamOverrides,
     /// `--transport <mesh|udp>` (node).
     pub transport: String,
     /// `--scenario-kind <construction|recovery>` (node).
@@ -165,8 +167,8 @@ impl Default for Options {
             blackout: 0,
             runs: 1,
             json: false,
-            wall: 0,
             scenarios: Vec::new(),
+            perf_overrides: lagover_perf::ParamOverrides::default(),
             transport: "mesh".into(),
             scenario_kind: "construction".into(),
             node_id: None,
@@ -188,7 +190,7 @@ pub const USAGE: &str =
 [--max-rounds N] [--rounds N] [--pull-interval T] \
 [--trees K] [--stream-rate R] [--budget B] [--source-budget B] [--window W] [--ttl N] [--trace N] \
 [--crash-fraction F] [--message-loss P] [--blackout N] [--runs N] [--json] \
-[--wall K] [--scenario fig2|fig3|fig4|recovery|obs] \
+[--scenario fig2|fig3|fig4|recovery|obs|...] \
 [--transport mesh|udp] [--scenario-kind construction|recovery] [--node-id I] \
 [--out-dir DIR] [--base-port P] [--tick-ms T] [--deadline-ms T] [--max-time T]";
 
@@ -220,15 +222,6 @@ pub fn parse_args(args: &[String]) -> Result<Options, CliError> {
         command,
         ..Options::default()
     };
-    if opts.command == "perf" {
-        // `lagover perf` defaults to the pinned baseline parameters so a
-        // bare invocation reproduces the committed BENCH_baseline.json.
-        let p = lagover_perf::baseline_params();
-        opts.peers = p.peers;
-        opts.runs = p.runs;
-        opts.max_rounds = p.max_rounds;
-        opts.seed = p.seed;
-    }
     while let Some(flag) = it.next() {
         let mut value = || {
             it.next()
@@ -241,12 +234,14 @@ pub fn parse_args(args: &[String]) -> Result<Options, CliError> {
             "--peers" => {
                 opts.peers = value()?
                     .parse()
-                    .map_err(|_| err("--peers needs an integer"))?
+                    .map_err(|_| err("--peers needs an integer"))?;
+                opts.perf_overrides.peers = Some(opts.peers);
             }
             "--seed" => {
                 opts.seed = value()?
                     .parse()
-                    .map_err(|_| err("--seed needs an integer"))?
+                    .map_err(|_| err("--seed needs an integer"))?;
+                opts.perf_overrides.seed = Some(opts.seed);
             }
             "--source-fanout" => {
                 opts.source_fanout = value()?
@@ -272,7 +267,8 @@ pub fn parse_args(args: &[String]) -> Result<Options, CliError> {
             "--max-rounds" => {
                 opts.max_rounds = value()?
                     .parse()
-                    .map_err(|_| err("--max-rounds needs an integer"))?
+                    .map_err(|_| err("--max-rounds needs an integer"))?;
+                opts.perf_overrides.max_rounds = Some(opts.max_rounds);
             }
             "--rounds" => {
                 opts.rounds = value()?
@@ -356,16 +352,12 @@ pub fn parse_args(args: &[String]) -> Result<Options, CliError> {
                 if opts.runs == 0 {
                     return Err(err("--runs must be at least 1"));
                 }
+                opts.perf_overrides.runs = Some(opts.runs);
             }
             "--json" => opts.json = true,
-            "--wall" => {
-                opts.wall = value()?
-                    .parse()
-                    .map_err(|_| err("--wall needs an integer"))?
-            }
             "--scenario" => {
                 let name = value()?;
-                if !lagover_perf::scenario_names().contains(&name.as_str()) {
+                if lagover_perf::scenario(&name).is_none() {
                     return Err(err(format!(
                         "unknown scenario '{name}' (expected one of {})",
                         lagover_perf::scenario_names().join(", ")
@@ -996,13 +988,7 @@ fn cmd_node(opts: &Options) -> Result<String, CliError> {
 }
 
 fn cmd_perf(opts: &Options) -> Result<String, CliError> {
-    let params = lagover_perf::PerfParams {
-        peers: opts.peers,
-        runs: opts.runs,
-        max_rounds: opts.max_rounds,
-        seed: opts.seed,
-    };
-    let baseline = lagover_perf::collect_baseline(&params, opts.wall, &opts.scenarios);
+    let baseline = lagover_perf::collect_baseline(&opts.scenarios, &opts.perf_overrides);
     if opts.json {
         Ok(lagover_jsonio::to_string_pretty(&baseline))
     } else {
@@ -1202,17 +1188,21 @@ mod tests {
     fn perf_defaults_to_the_pinned_baseline_params() {
         let opts = parse_args(&args("perf")).unwrap();
         let pinned = lagover_perf::baseline_params();
-        assert_eq!(opts.peers, pinned.peers);
-        assert_eq!(opts.runs, pinned.runs);
-        assert_eq!(opts.max_rounds, pinned.max_rounds);
-        assert_eq!(opts.seed, pinned.seed);
-        assert_eq!(opts.wall, 0, "deterministic by default");
+        assert_eq!(opts.perf_overrides.apply(pinned), pinned);
+        let opts = parse_args(&args("perf --seed 42 --peers 1000")).unwrap();
+        assert_eq!(
+            opts.perf_overrides.apply(pinned),
+            lagover_perf::PerfParams {
+                peers: 1000,
+                ..pinned
+            }
+        );
     }
 
     #[test]
     fn perf_rejects_unknown_scenarios() {
         assert!(parse_args(&args("perf --scenario nope")).is_err());
-        assert!(parse_args(&args("perf --wall x")).is_err());
+        assert!(parse_args(&args("perf --wall 3")).is_err());
     }
 
     #[test]
@@ -1232,7 +1222,7 @@ mod tests {
         let baseline: lagover_perf::Baseline = lagover_jsonio::from_str(&json).unwrap();
         assert_eq!(baseline.scenarios.len(), 1);
         assert_eq!(baseline.scenarios[0].name, "fig2");
-        assert!(baseline.scenarios[0].wall.is_none());
+        assert_eq!(baseline.scenarios[0].params.peers, 24);
     }
 
     #[test]

@@ -10,19 +10,6 @@ use serde::{Deserialize, Serialize};
 
 use crate::node::{Member, PeerId, Population};
 use crate::overlay::Overlay;
-use crate::runner::parallel_fold;
-
-/// Elementwise sum of two histogram vectors of possibly different
-/// lengths (the [`parallel_fold`] combiner for per-level profiles).
-fn merge_hist<T: Copy + std::ops::AddAssign>(mut a: Vec<T>, b: Vec<T>, zero: T) -> Vec<T> {
-    if a.len() < b.len() {
-        a.resize(b.len(), zero);
-    }
-    for (slot, v) in a.iter_mut().zip(b) {
-        *slot += v;
-    }
-    a
-}
 
 /// Depth histogram and summary of a forest.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -76,119 +63,69 @@ impl UtilizationProfile {
     }
 }
 
-/// Computes the depth profile. Scans chunks of the population in
-/// parallel on large inputs (all accumulators are integers, so the
-/// chunk-ordered combine is exact and thread-count independent).
+/// Computes the depth profile.
 pub fn depth_profile(overlay: &Overlay, population: &Population) -> DepthProfile {
-    struct Acc {
-        counts: Vec<usize>,
-        unrooted: usize,
-        sum: u64,
-        rooted: usize,
-    }
-    let acc = parallel_fold(
-        population.len(),
-        |range| {
-            let mut acc = Acc {
-                counts: Vec::new(),
-                unrooted: 0,
-                sum: 0,
-                rooted: 0,
-            };
-            for i in range {
-                match overlay.delay(PeerId::new(i as u32)) {
-                    Some(d) => {
-                        let d = d as usize;
-                        if acc.counts.len() <= d {
-                            acc.counts.resize(d + 1, 0);
-                        }
-                        acc.counts[d] += 1;
-                        acc.sum += d as u64;
-                        acc.rooted += 1;
-                    }
-                    None => acc.unrooted += 1,
+    let mut counts: Vec<usize> = Vec::new();
+    let mut unrooted = 0usize;
+    let mut sum = 0u64;
+    let mut rooted = 0usize;
+    for i in 0..population.len() {
+        match overlay.delay(PeerId::new(i as u32)) {
+            Some(d) => {
+                let d = d as usize;
+                if counts.len() <= d {
+                    counts.resize(d + 1, 0);
                 }
+                counts[d] += 1;
+                sum += d as u64;
+                rooted += 1;
             }
-            acc
-        },
-        |a, b| Acc {
-            counts: merge_hist(a.counts, b.counts, 0),
-            unrooted: a.unrooted + b.unrooted,
-            sum: a.sum + b.sum,
-            rooted: a.rooted + b.rooted,
-        },
-    );
+            None => unrooted += 1,
+        }
+    }
     DepthProfile {
-        max_depth: acc.counts.len().saturating_sub(1) as u32,
-        mean_depth: if acc.rooted == 0 {
+        max_depth: counts.len().saturating_sub(1) as u32,
+        mean_depth: if rooted == 0 {
             0.0
         } else {
-            acc.sum as f64 / acc.rooted as f64
+            sum as f64 / rooted as f64
         },
-        counts: acc.counts,
-        unrooted: acc.unrooted,
+        counts,
+        unrooted,
     }
 }
 
-/// Computes the slack profile. Scans chunks of the population in
-/// parallel on large inputs.
+/// Computes the slack profile.
 pub fn slack_profile(overlay: &Overlay, population: &Population) -> SlackProfile {
-    struct Acc {
-        violated: usize,
-        tight: usize,
-        slackful: usize,
-        min_slack: Option<i64>,
-        sum: i64,
-        rooted: usize,
-    }
     let latencies = population.latencies();
-    let acc = parallel_fold(
-        population.len(),
-        |range| {
-            let mut acc = Acc {
-                violated: 0,
-                tight: 0,
-                slackful: 0,
-                min_slack: None,
-                sum: 0,
-                rooted: 0,
-            };
-            for i in range {
-                if let Some(d) = overlay.delay(PeerId::new(i as u32)) {
-                    let slack = i64::from(latencies[i]) - i64::from(d);
-                    match slack {
-                        s if s < 0 => acc.violated += 1,
-                        0 => acc.tight += 1,
-                        _ => acc.slackful += 1,
-                    }
-                    acc.min_slack = Some(acc.min_slack.map_or(slack, |m| m.min(slack)));
-                    acc.sum += slack;
-                    acc.rooted += 1;
-                }
+    let mut violated = 0usize;
+    let mut tight = 0usize;
+    let mut slackful = 0usize;
+    let mut min_slack: Option<i64> = None;
+    let mut sum = 0i64;
+    let mut rooted = 0usize;
+    for (i, &latency) in latencies.iter().enumerate() {
+        if let Some(d) = overlay.delay(PeerId::new(i as u32)) {
+            let slack = i64::from(latency) - i64::from(d);
+            match slack {
+                s if s < 0 => violated += 1,
+                0 => tight += 1,
+                _ => slackful += 1,
             }
-            acc
-        },
-        |a, b| Acc {
-            violated: a.violated + b.violated,
-            tight: a.tight + b.tight,
-            slackful: a.slackful + b.slackful,
-            min_slack: match (a.min_slack, b.min_slack) {
-                (Some(x), Some(y)) => Some(x.min(y)),
-                (x, y) => x.or(y),
-            },
-            sum: a.sum + b.sum,
-            rooted: a.rooted + b.rooted,
-        },
-    );
+            min_slack = Some(min_slack.map_or(slack, |m| m.min(slack)));
+            sum += slack;
+            rooted += 1;
+        }
+    }
     SlackProfile {
-        violated: acc.violated,
-        tight: acc.tight,
-        slackful: acc.slackful,
-        min_slack: acc.min_slack,
-        mean_slack: if acc.rooted == 0 {
+        violated,
+        tight,
+        slackful,
+        min_slack,
+        mean_slack: if rooted == 0 {
             0.0
         } else {
-            acc.sum as f64 / acc.rooted as f64
+            sum as f64 / rooted as f64
         },
     }
 }
@@ -196,33 +133,21 @@ pub fn slack_profile(overlay: &Overlay, population: &Population) -> SlackProfile
 /// Computes per-level capacity utilization. Level 0 is the source;
 /// level `d >= 1` aggregates the rooted peers at delay `d`.
 pub fn utilization_profile(overlay: &Overlay, population: &Population) -> UtilizationProfile {
-    let fanouts = population.fanouts();
-    let (peer_used, peer_capacity) = parallel_fold(
-        population.len(),
-        |range| {
-            let mut used: Vec<u64> = Vec::new();
-            let mut capacity: Vec<u64> = Vec::new();
-            for i in range {
-                let p = PeerId::new(i as u32);
-                if let Some(d) = overlay.delay(p) {
-                    let d = d as usize;
-                    if used.len() <= d {
-                        used.resize(d + 1, 0);
-                        capacity.resize(d + 1, 0);
-                    }
-                    used[d] += overlay.children(p).len() as u64;
-                    capacity[d] += u64::from(fanouts[i]);
-                }
-            }
-            (used, capacity)
-        },
-        |(ua, ca), (ub, cb)| (merge_hist(ua, ub, 0), merge_hist(ca, cb, 0)),
-    );
     // Level 0 is the source's own slot usage.
     let mut used = vec![overlay.source_children().len() as u64];
     let mut capacity = vec![u64::from(population.source_fanout())];
-    used.extend(peer_used.into_iter().skip(1));
-    capacity.extend(peer_capacity.into_iter().skip(1));
+    for (i, &fanout) in population.fanouts().iter().enumerate() {
+        let p = PeerId::new(i as u32);
+        if let Some(d) = overlay.delay(p) {
+            let d = d as usize;
+            if used.len() <= d {
+                used.resize(d + 1, 0);
+                capacity.resize(d + 1, 0);
+            }
+            used[d] += overlay.children(p).len() as u64;
+            capacity[d] += u64::from(fanout);
+        }
+    }
     UtilizationProfile { used, capacity }
 }
 
@@ -233,23 +158,16 @@ pub fn utilization_profile(overlay: &Overlay, population: &Population) -> Utiliz
 /// much.
 pub fn gradation_coefficient(overlay: &Overlay, population: &Population) -> Option<f64> {
     let latencies = population.latencies();
-    let (ordered, edges) = parallel_fold(
-        population.len(),
-        |range| {
-            let mut ordered = 0usize;
-            let mut edges = 0usize;
-            for i in range {
-                if let Some(Member::Peer(q)) = overlay.parent(PeerId::new(i as u32)) {
-                    edges += 1;
-                    if latencies[q.index()] <= latencies[i] {
-                        ordered += 1;
-                    }
-                }
+    let mut ordered = 0usize;
+    let mut edges = 0usize;
+    for (i, &latency) in latencies.iter().enumerate() {
+        if let Some(Member::Peer(q)) = overlay.parent(PeerId::new(i as u32)) {
+            edges += 1;
+            if latencies[q.index()] <= latency {
+                ordered += 1;
             }
-            (ordered, edges)
-        },
-        |(oa, ea), (ob, eb)| (oa + ob, ea + eb),
-    );
+        }
+    }
     (edges > 0).then(|| ordered as f64 / edges as f64)
 }
 

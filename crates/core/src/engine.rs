@@ -11,8 +11,7 @@
 //! replace-and-adopt reconfiguration (`j ← i ← k`).
 
 use lagover_obs::{
-    wall_mark, DetachCause, Event, HealthSample, InconsistencyCause, Pipeline, RepairKind, Scrape,
-    Work,
+    DetachCause, Event, HealthSample, InconsistencyCause, Pipeline, RepairKind, Scrape, Work,
 };
 use lagover_sim::{ChurnProcess, FaultPlan, Round, SimRng};
 use serde::{Deserialize, Serialize};
@@ -497,30 +496,18 @@ impl Engine {
     }
 
     /// Fraction of *online* peers currently satisfied (1.0 when nobody
-    /// is online). Scans the population in parallel chunks on large
-    /// inputs (`LAGOVER_THREADS`-wide, byte-identical at any width).
+    /// is online).
     pub fn satisfied_fraction(&self) -> f64 {
-        let overlay = &self.overlay;
-        let latencies = self.population.latencies();
-        let online_bits = &self.online;
-        let (online, satisfied) = crate::runner::parallel_fold(
-            self.population.len(),
-            |range| {
-                let mut online = 0usize;
-                let mut satisfied = 0usize;
-                for i in range {
-                    if online_bits[i] {
-                        online += 1;
-                        if matches!(overlay.delay(PeerId::new(i as u32)), Some(d) if d <= latencies[i])
-                        {
-                            satisfied += 1;
-                        }
-                    }
+        let mut online = 0usize;
+        let mut satisfied = 0usize;
+        for i in 0..self.population.len() {
+            if self.online[i] {
+                online += 1;
+                if self.is_satisfied(PeerId::new(i as u32)) {
+                    satisfied += 1;
                 }
-                (online, satisfied)
-            },
-            |(oa, sa), (ob, sb)| (oa + ob, sa + sb),
-        );
+            }
+        }
         if online == 0 {
             1.0
         } else {
@@ -529,22 +516,10 @@ impl Engine {
     }
 
     /// Whether every online peer is satisfied — the paper's convergence
-    /// criterion for construction latency. Parallel-chunked like
-    /// [`Engine::satisfied_fraction`].
+    /// criterion for construction latency.
     pub fn is_converged(&self) -> bool {
-        let overlay = &self.overlay;
-        let latencies = self.population.latencies();
-        let online_bits = &self.online;
-        crate::runner::parallel_fold(
-            self.population.len(),
-            |range| {
-                range.into_iter().all(|i| {
-                    !online_bits[i]
-                        || matches!(overlay.delay(PeerId::new(i as u32)), Some(d) if d <= latencies[i])
-                })
-            },
-            |a, b| a && b,
-        )
+        (0..self.population.len())
+            .all(|i| !self.online[i] || self.is_satisfied(PeerId::new(i as u32)))
     }
 
     /// Installs a fault plan, replacing any previous one. The crash
@@ -662,21 +637,11 @@ impl Engine {
     }
 
     /// Number of online peers currently without a parent (fragment
-    /// roots still negotiating re-attachment). Parallel-chunked like
-    /// [`Engine::satisfied_fraction`].
+    /// roots still negotiating re-attachment).
     pub fn orphan_count(&self) -> usize {
-        let overlay = &self.overlay;
-        let online_bits = &self.online;
-        crate::runner::parallel_fold(
-            self.population.len(),
-            |range| {
-                range
-                    .into_iter()
-                    .filter(|&i| online_bits[i] && overlay.parent(PeerId::new(i as u32)).is_none())
-                    .count()
-            },
-            |a, b| a + b,
-        )
+        (0..self.population.len())
+            .filter(|&i| self.online[i] && self.overlay.parent(PeerId::new(i as u32)).is_none())
+            .count()
     }
 
     /// Number of online peers whose ancestor chain crosses an offline
@@ -685,21 +650,11 @@ impl Engine {
     /// Always zero under graceful churn, which clears such edges in the
     /// departure round.
     pub fn stale_chain_count(&self) -> usize {
-        let overlay = &self.overlay;
-        let online_bits = &self.online;
-        crate::runner::parallel_fold(
-            self.population.len(),
-            |range| {
-                range
-                    .into_iter()
-                    .filter(|&i| {
-                        online_bits[i]
-                            && chain_is_stale(overlay, online_bits, PeerId::new(i as u32))
-                    })
-                    .count()
-            },
-            |a, b| a + b,
-        )
+        (0..self.population.len())
+            .filter(|&i| {
+                self.online[i] && chain_is_stale(&self.overlay, &self.online, PeerId::new(i as u32))
+            })
+            .count()
     }
 
     /// Fires the fault plan's scheduled crashes whose round has come —
@@ -784,7 +739,6 @@ impl Engine {
     /// profile is deterministic and profiling never perturbs the run.
     pub fn step(&mut self) {
         let profiling = self.obs.profiling();
-        let mut mark = wall_mark();
         let mut draws0 = self.rng.draws();
         let mut counters0 = self.counters;
 
@@ -794,8 +748,7 @@ impl Engine {
         }
         if profiling {
             let work = self.work_since(draws0, &counters0, 0);
-            self.obs.record_phase("detection", work, mark);
-            mark = wall_mark();
+            self.obs.record_phase("detection", work);
             draws0 = self.rng.draws();
             counters0 = self.counters;
         }
@@ -810,7 +763,7 @@ impl Engine {
         self.rng.shuffle(&mut order);
         if profiling {
             let work = self.work_since(draws0, &counters0, 0);
-            self.obs.record_phase("schedule", work, mark);
+            self.obs.record_phase("schedule", work);
         }
 
         for &p in &order {
@@ -818,7 +771,6 @@ impl Engine {
                 continue;
             }
             if profiling {
-                mark = wall_mark();
                 draws0 = self.rng.draws();
                 counters0 = self.counters;
                 let phase = if self.overlay.parent(p).is_none() {
@@ -828,7 +780,7 @@ impl Engine {
                 };
                 self.act_on(p);
                 let work = self.work_since(draws0, &counters0, 1);
-                self.obs.record_phase(phase, work, mark);
+                self.obs.record_phase(phase, work);
             } else {
                 self.act_on(p);
             }
@@ -836,14 +788,13 @@ impl Engine {
         self.order_scratch = order; // capacity reused next round
 
         if profiling {
-            mark = wall_mark();
             draws0 = self.rng.draws();
             counters0 = self.counters;
         }
         self.detect_crashes();
         if profiling {
             let work = self.work_since(draws0, &counters0, 0);
-            self.obs.record_phase("detection", work, mark);
+            self.obs.record_phase("detection", work);
         }
         self.round = self.round.next();
         self.check_invariants();
@@ -1402,7 +1353,6 @@ impl Engine {
     /// fresh.
     pub fn apply_churn(&mut self, churn: &mut dyn ChurnProcess) {
         let profiling = self.obs.profiling();
-        let mark = wall_mark();
         let draws0 = self.rng.draws();
         let counters0 = self.counters;
         let mut bitmap = std::mem::take(&mut self.churn_scratch);
@@ -1444,7 +1394,7 @@ impl Engine {
         self.churn_scratch = bitmap; // capacity reused next round
         if profiling {
             let work = self.work_since(draws0, &counters0, 0);
-            self.obs.record_phase("churn", work, mark);
+            self.obs.record_phase("churn", work);
         }
         self.check_invariants();
     }
@@ -1518,12 +1468,9 @@ impl Engine {
     }
 }
 
-/// Whether `p`'s ancestor chain crosses an offline peer. Free function
-/// over the Sync components so the parallel-chunked probes can call it
-/// from worker threads (the engine itself is not `Sync` — it owns a
-/// `Box<dyn Oracle>`). Bounded by the population size: a chain that
-/// fails to terminate (a corrupted parent cycle) can never deliver the
-/// feed, so it counts as stale.
+/// Whether `p`'s ancestor chain crosses an offline peer. Bounded by
+/// the population size: a chain that fails to terminate (a corrupted
+/// parent cycle) can never deliver the feed, so it counts as stale.
 fn chain_is_stale(overlay: &Overlay, online: &[bool], p: PeerId) -> bool {
     let mut cur = p;
     let mut budget = online.len();

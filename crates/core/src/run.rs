@@ -17,7 +17,6 @@
 //! the [`Trail`] exactly when `.observe(..)` was called. There is one
 //! loop per clock; a verb is the closure it hands that loop.
 
-use lagover_obs::wall_mark;
 use lagover_sim::faults::crash_cohort;
 use lagover_sim::{
     ChurnProcess, CorruptionPlan, EventQueue, FaultPlan, Round, SimRng, TimeSeries, VirtualTime,
@@ -608,12 +607,12 @@ impl<D: InteractionDurations> TimedRun<'_, D> {
                                 None => "construction",
                                 Some(_) => "maintenance",
                             };
-                            (phase, wall_mark(), engine.rng_draws(), *engine.counters())
+                            (phase, engine.rng_draws(), *engine.counters())
                         });
                         engine.act_on(p);
-                        if let Some((phase, mark, draws0, counters0)) = probe {
+                        if let Some((phase, draws0, counters0)) = probe {
                             let work = engine.work_since(draws0, &counters0, 1);
-                            engine.obs_mut().record_phase(phase, work, mark);
+                            engine.obs_mut().record_phase(phase, work);
                         }
                         actions += 1;
                     }

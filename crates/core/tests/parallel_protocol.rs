@@ -17,7 +17,7 @@
 //! The `with_loom` module at the bottom carries the equivalent real-loom
 //! model for environments where the dependency is available.
 
-use lagover_core::{chunk_plan, parallel_fold, parallel_runs_with};
+use lagover_core::{chunk_plan, parallel_runs_with};
 
 /// One shared-memory write by a worker: (owning chunk, slot index).
 #[derive(Clone, Copy, Debug)]
@@ -145,64 +145,6 @@ fn parallel_results_match_sequential_for_all_worker_counts() {
             "results diverge at {threads} threads"
         );
     }
-}
-
-#[test]
-fn every_interleaving_of_fold_result_writes_is_race_free() {
-    // `parallel_fold` follows the same protocol with one write per
-    // chunk: worker `c` writes result slot `c` exactly once, and the
-    // scope join is the only synchronization before the chunk-ordered
-    // combine reads the slots.
-    for (count, threads) in [(4, 2), (7, 3), (9, 4)] {
-        let chunks = chunk_plan(count, threads).len();
-        let programs: Vec<Vec<WriteOp>> = (0..chunks)
-            .map(|chunk| vec![WriteOp { chunk, slot: chunk }])
-            .collect();
-        let explored = explore(&programs, chunks);
-        assert!(explored > 0, "no interleavings for {count}/{threads}");
-    }
-}
-
-#[test]
-fn parallel_fold_matches_sequential_above_the_parallel_threshold() {
-    // Large enough that the fold actually goes wide on any machine.
-    let n = 1 << 16;
-    let term = |i: usize| (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    let expected: u64 = (0..n).map(term).fold(0, u64::wrapping_add);
-    let got = parallel_fold(
-        n,
-        |range| range.map(term).fold(0, u64::wrapping_add),
-        u64::wrapping_add,
-    );
-    assert_eq!(got, expected);
-}
-
-#[test]
-fn parallel_fold_combines_in_chunk_order() {
-    // A non-commutative combine (range concatenation) only reproduces
-    // the sequential left-to-right result if chunk results are combined
-    // in chunk order — which is the determinism contract.
-    let n = (1 << 15) + 137;
-    let got = parallel_fold(
-        n,
-        |range| vec![(range.start, range.end)],
-        |mut a, mut b| {
-            a.append(&mut b);
-            a
-        },
-    );
-    let mut previous_end = 0;
-    for &(start, end) in &got {
-        assert_eq!(start, previous_end, "chunks combined out of order");
-        previous_end = end;
-    }
-    assert_eq!(previous_end, n);
-}
-
-#[test]
-fn parallel_fold_handles_empty_and_small_ranges_inline() {
-    assert_eq!(parallel_fold(0, |r| r.len(), |a, b| a + b), 0);
-    assert_eq!(parallel_fold(10, |r| r.len(), |a, b| a + b), 10);
 }
 
 /// Real-loom model of the same protocol, for environments where the

@@ -178,7 +178,9 @@ proptest! {
 
     /// Cache coherence under full engine dynamics: a construction run
     /// under churn (displacements, adoptions, maintenance detaches,
-    /// departures) keeps the cached queries equal to chain walks.
+    /// departures) and one mid-run crash-stop keeps the cached queries
+    /// equal to chain walks — and the engine's four O(N) probes equal
+    /// to the same counts taken from independent chain walks.
     #[test]
     fn engine_churn_keeps_caches_coherent(
         population in population_strategy(),
@@ -188,13 +190,50 @@ proptest! {
             .with_max_rounds(10_000);
         let mut engine = Engine::new(&population, &config, seed);
         let mut churn = BernoulliChurn::new(0.1, 0.3);
-        for _ in 0..30 {
+        for round in 0..30 {
+            if round == 10 {
+                // A crashed interior peer keeps its edges until it is
+                // detected, so stale chains are not vacuously zero.
+                let victim = population
+                    .peer_ids()
+                    .find(|&p| engine.is_online(p) && !engine.overlay().children(p).is_empty());
+                if let Some(p) = victim {
+                    engine.inject_crash(p);
+                }
+            }
             engine.apply_churn(&mut churn);
             engine.step();
+            let (mut online, mut satisfied, mut orphans, mut stale) = (0usize, 0usize, 0usize, 0usize);
             for p in population.peer_ids() {
                 prop_assert_eq!(engine.overlay().root(p), engine.overlay().walk_root(p));
                 prop_assert_eq!(engine.overlay().delay(p), engine.overlay().walk_delay(p));
+                if !engine.is_online(p) {
+                    continue;
+                }
+                online += 1;
+                if matches!(engine.overlay().walk_delay(p), Some(d) if d <= population.latency(p)) {
+                    satisfied += 1;
+                }
+                if engine.overlay().parent(p).is_none() {
+                    orphans += 1;
+                }
+                let mut cur = p;
+                for _ in 0..population.len() {
+                    match engine.overlay().parent(cur) {
+                        Some(Member::Peer(q)) if engine.is_online(q) => cur = q,
+                        Some(Member::Peer(_)) => {
+                            stale += 1;
+                            break;
+                        }
+                        Some(Member::Source) | None => break,
+                    }
+                }
             }
+            prop_assert_eq!(engine.orphan_count(), orphans);
+            prop_assert_eq!(engine.stale_chain_count(), stale);
+            prop_assert_eq!(engine.is_converged(), satisfied == online);
+            let fraction = if online == 0 { 1.0 } else { satisfied as f64 / online as f64 };
+            prop_assert_eq!(engine.satisfied_fraction(), fraction);
         }
     }
 

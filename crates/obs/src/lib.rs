@@ -15,8 +15,7 @@
 //!   chains, oracle load).
 //! - **[`Profiler`]** — the deterministic cost-model profiler: work
 //!   counters instead of wall clocks, so profiles are byte-stable and
-//!   replay-diffable. Wall time is an opt-in `wall-clock` cargo
-//!   feature and never reaches JSON artifacts.
+//!   replay-diffable.
 //! - **[`ObsReport`]** — the report generator behind `lagover obs`.
 //!
 //! Everything funnels through [`Pipeline`], the engine-facing facade.
@@ -39,7 +38,7 @@ pub use counters::EngineCounters;
 pub use event::{DetachCause, Event, EventKind, InconsistencyCause, Node, RepairKind};
 pub use health::HealthSample;
 pub use journal::Journal;
-pub use profiler::{wall_mark, PhaseStats, Profiler, WallMark, Work};
+pub use profiler::{PhaseStats, Profiler, Work};
 pub use registry::{Registry, Scrape};
 pub use report::ObsReport;
 
@@ -125,11 +124,11 @@ impl Pipeline {
         }
     }
 
-    /// Attributes `work` since `mark` to the profiler phase `name`
-    /// (no-op unless profiling).
-    pub fn record_phase(&mut self, name: &str, work: Work, mark: WallMark) {
+    /// Attributes `work` to the profiler phase `name` (no-op unless
+    /// profiling).
+    pub fn record_phase(&mut self, name: &str, work: Work) {
         if let Some(profiler) = &mut self.profiler {
-            profiler.record(name, work, mark);
+            profiler.record(name, work);
         }
     }
 
@@ -177,7 +176,7 @@ mod tests {
         assert!(!pipeline.is_enabled());
         assert!(!pipeline.profiling());
         pipeline.record(attach(0));
-        pipeline.record_phase("construction", Work::default(), wall_mark());
+        pipeline.record_phase("construction", Work::default());
         assert!(pipeline.journal().is_none());
         assert!(pipeline.registry().is_none());
         assert!(pipeline.profiler().is_none());
@@ -211,7 +210,6 @@ mod tests {
                 rng_draws: 2,
                 ..Default::default()
             },
-            wall_mark(),
         );
         assert_eq!(pipeline.profiler().unwrap().total().rng_draws, 2);
     }

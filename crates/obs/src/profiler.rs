@@ -6,12 +6,8 @@
 //! profiler therefore measures *work*, not time: per-phase counts of
 //! oracle contacts, pairwise interactions, structural operations, lost
 //! messages, and RNG draws. Two runs of the same seed produce the
-//! same profile, bit for bit, on any machine.
-//!
-//! The opt-in `wall-clock` cargo feature adds elapsed wall time per
-//! phase for local investigation. Wall times appear in the *rendered*
-//! report only; they are always excluded from the JSON form, so replay
-//! artifacts stay byte-stable even when the feature is enabled.
+//! same profile, bit for bit, on any machine. (Host time is measured
+//! from outside, by the `benchmark/` package's span recorder.)
 
 use lagover_jsonio::{object, FromJson, Json, JsonError, ToJson};
 use serde::{Deserialize, Serialize};
@@ -65,47 +61,12 @@ impl Work {
 }
 
 /// Accumulated work for one named phase.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct PhaseStats {
     /// Phase name (e.g. `"construction"`).
     pub name: String,
     /// Total work attributed to the phase.
     pub work: Work,
-    /// Elapsed wall time, only measured under the `wall-clock`
-    /// feature. Never serialized: replay artifacts must not depend on
-    /// the machine.
-    #[cfg(feature = "wall-clock")]
-    #[serde(skip)]
-    pub wall_nanos: u64,
-}
-
-// Equality deliberately ignores `wall_nanos`: wall time is a local
-// diagnostic, and two profiles that did the same work are the same
-// profile (matching the serialized form, which omits it).
-impl PartialEq for PhaseStats {
-    fn eq(&self, other: &Self) -> bool {
-        self.name == other.name && self.work == other.work
-    }
-}
-
-impl Eq for PhaseStats {}
-
-/// An opaque wall-clock mark. Zero-sized (and free) unless the
-/// `wall-clock` feature is enabled, so instrumented code can take
-/// marks unconditionally without dragging `std::time` into replayed
-/// paths.
-#[derive(Debug, Clone, Copy)]
-pub struct WallMark {
-    #[cfg(feature = "wall-clock")]
-    at: std::time::Instant,
-}
-
-/// Takes a wall-clock mark (a no-op without the `wall-clock` feature).
-pub fn wall_mark() -> WallMark {
-    WallMark {
-        #[cfg(feature = "wall-clock")]
-        at: std::time::Instant::now(),
-    }
 }
 
 /// Per-phase work accounting for one run.
@@ -131,17 +92,9 @@ impl Profiler {
         self.phases.last_mut().expect("just pushed")
     }
 
-    /// Attributes `work` (and, under the `wall-clock` feature, the time
-    /// since `mark`) to the phase `name`.
-    pub fn record(&mut self, name: &str, work: Work, mark: WallMark) {
-        let slot = self.phase_slot(name);
-        slot.work.add(work);
-        #[cfg(feature = "wall-clock")]
-        {
-            slot.wall_nanos += mark.at.elapsed().as_nanos() as u64;
-        }
-        #[cfg(not(feature = "wall-clock"))]
-        let _ = mark;
+    /// Attributes `work` to the phase `name`.
+    pub fn record(&mut self, name: &str, work: Work) {
+        self.phase_slot(name).work.add(work);
     }
 
     /// The phases, in first-recorded order.
@@ -181,24 +134,16 @@ impl Profiler {
     /// aggregation; phase order follows first sight).
     pub fn merge(&mut self, other: &Profiler) {
         for phase in &other.phases {
-            let slot = self.phase_slot(&phase.name);
-            slot.work.add(phase.work);
-            #[cfg(feature = "wall-clock")]
-            {
-                slot.wall_nanos += phase.wall_nanos;
-            }
+            self.phase_slot(&phase.name).work.add(phase.work);
         }
     }
 
-    /// Renders the per-phase table. Wall times are appended only when
-    /// the `wall-clock` feature measured them.
+    /// Renders the per-phase table.
     pub fn render(&self) -> String {
         let mut out = format!(
             "{:<14} {:>9} {:>9} {:>8} {:>9} {:>8} {:>8} {:>7}",
             "phase", "actions", "draws", "oracle", "interact", "attach", "detach", "lost"
         );
-        #[cfg(feature = "wall-clock")]
-        out.push_str(&format!(" {:>10}", "wall_ms"));
         for phase in &self.phases {
             let w = &phase.work;
             out.push('\n');
@@ -213,8 +158,6 @@ impl Profiler {
                 w.detaches,
                 w.messages_lost
             ));
-            #[cfg(feature = "wall-clock")]
-            out.push_str(&format!(" {:>10.3}", phase.wall_nanos as f64 / 1_000_000.0));
         }
         out
     }
@@ -250,8 +193,6 @@ impl FromJson for Work {
 
 impl ToJson for PhaseStats {
     fn to_json(&self) -> Json {
-        // wall_nanos is intentionally absent: JSON profiles are replay
-        // artifacts and must be machine-independent.
         object(vec![
             ("name", self.name.to_json()),
             ("work", self.work.to_json()),
@@ -264,8 +205,6 @@ impl FromJson for PhaseStats {
         Ok(PhaseStats {
             name: String::from_json(value.get("name")?)?,
             work: Work::from_json(value.get("work")?)?,
-            #[cfg(feature = "wall-clock")]
-            wall_nanos: 0,
         })
     }
 }
@@ -302,9 +241,9 @@ mod tests {
     #[test]
     fn phases_accumulate_in_first_sight_order() {
         let mut profiler = Profiler::new();
-        profiler.record("construction", work(1, 2), wall_mark());
-        profiler.record("maintenance", work(1, 0), wall_mark());
-        profiler.record("construction", work(1, 3), wall_mark());
+        profiler.record("construction", work(1, 2));
+        profiler.record("maintenance", work(1, 0));
+        profiler.record("construction", work(1, 3));
         assert_eq!(profiler.phases().len(), 2);
         assert_eq!(profiler.phases()[0].name, "construction");
         assert_eq!(profiler.phase("construction").unwrap().work.rng_draws, 5);
@@ -314,10 +253,10 @@ mod tests {
     #[test]
     fn merge_sums_matching_phases() {
         let mut a = Profiler::new();
-        a.record("schedule", work(0, 10), wall_mark());
+        a.record("schedule", work(0, 10));
         let mut b = Profiler::new();
-        b.record("schedule", work(0, 5), wall_mark());
-        b.record("churn", work(0, 1), wall_mark());
+        b.record("schedule", work(0, 5));
+        b.record("churn", work(0, 1));
         a.merge(&b);
         assert_eq!(a.phase("schedule").unwrap().work.rng_draws, 15);
         assert_eq!(a.phase("churn").unwrap().work.rng_draws, 1);
@@ -326,7 +265,7 @@ mod tests {
     #[test]
     fn json_round_trip_is_byte_stable_and_wall_free() {
         let mut profiler = Profiler::new();
-        profiler.record("construction", work(4, 7), wall_mark());
+        profiler.record("construction", work(4, 7));
         let json = lagover_jsonio::to_string(&profiler);
         assert!(!json.contains("wall"), "wall time must stay out of JSON");
         let back: Profiler = lagover_jsonio::from_str(&json).expect("parses");
@@ -336,8 +275,8 @@ mod tests {
     #[test]
     fn named_export_flattens_phases_in_first_sight_order() {
         let mut profiler = Profiler::new();
-        profiler.record("construction", work(4, 7), wall_mark());
-        profiler.record("maintenance", work(1, 0), wall_mark());
+        profiler.record("construction", work(4, 7));
+        profiler.record("maintenance", work(1, 0));
         let named = profiler.to_named();
         assert_eq!(named.len(), 14, "7 work fields per phase");
         assert_eq!(named[0], ("construction.actions".to_string(), 4));
@@ -350,8 +289,8 @@ mod tests {
     #[test]
     fn render_lists_every_phase() {
         let mut profiler = Profiler::new();
-        profiler.record("construction", work(1, 1), wall_mark());
-        profiler.record("detection", work(0, 0), wall_mark());
+        profiler.record("construction", work(1, 1));
+        profiler.record("detection", work(0, 0));
         let text = profiler.render();
         assert!(text.contains("construction"));
         assert!(text.contains("detection"));

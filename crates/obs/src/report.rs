@@ -199,7 +199,7 @@ impl FromJson for ObsReport {
 mod tests {
     use super::*;
     use crate::event::{Event, Node};
-    use crate::profiler::{wall_mark, Work};
+    use crate::profiler::Work;
 
     fn single_run_report(seed: u64, converged_at: Option<u64>) -> ObsReport {
         let mut journal = Journal::new(8);
@@ -215,7 +215,6 @@ mod tests {
                 actions: 5,
                 ..Default::default()
             },
-            wall_mark(),
         );
         ObsReport {
             label: "test".into(),

@@ -1,26 +1,27 @@
 //! The `lagover-perf` binary: emits the baseline document.
 //!
 //! ```text
-//! lagover-perf [--out PATH] [--wall K] [--scenario NAME]...
+//! lagover-perf [--out PATH] [--scenario NAME]...
 //!              [--peers N] [--runs N] [--seed N] [--max-rounds N] [--quick]
 //! ```
 //!
-//! With no flags it runs every scenario at the pinned baseline
-//! parameters and prints the work-only (fully deterministic) document
-//! to stdout — exactly what is committed as `BENCH_baseline.json` and
-//! what `cargo xtask bench-gate` regenerates to diff against it.
-//! `--wall K` attaches median-of-K wall-clock samples (never commit
-//! that form). `--quick` switches to the small test parameters.
+//! With no flags it runs every registry row under its pinned
+//! parameters and prints the (fully deterministic) document to stdout
+//! — exactly what is committed as `BENCH.json` and what `cargo xtask
+//! bench-gate` regenerates to diff against it. `--scenario` selects
+//! rows; the sizing flags override the named field of every selected
+//! row's pin, and `--quick` switches all four to the small test
+//! parameters.
 
 #![forbid(unsafe_code)]
 
 use std::process::ExitCode;
 
-use lagover_perf::{baseline_params, collect_baseline, scenario_names, PerfParams};
+use lagover_perf::{collect_baseline, scenario, scenario_names, ParamOverrides, PerfParams};
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage: lagover-perf [--out PATH] [--wall K] [--scenario <{}>]... \
+        "usage: lagover-perf [--out PATH] [--scenario <{}>]... \
          [--peers N] [--runs N] [--seed N] [--max-rounds N] [--quick]",
         scenario_names().join("|")
     );
@@ -29,9 +30,8 @@ fn usage() -> ExitCode {
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut params = baseline_params();
+    let mut overrides = ParamOverrides::default();
     let mut out_path: Option<String> = None;
-    let mut wall_samples = 0usize;
     let mut only: Vec<String> = Vec::new();
 
     let mut it = args.iter();
@@ -41,12 +41,8 @@ fn main() -> ExitCode {
                 Some(v) => out_path = Some(v.clone()),
                 None => return usage(),
             },
-            "--wall" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(k) => wall_samples = k,
-                None => return usage(),
-            },
             "--scenario" => match it.next() {
-                Some(v) if scenario_names().contains(&v.as_str()) => only.push(v.clone()),
+                Some(v) if scenario(v).is_some() => only.push(v.clone()),
                 Some(v) => {
                     eprintln!("lagover-perf: unknown scenario `{v}`");
                     return usage();
@@ -54,22 +50,22 @@ fn main() -> ExitCode {
                 None => return usage(),
             },
             "--peers" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(v) => params.peers = v,
+                Some(v) => overrides.peers = Some(v),
                 None => return usage(),
             },
             "--runs" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(v) => params.runs = v,
+                Some(v) => overrides.runs = Some(v),
                 None => return usage(),
             },
             "--seed" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(v) => params.seed = v,
+                Some(v) => overrides.seed = Some(v),
                 None => return usage(),
             },
             "--max-rounds" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(v) => params.max_rounds = v,
+                Some(v) => overrides.max_rounds = Some(v),
                 None => return usage(),
             },
-            "--quick" => params = PerfParams::quick(),
+            "--quick" => overrides = ParamOverrides::all(PerfParams::quick()),
             other => {
                 eprintln!("lagover-perf: unknown flag `{other}`");
                 return usage();
@@ -77,7 +73,7 @@ fn main() -> ExitCode {
         }
     }
 
-    let baseline = collect_baseline(&params, wall_samples, &only);
+    let baseline = collect_baseline(&only, &overrides);
     let json = lagover_jsonio::to_string_pretty(&baseline);
     println!("{json}");
     if let Some(path) = out_path {

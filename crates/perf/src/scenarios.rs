@@ -1,5 +1,6 @@
-//! The scenario registry: which instrumented drivers the harness runs
-//! and how their reports become baseline entries.
+//! The scenario registry: which instrumented drivers the harness
+//! runs, under which pinned parameters and gate tier, and how their
+//! reports become baseline rows.
 //!
 //! Every scenario reuses an `observed()` hook from
 //! `lagover-experiments`, so the work units the baseline commits are
@@ -15,23 +16,15 @@ use lagover_experiments::{fig2, fig3, fig4, obs_exp, recovery, stabilization, st
 use lagover_obs::ObsReport;
 use lagover_workload::{TopologicalConstraint, WorkloadSpec};
 
-use crate::baseline::{Baseline, PerfParams, ScenarioBaseline, WorkLayer, SCHEMA_VERSION};
-use crate::wall;
+use crate::baseline::{
+    baseline_params, Baseline, ParamOverrides, PerfParams, ScenarioBaseline, Tier, WorkLayer,
+    SCHEMA_VERSION,
+};
 
 /// Salt for the `obs` footprint scenario's run seeds (distinct from
 /// every experiment salt in `lagover-experiments`).
 const OBS_SALT: u64 = 7_000;
 
-/// Pinned sizes of the scale scenarios. The `params.peers` knob does
-/// not apply to them — their whole point is a fixed large-n data
-/// point, and the committed `BENCH_scale.json` work units only mean
-/// something at the pinned size.
-const SCALE_1E5: usize = 100_000;
-const SCALE_1E6: usize = 1_000_000;
-/// Round cap for the scale scenarios (convergence sits far below it —
-/// construction at 1e5 converges near round 90; the cap only bounds a
-/// pathological non-converging run so CI fails in minutes, not hours).
-const SCALE_MAX_ROUNDS: u64 = 400;
 /// Interior crash fraction injected by `recovery_1e5`.
 const SCALE_CRASH_FRACTION: f64 = 0.05;
 /// Journal ring capacity / metric sample cadence for observed scale
@@ -40,54 +33,145 @@ const SCALE_CRASH_FRACTION: f64 = 0.05;
 const SCALE_JOURNAL_CAPACITY: usize = 1 << 16;
 const SCALE_SAMPLE_INTERVAL: u64 = 200;
 
-/// Every scenario the harness knows, in baseline order. The trailing
-/// scale scenarios only run when named explicitly (`--scenario`); see
-/// [`default_scenario_names`].
-pub fn scenario_names() -> &'static [&'static str] {
-    &[
-        "fig2",
-        "fig3",
-        "fig4",
-        "recovery",
-        "stabilization",
-        "obs",
-        "streaming",
-        "construction_1e5",
-        "recovery_1e5",
-        "construction_1e6",
-    ]
+/// One registry row: a named driver with the gate tier and the
+/// parameters its committed `BENCH.json` row is generated under.
+pub struct Scenario {
+    /// Row name (`--scenario NAME`).
+    pub name: &'static str,
+    /// The gate that regenerates and diffs the row.
+    pub tier: Tier,
+    /// The pinned parameters of the committed row.
+    pub params: PerfParams,
+    driver: fn(&str, &PerfParams) -> ObsReport,
 }
 
-/// The scenarios a bare `lagover-perf` invocation collects — the
-/// registry minus the opt-in scale scenarios, whose pinned 1e5/1e6
-/// sizes would dominate the default document's runtime.
-pub fn default_scenario_names() -> &'static [&'static str] {
-    &[
-        "fig2",
-        "fig3",
-        "fig4",
-        "recovery",
-        "stabilization",
-        "obs",
-        "streaming",
-    ]
+/// The N = 1000 single-run pin of `obs_1e3` / `recovery_1e3`. The seed
+/// is the one the first committed N=1k documents were generated under.
+const fn pin_1e3(seed: u64) -> PerfParams {
+    PerfParams {
+        peers: 1_000,
+        runs: 1,
+        max_rounds: 2_000,
+        seed,
+    }
+}
+
+/// The n = 10^5 pin of the scale rows: one run — at this size a single
+/// run is the statistic — under a round cap far above convergence
+/// (construction converges near round 90; the cap only bounds a
+/// pathological non-converging run so CI fails in minutes, not hours).
+const PIN_1E5: PerfParams = PerfParams {
+    peers: 100_000,
+    runs: 1,
+    max_rounds: 400,
+    seed: 42,
+};
+
+static REGISTRY: [Scenario; 11] = [
+    Scenario {
+        name: "fig2",
+        tier: Tier::Pr,
+        params: baseline_params(),
+        driver: |_, p| fig2::observed(p),
+    },
+    Scenario {
+        name: "fig3",
+        tier: Tier::Pr,
+        params: baseline_params(),
+        driver: |_, p| fig3::observed(p),
+    },
+    Scenario {
+        name: "fig4",
+        tier: Tier::Pr,
+        params: baseline_params(),
+        driver: |_, p| fig4::observed(p),
+    },
+    Scenario {
+        name: "recovery",
+        tier: Tier::Pr,
+        params: baseline_params(),
+        driver: |_, p| recovery::observed(p),
+    },
+    Scenario {
+        name: "stabilization",
+        tier: Tier::Pr,
+        params: baseline_params(),
+        driver: |_, p| stabilization::observed(p),
+    },
+    Scenario {
+        name: "obs",
+        tier: Tier::Pr,
+        params: baseline_params(),
+        driver: |_, p| obs_footprint(p),
+    },
+    Scenario {
+        name: "streaming",
+        tier: Tier::Pr,
+        params: baseline_params(),
+        driver: |_, p| streams::observed(p),
+    },
+    Scenario {
+        name: "obs_1e3",
+        tier: Tier::Pr,
+        params: pin_1e3(51_132_825_602),
+        driver: |_, p| obs_footprint(p),
+    },
+    Scenario {
+        name: "recovery_1e3",
+        tier: Tier::Pr,
+        params: pin_1e3(51_132_825_601),
+        driver: |_, p| recovery::observed(p),
+    },
+    Scenario {
+        name: "construction_1e5",
+        tier: Tier::Weekly,
+        params: PIN_1E5,
+        driver: construction_at_scale,
+    },
+    Scenario {
+        name: "recovery_1e5",
+        tier: Tier::Weekly,
+        params: PIN_1E5,
+        driver: recovery_at_scale,
+    },
+];
+
+/// Every row the harness knows, in `BENCH.json` order.
+pub fn registry() -> &'static [Scenario] {
+    &REGISTRY
+}
+
+/// The registry's row names, in order.
+pub fn scenario_names() -> Vec<&'static str> {
+    REGISTRY.iter().map(|s| s.name).collect()
+}
+
+/// The row named `name`, or `None` for an unknown name.
+pub fn scenario(name: &str) -> Option<&'static Scenario> {
+    REGISTRY.iter().find(|s| s.name == name)
 }
 
 /// The figure drivers `cargo xtask replay-diff` byte-compares across
-/// parallel schedules, derived from the registry: every default
-/// scenario is also a `lagover-experiments run` subcommand, plus the
-/// `scaling` sweep (the widest fan-out driver, which has no baseline
-/// scenario of its own) and the `nodesim` cross-validation (whose
-/// report embeds the mesh-vs-twin journal, so schedule-invariance of
-/// the node runtime itself is pinned byte-for-byte). The scale
-/// scenarios are excluded — their schedule-invariance is checked
-/// directly on `lagover-perf` output by the `construction-1e5-smoke`
-/// CI job. The `streaming` scenario maps to the `streams` experiments
-/// subcommand (the E19 document it reuses the observed cell of).
+/// parallel schedules, derived from the registry: every row at the
+/// figure-sized pin ([`baseline_params`]) is also a
+/// `lagover-experiments run` subcommand, plus the `scaling` sweep (the
+/// widest fan-out driver, which has no row of its own) and the
+/// `nodesim` cross-validation (whose report embeds the mesh-vs-twin
+/// journal, so schedule-invariance of the node runtime itself is
+/// pinned byte-for-byte). The `streaming` row maps to the `streams`
+/// experiments subcommand (the E19 document it reuses the observed
+/// cell of).
 pub fn replay_figures() -> Vec<&'static str> {
-    let mut figures: Vec<&'static str> = default_scenario_names()
+    let mut figures: Vec<&'static str> = REGISTRY
         .iter()
-        .map(|&n| if n == "streaming" { "streams" } else { n })
+        .filter(|s| s.params == baseline_params())
+        .map(|s| {
+            if s.name == "streaming" {
+                "streams"
+            } else {
+                s.name
+            }
+        })
         .collect();
     let at = figures
         .iter()
@@ -96,24 +180,6 @@ pub fn replay_figures() -> Vec<&'static str> {
     figures.insert(at, "scaling");
     figures.push("nodesim");
     figures
-}
-
-/// Runs one named scenario and returns its merged observability
-/// report, or `None` for an unknown name.
-pub fn run_scenario(name: &str, params: &PerfParams) -> Option<ObsReport> {
-    match name {
-        "fig2" => Some(fig2::observed(params)),
-        "fig3" => Some(fig3::observed(params)),
-        "fig4" => Some(fig4::observed(params)),
-        "recovery" => Some(recovery::observed(params)),
-        "stabilization" => Some(stabilization::observed(params)),
-        "obs" => Some(obs_footprint(params)),
-        "streaming" => Some(streams::observed(params)),
-        "construction_1e5" => Some(construction_at_scale(name, SCALE_1E5, params.seed)),
-        "recovery_1e5" => Some(recovery_at_scale(name, SCALE_1E5, params.seed)),
-        "construction_1e6" => Some(construction_at_scale(name, SCALE_1E6, params.seed)),
-        _ => None,
-    }
 }
 
 /// Deterministic capacity-rich population for the scale scenarios:
@@ -147,42 +213,44 @@ fn layered_population(peers: usize) -> Population {
 }
 
 /// An observed large-n Hybrid/Random-Delay construction on the
-/// layered population. One run: at these sizes a single construction
-/// is the statistic.
-fn construction_at_scale(name: &str, peers: usize, seed: u64) -> ObsReport {
+/// layered population. Always one run (`params.runs` is not read).
+fn construction_at_scale(name: &str, params: &PerfParams) -> ObsReport {
+    let peers = params.peers;
     let population = layered_population(peers);
     let config = ConstructionConfig::new(Algorithm::Hybrid, OracleKind::RandomDelay)
-        .with_max_rounds(SCALE_MAX_ROUNDS);
+        .with_max_rounds(params.max_rounds);
     let label = format!("{name} layered hybrid/oracle-random-delay n={peers}");
-    Run::new(&population, &config, seed)
+    Run::new(&population, &config, params.seed)
         .observe(SCALE_JOURNAL_CAPACITY, SCALE_SAMPLE_INTERVAL)
         .construct()
-        .into_report(&label, peers, seed)
+        .into_report(&label, peers, params.seed)
 }
 
 /// Large-n crash recovery on the layered population: converge, crash
-/// a fraction of interior peers, and observe the healing run.
-fn recovery_at_scale(name: &str, peers: usize, seed: u64) -> ObsReport {
+/// a fraction of interior peers, and observe the healing run. Always
+/// one run (`params.runs` is not read).
+fn recovery_at_scale(name: &str, params: &PerfParams) -> ObsReport {
+    let peers = params.peers;
     let population = layered_population(peers);
     let config = ConstructionConfig::new(Algorithm::Hybrid, OracleKind::RandomDelay)
-        .with_max_rounds(SCALE_MAX_ROUNDS);
+        .with_max_rounds(params.max_rounds);
     let label = format!("{name} layered hybrid/oracle-random-delay n={peers}");
-    Run::new(&population, &config, seed)
+    Run::new(&population, &config, params.seed)
         .observe(SCALE_JOURNAL_CAPACITY, SCALE_SAMPLE_INTERVAL)
         .recover(
             &FaultScenario {
                 crash_fraction: SCALE_CRASH_FRACTION,
                 ..FaultScenario::none()
             },
-            SCALE_MAX_ROUNDS,
+            params.max_rounds,
         )
-        .into_report(&label, peers, seed)
+        .into_report(&label, peers, params.seed)
 }
 
 /// The `obs` scenario: the instrumentation footprint of a fully
 /// observed Rand/Hybrid construction — journal volume, scrape count,
-/// and pipeline work (the committed `BENCH_obs.json` is this scenario
-/// at n = 1000).
+/// and pipeline work (the `obs` row at the figure size, `obs_1e3` at
+/// n = 1000).
 fn obs_footprint(params: &PerfParams) -> ObsReport {
     obs_exp::observe_construction(
         &format!("obs rand hybrid/oracle-random-delay n={}", params.peers),
@@ -200,36 +268,28 @@ fn obs_footprint(params: &PerfParams) -> ObsReport {
     )
 }
 
-/// Runs every default scenario (or the `only` subset, when non-empty)
-/// and assembles the baseline document. `wall_samples > 0` re-runs
-/// each scenario that many times to attach the environment-tagged
-/// wall-clock layer; `0` keeps the document fully deterministic. The
-/// scale scenarios only run when `only` names them.
-pub fn collect_baseline(params: &PerfParams, wall_samples: usize, only: &[String]) -> Baseline {
-    let mut scenarios = Vec::new();
-    for &name in scenario_names() {
-        let selected = if only.is_empty() {
-            default_scenario_names().contains(&name)
-        } else {
-            only.iter().any(|o| o == name)
-        };
-        if !selected {
-            continue;
-        }
-        let report = run_scenario(name, params).expect("registry names are valid");
-        let wall = wall::try_measure(wall_samples, || {
-            run_scenario(name, params);
-        });
-        scenarios.push(ScenarioBaseline {
-            name: name.to_string(),
-            label: report.label.clone(),
-            work: WorkLayer::from_report(&report),
-            wall,
-        });
-    }
+/// Runs every registry row (or the `only` subset, when non-empty),
+/// each under its pinned parameters with `overrides` applied, and
+/// assembles the baseline document. With no subset and no override
+/// the result is the committed `BENCH.json`.
+pub fn collect_baseline(only: &[String], overrides: &ParamOverrides) -> Baseline {
+    let scenarios = REGISTRY
+        .iter()
+        .filter(|s| only.is_empty() || only.iter().any(|o| o == s.name))
+        .map(|s| {
+            let params = overrides.apply(s.params);
+            let report = (s.driver)(s.name, &params);
+            ScenarioBaseline {
+                name: s.name.to_string(),
+                tier: s.tier,
+                params,
+                label: report.label.clone(),
+                work: WorkLayer::from_report(&report),
+            }
+        })
+        .collect();
     Baseline {
         schema_version: SCHEMA_VERSION,
-        params: *params,
         scenarios,
     }
 }
@@ -237,67 +297,48 @@ pub fn collect_baseline(params: &PerfParams, wall_samples: usize, only: &[String
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lagover_experiments::Params;
 
-    fn quick() -> Params {
-        let mut p = Params::quick();
-        p.runs = 2;
-        p
+    fn quick() -> ParamOverrides {
+        ParamOverrides::all(PerfParams {
+            runs: 2,
+            ..PerfParams::quick()
+        })
     }
 
     #[test]
     fn unknown_scenario_is_none() {
-        assert!(run_scenario("nope", &quick()).is_none());
+        assert!(scenario("nope").is_none());
+        assert_eq!(scenario("fig2").map(|s| s.name), Some("fig2"));
     }
 
     #[test]
     fn registry_contains_defaults_then_scale_scenarios() {
-        let names = scenario_names();
+        let rows: Vec<(&str, Tier, usize)> = registry()
+            .iter()
+            .map(|s| (s.name, s.tier, s.params.peers))
+            .collect();
         assert_eq!(
-            &names[..default_scenario_names().len()],
-            default_scenario_names()
+            rows,
+            vec![
+                ("fig2", Tier::Pr, 120),
+                ("fig3", Tier::Pr, 120),
+                ("fig4", Tier::Pr, 120),
+                ("recovery", Tier::Pr, 120),
+                ("stabilization", Tier::Pr, 120),
+                ("obs", Tier::Pr, 120),
+                ("streaming", Tier::Pr, 120),
+                ("obs_1e3", Tier::Pr, 1_000),
+                ("recovery_1e3", Tier::Pr, 1_000),
+                ("construction_1e5", Tier::Weekly, 100_000),
+                ("recovery_1e5", Tier::Weekly, 100_000),
+            ]
         );
-        for name in names {
-            assert!(
-                run_scenario_is_known(name),
-                "registry name `{name}` has no driver"
-            );
-        }
-        assert!(names.contains(&"construction_1e5"));
-        assert!(names.contains(&"recovery_1e5"));
-        assert!(names.contains(&"construction_1e6"));
-    }
-
-    /// `run_scenario` would execute the driver; for the scale names
-    /// that is too heavy for a unit test, so knownness is checked via
-    /// the registry order instead of a dispatch probe.
-    fn run_scenario_is_known(name: &str) -> bool {
-        scenario_names().contains(&name)
     }
 
     #[test]
     fn replay_figures_derive_from_the_default_registry() {
-        let figures = replay_figures();
-        for &name in default_scenario_names() {
-            let driver = if name == "streaming" { "streams" } else { name };
-            assert!(
-                figures.contains(&driver),
-                "default scenario `{name}` not replayed"
-            );
-        }
-        assert!(figures.contains(&"scaling"), "scaling sweep rides along");
-        assert!(
-            figures.contains(&"nodesim"),
-            "node cross-validation rides along"
-        );
-        assert!(
-            !figures
-                .iter()
-                .any(|f| f.ends_with("_1e5") || f.ends_with("_1e6")),
-            "scale scenarios are not experiments drivers"
-        );
         assert_eq!(
-            figures,
+            replay_figures(),
             vec![
                 "fig2",
                 "fig3",
@@ -332,74 +373,84 @@ mod tests {
         assert!(sufficiency.satisfied, "layered population is feasible");
     }
 
+    fn scale_params(peers: usize, seed: u64) -> PerfParams {
+        PerfParams {
+            peers,
+            seed,
+            ..PIN_1E5
+        }
+    }
+
     #[test]
     fn scale_drivers_converge_and_recover_at_test_size() {
-        // The pinned 1e5/1e6 sizes are far too heavy for a unit test;
-        // the same drivers at a small size exercise every code path.
-        let construction = construction_at_scale("construction_test", 600, 11);
+        // The pinned 1e5 size is far too heavy for a unit test; the
+        // same drivers at a small size exercise every code path.
+        let construction = construction_at_scale("construction_test", &scale_params(600, 11));
         assert_eq!(construction.converged, 1, "construction converged");
         assert!(construction.converged_rounds > 0);
         assert!(construction.journal.as_ref().is_some_and(|j| !j.is_empty()));
 
-        let healing = recovery_at_scale("recovery_test", 600, 11);
+        let healing = recovery_at_scale("recovery_test", &scale_params(600, 11));
         assert_eq!(healing.converged, 1, "overlay healed after the crash");
         assert!(healing.counters.crashes > 0, "crash was injected");
     }
 
     #[test]
     fn scale_drivers_are_deterministic() {
-        let a = construction_at_scale("construction_test", 400, 5);
-        let b = construction_at_scale("construction_test", 400, 5);
+        let a = construction_at_scale("construction_test", &scale_params(400, 5));
+        let b = construction_at_scale("construction_test", &scale_params(400, 5));
         assert_eq!(WorkLayer::from_report(&a), WorkLayer::from_report(&b));
     }
 
     #[test]
     fn collect_covers_the_default_registry_in_order() {
-        let baseline = collect_baseline(&quick(), 0, &[]);
+        let overrides = quick();
+        let baseline = collect_baseline(&[], &overrides);
         let names: Vec<&str> = baseline.scenarios.iter().map(|s| s.name.as_str()).collect();
-        assert_eq!(names, default_scenario_names());
-        for s in &baseline.scenarios {
-            assert!(s.wall.is_none(), "{}: wall layer off by default", s.name);
-            assert!(s.work.converged > 0, "{}: nothing converged", s.name);
+        assert_eq!(names, scenario_names());
+        for (row, pinned) in baseline.scenarios.iter().zip(registry()) {
+            assert_eq!(
+                row.tier, pinned.tier,
+                "{}: tier comes from the pin",
+                row.name
+            );
+            assert_eq!(row.params, overrides.apply(pinned.params));
+            assert!(row.work.converged > 0, "{}: nothing converged", row.name);
             assert!(
-                s.work.metric("work.actions").unwrap_or(0) > 0,
+                row.work.metric("work.actions").unwrap_or(0) > 0,
                 "{}: no work recorded",
-                s.name
+                row.name
             );
             assert!(
-                s.work.metric("journal.events").unwrap_or(0) > 0,
+                row.work.metric("journal.events").unwrap_or(0) > 0,
                 "{}: empty journal",
-                s.name
+                row.name
             );
         }
     }
 
     #[test]
     fn subset_filter_selects_scenarios() {
-        let baseline = collect_baseline(&quick(), 0, &["fig2".to_string()]);
+        // A partial override keeps the rest of the row's own pin.
+        let seeded = ParamOverrides {
+            seed: Some(9),
+            ..quick()
+        };
+        let baseline = collect_baseline(&["obs_1e3".to_string()], &seeded);
         assert_eq!(baseline.scenarios.len(), 1);
-        assert_eq!(baseline.scenarios[0].name, "fig2");
+        assert_eq!(baseline.scenarios[0].name, "obs_1e3");
+        assert_eq!(baseline.scenarios[0].params.seed, 9);
     }
 
     #[test]
     fn work_layer_is_deterministic_across_collections() {
-        let params = quick();
-        let a = collect_baseline(&params, 0, &[]);
-        let b = collect_baseline(&params, 0, &[]);
+        let only = ["fig2".to_string(), "recovery_1e3".to_string()];
+        let a = collect_baseline(&only, &quick());
+        let b = collect_baseline(&only, &quick());
         assert_eq!(a, b, "work units must not depend on the run");
         assert_eq!(
             lagover_jsonio::to_string_pretty(&a),
             lagover_jsonio::to_string_pretty(&b),
         );
-    }
-
-    #[test]
-    fn wall_sampling_attaches_the_layer_without_touching_work() {
-        let params = quick();
-        let dry = collect_baseline(&params, 0, &["fig2".to_string()]);
-        let wet = collect_baseline(&params, 2, &["fig2".to_string()]);
-        assert_eq!(wet.scenarios[0].work, dry.scenarios[0].work);
-        let wall = wet.scenarios[0].wall.as_ref().expect("wall layer present");
-        assert_eq!(wall.samples_secs.len(), 2);
     }
 }

@@ -33,7 +33,7 @@ use lagover_core::node::{PeerId, Population};
 use lagover_core::overlay::Overlay;
 use lagover_feed::PublishSchedule;
 use lagover_jsonio::{object, Json, ToJson};
-use lagover_obs::{wall_mark, Event, Journal, Profiler, Registry, Scrape, Work};
+use lagover_obs::{Event, Journal, Profiler, Registry, Scrape, Work};
 use lagover_sim::SimRng;
 
 use std::collections::VecDeque;
@@ -272,7 +272,6 @@ fn run(
     mut sink: Option<ObsSink>,
 ) -> Result<StreamObserved, CarveError> {
     let mut profile = Profiler::new();
-    let carve_mark = wall_mark();
     let plan = carve(overlay, population, budgets, config.k, config.rate)?;
     let n = population.len();
     let rooted = plan.rooted.len();
@@ -283,7 +282,6 @@ fn run(
             attaches: (rooted * config.k) as u64,
             ..Work::default()
         },
-        carve_mark,
     );
 
     // Publish plan: each publication round emits `rate` consecutive
@@ -341,7 +339,6 @@ fn run(
     let mut staleness_sum = 0u64;
     let mut next_publish = 0usize; // index into publications
 
-    let stream_mark = wall_mark();
     for r in 1..=horizon {
         // -- Send phase: source first, then peers in carve order. --
         let mut arrivals: Vec<(PeerId, u64)> = Vec::new();
@@ -442,7 +439,6 @@ fn run(
             messages_lost: drops,
             ..Work::default()
         },
-        stream_mark,
     );
 
     let expected = (chunks as u64) * rooted as u64;

@@ -1,31 +1,33 @@
 //! `cargo xtask bench-gate` — the perf regression gate.
 //!
 //! Regenerates the baseline document with the release `lagover-perf`
-//! harness and diffs it against the committed `BENCH_baseline.json`
-//! under the `perf.gate.toml` tolerances:
+//! harness and diffs it against the committed `BENCH.json`. Every
+//! number in it is a deterministic work unit, so the diff has three
+//! outcomes and no tolerance:
 //!
-//! * **work units** are exact — any drift in any deterministic metric
-//!   is a regression (or an unacknowledged improvement: either way the
-//!   baseline must be regenerated in the same PR);
-//! * **wall clock** is compared only when both documents carry a wall
-//!   layer *and* their environment tags match (same runner class),
-//!   within the configured percentage budget;
-//! * **added** metrics or scenarios are warnings, promoted to failures
-//!   by `--strict` (the weekly full-matrix job runs strict).
+//! * **regression** — any drift in any metric, or a row or metric
+//!   that disappeared (an unacknowledged improvement counts: either
+//!   way `BENCH.json` must be regenerated in the same PR);
+//! * **warning** — an added metric or row, promoted to a failure by
+//!   `--strict`;
+//! * **not comparable** — schema version, or a row's tier or
+//!   parameters, differ: an error, not a verdict.
+//!
+//! The default run regenerates and gates the `pr` rows; `--strict`
+//! (the weekly full-matrix job) regenerates every row, so a `weekly`
+//! row missing from a non-strict fresh document is not a finding.
 //!
 //! The verdict is rendered as a markdown regression table, printed and
 //! written to `target/bench-gate/REGRESSIONS.md` for the CI artifact
 //! upload. `--compare A.json B.json` diffs two existing documents
 //! instead of running the harness — CI uses it to compare the
-//! committed `BENCH_obs.json` between base and head.
+//! committed `BENCH.json` between base and head.
 
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::process::{Command, ExitCode};
 
-use lagover_perf::Baseline;
-
-use crate::gate_config::{self, GateConfig};
+use lagover_perf::{Baseline, Tier};
 
 /// How bad one finding is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -53,44 +55,15 @@ pub struct Finding {
     pub note: String,
 }
 
-/// One row of the ns/interaction normalization table: median wall
-/// nanoseconds divided by the scenario's deterministic interaction
-/// count. Normalizing by work units makes scenarios of different
-/// sizes comparable on one scale and separates "the code got slower"
-/// from "the scenario did more work".
-#[derive(Debug, Clone, PartialEq)]
-pub struct NormRow {
-    /// Scenario the row describes.
-    pub scenario: String,
-    /// Baseline-side ns per interaction (`None` when the baseline has
-    /// no wall layer or no interaction count).
-    pub baseline_ns: Option<f64>,
-    /// Fresh-side ns per interaction.
-    pub fresh_ns: Option<f64>,
-}
-
-impl NormRow {
-    fn render_side(v: Option<f64>) -> String {
-        v.map_or_else(|| "n/a".into(), |ns| format!("{ns:.1}"))
-    }
-}
-
 /// Everything the gate found, plus coverage tallies for the report.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct GateReport {
     /// Divergences, in scenario order.
     pub findings: Vec<Finding>,
-    /// ns/interaction rows for scenarios where at least one side
-    /// carries both a wall layer and an interaction count.
-    pub normalization: Vec<NormRow>,
     /// Scenarios compared.
     pub scenarios: usize,
     /// Work-unit metrics compared exactly.
     pub work_metrics: usize,
-    /// Wall layers compared within budget.
-    pub wall_compared: usize,
-    /// Wall layers skipped (missing on one side or env mismatch).
-    pub wall_skipped: usize,
 }
 
 impl GateReport {
@@ -121,9 +94,8 @@ impl GateReport {
     pub fn render_markdown(&self, strict: bool) -> String {
         let mut out = String::from("# bench-gate report\n\n");
         out.push_str(&format!(
-            "Compared {} scenario(s): {} work-unit metrics exactly, \
-             {} wall layer(s) within budget, {} wall layer(s) skipped.\n\n",
-            self.scenarios, self.work_metrics, self.wall_compared, self.wall_skipped
+            "Compared {} scenario(s): {} work-unit metrics exactly.\n\n",
+            self.scenarios, self.work_metrics
         ));
         if self.findings.is_empty() {
             out.push_str("No divergences.\n\n");
@@ -146,20 +118,6 @@ impl GateReport {
             }
             out.push('\n');
         }
-        if !self.normalization.is_empty() {
-            out.push_str("## ns/interaction (median wall / deterministic interactions)\n\n");
-            out.push_str("| scenario | baseline | fresh |\n");
-            out.push_str("|---|---|---|\n");
-            for row in &self.normalization {
-                out.push_str(&format!(
-                    "| {} | {} | {} |\n",
-                    row.scenario,
-                    NormRow::render_side(row.baseline_ns),
-                    NormRow::render_side(row.fresh_ns),
-                ));
-            }
-            out.push('\n');
-        }
         out.push_str(&format!(
             "Verdict: **{}** ({} regression(s), {} warning(s){})\n",
             if self.failed(strict) { "FAIL" } else { "PASS" },
@@ -171,56 +129,54 @@ impl GateReport {
     }
 }
 
-/// Diffs `fresh` against `baseline` under `config`. Errors (schema or
+/// Diffs `fresh` against `baseline`. Errors (schema, tier or
 /// parameter mismatch) mean the documents are not comparable at all —
-/// distinct from a regression verdict.
-pub fn compare(
-    baseline: &Baseline,
-    fresh: &Baseline,
-    config: &GateConfig,
-) -> Result<GateReport, String> {
+/// distinct from a regression verdict. `strict` says whether `fresh`
+/// is expected to carry the `weekly` rows too.
+pub fn compare(baseline: &Baseline, fresh: &Baseline, strict: bool) -> Result<GateReport, String> {
     if baseline.schema_version != fresh.schema_version {
         return Err(format!(
             "schema version mismatch: baseline v{}, fresh v{} — \
-             regenerate BENCH_baseline.json in the PR that bumped the schema",
+             regenerate BENCH.json in the PR that bumped the schema",
             baseline.schema_version, fresh.schema_version
-        ));
-    }
-    if baseline.params != fresh.params {
-        let p = &baseline.params;
-        let q = &fresh.params;
-        return Err(format!(
-            "parameter mismatch: baseline peers={} runs={} max_rounds={} seed={}, \
-             fresh peers={} runs={} max_rounds={} seed={}",
-            p.peers, p.runs, p.max_rounds, p.seed, q.peers, q.runs, q.max_rounds, q.seed
         ));
     }
 
     let mut report = GateReport::default();
     for base in &baseline.scenarios {
         let Some(new) = fresh.scenario(&base.name) else {
-            report.findings.push(Finding {
-                scenario: base.name.clone(),
-                metric: "scenario".into(),
-                baseline: "present".into(),
-                fresh: "missing".into(),
-                severity: Severity::Regression,
-                note: "scenario disappeared from the harness".into(),
-            });
+            if base.tier == Tier::Pr || strict {
+                report.findings.push(Finding {
+                    scenario: base.name.clone(),
+                    metric: "scenario".into(),
+                    baseline: "present".into(),
+                    fresh: "missing".into(),
+                    severity: Severity::Regression,
+                    note: "scenario disappeared from the harness".into(),
+                });
+            }
             continue;
         };
+        if (base.tier, base.params) != (new.tier, new.params) {
+            let (p, q) = (&base.params, &new.params);
+            return Err(format!(
+                "{} is not comparable: baseline tier={} peers={} runs={} max_rounds={} seed={}, \
+                 fresh tier={} peers={} runs={} max_rounds={} seed={}",
+                base.name,
+                base.tier.name(),
+                p.peers,
+                p.runs,
+                p.max_rounds,
+                p.seed,
+                new.tier.name(),
+                q.peers,
+                q.runs,
+                q.max_rounds,
+                q.seed
+            ));
+        }
         report.scenarios += 1;
         compare_work(base, new, &mut report);
-        compare_wall(base, new, config, &mut report);
-        let baseline_ns = ns_per_interaction(base);
-        let fresh_ns = ns_per_interaction(new);
-        if baseline_ns.is_some() || fresh_ns.is_some() {
-            report.normalization.push(NormRow {
-                scenario: base.name.clone(),
-                baseline_ns,
-                fresh_ns,
-            });
-        }
     }
     for new in &fresh.scenarios {
         if baseline.scenario(&new.name).is_none() {
@@ -235,14 +191,6 @@ pub fn compare(
         }
     }
     Ok(report)
-}
-
-/// Median wall nanoseconds per deterministic interaction for one
-/// scenario entry, when it carries both layers.
-fn ns_per_interaction(entry: &lagover_perf::ScenarioBaseline) -> Option<f64> {
-    let wall = entry.wall.as_ref()?;
-    let interactions = entry.work.metric("work.interactions").filter(|&i| i > 0)?;
-    Some(wall.median_secs * 1e9 / interactions as f64)
 }
 
 /// Exact comparison of the deterministic layer.
@@ -313,71 +261,16 @@ fn compare_work(
     }
 }
 
-/// Budgeted comparison of the wall layer, when comparable.
-fn compare_wall(
-    base: &lagover_perf::ScenarioBaseline,
-    new: &lagover_perf::ScenarioBaseline,
-    config: &GateConfig,
-    report: &mut GateReport,
-) {
-    let (Some(b), Some(f)) = (&base.wall, &new.wall) else {
-        if base.wall.is_some() || new.wall.is_some() {
-            report.wall_skipped += 1;
-        }
-        return;
-    };
-    if b.env != f.env {
-        report.wall_skipped += 1;
-        report.findings.push(Finding {
-            scenario: base.name.clone(),
-            metric: "wall.median_secs".into(),
-            baseline: b.env.render(),
-            fresh: f.env.render(),
-            severity: Severity::Warning,
-            note: "environment tags differ; wall clock not comparable".into(),
-        });
-        return;
-    }
-    report.wall_compared += 1;
-    let budget_pct = config.budget_for(&base.name);
-    let limit = b.median_secs * (1.0 + budget_pct / 100.0);
-    if f.median_secs > limit {
-        report.findings.push(Finding {
-            scenario: base.name.clone(),
-            metric: "wall.median_secs".into(),
-            baseline: format!("{:.4}s", b.median_secs),
-            fresh: format!("{:.4}s", f.median_secs),
-            severity: Severity::Regression,
-            note: format!("exceeds the {budget_pct}% budget ({limit:.4}s)"),
-        });
-    }
-}
-
 /// Entry point for `cargo xtask bench-gate [FLAGS]`.
 pub fn run(args: &[String]) -> ExitCode {
     let root = crate::workspace_root();
     let mut strict = false;
-    let mut baseline_path = root.join("BENCH_baseline.json");
-    let mut fresh_path: Option<PathBuf> = None;
-    let mut config_path: Option<PathBuf> = None;
     let mut compare_paths: Option<(PathBuf, PathBuf)> = None;
 
     let mut it = args.iter();
     while let Some(flag) = it.next() {
         match flag.as_str() {
             "--strict" => strict = true,
-            "--baseline" => match it.next() {
-                Some(p) => baseline_path = PathBuf::from(p),
-                None => return usage(),
-            },
-            "--fresh" => match it.next() {
-                Some(p) => fresh_path = Some(PathBuf::from(p)),
-                None => return usage(),
-            },
-            "--config" => match it.next() {
-                Some(p) => config_path = Some(PathBuf::from(p)),
-                None => return usage(),
-            },
             "--compare" => match (it.next(), it.next()) {
                 (Some(a), Some(b)) => compare_paths = Some((PathBuf::from(a), PathBuf::from(b))),
                 _ => return usage(),
@@ -389,44 +282,12 @@ pub fn run(args: &[String]) -> ExitCode {
         }
     }
 
-    let config = match load_config(&root, config_path.as_deref()) {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("xtask bench-gate: {e}");
-            return ExitCode::FAILURE;
-        }
+    let documents = match &compare_paths {
+        Some((a, b)) => read_baseline(a).and_then(|x| Ok((x, read_baseline(b)?))),
+        None => read_baseline(&root.join("BENCH.json"))
+            .and_then(|committed| Ok((committed, run_harness(&root, strict)?))),
     };
-
-    let (baseline, fresh) = if let Some((a, b)) = &compare_paths {
-        match (read_baseline(a), read_baseline(b)) {
-            (Ok(x), Ok(y)) => (x, y),
-            (Err(e), _) | (_, Err(e)) => {
-                eprintln!("xtask bench-gate: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-    } else {
-        let baseline = match read_baseline(&baseline_path) {
-            Ok(b) => b,
-            Err(e) => {
-                eprintln!("xtask bench-gate: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        let fresh = match fresh_path {
-            Some(path) => read_baseline(&path),
-            None => run_harness(&root),
-        };
-        match fresh {
-            Ok(f) => (baseline, f),
-            Err(e) => {
-                eprintln!("xtask bench-gate: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-    };
-
-    let report = match compare(&baseline, &fresh, &config) {
+    let report = match documents.and_then(|(baseline, fresh)| compare(&baseline, &fresh, strict)) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("xtask bench-gate: {e}");
@@ -452,30 +313,8 @@ pub fn run(args: &[String]) -> ExitCode {
 }
 
 fn usage() -> ExitCode {
-    eprintln!(
-        "usage: cargo xtask bench-gate [--strict] [--baseline PATH] [--fresh PATH] \
-         [--config PATH] [--compare BASE.json HEAD.json]"
-    );
+    eprintln!("usage: cargo xtask bench-gate [--strict] [--compare BASE.json HEAD.json]");
     ExitCode::from(2)
-}
-
-/// Loads `perf.gate.toml`: an explicit `--config` must exist; the
-/// default root file falls back to built-in tolerances when absent.
-fn load_config(root: &Path, explicit: Option<&Path>) -> Result<GateConfig, String> {
-    let path = explicit
-        .map(Path::to_path_buf)
-        .unwrap_or_else(|| root.join("perf.gate.toml"));
-    match fs::read_to_string(&path) {
-        Ok(text) => gate_config::parse(&text).map_err(|e| format!("{}: {e}", path.display())),
-        Err(e) if explicit.is_none() && e.kind() == std::io::ErrorKind::NotFound => {
-            println!(
-                "xtask bench-gate: no {} — using default tolerances",
-                path.display()
-            );
-            Ok(GateConfig::default())
-        }
-        Err(e) => Err(format!("cannot read {}: {e}", path.display())),
-    }
 }
 
 fn read_baseline(path: &Path) -> Result<Baseline, String> {
@@ -485,8 +324,9 @@ fn read_baseline(path: &Path) -> Result<Baseline, String> {
 }
 
 /// Builds (no-op when current) and runs the release `lagover-perf`
-/// harness for the fresh work-only document.
-fn run_harness(root: &Path) -> Result<Baseline, String> {
+/// harness for the fresh document: the `pr` rows, or every row under
+/// `strict`.
+fn run_harness(root: &Path, strict: bool) -> Result<Baseline, String> {
     println!("xtask bench-gate: building lagover-perf (release)");
     let status = Command::new(crate::cargo())
         .current_dir(root)
@@ -500,8 +340,13 @@ fn run_harness(root: &Path) -> Result<Baseline, String> {
         .join("release")
         .join(format!("lagover-perf{}", std::env::consts::EXE_SUFFIX));
     println!("xtask bench-gate: running {}", binary.display());
+    let rows = lagover_perf::registry()
+        .iter()
+        .filter(|s| strict || s.tier == Tier::Pr)
+        .flat_map(|s| ["--scenario", s.name]);
     let out = Command::new(&binary)
         .current_dir(root)
+        .args(rows)
         .output()
         .map_err(|e| format!("cannot run {}: {e}", binary.display()))?;
     if !out.status.success() {
@@ -523,6 +368,8 @@ mod tests {
         lagover_jsonio::from_str(text).expect("fixture parses")
     }
 
+    /// Two `pr` rows (`fig2`, `recovery_1e3`) and one `weekly` row
+    /// (`construction_1e5`), each under its own parameters.
     fn baseline() -> Baseline {
         fixture(include_str!("../fixtures/bench_gate/baseline.json"))
     }
@@ -532,13 +379,13 @@ mod tests {
         let report = compare(
             &baseline(),
             &fixture(include_str!("../fixtures/bench_gate/fresh_identical.json")),
-            &GateConfig::default(),
+            true,
         )
         .unwrap();
         assert_eq!(report.findings, vec![]);
         assert!(!report.failed(false));
         assert!(!report.failed(true));
-        assert_eq!(report.scenarios, 2);
+        assert_eq!(report.scenarios, 3);
         assert!(report.work_metrics > 0);
         let md = report.render_markdown(false);
         assert!(md.contains("**PASS**"), "{md}");
@@ -550,7 +397,7 @@ mod tests {
         let report = compare(
             &baseline(),
             &fixture(include_str!("../fixtures/bench_gate/fresh_work_drift.json")),
-            &GateConfig::default(),
+            false,
         )
         .unwrap();
         assert!(report.failed(false), "exact layer must fail on any drift");
@@ -569,13 +416,17 @@ mod tests {
 
     #[test]
     fn schema_version_mismatch_is_an_error_not_a_verdict() {
+        // The fixture is a real schema-v1 document (one shared `params`
+        // header, rows without `tier`).
         let e = compare(
             &baseline(),
             &fixture(include_str!("../fixtures/bench_gate/fresh_schema.json")),
-            &GateConfig::default(),
+            false,
         )
         .unwrap_err();
         assert!(e.contains("schema version mismatch"), "{e}");
+        assert!(e.contains("baseline v2, fresh v1"), "{e}");
+        assert!(e.contains("regenerate BENCH.json in the PR"), "{e}");
     }
 
     #[test]
@@ -585,7 +436,7 @@ mod tests {
             &fixture(include_str!(
                 "../fixtures/bench_gate/fresh_added_metric.json"
             )),
-            &GateConfig::default(),
+            true,
         )
         .unwrap();
         assert_eq!(report.regressions(), 0);
@@ -602,7 +453,7 @@ mod tests {
         let mut fresh = baseline();
         fresh.scenarios[1].work.metrics.remove(0);
         fresh.scenarios.remove(0);
-        let report = compare(&baseline(), &fresh, &GateConfig::default()).unwrap();
+        let report = compare(&baseline(), &fresh, false).unwrap();
         assert_eq!(report.regressions(), 2);
         assert!(report
             .findings
@@ -611,98 +462,35 @@ mod tests {
     }
 
     #[test]
+    fn absent_weekly_row_is_a_finding_only_under_strict() {
+        let mut fresh = baseline();
+        fresh.scenarios.retain(|s| s.tier == Tier::Pr);
+        let report = compare(&baseline(), &fresh, false).unwrap();
+        assert_eq!(report.findings, vec![], "the PR gate does not run it");
+        assert_eq!(report.scenarios, 2);
+
+        let report = compare(&baseline(), &fresh, true).unwrap();
+        assert_eq!(report.regressions(), 1);
+        let f = &report.findings[0];
+        assert_eq!(
+            (f.scenario.as_str(), f.fresh.as_str()),
+            ("construction_1e5", "missing")
+        );
+    }
+
+    #[test]
     fn parameter_mismatch_is_an_error() {
+        // Per row: the other rows' parameters differ from this one's
+        // anyway, so only the same-named pair is checked.
         let mut fresh = baseline();
-        fresh.params.seed += 1;
-        let e = compare(&baseline(), &fresh, &GateConfig::default()).unwrap_err();
-        assert!(e.contains("parameter mismatch"), "{e}");
-    }
+        fresh.scenarios[1].params.seed += 1;
+        let e = compare(&baseline(), &fresh, false).unwrap_err();
+        assert!(e.contains("recovery_1e3 is not comparable"), "{e}");
+        assert!(e.contains("seed=7, fresh"), "{e}");
 
-    #[test]
-    fn wall_layers_compare_within_budget_same_env_only() {
-        use lagover_perf::WallLayer;
-        let mut base = baseline();
         let mut fresh = baseline();
-        base.scenarios[0].wall = Some(WallLayer::from_samples(vec![1.0, 1.0, 1.0]));
-        fresh.scenarios[0].wall = Some(WallLayer::from_samples(vec![1.2, 1.2, 1.2]));
-        let config = GateConfig::default(); // 25% budget
-        let report = compare(&base, &fresh, &config).unwrap();
-        assert_eq!(report.wall_compared, 1);
-        assert_eq!(report.regressions(), 0, "20% growth is inside the budget");
-
-        fresh.scenarios[0].wall = Some(WallLayer::from_samples(vec![1.3, 1.3, 1.3]));
-        let report = compare(&base, &fresh, &config).unwrap();
-        assert_eq!(report.regressions(), 1, "30% growth blows the budget");
-        assert!(report.findings[0].note.contains("25% budget"));
-
-        // Mismatched environment tags: skipped with a warning.
-        let mut other_env = WallLayer::from_samples(vec![9.9]);
-        other_env.env.threads = "weird".into();
-        fresh.scenarios[0].wall = Some(other_env);
-        let report = compare(&base, &fresh, &config).unwrap();
-        assert_eq!(report.wall_compared, 0);
-        assert_eq!(report.wall_skipped, 1);
-        assert_eq!(report.regressions(), 0);
-        assert_eq!(report.warnings(), 1);
-    }
-
-    #[test]
-    fn normalization_table_reports_ns_per_interaction() {
-        use lagover_perf::WallLayer;
-        let mut base = baseline();
-        let mut fresh = baseline();
-        for doc in [&mut base, &mut fresh] {
-            doc.scenarios[0]
-                .work
-                .metrics
-                .push(("work.interactions".to_string(), 2_000));
-        }
-        base.scenarios[0].wall = Some(WallLayer::from_samples(vec![1.0]));
-        fresh.scenarios[0].wall = Some(WallLayer::from_samples(vec![0.5]));
-        let report = compare(&base, &fresh, &GateConfig::default()).unwrap();
-        assert_eq!(report.normalization.len(), 1);
-        let row = &report.normalization[0];
-        assert_eq!(row.scenario, "fig2");
-        assert_eq!(row.baseline_ns, Some(1e9 / 2_000.0));
-        assert_eq!(row.fresh_ns, Some(0.5e9 / 2_000.0));
-        let md = report.render_markdown(false);
-        assert!(md.contains("ns/interaction"), "{md}");
-        assert!(md.contains("| fig2 | 500000.0 | 250000.0 |"), "{md}");
-    }
-
-    #[test]
-    fn normalization_handles_a_one_sided_wall_layer() {
-        use lagover_perf::WallLayer;
-        let base = baseline();
-        let mut fresh = baseline();
-        fresh.scenarios[0]
-            .work
-            .metrics
-            .push(("work.interactions".to_string(), 1_000));
-        fresh.scenarios[0].wall = Some(WallLayer::from_samples(vec![0.1]));
-        let report = compare(&base, &fresh, &GateConfig::default()).unwrap();
-        assert_eq!(report.normalization.len(), 1);
-        assert_eq!(report.normalization[0].baseline_ns, None);
-        assert!(report
-            .render_markdown(false)
-            .contains("| fig2 | n/a | 100000.0 |"));
-    }
-
-    #[test]
-    fn normalization_absent_without_wall_layers() {
-        let report = compare(&baseline(), &baseline(), &GateConfig::default()).unwrap();
-        assert!(report.normalization.is_empty());
-        assert!(!report.render_markdown(false).contains("ns/interaction"));
-    }
-
-    #[test]
-    fn one_sided_wall_layer_is_skipped_silently() {
-        use lagover_perf::WallLayer;
-        let base = baseline();
-        let mut fresh = baseline();
-        fresh.scenarios[0].wall = Some(WallLayer::from_samples(vec![0.1]));
-        let report = compare(&base, &fresh, &GateConfig::default()).unwrap();
-        assert_eq!(report.wall_skipped, 1);
-        assert_eq!(report.findings, vec![], "work-only baseline stays clean");
+        fresh.scenarios[2].tier = Tier::Pr;
+        let e = compare(&baseline(), &fresh, false).unwrap_err();
+        assert!(e.contains("construction_1e5 is not comparable"), "{e}");
     }
 }

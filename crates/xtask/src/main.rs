@@ -15,9 +15,8 @@
 //! * `miri` — runs the core + sim unit tests under Miri when the
 //!   component is installed; detects its absence and skips cleanly.
 //! * `bench-gate` — regenerates the perf baseline with the
-//!   `lagover-perf` harness and diffs it against the committed
-//!   `BENCH_baseline.json` under the `perf.gate.toml` tolerances,
-//!   rendering a markdown regression table.
+//!   `lagover-perf` harness and diffs it exactly against the committed
+//!   `BENCH.json`, rendering a markdown regression table.
 //! * `analyze` — structural static analysis (DESIGN.md §14): the
 //!   SimRng draw-site registry, alias-aware hash-container detection,
 //!   the tiered panic-surface audit, crate-DAG layering, wall-clock
@@ -29,7 +28,6 @@
 mod allowlist;
 mod analyze;
 mod bench_gate;
-mod gate_config;
 mod lint;
 mod replay;
 
@@ -73,10 +71,10 @@ fn print_usage() {
          \x20 loom                  run the parallel_runs interleaving model suite\n\
          \x20 miri                  run core+sim unit tests under Miri (skips if\n\
          \x20                       the component is not installed)\n\
-         \x20 bench-gate            diff a fresh lagover-perf run against the\n\
-         \x20                       committed BENCH_baseline.json ([--strict]\n\
-         \x20                       [--baseline P] [--fresh P] [--config P]\n\
-         \x20                       [--compare BASE.json HEAD.json])"
+         \x20 bench-gate            diff a fresh lagover-perf run of the `pr` rows\n\
+         \x20                       against the committed BENCH.json (--strict:\n\
+         \x20                       every row, warnings fail; --compare\n\
+         \x20                       BASE.json HEAD.json: diff two documents)"
     );
 }
 
