@@ -69,8 +69,9 @@ pub fn depth_profile(overlay: &Overlay, population: &Population) -> DepthProfile
     let mut unrooted = 0usize;
     let mut sum = 0u64;
     let mut rooted = 0usize;
-    for i in 0..population.len() {
-        match overlay.delay(PeerId::new(i as u32)) {
+    debug_assert_eq!(overlay.len(), population.len());
+    for delay in overlay.delays() {
+        match delay {
             Some(d) => {
                 let d = d as usize;
                 if counts.len() <= d {
@@ -104,8 +105,8 @@ pub fn slack_profile(overlay: &Overlay, population: &Population) -> SlackProfile
     let mut min_slack: Option<i64> = None;
     let mut sum = 0i64;
     let mut rooted = 0usize;
-    for (i, &latency) in latencies.iter().enumerate() {
-        if let Some(d) = overlay.delay(PeerId::new(i as u32)) {
+    for (&latency, delay) in latencies.iter().zip(overlay.delays()) {
+        if let Some(d) = delay {
             let slack = i64::from(latency) - i64::from(d);
             match slack {
                 s if s < 0 => violated += 1,
@@ -136,9 +137,10 @@ pub fn utilization_profile(overlay: &Overlay, population: &Population) -> Utiliz
     // Level 0 is the source's own slot usage.
     let mut used = vec![overlay.source_children().len() as u64];
     let mut capacity = vec![u64::from(population.source_fanout())];
+    let delays = overlay.delays();
     for (i, &fanout) in population.fanouts().iter().enumerate() {
         let p = PeerId::new(i as u32);
-        if let Some(d) = overlay.delay(p) {
+        if let Some(d) = delays[i] {
             let d = d as usize;
             if used.len() <= d {
                 used.resize(d + 1, 0);

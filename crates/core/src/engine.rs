@@ -492,7 +492,7 @@ impl Engine {
     /// Whether `p`'s constraints are currently met: chain rooted at the
     /// source and `DelayAt(p) <= l_p`.
     pub fn is_satisfied(&self, p: PeerId) -> bool {
-        matches!(self.overlay.delay(p), Some(d) if d <= self.population.latency(p))
+        matches!(self.overlay.stamped_delay(p), Some(d) if d <= self.population.latency(p))
     }
 
     /// Fraction of *online* peers currently satisfied (1.0 when nobody
@@ -1037,9 +1037,11 @@ impl Engine {
     }
 
     /// `DelayAt` if rooted, speculative delay otherwise — the estimate
-    /// peers negotiate with inside fragments.
+    /// peers negotiate with inside fragments, read off the stamp: at
+    /// most `max_latency + 2`, which fails every latency comparison a
+    /// deeper exact value fails.
     pub(crate) fn effective_delay(&self, p: PeerId) -> u32 {
-        self.overlay.speculative_delay(p)
+        self.overlay.stamped_hops(p) + u32::from(!self.overlay.is_rooted(p))
     }
 
     /// Latency-checked attach: `child` goes under `parent` only if the

@@ -44,7 +44,7 @@ pub(crate) fn maintain(engine: &mut Engine, p: PeerId) {
         }
         engine.proto[p.index()].parent_silent_rounds = 0;
     }
-    let Some(delay) = engine.overlay.delay(p) else {
+    let Some(delay) = engine.overlay.stamped_delay(p) else {
         // Not rooted: no actual DelayAt; the fragment root negotiates.
         engine.proto[p.index()].violation_rounds = 0;
         return;
@@ -75,9 +75,7 @@ pub(crate) fn maintain(engine: &mut Engine, p: PeerId) {
 fn parent_is_satisfied(engine: &Engine, p: PeerId) -> bool {
     match engine.overlay.parent(p) {
         Some(Member::Source) => true,
-        Some(Member::Peer(q)) => {
-            matches!(engine.overlay.delay(q), Some(d) if d <= engine.population.latency(q))
-        }
+        Some(Member::Peer(q)) => engine.is_satisfied(q),
         None => false,
     }
 }

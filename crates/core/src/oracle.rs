@@ -56,9 +56,14 @@ impl<'a> OracleView<'a> {
         self.online[p.index()]
     }
 
-    /// Actual observed delay of `p` (None while its chain is unrooted).
+    /// Observed delay of `p` (None while its chain is unrooted), as
+    /// stamped: exact up to `max_latency + 1` and saturated there, so
+    /// every `DelayAt(p) < l` / `≤ l` filter an oracle applies comes
+    /// out as on the exact value. [`Overlay::delay`] (through
+    /// [`OracleView::overlay`]) is the exact one, at a walk per deep
+    /// peer.
     pub fn delay(&self, p: PeerId) -> Option<u32> {
-        self.overlay.delay(p)
+        self.overlay.stamped_delay(p)
     }
 
     /// Whether `p` has unused fanout.

@@ -250,7 +250,7 @@ impl OracleIndex {
             self.online_fw.add(p.index(), 1);
         }
         self.note_free_fanout(p, overlay.has_free_fanout(Member::Peer(p)));
-        self.note_delay(p, overlay.delay(p));
+        self.note_delay(p, overlay.stamped_delay(p));
     }
 
     /// Marks `p` offline, removing it from every candidate set.
@@ -285,8 +285,9 @@ impl OracleIndex {
         }
     }
 
-    /// Applies a delay-cache change: `new` is the overlay's current
-    /// `DelayAt(p)`.
+    /// Applies a stamp change: `new` is the overlay's current
+    /// [`Overlay::stamped_delay`] of `p`, which saturates one past this
+    /// index's horizon — where a peer is not filed anyway.
     pub(crate) fn note_delay(&mut self, p: PeerId, new: Option<u32>) {
         let i = p.index();
         let target = match new {

@@ -11,6 +11,29 @@
 //! interval), and every further hop adds one time unit, i.e.
 //! `DelayAt(i) = depth(i)`.
 //!
+//! # Stamps and the horizon
+//!
+//! Every peer carries a *stamp* `(root, hops)`: the root of its chain
+//! and `min(depth, horizon)`, with `horizon = max_latency + 1` fixed
+//! by [`Overlay::new`]. Every protocol decision compares `DelayAt`
+//! with some `l ≤ max_latency`, so a peer needs its position in the
+//! latency gradient, not its distance past it: any depth at or beyond
+//! the horizon fails exactly the comparisons the saturated stamp
+//! fails. A mutation re-stamps top-down from the moved peer — each
+//! child takes `(root, min(parent_hops + 1, horizon))` — and stops at
+//! the first peer whose stamp does not change, because a child's stamp
+//! is a function of its parent's: a displacement that shifts a subtree
+//! one hop deeper under the same root costs what lies above the
+//! horizon, not what it carries (DESIGN.md §13.2).
+//!
+//! Decisions read the stamp in O(1) ([`Overlay::stamped_delay`],
+//! [`Overlay::stamped_hops`]); reports read exact depths
+//! ([`Overlay::delay`], [`Overlay::hops_to_root`],
+//! [`Overlay::speculative_delay`] resolve a saturated stamp by walking
+//! up to the first ancestor below the horizon, and [`Overlay::delays`]
+//! takes the whole population in one pass), so no observed number ever
+//! saturates.
+//!
 //! # Memory layout
 //!
 //! Storage is arena-backed struct-of-arrays (DESIGN.md §13): peers are
@@ -36,6 +59,8 @@ const NO_PARENT: u32 = u32::MAX;
 const PARENT_SOURCE: u32 = u32::MAX - 1;
 /// Packed `root` sentinel: the chain reaches the source.
 const ROOT_SOURCE: u32 = u32::MAX;
+/// `horizon` of a forest whose stamps never saturate.
+const NO_HORIZON: u32 = u32::MAX;
 
 /// Root of a peer's chain: either the source (the chain can actually
 /// receive the feed) or the topmost parent-less peer of a fragment.
@@ -154,22 +179,27 @@ pub struct Overlay {
     /// [`Overlay::root`] and friends are O(1) instead of O(depth). A
     /// parent-less peer is its own fragment root.
     root: Vec<u32>,
-    /// Cached hops-to-root per peer (0 for a fragment root; depth for a
-    /// peer rooted at the source), kept in lockstep with `root`.
+    /// Stamped hops-to-root per peer — 0 for a fragment root, depth for
+    /// a peer rooted at the source — saturated at `horizon` and kept in
+    /// lockstep with `root`.
     hops: Vec<u32>,
-    /// Reusable traversal stack for subtree cache updates. Always left
-    /// empty between calls, so equality stays purely structural and
-    /// serialization carries no transient state.
+    /// Where `hops` saturates: `max_latency + 1` of the population the
+    /// forest was built for ([`NO_HORIZON`] when restored from a
+    /// document that predates it, whose stamps are exact).
+    horizon: u32,
+    /// Reusable traversal stack of `(peer, its new hops)` for
+    /// re-stamping. Always left empty between calls, so equality stays
+    /// purely structural and serialization carries no transient state.
     #[serde(skip)]
-    scratch: Vec<PeerId>,
+    scratch: Vec<(PeerId, u32)>,
     /// When set, cache updates append to the delta buffers below so an
     /// external index (the engine's oracle index) can mirror this
     /// structure without rescanning it.
     #[serde(skip)]
     track_deltas: bool,
-    /// Per-touched-peer `(peer, delay after the change)` records, in
-    /// mutation order. A peer may appear several times; applying the
-    /// records in order reproduces the final state.
+    /// Per-written-peer `(peer, stamped delay after the change)`
+    /// records, in mutation order. A peer may appear several times;
+    /// applying the records in order reproduces the final state.
     #[serde(skip)]
     delay_deltas: Vec<(PeerId, Option<u32>)>,
     /// Peers whose child count changed (free-fanout candidates for the
@@ -188,6 +218,7 @@ impl PartialEq for Overlay {
             && self.source_children == other.source_children
             && self.root == other.root
             && self.hops == other.hops
+            && self.horizon == other.horizon
             && (0..self.fanout.len()).all(|i| self.kids(i) == other.kids(i))
     }
 }
@@ -216,6 +247,7 @@ impl Overlay {
             source_children: Vec::new(),
             root: (0..n as u32).collect(),
             hops: vec![0; n],
+            horizon: population.max_latency().saturating_add(1),
             scratch: Vec::new(),
             track_deltas: false,
             delay_deltas: Vec::new(),
@@ -266,51 +298,63 @@ impl Overlay {
         }
     }
 
-    /// Rewrites the cached root and moves the cached hop count — first
-    /// down by `rebase` (saturating), then by `delta` — for every peer
-    /// in the subtree of `top` (including `top`). O(subtree size); this
-    /// is the *only* place the caches change.
-    fn update_subtree_cache(&mut self, top: PeerId, new_root: ChainRoot, rebase: u32, delta: i64) {
-        let packed_root = new_root.pack();
+    /// Re-stamps the subtree of `top` top-down: `top` takes
+    /// `(packed_root, hops)` and every child its parent's root and one
+    /// more hop, saturating at the horizon — and the descent stops at
+    /// the first peer whose stamp does not change, since a child's
+    /// stamp is a function of its parent's. A root change therefore
+    /// visits the whole subtree, a same-root shift only what lies above
+    /// the horizon. This is the *only* place `attach`/`detach`/
+    /// `interpose` change a stamp, and a delta record is pushed only for
+    /// a peer actually written.
+    fn update_subtree_cache(&mut self, top: PeerId, packed_root: u32, hops: u32) {
         let rooted = packed_root == ROOT_SOURCE;
         let mut stack = std::mem::take(&mut self.scratch);
         debug_assert!(stack.is_empty());
-        stack.push(top);
+        stack.push((top, hops));
         // A valid subtree visits each peer once; a corrupted child
-        // structure (grafted ancestors) could loop, so the traversal is
-        // bounded by the population size and the hop arithmetic is
-        // clamped instead of wrapping.
+        // structure (grafted ancestors) would go round until the stamps
+        // saturate, so the writes are capped at the population size.
         let mut budget = self.parent.len();
-        while let Some(s) = stack.pop() {
+        while let Some((s, hops)) = stack.pop() {
+            let i = s.index();
+            if self.root[i] == packed_root && self.hops[i] == hops {
+                continue;
+            }
             if budget == 0 {
                 break;
             }
             budget -= 1;
-            let i = s.index();
             self.root[i] = packed_root;
-            let rebased = i64::from(self.hops[i].saturating_sub(rebase));
-            self.hops[i] = (rebased + delta).clamp(0, i64::from(u32::MAX)) as u32;
+            self.hops[i] = hops;
             if self.track_deltas {
-                let delay = rooted.then_some(self.hops[i]);
-                self.delay_deltas.push((s, delay));
+                self.delay_deltas.push((s, rooted.then_some(hops)));
             }
-            stack.extend_from_slice(self.kids(i));
+            let below = hops.saturating_add(1).min(self.horizon);
+            stack.extend(self.kids(i).iter().map(|&c| (c, below)));
         }
         stack.clear();
-        self.scratch = stack; // drained by the loop; capacity retained
+        self.scratch = stack; // capacity retained
     }
 
-    /// The cached `(root, hops)` a peer attached directly under
-    /// `parent` takes on.
+    /// The stamp a peer attached directly under `parent` takes on,
+    /// root packed.
     #[inline]
-    fn cache_under(&self, parent: Member) -> (ChainRoot, u32) {
+    fn stamp_under(&self, parent: Member) -> (u32, u32) {
         match parent {
-            Member::Source => (ChainRoot::Source, 1),
+            Member::Source => (ROOT_SOURCE, 1),
             Member::Peer(p) => (
-                ChainRoot::unpack(self.root[p.index()]),
-                self.hops[p.index()] + 1,
+                self.root[p.index()],
+                self.hops[p.index()].saturating_add(1).min(self.horizon),
             ),
         }
+    }
+
+    /// Whether `p` carries the stamp its `parent` implies: the local
+    /// check a valid overlay passes at every parented peer.
+    #[inline]
+    pub(crate) fn stamp_is_under(&self, p: PeerId, parent: Member) -> bool {
+        (self.root[p.index()], self.hops[p.index()]) == self.stamp_under(parent)
     }
 
     /// Appends `child` to the live child slots of `parent`, which has
@@ -394,16 +438,23 @@ impl Overlay {
         self.root[p.index()] == ROOT_SOURCE
     }
 
-    /// Number of edges between `p` and its chain root (0 when `p` *is*
-    /// the fragment root; depth when rooted at the source). O(1).
-    pub fn hops_to_root(&self, p: PeerId) -> u32 {
+    /// Where the stamped hop counts saturate: `max_latency + 1` of the
+    /// population the forest was built for.
+    pub fn horizon(&self) -> u32 {
+        self.horizon
+    }
+
+    /// `min(hops_to_root, horizon)` as stamped on `p`. O(1) — the read
+    /// every protocol decision makes.
+    pub fn stamped_hops(&self, p: PeerId) -> u32 {
         self.hops[p.index()]
     }
 
-    /// `DelayAt(p)`: the actual observed delay, defined only when the
-    /// chain reaches the source. A direct child of the source observes
-    /// delay 1 (§3.2 worked example); each hop adds one time unit. O(1).
-    pub fn delay(&self, p: PeerId) -> Option<u32> {
+    /// `min(DelayAt, horizon)` as stamped on `p`, defined only when the
+    /// chain reaches the source. O(1). Any comparison with a latency
+    /// constraint comes out as it would on the exact
+    /// [`Overlay::delay`], which is what reports want instead.
+    pub fn stamped_delay(&self, p: PeerId) -> Option<u32> {
         if self.root[p.index()] == ROOT_SOURCE {
             Some(self.hops[p.index()])
         } else {
@@ -411,15 +462,65 @@ impl Overlay {
         }
     }
 
+    /// Number of edges between `p` and its chain root (0 when `p` *is*
+    /// the fragment root; depth when rooted at the source). Exact: O(1)
+    /// above the horizon; a saturated stamp is resolved by walking up
+    /// to the first ancestor stamped below the horizon (or the chain's
+    /// end).
+    pub fn hops_to_root(&self, p: PeerId) -> u32 {
+        let mut cur = p;
+        for steps in 0..=self.parent.len() as u32 {
+            let hops = self.hops[cur.index()];
+            if hops < self.horizon {
+                return hops + steps;
+            }
+            match unpack_parent(self.parent[cur.index()]) {
+                Some(Member::Peer(q)) => cur = q,
+                Some(Member::Source) => return steps + 1,
+                None => return steps,
+            }
+        }
+        // A forged cycle of saturated stamps has no exact depth.
+        self.horizon
+    }
+
+    /// `DelayAt(p)`: the actual observed delay, defined only when the
+    /// chain reaches the source. A direct child of the source observes
+    /// delay 1 (§3.2 worked example); each hop adds one time unit.
+    /// Exact, like [`Overlay::hops_to_root`].
+    pub fn delay(&self, p: PeerId) -> Option<u32> {
+        self.is_rooted(p).then(|| self.hops_to_root(p))
+    }
+
     /// The delay `p` *would* observe if its fragment root attached
     /// directly to the source — the optimistic estimate peers use when
     /// negotiating inside unrooted fragments. Equals [`Overlay::delay`]
-    /// for rooted peers. O(1).
+    /// for rooted peers. Exact, like [`Overlay::hops_to_root`].
     pub fn speculative_delay(&self, p: PeerId) -> u32 {
-        if self.root[p.index()] == ROOT_SOURCE {
-            self.hops[p.index()]
-        } else {
-            self.hops[p.index()] + 1
+        self.hops_to_root(p) + u32::from(!self.is_rooted(p))
+    }
+
+    /// [`Overlay::delay`] of every peer in one O(N) top-down pass over
+    /// the child lists, from the source down — what a whole-population
+    /// profile reads, where N walks up from deep peers would cost
+    /// O(N·depth).
+    pub fn delays(&self) -> Vec<Option<u32>> {
+        let mut delays = vec![None; self.parent.len()];
+        let mut stack = Vec::new();
+        let (mut level, mut delay) = (&self.source_children[..], 1);
+        loop {
+            for &c in level {
+                // First visit wins, so a grafted child list cannot loop.
+                if delays[c.index()].is_none() {
+                    delays[c.index()] = Some(delay);
+                    stack.push(c);
+                }
+            }
+            let Some(p) = stack.pop() else {
+                return delays;
+            };
+            level = self.kids(p.index());
+            delay = delays[p.index()].expect("stacked with a delay") + 1;
         }
     }
 
@@ -489,17 +590,13 @@ impl Overlay {
         if matches!(parent, Member::Peer(p) if self.root[p.index()] == child.get()) {
             return Err(OverlayError::WouldCycle);
         }
-        let (new_root, base) = self.cache_under(parent);
+        let (new_root, hops) = self.stamp_under(parent);
         self.parent[child.index()] = pack_parent(Some(parent));
         self.push_child(parent, child);
         self.note_fanout_delta(parent);
-        // The child was a fragment root, normally at hops 0, so its
-        // whole subtree shifts down to the child's new depth and adopts
-        // the new root. Computing the shift from the recorded hops
-        // (rather than assuming 0) keeps the subtree internally
-        // consistent even when a corruption forged the child's cache.
-        let shift = i64::from(base) - i64::from(self.hops[child.index()]);
-        self.update_subtree_cache(child, new_root, 0, shift);
+        // The child was a fragment root, so its whole subtree adopts
+        // the new root.
+        self.update_subtree_cache(child, new_root, hops);
         Ok(())
     }
 
@@ -507,11 +604,12 @@ impl Overlay {
     /// takes the place of `j` under `j`'s parent `k` and adopts `j`,
     /// whose subtree comes along one hop deeper.
     ///
-    /// The outcome — child-slot order, caches, and the last delta
-    /// record of every peer — is exactly that of `detach(j)`,
-    /// `attach(i, k)`, `attach(j, i)`, but `j`'s subtree is re-stamped
-    /// once rather than twice, and nothing is touched unless all three
-    /// calls would succeed.
+    /// The outcome — child-slot order, stamps, and the state of an
+    /// index fed by the delta records — is exactly that of `detach(j)`,
+    /// `attach(i, k)`, `attach(j, i)`, but `j` keeps its root, so only
+    /// the part of its subtree above the horizon is re-stamped (the
+    /// stepwise calls re-stamp all of it twice), and nothing is touched
+    /// unless all three calls would succeed.
     ///
     /// # Errors
     ///
@@ -566,20 +664,18 @@ impl Overlay {
                 self.child_pool[last] = i;
             }
         }
-        let (new_root, base) = self.cache_under(parent);
+        let (new_root, hops) = self.stamp_under(parent);
         self.parent[i.index()] = pack_parent(Some(parent));
         // i's own fragment moves under k before j joins it, so j's
-        // subtree is not visited at i's shift.
-        let shift = i64::from(base) - i64::from(self.hops[i.index()]);
-        self.update_subtree_cache(i, new_root, 0, shift);
+        // subtree is not visited with i's.
+        self.update_subtree_cache(i, new_root, hops);
         self.parent[j.index()] = i.get();
         self.push_child(Member::Peer(i), j);
         self.note_fanout_delta(Member::Peer(i));
-        // Depths relative to j are kept and re-based one hop below i
-        // (`hops + 1` on a valid overlay).
-        let old_hops = self.hops[j.index()];
-        let below_i = i64::from(self.hops[i.index()]) + 1;
-        self.update_subtree_cache(j, new_root, old_hops, below_i);
+        // j keeps its root and sinks one hop: the descent ends where
+        // its subtree crosses the horizon.
+        let (root, hops) = self.stamp_under(Member::Peer(i));
+        self.update_subtree_cache(j, root, hops);
         Ok(())
     }
 
@@ -616,10 +712,8 @@ impl Overlay {
             }
         }
         self.note_fanout_delta(parent);
-        // The detached subtree keeps its internal shape: every member's
-        // depth drops by the child's old depth, rooted at the child.
-        let old_hops = self.hops[child.index()];
-        self.update_subtree_cache(child, ChainRoot::Fragment(child), old_hops, 0);
+        // The detached subtree keeps its shape, rooted at the child.
+        self.update_subtree_cache(child, ChainRoot::Fragment(child).pack(), 0);
         Ok(parent)
     }
 
@@ -638,11 +732,7 @@ impl Overlay {
         self.note_fanout_delta(Member::Peer(p));
         for &c in &orphans {
             self.parent[c.index()] = NO_PARENT;
-            // After the detach above `c` sits at depth 1 under the
-            // fragment root `p` (unless a corruption forged its cache);
-            // it now becomes its own fragment root at hops 0.
-            let old_hops = self.hops[c.index()];
-            self.update_subtree_cache(c, ChainRoot::Fragment(c), old_hops, 0);
+            self.update_subtree_cache(c, ChainRoot::Fragment(c).pack(), 0);
         }
         orphans
     }
@@ -696,7 +786,7 @@ impl Overlay {
                 if !self.source_children.contains(&p) {
                     return Err(format!("{p} missing from source children"));
                 }
-                if self.root[i] != ROOT_SOURCE || self.hops[i] != 1 {
+                if !self.stamp_is_under(p, Member::Source) {
                     return Err(format!("source child {p} has bad cache"));
                 }
             }
@@ -704,11 +794,8 @@ impl Overlay {
                 if !self.kids(q.index()).contains(&p) {
                     return Err(format!("{p} missing from children of {q}"));
                 }
-                if self.root[i] != self.root[q.index()] {
-                    return Err(format!("{p} root cache disagrees with parent {q}"));
-                }
-                if self.hops[i] != self.hops[q.index()] + 1 {
-                    return Err(format!("{p} hops cache disagrees with parent {q}"));
+                if !self.stamp_is_under(p, Member::Peer(q)) {
+                    return Err(format!("{p} cache disagrees with parent {q}"));
                 }
             }
         }
@@ -815,10 +902,11 @@ impl Overlay {
                     ChainRoot::unpack(self.root[i]),
                 ));
             }
-            if self.hops[i] != true_hops {
+            if self.hops[i] != true_hops.min(self.horizon) {
                 return Err(format!(
-                    "hops cache violated at {p}: cached {}, chain walk says {true_hops}",
-                    self.hops[i],
+                    "hops cache violated at {p}: cached {}, chain walk says {true_hops} \
+                     (horizon {})",
+                    self.hops[i], self.horizon,
                 ));
             }
         }
@@ -1013,7 +1101,7 @@ impl ToJson for Overlay {
             .map(|i| self.kids(i).to_vec())
             .collect();
         let root: Vec<ChainRoot> = self.root.iter().map(|&r| ChainRoot::unpack(r)).collect();
-        object(vec![
+        let mut fields = vec![
             ("source_fanout", self.source_fanout.to_json()),
             ("fanout", self.fanout.to_json()),
             ("parent", parent.to_json()),
@@ -1021,7 +1109,11 @@ impl ToJson for Overlay {
             ("source_children", self.source_children.to_json()),
             ("root", root.to_json()),
             ("hops", self.hops.to_json()),
-        ])
+        ];
+        if self.horizon != NO_HORIZON {
+            fields.push(("horizon", self.horizon.to_json()));
+        }
+        object(fields)
     }
 }
 
@@ -1065,6 +1157,11 @@ impl FromJson for Overlay {
             source_children: Vec::from_json(value.get("source_children")?)?,
             root: root.into_iter().map(ChainRoot::pack).collect(),
             hops: Vec::from_json(value.get("hops")?)?,
+            // A document that predates the horizon carries exact hops.
+            horizon: match value.get_opt("horizon")? {
+                Some(v) => u32::from_json(v)?,
+                None => NO_HORIZON,
+            },
             scratch: Vec::new(),
             track_deltas: false,
             delay_deltas: Vec::new(),
@@ -1255,8 +1352,8 @@ mod tests {
     #[test]
     fn interpose_terminates_on_a_grafted_ancestor() {
         // 2 lists its own ancestor 0 as a child: the child lists below
-        // j = 1 loop (1 → 2 → 0 → 1 …). The re-stamp is bounded by the
-        // population size and the hop arithmetic clamps.
+        // j = 1 loop (1 → 2 → 0 → 1 …). The re-stamp goes round until
+        // the stamps saturate, within a budget of the population size.
         let mut o = chain_and_fragment();
         assert!(o.raw_add_child(p(2), p(0)));
         o.set_delta_tracking(true);
@@ -1267,6 +1364,57 @@ mod tests {
         o.take_deltas_into(&mut delays, &mut fanouts);
         // i's pass stamps 3 and 4; j's pass stops after one budget.
         assert!(delays.len() <= 2 + o.len());
+    }
+
+    /// The source feeds a chain of `n` peers (0 on top), each with
+    /// latency 4, so the horizon is 5; peer `n` is a spare fragment
+    /// root.
+    fn long_chain(n: u32) -> Overlay {
+        let population = pop(1, &vec![(1, 4); n as usize + 1]);
+        let mut o = Overlay::new(&population);
+        o.attach(p(0), Member::Source).unwrap();
+        for i in 1..n {
+            o.attach(p(i), Member::Peer(p(i - 1))).unwrap();
+        }
+        o
+    }
+
+    #[test]
+    fn a_same_root_shift_writes_what_lies_above_the_horizon() {
+        const N: u32 = 5_000;
+        let mut o = long_chain(N);
+        assert_eq!(o.horizon(), 5);
+        o.set_delta_tracking(true);
+        let (mut delays, mut fanouts) = (Vec::new(), Vec::new());
+
+        // The spare takes the source slot and the chain sinks one hop:
+        // only the peers that were above the horizon get a new stamp.
+        o.interpose(p(N), p(0)).unwrap();
+        o.take_deltas_into(&mut delays, &mut fanouts);
+        assert!(
+            delays.len() <= o.horizon() as usize + 2,
+            "{} records",
+            delays.len()
+        );
+        assert_eq!(o.validate(), Ok(()));
+        // Reports stay exact where the stamp is saturated.
+        let last = p(N - 1);
+        assert_eq!(o.stamped_delay(last), Some(5));
+        assert_eq!(o.delay(last), Some(N + 1));
+        assert_eq!(o.delay(last), o.walk_delay(last));
+        assert_eq!(o.delays()[last.index()], Some(N + 1));
+
+        // A root change is not prunable: every peer of the subtree
+        // hears about it.
+        delays.clear();
+        fanouts.clear();
+        o.detach(p(N)).unwrap();
+        o.take_deltas_into(&mut delays, &mut fanouts);
+        assert_eq!(delays.len(), N as usize + 1);
+        assert_eq!(o.delay(last), None);
+        assert_eq!(o.speculative_delay(last), N + 1);
+        o.attach(p(N), Member::Source).unwrap();
+        assert_eq!(o.validate(), Ok(()));
     }
 
     #[test]
@@ -1408,5 +1556,37 @@ mod tests {
         let back = Overlay::from_json(&json).unwrap();
         assert_eq!(o, back);
         assert_eq!(back.children(p(1)), &[p(2)]);
+    }
+
+    #[test]
+    fn json_round_trips_saturated_stamps_and_reads_bare_documents() {
+        // Stamps past the horizon survive the round trip with it.
+        let o = long_chain(12);
+        assert_eq!(o.stamped_hops(p(11)), o.horizon());
+        let Json::Object(mut fields) = o.to_json() else {
+            panic!("an overlay serializes as an object");
+        };
+        let back = Overlay::from_json(&Json::Object(fields.clone())).unwrap();
+        assert_eq!(o, back);
+
+        // A document from before the horizon carries exact hops and
+        // restores as a forest that keeps stamping exactly.
+        fields.retain(|(key, _)| key != "horizon");
+        assert!(
+            Overlay::from_json(&Json::Object(fields.clone())).is_err(),
+            "saturated hops are not exact"
+        );
+        for (key, value) in &mut fields {
+            if key == "hops" {
+                let exact: Vec<u32> = (0..13).map(|i| o.hops_to_root(p(i))).collect();
+                *value = exact.to_json();
+            }
+        }
+        let mut bare = Overlay::from_json(&Json::Object(fields)).unwrap();
+        assert_eq!(bare.stamped_hops(p(11)), 12);
+        bare.attach(p(12), Member::Peer(p(11))).unwrap();
+        assert_eq!(bare.stamped_hops(p(12)), 13);
+        assert_eq!(bare.validate(), Ok(()));
+        assert!(matches!(bare.to_json().get_opt("horizon"), Ok(None)));
     }
 }

@@ -23,11 +23,14 @@
 //!
 //! Convergence (proved as a property test at n ∈ {16, 120, 1000}; the
 //! bound is argued in DESIGN.md §15): every forged cache is rewritten
-//! the first time its owner acts; any parent cycle contains at least
-//! one edge violating `hops(p) == hops(parent) + 1` (hops cannot
-//! strictly increase around a cycle), so some member detects a
-//! mismatch, and its bounded [`Overlay::checked_walk`] names the cycle
-//! and detaches it; one-sided edges are detected from both ends
+//! the first time its owner acts; any parent cycle either contains an
+//! edge violating `hops(p) == min(hops(parent) + 1, horizon)` (hops
+//! cannot strictly increase around a cycle), so some member detects a
+//! mismatch, or has every member stamped at the horizon, where the
+//! clamp holds all the way round — so while the engine is stabilizing
+//! a saturated peer takes the walk regardless; either way the bounded
+//! [`Overlay::checked_walk`] names the cycle and detaches it;
+//! one-sided edges are detected from both ends
 //! (`BrokenBacklink` by the child, `ForeignChild` by the parent), and
 //! either repair alone restores consistency. Each round strictly
 //! shrinks the set of inconsistent local states, and the ordinary
@@ -113,7 +116,7 @@ fn corrupt_one(
                 ChainRoot::Fragment(p)
             };
             // Guarantee an actual change.
-            let hops = if root == overlay.root(p) && hops == overlay.hops_to_root(p) {
+            let hops = if root == overlay.root(p) && hops == overlay.stamped_hops(p) {
                 hops.wrapping_add(1)
             } else {
                 hops
@@ -240,7 +243,7 @@ pub(crate) fn verify(engine: &mut Engine, p: PeerId) -> bool {
             // A fragment root's cache must say so; anything else is a
             // stale ChainRoot entry that would fool `DelayAt`.
             if engine.overlay.root(p) != ChainRoot::Fragment(p)
-                || engine.overlay.hops_to_root(p) != 0
+                || engine.overlay.stamped_hops(p) != 0
             {
                 engine.note_inconsistency(p, InconsistencyCause::StaleRoot);
                 engine.overlay.raw_set_cache(p, ChainRoot::Fragment(p), 0);
@@ -261,27 +264,29 @@ pub(crate) fn verify(engine: &mut Engine, p: PeerId) -> bool {
                 engine.stabilize_detach(p);
                 return true;
             }
-            // The same reply carries the parent's cached (root, hops);
-            // p's cache must sit exactly one hop below it.
-            let (parent_root, parent_hops) = match parent {
-                Member::Source => (ChainRoot::Source, 0),
-                Member::Peer(q) => (engine.overlay.root(q), engine.overlay.hops_to_root(q)),
-            };
-            if engine.overlay.root(p) != parent_root
-                || engine.overlay.hops_to_root(p) != parent_hops + 1
-            {
-                // A local mismatch either means a stale cache somewhere
-                // on the chain or a genuine cycle; the bounded walk
-                // distinguishes the two.
+            // The same reply carries the parent's stamp; p's must sit
+            // one hop below it, saturating at the horizon. A mismatch
+            // either means a stale cache somewhere on the chain or a
+            // genuine cycle; the bounded walk distinguishes the two.
+            // Saturation also makes a cycle of peers stamped at the
+            // horizon locally consistent (`min(horizon + 1, horizon)`
+            // all the way round), so while a corruption is being
+            // repaired a saturated peer takes the walk regardless.
+            let mismatch = !engine.overlay.stamp_is_under(p, parent);
+            let suspect =
+                engine.stabilizing() && engine.overlay.stamped_hops(p) >= engine.overlay.horizon();
+            if mismatch || suspect {
                 match engine.overlay.checked_walk(p) {
                     Err(_) => {
                         engine.note_inconsistency(p, InconsistencyCause::Cycle);
                         engine.stabilize_detach(p);
+                        return true;
                     }
-                    Ok((true_root, true_hops)) => {
+                    Ok((true_root, true_hops)) if mismatch => {
                         engine.note_inconsistency(p, InconsistencyCause::CacheMismatch);
-                        if engine.overlay.root(p) != true_root
-                            || engine.overlay.hops_to_root(p) != true_hops
+                        let true_hops = true_hops.min(engine.overlay.horizon());
+                        if (engine.overlay.root(p), engine.overlay.stamped_hops(p))
+                            != (true_root, true_hops)
                         {
                             engine.overlay.raw_set_cache(p, true_root, true_hops);
                             engine.note_repair(p, RepairKind::CacheRewrite);
@@ -289,9 +294,10 @@ pub(crate) fn verify(engine: &mut Engine, p: PeerId) -> bool {
                         // Otherwise p's cache already matches the chain
                         // walk — the *parent's* cache is the forged one,
                         // and its own verification rewrites it.
+                        return true;
                     }
+                    Ok(_) => {}
                 }
-                return true;
             }
         }
     }
@@ -484,6 +490,78 @@ mod tests {
             "cycle broken and re-converged"
         );
         assert!(engine.counters().inconsistencies_detected > 0);
+    }
+
+    /// The causes journalled so far, in order.
+    fn detected_causes(engine: &Engine) -> Vec<InconsistencyCause> {
+        let journal = engine.obs().journal().expect("journal enabled");
+        journal
+            .iter()
+            .filter_map(|event| match *event {
+                lagover_obs::Event::InconsistencyDetected { cause, .. } => Some(cause),
+                _ => None,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn a_cycle_of_saturated_stamps_is_walked_and_broken_within_a_round() {
+        // 0 → 1 → 2 → 0, backlinks and all, every member claiming the
+        // source from the horizon: `min(horizon + 1, horizon)` holds
+        // all the way round, so no stamp comparison can see it, and
+        // Greedy's "violated while my parent is satisfied" never fires
+        // inside it either.
+        let config = ConstructionConfig::new(Algorithm::Greedy, OracleKind::RandomDelay);
+        let mut engine = Engine::new(&population(), &config, 43);
+        let horizon = engine.overlay.horizon();
+        for (child, parent) in [(0, 2), (1, 0), (2, 1)] {
+            engine
+                .overlay
+                .raw_set_parent(p(child), Some(Member::Peer(p(parent))));
+            assert!(engine.overlay.raw_add_child(p(parent), p(child)));
+            engine
+                .overlay
+                .raw_set_cache(p(child), ChainRoot::Source, horizon);
+        }
+        for member in 0..3 {
+            assert_eq!(engine.overlay.spot_check(p(member)), Ok(()));
+            assert!(engine.overlay.checked_walk(p(member)).is_err());
+        }
+        engine.set_stabilizing(true);
+        engine.obs_mut().enable_journal(64);
+        engine.step();
+        assert!(detected_causes(&engine).contains(&InconsistencyCause::Cycle));
+        for q in population().peer_ids() {
+            assert!(engine.overlay.checked_walk(q).is_ok(), "{q} still cycles");
+        }
+        assert!(heal(&mut engine, 600).is_some());
+    }
+
+    #[test]
+    fn a_stamp_forged_past_the_horizon_is_rewritten_to_the_clamped_truth() {
+        // The source feeds the chain 0 ← 1 ← … ← 6; every latency is 2,
+        // so stamps saturate at 3.
+        let pop = Population::new(1, vec![Constraints::new(1, 2); 7]);
+        let config = ConstructionConfig::new(Algorithm::Hybrid, OracleKind::RandomDelay);
+        let mut engine = Engine::new(&pop, &config, 1);
+        engine.overlay.attach(p(0), Member::Source).unwrap();
+        for i in 1..7 {
+            engine.overlay.attach(p(i), Member::Peer(p(i - 1))).unwrap();
+        }
+        engine.obs_mut().enable_journal(64);
+        engine.set_stabilizing(true);
+        // A shallow peer (depth 2) and a deep one (depth 6, stamped 3).
+        for (victim, truth) in [(p(1), 2), (p(5), 3)] {
+            engine.overlay.raw_set_cache(victim, ChainRoot::Source, 9);
+            assert!(verify(&mut engine, victim), "forged {victim} detected");
+            assert_eq!(engine.overlay.stamped_hops(victim), truth);
+            assert!(!verify(&mut engine, victim), "{victim} clean again");
+        }
+        assert_eq!(
+            detected_causes(&engine),
+            [InconsistencyCause::CacheMismatch; 2]
+        );
+        assert_eq!(engine.overlay.validate(), Ok(()));
     }
 
     #[test]

@@ -4,13 +4,14 @@
 //!
 //! * arbitrary populations are drawn as `(source_fanout, Vec<(f, l)>)`;
 //! * arbitrary *op sequences* drive the overlay through
-//!   attach/detach/remove operations, after which the full structural
-//!   validator must pass;
+//!   attach/detach/interpose/remove operations, after which the full
+//!   structural validator must pass — from an empty forest, and from a
+//!   chain several stamp horizons deep;
 //! * full construction runs must never violate fanout, create cycles,
 //!   or (greedy) break the `l_parent <= l_child` invariant — regardless
 //!   of workload, oracle, or seed.
 
-use std::collections::BTreeMap;
+use std::ops::RangeInclusive;
 
 use proptest::prelude::*;
 
@@ -22,12 +23,17 @@ use lagover_core::{
 };
 use lagover_sim::{BernoulliChurn, CorruptionClass, CorruptionPlan, SimRng};
 
-/// Strategy: a population of 1..=12 peers with fanout 0..=4 and latency
-/// 1..=6, source fanout 1..=3.
-fn population_strategy() -> impl Strategy<Value = Population> {
+/// Strategy: a population of `peers` peers with the given fanout and
+/// latency ranges under a source with the given fanout range.
+fn populations(
+    source_fanout: RangeInclusive<u32>,
+    fanout: RangeInclusive<u32>,
+    latency: RangeInclusive<u32>,
+    peers: RangeInclusive<usize>,
+) -> impl Strategy<Value = Population> {
     (
-        1u32..=3,
-        prop::collection::vec((0u32..=4, 1u32..=6), 1..=12),
+        source_fanout,
+        prop::collection::vec((fanout, latency), peers),
     )
         .prop_map(|(source_fanout, specs)| {
             Population::new(
@@ -40,11 +46,75 @@ fn population_strategy() -> impl Strategy<Value = Population> {
         })
 }
 
+/// Strategy: a population of 1..=12 peers with fanout 0..=4 and latency
+/// 1..=6, source fanout 1..=3.
+fn population_strategy() -> impl Strategy<Value = Population> {
+    populations(1..=3, 0..=4, 1..=6, 1..=12)
+}
+
+/// Strategy: 13..=20 peers of fanout 1..=2 and latency 1..=3 under a
+/// source of fanout 1..=2. Stamps saturate at 4 hops or fewer, so the
+/// [`chain`] over such a population is at least three horizons deep
+/// and the mutations that follow work across the horizon, not above it.
+fn thin_population_strategy() -> impl Strategy<Value = Population> {
+    populations(1..=2, 1..=2, 1..=3, 13..=20)
+}
+
+/// The forest a mutation sequence starts from: empty, or the peers
+/// strung into the chain source ← 0 ← 1 ← … as far as fanouts allow.
+fn forest_strategy() -> impl Strategy<Value = (Population, Overlay)> {
+    prop_oneof![
+        population_strategy().prop_map(|population| {
+            let overlay = Overlay::new(&population);
+            (population, overlay)
+        }),
+        thin_population_strategy().prop_map(|population| {
+            let overlay = chain(&population);
+            let last = PeerId::new(population.len() as u32 - 1);
+            assert!(overlay.walk_hops_to_root(last) >= 3 * overlay.horizon());
+            (population, overlay)
+        }),
+    ]
+}
+
+fn chain(population: &Population) -> Overlay {
+    let mut overlay = Overlay::new(population);
+    let mut parent = Member::Source;
+    for p in population.peer_ids() {
+        if overlay.attach(p, parent).is_err() {
+            break;
+        }
+        parent = Member::Peer(p);
+    }
+    overlay
+}
+
+/// The stamp contract: the stored pair is the chain walk's, with hops
+/// saturated at the horizon; the public reads are the chain walk's.
+fn stamps_track_chain_walks(overlay: &Overlay) -> Result<(), TestCaseError> {
+    for i in 0..overlay.len() {
+        let p = PeerId::new(i as u32);
+        prop_assert_eq!(overlay.root(p), overlay.walk_root(p));
+        prop_assert_eq!(
+            overlay.stamped_hops(p),
+            overlay.walk_hops_to_root(p).min(overlay.horizon())
+        );
+        prop_assert_eq!(overlay.hops_to_root(p), overlay.walk_hops_to_root(p));
+        prop_assert_eq!(overlay.delay(p), overlay.walk_delay(p));
+    }
+    let walked: Vec<Option<u32>> = (0..overlay.len())
+        .map(|i| overlay.walk_delay(PeerId::new(i as u32)))
+        .collect();
+    prop_assert_eq!(overlay.delays(), walked);
+    Ok(())
+}
+
 /// An abstract overlay mutation.
 #[derive(Debug, Clone)]
 enum Op {
     Attach { child: usize, parent: Option<usize> },
     Detach { peer: usize },
+    Interpose { i: usize, j: usize },
     Remove { peer: usize },
 }
 
@@ -53,6 +123,7 @@ fn op_strategy(n: usize) -> impl Strategy<Value = Op> {
         (0..n, prop::option::weighted(0.8, 0..n))
             .prop_map(|(child, parent)| Op::Attach { child, parent }),
         (0..n).prop_map(|peer| Op::Detach { peer }),
+        (0..n, 0..n).prop_map(|(i, j)| Op::Interpose { i, j }),
         (0..n).prop_map(|peer| Op::Remove { peer }),
     ]
 }
@@ -76,6 +147,11 @@ fn apply_op(overlay: &mut Overlay, op: &Op) {
                 let _ = overlay.detach(PeerId::new(peer as u32));
             }
         }
+        Op::Interpose { i, j } => {
+            if i < n && j < n {
+                let _ = overlay.interpose(PeerId::new(i as u32), PeerId::new(j as u32));
+            }
+        }
         Op::Remove { peer } => {
             if peer < n {
                 let _ = overlay.remove_peer(PeerId::new(peer as u32));
@@ -84,11 +160,20 @@ fn apply_op(overlay: &mut Overlay, op: &Op) {
     }
 }
 
-/// The last delay record of every peer in a drained delta feed.
-fn last_delay_records(overlay: &mut Overlay) -> BTreeMap<PeerId, Option<u32>> {
+/// What an oracle index that mirrored `before` holds for every peer
+/// once it has drained `after`'s delta feed: its bucket key, the
+/// stamped delay. A peer the re-stamp pruned has no record and keeps
+/// what the index already held.
+fn index_after_draining(before: &Overlay, after: &mut Overlay) -> Vec<Option<u32>> {
+    let mut mirror: Vec<Option<u32>> = (0..before.len())
+        .map(|i| before.stamped_delay(PeerId::new(i as u32)))
+        .collect();
     let (mut delays, mut fanouts) = (Vec::new(), Vec::new());
-    overlay.take_deltas_into(&mut delays, &mut fanouts);
-    delays.into_iter().collect()
+    after.take_deltas_into(&mut delays, &mut fanouts);
+    for (p, delay) in delays {
+        mirror[p.index()] = delay;
+    }
+    mirror
 }
 
 proptest! {
@@ -106,40 +191,42 @@ proptest! {
         }
     }
 
-    /// Cache coherence: after any random sequence of attach/detach/
-    /// remove (churn) mutations, the incrementally maintained `root`,
-    /// `hops_to_root`, and `delay` caches equal a fresh chain-walk
-    /// recomputation for every peer — checked after *every* mutation,
-    /// not just at the end.
+    /// Stamp coherence: after any random sequence of attach/detach/
+    /// interpose/remove (churn) mutations — over an empty forest, and
+    /// over a chain at least three horizons deep — every stored stamp
+    /// is the chain walk's `(root, min(hops, horizon))` and the public
+    /// `root`, `hops_to_root`, `delay` and `delays` equal a fresh
+    /// chain-walk recomputation for every peer — checked, with
+    /// `validate()`, after *every* mutation, not just at the end.
     #[test]
     fn cached_root_and_delay_match_chain_walk(
-        population in population_strategy(),
-        ops in prop::collection::vec(op_strategy(12), 0..60),
+        forest in forest_strategy(),
+        ops in prop::collection::vec(op_strategy(20), 0..60),
     ) {
-        let mut overlay = Overlay::new(&population);
+        let (_, mut overlay) = forest;
+        stamps_track_chain_walks(&overlay)?;
         for op in ops {
             apply_op(&mut overlay, &op);
-            for p in population.peer_ids() {
-                prop_assert_eq!(overlay.root(p), overlay.walk_root(p));
-                prop_assert_eq!(overlay.hops_to_root(p), overlay.walk_hops_to_root(p));
-                prop_assert_eq!(overlay.delay(p), overlay.walk_delay(p));
-            }
+            prop_assert_eq!(overlay.validate(), Ok(()));
+            stamps_track_chain_walks(&overlay)?;
         }
     }
 
     /// `interpose(i, j)` is `detach(j); attach(i, k); attach(j, i)` in
     /// one pass: on any forest it succeeds exactly when all three calls
-    /// do, and then leaves the same overlay (child order and caches
-    /// included), a valid one, and a delta feed with the same last
-    /// record per peer; when it refuses, nothing has changed.
+    /// do, and then leaves the same overlay (child order and stamps
+    /// included), a valid one, and a delta feed that drains into the
+    /// same index — the live stamps — though it holds no record for a
+    /// peer the one-hop shift left at the horizon; when it refuses,
+    /// nothing has changed.
     #[test]
     fn interpose_equals_detach_attach_attach(
-        population in population_strategy(),
-        ops in prop::collection::vec(op_strategy(12), 0..60),
-        picks in (0usize..12, 0usize..12),
+        forest in forest_strategy(),
+        ops in prop::collection::vec(op_strategy(20), 0..60),
+        picks in (0usize..20, 0usize..20),
         aimed in any::<bool>(),
     ) {
-        let mut before = Overlay::new(&population);
+        let (population, mut before) = forest;
         for op in &ops {
             apply_op(&mut before, op);
         }
@@ -166,24 +253,29 @@ proptest! {
         if outcome.is_ok() {
             prop_assert_eq!(&spliced, &stepwise);
             prop_assert_eq!(spliced.validate(), Ok(()));
-            prop_assert_eq!(
-                last_delay_records(&mut spliced),
-                last_delay_records(&mut stepwise)
-            );
+            let live: Vec<Option<u32>> = population
+                .peer_ids()
+                .map(|p| spliced.stamped_delay(p))
+                .collect();
+            prop_assert_eq!(&index_after_draining(&before, &mut spliced), &live);
+            prop_assert_eq!(&index_after_draining(&before, &mut stepwise), &live);
         } else {
             prop_assert_eq!(&spliced, &before);
             prop_assert!(!spliced.has_pending_deltas());
         }
     }
 
-    /// Cache coherence under full engine dynamics: a construction run
+    /// Stamp coherence under full engine dynamics: a construction run
     /// under churn (displacements, adoptions, maintenance detaches,
-    /// departures) and one mid-run crash-stop keeps the cached queries
-    /// equal to chain walks — and the engine's four O(N) probes equal
-    /// to the same counts taken from independent chain walks.
+    /// departures) and one mid-run crash-stop keeps every stamp at the
+    /// chain walk's saturated value and the public reads equal to chain
+    /// walks — and the engine's four O(N) probes equal to the same
+    /// counts taken from independent chain walks. The thin populations
+    /// cannot be satisfied, so their rooted chains sink past the
+    /// horizon while construction thrashes.
     #[test]
     fn engine_churn_keeps_caches_coherent(
-        population in population_strategy(),
+        population in prop_oneof![population_strategy(), thin_population_strategy()],
         seed in 0u64..1_000_000,
     ) {
         let config = ConstructionConfig::new(Algorithm::Hybrid, OracleKind::RandomDelay)
@@ -204,9 +296,8 @@ proptest! {
             engine.apply_churn(&mut churn);
             engine.step();
             let (mut online, mut satisfied, mut orphans, mut stale) = (0usize, 0usize, 0usize, 0usize);
+            stamps_track_chain_walks(engine.overlay())?;
             for p in population.peer_ids() {
-                prop_assert_eq!(engine.overlay().root(p), engine.overlay().walk_root(p));
-                prop_assert_eq!(engine.overlay().delay(p), engine.overlay().walk_delay(p));
                 if !engine.is_online(p) {
                     continue;
                 }
@@ -599,9 +690,10 @@ proptest! {
     /// trajectories, depths, and RNG draw counts at the sizes the scale
     /// scenarios care about, for every oracle kind — and, under all
     /// four oracles, on the low-fanout population whose rooted peers
-    /// sink to `max_latency` and below, where the index stops filing
-    /// them, so
-    /// the horizon is held against the naive scan too.
+    /// sink to `max_latency`, where the index stops filing them, and
+    /// (under at least one oracle) past `max_latency + 1`, where the
+    /// overlay's stamps saturate, so both horizons are held against
+    /// the naive scan too.
     #[test]
     fn indexed_oracle_matches_reference_path(
         size_idx in 0usize..3,
@@ -611,6 +703,7 @@ proptest! {
         let population = sized_population([16, 120, 1_000][size_idx], seed);
         index_tracks_reference(&population, OracleKind::ALL[oracle_idx], seed)?;
         let thin = low_fanout_population(120, seed);
+        let mut sunk = 0;
         for oracle in OracleKind::ALL {
             let deepest = index_tracks_reference(&thin, oracle, seed)?;
             prop_assert!(
@@ -620,7 +713,13 @@ proptest! {
                 deepest,
                 thin.max_latency()
             );
+            sunk = sunk.max(deepest);
         }
+        prop_assert!(
+            sunk > thin.max_latency() + 1,
+            "rooted depth {} never passed the stamp horizon",
+            sunk
+        );
     }
 
     /// The same equivalence through the fault paths: churn departures

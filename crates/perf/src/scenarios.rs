@@ -395,6 +395,26 @@ mod tests {
         assert!(healing.counters.crashes > 0, "crash was injected");
     }
 
+    /// The displacement burst sinks rooted chains far past the stamp
+    /// horizon (`max_latency + 1` = 14 here); what a run observes is
+    /// the exact depth all the same.
+    #[test]
+    fn observed_depth_does_not_saturate_at_the_stamp_horizon() {
+        let population = layered_population(1_000);
+        assert_eq!(population.max_latency(), 13);
+        let config = ConstructionConfig::new(Algorithm::Hybrid, OracleKind::RandomDelay);
+        let mut engine = lagover_core::Engine::new(&population, &config, 42);
+        let mut deepest = (0, 0);
+        while !engine.is_converged() {
+            engine.step();
+            let depth = engine.health_sample().max_depth;
+            if depth > deepest.0 {
+                deepest = (depth, engine.round().get());
+            }
+        }
+        assert_eq!(deepest, (64, 5), "(max_depth, round)");
+    }
+
     #[test]
     fn scale_drivers_are_deterministic() {
         let a = construction_at_scale("construction_test", &scale_params(400, 5));
