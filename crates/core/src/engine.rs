@@ -77,6 +77,27 @@ impl ProtoState {
     }
 }
 
+/// The two phases a peer action is profiled under, by whether the peer
+/// has a parent.
+const ACTION_PHASES: [&str; 2] = ["construction", "maintenance"];
+
+/// The profiler's per-action accounting, batched (see
+/// [`Engine::act_on_profiled`]): consecutive actions of one phase share
+/// one counter span, the work of both phases waits in two fixed slots,
+/// and [`Engine::flush_actions`] hands it over. A profile is a sum, so
+/// its totals are those of one record per action.
+#[derive(Debug, Default)]
+pub(crate) struct ActionLedger {
+    /// Work per phase, indexed like [`ACTION_PHASES`].
+    work: [Work; 2],
+    /// The phase that acted first since the last flush — the one a
+    /// record per action would have shown the profiler first.
+    first: Option<usize>,
+    /// The open span: its phase, and the draws and counters it started
+    /// at.
+    open: Option<(usize, u64, EngineCounters)>,
+}
+
 /// A serializable checkpoint of an [`Engine`]'s simulation state.
 ///
 /// Produced by [`Engine::snapshot`] and consumed by [`Engine::restore`];
@@ -320,6 +341,9 @@ impl Engine {
         // index from scratch, so drop them.
         let mut overlay = snapshot.overlay;
         overlay.set_delta_tracking(false);
+        // Likewise the settled bits of the engine it was cloned from:
+        // what they vouched for included that engine's mode.
+        overlay.unsettle_all();
         Engine {
             population: snapshot.population,
             config: snapshot.config,
@@ -545,6 +569,10 @@ impl Engine {
             return false;
         }
         self.online[p.index()] = false;
+        // The victim stops acting, and its children's next probe goes
+        // unanswered.
+        self.overlay.unsettle(p);
+        self.overlay.unsettle_children(p);
         if let Some(index) = self.index.as_mut() {
             index.set_offline(p);
         }
@@ -574,6 +602,7 @@ impl Engine {
     /// mutators.
     pub fn set_stabilizing(&mut self, on: bool) {
         self.stabilizing = on;
+        self.overlay.unsettle_all();
     }
 
     /// Enters stabilizing mode after a corruption was applied: suspends
@@ -581,7 +610,7 @@ impl Engine {
     /// sampling index, since cached delays may have been forged
     /// wholesale underneath it.
     pub(crate) fn begin_stabilizing(&mut self) {
-        self.stabilizing = true;
+        self.set_stabilizing(true);
         if self.index.is_some() {
             self.set_oracle_indexing(true);
         }
@@ -649,12 +678,46 @@ impl Engine {
     /// chain still looks rooted, but the dead ancestor relays nothing.
     /// Always zero under graceful churn, which clears such edges in the
     /// departure round.
+    ///
+    /// One O(N) pass: a walk up from an online peer stops at the first
+    /// offline ancestor (stale), the chain's end (fresh), a peer whose
+    /// verdict is known (inherited), or a peer of the walk itself — a
+    /// corrupted parent cycle, which can never deliver the feed and
+    /// counts as stale — and everybody walked past, online and below
+    /// the same stop, takes the same verdict.
     pub fn stale_chain_count(&self) -> usize {
-        (0..self.population.len())
-            .filter(|&i| {
-                self.online[i] && chain_is_stale(&self.overlay, &self.online, PeerId::new(i as u32))
-            })
-            .count()
+        const UNKNOWN: u8 = 0;
+        const FRESH: u8 = 1;
+        const STALE: u8 = 2;
+        const ON_WALK: u8 = 3;
+        let mut verdict = vec![UNKNOWN; self.population.len()];
+        let mut walk = Vec::new();
+        let mut stale_chains = 0;
+        for start in self.population.peer_ids() {
+            if !self.online[start.index()] {
+                continue;
+            }
+            let mut cur = start;
+            while verdict[cur.index()] == UNKNOWN {
+                verdict[cur.index()] = ON_WALK;
+                walk.push(cur);
+                match self.overlay.parent(cur) {
+                    Some(Member::Peer(q)) if self.online[q.index()] => cur = q,
+                    Some(Member::Peer(_)) => verdict[cur.index()] = STALE,
+                    Some(Member::Source) | None => verdict[cur.index()] = FRESH,
+                }
+            }
+            let found = if verdict[cur.index()] == FRESH {
+                FRESH
+            } else {
+                STALE
+            };
+            for p in walk.drain(..) {
+                verdict[p.index()] = found;
+            }
+            stale_chains += usize::from(found == STALE);
+        }
+        stale_chains
     }
 
     /// Fires the fault plan's scheduled crashes whose round has come —
@@ -716,7 +779,7 @@ impl Engine {
 
     /// Work done since a `(rng draws, counters)` baseline — the
     /// profiler's per-phase delta.
-    pub(crate) fn work_since(&self, draws0: u64, counters0: &EngineCounters, actions: u64) -> Work {
+    fn work_since(&self, draws0: u64, counters0: &EngineCounters, actions: u64) -> Work {
         let c = &self.counters;
         Work {
             actions,
@@ -735,8 +798,9 @@ impl Engine {
     /// When the pipeline's profiler is enabled the round is accounted
     /// into phases — `detection` (crash schedule + silence aging),
     /// `schedule` (the order shuffle), and per-action `construction` /
-    /// `maintenance` — purely from counter and RNG-draw deltas, so the
-    /// profile is deterministic and profiling never perturbs the run.
+    /// `maintenance`, batched per round — purely from counter and
+    /// RNG-draw deltas, so the profile is deterministic and profiling
+    /// never perturbs the run.
     pub fn step(&mut self) {
         let profiling = self.obs.profiling();
         let mut draws0 = self.rng.draws();
@@ -766,27 +830,20 @@ impl Engine {
             self.obs.record_phase("schedule", work);
         }
 
+        let mut ledger = ActionLedger::default();
         for &p in &order {
             if !self.online[p.index()] {
                 continue;
             }
             if profiling {
-                draws0 = self.rng.draws();
-                counters0 = self.counters;
-                let phase = if self.overlay.parent(p).is_none() {
-                    "construction"
-                } else {
-                    "maintenance"
-                };
-                self.act_on(p);
-                let work = self.work_since(draws0, &counters0, 1);
-                self.obs.record_phase(phase, work);
+                self.act_on_profiled(&mut ledger, p);
             } else {
                 self.act_on(p);
             }
         }
         self.order_scratch = order; // capacity reused next round
 
+        self.flush_actions(&mut ledger);
         if profiling {
             draws0 = self.rng.draws();
             counters0 = self.counters;
@@ -826,6 +883,12 @@ impl Engine {
     /// asynchronous (event-driven) engine.
     pub fn act_on(&mut self, p: PeerId) {
         debug_assert!(self.online[p.index()], "offline peers do not act");
+        // A settled peer found nothing to do last time and nothing it
+        // reads has been written since (DESIGN.md §13.4).
+        if self.overlay.is_settled(p) {
+            debug_assert!(self.action_is_noop(p), "settled {p} has something to do");
+            return;
+        }
         // The stabilize rule: verify cached chain state against the
         // neighbours' actual replies before acting on it. On a valid
         // overlay this is a handful of reads (no RNG, no events), so
@@ -839,6 +902,56 @@ impl Engine {
         } else {
             maintenance::maintain(self, p);
         }
+    }
+
+    /// [`Engine::act_on`] with the action's work attributed to its
+    /// phase on `ledger`. An action that does nothing — a settled
+    /// peer's — costs the ledger one count: the span it runs in stays
+    /// open, and the counters are read only where the phase changes.
+    /// Nothing but actions may draw or count between two calls without
+    /// an [`Engine::flush_actions`] in between.
+    pub(crate) fn act_on_profiled(&mut self, ledger: &mut ActionLedger, p: PeerId) {
+        let phase = usize::from(self.overlay.parent(p).is_some());
+        if !matches!(ledger.open, Some((open, ..)) if open == phase) {
+            self.close_span(ledger);
+            ledger.open = Some((phase, self.rng.draws(), self.counters));
+            ledger.first.get_or_insert(phase);
+        }
+        ledger.work[phase].actions += 1;
+        self.act_on(p);
+    }
+
+    fn close_span(&self, ledger: &mut ActionLedger) {
+        if let Some((phase, draws0, counters0)) = ledger.open.take() {
+            ledger.work[phase].add(self.work_since(draws0, &counters0, 0));
+        }
+    }
+
+    /// Records what `ledger` holds with the profiler, the phase that
+    /// acted first going first and an idle phase not at all, and leaves
+    /// it empty.
+    pub(crate) fn flush_actions(&mut self, ledger: &mut ActionLedger) {
+        self.close_span(ledger);
+        if let Some(first) = ledger.first.take() {
+            for phase in [first, 1 - first] {
+                let work = std::mem::take(&mut ledger.work[phase]);
+                if work.actions > 0 {
+                    self.obs.record_phase(ACTION_PHASES[phase], work);
+                }
+            }
+        }
+    }
+
+    /// Whether [`Engine::act_on`] would change nothing at `p` — no
+    /// field, no draw, no counter, no event: what a settled bit claims,
+    /// re-derived read-only from the checks the action itself runs. The
+    /// audit behind every skip in debug builds.
+    pub(crate) fn action_is_noop(&self, p: PeerId) -> bool {
+        self.online[p.index()]
+            && !self.stabilizing
+            && self.overlay.parent(p).is_some()
+            && stabilize::diagnose(self, p).is_none()
+            && maintenance::is_quiet(self, p)
     }
 
     /// One construction step for a parent-less peer.
@@ -1473,6 +1586,9 @@ impl Engine {
 /// Whether `p`'s ancestor chain crosses an offline peer. Bounded by
 /// the population size: a chain that fails to terminate (a corrupted
 /// parent cycle) can never deliver the feed, so it counts as stale.
+/// The per-peer reference [`Engine::stale_chain_count`] is tested
+/// against.
+#[cfg(test)]
 fn chain_is_stale(overlay: &Overlay, online: &[bool], p: PeerId) -> bool {
     let mut cur = p;
     let mut budget = online.len();
@@ -1799,6 +1915,94 @@ mod tests {
         // source, l=3 below).
         assert!(engine.run_to_convergence().is_some(), "self-healing");
         engine.overlay().validate().unwrap();
+    }
+
+    #[test]
+    fn batched_action_profiling_keeps_first_action_order_and_every_sum() {
+        let config = ConstructionConfig::new(Algorithm::Hybrid, OracleKind::RandomDelay);
+        let mut engine = Engine::new(&chain_population(), &config, 1);
+        engine.obs_mut().enable_profiler();
+        engine.overlay.attach(p(0), Member::Source).unwrap();
+        let mut ledger = ActionLedger::default();
+        let phases = |engine: &Engine| -> Vec<(String, Work)> {
+            let profiler = engine.obs().profiler().expect("enabled");
+            let phases = profiler.phases().iter();
+            phases
+                .map(|phase| (phase.name.clone(), phase.work))
+                .collect()
+        };
+
+        // A maintenance action, then the same peer settled: one more
+        // count and nothing else; the idle phase is not recorded.
+        engine.act_on_profiled(&mut ledger, p(0));
+        engine.act_on_profiled(&mut ledger, p(0));
+        assert!(phases(&engine).is_empty(), "nothing before the flush");
+        engine.flush_actions(&mut ledger);
+        let idle = Work {
+            actions: 2,
+            ..Work::default()
+        };
+        assert_eq!(phases(&engine), [("maintenance".to_string(), idle)]);
+
+        // Interleaved phases: spans open and close, sums stay exact.
+        for q in [p(1), p(0), p(2)] {
+            engine.act_on_profiled(&mut ledger, q);
+        }
+        engine.flush_actions(&mut ledger);
+        let recorded = phases(&engine);
+        assert_eq!(recorded[0].0, "maintenance");
+        assert_eq!(recorded[1].0, "construction");
+        assert_eq!(recorded[0].1.actions, 3);
+        assert_eq!(recorded[1].1.actions, 2);
+        assert_eq!(recorded[0].1.rng_draws, 0);
+        assert_eq!(recorded[1].1.rng_draws, engine.rng_draws());
+        assert_eq!(
+            recorded[1].1.oracle_queries,
+            engine.counters().oracle_queries
+        );
+        assert_eq!(recorded[1].1.attaches, engine.counters().attaches);
+        engine.flush_actions(&mut ledger);
+        assert_eq!(phases(&engine), recorded, "an empty ledger records nothing");
+    }
+
+    proptest::proptest! {
+        /// The one-pass count is the per-peer walk's, on random forests
+        /// with crashed interiors — and with raw parent cycles spliced
+        /// in, self-parents included, where the walk runs out of budget
+        /// and the pass meets itself.
+        #[test]
+        fn stale_chain_count_matches_the_walk_from_every_peer(
+            links in proptest::collection::vec((0u32..5, 0usize..64), 1..48),
+            cycles in proptest::collection::vec((0usize..64, 0usize..64), 0..4),
+            crashed in proptest::collection::vec(0usize..64, 0..12),
+        ) {
+            let n = links.len();
+            let population = Population::new(1, vec![Constraints::new(0, 1); n]);
+            let config = ConstructionConfig::new(Algorithm::Hybrid, OracleKind::Random);
+            let mut engine = Engine::new(&population, &config, 1);
+            // Only parent pointers and liveness matter to either count.
+            for (i, &(kind, k)) in links.iter().enumerate() {
+                let parent = match kind {
+                    0 => None,
+                    1 => Some(Member::Source),
+                    _ if i == 0 => Some(Member::Source),
+                    _ => Some(Member::Peer(p((k % i) as u32))),
+                };
+                engine.overlay.raw_set_parent(p(i as u32), parent);
+            }
+            for &(a, b) in &cycles {
+                let parent = Some(Member::Peer(p((b % n) as u32)));
+                engine.overlay.raw_set_parent(p((a % n) as u32), parent);
+            }
+            for &q in &crashed {
+                engine.inject_crash(p((q % n) as u32));
+            }
+            let walked = population
+                .peer_ids()
+                .filter(|&q| engine.is_online(q) && chain_is_stale(&engine.overlay, &engine.online, q))
+                .count();
+            proptest::prop_assert_eq!(engine.stale_chain_count(), walked);
+        }
     }
 
     #[test]

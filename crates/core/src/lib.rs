@@ -70,6 +70,7 @@ mod greedy;
 mod hybrid;
 mod maintenance;
 mod oracle_index;
+mod settled_tests;
 
 pub use config::{Algorithm, ConstructionConfig, SourceMode};
 pub use engine::{Engine, EngineCounters, EngineSnapshot};

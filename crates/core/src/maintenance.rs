@@ -24,6 +24,15 @@ use crate::config::Algorithm;
 use crate::engine::Engine;
 use crate::node::{Member, PeerId};
 
+/// The answer to `p`'s liveness probe of its parent: `None` for the
+/// source, which is never probed.
+fn parent_answers(engine: &Engine, p: PeerId) -> Option<bool> {
+    match engine.overlay.parent(p) {
+        Some(Member::Peer(q)) => Some(engine.online[q.index()]),
+        Some(Member::Source) | None => None,
+    }
+}
+
 /// One maintenance evaluation at parented peer `p`.
 ///
 /// Before the latency check, `p` probes its parent's liveness: a
@@ -33,24 +42,34 @@ use crate::node::{Member, PeerId};
 /// and detaches, keeping its own subtree. Graceful churn never reaches
 /// this path: a churn departure clears its edges in the same round, so
 /// a parented peer's parent is online in every churn-only run.
+///
+/// A satisfied peer leaves here with both counters at zero and — its
+/// verification having passed on the way in — nothing to do until a
+/// neighbour changes: the one place a peer is marked settled
+/// (DESIGN.md §13.4).
 pub(crate) fn maintain(engine: &mut Engine, p: PeerId) {
-    if let Some(Member::Peer(q)) = engine.overlay.parent(p) {
-        if !engine.online[q.index()] {
+    match parent_answers(engine, p) {
+        Some(false) => {
             engine.proto[p.index()].parent_silent_rounds += 1;
             if engine.proto[p.index()].parent_silent_rounds >= engine.config.detection_timeout {
                 engine.failure_detach(p);
             }
             return;
         }
-        engine.proto[p.index()].parent_silent_rounds = 0;
+        Some(true) => engine.proto[p.index()].parent_silent_rounds = 0,
+        None => {}
     }
-    let Some(delay) = engine.overlay.stamped_delay(p) else {
-        // Not rooted: no actual DelayAt; the fragment root negotiates.
+    if engine.is_satisfied(p) {
         engine.proto[p.index()].violation_rounds = 0;
+        // A stabilizing engine verifies past the neighbourhood (the
+        // saturated-cycle walk), so nobody settles under it.
+        if !engine.stabilizing() {
+            engine.overlay.settle(p);
+        }
         return;
-    };
-    let l = engine.population.latency(p);
-    if delay <= l {
+    }
+    if !engine.overlay.is_rooted(p) {
+        // No actual DelayAt; the fragment root negotiates.
         engine.proto[p.index()].violation_rounds = 0;
         return;
     }
@@ -67,6 +86,19 @@ pub(crate) fn maintain(engine: &mut Engine, p: PeerId) {
             }
         }
     }
+}
+
+/// Whether [`maintain`] would leave everything at `p` as it is: the
+/// parent answers, `p` is satisfied, and neither counter has anything
+/// to forget. Read-only; with a clean [`crate::stabilize::diagnose`]
+/// this is what a settled bit claims.
+pub(crate) fn is_quiet(engine: &Engine, p: PeerId) -> bool {
+    let st = &engine.proto[p.index()];
+    let heard = match parent_answers(engine, p) {
+        Some(answers) => answers && st.parent_silent_rounds == 0,
+        None => true,
+    };
+    heard && engine.is_satisfied(p) && st.violation_rounds == 0
 }
 
 /// Whether `p`'s parent meets its own latency constraint (the source

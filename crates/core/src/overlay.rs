@@ -34,6 +34,16 @@
 //! takes the whole population in one pass), so no observed number ever
 //! saturates.
 //!
+//! # Settled peers
+//!
+//! The forest also carries one private bit per peer for the engine's
+//! quiescence skip (DESIGN.md §13.4): *settled* means the peer's next
+//! action would change nothing. The engine sets it; the forest's part
+//! is to clear it whenever it writes a word that action reads — every
+//! peer a re-stamp visits, the peer whose child list a mutation edits,
+//! and everybody on any raw mutation. The bits are not serialized and
+//! take no part in equality.
+//!
 //! # Memory layout
 //!
 //! Storage is arena-backed struct-of-arrays (DESIGN.md §13): peers are
@@ -187,6 +197,10 @@ pub struct Overlay {
     /// forest was built for ([`NO_HORIZON`] when restored from a
     /// document that predates it, whose stamps are exact).
     horizon: u32,
+    /// One settled bit per peer, 64 to a word (see the module docs).
+    /// Derived state: never serialized, never compared.
+    #[serde(skip)]
+    settled: Vec<u64>,
     /// Reusable traversal stack of `(peer, its new hops)` for
     /// re-stamping. Always left empty between calls, so equality stays
     /// purely structural and serialization carries no transient state.
@@ -208,8 +222,8 @@ pub struct Overlay {
     fanout_deltas: Vec<PeerId>,
 }
 
-// Equality is logical: live child slices only, never pool garbage or
-// the transient scratch/delta state.
+// Equality is logical: live child slices only, never pool garbage, the
+// settled bits or the transient scratch/delta state.
 impl PartialEq for Overlay {
     fn eq(&self, other: &Self) -> bool {
         self.source_fanout == other.source_fanout
@@ -248,6 +262,7 @@ impl Overlay {
             root: (0..n as u32).collect(),
             hops: vec![0; n],
             horizon: population.max_latency().saturating_add(1),
+            settled: vec![0; n.div_ceil(64)],
             scratch: Vec::new(),
             track_deltas: false,
             delay_deltas: Vec::new(),
@@ -298,6 +313,48 @@ impl Overlay {
         }
     }
 
+    /// Whether `p` is marked settled: its next action would change
+    /// nothing (the engine's claim; see the module docs).
+    #[inline]
+    pub(crate) fn is_settled(&self, p: PeerId) -> bool {
+        self.settled[p.index() >> 6] >> (p.index() & 63) & 1 != 0
+    }
+
+    /// Marks `p` settled. The caller has just watched `p`'s action
+    /// change nothing.
+    #[inline]
+    pub(crate) fn settle(&mut self, p: PeerId) {
+        self.settled[p.index() >> 6] |= 1 << (p.index() & 63);
+    }
+
+    /// Un-settles `p`: something its action reads is about to change.
+    #[inline]
+    pub(crate) fn unsettle(&mut self, p: PeerId) {
+        self.settled[p.index() >> 6] &= !(1 << (p.index() & 63));
+    }
+
+    /// Un-settles everybody — the rule for the rare writers (raw
+    /// mutations, mode switches) that do not track whom they touch.
+    pub(crate) fn unsettle_all(&mut self) {
+        self.settled.fill(0);
+    }
+
+    /// Un-settles the listed children of `p`, whose actions read what
+    /// the engine keeps about `p` (its liveness).
+    pub(crate) fn unsettle_children(&mut self, p: PeerId) {
+        let off = self.child_off[p.index()] as usize;
+        for slot in off..off + self.child_cnt[p.index()] as usize {
+            self.unsettle(self.child_pool[slot]);
+        }
+    }
+
+    #[inline]
+    fn unsettle_member(&mut self, m: Member) {
+        if let Member::Peer(p) = m {
+            self.unsettle(p);
+        }
+    }
+
     /// Re-stamps the subtree of `top` top-down: `top` takes
     /// `(packed_root, hops)` and every child its parent's root and one
     /// more hop, saturating at the horizon — and the descent stops at
@@ -306,7 +363,9 @@ impl Overlay {
     /// visits the whole subtree, a same-root shift only what lies above
     /// the horizon. This is the *only* place `attach`/`detach`/
     /// `interpose` change a stamp, and a delta record is pushed only for
-    /// a peer actually written.
+    /// a peer actually written. Every peer *visited* is un-settled,
+    /// written or not: a child pruned here compared its stamp with a
+    /// parent's that did change.
     fn update_subtree_cache(&mut self, top: PeerId, packed_root: u32, hops: u32) {
         let rooted = packed_root == ROOT_SOURCE;
         let mut stack = std::mem::take(&mut self.scratch);
@@ -318,10 +377,13 @@ impl Overlay {
         let mut budget = self.parent.len();
         while let Some((s, hops)) = stack.pop() {
             let i = s.index();
+            self.unsettle(s);
             if self.root[i] == packed_root && self.hops[i] == hops {
                 continue;
             }
             if budget == 0 {
+                // Children of re-stamped peers are still stacked.
+                self.unsettle_all();
                 break;
             }
             budget -= 1;
@@ -593,6 +655,7 @@ impl Overlay {
         let (new_root, hops) = self.stamp_under(parent);
         self.parent[child.index()] = pack_parent(Some(parent));
         self.push_child(parent, child);
+        self.unsettle_member(parent);
         self.note_fanout_delta(parent);
         // The child was a fragment root, so its whole subtree adopts
         // the new root.
@@ -662,6 +725,7 @@ impl Overlay {
                 let last = off + self.child_cnt[k.index()] as usize - 1;
                 self.child_pool[off + pos] = self.child_pool[last];
                 self.child_pool[last] = i;
+                self.unsettle(k);
             }
         }
         let (new_root, hops) = self.stamp_under(parent);
@@ -711,6 +775,7 @@ impl Overlay {
                 }
             }
         }
+        self.unsettle_member(parent);
         self.note_fanout_delta(parent);
         // The detached subtree keeps its shape, rooted at the child.
         self.update_subtree_cache(child, ChainRoot::Fragment(child).pack(), 0);
@@ -729,6 +794,7 @@ impl Overlay {
         }
         let orphans: Vec<PeerId> = self.kids(p.index()).to_vec();
         self.child_cnt[p.index()] = 0;
+        self.unsettle(p);
         self.note_fanout_delta(Member::Peer(p));
         for &c in &orphans {
             self.parent[c.index()] = NO_PARENT;
@@ -970,7 +1036,9 @@ impl Overlay {
     // uses to force the forest into an *arbitrary* state, and the
     // minimal counter-operations the `stabilize` rule repairs with.
     // After any raw mutation [`Overlay::validate`] may (intentionally)
-    // fail until stabilization completes. Delta records ARE maintained
+    // fail until stabilization completes. None of them tracks whose
+    // action reads the word it writes, so each un-settles everybody
+    // (they are rare). Delta records ARE maintained
     // here: the oracle sampling index stays subscribed through repair,
     // and a stale index would hide the very slots re-attachment needs.
     // ------------------------------------------------------------------
@@ -978,12 +1046,14 @@ impl Overlay {
     /// Overwrites `p`'s parent pointer, touching no child list and no
     /// cache — the corrupt half of a dangling pointer or cycle splice.
     pub fn raw_set_parent(&mut self, p: PeerId, parent: Option<Member>) {
+        self.unsettle_all();
         self.parent[p.index()] = pack_parent(parent);
     }
 
     /// Overwrites `p`'s cached chain root and hop count — forged
     /// depth/delay state ([`ChainRoot`] staleness included).
     pub fn raw_set_cache(&mut self, p: PeerId, root: ChainRoot, hops: u32) {
+        self.unsettle_all();
         self.root[p.index()] = root.pack();
         self.hops[p.index()] = hops;
         if self.track_deltas {
@@ -996,6 +1066,7 @@ impl Overlay {
     /// capacity (the build-time fanout), so only downward forgery —
     /// the kind that overflows the bound — is possible.
     pub fn raw_set_fanout(&mut self, p: PeerId, fanout: u32) {
+        self.unsettle_all();
         self.fanout[p.index()] = fanout.min(self.child_capacity(p));
         self.note_fanout_delta(Member::Peer(p));
     }
@@ -1004,6 +1075,7 @@ impl Overlay {
     /// `child`'s parent pointer (a one-sided graft). Returns `false`
     /// when every physical slot is taken or the entry already exists.
     pub fn raw_add_child(&mut self, p: PeerId, child: PeerId) -> bool {
+        self.unsettle_all();
         let i = p.index();
         if self.child_cnt[i] >= self.child_capacity(p) || self.kids(i).contains(&child) {
             return false;
@@ -1017,6 +1089,7 @@ impl Overlay {
     /// `child`'s parent pointer. The source list is unbounded storage,
     /// so this can overflow the source fanout.
     pub fn raw_push_source_child(&mut self, child: PeerId) {
+        self.unsettle_all();
         self.source_children.push(child);
     }
 
@@ -1025,6 +1098,7 @@ impl Overlay {
     /// the counter-operation to a one-sided graft. Returns whether an
     /// entry was removed.
     pub fn evict_child(&mut self, parent: Member, child: PeerId) -> bool {
+        self.unsettle_all();
         match parent {
             Member::Source => match self.source_children.iter().position(|&c| c == child) {
                 Some(pos) => {
@@ -1056,6 +1130,7 @@ impl Overlay {
     /// Repair primitive: restores `p`'s advertised fanout to the
     /// physical capacity it was built with.
     pub fn restore_fanout(&mut self, p: PeerId) {
+        self.unsettle_all();
         self.fanout[p.index()] = self.child_capacity(p);
         self.note_fanout_delta(Member::Peer(p));
     }
@@ -1162,6 +1237,7 @@ impl FromJson for Overlay {
                 Some(v) => u32::from_json(v)?,
                 None => NO_HORIZON,
             },
+            settled: vec![0; children.len().div_ceil(64)],
             scratch: Vec::new(),
             track_deltas: false,
             delay_deltas: Vec::new(),

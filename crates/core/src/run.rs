@@ -24,7 +24,7 @@ use lagover_sim::{
 use serde::{Deserialize, Serialize};
 
 use crate::config::ConstructionConfig;
-use crate::engine::Engine;
+use crate::engine::{ActionLedger, Engine};
 use crate::node::{PeerId, Population};
 use crate::oracle::Oracle;
 use crate::outcome::{
@@ -587,6 +587,10 @@ impl<D: InteractionDurations> TimedRun<'_, D> {
         }
 
         let mut sampler = self.run.observe.map(|o| Sampler::start(engine, 0.0, o));
+        // Per-action profiling, mirroring the round engine's phase
+        // attribution; flushed ahead of whatever else records a phase.
+        let profiling = engine.obs().profiling();
+        let mut ledger = ActionLedger::default();
         let (mut actions, mut last, mut done) = (0u64, 0.0f64, false);
         while !done {
             let Some((now, event)) = queue.pop() else {
@@ -600,19 +604,10 @@ impl<D: InteractionDurations> TimedRun<'_, D> {
                 Event::Act(p) => {
                     let acts = engine.is_online(p);
                     if acts {
-                        // Per-action profiling, mirroring the round
-                        // engine's phase attribution.
-                        let probe = sampler.as_ref().map(|_| {
-                            let phase = match engine.overlay().parent(p) {
-                                None => "construction",
-                                Some(_) => "maintenance",
-                            };
-                            (phase, engine.rng_draws(), *engine.counters())
-                        });
-                        engine.act_on(p);
-                        if let Some((phase, draws0, counters0)) = probe {
-                            let work = engine.work_since(draws0, &counters0, 1);
-                            engine.obs_mut().record_phase(phase, work);
+                        if profiling {
+                            engine.act_on_profiled(&mut ledger, p);
+                        } else {
+                            engine.act_on(p);
                         }
                         actions += 1;
                     }
@@ -628,6 +623,7 @@ impl<D: InteractionDurations> TimedRun<'_, D> {
                     let churn = churn
                         .as_deref_mut()
                         .expect("ticks are scheduled under churn");
+                    engine.flush_actions(&mut ledger);
                     engine.apply_churn(churn);
                     queue.schedule_after(1.0, event);
                     after(engine, now, event)
@@ -638,6 +634,7 @@ impl<D: InteractionDurations> TimedRun<'_, D> {
                 sampler.tick(engine, now, done);
             }
         }
+        engine.flush_actions(&mut ledger);
         let ran = last.ceil() as u64;
         (actions, sampler.map(|s| s.finish(engine, ran, done)))
     }

@@ -9,7 +9,9 @@
 //!   rejects: parent cycles, forged caches, dangling pointers, fanout
 //!   overflows, orphaned-subtree grafts, stale `ChainRoot` entries.
 //! * **Detection and repair** — [`verify`] runs at the top of every
-//!   peer action (the `stabilize` maintenance rule): the peer checks
+//!   peer action that is not skipped as settled (the `stabilize`
+//!   maintenance rule; every corruption primitive un-settles
+//!   everybody, so detection is never delayed): the peer checks
 //!   its own cached chain state against its parent's actual reply and
 //!   its child list against each child's actual pointer. On a valid
 //!   overlay every check is a pure comparison — no RNG draw, no
@@ -183,25 +185,40 @@ fn corrupt_one(
     }
 }
 
-/// The detect-and-repair half of the stabilize rule: one bounded local
-/// verification for `p`, run at the top of its per-round action.
-/// Returns whether an inconsistency was found (in which case the repair
-/// consumed `p`'s action for this round).
-///
-/// On a valid overlay every branch reduces to equality checks on cached
-/// state — no RNG, no counters, no allocation — which is what keeps
-/// corruption-free runs byte-identical.
-pub(crate) fn verify(engine: &mut Engine, p: PeerId) -> bool {
-    let parent = engine.overlay.parent(p);
+/// The least destructive local repair for a diagnosed inconsistency.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Repair {
+    /// Clear the self-loop: pointer, own child entry, cache.
+    HealSelfParent,
+    /// Drop this entry from the peer's child list.
+    EvictChild(PeerId),
+    /// Advertise the build-time fanout again.
+    RestoreFanout,
+    /// Overwrite the peer's stamp with this `(root, hops)`.
+    RewriteCache(ChainRoot, u32),
+    /// The edge itself is the lie: detach and re-enter construction.
+    Detach,
+    /// The peer's stamp already matches the chain walk — the
+    /// *parent's* is the forged one, and its own verification rewrites
+    /// it.
+    LeaveToParent,
+}
+
+/// The detection half of the stabilize rule: one bounded local
+/// verification for `p` — its cached chain state against its parent's
+/// actual reply, its child list against each child's actual pointer —
+/// naming the first inconsistency and its repair. Read-only, and on a
+/// valid overlay nothing but equality checks on cached state, which is
+/// what lets a corruption-free run pay nothing for it, and the
+/// settled-peer audit ([`Engine::action_is_noop`]) re-run it.
+pub(crate) fn diagnose(engine: &Engine, p: PeerId) -> Option<(InconsistencyCause, Repair)> {
+    let overlay = &engine.overlay;
+    let parent = overlay.parent(p);
 
     // A peer listing itself as its own parent can never receive the
-    // feed; break the degenerate cycle immediately.
+    // feed; the degenerate cycle is broken immediately.
     if parent == Some(Member::Peer(p)) {
-        engine.note_inconsistency(p, InconsistencyCause::SelfParent);
-        engine.overlay.heal_self_parent(p);
-        engine.proto[p.index()].reset();
-        engine.note_repair(p, RepairKind::Detach);
-        return true;
+        return Some((InconsistencyCause::SelfParent, Repair::HealSelfParent));
     }
 
     // Children are polled every round anyway; a listed child whose own
@@ -211,19 +228,13 @@ pub(crate) fn verify(engine: &mut Engine, p: PeerId) -> bool {
     // both entries carry a consistent backlink and only the duplicate
     // scan can see it. Ghosts silently pin a child slot, shrinking the
     // overlay's usable capacity below the sufficiency bound.
-    let kids = engine.overlay.children(p);
+    let kids = overlay.children(p);
     let foreign = kids
         .iter()
         .enumerate()
-        .find(|&(k, &c)| {
-            engine.overlay.parent(c) != Some(Member::Peer(p)) || kids[..k].contains(&c)
-        })
-        .map(|(_, &c)| c);
-    if let Some(c) = foreign {
-        engine.note_inconsistency(p, InconsistencyCause::ForeignChild);
-        engine.overlay.evict_child(Member::Peer(p), c);
-        engine.note_repair(p, RepairKind::ChildEvict);
-        return true;
+        .find(|&(k, &c)| overlay.parent(c) != Some(Member::Peer(p)) || kids[..k].contains(&c));
+    if let Some((_, &c)) = foreign {
+        return Some((InconsistencyCause::ForeignChild, Repair::EvictChild(c)));
     }
 
     // An advertised fanout that disagrees with the build-time capacity
@@ -231,77 +242,90 @@ pub(crate) fn verify(engine: &mut Engine, p: PeerId) -> bool {
     // hides capacity the overlay needs (a detached peer advertising 0
     // can never adopt a displacement victim, deadlocking repair).
     // Restoring the constraint the peer itself knows is always correct.
-    if engine.overlay.advertised_fanout(p) != engine.overlay.child_capacity(p) {
-        engine.note_inconsistency(p, InconsistencyCause::FanoutOverflow);
-        engine.overlay.restore_fanout(p);
-        engine.note_repair(p, RepairKind::FanoutRestore);
-        return true;
+    if overlay.advertised_fanout(p) != overlay.child_capacity(p) {
+        return Some((InconsistencyCause::FanoutOverflow, Repair::RestoreFanout));
     }
 
-    match parent {
-        None => {
-            // A fragment root's cache must say so; anything else is a
-            // stale ChainRoot entry that would fool `DelayAt`.
-            if engine.overlay.root(p) != ChainRoot::Fragment(p)
-                || engine.overlay.stamped_hops(p) != 0
-            {
-                engine.note_inconsistency(p, InconsistencyCause::StaleRoot);
-                engine.overlay.raw_set_cache(p, ChainRoot::Fragment(p), 0);
-                engine.note_repair(p, RepairKind::CacheRewrite);
-                return true;
+    let Some(parent) = parent else {
+        // A fragment root's cache must say so; anything else is a
+        // stale ChainRoot entry that would fool `DelayAt`.
+        let says_so = overlay.root(p) == ChainRoot::Fragment(p) && overlay.stamped_hops(p) == 0;
+        return (!says_so).then_some((
+            InconsistencyCause::StaleRoot,
+            Repair::RewriteCache(ChainRoot::Fragment(p), 0),
+        ));
+    };
+    // The parent's reply to the round's liveness probe carries its
+    // child list; a parent that does not list p never agreed to serve
+    // it.
+    let listed = match parent {
+        Member::Source => overlay.source_children().contains(&p),
+        Member::Peer(q) => overlay.children(q).contains(&p),
+    };
+    if !listed {
+        return Some((InconsistencyCause::BrokenBacklink, Repair::Detach));
+    }
+    // The same reply carries the parent's stamp; p's must sit one hop
+    // below it, saturating at the horizon. A mismatch either means a
+    // stale cache somewhere on the chain or a genuine cycle; the
+    // bounded walk distinguishes the two. Saturation also makes a
+    // cycle of peers stamped at the horizon locally consistent
+    // (`min(horizon + 1, horizon)` all the way round), so while a
+    // corruption is being repaired a saturated peer takes the walk
+    // regardless.
+    let mismatch = !overlay.stamp_is_under(p, parent);
+    let suspect = engine.stabilizing() && overlay.stamped_hops(p) >= overlay.horizon();
+    if mismatch || suspect {
+        match overlay.checked_walk(p) {
+            Err(_) => return Some((InconsistencyCause::Cycle, Repair::Detach)),
+            Ok((true_root, true_hops)) if mismatch => {
+                let true_hops = true_hops.min(overlay.horizon());
+                let repair = if (overlay.root(p), overlay.stamped_hops(p)) != (true_root, true_hops)
+                {
+                    Repair::RewriteCache(true_root, true_hops)
+                } else {
+                    Repair::LeaveToParent
+                };
+                return Some((InconsistencyCause::CacheMismatch, repair));
             }
-        }
-        Some(parent) => {
-            // The parent's reply to the round's liveness probe carries
-            // its child list; a parent that does not list p never
-            // agreed to serve it.
-            let listed = match parent {
-                Member::Source => engine.overlay.source_children().contains(&p),
-                Member::Peer(q) => engine.overlay.children(q).contains(&p),
-            };
-            if !listed {
-                engine.note_inconsistency(p, InconsistencyCause::BrokenBacklink);
-                engine.stabilize_detach(p);
-                return true;
-            }
-            // The same reply carries the parent's stamp; p's must sit
-            // one hop below it, saturating at the horizon. A mismatch
-            // either means a stale cache somewhere on the chain or a
-            // genuine cycle; the bounded walk distinguishes the two.
-            // Saturation also makes a cycle of peers stamped at the
-            // horizon locally consistent (`min(horizon + 1, horizon)`
-            // all the way round), so while a corruption is being
-            // repaired a saturated peer takes the walk regardless.
-            let mismatch = !engine.overlay.stamp_is_under(p, parent);
-            let suspect =
-                engine.stabilizing() && engine.overlay.stamped_hops(p) >= engine.overlay.horizon();
-            if mismatch || suspect {
-                match engine.overlay.checked_walk(p) {
-                    Err(_) => {
-                        engine.note_inconsistency(p, InconsistencyCause::Cycle);
-                        engine.stabilize_detach(p);
-                        return true;
-                    }
-                    Ok((true_root, true_hops)) if mismatch => {
-                        engine.note_inconsistency(p, InconsistencyCause::CacheMismatch);
-                        let true_hops = true_hops.min(engine.overlay.horizon());
-                        if (engine.overlay.root(p), engine.overlay.stamped_hops(p))
-                            != (true_root, true_hops)
-                        {
-                            engine.overlay.raw_set_cache(p, true_root, true_hops);
-                            engine.note_repair(p, RepairKind::CacheRewrite);
-                        }
-                        // Otherwise p's cache already matches the chain
-                        // walk — the *parent's* cache is the forged one,
-                        // and its own verification rewrites it.
-                        return true;
-                    }
-                    Ok(_) => {}
-                }
-            }
+            Ok(_) => {}
         }
     }
-    false
+    None
+}
+
+/// The stabilize rule, run at the top of `p`'s action: [`diagnose`],
+/// then carry out the repair it names. Returns whether an inconsistency
+/// was found (in which case the repair consumed `p`'s action for this
+/// round). A clean diagnosis draws no RNG, moves no counter and emits
+/// no event, which is what keeps corruption-free runs byte-identical.
+pub(crate) fn verify(engine: &mut Engine, p: PeerId) -> bool {
+    let Some((cause, repair)) = diagnose(engine, p) else {
+        return false;
+    };
+    engine.note_inconsistency(p, cause);
+    match repair {
+        Repair::HealSelfParent => {
+            engine.overlay.heal_self_parent(p);
+            engine.proto[p.index()].reset();
+            engine.note_repair(p, RepairKind::Detach);
+        }
+        Repair::EvictChild(c) => {
+            engine.overlay.evict_child(Member::Peer(p), c);
+            engine.note_repair(p, RepairKind::ChildEvict);
+        }
+        Repair::RestoreFanout => {
+            engine.overlay.restore_fanout(p);
+            engine.note_repair(p, RepairKind::FanoutRestore);
+        }
+        Repair::RewriteCache(root, hops) => {
+            engine.overlay.raw_set_cache(p, root, hops);
+            engine.note_repair(p, RepairKind::CacheRewrite);
+        }
+        Repair::Detach => engine.stabilize_detach(p),
+        Repair::LeaveToParent => {}
+    }
+    true
 }
 
 /// The engine-side stabilization sweep, run once per round while the

@@ -31,6 +31,13 @@ pub struct LevelReport {
     pub available: u64,
 }
 
+impl LevelReport {
+    /// Whether demand exceeds availability: the condition fails here.
+    pub fn is_overloaded(&self) -> bool {
+        self.demand > self.available
+    }
+}
+
 /// Outcome of the sufficiency check.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SufficiencyReport {
@@ -68,38 +75,42 @@ pub fn check(population: &Population) -> SufficiencyReport {
         demand[c.latency as usize] += 1;
         fanout_sum[c.latency as usize] += u64::from(c.fanout);
     }
-
-    let mut levels = Vec::with_capacity(max_l as usize);
-    let mut satisfied = true;
-    let mut first_violation = None;
-    // Capacity the previous level's members contribute.
-    let mut prev_fanout = u64::from(population.source_fanout());
-    // Surplus carried from all earlier levels.
-    let mut surplus: u64 = 0;
-    for l in 1..=max_l {
-        let need = demand[l as usize];
-        let available = prev_fanout + surplus;
-        levels.push(LevelReport {
-            level: l,
-            demand: need,
-            available,
-        });
-        if need > available {
-            satisfied = false;
-            if first_violation.is_none() {
-                first_violation = Some(l);
-            }
-            surplus = 0;
-        } else {
-            surplus = available - need;
-        }
-        prev_fanout = fanout_sum[l as usize];
-    }
+    let levels: Vec<LevelReport> =
+        level_reports(population.source_fanout(), &demand, &fanout_sum).collect();
+    let first_violation = levels.iter().find(|l| l.is_overloaded()).map(|l| l.level);
     SufficiencyReport {
-        satisfied,
+        satisfied: first_violation.is_none(),
         first_violation,
         levels,
     }
+}
+
+/// The telescoped condition, level by level, over per-latency
+/// histograms: `demand[l]` is `|N_l|` and `fanout_sum[l]` the total
+/// fanout of `N_l`, for `l` in `1..demand.len()` (index 0 is unused —
+/// the source's fanout is passed apart). What [`check`] evaluates, for
+/// a caller that keeps the histograms itself and re-evaluates after
+/// every small change, in O(levels).
+pub fn level_reports<'a>(
+    source_fanout: u32,
+    demand: &'a [u64],
+    fanout_sum: &'a [u64],
+) -> impl Iterator<Item = LevelReport> + 'a {
+    // Capacity the previous level's members contribute.
+    let mut prev_fanout = u64::from(source_fanout);
+    // Surplus carried from all earlier levels (none past an
+    // overloaded one).
+    let mut surplus: u64 = 0;
+    (1..demand.len()).map(move |l| {
+        let available = prev_fanout + surplus;
+        surplus = available.saturating_sub(demand[l]);
+        prev_fanout = fanout_sum[l];
+        LevelReport {
+            level: l as u32,
+            demand: demand[l],
+            available,
+        }
+    })
 }
 
 /// A feasible depth assignment: `depths[i]` is the depth (= delay) of

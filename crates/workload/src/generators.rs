@@ -17,8 +17,18 @@ const MAX_REPAIR_STEPS: usize = 100_000;
 /// Latency constraints are never relaxed beyond this bound by repair.
 const MAX_RELAXED_LATENCY: u32 = 60;
 
-/// Generates a population for `spec` from `seed`.
-pub(crate) fn generate(spec: &WorkloadSpec, seed: u64) -> Result<Population, GenerateError> {
+/// A sufficiency repair loop: [`repair`], or the reference the tests
+/// hold it to.
+pub(crate) type Repair = fn(Population, &mut SimRng) -> Result<Population, GenerateError>;
+
+/// Generates a population for `spec` from `seed`. The repair loop is
+/// passed in — always [`repair`] outside the tests, which also run the
+/// reference loop over the very same draws.
+pub(crate) fn generate(
+    spec: &WorkloadSpec,
+    seed: u64,
+    repair: Repair,
+) -> Result<Population, GenerateError> {
     let mut rng = SimRng::seed_from(seed ^ 0x9E37_79B9_7F4A_7C15);
     match spec.constraint {
         TopologicalConstraint::Tf1 => Ok(tf1(spec.peers, spec.source_fanout)),
@@ -123,26 +133,49 @@ fn tf1(n: usize, source_fanout: u32) -> Population {
 /// condition holds: while some level is overloaded, one random peer at
 /// that level has its constraint increased by one time unit. Preserves
 /// fanouts and the overall latency *shape*; documented in DESIGN.md.
-fn repair(population: Population, rng: &mut SimRng) -> Result<Population, GenerateError> {
+///
+/// The condition is [`sufficiency::check`]'s, re-evaluated each step in
+/// O(levels) ([`sufficiency::level_reports`]) from per-latency
+/// histograms a relaxation updates in place; the victim is the k-th
+/// peer of the overloaded level in index order, k being the step's one
+/// draw.
+pub(crate) fn repair(
+    population: Population,
+    rng: &mut SimRng,
+) -> Result<Population, GenerateError> {
     let source_fanout = population.source_fanout();
     let mut peers: Vec<Constraints> = population.iter().map(|(_, c)| c).collect();
+    // A relaxed peer never passes the bound.
+    let levels = population.max_latency().max(MAX_RELAXED_LATENCY) as usize + 1;
+    let mut demand = vec![0u64; levels];
+    let mut fanout_sum = vec![0u64; levels];
+    for c in &peers {
+        demand[c.latency as usize] += 1;
+        fanout_sum[c.latency as usize] += u64::from(c.fanout);
+    }
     for _ in 0..MAX_REPAIR_STEPS {
-        let current = Population::new(source_fanout, peers.clone());
-        let report = sufficiency::check(&current);
-        let Some(level) = report.first_violation else {
-            return Ok(current);
+        let overloaded = sufficiency::level_reports(source_fanout, &demand, &fanout_sum)
+            .find(|l| l.is_overloaded());
+        let Some(level) = overloaded.map(|l| l.level as usize) else {
+            return Ok(Population::new(source_fanout, peers));
         };
-        let candidates: Vec<usize> = peers
-            .iter()
-            .enumerate()
-            .filter(|(_, c)| c.latency == level && c.latency < MAX_RELAXED_LATENCY)
-            .map(|(i, _)| i)
-            .collect();
-        if candidates.is_empty() {
+        if level >= MAX_RELAXED_LATENCY as usize {
             return Err(GenerateError::CannotSatisfy);
         }
-        let victim = candidates[rng.index(candidates.len())];
-        peers[victim].latency += 1;
+        // An overloaded level has demand, so the draw is over a
+        // non-empty range and the k-th peer exists.
+        let k = rng.index(demand[level] as usize);
+        let victim = peers
+            .iter_mut()
+            .filter(|c| c.latency as usize == level)
+            .nth(k)
+            .expect("demand counts the peers at the level");
+        victim.latency += 1;
+        let fanout = u64::from(victim.fanout);
+        demand[level] -= 1;
+        demand[level + 1] += 1;
+        fanout_sum[level] -= fanout;
+        fanout_sum[level + 1] += fanout;
     }
     Err(GenerateError::CannotSatisfy)
 }
@@ -225,6 +258,69 @@ mod tests {
                 .any(|(_, c)| c.latency < 3 && c.fanout >= 7);
         }
         assert!(found, "no strict broadband peer in any seed");
+    }
+
+    /// The repair loop as first written — every step re-checks a fresh
+    /// `Population` and collects the candidates — kept as the reference
+    /// [`repair`] must reproduce draw for draw.
+    fn repair_reference(
+        population: Population,
+        rng: &mut SimRng,
+    ) -> Result<Population, GenerateError> {
+        let source_fanout = population.source_fanout();
+        let mut peers: Vec<Constraints> = population.iter().map(|(_, c)| c).collect();
+        for _ in 0..MAX_REPAIR_STEPS {
+            let current = Population::new(source_fanout, peers.clone());
+            let report = sufficiency::check(&current);
+            let Some(level) = report.first_violation else {
+                return Ok(current);
+            };
+            let candidates: Vec<usize> = peers
+                .iter()
+                .enumerate()
+                .filter(|(_, c)| c.latency == level && c.latency < MAX_RELAXED_LATENCY)
+                .map(|(i, _)| i)
+                .collect();
+            if candidates.is_empty() {
+                return Err(GenerateError::CannotSatisfy);
+            }
+            let victim = candidates[rng.index(candidates.len())];
+            peers[victim].latency += 1;
+        }
+        Err(GenerateError::CannotSatisfy)
+    }
+
+    const RANDOM_CLASSES: [TopologicalConstraint; 4] = [
+        TopologicalConstraint::Rand,
+        TopologicalConstraint::BiCorr,
+        TopologicalConstraint::BiUnCorr,
+        TopologicalConstraint::Zipf { exponent_x100: 150 },
+    ];
+
+    fn assert_repair_matches_reference(peers: usize, seeds: std::ops::Range<u64>) {
+        for constraint in RANDOM_CLASSES {
+            let spec = WorkloadSpec::new(constraint, peers);
+            for seed in seeds.clone() {
+                assert_eq!(
+                    generate(&spec, seed, repair),
+                    generate(&spec, seed, repair_reference),
+                    "{constraint:?}, n = {peers}, seed {seed}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn repair_reproduces_the_reference_loop() {
+        assert_repair_matches_reference(120, 0..20);
+        assert_repair_matches_reference(1_000, 0..20);
+    }
+
+    #[test]
+    #[ignore = "minutes of the quadratic reference loop in a debug build; \
+                the weekly CI job runs it with --release"]
+    fn repair_reproduces_the_reference_loop_at_ten_thousand_peers() {
+        assert_repair_matches_reference(10_000, 0..20);
     }
 
     #[test]

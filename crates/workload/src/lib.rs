@@ -185,7 +185,7 @@ impl WorkloadSpec {
     /// fails; [`GenerateError::DegenerateAdversarial`] for degenerate
     /// adversarial parameters.
     pub fn generate(&self, seed: u64) -> Result<Population, GenerateError> {
-        generators::generate(self, seed)
+        generators::generate(self, seed, generators::repair)
     }
 }
 

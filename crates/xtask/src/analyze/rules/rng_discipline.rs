@@ -85,6 +85,9 @@ pub fn enumerate(model: &Model) -> Vec<DrawSite> {
 }
 
 /// Offsets of `.{method}(` calls (turbofish tolerated) in `text`.
+/// `index` needs an argument: `SimRng::index` always takes its bound,
+/// and the zero-argument `.index()` is `PeerId`'s accessor — a read,
+/// called all over the engine.
 fn draw_calls(text: &str, method: &str) -> Vec<usize> {
     let pattern = format!(".{method}");
     let bytes = text.as_bytes();
@@ -118,7 +121,11 @@ fn draw_calls(text: &str, method: &str) -> Vec<usize> {
                     return false;
                 }
             }
-            bytes.get(j) == Some(&b'(')
+            if bytes.get(j) != Some(&b'(') {
+                return false;
+            }
+            let first_in_parens = bytes[j + 1..].iter().find(|b| !b.is_ascii_whitespace());
+            method != "index" || first_in_parens != Some(&b')')
         })
         .collect()
 }
@@ -299,11 +306,20 @@ mod tests {
 
     #[test]
     fn turbofish_and_spacing_are_tolerated_but_decoys_are_not() {
-        let src = "fn f(r: &mut R) { r.index(4); r.index ::<u8>(); self.reindex(); index(3); v.indexes(1); }\n";
+        let src = "fn f(r: &mut R) { r.index(4); r.index ::<u8>(4); self.reindex(); index(3); v.indexes(1); }\n";
         let model = model_with("crates/fake/src/lib.rs", src);
         let sites = enumerate(&model);
         assert_eq!(sites.len(), 1);
         assert_eq!(sites[0].count, 2);
+    }
+
+    #[test]
+    fn a_zero_argument_index_is_an_accessor_not_a_draw() {
+        let src =
+            "fn f(r: &mut R, p: PeerId) { v[p.index()] = r.index(n); p.index( ); r.f64(); }\n";
+        let sites = enumerate(&model_with("crates/fake/src/lib.rs", src));
+        let keys: Vec<_> = sites.iter().map(|s| (s.method, s.count)).collect();
+        assert_eq!(keys, [("f64", 1), ("index", 1)]);
     }
 
     #[test]
