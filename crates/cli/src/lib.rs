@@ -45,6 +45,7 @@ use lagover_node::{
 };
 use lagover_obs::{Event, Node, ObsReport};
 use lagover_stream::{stream, StreamConfig};
+use lagover_workload::generators::MAX_RELAXED_LATENCY;
 use lagover_workload::{TopologicalConstraint, WorkloadSpec};
 
 /// A CLI failure with a user-facing message.
@@ -235,6 +236,9 @@ pub fn parse_args(args: &[String]) -> Result<Options, CliError> {
                 opts.peers = value()?
                     .parse()
                     .map_err(|_| err("--peers needs an integer"))?;
+                if opts.peers == 0 {
+                    return Err(err("--peers must be at least 1"));
+                }
                 opts.perf_overrides.peers = Some(opts.peers);
             }
             "--seed" => {
@@ -246,7 +250,10 @@ pub fn parse_args(args: &[String]) -> Result<Options, CliError> {
             "--source-fanout" => {
                 opts.source_fanout = value()?
                     .parse()
-                    .map_err(|_| err("--source-fanout needs an integer"))?
+                    .map_err(|_| err("--source-fanout needs an integer"))?;
+                if opts.source_fanout == 0 {
+                    return Err(err("--source-fanout must be at least 1"));
+                }
             }
             "--algorithm" => {
                 opts.algorithm = match value()?.as_str() {
@@ -429,8 +436,23 @@ pub fn resolve_population(opts: &Options) -> Result<Population, CliError> {
     if let Some(path) = &opts.spec_path {
         let text =
             std::fs::read_to_string(path).map_err(|e| err(format!("cannot read {path}: {e}")))?;
-        return lagover_jsonio::from_str(&text)
-            .map_err(|e| err(format!("cannot parse {path}: {e}")));
+        let population: Population = lagover_jsonio::from_str(&text)
+            .map_err(|e| err(format!("cannot parse {path}: {e}")))?;
+        // Latency-indexed state is sized from the largest latency, so an
+        // absurd one would abort on the allocation. Past the population
+        // size no chain is that deep; the generators' ceiling stays
+        // allowed so that every `lagover spec` document reads back.
+        let limit = u32::try_from(population.len())
+            .unwrap_or(u32::MAX)
+            .max(MAX_RELAXED_LATENCY);
+        if let Some((p, c)) = population.iter().find(|(_, c)| c.latency > limit) {
+            return Err(err(format!(
+                "{path}: {p} has latency {}, above the limit {limit} \
+                 (the population size, or {MAX_RELAXED_LATENCY} if larger)",
+                c.latency
+            )));
+        }
+        return Ok(population);
     }
     let constraint = match opts.workload.as_str() {
         "tf1" => TopologicalConstraint::Tf1,
@@ -1306,6 +1328,39 @@ mod tests {
         .unwrap();
         let out = run(&check_opts).unwrap();
         assert!(out.contains("12 peers"), "{out}");
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn zero_peers_is_a_clean_error() {
+        let e = parse_args(&args("construct --peers 0")).unwrap_err();
+        assert!(e.0.contains("--peers must be at least 1"), "{e}");
+    }
+
+    #[test]
+    fn zero_source_fanout_is_a_clean_error() {
+        let e = parse_args(&args("construct --source-fanout 0")).unwrap_err();
+        assert!(e.0.contains("--source-fanout must be at least 1"), "{e}");
+    }
+
+    #[test]
+    fn a_spec_latency_past_the_population_is_a_clean_error() {
+        let dir = std::env::temp_dir().join("lagover-cli-test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("huge-latency.json");
+        let spec = r#"{"source_fanout": 2, "peers": [
+            {"fanout": 1, "latency": 1},
+            {"fanout": 0, "latency": 4294967295}
+        ]}"#;
+        std::fs::write(&path, spec).unwrap();
+        let path = path.to_string_lossy().into_owned();
+        let opts =
+            parse_args(&["construct".to_string(), "--spec".to_string(), path.clone()]).unwrap();
+        let e = run(&opts).unwrap_err();
+        assert!(
+            e.0.contains("peer 1 has latency 4294967295, above the limit 60"),
+            "{e}"
+        );
         std::fs::remove_file(&path).ok();
     }
 

@@ -42,7 +42,9 @@
 //! is to clear it whenever it writes a word that action reads — every
 //! peer a re-stamp visits, the peer whose child list a mutation edits,
 //! and everybody on any raw mutation. The bits are not serialized and
-//! take no part in equality.
+//! take no part in equality. While the engine has a round open, the
+//! forest also reports which peers went from settled to unsettled, so
+//! the round can schedule them (DESIGN.md §13.4, "The schedule").
 //!
 //! # Memory layout
 //!
@@ -201,6 +203,16 @@ pub struct Overlay {
     /// Derived state: never serialized, never compared.
     #[serde(skip)]
     settled: Vec<u64>,
+    /// Whether un-settle transitions are being reported (a round is
+    /// open; see [`Overlay::report_wakes`]).
+    #[serde(skip)]
+    reporting: bool,
+    /// Peers un-settled since the last [`Overlay::clear_woken`].
+    #[serde(skip)]
+    woken: Vec<PeerId>,
+    /// Whether [`Overlay::unsettle_all`] un-settled anybody since then.
+    #[serde(skip)]
+    woke_all: bool,
     /// Reusable traversal stack of `(peer, its new hops)` for
     /// re-stamping. Always left empty between calls, so equality stays
     /// purely structural and serialization carries no transient state.
@@ -263,6 +275,9 @@ impl Overlay {
             hops: vec![0; n],
             horizon: population.max_latency().saturating_add(1),
             settled: vec![0; n.div_ceil(64)],
+            reporting: false,
+            woken: Vec::new(),
+            woke_all: false,
             scratch: Vec::new(),
             track_deltas: false,
             delay_deltas: Vec::new(),
@@ -328,15 +343,67 @@ impl Overlay {
     }
 
     /// Un-settles `p`: something its action reads is about to change.
+    /// A settled `p` is reported woken while reporting is on.
     #[inline]
     pub(crate) fn unsettle(&mut self, p: PeerId) {
-        self.settled[p.index() >> 6] &= !(1 << (p.index() & 63));
+        let (word, bit) = (p.index() >> 6, 1 << (p.index() & 63));
+        if self.settled[word] & bit != 0 {
+            self.settled[word] &= !bit;
+            if self.reporting {
+                self.woken.push(p);
+            }
+        }
     }
 
     /// Un-settles everybody — the rule for the rare writers (raw
     /// mutations, mode switches) that do not track whom they touch.
+    /// Reported as everybody woken if anybody was settled.
     pub(crate) fn unsettle_all(&mut self) {
+        if self.reporting && self.settled.iter().any(|&word| word != 0) {
+            self.woke_all = true;
+        }
         self.settled.fill(0);
+    }
+
+    /// The peers marked in `among` (a bitmap over peer indices, 64 to a
+    /// word) that are not settled, in ascending order: one word at a
+    /// time, so O(n/64 + the peers found).
+    pub(crate) fn unsettled_among<'a>(
+        &'a self,
+        among: &'a [u64],
+    ) -> impl Iterator<Item = PeerId> + 'a {
+        (0u32..)
+            .zip(among.iter().zip(&self.settled))
+            .flat_map(|(w, (&mark, &settled))| {
+                let mut word = mark & !settled;
+                std::iter::from_fn(move || {
+                    (word != 0).then(|| {
+                        let bit = word.trailing_zeros();
+                        word &= word - 1;
+                        PeerId::new(w * 64 + bit)
+                    })
+                })
+            })
+    }
+
+    /// Starts (a round opens) or stops (it closes) reporting which peers
+    /// [`Overlay::unsettle`] and [`Overlay::unsettle_all`] wake, dropping
+    /// whatever is pending.
+    pub(crate) fn report_wakes(&mut self, on: bool) {
+        self.reporting = on;
+        self.clear_woken();
+    }
+
+    /// The peers woken since the last [`Overlay::clear_woken`], or
+    /// `None` if [`Overlay::unsettle_all`] woke everybody.
+    pub(crate) fn woken(&self) -> Option<&[PeerId]> {
+        (!self.woke_all).then_some(&self.woken)
+    }
+
+    /// Forgets who was woken.
+    pub(crate) fn clear_woken(&mut self) {
+        self.woken.clear();
+        self.woke_all = false;
     }
 
     /// Un-settles the listed children of `p`, whose actions read what
@@ -1238,6 +1305,9 @@ impl FromJson for Overlay {
                 None => NO_HORIZON,
             },
             settled: vec![0; children.len().div_ceil(64)],
+            reporting: false,
+            woken: Vec::new(),
+            woke_all: false,
             scratch: Vec::new(),
             track_deltas: false,
             delay_deltas: Vec::new(),

@@ -7,10 +7,10 @@ use serde::{Deserialize, Serialize};
 
 use lagover_core::{construct, parallel_runs, Algorithm, ConstructionConfig, OracleKind};
 use lagover_sim::stats;
-use lagover_workload::{TopologicalConstraint, WorkloadSpec};
+use lagover_workload::TopologicalConstraint;
 
 use crate::table::TextTable;
-use crate::Params;
+use crate::{satisfiable_population, Params};
 
 /// One population-size measurement.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -75,9 +75,7 @@ pub fn run_sizes(params: &Params, sizes: &[usize]) -> ScalingReport {
         // Seed-per-run parallel map; bit-identical to the sequential loop.
         let results = parallel_runs(params.runs, |r| {
             let seed = params.run_seed(800 + i as u64, r as u64);
-            let population = WorkloadSpec::new(class, peers)
-                .generate(seed)
-                .expect("repairable");
+            let population = satisfiable_population(class, peers, seed);
             let config = ConstructionConfig::new(Algorithm::Hybrid, OracleKind::RandomDelay)
                 .with_max_rounds(params.max_rounds);
             let outcome = construct(&population, &config, seed);

@@ -15,16 +15,15 @@
 
 use serde::{Deserialize, Serialize};
 
-use lagover_core::node::Population;
 use lagover_core::{
     parallel_runs, Algorithm, ConstructionConfig, OracleKind, Run, StabilizationOutcome,
 };
 use lagover_sim::{stats, CorruptionClass, SimRng, TimeSeries};
-use lagover_workload::{CorruptionSpec, TopologicalConstraint, WorkloadSpec};
+use lagover_workload::{CorruptionSpec, TopologicalConstraint};
 
 use crate::oracle_impls::{DirectoryOracle, GossipWalkOracle};
 use crate::table::TextTable;
-use crate::Params;
+use crate::{satisfiable_population, Params};
 
 /// Severities swept for every corruption class.
 pub const SEVERITIES: [f64; 2] = [0.15, 0.4];
@@ -129,18 +128,6 @@ impl StabilizationReport {
             })
             .expect("complete grid")
     }
-}
-
-/// Generates the run's population, deterministically nudging the seed
-/// past the rare draws whose sufficiency repair loop gives up.
-fn satisfiable_population(class: TopologicalConstraint, peers: usize, seed: u64) -> Population {
-    (0u64..64)
-        .find_map(|nudge| {
-            WorkloadSpec::new(class, peers)
-                .generate(seed.wrapping_add(nudge.wrapping_mul(0x9E37_79B9_7F4A_7C15)))
-                .ok()
-        })
-        .expect("repairable within 64 nudges")
 }
 
 /// The declarative spec for one cell at one severity: a cell is either

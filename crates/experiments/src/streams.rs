@@ -23,10 +23,10 @@ use lagover_feed::PublishSchedule;
 use lagover_obs::ObsReport;
 use lagover_sim::stats;
 use lagover_stream::{stream, stream_observed, StreamConfig, StreamReport};
-use lagover_workload::{TopologicalConstraint, WorkloadSpec};
+use lagover_workload::TopologicalConstraint;
 
 use crate::table::TextTable;
-use crate::Params;
+use crate::{satisfiable_population, Params};
 
 /// Source upload budget (chunks per round) across the whole grid:
 /// `rate` chunks per tree at k = 4, the paper's fanout-4 source scaled
@@ -163,18 +163,6 @@ impl StreamsReport {
             .find(|r| r.budget == budget && r.k == k && r.algorithm == algorithm.to_string())
             .expect("complete grid")
     }
-}
-
-/// Generates the run's population, deterministically nudging the seed
-/// past the rare draws whose sufficiency repair loop gives up.
-fn satisfiable_population(class: TopologicalConstraint, peers: usize, seed: u64) -> Population {
-    (0u64..64)
-        .find_map(|nudge| {
-            WorkloadSpec::new(class, peers)
-                .generate(seed.wrapping_add(nudge.wrapping_mul(0x9E37_79B9_7F4A_7C15)))
-                .ok()
-        })
-        .expect("repairable within 64 nudges")
 }
 
 /// Seed salt of the cell at (budget tier `bi`, tree count `ki`,

@@ -12,7 +12,7 @@ use lagover_sim::Histogram;
 use serde::{Deserialize, Serialize};
 
 use crate::counters::EngineCounters;
-use crate::event::Event;
+use crate::event::{Event, EventKind};
 
 /// Prefix for counters derived from journal events.
 const EVENT_PREFIX: &str = "events.";
@@ -20,11 +20,26 @@ const EVENT_PREFIX: &str = "events.";
 const ENGINE_PREFIX: &str = "engine.";
 
 /// A named, insertion-ordered metrics store.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct Registry {
     counters: Vec<(String, u64)>,
     gauges: Vec<(String, f64)>,
     histograms: Vec<Histogram>,
+    /// Where each event kind's counter sits in `counters`, indexed by
+    /// [`EventKind`]: position + 1, or 0 until the kind is first
+    /// recorded. Counters are only ever appended, so a position stays
+    /// valid. Derived: never serialized, never compared.
+    #[serde(skip)]
+    event_slots: [u32; EventKind::ALL.len()],
+}
+
+// Equality is the metrics', not the lookup cache's.
+impl PartialEq for Registry {
+    fn eq(&self, other: &Self) -> bool {
+        self.counters == other.counters
+            && self.gauges == other.gauges
+            && self.histograms == other.histograms
+    }
 }
 
 impl Registry {
@@ -90,18 +105,22 @@ impl Registry {
     /// equal a fold over the journal whenever the journal dropped
     /// nothing.
     pub fn record_event(&mut self, event: &Event) {
-        // One allocation per *kind*, not per event: the counter name is
-        // created on first sight and found by scan afterwards.
-        let kind = event.kind().name();
-        if let Some((_, value)) = self
-            .counters
-            .iter_mut()
-            .find(|(n, _)| n.strip_prefix(EVENT_PREFIX) == Some(kind))
-        {
-            *value += 1;
-            return;
+        // The counter is found by name once per kind — or created, so
+        // counters keep their first-seen order — and by slot after that.
+        let kind = event.kind();
+        let slot = &mut self.event_slots[kind as usize];
+        if *slot == 0 {
+            let name = format!("{EVENT_PREFIX}{}", kind.name());
+            let at = match self.counters.iter().position(|(n, _)| *n == name) {
+                Some(at) => at,
+                None => {
+                    self.counters.push((name, 0));
+                    self.counters.len() - 1
+                }
+            };
+            *slot = at as u32 + 1;
         }
-        self.counters.push((format!("{EVENT_PREFIX}{kind}"), 1));
+        self.counters[*slot as usize - 1].1 += 1;
     }
 
     /// Count of recorded events of `kind` (by [`crate::EventKind::name`]).
@@ -224,6 +243,7 @@ impl FromJson for Registry {
             counters: pairs_from_json(value.get("counters")?)?,
             gauges: pairs_from_json(value.get("gauges")?)?,
             histograms: Vec::from_json(value.get("histograms")?)?,
+            event_slots: Default::default(),
         })
     }
 }
@@ -264,6 +284,30 @@ mod tests {
         assert_eq!(registry.event_count("attach"), 2);
         assert_eq!(registry.event_count("oracle_miss"), 1);
         assert_eq!(registry.event_count("crash"), 0);
+    }
+
+    #[test]
+    fn event_counters_keep_first_seen_order_and_survive_a_round_trip() {
+        let mut registry = Registry::new();
+        registry.add("engine.attaches", 1);
+        registry.record_event(&Event::OracleMiss { round: 0, peer: 1 });
+        registry.record_event(&Event::Crash { round: 0, peer: 2 });
+        registry.record_event(&Event::OracleMiss { round: 1, peer: 3 });
+        let names: Vec<&str> = registry.counters.iter().map(|(n, _)| n.as_str()).collect();
+        assert_eq!(
+            names,
+            ["engine.attaches", "events.oracle_miss", "events.crash"]
+        );
+        assert_eq!(registry.event_count("oracle_miss"), 2);
+
+        // A registry read back has no slots yet: it finds the counter
+        // by name instead of adding a second one.
+        let json = lagover_jsonio::to_string(&registry);
+        let mut back: Registry = lagover_jsonio::from_str(&json).expect("parses");
+        assert_eq!(back, registry);
+        back.record_event(&Event::Crash { round: 2, peer: 4 });
+        assert_eq!(back.counters.len(), 3);
+        assert_eq!(back.event_count("crash"), 2);
     }
 
     #[test]

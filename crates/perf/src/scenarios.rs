@@ -412,7 +412,7 @@ mod tests {
                 deepest = (depth, engine.round().get());
             }
         }
-        assert_eq!(deepest, (64, 5), "(max_depth, round)");
+        assert_eq!(deepest, (66, 5), "(max_depth, round)");
     }
 
     #[test]

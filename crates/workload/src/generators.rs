@@ -14,8 +14,9 @@ use crate::{GenerateError, TopologicalConstraint, WorkloadSpec};
 const LATENCY_RANGE: (u32, u32) = (1, 10);
 /// Repair steps before giving up.
 const MAX_REPAIR_STEPS: usize = 100_000;
-/// Latency constraints are never relaxed beyond this bound by repair.
-const MAX_RELAXED_LATENCY: u32 = 60;
+/// Latency constraints are never relaxed beyond this bound by repair,
+/// so no generated latency exceeds it.
+pub const MAX_RELAXED_LATENCY: u32 = 60;
 
 /// A sufficiency repair loop: [`repair`], or the reference the tests
 /// hold it to.
