@@ -28,7 +28,7 @@ use crate::node::{Member, PeerId};
 /// source, which is never probed.
 fn parent_answers(engine: &Engine, p: PeerId) -> Option<bool> {
     match engine.overlay.parent(p) {
-        Some(Member::Peer(q)) => Some(engine.online[q.index()]),
+        Some(Member::Peer(q)) => Some(engine.is_online(q)),
         Some(Member::Source) | None => None,
     }
 }

@@ -1,4 +1,5 @@
-//! Node identities, per-node constraints, and populations.
+//! Node identities, per-node constraints, populations, and who of a
+//! population is online.
 //!
 //! The paper writes a consumer as `i_f^l` — node `i` with maximum fanout
 //! `f` and delay constraint `l` (Table 1). The feed source is *node 0*;
@@ -235,6 +236,84 @@ impl Population {
     /// Total consumer-side fanout capacity.
     pub fn total_fanout(&self) -> u64 {
         self.fanout.iter().map(|&f| u64::from(f)).sum()
+    }
+}
+
+/// Which peers of a population are online: one bit per peer, 64 to a
+/// word (bit `i % 64` of word `i / 64`), and how many are set.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Liveness {
+    words: Vec<u64>,
+    len: usize,
+    count: usize,
+}
+
+impl Liveness {
+    /// `n` peers, every one online.
+    pub fn all(n: usize) -> Self {
+        Self::from_flags(&vec![true; n])
+    }
+
+    /// Peer `i` online iff `flags[i]`.
+    pub fn from_flags(flags: &[bool]) -> Self {
+        Liveness {
+            words: flags
+                .chunks(64)
+                .map(|chunk| {
+                    (0..)
+                        .zip(chunk)
+                        .fold(0, |word, (bit, &set)| word | u64::from(set) << bit)
+                })
+                .collect(),
+            len: flags.len(),
+            count: flags.iter().filter(|&&on| on).count(),
+        }
+    }
+
+    /// One flag per peer, `true` for the online ones.
+    pub fn to_flags(&self) -> Vec<bool> {
+        (0..self.len as u32)
+            .map(|i| self.contains(PeerId::new(i)))
+            .collect()
+    }
+
+    /// Whether `p` is online.
+    #[inline]
+    pub fn contains(&self, p: PeerId) -> bool {
+        self.words[p.index() >> 6] >> (p.index() & 63) & 1 != 0
+    }
+
+    /// Marks `p` online or offline.
+    pub(crate) fn set(&mut self, p: PeerId, on: bool) {
+        let (word, bit) = (p.index() >> 6, 1 << (p.index() & 63));
+        if (self.words[word] & bit != 0) != on {
+            self.words[word] ^= bit;
+            if on {
+                self.count += 1;
+            } else {
+                self.count -= 1;
+            }
+        }
+    }
+
+    /// How many peers are online.
+    pub fn count(&self) -> usize {
+        self.count
+    }
+
+    /// How many peers there are, online or not.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Whether there are no peers at all.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// The bitmap's words, for word-at-a-time scans.
+    pub(crate) fn words(&self) -> &[u64] {
+        &self.words
     }
 }
 

@@ -25,7 +25,7 @@ use serde::{Deserialize, Serialize};
 
 use lagover_sim::SimRng;
 
-use crate::node::{PeerId, Population};
+use crate::node::{Liveness, PeerId, Population};
 use crate::overlay::Overlay;
 
 /// Read-only snapshot the oracle consults.
@@ -33,7 +33,7 @@ use crate::overlay::Overlay;
 pub struct OracleView<'a> {
     overlay: &'a Overlay,
     population: &'a Population,
-    online: &'a [bool],
+    online: &'a Liveness,
 }
 
 impl<'a> OracleView<'a> {
@@ -42,7 +42,7 @@ impl<'a> OracleView<'a> {
     /// # Panics
     ///
     /// Panics if the online bitmap size disagrees with the population.
-    pub fn new(overlay: &'a Overlay, population: &'a Population, online: &'a [bool]) -> Self {
+    pub fn new(overlay: &'a Overlay, population: &'a Population, online: &'a Liveness) -> Self {
         assert_eq!(online.len(), population.len(), "bitmap/population mismatch");
         OracleView {
             overlay,
@@ -53,7 +53,7 @@ impl<'a> OracleView<'a> {
 
     /// Whether `p` is currently online.
     pub fn is_online(&self, p: PeerId) -> bool {
-        self.online[p.index()]
+        self.online.contains(p)
     }
 
     /// Observed delay of `p` (None while its chain is unrooted), as
@@ -373,7 +373,7 @@ mod tests {
 
     /// Population: 0 (f=1,l=1) rooted at source; 1 (f=0,l=2) child of 0;
     /// 2 (f=2,l=3) unattached; 3 (f=1,l=2) unattached & offline.
-    fn fixture() -> (Overlay, Population, Vec<bool>) {
+    fn fixture() -> (Overlay, Population, Liveness) {
         let pop = Population::new(
             2,
             vec![
@@ -386,7 +386,7 @@ mod tests {
         let mut o = Overlay::new(&pop);
         o.attach(p(0), Member::Source).unwrap();
         o.attach(p(1), Member::Peer(p(0))).unwrap();
-        let online = vec![true, true, true, false];
+        let online = Liveness::from_flags(&[true, true, true, false]);
         (o, pop, online)
     }
 
@@ -473,7 +473,7 @@ mod tests {
     #[should_panic(expected = "mismatch")]
     fn view_checks_bitmap_length() {
         let (o, pop, _) = fixture();
-        let bad = vec![true; 2];
+        let bad = Liveness::all(2);
         let _ = OracleView::new(&o, &pop, &bad);
     }
 }

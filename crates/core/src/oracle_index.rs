@@ -45,7 +45,7 @@
 
 use lagover_sim::SimRng;
 
-use crate::node::{Member, PeerId, Population};
+use crate::node::{Liveness, Member, PeerId, Population};
 use crate::overlay::Overlay;
 
 /// Packed "not in any delay bucket" sentinel (offline, unrooted, or at
@@ -222,7 +222,7 @@ pub(crate) struct OracleIndex {
 
 impl OracleIndex {
     /// Builds the index from scratch for the given state.
-    pub(crate) fn build(overlay: &Overlay, population: &Population, online: &[bool]) -> Self {
+    pub(crate) fn build(overlay: &Overlay, population: &Population, online: &Liveness) -> Self {
         let n = population.len();
         let mut index = OracleIndex {
             online_fw: Fenwick::new(n),
@@ -234,10 +234,8 @@ impl OracleIndex {
             delay: vec![DELAY_NONE; n],
             horizon: population.max_latency(),
         };
-        for (i, &on) in online.iter().enumerate() {
-            if on {
-                index.set_online(PeerId::new(i as u32), overlay);
-            }
+        for p in population.peer_ids().filter(|&p| online.contains(p)) {
+            index.set_online(p, overlay);
         }
         index
     }

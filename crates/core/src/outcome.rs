@@ -8,6 +8,7 @@ use lagover_sim::TimeSeries;
 use serde::{Deserialize, Serialize};
 
 use crate::engine::EngineCounters;
+use crate::node::PeerId;
 
 /// Everything recorded about one construction run.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -66,6 +67,8 @@ pub struct RecoveryOutcome {
     pub crash_round: u64,
     /// Number of interior nodes crashed.
     pub crashed_peers: usize,
+    /// The interior nodes crashed, ascending.
+    pub victims: Vec<PeerId>,
     /// Rounds from injection until every live peer was satisfied again
     /// with no chain crossing a corpse, if reached within the horizon.
     pub recovery_rounds: Option<u64>,

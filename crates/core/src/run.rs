@@ -314,7 +314,7 @@ impl<'a> Run<'a> {
         let mut engine = self.engine();
         let construction_converged_at = engine.run_to_convergence().map(Round::get);
         let crash_round = engine.round().get();
-        let crashed_peers = inject_faults(&mut engine, scenario, self.seed);
+        let victims = inject_faults(&mut engine, scenario, self.seed);
 
         let mut orphan_series = TimeSeries::new("orphans");
         let mut orphan_peak = engine.orphan_count() as u64;
@@ -338,7 +338,8 @@ impl<'a> Run<'a> {
         let outcome = RecoveryOutcome {
             construction_converged_at,
             crash_round,
-            crashed_peers,
+            crashed_peers: victims.len(),
+            victims,
             recovery_rounds,
             rounds_run: engine.round().get() - crash_round,
             orphan_peak,
@@ -492,7 +493,7 @@ impl<D: InteractionDurations> TimedRun<'_, D> {
             if crashed_peers.is_none() {
                 if engine.is_converged() {
                     construction_converged_at = Some(now);
-                    let victims = inject_faults(engine, scenario, seed);
+                    let victims = inject_faults(engine, scenario, seed).len();
                     crashed_peers = Some(victims);
                     if victims == 0 {
                         healed_at = Some(now);
@@ -680,8 +681,8 @@ fn rounds(
 /// Crashes the scenario's share of the interior — online peers
 /// currently serving at least one child; crashing leaves hurts nobody
 /// downstream, crashing the interior is what the detection path exists
-/// for — and installs its loss and blackout. Returns the cohort size.
-fn inject_faults(engine: &mut Engine, scenario: &FaultScenario, seed: u64) -> usize {
+/// for — and installs its loss and blackout. Returns the cohort.
+fn inject_faults(engine: &mut Engine, scenario: &FaultScenario, seed: u64) -> Vec<PeerId> {
     let interior: Vec<u32> = engine
         .population()
         .peer_ids()
@@ -689,16 +690,19 @@ fn inject_faults(engine: &mut Engine, scenario: &FaultScenario, seed: u64) -> us
         .map(|p| p.get())
         .collect();
     let mut cohort_rng = SimRng::seed_from(seed).split(0xFA17_C0DE);
-    let victims = crash_cohort(&interior, scenario.crash_fraction, &mut cohort_rng);
+    let victims: Vec<PeerId> = crash_cohort(&interior, scenario.crash_fraction, &mut cohort_rng)
+        .into_iter()
+        .map(PeerId::new)
+        .collect();
     for &v in &victims {
-        engine.inject_crash(PeerId::new(v));
+        engine.inject_crash(v);
     }
     engine.set_faults(
         FaultPlan::none()
             .with_message_loss(scenario.message_loss)
             .with_blackout(engine.round().get(), scenario.blackout_rounds),
     );
-    victims.len()
+    victims
 }
 
 /// Validate-clean, every live peer satisfied, no chain across a corpse.

@@ -360,7 +360,7 @@ pub(crate) fn sweep(engine: &mut Engine) {
     }
 
     // Fully-detected corpses must stay edge-free.
-    for i in 0..engine.online.len() {
+    for i in 0..engine.crashed.len() {
         if !engine.crashed[i] || engine.crash_silent[i] < engine.config.detection_timeout {
             continue;
         }

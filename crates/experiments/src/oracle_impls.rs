@@ -211,14 +211,14 @@ impl Oracle for DirectoryOracle {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lagover_core::node::{Constraints, Member, Population};
+    use lagover_core::node::{Constraints, Liveness, Member, Population};
     use lagover_core::Overlay;
 
     fn p(i: u32) -> PeerId {
         PeerId::new(i)
     }
 
-    fn fixture() -> (Overlay, Population, Vec<bool>) {
+    fn fixture() -> (Overlay, Population, Liveness) {
         let pop = Population::new(
             2,
             vec![
@@ -230,7 +230,7 @@ mod tests {
         let mut o = Overlay::new(&pop);
         o.attach(p(0), Member::Source).unwrap();
         o.attach(p(1), Member::Peer(p(0))).unwrap();
-        (o, pop, vec![true; 3])
+        (o, pop, Liveness::all(3))
     }
 
     #[test]
@@ -248,10 +248,10 @@ mod tests {
         assert_eq!(oracle.name(), "Random (gossip walk)");
     }
 
-    fn fixture_with_n(n: usize) -> (Overlay, Population, Vec<bool>) {
+    fn fixture_with_n(n: usize) -> (Overlay, Population, Liveness) {
         let pop = Population::new(2, vec![Constraints::new(1, 3); n]);
         let o = Overlay::new(&pop);
-        (o, pop, vec![true; n])
+        (o, pop, Liveness::all(n))
     }
 
     #[test]
