@@ -177,14 +177,11 @@ pub struct Engine {
     pub(crate) counters: EngineCounters,
     oracle: Box<dyn Oracle>,
     /// Incremental sampling index serving the reference oracles in
-    /// O(log n) per query. `None` when disabled or when a custom
-    /// oracle is installed (its logic cannot be indexed). Kept current
-    /// lazily: the overlay records cache deltas and
-    /// [`Engine::sync_oracle_index`] drains them before each query.
+    /// O(log n) per query: built by [`Engine::new`] / [`Engine::restore`],
+    /// `None` when a custom oracle is installed (its logic cannot be
+    /// indexed). Kept current lazily: the overlay records cache deltas
+    /// and [`Engine::sync_oracle_index`] drains them before each query.
     index: Option<OracleIndex>,
-    /// Whether `oracle` is one of the four reference implementations —
-    /// the only case the index replicates bit-exactly.
-    uses_reference_oracle: bool,
     /// Reusable buffers for draining the overlay's delta records.
     delay_delta_scratch: Vec<(PeerId, Option<u32>)>,
     fanout_delta_scratch: Vec<PeerId>,
@@ -239,16 +236,18 @@ impl std::fmt::Debug for Engine {
 
 impl Engine {
     /// Creates an engine using the reference oracle named in `config`,
-    /// with the incremental sampling index enabled.
+    /// served by the incremental sampling index.
     pub fn new(population: &Population, config: &ConstructionConfig, seed: u64) -> Self {
         let mut engine = Self::with_oracle(population, config, config.oracle.build(), seed);
-        engine.uses_reference_oracle = true;
-        engine.set_oracle_indexing(true);
+        engine.build_oracle_index();
         engine
     }
 
     /// Creates an engine with a custom oracle implementation (used to
-    /// plug in the DHT-directory and random-walk realizations).
+    /// plug in the DHT-directory and random-walk realizations). Every
+    /// query goes through `oracle`'s own scan; handed the reference
+    /// oracle `config.oracle.build()`, this is the naive path the index
+    /// of [`Engine::new`] must replay bit for bit.
     pub fn with_oracle(
         population: &Population,
         config: &ConstructionConfig,
@@ -266,7 +265,6 @@ impl Engine {
             counters: EngineCounters::default(),
             oracle,
             index: None,
-            uses_reference_oracle: false,
             delay_delta_scratch: Vec::new(),
             fanout_delta_scratch: Vec::new(),
             schedule: Schedule::new(schedule_key(&rng)),
@@ -341,8 +339,7 @@ impl Engine {
     pub fn restore(snapshot: EngineSnapshot) -> Self {
         let oracle = snapshot.config.oracle.build();
         let mut engine = Self::restore_with_oracle(snapshot, oracle);
-        engine.uses_reference_oracle = true;
-        engine.set_oracle_indexing(true);
+        engine.build_oracle_index();
         engine
     }
 
@@ -371,7 +368,6 @@ impl Engine {
             counters: snapshot.counters,
             oracle,
             index: None,
-            uses_reference_oracle: false,
             delay_delta_scratch: Vec::new(),
             fanout_delta_scratch: Vec::new(),
             rng: snapshot.rng,
@@ -389,34 +385,20 @@ impl Engine {
         }
     }
 
-    /// Switches the incremental oracle sampling index on or off.
-    ///
-    /// On by default for engines built by [`Engine::new`] /
-    /// [`Engine::restore`] (reference oracles); a no-op request for
-    /// engines carrying a custom oracle, whose sampling logic the index
-    /// cannot replicate. Indexed and unindexed runs are bit-identical —
-    /// the toggle changes per-query cost (O(log n) vs O(n)), never the
-    /// sampled peers or the RNG stream — which is exactly what the
-    /// equivalence suite in `tests/properties.rs` pins.
-    pub fn set_oracle_indexing(&mut self, enabled: bool) {
-        if enabled && self.uses_reference_oracle {
-            self.index = Some(OracleIndex::build(
-                &self.overlay,
-                &self.population,
-                &self.online,
-            ));
-            // (Re)starting tracking clears any stale delta records; the
-            // fresh index already reflects the current overlay.
-            self.overlay.set_delta_tracking(true);
-        } else {
-            self.index = None;
-            self.overlay.set_delta_tracking(false);
-        }
-    }
-
-    /// Whether the incremental sampling index is active.
-    pub fn oracle_indexing(&self) -> bool {
-        self.index.is_some()
+    /// (Re)builds the incremental sampling index from the current state.
+    /// Indexed and naive queries draw the same RNG stream and return the
+    /// same peer — the index changes per-query cost (O(log n) vs O(n)),
+    /// never the sample — which is what the equivalence suite in
+    /// `tests/properties.rs` pins against [`Engine::with_oracle`].
+    fn build_oracle_index(&mut self) {
+        self.index = Some(OracleIndex::build(
+            &self.overlay,
+            &self.population,
+            &self.online,
+        ));
+        // (Re)starting tracking clears any stale delta records; the
+        // fresh index already reflects the current overlay.
+        self.overlay.set_delta_tracking(true);
     }
 
     /// Drains the overlay's delta records into the index. Replaying the
@@ -446,7 +428,7 @@ impl Engine {
     }
 
     /// Answers one oracle query for `p` — through the incremental index
-    /// when enabled, else the installed [`Oracle`]'s own scan. Both
+    /// when there is one, else the installed [`Oracle`]'s own scan. Both
     /// paths draw the same RNG stream and return the same peer.
     fn oracle_sample(&mut self, p: PeerId) -> Option<PeerId> {
         if self.index.is_some() {
@@ -632,7 +614,7 @@ impl Engine {
     pub(crate) fn begin_stabilizing(&mut self) {
         self.set_stabilizing(true);
         if self.index.is_some() {
-            self.set_oracle_indexing(true);
+            self.build_oracle_index();
         }
     }
 

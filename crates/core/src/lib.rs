@@ -86,6 +86,6 @@ pub use outcome::{
 };
 pub use overlay::{ChainRoot, Overlay, OverlayError};
 pub use run::{construct, FaultScenario, FixedActionDuration, InteractionDurations, Run, TimedRun};
-pub use runner::{chunk_plan, parallel_runs, parallel_runs_with};
+pub use runner::parallel_runs;
 pub use stabilize::apply_corruption;
 pub use sufficiency::{check as check_sufficiency, exact_feasibility, SufficiencyReport};

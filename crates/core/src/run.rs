@@ -86,6 +86,39 @@ impl FaultScenario {
             blackout_rounds: 0,
         }
     }
+
+    /// Crashes the scenario's share of the interior — online peers
+    /// currently serving at least one child; crashing leaves hurts
+    /// nobody downstream, crashing the interior is what the detection
+    /// path exists for — and installs its loss and blackout. Returns the
+    /// cohort, in ascending id order.
+    ///
+    /// The cohort is drawn from a stream split off `seed`, not from the
+    /// engine's own RNG, so the same peers crash however the engine got
+    /// here — the simulator's [`Run::recover`] verbs and the node
+    /// runtime's replicas all call this one function.
+    pub fn inject(&self, engine: &mut Engine, seed: u64) -> Vec<PeerId> {
+        let interior: Vec<u32> = engine
+            .population()
+            .peer_ids()
+            .filter(|&p| engine.is_online(p) && !engine.overlay().children(p).is_empty())
+            .map(|p| p.get())
+            .collect();
+        let mut cohort_rng = SimRng::seed_from(seed).split(0xFA17_C0DE);
+        let victims: Vec<PeerId> = crash_cohort(&interior, self.crash_fraction, &mut cohort_rng)
+            .into_iter()
+            .map(PeerId::new)
+            .collect();
+        for &v in &victims {
+            engine.inject_crash(v);
+        }
+        engine.set_faults(
+            FaultPlan::none()
+                .with_message_loss(self.message_loss)
+                .with_blackout(engine.round().get(), self.blackout_rounds),
+        );
+        victims
+    }
 }
 
 /// Supplies per-peer interaction durations. Implemented by
@@ -314,7 +347,7 @@ impl<'a> Run<'a> {
         let mut engine = self.engine();
         let construction_converged_at = engine.run_to_convergence().map(Round::get);
         let crash_round = engine.round().get();
-        let victims = inject_faults(&mut engine, scenario, self.seed);
+        let victims = scenario.inject(&mut engine, self.seed);
 
         let mut orphan_series = TimeSeries::new("orphans");
         let mut orphan_peak = engine.orphan_count() as u64;
@@ -493,7 +526,7 @@ impl<D: InteractionDurations> TimedRun<'_, D> {
             if crashed_peers.is_none() {
                 if engine.is_converged() {
                     construction_converged_at = Some(now);
-                    let victims = inject_faults(engine, scenario, seed).len();
+                    let victims = scenario.inject(engine, seed).len();
                     crashed_peers = Some(victims);
                     if victims == 0 {
                         healed_at = Some(now);
@@ -676,33 +709,6 @@ fn rounds(
     }
     let ran = engine.round().get() - start;
     sampler.map(|s| s.finish(engine, ran, done))
-}
-
-/// Crashes the scenario's share of the interior — online peers
-/// currently serving at least one child; crashing leaves hurts nobody
-/// downstream, crashing the interior is what the detection path exists
-/// for — and installs its loss and blackout. Returns the cohort.
-fn inject_faults(engine: &mut Engine, scenario: &FaultScenario, seed: u64) -> Vec<PeerId> {
-    let interior: Vec<u32> = engine
-        .population()
-        .peer_ids()
-        .filter(|&p| engine.is_online(p) && !engine.overlay().children(p).is_empty())
-        .map(|p| p.get())
-        .collect();
-    let mut cohort_rng = SimRng::seed_from(seed).split(0xFA17_C0DE);
-    let victims: Vec<PeerId> = crash_cohort(&interior, scenario.crash_fraction, &mut cohort_rng)
-        .into_iter()
-        .map(PeerId::new)
-        .collect();
-    for &v in &victims {
-        engine.inject_crash(v);
-    }
-    engine.set_faults(
-        FaultPlan::none()
-            .with_message_loss(scenario.message_loss)
-            .with_blackout(engine.round().get(), scenario.blackout_rounds),
-    );
-    victims
 }
 
 /// Validate-clean, every live peer satisfied, no chain across a corpse.

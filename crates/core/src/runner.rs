@@ -39,24 +39,13 @@ fn default_threads() -> usize {
 }
 
 /// The contiguous `(start, len)` chunk assignment [`parallel_runs_with`]
-/// hands to its worker threads. Pure and public so the concurrency model
-/// tests exercise the *actual* work-splitting logic, not a copy of it.
-///
-/// Chunks are `ceil(count / threads)` wide by default, overridable via
-/// the `LAGOVER_CHUNK` environment variable (clamped to `[1, count]`).
-/// The override exists for `cargo xtask replay-diff`, which re-runs the
-/// figure drivers under several chunkings to prove the results do not
-/// depend on how work is split.
-pub fn chunk_plan(count: usize, threads: usize) -> Vec<(usize, usize)> {
+/// hands to its worker threads: `ceil(count / threads)` wide, the last
+/// chunk ragged.
+fn chunk_plan(count: usize, threads: usize) -> Vec<(usize, usize)> {
     if count == 0 {
         return Vec::new();
     }
-    let default = count.div_ceil(threads.max(1));
-    let chunk = std::env::var("LAGOVER_CHUNK")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .filter(|&c: &usize| c >= 1)
-        .map_or(default, |c| c.min(count));
+    let chunk = count.div_ceil(threads.max(1));
     (0..count)
         .step_by(chunk)
         .map(|start| (start, chunk.min(count - start)))
@@ -64,9 +53,9 @@ pub fn chunk_plan(count: usize, threads: usize) -> Vec<(usize, usize)> {
 }
 
 /// [`parallel_runs`] with an explicit worker count. The result is
-/// bit-identical for every `threads` value; the knob only controls how
+/// bit-identical for every `threads` value; the count only controls how
 /// the index range is chunked across scoped threads.
-pub fn parallel_runs_with<T, F>(count: usize, threads: usize, job: F) -> Vec<T>
+fn parallel_runs_with<T, F>(count: usize, threads: usize, job: F) -> Vec<T>
 where
     T: Send,
     F: Fn(usize) -> T + Sync,
@@ -119,6 +108,39 @@ mod tests {
         for threads in [2, 4, 16, 64] {
             let parallel = parallel_runs_with(37, threads, |i| (i as u64).wrapping_mul(0x9E37) ^ 7);
             assert_eq!(parallel, sequential, "threads = {threads}");
+        }
+    }
+
+    #[test]
+    fn parallel_results_match_sequential_for_all_worker_counts() {
+        // A job whose value depends only on its index, like the
+        // seed-derived experiment runs; 23 is prime, so every count
+        // from 2 to 9 leaves a ragged final chunk.
+        let job = |i: usize| (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ 0xA5A5;
+        let expected: Vec<u64> = (0..23).map(job).collect();
+        for threads in 1..=9 {
+            assert_eq!(
+                parallel_runs_with(23, threads, job),
+                expected,
+                "results diverge at {threads} threads"
+            );
+        }
+    }
+
+    #[test]
+    fn chunk_plan_partitions_every_index_range() {
+        for count in 0..=40 {
+            for threads in 1..=10 {
+                let plan = chunk_plan(count, threads);
+                assert!(plan.len() <= threads, "more chunks than workers");
+                let mut next = 0;
+                for &(start, len) in &plan {
+                    assert!(len >= 1, "empty chunk in plan for {count}/{threads}");
+                    assert_eq!(start, next, "chunks not contiguous and ordered");
+                    next = start + len;
+                }
+                assert_eq!(next, count, "plan does not cover 0..{count}");
+            }
         }
     }
 }

@@ -664,10 +664,7 @@ fn index_tracks_reference(
 ) -> Result<u32, TestCaseError> {
     let config = ConstructionConfig::new(Algorithm::Hybrid, oracle).with_max_rounds(5_000);
     let mut indexed = Engine::new(population, &config, seed);
-    prop_assert!(indexed.oracle_indexing(), "indexing is the default");
-    let mut reference = Engine::new(population, &config, seed);
-    reference.set_oracle_indexing(false);
-    prop_assert!(!reference.oracle_indexing());
+    let mut reference = Engine::with_oracle(population, &config, config.oracle.build(), seed);
     let rounds = if population.len() >= 1_000 { 25 } else { 60 };
     let mut deepest = 0;
     for _ in 0..rounds {
@@ -734,8 +731,8 @@ proptest! {
         let config = ConstructionConfig::new(Algorithm::Hybrid, OracleKind::ALL[oracle_idx])
             .with_max_rounds(5_000);
         let mut indexed = Engine::new(&population, &config, seed);
-        let mut reference = Engine::new(&population, &config, seed);
-        reference.set_oracle_indexing(false);
+        let mut reference =
+            Engine::with_oracle(&population, &config, config.oracle.build(), seed);
         let mut churn_a = BernoulliChurn::new(0.05, 0.25);
         let mut churn_b = BernoulliChurn::new(0.05, 0.25);
         for round in 0..40 {

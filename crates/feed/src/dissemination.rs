@@ -141,64 +141,29 @@ fn disseminate_inner(
     let mut source_pulls = 0u64;
     let mut pushes_sent = vec![0u64; n];
 
-    // Process nodes in depth order so a parent's receipt at round r-1 is
-    // visible when its children are processed at round r.
-    let mut by_depth: Vec<(u32, PeerId)> = population
-        .peer_ids()
-        .filter_map(|p| overlay.delay(p).map(|d| (d, p)))
-        .collect();
-    by_depth.sort_unstable();
-
+    let by_depth = depth_order(overlay, population.peer_ids());
     for r in 1..=config.rounds {
-        for &(depth, p) in &by_depth {
-            if depth == 1 {
-                // Pull tick?
-                if r % config.pull_interval == 0 {
-                    source_pulls += 1;
-                    for (item, &published) in publish_rounds.iter().enumerate() {
-                        if published < r && received[p.index()][item].is_none() {
-                            received[p.index()][item] = Some(r);
-                            if let Some(journal) = journal.as_deref_mut() {
-                                journal.push(Event::Delivery {
-                                    round: r,
-                                    peer: p.get(),
-                                    depth,
-                                    chunk: None,
-                                });
-                            }
-                        }
-                        // An item published *at* round r is picked up at
-                        // the next tick — "no staler than T".
-                    }
+        source_pulls += propagate_round(
+            overlay,
+            &by_depth,
+            &publish_rounds,
+            config.pull_interval,
+            r,
+            &mut received,
+            |p, depth, from| {
+                if let Some(parent) = from {
+                    pushes_sent[parent.index()] += 1;
                 }
-            } else {
-                let parent = overlay
-                    .parent(p)
-                    .and_then(|m| m.peer())
-                    .expect("depth >= 2 has a peer parent");
-                // Take p's row so the parent's row stays borrowable.
-                let mut row = std::mem::take(&mut received[p.index()]);
-                for (item, slot) in row.iter_mut().enumerate() {
-                    if slot.is_none() {
-                        if let Some(at) = received[parent.index()][item] {
-                            if at < r {
-                                *slot = Some(r);
-                                pushes_sent[parent.index()] += 1;
-                                if let Some(journal) = journal.as_deref_mut() {
-                                    journal.push(Event::Delivery {
-                                        round: r,
-                                        peer: p.get(),
-                                        depth,
-                                        chunk: None,
-                                    });
-                                }
-                            }
-                        }
-                    }
+                if let Some(journal) = journal.as_deref_mut() {
+                    journal.push(Event::Delivery {
+                        round: r,
+                        peer: p.get(),
+                        depth,
+                        chunk: None,
+                    });
                 }
-                received[p.index()] = row;
-            }
-        }
+            },
+        );
     }
 
     let mut per_node = Vec::with_capacity(n);
@@ -237,6 +202,66 @@ fn disseminate_inner(
         constraint_violations: violations,
         source_pulls,
     }
+}
+
+/// The rooted peers among `peers` as `(depth, peer)`, in the order one
+/// propagation round processes them: ascending depth, so a parent's
+/// receipt at round `r - 1` is visible when its children are processed
+/// at round `r`.
+pub(crate) fn depth_order(
+    overlay: &Overlay,
+    peers: impl Iterator<Item = PeerId>,
+) -> Vec<(u32, PeerId)> {
+    let mut by_depth: Vec<(u32, PeerId)> = peers
+        .filter_map(|p| overlay.delay(p).map(|d| (d, p)))
+        .collect();
+    by_depth.sort_unstable();
+    by_depth
+}
+
+/// One propagation round `r` over `by_depth` (from [`depth_order`]):
+/// on a pull tick each direct source child takes every item published
+/// before `r`; every deeper peer takes what its parent already held at
+/// the end of round `r - 1` (one hop per round). `received[peer][item]`
+/// is the receipt round; `on_delivery(peer, depth, from)` sees each new
+/// receipt, `from` being the pushing parent (`None` for a pull).
+/// Returns the pulls the source served.
+pub(crate) fn propagate_round(
+    overlay: &Overlay,
+    by_depth: &[(u32, PeerId)],
+    publish_rounds: &[u64],
+    pull_interval: u64,
+    r: u64,
+    received: &mut [Vec<Option<u64>>],
+    mut on_delivery: impl FnMut(PeerId, u32, Option<PeerId>),
+) -> u64 {
+    let mut source_pulls = 0;
+    for &(depth, p) in by_depth {
+        if depth == 1 {
+            if r.is_multiple_of(pull_interval) {
+                source_pulls += 1;
+                for (item, &published) in publish_rounds.iter().enumerate() {
+                    // An item published *at* round r is picked up at the
+                    // next tick — "no staler than T".
+                    if published < r && received[p.index()][item].is_none() {
+                        received[p.index()][item] = Some(r);
+                        on_delivery(p, depth, None);
+                    }
+                }
+            }
+        } else if let Some(parent) = overlay.parent(p).and_then(|m| m.peer()) {
+            // Take p's row so the parent's row stays borrowable.
+            let mut row = std::mem::take(&mut received[p.index()]);
+            for (item, slot) in row.iter_mut().enumerate() {
+                if slot.is_none() && received[parent.index()][item].is_some_and(|at| at < r) {
+                    *slot = Some(r);
+                    on_delivery(p, depth, Some(parent));
+                }
+            }
+            received[p.index()] = row;
+        }
+    }
+    source_pulls
 }
 
 #[cfg(test)]

@@ -16,9 +16,10 @@
 
 use serde::{Deserialize, Serialize};
 
-use lagover_core::{Engine, PeerId};
+use lagover_core::Engine;
 use lagover_sim::{ChurnProcess, SimRng};
 
+use crate::dissemination::{depth_order, propagate_round};
 use crate::schedule::PublishSchedule;
 
 /// Parameters of a live run.
@@ -89,41 +90,24 @@ pub fn run_live(
         engine.step();
         satisfied_sum += engine.satisfied_fraction();
 
-        // Propagation over the *current* overlay. Process by current
-        // depth so a parent's receipt in an earlier round is visible;
+        // Propagation over the *current* overlay's online peers; a
         // same-round receipt at the parent is not forwarded until next
         // round (one hop per round).
-        let mut by_depth: Vec<(u32, PeerId)> = engine
+        let overlay = engine.overlay();
+        let online = engine
             .population()
             .peer_ids()
-            .filter(|&p| engine.is_online(p))
-            .filter_map(|p| engine.overlay().delay(p).map(|d| (d, p)))
-            .collect();
-        by_depth.sort_unstable();
-        for &(depth, p) in &by_depth {
-            if depth == 1 {
-                if r % config.pull_interval == 0 {
-                    for (item, &published) in publish_rounds.iter().enumerate() {
-                        if published < r && received[p.index()][item].is_none() {
-                            received[p.index()][item] = Some(r);
-                        }
-                    }
-                }
-            } else if let Some(parent) = engine.overlay().parent(p).and_then(|m| m.peer()) {
-                // Take p's row so the parent's row stays borrowable.
-                let mut row = std::mem::take(&mut received[p.index()]);
-                for (item, slot) in row.iter_mut().enumerate() {
-                    if slot.is_none() {
-                        if let Some(at) = received[parent.index()][item] {
-                            if at < r {
-                                *slot = Some(r);
-                            }
-                        }
-                    }
-                }
-                received[p.index()] = row;
-            }
-        }
+            .filter(|&p| engine.is_online(p));
+        let by_depth = depth_order(overlay, online);
+        propagate_round(
+            overlay,
+            &by_depth,
+            &publish_rounds,
+            config.pull_interval,
+            r,
+            &mut received,
+            |_, _, _| {},
+        );
     }
 
     // Delivery accounting over items with time to settle.

@@ -16,7 +16,7 @@
 //! scenario's terminal condition at the same global action on every
 //! node, and attributing each journal event to the node that owns it.
 
-use lagover_core::{ConstructionConfig, Engine, EngineCounters, PeerId, Population};
+use lagover_core::{ConstructionConfig, Engine, EngineCounters, FaultScenario, PeerId, Population};
 use lagover_obs::Event;
 use lagover_sim::{EventQueue, SimRng, VirtualTime};
 
@@ -26,8 +26,8 @@ pub enum Scenario {
     /// Fig2-style construction: run until every peer is satisfied.
     Construction,
     /// E15 recovery: construct, crash an interior cohort at the moment
-    /// of convergence (cohort stream `split(0xFA17_C0DE)`, as in the
-    /// simulator), run on until satisfied and stale-free again.
+    /// of convergence (the simulator's own [`FaultScenario::inject`]),
+    /// run on until satisfied and stale-free again.
     Recovery {
         /// Fraction of the interior cohort to crash.
         crash_fraction: f64,
@@ -223,30 +223,18 @@ impl Replica {
                 if self.crashed.is_none() {
                     if self.engine.is_converged() {
                         self.converged_at = Some(time);
-                        let population = self.engine.population();
-                        let interior: Vec<u32> = population
-                            .peer_ids()
-                            .filter(|&q| {
-                                self.engine.is_online(q)
-                                    && !self.engine.overlay().children(q).is_empty()
-                            })
-                            .map(|q| q.get())
-                            .collect();
-                        let mut cohort_rng = SimRng::seed_from(self.seed).split(0xFA17_C0DE);
-                        let victims = lagover_sim::faults::crash_cohort(
-                            &interior,
+                        let scenario = FaultScenario {
                             crash_fraction,
-                            &mut cohort_rng,
-                        );
-                        for &v in &victims {
-                            self.engine.inject_crash(PeerId::new(v));
-                            for event in self.drain_new_events() {
-                                events.push(OwnedEvent {
-                                    owner: v,
-                                    sub: 0,
-                                    event,
-                                });
-                            }
+                            ..FaultScenario::none()
+                        };
+                        let victims = scenario.inject(&mut self.engine, self.seed);
+                        // Each crash event belongs to its victim's node.
+                        for event in self.drain_new_events() {
+                            events.push(OwnedEvent {
+                                owner: event.peer(),
+                                sub: 0,
+                                event,
+                            });
                         }
                         self.crashed = Some(victims.len());
                         if victims.is_empty() {
@@ -285,7 +273,11 @@ impl Replica {
         let new = (pushed - self.events_seen) as usize;
         self.events_seen = pushed;
         debug_assert!(new <= journal.len(), "one apply overflowed the journal");
-        journal.iter().skip(journal.len() - new).copied().collect()
+        journal
+            .iter()
+            .skip(journal.len().saturating_sub(new))
+            .copied()
+            .collect()
     }
 
     /// Whether (and why) the replica halted.
@@ -348,9 +340,7 @@ impl Replica {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lagover_core::{
-        Algorithm, Constraints, FaultScenario, FixedActionDuration, OracleKind, Run, TimedRun,
-    };
+    use lagover_core::{Algorithm, Constraints, FixedActionDuration, OracleKind, Run, TimedRun};
 
     fn population(n: u32) -> Population {
         let constraints = (0..n).map(|i| Constraints::new(3, i / 4 + 1)).collect();

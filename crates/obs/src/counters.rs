@@ -2,7 +2,7 @@
 //!
 //! Moved here from `lagover-core` (which re-exports it unchanged) so
 //! the whole counter surface lives behind the observability facade:
-//! the `xtask lint` `obs-bypass` rule keeps new ad-hoc counter structs
+//! the `xtask analyze` `obs-bypass` rule keeps new ad-hoc counter structs
 //! from growing back inside the engine.
 
 use lagover_jsonio::{object, FromJson, Json, JsonError, ToJson};

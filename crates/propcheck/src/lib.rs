@@ -10,7 +10,7 @@
 //! imports verbatim.
 //!
 //! Two deliberate departures from real proptest, both in service of the
-//! determinism audit (`cargo xtask lint` / `replay-diff`):
+//! determinism audit (`cargo xtask analyze` / `replay-diff`):
 //!
 //! * **No shrinking.** A failing case panics with the case index and the
 //!   derived stream seed; re-running is bit-reproducible, which replaces

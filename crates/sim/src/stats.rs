@@ -47,10 +47,13 @@ impl Summary {
         }
         let mut sorted = samples.to_vec();
         sorted.sort_by(|a, b| a.partial_cmp(b).expect("NaN filtered above"));
+        // Both sums fold over the pre-sorted sample buffer, so the
+        // accumulation order is fixed for any input permutation.
         let mean = sorted.iter().sum::<f64>() / sorted.len() as f64;
         let stddev = if sorted.len() < 2 {
             0.0
         } else {
+            // Sorted order again: see the mean above.
             let var =
                 sorted.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / (sorted.len() - 1) as f64;
             var.sqrt()

@@ -2,8 +2,8 @@
 //! the workspace's `Cargo.toml`s actually use (sections, `[[bin]]`
 //! tables, `key = "string"`, `key.workspace = true`, single-line inline
 //! tables and arrays), assembled into a crate DAG the layering rule
-//! checks. Zero external dependencies, same philosophy as
-//! `allowlist.rs`: anything outside the subset is a parse error, which
+//! checks. Zero external dependencies, same philosophy as the draw-site
+//! registry parser: anything outside the subset is a parse error, which
 //! keeps the manifests honest.
 
 use std::fs;

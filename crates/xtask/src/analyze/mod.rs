@@ -1,12 +1,11 @@
-//! `cargo xtask analyze` — structural static analysis over the whole
+//! `cargo xtask analyze` — the one static analyzer over the whole
 //! workspace (DESIGN.md §14).
 //!
-//! Where `cargo xtask lint` pattern-matches hazard tokens, `analyze`
-//! builds a model first — every source file tokenized with exact byte
-//! offsets ([`lexer`]), `use`-aliases resolved per file ([`aliases`]),
-//! `#[cfg(...)]` regions tracked by brace depth ([`lexer::CfgMap`]),
-//! and every `Cargo.toml` parsed into a crate DAG ([`manifest`]) — and
-//! then runs structural rules over it ([`rules`]):
+//! It builds a model first — every source file tokenized with exact
+//! byte offsets ([`lexer`]), `use`-aliases resolved per file
+//! ([`aliases`]), `#[cfg(...)]` regions tracked by brace depth
+//! ([`lexer::CfgMap`]), and every `Cargo.toml` parsed into a crate DAG
+//! ([`manifest`]) — and then runs its rules over it ([`rules`]):
 //!
 //! * `rng-discipline` — every `SimRng` draw call site diffed against
 //!   the committed registry `crates/xtask/rng_sites.toml`; re-bless
@@ -14,16 +13,21 @@
 //! * `alias-unordered-iter` — `HashMap`/`HashSet` workspace-wide,
 //!   through renames and type aliases.
 //! * `panic-surface` — tiered unwrap/expect/panic audit of
-//!   `crates/core/src`.
+//!   `crates/core/src` and the input boundary (`cli`, `workload`,
+//!   `jsonio`, `node::wire`).
 //! * `layering` — the declared crate DAG holds; externals resolve to
 //!   `stubs/`.
 //! * `feature-gate` — wall-clock reads sit inside
 //!   `#[cfg(feature = "wall-clock")]` regions.
 //! * `forbid-unsafe` — every crate root carries
 //!   `#![forbid(unsafe_code)]`.
+//! * `nondet-rng` — no ambient RNG (`thread_rng`, `rand::random`) in
+//!   any tree, tests included.
+//! * `obs-bypass` — no raw prints or ad-hoc `*Counters` structs in
+//!   `crates/core/src`.
 //!
-//! Findings honour the shared allowlist (`crates/xtask/lint.allow.toml`)
-//! and land in `target/analyze/REPORT.json` + `REPORT.md`, rendered
+//! There is no allowlist: any finding fails the run. Findings land in
+//! `target/analyze/REPORT.json` + `REPORT.md`, rendered
 //! deterministically — byte-identical across runs on the same tree.
 
 pub mod aliases;
@@ -39,18 +43,19 @@ use std::fs;
 use std::path::Path;
 use std::process::ExitCode;
 
-use crate::allowlist::{self, ALLOWLIST_PATH, MAX_ALLOW_ENTRIES};
 use model::Model;
 use report::Report;
 use rules::rng_discipline::{self, DrawSite};
-use rules::{feature_gate, forbid_unsafe, layering, panic_surface, unordered};
-pub use rules::{Finding, ANALYZE_RULES};
+use rules::{
+    feature_gate, forbid_unsafe, layering, nondet_rng, obs_bypass, panic_surface, unordered,
+};
+pub use rules::{Finding, RULES};
 
 /// Relative path of the draw-site registry, from the workspace root.
 pub const REGISTRY_PATH: &str = "crates/xtask/rng_sites.toml";
 
 /// One full rule pass over a loaded model, pure and IO-free: findings
-/// are pre-allowlist, sorted (path, line, rule, excerpt).
+/// are sorted (path, line, rule, excerpt).
 pub struct Analysis {
     pub findings: Vec<Finding>,
     pub sites: Vec<DrawSite>,
@@ -66,6 +71,8 @@ pub fn analyze(model: &Model, registry: &[DrawSite]) -> Analysis {
     findings.extend(layering::check(&model.workspace));
     findings.extend(feature_gate::check(model));
     findings.extend(forbid_unsafe::check(model));
+    findings.extend(nondet_rng::check(model));
+    findings.extend(obs_bypass::check(model));
     findings.sort_by(|a, b| {
         (&a.path, a.line, a.rule, &a.excerpt).cmp(&(&b.path, b.line, b.rule, &b.excerpt))
     });
@@ -89,30 +96,6 @@ pub fn run(args: &[String]) -> ExitCode {
         }
     }
     let root = crate::workspace_root();
-
-    let allow_text = match fs::read_to_string(root.join(ALLOWLIST_PATH)) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("xtask analyze: cannot read {ALLOWLIST_PATH}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let allow = match allowlist::parse(&allow_text) {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("xtask analyze: {ALLOWLIST_PATH}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    if allow.len() > MAX_ALLOW_ENTRIES {
-        eprintln!(
-            "xtask analyze: allowlist has {} entries; the cap is {MAX_ALLOW_ENTRIES} \
-             — fix violations instead of allowlisting them",
-            allow.len()
-        );
-        return ExitCode::FAILURE;
-    }
-
     let model = match Model::load(&root) {
         Ok(m) => m,
         Err(e) => {
@@ -153,18 +136,7 @@ pub fn run(args: &[String]) -> ExitCode {
         }
     };
 
-    let analysis = analyze(&model, &registry);
-    let files_scanned = model.files.len();
-    let applied = allowlist::apply(analysis.findings, &allow, ANALYZE_RULES);
-
-    let report = Report {
-        files_scanned,
-        rng_sites: analysis.sites.len(),
-        rng_draws: analysis.sites.iter().map(|s| s.count).sum(),
-        panic: analysis.panic,
-        allowed: applied.allowed,
-        findings: applied.violations,
-    };
+    let report = Report::new(model.files.len(), analyze(&model, &registry));
     let out_dir = crate::target_dir(&root).join("analyze");
     if let Err(e) = fs::create_dir_all(&out_dir) {
         eprintln!("xtask analyze: cannot create {}: {e}", out_dir.display());
@@ -178,19 +150,12 @@ pub fn run(args: &[String]) -> ExitCode {
     for v in &report.findings {
         println!("{}:{}: [{}] {}", v.path, v.line, v.rule, v.excerpt);
     }
-    for entry in &applied.unused {
-        println!(
-            "warning: unused allowlist entry (path = {:?}, rule = {:?}) — remove it",
-            entry.path, entry.rule
-        );
-    }
     println!(
-        "xtask analyze: {} files, {} rng draw sites — {} violation(s), {} allowlisted \
-         (report: {})",
+        "xtask analyze: {} files, {} rules, {} rng draw sites — {} violation(s) (report: {})",
         report.files_scanned,
+        RULES.len(),
         report.rng_sites,
         report.findings.len(),
-        report.allowed,
         out_dir.join("REPORT.json").display()
     );
     if report.findings.is_empty() {
@@ -212,40 +177,125 @@ fn write_reports(out_dir: &Path, report: &Report) -> Result<(), String> {
 
 #[cfg(test)]
 mod tests {
+    use super::manifest::{self, WorkspaceModel};
+    use super::model::{FileKind, SourceFile};
     use super::*;
 
+    fn committed_registry(root: &Path) -> Vec<DrawSite> {
+        let text = std::fs::read_to_string(root.join(REGISTRY_PATH)).expect("registry committed");
+        rng_discipline::parse_registry(&text).expect("registry parses")
+    }
+
     /// The end-to-end property `cargo xtask analyze` enforces, run
-    /// in-process: the committed registry matches the tree, and every
-    /// finding in the real workspace is allowlisted.
+    /// in-process: the committed registry matches the tree, and the
+    /// real workspace has no finding at all.
     #[test]
-    fn real_workspace_analyzes_clean_modulo_allowlist() {
+    fn real_workspace_analyzes_clean() {
         let root = crate::workspace_root();
         let model = Model::load(&root).expect("model loads");
-        let registry_text =
-            std::fs::read_to_string(root.join(REGISTRY_PATH)).expect("registry committed");
-        let registry = rng_discipline::parse_registry(&registry_text).expect("registry parses");
-        let allow_text =
-            std::fs::read_to_string(root.join(ALLOWLIST_PATH)).expect("allowlist readable");
-        let allow = crate::allowlist::parse(&allow_text).expect("allowlist parses");
-        assert!(allow.len() <= MAX_ALLOW_ENTRIES);
-        let analysis = analyze(&model, &registry);
-        let applied = crate::allowlist::apply(analysis.findings, &allow, ANALYZE_RULES);
+        let analysis = analyze(&model, &committed_registry(&root));
         assert!(
-            applied.violations.is_empty(),
-            "unallowlisted violations:\n{}",
-            applied
-                .violations
+            analysis.findings.is_empty(),
+            "violations:\n{}",
+            analysis
+                .findings
                 .iter()
                 .map(|f| format!("  {}:{} [{}] {}", f.path, f.line, f.rule, f.excerpt))
                 .collect::<Vec<_>>()
                 .join("\n")
         );
-        // Every analyze-scoped allowlist entry is live.
-        assert!(
-            applied.unused.is_empty(),
-            "unused analyze allowlist entries: {:?}",
-            applied.unused
+    }
+
+    /// A one-crate workspace — a virtual root plus `lagover-core` at
+    /// `crates/core` — holding one fixture: a source file at `path`, or,
+    /// for a `Cargo.toml` path, the core manifest itself.
+    fn fixture_model(path: &str, text: &str) -> Model {
+        let mut core = "[package]\nname = \"lagover-core\"\n";
+        let mut files = Vec::new();
+        if path.ends_with("Cargo.toml") {
+            core = text;
+        } else {
+            files.push(SourceFile::from_source(
+                path.to_string(),
+                FileKind::Src,
+                text.to_string(),
+            ));
+        }
+        Model {
+            workspace: WorkspaceModel {
+                manifests: vec![
+                    manifest::parse("[workspace]\n", "").expect("root parses"),
+                    manifest::parse(core, "crates/core").expect("fixture manifest parses"),
+                ],
+            },
+            files,
+        }
+    }
+
+    /// No rule is vacuous: each one in [`RULES`] fires on its own
+    /// fixture, and no rule fires on the clean one (analyzed against an
+    /// empty draw-site registry, so an unregistered draw would show).
+    #[test]
+    fn every_rule_fires_on_its_fixture_and_none_on_the_clean_one() {
+        let fixtures: &[(&str, &str, &str)] = &[
+            (
+                rng_discipline::RULE,
+                "crates/core/src/engine.rs",
+                include_str!("../../fixtures/analyze/rng_sites.rs"),
+            ),
+            (
+                unordered::RULE,
+                "crates/core/src/engine.rs",
+                include_str!("../../fixtures/analyze/alias_unordered.rs"),
+            ),
+            (
+                panic_surface::RULE,
+                "crates/core/src/engine.rs",
+                include_str!("../../fixtures/analyze/panic_tiers.rs"),
+            ),
+            (
+                layering::RULE,
+                "crates/core/Cargo.toml",
+                include_str!("../../fixtures/analyze/layering.toml"),
+            ),
+            (
+                feature_gate::RULE,
+                "crates/core/src/engine.rs",
+                include_str!("../../fixtures/analyze/feature_gate.rs"),
+            ),
+            (
+                forbid_unsafe::RULE,
+                "crates/core/src/lib.rs",
+                include_str!("../../fixtures/analyze/forbid_unsafe_missing.rs"),
+            ),
+            (
+                nondet_rng::RULE,
+                "crates/core/src/engine.rs",
+                include_str!("../../fixtures/analyze/nondet_rng.rs"),
+            ),
+            (
+                obs_bypass::RULE,
+                "crates/core/src/engine.rs",
+                include_str!("../../fixtures/analyze/obs_bypass.rs"),
+            ),
+        ];
+        let covered: Vec<&str> = fixtures.iter().map(|f| f.0).collect();
+        assert_eq!(covered, RULES, "one fixture per rule, in rule-list order");
+        for &(rule, path, text) in fixtures {
+            let analysis = analyze(&fixture_model(path, text), &[]);
+            assert!(
+                analysis.findings.iter().any(|f| f.rule == rule),
+                "rule {rule} finds nothing on its fixture"
+            );
+        }
+        let clean = analyze(
+            &fixture_model(
+                "crates/core/src/lib.rs",
+                include_str!("../../fixtures/analyze/clean.rs"),
+            ),
+            &[],
         );
+        assert_eq!(clean.findings, Vec::new());
     }
 
     /// The committed registry is byte-identical to what `--bless`
@@ -271,20 +321,8 @@ mod tests {
         let root = crate::workspace_root();
         let render = || {
             let model = Model::load(&root).expect("model loads");
-            let registry_text =
-                std::fs::read_to_string(root.join(REGISTRY_PATH)).expect("registry committed");
-            let registry = rng_discipline::parse_registry(&registry_text).expect("registry parses");
-            let analysis = analyze(&model, &registry);
-            let files_scanned = model.files.len();
-            Report {
-                files_scanned,
-                rng_sites: analysis.sites.len(),
-                rng_draws: analysis.sites.iter().map(|s| s.count).sum(),
-                panic: analysis.panic,
-                allowed: 0,
-                findings: analysis.findings,
-            }
-            .render_json()
+            let analysis = analyze(&model, &committed_registry(&root));
+            Report::new(model.files.len(), analysis).render_json()
         };
         assert_eq!(render(), render());
     }

@@ -1,13 +1,13 @@
 //! The analysis model: every workspace source file, loaded once,
-//! stripped once, with its cfg-region map — shared by `cargo xtask
-//! lint` and `cargo xtask analyze` so both passes see the same bytes.
+//! stripped once, with its cfg-region map — shared by every rule of
+//! `cargo xtask analyze`, so all of them see the same bytes.
 //!
 //! File collection walks each crate's `src/`, `tests/`, `examples/`,
 //! and `benches/` trees (plus the root facade package), not just
 //! `src/` — test and bench code is real code; rules opt out per
 //! [`FileKind`] instead of being blind to whole trees. `stubs/` and
-//! the lint fixtures are excluded: stubs mirror external crates, and
-//! fixtures *deliberately* violate every rule.
+//! the analyzer fixtures are excluded: stubs mirror external crates,
+//! and fixtures *deliberately* violate every rule.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -17,7 +17,7 @@ use super::manifest::WorkspaceModel;
 
 /// Which target tree a file belongs to. Rules scope themselves by
 /// kind: e.g. `nondet-rng` applies everywhere (a nondeterministic test
-/// is still a broken test), while wall-clock rules exempt `tests/` and
+/// is still a broken test), while `feature-gate` exempts `tests/` and
 /// `benches/` (measuring a benchmark is the point).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum FileKind {

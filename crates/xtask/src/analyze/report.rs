@@ -7,21 +7,31 @@
 use lagover_jsonio::{object, Json};
 
 use super::rules::panic_surface::PanicMetrics;
-use super::rules::{Finding, ANALYZE_RULES};
+use super::rules::{Finding, RULES};
+use super::Analysis;
 
-/// Everything one analyze pass produced, post-allowlist.
+/// Everything one analyze pass produced.
 pub struct Report {
     pub files_scanned: usize,
     /// Registered SimRng draw sites and total draw calls.
     pub rng_sites: usize,
     pub rng_draws: u64,
     pub panic: PanicMetrics,
-    pub allowed: usize,
-    /// Unallowlisted findings, sorted by (path, line, rule, excerpt).
+    /// Every finding, sorted by (path, line, rule, excerpt).
     pub findings: Vec<Finding>,
 }
 
 impl Report {
+    pub fn new(files_scanned: usize, analysis: Analysis) -> Report {
+        Report {
+            files_scanned,
+            rng_sites: analysis.sites.len(),
+            rng_draws: analysis.sites.iter().map(|s| s.count).sum(),
+            panic: analysis.panic,
+            findings: analysis.findings,
+        }
+    }
+
     pub fn to_json(&self) -> Json {
         let findings = self
             .findings
@@ -36,15 +46,10 @@ impl Report {
             })
             .collect();
         object(vec![
-            ("schema", Json::Str("lagover.analyze.report/v1".to_string())),
+            ("schema", Json::Str("lagover.analyze.report/v2".to_string())),
             (
                 "rules",
-                Json::Array(
-                    ANALYZE_RULES
-                        .iter()
-                        .map(|r| Json::Str((*r).to_string()))
-                        .collect(),
-                ),
+                Json::Array(RULES.iter().map(|r| Json::Str((*r).to_string())).collect()),
             ),
             ("files_scanned", Json::U64(self.files_scanned as u64)),
             (
@@ -63,7 +68,6 @@ impl Report {
                     ("slice_index", Json::U64(self.panic.slice_index)),
                 ]),
             ),
-            ("allowlisted", Json::U64(self.allowed as u64)),
             ("violations", Json::U64(self.findings.len() as u64)),
             ("findings", Json::Array(findings)),
         ])
@@ -89,10 +93,9 @@ impl Report {
             self.panic.expect_msg, self.panic.panic_msg, self.panic.unreachable_msg
         ));
         out.push_str(&format!(
-            "| slice-index expressions in core | {} |\n",
+            "| slice-index expressions in panic-surface scope | {} |\n",
             self.panic.slice_index
         ));
-        out.push_str(&format!("| allowlisted findings | {} |\n", self.allowed));
         out.push_str(&format!("| violations | {} |\n", self.findings.len()));
         out.push('\n');
         if self.findings.is_empty() {
@@ -128,7 +131,6 @@ mod tests {
                 unreachable_msg: 2,
                 slice_index: 7,
             },
-            allowed: 1,
             findings: vec![Finding {
                 path: "crates/a/src/lib.rs".to_string(),
                 line: 9,
@@ -154,7 +156,7 @@ mod tests {
         assert_eq!(parsed.get("violations").unwrap().as_u64().unwrap(), 1);
         assert_eq!(
             parsed.get("rules").unwrap().as_array().unwrap().len(),
-            ANALYZE_RULES.len()
+            RULES.len()
         );
     }
 

@@ -1,8 +1,8 @@
 //! Rule `feature-gate`: wall-clock reads (`Instant::now`,
 //! `SystemTime`) must sit inside a `#[cfg(feature = "wall-clock")]`
 //! region — a *structural* guarantee that the nondeterministic clock
-//! surface is compile-time scoped, replacing the old honour-system
-//! allowlisting of whole files. `tests/` and `benches/` are exempt
+//! surface is compile-time scoped, not excused file by file on the
+//! honour system. `tests/` and `benches/` are exempt
 //! (measuring a benchmark is the point); `#[cfg(test)]` modules
 //! likewise. A `not(feature = "wall-clock")` region does not count as
 //! gated.

@@ -1,6 +1,8 @@
 //! Rule `panic-surface`: a tiered audit of release-reachable panic
-//! sites in `crates/core/src` (the code every committed figure runs
-//! through), replacing the old all-or-nothing `bare-unwrap` lint.
+//! sites in [`SCOPE`] — the engine crate every committed figure runs
+//! through, and the input boundary (CLI, workload specs, the JSON
+//! parser, the node wire codec), where bad input must come back as an
+//! error, never a panic.
 //!
 //! * **Deny** (fails the build): panics that carry no invariant —
 //!   `.unwrap()`, `.expect("")`, bare `panic!()` / `unreachable!()`,
@@ -20,6 +22,15 @@ use super::Finding;
 
 pub const RULE: &str = "panic-surface";
 
+/// Path prefixes the audit covers.
+pub const SCOPE: &[&str] = &[
+    "crates/core/src/",
+    "crates/cli/src/",
+    "crates/workload/src/",
+    "crates/jsonio/src/",
+    "crates/node/src/wire.rs",
+];
+
 /// Warn/info-tier counters, serialized into REPORT.json.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct PanicMetrics {
@@ -33,7 +44,7 @@ pub fn check(model: &Model) -> (Vec<Finding>, PanicMetrics) {
     let mut findings = Vec::new();
     let mut metrics = PanicMetrics::default();
     for file in model.files_of(&[FileKind::Src]) {
-        if !file.path.starts_with("crates/core/src") {
+        if !SCOPE.iter().any(|prefix| file.path.starts_with(prefix)) {
             continue;
         }
         let masked = file.cfg.mask_matching(&file.masked(), |p| {
@@ -171,11 +182,21 @@ mod tests {
     }
 
     #[test]
-    fn rule_is_scoped_to_core_src() {
+    fn rule_is_scoped_to_core_and_the_input_boundary() {
         let source = include_str!("../../../fixtures/analyze/panic_tiers.rs");
-        let (findings, metrics) = run_on("crates/workload/src/lib.rs", source);
-        assert!(findings.is_empty());
-        assert_eq!(metrics, PanicMetrics::default());
+        for path in [
+            "crates/cli/src/lib.rs",
+            "crates/workload/src/lib.rs",
+            "crates/jsonio/src/parse.rs",
+            "crates/node/src/wire.rs",
+        ] {
+            assert_eq!(run_on(path, source).0.len(), 5, "{path}");
+        }
+        for path in ["crates/node/src/mesh.rs", "crates/experiments/src/lib.rs"] {
+            let (findings, metrics) = run_on(path, source);
+            assert!(findings.is_empty(), "{path}");
+            assert_eq!(metrics, PanicMetrics::default());
+        }
     }
 
     #[test]

@@ -173,8 +173,8 @@ pub fn diff(current: &[DrawSite], registry: &[DrawSite], registry_path: &str) ->
     findings
 }
 
-/// Parses the registry (same TOML subset as the allowlist, plus one
-/// integer key).
+/// Parses the registry: a tiny TOML subset — `[[site]]` tables of
+/// quoted strings plus one integer key, `#` comments.
 pub fn parse_registry(text: &str) -> Result<Vec<DrawSite>, String> {
     let mut sites: Vec<DrawSite> = Vec::new();
     for (idx, raw) in text.lines().enumerate() {

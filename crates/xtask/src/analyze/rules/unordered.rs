@@ -2,10 +2,10 @@
 //! production code, workspace-wide, including uses reached through
 //! `use ... as` renames and `type` aliases. Iteration order of the
 //! std hash containers is seeded per process, so *any* reachable
-//! instance is a replay hazard waiting for someone to iterate it —
-//! the old lint only looked near serialization code and only for the
-//! literal names. Deterministic alternatives: `BTreeMap`/`BTreeSet`,
-//! or index-keyed arenas (`DESIGN.md §13.1`).
+//! instance is a replay hazard waiting for someone to iterate it, not
+//! only one near serialization code or spelled with its literal name.
+//! Deterministic alternatives: `BTreeMap`/`BTreeSet`, or index-keyed
+//! arenas (`DESIGN.md §13.1`).
 
 use super::super::aliases;
 use super::super::lexer::find_idents;

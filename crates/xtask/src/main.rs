@@ -2,33 +2,25 @@
 //!
 //! Subcommands:
 //!
-//! * `lint` — token-level scan of every workspace `src/` tree for the
-//!   determinism hazards DESIGN.md §9 bans (ambient RNG, wall clocks,
-//!   unordered-map iteration feeding serialized output, float
-//!   accumulation-order hazards, bare `unwrap()` in core hot paths),
-//!   checked against the justified allowlist `crates/xtask/lint.allow.toml`.
+//! * `analyze` — the one static analyzer (DESIGN.md §14): the SimRng
+//!   draw-site registry, alias-aware hash-container detection, the
+//!   tiered panic-surface audit, crate-DAG layering, wall-clock feature
+//!   gating, the `#![forbid(unsafe_code)]` check, ambient-RNG and
+//!   obs-facade bypass detection, with a deterministic report under
+//!   `target/analyze/`. Any finding fails it; there is no allowlist.
 //! * `replay-diff` — runs the figure drivers at `LAGOVER_THREADS=1` vs
-//!   `8` plus two forced chunkings and byte-diffs the JSON outputs,
-//!   proving the parallel run loops are schedule-invariant.
-//! * `loom` — runs the `parallel_runs` interleaving model suite
-//!   (`crates/core/tests/parallel_protocol.rs`).
+//!   `8` and byte-diffs the JSON outputs, proving the parallel run loop
+//!   is schedule-invariant.
 //! * `miri` — runs the core + sim unit tests under Miri when the
 //!   component is installed; detects its absence and skips cleanly.
 //! * `bench-gate` — regenerates the perf baseline with the
 //!   `lagover-perf` harness and diffs it exactly against the committed
 //!   `BENCH.json`, rendering a markdown regression table.
-//! * `analyze` — structural static analysis (DESIGN.md §14): the
-//!   SimRng draw-site registry, alias-aware hash-container detection,
-//!   the tiered panic-surface audit, crate-DAG layering, wall-clock
-//!   feature gating, and the `#![forbid(unsafe_code)]` check, with a
-//!   deterministic report under `target/analyze/`.
 
 #![forbid(unsafe_code)]
 
-mod allowlist;
 mod analyze;
 mod bench_gate;
-mod lint;
 mod replay;
 
 use std::path::PathBuf;
@@ -37,10 +29,8 @@ use std::process::{Command, ExitCode};
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
-        Some("lint") => lint::run(&args[1..]),
         Some("analyze") => analyze::run(&args[1..]),
         Some("replay-diff") => replay::run(&args[1..]),
-        Some("loom") => run_loom(),
         Some("miri") => run_miri(),
         Some("bench-gate") => bench_gate::run(&args[1..]),
         Some("help") | Some("--help") | Some("-h") | None => {
@@ -60,15 +50,14 @@ fn print_usage() {
         "usage: cargo xtask <subcommand>\n\
          \n\
          subcommands:\n\
-         \x20 lint                  scan workspace sources for determinism hazards\n\
-         \x20 analyze [--bless]     structural static analysis: rng draw-site\n\
-         \x20                       registry, aliases, panic surface, layering,\n\
-         \x20                       feature gates (--bless regenerates\n\
+         \x20 analyze [--bless]     static analysis: rng draw-site registry,\n\
+         \x20                       hash containers, panic surface, layering,\n\
+         \x20                       wall-clock gates, forbid(unsafe), ambient rng,\n\
+         \x20                       obs bypass (--bless regenerates\n\
          \x20                       crates/xtask/rng_sites.toml)\n\
-         \x20 replay-diff [FIGS..]  byte-diff figure JSON across thread counts and\n\
-         \x20                       chunkings (default: fig2 fig3 fig4 scaling;\n\
+         \x20 replay-diff [FIGS..]  byte-diff figure JSON between LAGOVER_THREADS=1\n\
+         \x20                       and 8 (default: every replay figure;\n\
          \x20                       --full for paper-scale parameters)\n\
-         \x20 loom                  run the parallel_runs interleaving model suite\n\
          \x20 miri                  run core+sim unit tests under Miri (skips if\n\
          \x20                       the component is not installed)\n\
          \x20 bench-gate            diff a fresh lagover-perf run of the `pr` rows\n\
@@ -100,28 +89,6 @@ fn target_dir(root: &std::path::Path) -> PathBuf {
     std::env::var_os("CARGO_TARGET_DIR")
         .map(PathBuf::from)
         .unwrap_or_else(|| root.join("target"))
-}
-
-fn run_loom() -> ExitCode {
-    println!("xtask loom: running the parallel_runs interleaving model suite");
-    let status = Command::new(cargo())
-        .current_dir(workspace_root())
-        .args(["test", "-p", "lagover-core", "--test", "parallel_protocol"])
-        .status();
-    match status {
-        Ok(s) if s.success() => {
-            println!("xtask loom: PASS");
-            ExitCode::SUCCESS
-        }
-        Ok(_) => {
-            eprintln!("xtask loom: model suite FAILED");
-            ExitCode::FAILURE
-        }
-        Err(e) => {
-            eprintln!("xtask loom: could not invoke cargo: {e}");
-            ExitCode::FAILURE
-        }
-    }
 }
 
 fn run_miri() -> ExitCode {

@@ -1,27 +1,20 @@
 //! `cargo xtask replay-diff` — proves the figure pipeline is
-//! schedule-invariant by running each driver under four different
-//! parallel schedules and byte-diffing the JSON they emit:
+//! schedule-invariant by running each figure under two parallel
+//! schedules and byte-diffing the JSON they emit:
 //!
 //! * `LAGOVER_THREADS=1` (the sequential baseline),
-//! * `LAGOVER_THREADS=8`,
-//! * `LAGOVER_THREADS=8` + `LAGOVER_CHUNK=1` (maximal interleaving),
-//! * `LAGOVER_THREADS=8` + `LAGOVER_CHUNK=3` (uneven chunks).
+//! * `LAGOVER_THREADS=8` (eight chunks of runs on scoped threads).
 //!
 //! Any divergence means per-run state leaked across the chunk
-//! boundaries of `lagover_core::parallel_runs` — exactly the class of
-//! bug the loom model (`cargo xtask loom`) checks from the other side.
+//! boundaries of `lagover_core::parallel_runs`.
 
 use std::fs;
 use std::path::PathBuf;
 use std::process::{Command, ExitCode};
 
-/// The four schedules; the first is the baseline the rest diff against.
-const VARIANTS: &[(&str, &str, Option<&str>)] = &[
-    ("threads-1", "1", None),
-    ("threads-8", "8", None),
-    ("threads-8-chunk-1", "8", Some("1")),
-    ("threads-8-chunk-3", "8", Some("3")),
-];
+/// The two schedules: `(label, LAGOVER_THREADS)`; the first is the
+/// baseline the second diffs against.
+const VARIANTS: &[(&str, &str)] = &[("threads-1", "1"), ("threads-8", "8")];
 
 /// Entry point for `cargo xtask replay-diff [FIGS..] [--full]`.
 ///
@@ -63,7 +56,7 @@ pub fn run(args: &[String]) -> ExitCode {
     let mut failures = 0usize;
     for fig in &figures {
         let mut baseline: Option<Vec<u8>> = None;
-        for &(variant, threads, chunk) in VARIANTS {
+        for &(variant, threads) in VARIANTS {
             let out_dir = out_root.join(fig).join(variant);
             if let Err(e) = fs::create_dir_all(&out_dir) {
                 eprintln!(
@@ -76,11 +69,7 @@ pub fn run(args: &[String]) -> ExitCode {
             cmd.current_dir(&root)
                 .args(["run", fig])
                 .args(["--json", &out_dir.to_string_lossy()])
-                .env("LAGOVER_THREADS", threads)
-                .env_remove("LAGOVER_CHUNK");
-            if let Some(c) = chunk {
-                cmd.env("LAGOVER_CHUNK", c);
-            }
+                .env("LAGOVER_THREADS", threads);
             if !full {
                 cmd.arg("--quick");
             }
