@@ -5,12 +5,17 @@
 //!   one tree), and every rooted peer is seated in every tree;
 //! * under budgets at or above the feasibility point with generous
 //!   windows, every chunk reaches every subscriber exactly once;
+//! * under budgets at the feasibility point (one less fails to carve)
+//!   with narrow windows and short TTLs, no `(peer, chunk)` is
+//!   delivered twice and every missing pair is accounted for by an
+//!   edge that dropped or still holds the chunk;
 //! * carving mutates nothing and draws no randomness, so streaming off
 //!   costs the figures zero extra RNG draws.
 
-use lagover_core::{Algorithm, ConstructionConfig, Engine, OracleKind, StreamBudgets};
+use lagover_core::{Algorithm, ConstructionConfig, Engine, OracleKind, PeerId, StreamBudgets};
 use lagover_feed::PublishSchedule;
-use lagover_stream::{carve, stream, StreamConfig};
+use lagover_obs::Event;
+use lagover_stream::{carve, stream, stream_observed, StreamConfig, TreePlan};
 use lagover_workload::{TopologicalConstraint, WorkloadSpec};
 use proptest::prelude::*;
 
@@ -24,6 +29,19 @@ fn built(n: usize, seed: u64) -> (lagover_core::Population, lagover_core::Overla
     engine.run_to_convergence().expect("feasible");
     let overlay = engine.overlay().clone();
     (population, overlay)
+}
+
+/// Seats in each rooted peer's subtree of `tree`, itself included.
+fn subtree_sizes(tree: &TreePlan, rooted: &[PeerId]) -> Vec<u64> {
+    let mut deepest_first = rooted.to_vec();
+    deepest_first.sort_by_key(|p| std::cmp::Reverse(tree.depth[p.index()]));
+    let mut size = vec![1u64; tree.depth.len()];
+    for p in deepest_first {
+        if let Some(u) = tree.parent[p.index()].and_then(|m| m.peer()) {
+            size[u.index()] += size[p.index()];
+        }
+    }
+    size
 }
 
 proptest! {
@@ -79,10 +97,100 @@ proptest! {
         prop_assert_eq!(report.drops, 0);
         prop_assert_eq!(report.undelivered, 0);
         // deliveries == chunks * rooted is exactly-once: the scheduler
-        // debug-asserts no slot is ever written twice, so equality
-        // cannot hide a duplicate-plus-miss pair.
+        // asserts, in every build, that one tree's chunks reach a peer
+        // in strictly increasing order, so equality cannot hide a
+        // duplicate-plus-miss pair.
         prop_assert_eq!(report.deliveries, report.expected_deliveries);
         prop_assert_eq!(report.delivered_fraction, 1.0);
+    }
+
+    #[test]
+    fn every_lost_chunk_is_accounted_for(
+        n in 16usize..48,
+        seed in 0u64..200,
+        k in 1usize..5,
+        window in 1u32..4,
+        ttl in 0u64..10,
+        source_children in 1u64..4,
+        above_feasible in 0u64..2,
+    ) {
+        let (population, overlay) = built(n, seed);
+        // Short drain: some chunks are still queued when the run ends.
+        let config = StreamConfig {
+            k,
+            rate: 4,
+            schedule: PublishSchedule::Periodic { interval: 1 },
+            rounds: 24,
+            drain_rounds: 12,
+            window,
+            ttl,
+            chunk_bytes: 512,
+        };
+        let source = source_children * config.rate;
+        let budgets = |per_peer| StreamBudgets::uniform(n, per_peer, source);
+        // The least uniform peer budget that carves; one less surfaces
+        // the carve error.
+        let feasible = (0u64..=64)
+            .find(|&b| carve(&overlay, &population, &budgets(b), k, config.rate).is_ok())
+            .expect("a budget of 64 seats a chain");
+        if feasible > 0 {
+            prop_assert!(
+                stream(&overlay, &population, &budgets(feasible - 1), &config, seed).is_err()
+            );
+        }
+        let budgets = budgets(feasible + above_feasible);
+        let plan = carve(&overlay, &population, &budgets, k, config.rate).expect("feasible");
+        let observed = stream_observed(&overlay, &population, &budgets, &config, seed, 1 << 18, 8)
+            .expect("feasible");
+        prop_assert_eq!(observed.journal.dropped(), 0, "the journal holds every event");
+        let report = &observed.report;
+
+        let chunks = report.chunks_published as usize;
+        let mut got = vec![vec![false; chunks]; n];
+        let mut dropped = vec![vec![false; chunks]; n];
+        for event in observed.journal.iter() {
+            match *event {
+                Event::Delivery { peer, chunk: Some(c), .. } => {
+                    let slot = &mut got[peer as usize][c as usize];
+                    prop_assert!(!*slot, "chunk {} reached peer {} twice", c, peer);
+                    *slot = true;
+                }
+                Event::ChunkDropped { peer, chunk, .. } => {
+                    dropped[peer as usize][chunk as usize] = true;
+                }
+                _ => {}
+            }
+        }
+
+        // (v, c) is blocked when c was dropped on the edge into v, or v's
+        // parent in tree c mod k holds c (the source holds every chunk)
+        // and v never received it. v's whole subtree then misses c.
+        // Edges are FIFO, so what the edge into v neither delivered nor
+        // dropped is a suffix of what its parent holds: a chunk lost
+        // silently mid-stream fails here rather than hiding in the sum.
+        let subtree: Vec<Vec<u64>> =
+            plan.trees.iter().map(|t| subtree_sizes(t, &plan.rooted)).collect();
+        let mut still_held = vec![false; n * k];
+        let mut lost = 0u64;
+        for c in 0..chunks {
+            let t = c % k;
+            for &v in &plan.rooted {
+                let v = v.index();
+                let parent_has = match plan.trees[t].parent[v].and_then(|m| m.peer()) {
+                    None => true,
+                    Some(u) => got[u.index()][c],
+                };
+                let passed = got[v][c] || dropped[v][c];
+                prop_assert!(parent_has || !passed, "chunk {} reached {} from nowhere", c, v);
+                prop_assert!(!(got[v][c] && dropped[v][c]), "chunk {} dropped and delivered at {}", c, v);
+                prop_assert!(!(passed && still_held[v * k + t]), "the edge into {} skipped chunks before {}", v, c);
+                if parent_has && !got[v][c] {
+                    still_held[v * k + t] |= !passed;
+                    lost += subtree[t][v];
+                }
+            }
+        }
+        prop_assert_eq!(lost, report.undelivered);
     }
 
     #[test]

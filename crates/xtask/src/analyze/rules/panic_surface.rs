@@ -1,8 +1,9 @@
 //! Rule `panic-surface`: a tiered audit of release-reachable panic
 //! sites in [`SCOPE`] — the engine crate every committed figure runs
 //! through, and the input boundary (CLI, workload specs, the JSON
-//! parser, the node wire codec), where bad input must come back as an
-//! error, never a panic.
+//! parser, the node wire codec, the stream scheduler that takes the
+//! CLI's `--window` / `--ttl` / `--stream-rate`), where bad input must
+//! come back as an error, never a panic.
 //!
 //! * **Deny** (fails the build): panics that carry no invariant —
 //!   `.unwrap()`, `.expect("")`, bare `panic!()` / `unreachable!()`,
@@ -29,6 +30,7 @@ pub const SCOPE: &[&str] = &[
     "crates/workload/src/",
     "crates/jsonio/src/",
     "crates/node/src/wire.rs",
+    "crates/stream/src/",
 ];
 
 /// Warn/info-tier counters, serialized into REPORT.json.
@@ -189,6 +191,7 @@ mod tests {
             "crates/workload/src/lib.rs",
             "crates/jsonio/src/parse.rs",
             "crates/node/src/wire.rs",
+            "crates/stream/src/scheduler.rs",
         ] {
             assert_eq!(run_on(path, source).0.len(), 5, "{path}");
         }
