@@ -24,8 +24,9 @@
 //! * [`sufficiency`] — the §3.3 existence condition and an exact
 //!   feasibility checker;
 //! * [`run`] — one [`Run`] description and its verbs (construct,
-//!   under churn, recover from crashes, stabilize from corruption), on
-//!   the round clock or on virtual time, observed or not; [`outcome`]
+//!   under churn, recover from crashes, stabilize from corruption) on
+//!   the round clock, construct and recover on virtual time (the
+//!   [`EventClock`] the node runtime steps too), observed or not; [`outcome`]
 //!   holds what they record, [`runner`] the deterministic thread
 //!   fan-out the experiment drivers use;
 //! * [`stabilize`] — self-stabilization from arbitrary corrupted
@@ -81,11 +82,14 @@ pub use lagover_obs::DetachCause;
 pub use node::{Constraints, Liveness, Member, PeerId, Population};
 pub use oracle::{Oracle, OracleKind, OracleView};
 pub use outcome::{
-    AsyncChurnOutcome, AsyncOutcome, AsyncRecoveryOutcome, AsyncStabilizationOutcome, ChurnOutcome,
-    ConstructionOutcome, Observed, RecoveryOutcome, StabilizationOutcome, Trail,
+    AsyncOutcome, AsyncRecoveryOutcome, ChurnOutcome, ConstructionOutcome, Observed,
+    RecoveryOutcome, StabilizationOutcome, Trail,
 };
 pub use overlay::{ChainRoot, Overlay, OverlayError};
-pub use run::{construct, FaultScenario, FixedActionDuration, InteractionDurations, Run, TimedRun};
+pub use run::{
+    construct, EventClock, FaultScenario, FixedActionDuration, InteractionDurations, Run, Scenario,
+    TimedRun,
+};
 pub use runner::parallel_runs;
 pub use stabilize::apply_corruption;
 pub use sufficiency::{check as check_sufficiency, exact_feasibility, SufficiencyReport};

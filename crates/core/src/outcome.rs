@@ -163,23 +163,6 @@ impl AsyncOutcome {
     }
 }
 
-/// Outcome of a run under churn on virtual time.
-#[derive(Debug, Clone, PartialEq)]
-pub struct AsyncChurnOutcome {
-    /// Virtual time at which every *online* peer was first satisfied,
-    /// if that ever happened.
-    pub first_converged_at: Option<f64>,
-    /// Actions processed.
-    pub actions: u64,
-    /// Satisfied fraction sampled after each churn tick (x = virtual
-    /// time).
-    pub satisfied_series: TimeSeries,
-    /// Mean satisfied fraction over the final quarter of the run.
-    pub steady_state_fraction: f64,
-    /// Event counters accumulated over the run.
-    pub counters: EngineCounters,
-}
-
 /// Outcome of a crash-and-heal run on virtual time: the E15 scenario
 /// (converge, crash an interior cohort, heal) expressed on the
 /// event-driven clock. This is the deterministic twin the
@@ -209,27 +192,6 @@ impl AsyncRecoveryOutcome {
     pub fn healed(&self) -> bool {
         self.healed_at.is_some()
     }
-}
-
-/// Outcome of a corrupt-and-stabilize run on virtual time.
-#[derive(Debug, Clone, PartialEq)]
-pub struct AsyncStabilizationOutcome {
-    /// Virtual time at which construction first converged, if reached
-    /// (the plan is applied at that action, or never).
-    pub construction_converged_at: Option<f64>,
-    /// Peer states the plan actually mutated.
-    pub corrupted_states: u64,
-    /// Whether the snapshot still validated right after injection.
-    pub valid_after_injection: bool,
-    /// Virtual time at which the overlay was validate-clean, satisfied
-    /// and stale-free again, if reached.
-    pub clean_at: Option<f64>,
-    /// Total actions (events) processed.
-    pub actions: u64,
-    /// Final satisfied fraction over online peers.
-    pub final_satisfied_fraction: f64,
-    /// Event counters accumulated over the run.
-    pub counters: EngineCounters,
 }
 
 /// What the observability pipeline recorded over an observed run.

@@ -5,13 +5,15 @@
 //! observability pipeline ([`Run::observe`]) — and a verb says what
 //! happens to the overlay: [`Run::construct`], [`Run::under_churn`],
 //! [`Run::recover`], [`Run::stabilize`]. The verbs run on the
-//! synchronous **round clock**; [`Run::timed`] moves the same
-//! description onto the **virtual-time clock**, where each peer
+//! synchronous **round clock**; [`Run::timed`] moves the description
+//! onto the **virtual-time clock** ([`EventClock`]), where each peer
 //! schedules its next action `duration(peer)` time units after the
 //! previous one, so peers drift out of lockstep (the paper's §5.3
 //! observation — asynchrony slows construction but does not prevent
-//! convergence — is experiment E6). The lockstep baseline is
-//! `.timed(FixedActionDuration(1.0), ..)`.
+//! convergence — is experiment E6). That clock has two verbs,
+//! [`TimedRun::construct`] and [`TimedRun::recover`], the runs the node
+//! runtime replicates by stepping the same [`EventClock`]. The lockstep
+//! baseline is `.timed(FixedActionDuration(1.0), ..)`.
 //!
 //! Every verb returns an [`Observed`]: the verb's plain outcome, plus
 //! the [`Trail`] exactly when `.observe(..)` was called. There is one
@@ -28,8 +30,8 @@ use crate::engine::{ActionLedger, Engine};
 use crate::node::{PeerId, Population};
 use crate::oracle::Oracle;
 use crate::outcome::{
-    AsyncChurnOutcome, AsyncOutcome, AsyncRecoveryOutcome, AsyncStabilizationOutcome, ChurnOutcome,
-    ConstructionOutcome, Observed, RecoveryOutcome, StabilizationOutcome, Trail,
+    AsyncOutcome, AsyncRecoveryOutcome, ChurnOutcome, ConstructionOutcome, Observed,
+    RecoveryOutcome, StabilizationOutcome, Trail,
 };
 use crate::stabilize::apply_corruption;
 
@@ -71,9 +73,7 @@ pub struct FaultScenario {
     /// Per-interaction message-loss probability during recovery.
     pub message_loss: f64,
     /// Oracle blackout length in engine rounds, starting at the crash
-    /// round (`0` for no outage). The virtual-time clock never advances
-    /// the engine's round, so there a non-zero blackout lasts for the
-    /// rest of the run.
+    /// round (`0` for no outage).
     pub blackout_rounds: u64,
 }
 
@@ -95,8 +95,8 @@ impl FaultScenario {
     ///
     /// The cohort is drawn from a stream split off `seed`, not from the
     /// engine's own RNG, so the same peers crash however the engine got
-    /// here — the simulator's [`Run::recover`] verbs and the node
-    /// runtime's replicas all call this one function.
+    /// here — [`Run::recover`] and the [`EventClock`] both call this
+    /// one function.
     pub fn inject(&self, engine: &mut Engine, seed: u64) -> Vec<PeerId> {
         let interior: Vec<u32> = engine
             .population()
@@ -139,7 +139,7 @@ where
 }
 
 /// Every action takes the same fixed duration; `FixedActionDuration(1.0)`
-/// is the lockstep schedule the `lagover-node` transports replicate.
+/// is the lockstep schedule the `lagover-node` replicas step.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FixedActionDuration(pub f64);
 
@@ -435,11 +435,11 @@ impl<'a> Run<'a> {
 }
 
 /// A [`Run`] on the virtual-time clock; built by [`Run::timed`]. The
-/// verbs mirror [`Run`]'s, bounded by `max_time` instead of a round
-/// count, and inject their fault or corruption at the very action that
-/// first observes convergence, so the whole trajectory stays a pure
-/// function of `(population, config, seed)` — the property the
-/// multi-process node harness relies on to replicate it.
+/// verbs are [`Run`]'s construction and recovery, bounded by
+/// `max_time` instead of a round count and stepped by an
+/// [`EventClock`], so the whole trajectory stays a pure function of
+/// `(population, config, seed)` — the property the multi-process node
+/// harness relies on to replicate it.
 pub struct TimedRun<'a, D> {
     run: Run<'a>,
     durations: D,
@@ -452,15 +452,12 @@ impl<D: InteractionDurations> TimedRun<'_, D> {
         let mut engine = self.run.engine();
         let mut series = TimeSeries::new("satisfied_fraction");
         series.push(0.0, engine.satisfied_fraction());
-        let mut converged_at = None;
-        let (actions, trail) = self.events(&mut engine, None, |engine, now, _| {
+        let (clock, trail) = self.events(&mut engine, Scenario::Construction, |engine, now| {
             series.push(now, engine.satisfied_fraction());
-            converged_at = engine.is_converged().then_some(now);
-            converged_at.is_some()
         });
         let outcome = AsyncOutcome {
-            converged_at,
-            actions,
+            converged_at: clock.converged_at(),
+            actions: clock.actions(),
             final_satisfied_fraction: engine.satisfied_fraction(),
             satisfied_series: series,
             counters: *engine.counters(),
@@ -468,80 +465,20 @@ impl<D: InteractionDurations> TimedRun<'_, D> {
         Observed { outcome, trail }
     }
 
-    /// Runs construction until `max_time` with churn applied once per
-    /// unit of virtual time (the paper's per-round churn semantics
-    /// mapped onto the continuous clock).
-    ///
-    /// # Example
-    ///
-    /// ```
-    /// use lagover_core::{Algorithm, ConstructionConfig, FixedActionDuration, OracleKind, Run};
-    /// use lagover_core::node::{Constraints, Population};
-    /// use lagover_sim::BernoulliChurn;
-    ///
-    /// let pop = Population::new(2, vec![Constraints::new(1, 1), Constraints::new(0, 2)]);
-    /// let config = ConstructionConfig::new(Algorithm::Hybrid, OracleKind::RandomDelay);
-    /// let mut churn = BernoulliChurn::new(0.01, 0.2);
-    /// let run = Run::new(&pop, &config, 3).timed(FixedActionDuration(1.0), 500.0);
-    /// assert!(run.under_churn(&mut churn).outcome.steady_state_fraction > 0.5);
-    /// ```
-    pub fn under_churn(mut self, churn: &mut dyn ChurnProcess) -> Observed<AsyncChurnOutcome> {
+    /// Runs construction to convergence, crashes `crash_fraction` of
+    /// the interior at that very action (the cohort [`Run::recover`]
+    /// would crash), then runs on until the overlay is satisfied and
+    /// stale-free again or `max_time` passes. An empty cohort counts as
+    /// healed on the spot.
+    pub fn recover(mut self, crash_fraction: f64) -> Observed<AsyncRecoveryOutcome> {
         let mut engine = self.run.engine();
-        let mut series = TimeSeries::new("satisfied_fraction");
-        series.push(0.0, engine.satisfied_fraction());
-        let mut first_converged_at = None;
-        let (actions, trail) = self.events(&mut engine, Some(churn), |engine, now, event| {
-            match event {
-                Event::Act(_) => {
-                    if first_converged_at.is_none() && engine.is_converged() {
-                        first_converged_at = Some(now);
-                    }
-                }
-                Event::ChurnTick => series.push(now, engine.satisfied_fraction()),
-            }
-            false
-        });
-        let window = (series.len() / 4).max(1);
-        let outcome = AsyncChurnOutcome {
-            first_converged_at,
-            actions,
-            steady_state_fraction: series.tail_mean(window).unwrap_or(0.0),
-            satisfied_series: series,
-            counters: *engine.counters(),
-        };
-        Observed { outcome, trail }
-    }
-
-    /// Runs construction to convergence, injects `scenario` (the same
-    /// cohort [`Run::recover`] would crash), then runs on until the
-    /// overlay is satisfied and stale-free again or `max_time` passes.
-    /// An empty cohort counts as healed on the spot.
-    pub fn recover(mut self, scenario: &FaultScenario) -> Observed<AsyncRecoveryOutcome> {
-        let mut engine = self.run.engine();
-        let seed = self.run.seed;
-        let mut construction_converged_at = None;
-        let mut crashed_peers = None;
-        let mut healed_at = None;
-        let (actions, trail) = self.events(&mut engine, None, |engine, now, _| {
-            if crashed_peers.is_none() {
-                if engine.is_converged() {
-                    construction_converged_at = Some(now);
-                    let victims = scenario.inject(engine, seed).len();
-                    crashed_peers = Some(victims);
-                    if victims == 0 {
-                        healed_at = Some(now);
-                    }
-                }
-            } else if engine.is_converged() && engine.stale_chain_count() == 0 {
-                healed_at = Some(now);
-            }
-            healed_at.is_some()
-        });
+        let scenario = Scenario::Recovery { crash_fraction };
+        let (clock, trail) = self.events(&mut engine, scenario, |_, _| {});
         let outcome = AsyncRecoveryOutcome {
-            construction_converged_at,
-            crashed_peers: crashed_peers.unwrap_or(0),
-            healed_at,
-            actions,
+            construction_converged_at: clock.converged_at(),
+            crashed_peers: clock.crashed_peers().unwrap_or(0),
+            healed_at: clock.healed_at(),
+            actions: clock.actions(),
             final_satisfied_fraction: engine.satisfied_fraction(),
             final_stale_chains: engine.stale_chain_count(),
             counters: *engine.counters(),
@@ -549,120 +486,36 @@ impl<D: InteractionDurations> TimedRun<'_, D> {
         Observed { outcome, trail }
     }
 
-    /// Runs construction to convergence, applies `plan`, then runs on
-    /// until the overlay is clean (as [`Run::stabilize`] defines it)
-    /// again or `max_time` passes. A plan that mutates nothing counts
-    /// as clean on the spot. Repair here is the per-action check alone:
-    /// the stabilizing sweep belongs to `Engine::step`, which this
-    /// clock never calls, and the `dangling_parent` and `orphan_graft`
-    /// classes are measured not to come clean without it.
-    pub fn stabilize(mut self, plan: &CorruptionPlan) -> Observed<AsyncStabilizationOutcome> {
-        let mut engine = self.run.engine();
-        let mut construction_converged_at = None;
-        let mut corrupted_states = None;
-        let mut valid_after_injection = true;
-        let mut clean_at = None;
-        let (actions, trail) = self.events(&mut engine, None, |engine, now, _| {
-            if corrupted_states.is_none() {
-                if engine.is_converged() {
-                    construction_converged_at = Some(now);
-                    let corrupted = apply_corruption(engine, plan);
-                    corrupted_states = Some(corrupted);
-                    valid_after_injection = engine.overlay().validate().is_ok();
-                    if corrupted == 0 {
-                        clean_at = Some(now);
-                    }
-                }
-            } else if is_clean(engine) {
-                clean_at = Some(now);
-            }
-            clean_at.is_some()
-        });
-        let outcome = AsyncStabilizationOutcome {
-            construction_converged_at,
-            corrupted_states: corrupted_states.unwrap_or(0),
-            valid_after_injection,
-            clean_at,
-            actions,
-            final_satisfied_fraction: engine.satisfied_fraction(),
-            counters: *engine.counters(),
-        };
-        Observed { outcome, trail }
-    }
-
-    /// The virtual-time clock: pops events up to `max_time`, lets the
-    /// due peer act (or churn tick), reschedules it, and calls `after`
-    /// for every event that did something, until `after` says done.
-    /// Returns the number of actions and the trail of an observed run.
+    /// The virtual-time loop over an [`EventClock`]: lets each due
+    /// online peer act, applies the scenario's terminal rule, calls
+    /// `after` and samples, until the scenario is done or the clock
+    /// passes `max_time`. Returns the clock and the trail of an
+    /// observed run.
     fn events(
-        &mut self,
+        self,
         engine: &mut Engine,
-        mut churn: Option<&mut dyn ChurnProcess>,
-        mut after: impl FnMut(&mut Engine, f64, Event) -> bool,
-    ) -> (u64, Option<Trail>) {
-        // Churned runs have always drawn their schedule from a stream
-        // of their own; both salts are pinned by the figure documents.
-        let salt = if churn.is_some() {
-            0x5EED_A57D
-        } else {
-            0x5EED_A57C
-        };
-        let mut schedule_rng = SimRng::seed_from(self.run.seed).split(salt);
-        let mut queue: EventQueue<Event> = EventQueue::with_capacity(engine.population().len() + 1);
-        for p in engine.population().peer_ids() {
-            let offset = schedule_rng.f64();
-            queue.schedule(
-                VirtualTime::new(offset).expect("offset in [0,1)"),
-                Event::Act(p),
-            );
-        }
-        if churn.is_some() {
-            queue.schedule(VirtualTime::new(1.0).expect("positive"), Event::ChurnTick);
-        }
-
+        scenario: Scenario,
+        mut after: impl FnMut(&Engine, f64),
+    ) -> (EventClock<D>, Option<Trail>) {
+        let (population, seed) = (self.run.population, self.run.seed);
+        let mut clock = EventClock::new(population, scenario, seed, self.durations, self.max_time);
         let mut sampler = self.run.observe.map(|o| Sampler::start(engine, 0.0, o));
         // Per-action profiling, mirroring the round engine's phase
         // attribution; flushed ahead of whatever else records a phase.
         let profiling = engine.obs().profiling();
         let mut ledger = ActionLedger::default();
-        let (mut actions, mut last, mut done) = (0u64, 0.0f64, false);
+        let (mut last, mut done) = (0.0f64, false);
         while !done {
-            let Some((now, event)) = queue.pop() else {
+            let Some((now, peer)) = clock.next(engine) else {
                 break;
             };
-            let now = now.get();
-            if now > self.max_time {
-                break;
+            if profiling {
+                engine.act_on_profiled(&mut ledger, peer);
+            } else {
+                engine.act_on(peer);
             }
-            done = match event {
-                Event::Act(p) => {
-                    let acts = engine.is_online(p);
-                    if acts {
-                        if profiling {
-                            engine.act_on_profiled(&mut ledger, p);
-                        } else {
-                            engine.act_on(p);
-                        }
-                        actions += 1;
-                    }
-                    let d = self.durations.duration(p, &mut schedule_rng);
-                    assert!(d > 0.0, "interaction durations must be positive");
-                    queue.schedule_after(d, event);
-                    if !acts {
-                        continue;
-                    }
-                    after(engine, now, event)
-                }
-                Event::ChurnTick => {
-                    let churn = churn
-                        .as_deref_mut()
-                        .expect("ticks are scheduled under churn");
-                    engine.flush_actions(&mut ledger);
-                    engine.apply_churn(churn);
-                    queue.schedule_after(1.0, event);
-                    after(engine, now, event)
-                }
-            };
+            done = clock.after_action(engine, now);
+            after(engine, now);
             last = now;
             if let Some(sampler) = sampler.as_mut() {
                 sampler.tick(engine, now, done);
@@ -670,17 +523,179 @@ impl<D: InteractionDurations> TimedRun<'_, D> {
         }
         engine.flush_actions(&mut ledger);
         let ran = last.ceil() as u64;
-        (actions, sampler.map(|s| s.finish(engine, ran, done)))
+        (clock, sampler.map(|s| s.finish(engine, ran, done)))
     }
 }
 
-/// Event payload of the virtual-time queue.
-#[derive(Clone, Copy)]
-enum Event {
-    /// A peer's next own-action.
-    Act(PeerId),
-    /// The once-per-time-unit churn tick.
-    ChurnTick,
+/// What a run on the virtual-time clock is after, and so when it ends.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Scenario {
+    /// Fig2-style construction: done once every peer is satisfied.
+    Construction,
+    /// E15 recovery: construct, crash an interior cohort at the action
+    /// that first observes convergence ([`FaultScenario::inject`]), and
+    /// run on until satisfied and stale-free again.
+    Recovery {
+        /// Fraction of the interior cohort to crash.
+        crash_fraction: f64,
+    },
+}
+
+impl Scenario {
+    /// Stable label for reports and CLI flags.
+    pub fn kind(&self) -> &'static str {
+        match self {
+            Scenario::Construction => "construction",
+            Scenario::Recovery { .. } => "recovery",
+        }
+    }
+}
+
+/// The virtual-time clock, one action at a time: the schedule
+/// [`TimedRun`] loops over and each node runtime replica steps as its
+/// permissions arrive.
+///
+/// Every peer's first action lands at an independent offset in
+/// `[0, 1)` drawn from a stream split off the seed, each further one
+/// `durations.duration(peer)` after the previous; ties pop in insertion
+/// order. An offline peer's turn is a no-op that only reschedules it.
+/// After each action the clock applies the [`Scenario`]'s terminal
+/// rule — the one copy of it.
+#[derive(Debug)]
+pub struct EventClock<D> {
+    scenario: Scenario,
+    seed: u64,
+    rng: SimRng,
+    queue: EventQueue<PeerId>,
+    offsets: Vec<f64>,
+    durations: D,
+    max_time: f64,
+    actions: u64,
+    converged_at: Option<f64>,
+    crashed_peers: Option<usize>,
+    healed_at: Option<f64>,
+}
+
+impl<D: InteractionDurations> EventClock<D> {
+    /// The clock of `scenario` over `population` from `seed`, cut once
+    /// the next action lies beyond `max_time`.
+    pub fn new(
+        population: &Population,
+        scenario: Scenario,
+        seed: u64,
+        durations: D,
+        max_time: f64,
+    ) -> Self {
+        let mut rng = SimRng::seed_from(seed).split(0x5EED_A57C);
+        let mut queue = EventQueue::with_capacity(population.len() + 1);
+        let mut offsets = Vec::with_capacity(population.len());
+        for p in population.peer_ids() {
+            let offset = rng.f64();
+            offsets.push(offset);
+            queue.schedule(VirtualTime::new(offset).expect("offset in [0,1)"), p);
+        }
+        EventClock {
+            scenario,
+            seed,
+            rng,
+            queue,
+            offsets,
+            durations,
+            max_time,
+            actions: 0,
+            converged_at: None,
+            crashed_peers: None,
+            healed_at: None,
+        }
+    }
+
+    /// The virtual time of `peer`'s first action.
+    pub fn offset_of(&self, peer: PeerId) -> f64 {
+        self.offsets[peer.index()]
+    }
+
+    /// Pops the next action of a peer online in `engine` and schedules
+    /// that peer's following one, passing over offline peers' turns;
+    /// `None` once the next action lies beyond `max_time`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a duration is not strictly positive.
+    pub fn next(&mut self, engine: &Engine) -> Option<(f64, PeerId)> {
+        loop {
+            if self.queue.peek_time()?.get() > self.max_time {
+                return None;
+            }
+            let (now, peer) = self.queue.pop()?;
+            let d = self.durations.duration(peer, &mut self.rng);
+            assert!(d > 0.0, "interaction durations must be positive");
+            self.queue.schedule_after(d, peer);
+            if engine.is_online(peer) {
+                return Some((now.get(), peer));
+            }
+        }
+    }
+
+    /// The terminal rule, after the action popped at `now` has been
+    /// applied to `engine`: construction is done once converged; a
+    /// recovery injects its cohort at that very action, then is done
+    /// once converged with no stale chain. Returns whether the scenario
+    /// is done.
+    pub fn after_action(&mut self, engine: &mut Engine, now: f64) -> bool {
+        self.actions += 1;
+        match self.scenario {
+            Scenario::Construction => {
+                self.converged_at = engine.is_converged().then_some(now);
+            }
+            Scenario::Recovery { crash_fraction } => {
+                if self.crashed_peers.is_none() {
+                    if engine.is_converged() {
+                        self.converged_at = Some(now);
+                        let cohort = FaultScenario {
+                            crash_fraction,
+                            ..FaultScenario::none()
+                        };
+                        let victims = cohort.inject(engine, self.seed).len();
+                        self.crashed_peers = Some(victims);
+                        if victims == 0 {
+                            self.healed_at = Some(now);
+                        }
+                    }
+                } else if engine.is_converged() && engine.stale_chain_count() == 0 {
+                    self.healed_at = Some(now);
+                }
+            }
+        }
+        self.done()
+    }
+
+    /// Whether the scenario is done: converged, or healed.
+    pub fn done(&self) -> bool {
+        match self.scenario {
+            Scenario::Construction => self.converged_at.is_some(),
+            Scenario::Recovery { .. } => self.healed_at.is_some(),
+        }
+    }
+
+    /// Actions applied so far.
+    pub fn actions(&self) -> u64 {
+        self.actions
+    }
+
+    /// Virtual time construction converged, once reached.
+    pub fn converged_at(&self) -> Option<f64> {
+        self.converged_at
+    }
+
+    /// Size of the crashed cohort, once injected (recovery only).
+    pub fn crashed_peers(&self) -> Option<usize> {
+        self.crashed_peers
+    }
+
+    /// Virtual time the overlay healed (recovery only), once reached.
+    pub fn healed_at(&self) -> Option<f64> {
+        self.healed_at
+    }
 }
 
 /// The round clock: (churn step, if any, then) `Engine::step` until
@@ -778,7 +793,7 @@ mod tests {
     use std::fmt::Debug;
 
     use lagover_obs::EventKind;
-    use lagover_sim::{BernoulliChurn, CorruptionClass, NoChurn};
+    use lagover_sim::{BernoulliChurn, NoChurn};
 
     use super::*;
     use crate::config::Algorithm;
@@ -920,9 +935,6 @@ mod tests {
             blackout_rounds: 5,
         };
         let all_classes = CorruptionPlan::new(5).with_all_classes().with_severity(0.3);
-        let cycle = CorruptionPlan::new(5)
-            .with_class(CorruptionClass::ParentCycle)
-            .with_severity(0.3);
         fn lockstep(run: Run<'_>) -> TimedRun<'_, FixedActionDuration> {
             run.timed(FixedActionDuration(1.0), 10_000.0)
         }
@@ -998,49 +1010,15 @@ mod tests {
             &[EventKind::Attach],
         );
         observation_row(
-            "under_churn / virtual time",
-            || Run::new(&pop, &hybrid, 9),
-            |run| {
-                run.timed(FixedActionDuration(1.0), 600.0)
-                    .under_churn(&mut BernoulliChurn::paper())
-            },
-            |o| Facts {
-                counters: o.counters,
-                reached: false,
-                actions: Some(o.actions),
-            },
-            &[EventKind::Attach],
-        );
-        observation_row(
             "recover / virtual time",
             || Run::new(&wide, &greedy, 7),
-            |run| {
-                lockstep(run).recover(&FaultScenario {
-                    crash_fraction: 0.2,
-                    ..FaultScenario::none()
-                })
-            },
+            |run| lockstep(run).recover(0.2),
             |o| Facts {
                 counters: o.counters,
                 reached: o.healed(),
                 actions: Some(o.actions),
             },
             &[EventKind::Crash],
-        );
-        observation_row(
-            "stabilize / virtual time",
-            || Run::new(&wide, &greedy, 7),
-            |run| lockstep(run).stabilize(&cycle),
-            |o| {
-                assert!(o.corrupted_states > 0, "the plan must bite");
-                assert!(o.clean_at.is_some(), "cycles heal without the sweep");
-                Facts {
-                    counters: o.counters,
-                    reached: o.clean_at.is_some(),
-                    actions: Some(o.actions),
-                }
-            },
-            &[EventKind::InconsistencyDetected],
         );
     }
 
@@ -1327,14 +1305,32 @@ mod tests {
     }
 
     #[test]
+    fn event_clock_pops_each_peer_at_its_offset_then_once_a_duration() {
+        let (pop, config) = (async_population(), greedy());
+        let engine = Engine::new(&pop, &config, 3);
+        let lockstep = FixedActionDuration(1.0);
+        let mut clock = EventClock::new(&pop, Scenario::Construction, 3, lockstep, 2.0);
+        let mut last = 0.0;
+        for pass in 0..2 {
+            let mut seen = vec![false; pop.len()];
+            for _ in 0..pop.len() {
+                let (now, p) = clock.next(&engine).expect("inside max_time");
+                assert_eq!(now, clock.offset_of(p) + f64::from(pass));
+                assert!(now >= last, "time runs forward");
+                last = now;
+                seen[p.index()] = true;
+            }
+            assert!(seen.iter().all(|&s| s), "every peer once per pass");
+        }
+        assert_eq!(clock.next(&engine), None, "cut past max_time");
+    }
+
+    #[test]
     fn async_recovery_heals_after_interior_crash() {
         let (pop, config) = (wide_population(24), greedy());
         let outcome = Run::new(&pop, &config, 7)
             .timed(FixedActionDuration(1.0), 10_000.0)
-            .recover(&FaultScenario {
-                crash_fraction: 0.2,
-                ..FaultScenario::none()
-            })
+            .recover(0.2)
             .outcome;
         assert!(outcome.construction_converged_at.is_some());
         assert!(outcome.crashed_peers > 0, "cohort must crash somebody");
@@ -1348,7 +1344,7 @@ mod tests {
         let (pop, config) = (wide_population(16), greedy());
         let outcome = Run::new(&pop, &config, 3)
             .timed(FixedActionDuration(1.0), 10_000.0)
-            .recover(&FaultScenario::none())
+            .recover(0.0)
             .outcome;
         assert_eq!(outcome.crashed_peers, 0);
         assert_eq!(outcome.healed_at, outcome.construction_converged_at);

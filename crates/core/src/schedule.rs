@@ -24,8 +24,8 @@ use lagover_sim::{Round, SimRng};
 use crate::node::PeerId;
 
 /// Salt of the stream the schedule key is taken from: neither the
-/// engine's own stream, whose draws it leaves alone, nor the event
-/// clock's (`0x5EED_A57C` / `0x5EED_A57D`).
+/// engine's own stream, whose draws it leaves alone, nor the
+/// [`crate::EventClock`]'s.
 const SCHEDULE_SALT: u64 = 0x5EED_0DE2;
 
 /// Rounds with fewer active peers sort by comparison; larger ones by

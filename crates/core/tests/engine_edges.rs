@@ -5,7 +5,7 @@ use std::collections::HashMap;
 
 use lagover_core::node::{node_to_member, Constraints, Member, PeerId, Population};
 use lagover_core::oracle::{Oracle, OracleView};
-use lagover_core::{Algorithm, ConstructionConfig, Engine, FixedActionDuration, OracleKind, Run};
+use lagover_core::{Algorithm, ConstructionConfig, Engine, OracleKind};
 use lagover_obs::Event;
 use lagover_sim::{ChurnProcess, SimRng, Transitions};
 
@@ -231,49 +231,6 @@ fn disabled_trace_costs_nothing_and_returns_none() {
     assert!(engine.obs().journal().is_none());
     engine.run_to_convergence().expect("converges");
     assert!(engine.obs_mut().take_journal().is_none());
-}
-
-#[test]
-fn async_with_churn_sustains_satisfaction() {
-    let population =
-        lagover_workload::WorkloadSpec::new(lagover_workload::TopologicalConstraint::Rand, 40)
-            .generate(21)
-            .unwrap();
-    let config =
-        ConstructionConfig::new(Algorithm::Hybrid, OracleKind::RandomDelay).with_max_rounds(10_000);
-    let mut churn = lagover_sim::BernoulliChurn::paper();
-    let outcome = Run::new(&population, &config, 21)
-        .timed(FixedActionDuration(1.0), 800.0)
-        .under_churn(&mut churn)
-        .outcome;
-    assert!(outcome.actions > 1_000);
-    assert!(
-        outcome.steady_state_fraction > 0.7,
-        "steady state {} too low",
-        outcome.steady_state_fraction
-    );
-    assert!(outcome.first_converged_at.is_some());
-}
-
-#[test]
-fn async_with_heterogeneous_durations_and_churn() {
-    let population =
-        lagover_workload::WorkloadSpec::new(lagover_workload::TopologicalConstraint::BiUnCorr, 30)
-            .generate(4)
-            .unwrap();
-    let config =
-        ConstructionConfig::new(Algorithm::Greedy, OracleKind::RandomDelay).with_max_rounds(10_000);
-    let mut churn = lagover_sim::BernoulliChurn::new(0.005, 0.2);
-    let durations = |p: PeerId, rng: &mut SimRng| 1.0 + rng.f64() * (1.0 + p.index() as f64 % 3.0);
-    let outcome = Run::new(&population, &config, 4)
-        .timed(durations, 1_500.0)
-        .under_churn(&mut churn)
-        .outcome;
-    assert!(
-        outcome.steady_state_fraction > 0.6,
-        "steady state {}",
-        outcome.steady_state_fraction
-    );
 }
 
 #[test]

@@ -11,9 +11,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use lagover_core::{
-    Algorithm, ConstructionConfig, FaultScenario, FixedActionDuration, OracleKind, Run,
-};
+use lagover_core::{Algorithm, ConstructionConfig, FixedActionDuration, OracleKind, Run};
 use lagover_jsonio::to_string;
 use lagover_node::{run_mesh, Scenario, ScenarioSpec};
 use lagover_obs::Journal;
@@ -122,20 +120,11 @@ pub fn run(params: &Params) -> NodesimReport {
             .timed(FixedActionDuration(1.0), max_time);
         let twin_trail = match scenario {
             Scenario::Construction => twin.construct().trail,
-            Scenario::Recovery { crash_fraction } => {
-                twin.recover(&FaultScenario {
-                    crash_fraction,
-                    ..FaultScenario::none()
-                })
-                .trail
-            }
+            Scenario::Recovery { crash_fraction } => twin.recover(crash_fraction).trail,
         };
         let twin_journal = twin_trail.expect("observed").journal;
         rows.push(NodesimRow {
-            scenario: match scenario {
-                Scenario::Construction => "construction".into(),
-                Scenario::Recovery { .. } => "recovery".into(),
-            },
+            scenario: scenario.kind().into(),
             seed,
             actions: mesh.merged.report.actions,
             finished: mesh.merged.finished(),

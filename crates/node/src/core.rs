@@ -34,7 +34,7 @@ use lagover_core::{PeerId, Population};
 use lagover_sim::faults::deterministic_jitter;
 
 use crate::journal::{JournalEntry, NodeReport};
-use crate::replica::{HaltCause, Replica, ScenarioSpec};
+use crate::replica::{Replica, ScenarioSpec};
 use crate::wire::Message;
 
 /// Cap (in abstract time units) on the retransmit backoff.
@@ -300,7 +300,7 @@ impl NodeCore {
         // later one is a whole time unit after the previous fire.
         out.push(Output::SetTimer {
             kind: TimerKind::Action,
-            delay: self.replica.offset_of(PeerId::new(self.me)),
+            delay: self.replica.clock().offset_of(PeerId::new(self.me)),
         });
         self.arm_retransmit(out);
         // Tokens that raced ahead of Start may already permit remote
@@ -344,7 +344,7 @@ impl NodeCore {
                 break;
             }
         }
-        if self.replica.halted().is_some() {
+        if self.replica.halted() {
             self.halted = true;
             out.extend(self.broadcast(self.done_token()));
             out.push(Output::Halted);
@@ -385,15 +385,16 @@ impl NodeCore {
 
     /// Final summary; meaningful once [`Self::is_halted`].
     pub fn outcome(&self) -> NodeOutcome {
+        let (clock, engine) = (self.replica.clock(), self.replica.engine());
         NodeOutcome {
             actions: self.replica.actions(),
             own_actions: self.replica.peer_actions(PeerId::new(self.me)),
-            converged_at: self.replica.converged_at(),
-            healed_at: self.replica.healed_at(),
-            crashed_peers: self.replica.crashed_peers().unwrap_or(0) as u64,
-            final_satisfied_fraction: self.replica.satisfied_fraction(),
-            final_stale_chains: self.replica.stale_chain_count() as u64,
-            time_limited: self.replica.halted() == Some(HaltCause::TimeLimit),
+            converged_at: clock.converged_at(),
+            healed_at: clock.healed_at(),
+            crashed_peers: clock.crashed_peers().unwrap_or(0) as u64,
+            final_satisfied_fraction: engine.satisfied_fraction(),
+            final_stale_chains: engine.stale_chain_count() as u64,
+            time_limited: self.replica.halted() && !clock.done(),
         }
     }
 
@@ -415,7 +416,7 @@ impl NodeCore {
             final_satisfied_fraction: outcome.final_satisfied_fraction,
             final_stale_chains: outcome.final_stale_chains,
             time_limited: outcome.time_limited,
-            counters: self.replica.counters(),
+            counters: *self.replica.engine().counters(),
             journal_capacity: self.spec.journal_capacity as u64,
             entries,
         }

@@ -12,13 +12,14 @@
 //! sockets, and hidden randomness — every run is a pure function of
 //! `(population, config, seed)`. The runtime exploits that directly:
 //! each node carries a full engine **replica** ([`replica::Replica`])
-//! plus the simulator's exact virtual-time action schedule, and the
-//! wire carries only *progress tokens* ("my first `k` actions are
-//! executed", [`wire::Message::Ordered`]) that release schedule
-//! entries for application on remote replicas. Convergence, crash
-//! injection, and healing are detected at the same global action index
-//! on every node, so the per-node journals merge back into the exact
-//! byte sequence the simulator twin (`Run::timed` at
+//! that steps the simulator's own virtual-time clock
+//! (`lagover_core::EventClock`), and the wire carries only *progress
+//! tokens* ("my first `k` actions are executed",
+//! [`wire::Message::Ordered`]) that release schedule entries for
+//! application on remote replicas. Convergence, crash injection, and
+//! healing are the clock's one terminal rule, met at the same global
+//! action index on every node, so the per-node journals merge back
+//! into the exact byte sequence the simulator twin (`Run::timed` at
 //! `FixedActionDuration(1.0)`, verbs `construct` / `recover`) journals
 //! — pinned by replay-diff.
 //!

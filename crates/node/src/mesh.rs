@@ -183,8 +183,7 @@ mod tests {
     use super::*;
     use crate::replica::Scenario;
     use lagover_core::{
-        Algorithm, Constraints, ConstructionConfig, FaultScenario, FixedActionDuration, OracleKind,
-        Run,
+        Algorithm, Constraints, ConstructionConfig, FixedActionDuration, OracleKind, Run,
     };
     use lagover_jsonio::to_string;
     use lagover_obs::Event;
@@ -233,10 +232,7 @@ mod tests {
         let twin = Run::new(&pop, &s.config, 7)
             .observe(s.journal_capacity, 10)
             .timed(FixedActionDuration(1.0), s.max_time)
-            .recover(&FaultScenario {
-                crash_fraction: 0.2,
-                ..FaultScenario::none()
-            });
+            .recover(0.2);
         assert_eq!(
             to_string(&run.merged.journal),
             to_string(&twin.trail.as_ref().expect("observed").journal)

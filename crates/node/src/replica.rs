@@ -1,48 +1,24 @@
 //! The replicated lockstep engine each node carries.
 //!
 //! The node runtime is lockstep state-machine replication: every node
-//! holds a full [`Engine`] replica plus the same virtual-time action
-//! schedule the simulator's lockstep `Run::timed` clock uses (initial offsets
-//! from `SimRng::seed_from(seed).split(0x5EED_A57C)`, one entry per
-//! peer rescheduled one time unit after each pop, FIFO tie-break by
-//! insertion order — literally the same [`EventQueue`]). The whole
-//! trajectory is a pure function of `(population, scenario, seed)`, so
-//! nodes never ship state — only *progress tokens* saying "my first k
-//! actions are executed", which [`crate::core::NodeCore`] turns into
+//! holds a full [`Engine`] replica and steps the simulator's own
+//! virtual-time clock, [`EventClock`] at `FixedActionDuration(1.0)` —
+//! the schedule, the `max_time` cut and the scenario's terminal rule of
+//! `Run::timed`, not a copy of them. The whole trajectory is a pure
+//! function of `(population, scenario, seed)`, so nodes never ship
+//! state — only *progress tokens* saying "my first k actions are
+//! executed", which [`crate::core::NodeCore`] turns into
 //! apply-permissions for the shared schedule.
 //!
-//! [`Replica`] owns the twin-fidelity part: consuming schedule entries
-//! in exactly the simulator's order, applying `act_on`, detecting the
-//! scenario's terminal condition at the same global action on every
-//! node, and attributing each journal event to the node that owns it.
+//! [`Replica`] keeps only what is node-specific: the one action popped
+//! and waiting for permission, the per-peer action counters tokens
+//! gate on, and the owner of each journal event.
 
-use lagover_core::{ConstructionConfig, Engine, EngineCounters, FaultScenario, PeerId, Population};
+pub use lagover_core::Scenario;
+use lagover_core::{
+    ConstructionConfig, Engine, EventClock, FixedActionDuration, PeerId, Population,
+};
 use lagover_obs::Event;
-use lagover_sim::{EventQueue, SimRng, VirtualTime};
-
-/// Which end-to-end run the nodes replicate.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum Scenario {
-    /// Fig2-style construction: run until every peer is satisfied.
-    Construction,
-    /// E15 recovery: construct, crash an interior cohort at the moment
-    /// of convergence (the simulator's own [`FaultScenario::inject`]),
-    /// run on until satisfied and stale-free again.
-    Recovery {
-        /// Fraction of the interior cohort to crash.
-        crash_fraction: f64,
-    },
-}
-
-impl Scenario {
-    /// Stable label for reports and CLI flags.
-    pub fn kind(&self) -> &'static str {
-        match self {
-            Scenario::Construction => "construction",
-            Scenario::Recovery { .. } => "recovery",
-        }
-    }
-}
 
 /// Everything a node needs to replicate one run.
 #[derive(Debug, Clone, PartialEq)]
@@ -53,8 +29,9 @@ pub struct ScenarioSpec {
     pub config: ConstructionConfig,
     /// Virtual-time cap; the run halts when the schedule head passes it.
     pub max_time: f64,
-    /// Per-replica journal capacity (ring semantics, as in the
-    /// simulator twin — the merged journal reproduces the same drops).
+    /// Journal ring capacity, applied once when the node reports merge
+    /// (as in the simulator twin — the merged journal reproduces the
+    /// same drops).
     pub journal_capacity: usize,
 }
 
@@ -78,8 +55,8 @@ pub struct AppliedAction {
     pub time: f64,
     /// The acting peer.
     pub peer: PeerId,
-    /// Events this apply produced, with owners: the acting peer for
-    /// action events, each victim for crash-injection events.
+    /// Every event this apply produced, with owners: the acting peer
+    /// for action events, each victim for crash-injection events.
     pub events: Vec<OwnedEvent>,
     /// Whether this action ended the run.
     pub halted: bool,
@@ -94,200 +71,99 @@ pub struct PendingAction {
     pub peer: PeerId,
 }
 
-/// Why the replica halted.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum HaltCause {
-    /// The scenario's terminal condition was reached.
-    Finished,
-    /// The schedule head passed `max_time`.
-    TimeLimit,
-}
-
-/// A full engine replica plus the shared schedule.
+/// A full engine replica stepping the shared clock.
 #[derive(Debug)]
 pub struct Replica {
     engine: Engine,
-    queue: EventQueue<PeerId>,
+    clock: EventClock<FixedActionDuration>,
     lookahead: Option<(f64, PeerId)>,
-    scenario: Scenario,
-    max_time: f64,
-    offsets: Vec<f64>,
-    seed: u64,
-    actions: u64,
     per_peer_actions: Vec<u64>,
-    events_seen: u64,
-    converged_at: Option<f64>,
-    crashed: Option<usize>,
-    healed_at: Option<f64>,
-    halted: Option<HaltCause>,
+    halted: bool,
 }
 
 impl Replica {
-    /// Builds the replica: engine, journal, and the simulator's exact
-    /// initial schedule.
+    /// Builds the replica: engine, journal, and the simulator's clock.
     pub fn new(population: &Population, spec: &ScenarioSpec, seed: u64) -> Self {
         let mut engine = Engine::new(population, &spec.config, seed);
-        engine.obs_mut().enable_journal(spec.journal_capacity);
-        let mut schedule_rng = SimRng::seed_from(seed).split(0x5EED_A57C);
-        let mut queue: EventQueue<PeerId> = EventQueue::with_capacity(population.len() + 1);
-        let mut offsets = Vec::with_capacity(population.len());
-        for p in population.peer_ids() {
-            let offset = schedule_rng.f64();
-            offsets.push(offset);
-            queue.schedule(VirtualTime::new(offset).expect("offset in [0,1)"), p);
-        }
+        // Unbounded: each apply hands every event on, so the ring
+        // applies once, at merge.
+        engine.obs_mut().enable_journal(usize::MAX);
+        let lockstep = FixedActionDuration(1.0);
         Replica {
             engine,
-            queue,
+            clock: EventClock::new(population, spec.scenario, seed, lockstep, spec.max_time),
             lookahead: None,
-            scenario: spec.scenario,
-            max_time: spec.max_time,
-            offsets,
-            seed,
-            actions: 0,
             per_peer_actions: vec![0; population.len()],
-            events_seen: 0,
-            converged_at: None,
-            crashed: None,
-            healed_at: None,
-            halted: None,
+            halted: false,
         }
     }
 
-    /// The virtual time of a peer's first schedule entry (its k-th
-    /// entry is at `offset + k`).
-    pub fn offset_of(&self, peer: PeerId) -> f64 {
-        self.offsets[peer.index()]
-    }
-
-    /// Advances past offline pops (which are no-ops needing no
-    /// permission) to the next *online* action, or halts at the time
-    /// limit. Returns `None` once halted.
+    /// The next *online* action (offline turns need no permission and
+    /// pass by), or `None` once halted — at the time limit, or after
+    /// the action that finished the scenario.
     pub fn pending(&mut self) -> Option<PendingAction> {
-        loop {
-            if self.halted.is_some() {
-                return None;
-            }
-            if self.lookahead.is_none() {
-                let t = self.queue.peek_time().expect("peers always rescheduled");
-                if t.get() > self.max_time {
-                    self.halted = Some(HaltCause::TimeLimit);
-                    return None;
-                }
-                let (now, p) = self.queue.pop().expect("peeked");
-                self.lookahead = Some((now.get(), p));
-            }
-            let (time, peer) = self.lookahead.expect("just filled");
-            if self.engine.is_online(peer) {
-                return Some(PendingAction { time, peer });
-            }
-            // Offline pop: a no-op in the simulator too — consume and
-            // reschedule without waiting for any token.
-            self.lookahead = None;
-            self.queue.schedule_after(1.0, peer);
+        if self.halted {
+            return None;
         }
+        if self.lookahead.is_none() {
+            self.lookahead = self.clock.next(&self.engine);
+            self.halted = self.lookahead.is_none();
+        }
+        self.lookahead
+            .map(|(time, peer)| PendingAction { time, peer })
     }
 
     /// Applies the pending action (the caller has checked permissions),
-    /// mirroring one iteration of the simulator loop: `act_on`, the
-    /// scenario's terminal/crash logic, then reschedule.
+    /// as one iteration of the simulator loop: `act_on`, then the
+    /// clock's terminal rule, which may inject the recovery cohort.
     ///
     /// # Panics
     ///
     /// Panics if there is no pending action.
     pub fn apply_pending(&mut self) -> AppliedAction {
         let (time, peer) = self.lookahead.take().expect("pending() returned Some");
-        let index = self.actions;
+        let index = self.clock.actions();
         self.engine.act_on(peer);
-        self.actions += 1;
         self.per_peer_actions[peer.index()] += 1;
-        let mut events: Vec<OwnedEvent> = self
-            .drain_new_events()
-            .into_iter()
-            .map(|event| OwnedEvent {
-                owner: peer.get(),
-                sub: 0,
-                event,
-            })
-            .collect();
-
-        let mut finished = false;
-        match self.scenario {
-            Scenario::Construction => {
-                if self.engine.is_converged() {
-                    self.converged_at = Some(time);
-                    finished = true;
-                }
-            }
-            Scenario::Recovery { crash_fraction } => {
-                if self.crashed.is_none() {
-                    if self.engine.is_converged() {
-                        self.converged_at = Some(time);
-                        let scenario = FaultScenario {
-                            crash_fraction,
-                            ..FaultScenario::none()
-                        };
-                        let victims = scenario.inject(&mut self.engine, self.seed);
-                        // Each crash event belongs to its victim's node.
-                        for event in self.drain_new_events() {
-                            events.push(OwnedEvent {
-                                owner: event.peer(),
-                                sub: 0,
-                                event,
-                            });
-                        }
-                        self.crashed = Some(victims.len());
-                        if victims.is_empty() {
-                            self.healed_at = Some(time);
-                            finished = true;
-                        }
-                    }
-                } else if self.engine.is_converged() && self.engine.stale_chain_count() == 0 {
-                    self.healed_at = Some(time);
-                    finished = true;
-                }
-            }
-        }
-        for (sub, owned) in events.iter_mut().enumerate() {
-            owned.sub = sub as u32;
-        }
-        if finished {
-            self.halted = Some(HaltCause::Finished);
-        } else {
-            // The simulator reschedules the acting peer unless the run
-            // ended on this action.
-            self.queue.schedule_after(1.0, peer);
-        }
+        let mut events = Vec::new();
+        self.hand_on(&mut events, |_| peer.get());
+        self.halted = self.clock.after_action(&mut self.engine, time);
+        // Each crash event belongs to its victim's node.
+        self.hand_on(&mut events, Event::peer);
         AppliedAction {
             index,
             time,
             peer,
             events,
-            halted: finished,
+            halted: self.halted,
         }
     }
 
-    fn drain_new_events(&mut self) -> Vec<Event> {
-        let journal = self.engine.obs().journal().expect("journal enabled");
-        let pushed = journal.len() as u64 + journal.dropped();
-        let new = (pushed - self.events_seen) as usize;
-        self.events_seen = pushed;
-        debug_assert!(new <= journal.len(), "one apply overflowed the journal");
-        journal
-            .iter()
-            .skip(journal.len().saturating_sub(new))
-            .copied()
-            .collect()
+    /// Drains the journal into `events`, each owned by `owner(event)`.
+    fn hand_on(&mut self, events: &mut Vec<OwnedEvent>, owner: impl Fn(&Event) -> u32) {
+        let journal = self
+            .engine
+            .obs_mut()
+            .journal_mut()
+            .expect("journal enabled");
+        for event in journal.drain() {
+            let sub = events.len() as u32;
+            events.push(OwnedEvent {
+                owner: owner(&event),
+                sub,
+                event,
+            });
+        }
     }
 
-    /// Whether (and why) the replica halted.
-    pub fn halted(&self) -> Option<HaltCause> {
+    /// Whether the replica halted.
+    pub fn halted(&self) -> bool {
         self.halted
     }
 
     /// Total online actions applied.
     pub fn actions(&self) -> u64 {
-        self.actions
+        self.clock.actions()
     }
 
     /// Online actions applied for one peer — the token counter the
@@ -296,51 +172,21 @@ impl Replica {
         self.per_peer_actions[peer.index()]
     }
 
-    /// Virtual time construction converged, if reached.
-    pub fn converged_at(&self) -> Option<f64> {
-        self.converged_at
+    /// The clock: the scenario's convergence, cohort and healing.
+    pub fn clock(&self) -> &EventClock<FixedActionDuration> {
+        &self.clock
     }
 
-    /// Virtual time the overlay healed (recovery scenario), if reached.
-    pub fn healed_at(&self) -> Option<f64> {
-        self.healed_at
-    }
-
-    /// Crashed cohort size, once injected.
-    pub fn crashed_peers(&self) -> Option<usize> {
-        self.crashed
-    }
-
-    /// Current satisfied fraction over online peers.
-    pub fn satisfied_fraction(&self) -> f64 {
-        self.engine.satisfied_fraction()
-    }
-
-    /// Current stale-chain count.
-    pub fn stale_chain_count(&self) -> usize {
-        self.engine.stale_chain_count()
-    }
-
-    /// Accumulated engine counters.
-    pub fn counters(&self) -> EngineCounters {
-        *self.engine.counters()
-    }
-
-    /// Number of peers.
-    pub fn len(&self) -> usize {
-        self.per_peer_actions.len()
-    }
-
-    /// Whether the population is empty (never, in practice).
-    pub fn is_empty(&self) -> bool {
-        self.per_peer_actions.is_empty()
+    /// The engine replica.
+    pub fn engine(&self) -> &Engine {
+        &self.engine
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lagover_core::{Algorithm, Constraints, FixedActionDuration, OracleKind, Run, TimedRun};
+    use lagover_core::{Algorithm, Constraints, OracleKind, Run, TimedRun};
 
     fn population(n: u32) -> Population {
         let constraints = (0..n).map(|i| Constraints::new(3, i / 4 + 1)).collect();
@@ -391,13 +237,19 @@ mod tests {
         let mut replica = Replica::new(&pop, &s, 7);
         let events = drive(&mut replica);
         let observed = twin(&pop, &s, true).construct();
-        assert_eq!(replica.converged_at(), observed.outcome.converged_at);
+        assert_eq!(
+            replica.clock().converged_at(),
+            observed.outcome.converged_at
+        );
         assert_eq!(replica.actions(), observed.outcome.actions);
         let journal = observed.trail.expect("observed").journal;
         let twin_events: Vec<Event> = journal.iter().copied().collect();
         assert_eq!(events, twin_events, "journal event streams must match");
         let plain = twin(&pop, &s, false).construct().outcome;
-        assert_eq!(replica.satisfied_fraction(), plain.final_satisfied_fraction);
+        assert_eq!(
+            replica.engine().satisfied_fraction(),
+            plain.final_satisfied_fraction
+        );
     }
 
     #[test]
@@ -408,21 +260,18 @@ mod tests {
         });
         let mut replica = Replica::new(&pop, &s, 7);
         let events = drive(&mut replica);
-        let crash = FaultScenario {
-            crash_fraction: 0.2,
-            ..FaultScenario::none()
-        };
-        let observed = twin(&pop, &s, true).recover(&crash);
+        let observed = twin(&pop, &s, true).recover(0.2);
         let outcome = &observed.outcome;
-        assert_eq!(replica.converged_at(), outcome.construction_converged_at);
-        assert_eq!(replica.healed_at(), outcome.healed_at);
-        assert_eq!(replica.crashed_peers(), Some(outcome.crashed_peers));
+        let clock = replica.clock();
+        assert_eq!(clock.converged_at(), outcome.construction_converged_at);
+        assert_eq!(clock.healed_at(), outcome.healed_at);
+        assert_eq!(clock.crashed_peers(), Some(outcome.crashed_peers));
         assert_eq!(replica.actions(), outcome.actions);
-        assert_eq!(replica.counters(), outcome.counters);
+        assert_eq!(*replica.engine().counters(), outcome.counters);
         let journal = observed.trail.expect("observed").journal;
         let twin_events: Vec<Event> = journal.iter().copied().collect();
         assert_eq!(events, twin_events, "journal event streams must match");
-        let plain = twin(&pop, &s, false).recover(&crash).outcome;
+        let plain = twin(&pop, &s, false).recover(0.2).outcome;
         assert!(plain.healed());
     }
 

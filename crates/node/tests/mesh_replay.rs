@@ -11,8 +11,8 @@
 use proptest::prelude::*;
 
 use lagover_core::{
-    Algorithm, Constraints, ConstructionConfig, FaultScenario, FixedActionDuration, OracleKind,
-    Population, Run, TimedRun,
+    Algorithm, Constraints, ConstructionConfig, FixedActionDuration, OracleKind, Population, Run,
+    TimedRun,
 };
 use lagover_jsonio::to_string;
 use lagover_node::{run_mesh, Scenario, ScenarioSpec};
@@ -64,17 +64,19 @@ fn assert_construction_matches(n: u32, seed: u64) {
 }
 
 fn assert_recovery_matches(n: u32, seed: u64, crash_fraction: f64) {
-    let pop = population(n);
     let s = spec(Scenario::Recovery { crash_fraction });
-    let run = run_mesh(&pop, &s, seed).expect("mesh completes");
-    let twin = twin(&pop, &s, seed).recover(&FaultScenario {
-        crash_fraction,
-        ..FaultScenario::none()
-    });
+    assert_recovery_spec_matches(n, seed, crash_fraction, &s);
+}
+
+fn assert_recovery_spec_matches(n: u32, seed: u64, crash_fraction: f64, s: &ScenarioSpec) {
+    let pop = population(n);
+    let run = run_mesh(&pop, s, seed).expect("mesh completes");
+    let twin = twin(&pop, s, seed).recover(crash_fraction);
     assert_eq!(
         to_string(&run.merged.journal),
         to_string(&twin.trail.as_ref().expect("observed").journal),
-        "n={n} seed={seed} f={crash_fraction}: recovery journal diverged from the twin"
+        "n={n} seed={seed} f={crash_fraction} capacity={}: recovery journal diverged from the twin",
+        s.journal_capacity
     );
     assert_eq!(
         run.merged.report.converged_at,
@@ -130,4 +132,22 @@ fn pinned_anchor_populations_match() {
     assert_construction_matches(120, 42);
     assert_recovery_matches(16, 42, 0.25);
     assert_recovery_matches(120, 42, 0.25);
+}
+
+/// One apply can push more events than the journal ring holds — the
+/// crash injection of a 15-victim cohort here, or a displacement at
+/// capacity 1 or 2. The replicas hand every event on and the ring
+/// applies once, at merge, so even then the merged journal (its
+/// `dropped` count included) is the twin's.
+#[test]
+fn merged_journal_counts_every_drop_when_one_apply_outruns_the_ring() {
+    for journal_capacity in [1, 2, 8] {
+        let s = ScenarioSpec {
+            journal_capacity,
+            ..spec(Scenario::Recovery {
+                crash_fraction: 0.6,
+            })
+        };
+        assert_recovery_spec_matches(48, 7, 0.6, &s);
+    }
 }

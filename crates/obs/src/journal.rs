@@ -74,6 +74,13 @@ impl Journal {
             .chain(self.events[..self.start].iter())
     }
 
+    /// Removes the retained events, oldest first; the drop count stays.
+    pub fn drain(&mut self) -> impl Iterator<Item = Event> + '_ {
+        self.events.rotate_left(self.start);
+        self.start = 0;
+        self.events.drain(..)
+    }
+
     /// Retained events concerning one peer, oldest first.
     pub fn for_peer(&self, peer: u32) -> Vec<&Event> {
         self.iter().filter(|e| e.peer() == peer).collect()
@@ -162,6 +169,23 @@ mod tests {
         assert_eq!(rounds, vec![4, 5, 6]);
         assert_eq!(journal.dropped(), 4);
         assert_eq!(journal.len(), 3);
+    }
+
+    #[test]
+    fn drain_empties_oldest_first_and_keeps_the_drop_count() {
+        let mut journal = Journal::new(3);
+        for r in 0..5 {
+            journal.push(attach(r, 0));
+        }
+        let rounds: Vec<u64> = journal.drain().map(|e| e.round()).collect();
+        assert_eq!(rounds, vec![2, 3, 4]);
+        assert!(journal.is_empty());
+        assert_eq!(journal.dropped(), 2);
+        journal.push(attach(5, 0));
+        assert_eq!(
+            journal.iter().map(|e| e.round()).collect::<Vec<_>>(),
+            vec![5]
+        );
     }
 
     #[test]

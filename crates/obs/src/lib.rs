@@ -137,6 +137,11 @@ impl Pipeline {
         self.journal.as_ref()
     }
 
+    /// Mutable journal access (the node runtime drains it per action).
+    pub fn journal_mut(&mut self) -> Option<&mut Journal> {
+        self.journal.as_mut()
+    }
+
     /// The registry, if enabled.
     pub fn registry(&self) -> Option<&Registry> {
         self.registry.as_ref()

@@ -14,38 +14,33 @@ use crate::{GenerateError, TopologicalConstraint, WorkloadSpec};
 const LATENCY_RANGE: (u32, u32) = (1, 10);
 /// Repair steps before giving up.
 const MAX_REPAIR_STEPS: usize = 100_000;
+/// Peers per chunk of the repair's victim scan.
+const SCAN_CHUNK: usize = 256;
 /// Latency constraints are never relaxed beyond this bound by repair,
 /// so no generated latency exceeds it.
 pub const MAX_RELAXED_LATENCY: u32 = 60;
 
-/// A sufficiency repair loop: [`repair`], or the reference the tests
-/// hold it to.
-pub(crate) type Repair = fn(Population, &mut SimRng) -> Result<Population, GenerateError>;
-
-/// Generates a population for `spec` from `seed`. The repair loop is
-/// passed in — always [`repair`] outside the tests, which also run the
-/// reference loop over the very same draws.
+/// Draws a population for `spec` from `seed`. A random class comes
+/// back unrepaired, with the RNG that drew it: [`repair`] continues
+/// that stream (and the tests run the reference loop over the very
+/// same draws). A deterministic class comes back final, with `None`.
 pub(crate) fn generate(
     spec: &WorkloadSpec,
     seed: u64,
-    repair: Repair,
-) -> Result<Population, GenerateError> {
+) -> Result<(Population, Option<SimRng>), GenerateError> {
     let mut rng = SimRng::seed_from(seed ^ 0x9E37_79B9_7F4A_7C15);
-    match spec.constraint {
-        TopologicalConstraint::Tf1 => Ok(tf1(spec.peers, spec.source_fanout)),
-        TopologicalConstraint::Rand => {
-            let peers = (0..spec.peers)
-                .map(|_| {
-                    Constraints::new(
-                        rng.range_u32(0, 8),
-                        rng.range_u32(LATENCY_RANGE.0, LATENCY_RANGE.1),
-                    )
-                })
-                .collect();
-            repair(Population::new(spec.source_fanout, peers), &mut rng)
-        }
+    let peers: Vec<Constraints> = match spec.constraint {
+        TopologicalConstraint::Tf1 => return Ok((tf1(spec.peers, spec.source_fanout), None)),
+        TopologicalConstraint::Rand => (0..spec.peers)
+            .map(|_| {
+                Constraints::new(
+                    rng.range_u32(0, 8),
+                    rng.range_u32(LATENCY_RANGE.0, LATENCY_RANGE.1),
+                )
+            })
+            .collect(),
         TopologicalConstraint::BiCorr => {
-            let peers = (0..spec.peers)
+            (0..spec.peers)
                 .map(|_| {
                     let latency = rng.range_u32(LATENCY_RANGE.0, LATENCY_RANGE.1);
                     // Strict peers are also weak (the systematic conflict
@@ -58,25 +53,21 @@ pub(crate) fn generate(
                     };
                     Constraints::new(fanout, latency)
                 })
-                .collect();
-            repair(Population::new(spec.source_fanout, peers), &mut rng)
+                .collect()
         }
-        TopologicalConstraint::BiUnCorr => {
-            let peers = (0..spec.peers)
-                .map(|_| {
-                    let latency = rng.range_u32(LATENCY_RANGE.0, LATENCY_RANGE.1);
-                    let fanout = if rng.chance(0.5) {
-                        rng.range_u32(1, 2)
-                    } else {
-                        rng.range_u32(7, 8)
-                    };
-                    Constraints::new(fanout, latency)
-                })
-                .collect();
-            repair(Population::new(spec.source_fanout, peers), &mut rng)
-        }
+        TopologicalConstraint::BiUnCorr => (0..spec.peers)
+            .map(|_| {
+                let latency = rng.range_u32(LATENCY_RANGE.0, LATENCY_RANGE.1);
+                let fanout = if rng.chance(0.5) {
+                    rng.range_u32(1, 2)
+                } else {
+                    rng.range_u32(7, 8)
+                };
+                Constraints::new(fanout, latency)
+            })
+            .collect(),
         TopologicalConstraint::Adversarial { chain, hub_fanout } => {
-            adversarial_population(chain, hub_fanout)
+            return Ok((adversarial_population(chain, hub_fanout)?, None));
         }
         TopologicalConstraint::Zipf { exponent_x100 } => {
             let s_exp = f64::from(exponent_x100) / 100.0;
@@ -87,7 +78,7 @@ pub(crate) fn generate(
                 .map(|k| 1.0 / f64::from(k).powf(s_exp))
                 .collect();
             let total: f64 = weights.iter().sum();
-            let peers = (0..spec.peers)
+            (0..spec.peers)
                 .map(|_| {
                     let mut u = rng.f64() * total;
                     let mut rank = 10u32;
@@ -102,10 +93,10 @@ pub(crate) fn generate(
                     let latency = 11 - rank;
                     Constraints::new(rng.range_u32(0, 8), latency)
                 })
-                .collect();
-            repair(Population::new(spec.source_fanout, peers), &mut rng)
+                .collect()
         }
-    }
+    };
+    Ok((Population::new(spec.source_fanout, peers), Some(rng)))
 }
 
 /// The *use full available capacity* workload: every peer has fanout
@@ -164,9 +155,19 @@ pub(crate) fn repair(
             return Err(GenerateError::CannotSatisfy);
         }
         // An overloaded level has demand, so the draw is over a
-        // non-empty range and the k-th peer exists.
-        let k = rng.index(demand[level] as usize);
-        let victim = peers
+        // non-empty range and the k-th peer exists. Whole chunks before
+        // it are skipped by a count the compiler vectorizes.
+        let mut k = rng.index(demand[level] as usize);
+        let mut skipped = 0;
+        for chunk in peers.chunks(SCAN_CHUNK) {
+            let here = chunk.iter().filter(|c| c.latency as usize == level).count();
+            if k < here {
+                break;
+            }
+            k -= here;
+            skipped += chunk.len();
+        }
+        let victim = peers[skipped..]
             .iter_mut()
             .filter(|c| c.latency as usize == level)
             .nth(k)
@@ -302,9 +303,13 @@ mod tests {
         for constraint in RANDOM_CLASSES {
             let spec = WorkloadSpec::new(constraint, peers);
             for seed in seeds.clone() {
+                let Ok((population, Some(mut rng))) = generate(&spec, seed) else {
+                    panic!("{constraint:?} is a random class");
+                };
+                let mut reference_rng = rng.clone();
                 assert_eq!(
-                    generate(&spec, seed, repair),
-                    generate(&spec, seed, repair_reference),
+                    repair(population.clone(), &mut rng),
+                    repair_reference(population, &mut reference_rng),
                     "{constraint:?}, n = {peers}, seed {seed}"
                 );
             }

@@ -185,7 +185,10 @@ impl WorkloadSpec {
     /// fails; [`GenerateError::DegenerateAdversarial`] for degenerate
     /// adversarial parameters.
     pub fn generate(&self, seed: u64) -> Result<Population, GenerateError> {
-        generators::generate(self, seed, generators::repair)
+        match generators::generate(self, seed)? {
+            (population, Some(mut rng)) => generators::repair(population, &mut rng),
+            (population, None) => Ok(population),
+        }
     }
 }
 
