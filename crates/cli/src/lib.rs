@@ -138,7 +138,7 @@ pub struct Options {
     /// `--deadline-ms T` (node, udp: per-node hard timeout and harness
     /// kill deadline).
     pub deadline_ms: u64,
-    /// `--max-time T` (node: virtual-time cap on the replicated run).
+    /// `--max-time T` (node: round cap on the replicated run).
     pub max_time: f64,
 }
 
@@ -181,6 +181,10 @@ impl Default for Options {
         }
     }
 }
+
+/// The widest `--max-time`: 2^53 rounds, up to which every whole
+/// number is an exact `f64`.
+const MAX_ROUND_CAP: f64 = 9_007_199_254_740_992.0;
 
 /// The usage string.
 pub const USAGE: &str =
@@ -420,8 +424,10 @@ pub fn parse_args(args: &[String]) -> Result<Options, CliError> {
                 opts.max_time = value()?
                     .parse()
                     .map_err(|_| err("--max-time needs a number"))?;
-                if opts.max_time.is_nan() || opts.max_time <= 0.0 {
-                    return Err(err("--max-time must be positive"));
+                if !(1.0..=MAX_ROUND_CAP).contains(&opts.max_time) || opts.max_time.fract() != 0.0 {
+                    return Err(err(format!(
+                        "--max-time must be a whole number of rounds in 1..={MAX_ROUND_CAP}"
+                    )));
                 }
             }
             other => return Err(err(format!("unknown flag '{other}'\n{USAGE}"))),
@@ -841,7 +847,7 @@ fn node_summary(merged: &lagover_node::MergedRun) -> String {
         if merged.finished() {
             "finished"
         } else {
-            "time limit"
+            "round cap"
         },
         r.actions,
         r.final_satisfied_fraction,
@@ -854,7 +860,7 @@ fn node_summary(merged: &lagover_node::MergedRun) -> String {
         out += &format!("crashed {} interior peer(s)\n", r.crashed_peers);
         match r.healed_at {
             Some(t) => out += &format!("healed at t={t:.2}\n"),
-            None => out += "NOT healed within the time limit\n",
+            None => out += "NOT healed within the round cap\n",
         }
     }
     out
@@ -1268,6 +1274,12 @@ mod tests {
         assert!(parse_args(&args("node --scenario-kind demolition")).is_err());
         assert!(parse_args(&args("node --tick-ms 0")).is_err());
         assert!(parse_args(&args("node --max-time -5")).is_err());
+        for cap in ["inf", "NaN", "1e17", "0", "2.5"] {
+            let parsed = parse_args(&args(&format!("node --max-time {cap} --peers 8")));
+            assert!(parsed.is_err(), "--max-time {cap} must be rejected");
+        }
+        let widest = parse_args(&args("node --max-time 9007199254740992")).unwrap();
+        assert_eq!(widest.max_time, MAX_ROUND_CAP);
     }
 
     #[test]

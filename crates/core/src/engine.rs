@@ -890,18 +890,39 @@ impl Engine {
     /// byte.
     #[cfg(test)]
     pub(crate) fn step_visiting_everyone(&mut self) {
-        let profiling = self.obs.profiling();
-        self.open_round(profiling);
-        let online: Vec<PeerId> = self
-            .population
-            .peer_ids()
-            .filter(|&p| self.online.contains(p))
-            .collect();
-        self.schedule.open(self.round, online.into_iter());
-        while let Some(p) = self.schedule.pop() {
+        self.open_turns();
+        while let Some(p) = self.next_turn() {
             self.act_on(p);
         }
-        self.close_round(profiling);
+        self.close_turns();
+    }
+
+    /// Opens a round to be stepped one turn at a time, as
+    /// `step_visiting_everyone` steps it: what a round does before
+    /// anybody acts, then one turn for every online peer, in the
+    /// round's slot order. [`Engine::next_turn`] hands the turns out;
+    /// after each the caller runs [`Engine::act_on`], and
+    /// [`Engine::close_turns`] ends the round. The node runtime's
+    /// replicas step rounds this way, one permitted action at a time.
+    pub fn open_turns(&mut self) {
+        self.open_round(self.obs.profiling());
+        let online = self
+            .population
+            .peer_ids()
+            .filter(|&p| self.online.contains(p));
+        self.schedule.open(self.round, online);
+    }
+
+    /// The peer whose turn is next in the round [`Engine::open_turns`]
+    /// opened, or `None` once everybody had theirs.
+    pub fn next_turn(&mut self) -> Option<PeerId> {
+        self.schedule.pop()
+    }
+
+    /// Ends the round [`Engine::open_turns`] opened: crash silences
+    /// age, the round advances, the invariants are checked.
+    pub fn close_turns(&mut self) {
+        self.close_round(self.obs.profiling());
     }
 
     /// Post-round structural checking. The full O(N·depth)

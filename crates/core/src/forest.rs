@@ -139,14 +139,6 @@ impl TreePlan {
         }
     }
 
-    /// Children of `m` in this tree.
-    pub fn children_of(&self, m: Member) -> &[PeerId] {
-        match m.peer() {
-            None => &self.source_children,
-            Some(p) => &self.children[p.index()],
-        }
-    }
-
     /// Peers that actually have children in this tree — must be a
     /// subset of `interior` (and of no other tree's interior).
     pub fn interior_peers(&self) -> Vec<PeerId> {

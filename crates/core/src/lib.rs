@@ -25,10 +25,11 @@
 //!   feasibility checker;
 //! * [`run`] — one [`Run`] description and its verbs (construct,
 //!   under churn, recover from crashes, stabilize from corruption) on
-//!   the round clock, construct and recover on virtual time (the
-//!   [`EventClock`] the node runtime steps too), observed or not; [`outcome`]
-//!   holds what they record, [`runner`] the deterministic thread
-//!   fan-out the experiment drivers use;
+//!   the round clock, whose terminal rule ([`Goal`]) the node runtime
+//!   steps too, and construction under heterogeneous durations on
+//!   virtual time, observed or not; [`outcome`] holds what they
+//!   record, [`runner`] the deterministic thread fan-out the
+//!   experiment drivers use;
 //! * [`stabilize`] — self-stabilization from arbitrary corrupted
 //!   state: adversarial snapshot injection
 //!   (`lagover_sim::CorruptionPlan`) and the always-on local
@@ -82,14 +83,11 @@ pub use lagover_obs::DetachCause;
 pub use node::{Constraints, Liveness, Member, PeerId, Population};
 pub use oracle::{Oracle, OracleKind, OracleView};
 pub use outcome::{
-    AsyncOutcome, AsyncRecoveryOutcome, ChurnOutcome, ConstructionOutcome, Observed,
-    RecoveryOutcome, StabilizationOutcome, Trail,
+    AsyncOutcome, ChurnOutcome, ConstructionOutcome, Observed, RecoveryOutcome,
+    StabilizationOutcome, Trail,
 };
 pub use overlay::{ChainRoot, Overlay, OverlayError};
-pub use run::{
-    construct, EventClock, FaultScenario, FixedActionDuration, InteractionDurations, Run, Scenario,
-    TimedRun,
-};
+pub use run::{construct, FaultScenario, Goal, InteractionDurations, Run, TimedRun};
 pub use runner::parallel_runs;
 pub use stabilize::apply_corruption;
 pub use sufficiency::{check as check_sufficiency, exact_feasibility, SufficiencyReport};

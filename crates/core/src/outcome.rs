@@ -163,37 +163,6 @@ impl AsyncOutcome {
     }
 }
 
-/// Outcome of a crash-and-heal run on virtual time: the E15 scenario
-/// (converge, crash an interior cohort, heal) expressed on the
-/// event-driven clock. This is the deterministic twin the
-/// `lagover-node` runtime replays against.
-#[derive(Debug, Clone, PartialEq)]
-pub struct AsyncRecoveryOutcome {
-    /// Virtual time at which construction first converged, if reached.
-    pub construction_converged_at: Option<f64>,
-    /// Size of the crashed interior cohort (0 if construction never
-    /// converged, so no crash was injected).
-    pub crashed_peers: usize,
-    /// Virtual time at which the overlay was satisfied *and* stale-free
-    /// again after the crash, if reached.
-    pub healed_at: Option<f64>,
-    /// Total actions (events) processed.
-    pub actions: u64,
-    /// Final satisfied fraction over online peers.
-    pub final_satisfied_fraction: f64,
-    /// Stale root chains left at the end (0 when healed).
-    pub final_stale_chains: usize,
-    /// Event counters accumulated over the run.
-    pub counters: EngineCounters,
-}
-
-impl AsyncRecoveryOutcome {
-    /// Whether the overlay healed before the time limit.
-    pub fn healed(&self) -> bool {
-        self.healed_at.is_some()
-    }
-}
-
 /// What the observability pipeline recorded over an observed run.
 ///
 /// Everything here derives deterministically from the run itself, so

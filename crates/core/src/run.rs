@@ -5,15 +5,17 @@
 //! observability pipeline ([`Run::observe`]) — and a verb says what
 //! happens to the overlay: [`Run::construct`], [`Run::under_churn`],
 //! [`Run::recover`], [`Run::stabilize`]. The verbs run on the
-//! synchronous **round clock**; [`Run::timed`] moves the description
-//! onto the **virtual-time clock** ([`EventClock`]), where each peer
-//! schedules its next action `duration(peer)` time units after the
-//! previous one, so peers drift out of lockstep (the paper's §5.3
-//! observation — asynchrony slows construction but does not prevent
-//! convergence — is experiment E6). That clock has two verbs,
-//! [`TimedRun::construct`] and [`TimedRun::recover`], the runs the node
-//! runtime replicates by stepping the same [`EventClock`]. The lockstep
-//! baseline is `.timed(FixedActionDuration(1.0), ..)`.
+//! synchronous **round clock**, the lockstep schedule: every online
+//! peer acts once a round. Construction and recovery end by one
+//! terminal rule, [`Goal`], which the node runtime's replicas step
+//! too, a turn at a time.
+//!
+//! [`Run::timed`] moves a construction onto the **virtual-time clock**,
+//! where each peer schedules its next action `duration(peer)` time
+//! units after the previous one, so peers with heterogeneous durations
+//! drift out of lockstep (the paper's §5.3 observation — asynchrony
+//! slows construction but does not prevent convergence — is
+//! experiment E6). That clock has one verb, [`TimedRun::construct`].
 //!
 //! Every verb returns an [`Observed`]: the verb's plain outcome, plus
 //! the [`Trail`] exactly when `.observe(..)` was called. There is one
@@ -30,8 +32,8 @@ use crate::engine::{ActionLedger, Engine};
 use crate::node::{PeerId, Population};
 use crate::oracle::Oracle;
 use crate::outcome::{
-    AsyncOutcome, AsyncRecoveryOutcome, ChurnOutcome, ConstructionOutcome, Observed,
-    RecoveryOutcome, StabilizationOutcome, Trail,
+    AsyncOutcome, ChurnOutcome, ConstructionOutcome, Observed, RecoveryOutcome,
+    StabilizationOutcome, Trail,
 };
 use crate::stabilize::apply_corruption;
 
@@ -95,8 +97,7 @@ impl FaultScenario {
     ///
     /// The cohort is drawn from a stream split off `seed`, not from the
     /// engine's own RNG, so the same peers crash however the engine got
-    /// here — [`Run::recover`] and the [`EventClock`] both call this
-    /// one function.
+    /// here.
     pub fn inject(&self, engine: &mut Engine, seed: u64) -> Vec<PeerId> {
         let interior: Vec<u32> = engine
             .population()
@@ -135,17 +136,6 @@ where
 {
     fn duration(&mut self, peer: PeerId, rng: &mut SimRng) -> f64 {
         self(peer, rng)
-    }
-}
-
-/// Every action takes the same fixed duration; `FixedActionDuration(1.0)`
-/// is the lockstep schedule the `lagover-node` replicas step.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct FixedActionDuration(pub f64);
-
-impl InteractionDurations for FixedActionDuration {
-    fn duration(&mut self, _peer: PeerId, _rng: &mut SimRng) -> f64 {
-        self.0
     }
 }
 
@@ -269,15 +259,16 @@ impl<'a> Run<'a> {
     pub fn construct_on(&self, engine: &mut Engine) -> Observed<ConstructionOutcome> {
         let mut series = TimeSeries::new("satisfied_fraction");
         series.push(engine.round().get() as f64, engine.satisfied_fraction());
-        let mut converged_at = engine.is_converged().then(|| engine.round().get());
-        let (until, done) = (engine.config().max_rounds, converged_at.is_some());
+        let mut goal = Goal::construction(engine.config().max_rounds);
+        goal.check(engine);
+        let (until, done) = (goal.until(), goal.done());
         let trail = rounds(engine, self.observe, until, None, done, |engine| {
             series.push(engine.round().get() as f64, engine.satisfied_fraction());
-            converged_at = engine.is_converged().then(|| engine.round().get());
-            converged_at.is_some()
+            goal.check(engine);
+            goal.done()
         });
         let outcome = ConstructionOutcome {
-            converged_at,
+            converged_at: goal.converged_at(),
             rounds_run: engine.round().get(),
             final_satisfied_fraction: engine.satisfied_fraction(),
             satisfied_series: series,
@@ -345,39 +336,37 @@ impl<'a> Run<'a> {
     /// how the construction phase consumed randomness.
     pub fn recover(mut self, scenario: &FaultScenario, horizon: u64) -> Observed<RecoveryOutcome> {
         let mut engine = self.engine();
-        let construction_converged_at = engine.run_to_convergence().map(Round::get);
+        let cap = engine.config().max_rounds;
+        let mut goal = Goal::recovery(*scenario, self.seed, cap, horizon);
+        goal.check(&mut engine);
+        // Construction is not sampled: the measured phase opens at the
+        // crash.
+        while goal.crash_round().is_none() {
+            engine.step();
+            goal.check(&mut engine);
+        }
         let crash_round = engine.round().get();
-        let victims = scenario.inject(&mut engine, self.seed);
-
         let mut orphan_series = TimeSeries::new("orphans");
         let mut orphan_peak = engine.orphan_count() as u64;
         orphan_series.push(crash_round as f64, orphan_peak as f64);
-        let mut stale_rounds = 0u64;
-        let mut recovery_rounds = None;
-        let until = crash_round + horizon;
+        let until = goal.until();
         let trail = rounds(&mut engine, self.observe, until, None, false, |engine| {
             let orphans = engine.orphan_count() as u64;
             orphan_peak = orphan_peak.max(orphans);
             orphan_series.push(engine.round().get() as f64, orphans as f64);
-            let stale = engine.stale_chain_count();
-            if stale > 0 {
-                stale_rounds += 1;
-            }
-            if engine.is_converged() && stale == 0 {
-                recovery_rounds = Some(engine.round().get() - crash_round);
-            }
-            recovery_rounds.is_some()
+            goal.check(engine);
+            goal.done()
         });
         let outcome = RecoveryOutcome {
-            construction_converged_at,
+            construction_converged_at: goal.converged_at(),
             crash_round,
-            crashed_peers: victims.len(),
-            victims,
-            recovery_rounds,
+            crashed_peers: goal.victims().len(),
+            victims: goal.victims().to_vec(),
+            recovery_rounds: goal.healed_at().map(|round| round - crash_round),
             rounds_run: engine.round().get() - crash_round,
             orphan_peak,
             orphan_series,
-            stale_rounds,
+            stale_rounds: goal.stale_rounds(),
             counters: *engine.counters(),
         };
         Observed { outcome, trail }
@@ -434,12 +423,9 @@ impl<'a> Run<'a> {
     }
 }
 
-/// A [`Run`] on the virtual-time clock; built by [`Run::timed`]. The
-/// verbs are [`Run`]'s construction and recovery, bounded by
-/// `max_time` instead of a round count and stepped by an
-/// [`EventClock`], so the whole trajectory stays a pure function of
-/// `(population, config, seed)` — the property the multi-process node
-/// harness relies on to replicate it.
+/// A construction on the virtual-time clock; built by [`Run::timed`].
+/// The run is bounded by `max_time` instead of a round count and
+/// stays a pure function of `(population, config, seed, durations)`.
 pub struct TimedRun<'a, D> {
     run: Run<'a>,
     durations: D,
@@ -447,66 +433,26 @@ pub struct TimedRun<'a, D> {
 }
 
 impl<D: InteractionDurations> TimedRun<'_, D> {
-    /// Runs construction until convergence or `max_time`.
+    /// Runs construction until convergence or `max_time`: each due
+    /// online peer acts, then the run checks for convergence and
+    /// samples.
     pub fn construct(mut self) -> Observed<AsyncOutcome> {
         let mut engine = self.run.engine();
+        let (population, seed) = (self.run.population, self.run.seed);
+        let mut clock = EventClock::new(population, seed, self.durations, self.max_time);
         let mut series = TimeSeries::new("satisfied_fraction");
         series.push(0.0, engine.satisfied_fraction());
-        let (clock, trail) = self.events(&mut engine, Scenario::Construction, |engine, now| {
-            series.push(now, engine.satisfied_fraction());
-        });
-        let outcome = AsyncOutcome {
-            converged_at: clock.converged_at(),
-            actions: clock.actions(),
-            final_satisfied_fraction: engine.satisfied_fraction(),
-            satisfied_series: series,
-            counters: *engine.counters(),
-        };
-        Observed { outcome, trail }
-    }
-
-    /// Runs construction to convergence, crashes `crash_fraction` of
-    /// the interior at that very action (the cohort [`Run::recover`]
-    /// would crash), then runs on until the overlay is satisfied and
-    /// stale-free again or `max_time` passes. An empty cohort counts as
-    /// healed on the spot.
-    pub fn recover(mut self, crash_fraction: f64) -> Observed<AsyncRecoveryOutcome> {
-        let mut engine = self.run.engine();
-        let scenario = Scenario::Recovery { crash_fraction };
-        let (clock, trail) = self.events(&mut engine, scenario, |_, _| {});
-        let outcome = AsyncRecoveryOutcome {
-            construction_converged_at: clock.converged_at(),
-            crashed_peers: clock.crashed_peers().unwrap_or(0),
-            healed_at: clock.healed_at(),
-            actions: clock.actions(),
-            final_satisfied_fraction: engine.satisfied_fraction(),
-            final_stale_chains: engine.stale_chain_count(),
-            counters: *engine.counters(),
-        };
-        Observed { outcome, trail }
-    }
-
-    /// The virtual-time loop over an [`EventClock`]: lets each due
-    /// online peer act, applies the scenario's terminal rule, calls
-    /// `after` and samples, until the scenario is done or the clock
-    /// passes `max_time`. Returns the clock and the trail of an
-    /// observed run.
-    fn events(
-        self,
-        engine: &mut Engine,
-        scenario: Scenario,
-        mut after: impl FnMut(&Engine, f64),
-    ) -> (EventClock<D>, Option<Trail>) {
-        let (population, seed) = (self.run.population, self.run.seed);
-        let mut clock = EventClock::new(population, scenario, seed, self.durations, self.max_time);
-        let mut sampler = self.run.observe.map(|o| Sampler::start(engine, 0.0, o));
+        let mut sampler = self
+            .run
+            .observe
+            .map(|o| Sampler::start(&mut engine, 0.0, o));
         // Per-action profiling, mirroring the round engine's phase
         // attribution; flushed ahead of whatever else records a phase.
         let profiling = engine.obs().profiling();
         let mut ledger = ActionLedger::default();
-        let (mut last, mut done) = (0.0f64, false);
-        while !done {
-            let Some((now, peer)) = clock.next(engine) else {
+        let (mut actions, mut last, mut converged_at) = (0u64, 0.0f64, None);
+        while converged_at.is_none() {
+            let Some((now, peer)) = clock.next(&engine) else {
                 break;
             };
             if profiling {
@@ -514,104 +460,57 @@ impl<D: InteractionDurations> TimedRun<'_, D> {
             } else {
                 engine.act_on(peer);
             }
-            done = clock.after_action(engine, now);
-            after(engine, now);
+            actions += 1;
+            converged_at = engine.is_converged().then_some(now);
+            series.push(now, engine.satisfied_fraction());
             last = now;
             if let Some(sampler) = sampler.as_mut() {
-                sampler.tick(engine, now, done);
+                sampler.tick(&mut engine, now, converged_at.is_some());
             }
         }
         engine.flush_actions(&mut ledger);
-        let ran = last.ceil() as u64;
-        (clock, sampler.map(|s| s.finish(engine, ran, done)))
+        let (ran, done) = (last.ceil() as u64, converged_at.is_some());
+        let trail = sampler.map(|s| s.finish(&mut engine, ran, done));
+        let outcome = AsyncOutcome {
+            converged_at,
+            actions,
+            final_satisfied_fraction: engine.satisfied_fraction(),
+            satisfied_series: series,
+            counters: *engine.counters(),
+        };
+        Observed { outcome, trail }
     }
 }
 
-/// What a run on the virtual-time clock is after, and so when it ends.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum Scenario {
-    /// Fig2-style construction: done once every peer is satisfied.
-    Construction,
-    /// E15 recovery: construct, crash an interior cohort at the action
-    /// that first observes convergence ([`FaultScenario::inject`]), and
-    /// run on until satisfied and stale-free again.
-    Recovery {
-        /// Fraction of the interior cohort to crash.
-        crash_fraction: f64,
-    },
-}
-
-impl Scenario {
-    /// Stable label for reports and CLI flags.
-    pub fn kind(&self) -> &'static str {
-        match self {
-            Scenario::Construction => "construction",
-            Scenario::Recovery { .. } => "recovery",
-        }
-    }
-}
-
-/// The virtual-time clock, one action at a time: the schedule
-/// [`TimedRun`] loops over and each node runtime replica steps as its
-/// permissions arrive.
+/// The virtual-time schedule, one action at a time.
 ///
 /// Every peer's first action lands at an independent offset in
 /// `[0, 1)` drawn from a stream split off the seed, each further one
 /// `durations.duration(peer)` after the previous; ties pop in insertion
 /// order. An offline peer's turn is a no-op that only reschedules it.
-/// After each action the clock applies the [`Scenario`]'s terminal
-/// rule — the one copy of it.
-#[derive(Debug)]
-pub struct EventClock<D> {
-    scenario: Scenario,
-    seed: u64,
+struct EventClock<D> {
     rng: SimRng,
     queue: EventQueue<PeerId>,
-    offsets: Vec<f64>,
     durations: D,
     max_time: f64,
-    actions: u64,
-    converged_at: Option<f64>,
-    crashed_peers: Option<usize>,
-    healed_at: Option<f64>,
 }
 
 impl<D: InteractionDurations> EventClock<D> {
-    /// The clock of `scenario` over `population` from `seed`, cut once
-    /// the next action lies beyond `max_time`.
-    pub fn new(
-        population: &Population,
-        scenario: Scenario,
-        seed: u64,
-        durations: D,
-        max_time: f64,
-    ) -> Self {
+    /// The clock over `population` from `seed`, cut once the next
+    /// action lies beyond `max_time`.
+    fn new(population: &Population, seed: u64, durations: D, max_time: f64) -> Self {
         let mut rng = SimRng::seed_from(seed).split(0x5EED_A57C);
         let mut queue = EventQueue::with_capacity(population.len() + 1);
-        let mut offsets = Vec::with_capacity(population.len());
         for p in population.peer_ids() {
             let offset = rng.f64();
-            offsets.push(offset);
             queue.schedule(VirtualTime::new(offset).expect("offset in [0,1)"), p);
         }
         EventClock {
-            scenario,
-            seed,
             rng,
             queue,
-            offsets,
             durations,
             max_time,
-            actions: 0,
-            converged_at: None,
-            crashed_peers: None,
-            healed_at: None,
         }
-    }
-
-    /// The virtual time of `peer`'s first action.
-    pub fn offset_of(&self, peer: PeerId) -> f64 {
-        self.offsets[peer.index()]
     }
 
     /// Pops the next action of a peer online in `engine` and schedules
@@ -621,7 +520,7 @@ impl<D: InteractionDurations> EventClock<D> {
     /// # Panics
     ///
     /// Panics if a duration is not strictly positive.
-    pub fn next(&mut self, engine: &Engine) -> Option<(f64, PeerId)> {
+    fn next(&mut self, engine: &Engine) -> Option<(f64, PeerId)> {
         loop {
             if self.queue.peek_time()?.get() > self.max_time {
                 return None;
@@ -635,65 +534,122 @@ impl<D: InteractionDurations> EventClock<D> {
             }
         }
     }
+}
 
-    /// The terminal rule, after the action popped at `now` has been
-    /// applied to `engine`: construction is done once converged; a
-    /// recovery injects its cohort at that very action, then is done
-    /// once converged with no stale chain. Returns whether the scenario
-    /// is done.
-    pub fn after_action(&mut self, engine: &mut Engine, now: f64) -> bool {
-        self.actions += 1;
-        match self.scenario {
-            Scenario::Construction => {
-                self.converged_at = engine.is_converged().then_some(now);
-            }
-            Scenario::Recovery { crash_fraction } => {
-                if self.crashed_peers.is_none() {
-                    if engine.is_converged() {
-                        self.converged_at = Some(now);
-                        let cohort = FaultScenario {
-                            crash_fraction,
-                            ..FaultScenario::none()
-                        };
-                        let victims = cohort.inject(engine, self.seed).len();
-                        self.crashed_peers = Some(victims);
-                        if victims == 0 {
-                            self.healed_at = Some(now);
-                        }
-                    }
-                } else if engine.is_converged() && engine.stale_chain_count() == 0 {
-                    self.healed_at = Some(now);
-                }
-            }
+/// The terminal rule of a lockstep run, applied at every round
+/// boundary (and once before the first round). Construction is done
+/// once converged. A recovery constructs until converged or its round
+/// cap, crashes its cohort there ([`FaultScenario::inject`]), and is
+/// done once *healed* — converged with no stale chain — in a later
+/// round. The one copy of the rule: [`Run::construct`],
+/// [`Run::recover`] and the `lagover-node` replica all step it.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Goal {
+    fault: Option<FaultScenario>,
+    seed: u64,
+    cap: u64,
+    horizon: u64,
+    converged_at: Option<u64>,
+    crash_round: Option<u64>,
+    victims: Vec<PeerId>,
+    stale_rounds: u64,
+    healed_at: Option<u64>,
+}
+
+impl Goal {
+    /// Construction, for at most `cap` rounds.
+    pub fn construction(cap: u64) -> Self {
+        Goal {
+            fault: None,
+            seed: 0,
+            cap,
+            horizon: 0,
+            converged_at: None,
+            crash_round: None,
+            victims: Vec::new(),
+            stale_rounds: 0,
+            healed_at: None,
         }
-        self.done()
+    }
+
+    /// E15 recovery: construction for at most `cap` rounds, then
+    /// `fault` injected with its cohort drawn from `seed`, then healing
+    /// for at most `horizon` rounds.
+    pub fn recovery(fault: FaultScenario, seed: u64, cap: u64, horizon: u64) -> Self {
+        Goal {
+            fault: Some(fault),
+            seed,
+            horizon,
+            ..Goal::construction(cap)
+        }
+    }
+
+    /// Applies the rule to `engine` at a round boundary.
+    pub fn check(&mut self, engine: &mut Engine) {
+        let round = engine.round().get();
+        let Some(fault) = self.fault else {
+            self.converged_at = engine.is_converged().then_some(round);
+            return;
+        };
+        if self.crash_round.is_none() {
+            self.converged_at = engine.is_converged().then_some(round);
+            if self.converged_at.is_some() || round >= self.cap {
+                self.victims = fault.inject(engine, self.seed);
+                self.crash_round = Some(round);
+            }
+            return;
+        }
+        let stale = engine.stale_chain_count();
+        self.stale_rounds += u64::from(stale > 0);
+        if engine.is_converged() && stale == 0 {
+            self.healed_at = Some(round);
+        }
     }
 
     /// Whether the scenario is done: converged, or healed.
     pub fn done(&self) -> bool {
-        match self.scenario {
-            Scenario::Construction => self.converged_at.is_some(),
-            Scenario::Recovery { .. } => self.healed_at.is_some(),
+        match self.fault {
+            None => self.converged_at.is_some(),
+            Some(_) => self.healed_at.is_some(),
         }
     }
 
-    /// Actions applied so far.
-    pub fn actions(&self) -> u64 {
-        self.actions
+    /// The round the current phase is cut at: the cap while
+    /// constructing, `horizon` rounds past the crash once healing.
+    pub(crate) fn until(&self) -> u64 {
+        match self.crash_round {
+            Some(crash) => crash.saturating_add(self.horizon),
+            None => self.cap,
+        }
     }
 
-    /// Virtual time construction converged, once reached.
-    pub fn converged_at(&self) -> Option<f64> {
+    /// Whether another round runs: not done, and the phase not cut.
+    pub fn runs_on(&self, engine: &Engine) -> bool {
+        !self.done() && engine.round().get() < self.until()
+    }
+
+    /// The round construction converged, once reached.
+    pub fn converged_at(&self) -> Option<u64> {
         self.converged_at
     }
 
-    /// Size of the crashed cohort, once injected (recovery only).
-    pub fn crashed_peers(&self) -> Option<usize> {
-        self.crashed_peers
+    /// The round the cohort crashed (recovery only), once injected.
+    pub(crate) fn crash_round(&self) -> Option<u64> {
+        self.crash_round
     }
 
-    /// Virtual time the overlay healed (recovery only), once reached.
-    pub fn healed_at(&self) -> Option<f64> {
+    /// The crashed cohort, in ascending id order.
+    pub fn victims(&self) -> &[PeerId] {
+        &self.victims
+    }
+
+    /// Healing rounds that ended with a stale chain.
+    pub(crate) fn stale_rounds(&self) -> u64 {
+        self.stale_rounds
+    }
+
+    /// The round the overlay healed (recovery only), once reached.
+    pub fn healed_at(&self) -> Option<u64> {
         self.healed_at
     }
 }
@@ -927,17 +883,13 @@ mod tests {
     fn observed_runs_match_plain_runs_for_every_verb_on_both_clocks() {
         let pop = population();
         let heal_pop = recovery_population();
-        let wide = wide_population(24);
-        let (hybrid, greedy) = (hybrid(), greedy());
+        let hybrid = hybrid();
         let scenario = FaultScenario {
             crash_fraction: 0.5,
             message_loss: 0.0,
             blackout_rounds: 5,
         };
         let all_classes = CorruptionPlan::new(5).with_all_classes().with_severity(0.3);
-        fn lockstep(run: Run<'_>) -> TimedRun<'_, FixedActionDuration> {
-            run.timed(FixedActionDuration(1.0), 10_000.0)
-        }
 
         // Round clock.
         observation_row(
@@ -1001,7 +953,7 @@ mod tests {
         observation_row(
             "construct / virtual time",
             || Run::new(&pop, &hybrid, 7),
-            |run| lockstep(run).construct(),
+            |run| run.timed(uneven, 10_000.0).construct(),
             |o| Facts {
                 counters: o.counters,
                 reached: o.converged(),
@@ -1009,17 +961,19 @@ mod tests {
             },
             &[EventKind::Attach],
         );
-        observation_row(
-            "recover / virtual time",
-            || Run::new(&wide, &greedy, 7),
-            |run| lockstep(run).recover(0.2),
-            |o| Facts {
-                counters: o.counters,
-                reached: o.healed(),
-                actions: Some(o.actions),
-            },
-            &[EventKind::Crash],
-        );
+    }
+
+    fn crash_only(crash_fraction: f64) -> FaultScenario {
+        FaultScenario {
+            crash_fraction,
+            ..FaultScenario::none()
+        }
+    }
+
+    /// Heterogeneous action durations: even peers fast, odd peers up to
+    /// twice as slow.
+    fn uneven(p: PeerId, rng: &mut SimRng) -> f64 {
+        1.0 + rng.f64() * (p.index() % 2) as f64
     }
 
     #[test]
@@ -1039,7 +993,7 @@ mod tests {
         let timed = |interval| {
             Run::new(&pop, &config, 5)
                 .observe(256, interval)
-                .timed(FixedActionDuration(1.0), 5_000.0)
+                .timed(uneven, 5_000.0)
                 .construct()
         };
         assert_eq!(timed(0), timed(1));
@@ -1256,7 +1210,7 @@ mod tests {
     fn lockstep_async_converges() {
         let (pop, config) = (async_population(), greedy());
         let outcome = Run::new(&pop, &config, 7)
-            .timed(FixedActionDuration(1.0), 5_000.0)
+            .timed(|_, _: &mut SimRng| 1.0, 5_000.0)
             .construct()
             .outcome;
         assert!(outcome.converged());
@@ -1287,7 +1241,7 @@ mod tests {
         let config = ConstructionConfig::new(Algorithm::Greedy, OracleKind::Random);
         let pop = async_population();
         let outcome = Run::new(&pop, &config, 3)
-            .timed(FixedActionDuration(10.0), 5.0)
+            .timed(|_, _: &mut SimRng| 10.0, 5.0)
             .construct()
             .outcome;
         // Only the initial offsets fit inside the limit.
@@ -1300,7 +1254,7 @@ mod tests {
         let config = ConstructionConfig::new(Algorithm::Greedy, OracleKind::Random);
         let pop = async_population();
         let _ = Run::new(&pop, &config, 3)
-            .timed(FixedActionDuration(0.0), 10.0)
+            .timed(|_, _: &mut SimRng| 0.0, 10.0)
             .construct();
     }
 
@@ -1308,14 +1262,16 @@ mod tests {
     fn event_clock_pops_each_peer_at_its_offset_then_once_a_duration() {
         let (pop, config) = (async_population(), greedy());
         let engine = Engine::new(&pop, &config, 3);
-        let lockstep = FixedActionDuration(1.0);
-        let mut clock = EventClock::new(&pop, Scenario::Construction, 3, lockstep, 2.0);
+        let mut clock = EventClock::new(&pop, 3, |_, _: &mut SimRng| 1.0, 2.0);
+        let mut offsets = vec![None; pop.len()];
         let mut last = 0.0;
         for pass in 0..2 {
             let mut seen = vec![false; pop.len()];
             for _ in 0..pop.len() {
                 let (now, p) = clock.next(&engine).expect("inside max_time");
-                assert_eq!(now, clock.offset_of(p) + f64::from(pass));
+                let offset = *offsets[p.index()].get_or_insert(now);
+                assert!((0.0..1.0).contains(&offset));
+                assert_eq!(now, offset + f64::from(pass));
                 assert!(now >= last, "time runs forward");
                 last = now;
                 seen[p.index()] = true;
@@ -1326,27 +1282,27 @@ mod tests {
     }
 
     #[test]
-    fn async_recovery_heals_after_interior_crash() {
+    fn goal_injects_at_convergence_and_heals_on_a_later_round() {
         let (pop, config) = (wide_population(24), greedy());
-        let outcome = Run::new(&pop, &config, 7)
-            .timed(FixedActionDuration(1.0), 10_000.0)
-            .recover(0.2)
-            .outcome;
-        assert!(outcome.construction_converged_at.is_some());
-        assert!(outcome.crashed_peers > 0, "cohort must crash somebody");
-        assert!(outcome.healed(), "overlay must re-converge: {outcome:?}");
-        assert_eq!(outcome.final_stale_chains, 0);
-        assert!(outcome.healed_at > outcome.construction_converged_at);
-    }
-
-    #[test]
-    fn async_recovery_zero_fraction_heals_instantly() {
-        let (pop, config) = (wide_population(16), greedy());
-        let outcome = Run::new(&pop, &config, 3)
-            .timed(FixedActionDuration(1.0), 10_000.0)
-            .recover(0.0)
-            .outcome;
-        assert_eq!(outcome.crashed_peers, 0);
-        assert_eq!(outcome.healed_at, outcome.construction_converged_at);
+        let fault = crash_only(0.2);
+        let mut engine = Engine::new(&pop, &config, 7);
+        let mut goal = Goal::recovery(fault, 7, config.max_rounds, 10_000);
+        goal.check(&mut engine);
+        while goal.runs_on(&engine) {
+            engine.step();
+            goal.check(&mut engine);
+        }
+        let crash = goal.crash_round().expect("injected");
+        assert_eq!(goal.converged_at(), Some(crash), "crashed on convergence");
+        assert!(!goal.victims().is_empty(), "cohort must crash somebody");
+        let healed = goal.healed_at().expect("overlay must re-converge");
+        assert!(healed > crash);
+        assert_eq!(engine.stale_chain_count(), 0);
+        // The twin verb reads the same rule.
+        let outcome = Run::new(&pop, &config, 7).recover(&fault, 10_000).outcome;
+        assert_eq!(outcome.victims, goal.victims());
+        assert_eq!(outcome.recovery_rounds, Some(healed - crash));
+        assert_eq!(outcome.stale_rounds, goal.stale_rounds());
+        assert_eq!(outcome.counters, *engine.counters());
     }
 }

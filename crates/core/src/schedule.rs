@@ -25,7 +25,7 @@ use crate::node::PeerId;
 
 /// Salt of the stream the schedule key is taken from: neither the
 /// engine's own stream, whose draws it leaves alone, nor the
-/// [`crate::EventClock`]'s.
+/// virtual-time clock's.
 const SCHEDULE_SALT: u64 = 0x5EED_0DE2;
 
 /// Rounds with fewer active peers sort by comparison; larger ones by

@@ -18,9 +18,7 @@ use proptest::prelude::*;
 use lagover_core::node::{Constraints, Member, PeerId, Population};
 use lagover_core::overlay::Overlay;
 use lagover_core::sufficiency::{check, exact_feasibility, validate_assignment};
-use lagover_core::{
-    construct, Algorithm, ConstructionConfig, Engine, FixedActionDuration, OracleKind, Run,
-};
+use lagover_core::{construct, Algorithm, ConstructionConfig, Engine, OracleKind, Run};
 use lagover_sim::{BernoulliChurn, CorruptionClass, CorruptionPlan, SimRng};
 
 /// Strategy: a population of `peers` peers with the given fanout and
@@ -495,8 +493,9 @@ proptest! {
     /// Feasible-and-sufficient populations always converge under the
     /// hybrid algorithm with the recommended oracle — the engine's
     /// completeness on its intended domain — on the round clock and on
-    /// lockstep virtual time alike. (Off that domain the two clocks can
-    /// disagree on *whether* a population converges within the cap.)
+    /// the virtual-time clock with uniform durations alike. (Off that
+    /// domain the two clocks can disagree on *whether* a population
+    /// converges within the cap.)
     #[test]
     fn hybrid_converges_on_sufficient_populations(
         population in population_strategy(),
@@ -511,12 +510,12 @@ proptest! {
                 "hybrid failed on a sufficient population: {population:?}"
             );
             let timed = Run::new(&population, &config, seed)
-                .timed(FixedActionDuration(1.0), 5_000.0)
+                .timed(|_, _: &mut SimRng| 1.0, 5_000.0)
                 .construct()
                 .outcome;
             prop_assert!(
                 timed.converged(),
-                "hybrid failed on the lockstep clock: {population:?}"
+                "hybrid failed on the virtual-time clock: {population:?}"
             );
         }
     }

@@ -6,8 +6,8 @@
 //! construction, but interestingly did not affect the eventual
 //! convergence to a LagOver."*
 //!
-//! The synchronous baseline is the lockstep run expressed in the same
-//! event-driven machinery (every interaction takes one time unit); the
+//! The synchronous baseline is the lockstep round clock (`Run::construct`:
+//! every online peer acts once a round, a round is one time unit); the
 //! asynchronous condition draws per-peer interaction durations from the
 //! `lagover-net` RTT model, normalized so the fastest interaction takes
 //! one time unit — every peer is at best as fast as the lockstep round
@@ -15,7 +15,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use lagover_core::{Algorithm, ConstructionConfig, FixedActionDuration, OracleKind, Run};
+use lagover_core::{Algorithm, ConstructionConfig, OracleKind, Run};
 use lagover_net::{DurationModel, SpaceSpec, SubstrateModel};
 use lagover_sim::{stats, SimRng};
 use lagover_workload::{TopologicalConstraint, WorkloadSpec};
@@ -30,8 +30,9 @@ pub struct AsyncRow {
     pub workload: String,
     /// "lockstep" or "async".
     pub mode: String,
-    /// Median virtual-time convergence instant; non-converged runs at
-    /// the cap.
+    /// Median convergence time — the round on the lockstep clock, the
+    /// virtual-time instant under asynchrony; non-converged runs at the
+    /// cap.
     pub median_time: f64,
     /// Runs that converged.
     pub converged_runs: usize,
@@ -129,8 +130,11 @@ pub fn run(params: &Params) -> AsyncReport {
                 let config = ConstructionConfig::new(Algorithm::Hybrid, OracleKind::RandomDelay)
                     .with_max_rounds(params.max_rounds);
                 let run = Run::new(&population, &config, seed);
-                let outcome = if mode == "lockstep" {
-                    run.timed(FixedActionDuration(1.0), max_time).construct()
+                let converged_at = if mode == "lockstep" {
+                    run.construct()
+                        .outcome
+                        .converged_at
+                        .map(|round| round as f64)
                 } else {
                     let mut model_rng = SimRng::seed_from(seed).split(5);
                     let model = NormalizedModel::new(
@@ -141,10 +145,12 @@ pub fn run(params: &Params) -> AsyncReport {
                     let durations = move |p: lagover_core::PeerId, rng: &mut SimRng| {
                         model.duration(p.index(), rng)
                     };
-                    run.timed(durations, max_time).construct()
-                }
-                .outcome;
-                if let Some(at) = outcome.converged_at {
+                    run.timed(durations, max_time)
+                        .construct()
+                        .outcome
+                        .converged_at
+                };
+                if let Some(at) = converged_at {
                     converged += 1;
                     times.push(at);
                 } else {
@@ -218,6 +224,16 @@ mod tests {
                 row.converged_runs, row.total_runs,
                 "{} {} failed to converge",
                 row.workload, row.mode
+            );
+        }
+        for workload in ["Rand", "BiCorr"] {
+            let (lockstep, asynchronous) = (
+                report.row(workload, "lockstep").median_time,
+                report.row(workload, "async").median_time,
+            );
+            assert!(
+                asynchronous > lockstep,
+                "{workload}: asynchrony must slow construction ({asynchronous} vs {lockstep})"
             );
         }
         assert!(report.render().contains("async"));

@@ -4,16 +4,17 @@
 //! trust is mutual: the `lagover-node` in-process mesh — n replicated
 //! state machines exchanging wire tokens, each journaling only the
 //! events it owns — must merge to the *byte-identical* journal the
-//! single-process simulator twin produces, for both fig2-style
-//! construction and E15-style crash recovery. The merged journal is
+//! single-process simulator twin (`Run::construct` / `Run::recover` on
+//! the round clock) produces, for both fig2-style construction and
+//! E15-style crash recovery. The merged journal is
 //! embedded in the report so the replay-diff harness pins the
 //! cross-validation output itself.
 
 use serde::{Deserialize, Serialize};
 
-use lagover_core::{Algorithm, ConstructionConfig, FixedActionDuration, OracleKind, Run};
+use lagover_core::{Algorithm, ConstructionConfig, OracleKind};
 use lagover_jsonio::to_string;
-use lagover_node::{run_mesh, Scenario, ScenarioSpec};
+use lagover_node::{run_mesh, twin, Scenario, ScenarioSpec};
 use lagover_obs::Journal;
 use lagover_workload::{TopologicalConstraint, WorkloadSpec};
 
@@ -36,7 +37,7 @@ pub struct NodesimRow {
     /// `byte_identical` holds).
     pub actions: u64,
     /// Whether the run finished (converged, and for recovery healed)
-    /// before the time cap.
+    /// before the round cap.
     pub finished: bool,
     /// The PR's acceptance property: the merged mesh journal serialized
     /// to exactly the twin's bytes.
@@ -115,14 +116,7 @@ pub fn run(params: &Params) -> NodesimReport {
             journal_capacity: JOURNAL_CAPACITY,
         };
         let mesh = run_mesh(&population, &spec, seed).expect("mesh completes");
-        let twin = Run::new(&population, &spec.config, seed)
-            .observe(JOURNAL_CAPACITY, 10)
-            .timed(FixedActionDuration(1.0), max_time);
-        let twin_trail = match scenario {
-            Scenario::Construction => twin.construct().trail,
-            Scenario::Recovery { crash_fraction } => twin.recover(crash_fraction).trail,
-        };
-        let twin_journal = twin_trail.expect("observed").journal;
+        let twin_journal = twin(&population, &spec, seed).journal;
         rows.push(NodesimRow {
             scenario: scenario.kind().into(),
             seed,

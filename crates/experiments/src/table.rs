@@ -82,18 +82,6 @@ impl TextTable {
         }
         out
     }
-
-    /// Renders as CSV (comma-separated, no quoting — cells in this
-    /// workspace never contain commas).
-    pub fn to_csv(&self) -> String {
-        let mut out = self.header.join(",");
-        out.push('\n');
-        for row in &self.rows {
-            out.push_str(&row.join(","));
-            out.push('\n');
-        }
-        out
-    }
 }
 
 /// Formats an optional convergence round, with `>cap` for timeouts.
@@ -121,13 +109,6 @@ mod tests {
         assert!(lines[2].starts_with("wide-cell"));
         assert_eq!(t.len(), 2);
         assert!(!t.is_empty());
-    }
-
-    #[test]
-    fn csv_round_trip_shape() {
-        let mut t = TextTable::new(vec!["x".into(), "y".into()]);
-        t.row(vec!["1".into(), "2".into()]);
-        assert_eq!(t.to_csv(), "x,y\n1,2\n");
     }
 
     #[test]

@@ -14,13 +14,12 @@
 //!    node 0 (retransmitted until answered). Once node 0 has seen every
 //!    peer it broadcasts [`Message::Start`]; stragglers that keep
 //!    hello-ing get `Start` again.
-//! 2. **Lockstep run** — each node owns the schedule entries of its
-//!    own peer id. A fire of [`TimerKind::Action`] releases one own
-//!    action; applying it broadcasts the cumulative token
-//!    [`Message::Ordered`]`{me, upto}`. A remote peer's action at
-//!    global index k may be applied once that peer's token covers it.
-//!    Offline schedule entries are no-ops in the simulator and are
-//!    consumed without any token.
+//! 2. **Lockstep run** — each node owns the turns of its own peer id,
+//!    one a round. A fire of [`TimerKind::Action`] releases one own
+//!    turn; applying it broadcasts the cumulative token
+//!    [`Message::Ordered`]`{me, upto}`. A remote peer's turn may be
+//!    applied once that peer's token covers it. Offline peers have no
+//!    turns.
 //! 3. **Shutdown** — when the replica reaches its terminal condition
 //!    (the same global action index on every node), the node broadcasts
 //!    [`Message::Done`] and emits [`Output::Halted`].
@@ -50,7 +49,7 @@ pub enum Command {
 /// Timers the core asks the transport to arm.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TimerKind {
-    /// Releases the node's next own schedule entry.
+    /// Releases the node's next own turn.
     Action,
     /// Drives retransmission of the current idempotent state.
     Retransmit,
@@ -97,13 +96,13 @@ pub enum Output {
 /// Final summary of a node's replicated run.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NodeOutcome {
-    /// Global online actions applied.
+    /// Global actions applied.
     pub actions: u64,
     /// Of those, this node's own.
     pub own_actions: u64,
-    /// Virtual time construction converged, if reached.
+    /// Round construction converged, if reached.
     pub converged_at: Option<f64>,
-    /// Virtual time the overlay healed, if reached.
+    /// Round the overlay healed, if reached.
     pub healed_at: Option<f64>,
     /// Crashed cohort size (0 before injection / in construction).
     pub crashed_peers: u64,
@@ -111,7 +110,7 @@ pub struct NodeOutcome {
     pub final_satisfied_fraction: f64,
     /// Final stale-chain count.
     pub final_stale_chains: u64,
-    /// Whether the run hit `max_time` instead of finishing.
+    /// Whether the run hit its round cap instead of finishing.
     pub time_limited: bool,
 }
 
@@ -296,11 +295,11 @@ impl NodeCore {
     }
 
     fn begin_acting(&mut self, out: &mut Vec<Output>) {
-        // The node's first own schedule entry sits at its offset; every
-        // later one is a whole time unit after the previous fire.
+        // A peer has one turn a round: the first fire releases round 0's
+        // at once, every later one a time unit after the previous.
         out.push(Output::SetTimer {
             kind: TimerKind::Action,
-            delay: self.replica.clock().offset_of(PeerId::new(self.me)),
+            delay: 0.0,
         });
         self.arm_retransmit(out);
         // Tokens that raced ahead of Start may already permit remote
@@ -308,9 +307,9 @@ impl NodeCore {
         self.drain(out);
     }
 
-    /// Applies every schedule entry whose permission has arrived: own
-    /// entries released by Action fires, remote entries covered by
-    /// their peer's cumulative token.
+    /// Applies every turn whose permission has arrived: own turns
+    /// released by Action fires, remote ones covered by their peer's
+    /// cumulative token.
     fn drain(&mut self, out: &mut Vec<Output>) {
         if self.halted {
             return;
@@ -385,16 +384,16 @@ impl NodeCore {
 
     /// Final summary; meaningful once [`Self::is_halted`].
     pub fn outcome(&self) -> NodeOutcome {
-        let (clock, engine) = (self.replica.clock(), self.replica.engine());
+        let (goal, engine) = (self.replica.goal(), self.replica.engine());
         NodeOutcome {
             actions: self.replica.actions(),
             own_actions: self.replica.peer_actions(PeerId::new(self.me)),
-            converged_at: clock.converged_at(),
-            healed_at: clock.healed_at(),
-            crashed_peers: clock.crashed_peers().unwrap_or(0) as u64,
+            converged_at: goal.converged_at().map(|r| r as f64),
+            healed_at: goal.healed_at().map(|r| r as f64),
+            crashed_peers: goal.victims().len() as u64,
             final_satisfied_fraction: engine.satisfied_fraction(),
             final_stale_chains: engine.stale_chain_count() as u64,
-            time_limited: self.replica.halted() && !clock.done(),
+            time_limited: self.replica.halted() && !goal.done(),
         }
     }
 

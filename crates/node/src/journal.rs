@@ -2,8 +2,8 @@
 //! journal.
 //!
 //! Each node journals only the events it *owns* (events of its own
-//! actions, plus its own crash-injection event in the recovery
-//! scenario), keyed by `(global action index, sub-index)`. Because the
+//! turns, plus the round-close and crash-injection events that concern
+//! its own peer), keyed by `(global action index, sub-index)`. Because the
 //! global schedule is shared, sorting the union of all nodes' entries
 //! by that key reproduces the exact event order of the simulator twin;
 //! replaying them through a ring [`Journal`] of the same capacity
@@ -18,7 +18,7 @@ use crate::replica::OwnedEvent;
 /// One owned journal event with its global position.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct JournalEntry {
-    /// Global online-action index the event belongs to.
+    /// Global action index the event belongs to.
     pub index: u64,
     /// Position within that action's event segment.
     pub sub: u32,
@@ -71,13 +71,13 @@ pub struct NodeReport {
     pub scenario: String,
     /// Transport label ("mesh" / "udp").
     pub transport: String,
-    /// Global online actions this replica applied.
+    /// Global actions this replica applied.
     pub actions: u64,
     /// Of those, actions owned by this node.
     pub own_actions: u64,
-    /// Virtual time construction converged, if reached.
+    /// Round construction converged, if reached.
     pub converged_at: Option<f64>,
-    /// Virtual time the overlay healed (recovery), if reached.
+    /// Round the overlay healed (recovery), if reached.
     pub healed_at: Option<f64>,
     /// Crashed cohort size (recovery; 0 otherwise).
     pub crashed_peers: u64,
@@ -85,7 +85,7 @@ pub struct NodeReport {
     pub final_satisfied_fraction: f64,
     /// Final stale-chain count.
     pub final_stale_chains: u64,
-    /// Whether the replica hit `max_time` instead of finishing.
+    /// Whether the replica hit its round cap instead of finishing.
     pub time_limited: bool,
     /// Engine counters of the replica (identical on every node).
     pub counters: EngineCounters,
@@ -158,7 +158,7 @@ pub struct MergedRun {
 
 impl MergedRun {
     /// Whether the scenario finished (construction converged, or the
-    /// recovery run healed) rather than hitting the time limit.
+    /// recovery run healed) rather than hitting the round cap.
     pub fn finished(&self) -> bool {
         match self.report.scenario.as_str() {
             "recovery" => self.report.healed_at.is_some(),

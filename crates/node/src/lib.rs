@@ -12,16 +12,16 @@
 //! sockets, and hidden randomness — every run is a pure function of
 //! `(population, config, seed)`. The runtime exploits that directly:
 //! each node carries a full engine **replica** ([`replica::Replica`])
-//! that steps the simulator's own virtual-time clock
-//! (`lagover_core::EventClock`), and the wire carries only *progress
-//! tokens* ("my first `k` actions are executed",
-//! [`wire::Message::Ordered`]) that release schedule entries for
+//! that steps the simulator's round clock one turn at a time — every
+//! online peer once a round, in the round's keyed slot order, a pure
+//! function of `(seed, round, peer)` every host derives for itself —
+//! and the wire carries only *progress tokens* ("my first `k` actions
+//! are executed", [`wire::Message::Ordered`]) that release turns for
 //! application on remote replicas. Convergence, crash injection, and
-//! healing are the clock's one terminal rule, met at the same global
-//! action index on every node, so the per-node journals merge back
-//! into the exact byte sequence the simulator twin (`Run::timed` at
-//! `FixedActionDuration(1.0)`, verbs `construct` / `recover`) journals
-//! — pinned by replay-diff.
+//! healing are core's one terminal rule (`lagover_core::Goal`), met on
+//! the same round on every node, so the per-node journals merge back
+//! into the exact byte sequence the simulator twin ([`replica::twin`]:
+//! `Run::construct` / `Run::recover`) journals — pinned by replay-diff.
 //!
 //! ## Layers
 //!
@@ -51,7 +51,7 @@ pub use crate::core::{Command, Input, NodeCore, NodeOutcome, Output, TimerKind};
 pub use harness::{run_harness, HarnessOptions, HarnessOutcome};
 pub use journal::{merge_reports, JournalEntry, MergedRun, NodeReport};
 pub use mesh::{run_mesh, MeshRun};
-pub use replica::{Replica, Scenario, ScenarioSpec};
+pub use replica::{twin, Replica, Scenario, ScenarioSpec, Twin};
 #[cfg(feature = "wall-clock")]
 pub use udp::{run_udp_node, UdpNodeOptions};
 pub use wire::{decode, encode, DecodeError, Message, MAX_FRAME};

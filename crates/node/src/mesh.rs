@@ -12,8 +12,8 @@
 //! [`TimerKind::Retransmit`] arms: nothing is ever lost, so the
 //! retransmission machinery would only reorder duplicate idempotent
 //! tokens. [`TimerKind::Action`] arms are honored exactly; with
-//! zero-latency frames this reproduces the simulator's own schedule
-//! times on top of the protocol's correctness-by-construction.
+//! zero-latency frames round `r` of the replicated run plays out at
+//! virtual time `r`.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -100,8 +100,12 @@ pub fn run_mesh(
     }
 
     // A loose safety net: the protocol is deterministic, so any
-    // overrun here is a livelock bug, not load.
-    let budget = 64 * (spec.max_time as u64 + 2) * u64::from(n).max(1) + 1_000_000;
+    // overrun here is a livelock bug, not load. Recovery may run the
+    // round cap twice over (construction, then healing).
+    let budget = 64u64
+        .saturating_mul(spec.rounds().saturating_mul(2).saturating_add(2))
+        .saturating_mul(u64::from(n).max(1))
+        .saturating_add(1_000_000);
     let mut steps = 0u64;
     while halted_count < n as usize {
         let Some((now, pending)) = sched.pop() else {
@@ -181,10 +185,8 @@ fn execute(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::replica::Scenario;
-    use lagover_core::{
-        Algorithm, Constraints, ConstructionConfig, FixedActionDuration, OracleKind, Run,
-    };
+    use crate::replica::{twin, Scenario};
+    use lagover_core::{Algorithm, Constraints, ConstructionConfig, OracleKind};
     use lagover_jsonio::to_string;
     use lagover_obs::Event;
 
@@ -208,15 +210,12 @@ mod tests {
         let pop = population(24);
         let s = spec(Scenario::Construction);
         let run = run_mesh(&pop, &s, 7).expect("mesh completes");
-        let twin = Run::new(&pop, &s.config, 7)
-            .observe(s.journal_capacity, 10)
-            .timed(FixedActionDuration(1.0), s.max_time)
-            .construct();
-        assert_eq!(run.merged.report.converged_at, twin.outcome.converged_at);
-        assert_eq!(run.merged.report.counters, twin.outcome.counters);
+        let twin = twin(&pop, &s, 7);
+        assert_eq!(run.merged.report.converged_at, twin.converged_at);
+        assert_eq!(run.merged.report.counters, twin.counters);
         assert_eq!(
             to_string(&run.merged.journal),
-            to_string(&twin.trail.expect("observed").journal),
+            to_string(&twin.journal),
             "merged mesh journal must serialize byte-identically to the twin"
         );
         assert!(run.merged.finished());
@@ -229,23 +228,11 @@ mod tests {
             crash_fraction: 0.2,
         });
         let run = run_mesh(&pop, &s, 7).expect("mesh completes");
-        let twin = Run::new(&pop, &s.config, 7)
-            .observe(s.journal_capacity, 10)
-            .timed(FixedActionDuration(1.0), s.max_time)
-            .recover(0.2);
-        assert_eq!(
-            to_string(&run.merged.journal),
-            to_string(&twin.trail.as_ref().expect("observed").journal)
-        );
-        assert_eq!(
-            run.merged.report.converged_at,
-            twin.outcome.construction_converged_at
-        );
-        assert_eq!(run.merged.report.healed_at, twin.outcome.healed_at);
-        assert_eq!(
-            run.merged.report.crashed_peers,
-            twin.outcome.crashed_peers as u64
-        );
+        let twin = twin(&pop, &s, 7);
+        assert_eq!(to_string(&run.merged.journal), to_string(&twin.journal));
+        assert_eq!(run.merged.report.converged_at, twin.converged_at);
+        assert_eq!(run.merged.report.healed_at, twin.healed_at);
+        assert_eq!(run.merged.report.crashed_peers, twin.crashed_peers);
         assert!(
             run.merged
                 .journal
@@ -269,5 +256,33 @@ mod tests {
             obs.journal.as_ref().map(|j| j.len()),
             Some(run.merged.journal.len())
         );
+    }
+
+    #[test]
+    fn a_capped_run_halts_at_the_round_cap_with_its_twin() {
+        let pop = population(16);
+        let s = ScenarioSpec {
+            max_time: 2.0,
+            ..spec(Scenario::Construction)
+        };
+        let run = run_mesh(&pop, &s, 3).expect("mesh completes");
+        let report = &run.merged.report;
+        assert!(report.time_limited && !run.merged.finished());
+        assert_eq!(report.actions, 2 * 16, "two rounds of every peer");
+        let twin = twin(&pop, &s, 3);
+        assert_eq!(to_string(&run.merged.journal), to_string(&twin.journal));
+        assert_eq!(report.converged_at, twin.converged_at);
+    }
+
+    /// The widest cap the CLI accepts: the livelock budget saturates
+    /// instead of overflowing, and the run still ends by converging.
+    #[test]
+    fn the_widest_round_cap_saturates_the_step_budget() {
+        let s = ScenarioSpec {
+            max_time: 9_007_199_254_740_992.0,
+            ..spec(Scenario::Construction)
+        };
+        let run = run_mesh(&population(8), &s, 3).expect("mesh completes");
+        assert!(run.merged.finished());
     }
 }

@@ -1,38 +1,146 @@
 //! The replicated lockstep engine each node carries.
 //!
 //! The node runtime is lockstep state-machine replication: every node
-//! holds a full [`Engine`] replica and steps the simulator's own
-//! virtual-time clock, [`EventClock`] at `FixedActionDuration(1.0)` —
-//! the schedule, the `max_time` cut and the scenario's terminal rule of
-//! `Run::timed`, not a copy of them. The whole trajectory is a pure
-//! function of `(population, scenario, seed)`, so nodes never ship
-//! state — only *progress tokens* saying "my first k actions are
-//! executed", which [`crate::core::NodeCore`] turns into
-//! apply-permissions for the shared schedule.
+//! holds a full [`Engine`] replica and steps the simulator's round
+//! clock one turn at a time — the round opens, every online peer takes
+//! one turn in the round's keyed slot order (the all-peers round the
+//! active-set `Engine::step` is held byte-equal to), the round closes —
+//! and ends by core's terminal rule, [`Goal`], the one `Run::construct`
+//! and `Run::recover` step. The whole trajectory is a pure function of
+//! `(population, scenario, seed)`, so nodes never ship state — only
+//! *progress tokens* saying "my first k actions are executed", which
+//! [`crate::core::NodeCore`] turns into apply-permissions for the
+//! shared schedule.
 //!
-//! [`Replica`] keeps only what is node-specific: the one action popped
-//! and waiting for permission, the per-peer action counters tokens
-//! gate on, and the owner of each journal event.
+//! [`Replica`] keeps only what is node-specific: the turn waiting for
+//! permission, the per-peer action counters tokens gate on, and the
+//! owner of each journal event.
 
-pub use lagover_core::Scenario;
 use lagover_core::{
-    ConstructionConfig, Engine, EventClock, FixedActionDuration, PeerId, Population,
+    ConstructionConfig, Engine, EngineCounters, FaultScenario, Goal, Observed, PeerId, Population,
+    Run,
 };
-use lagover_obs::Event;
+use lagover_obs::{Event, Journal};
+
+/// What a replicated run is after, and so when it ends.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Scenario {
+    /// Fig2-style construction: done once every peer is satisfied.
+    Construction,
+    /// E15 recovery: construct, crash an interior cohort on the round
+    /// construction converged, and run on until satisfied and
+    /// stale-free again.
+    Recovery {
+        /// Fraction of the interior cohort to crash.
+        crash_fraction: f64,
+    },
+}
+
+impl Scenario {
+    /// Stable label for reports and CLI flags.
+    pub fn kind(&self) -> &'static str {
+        match self {
+            Scenario::Construction => "construction",
+            Scenario::Recovery { .. } => "recovery",
+        }
+    }
+}
 
 /// Everything a node needs to replicate one run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ScenarioSpec {
     /// The scenario to replicate.
     pub scenario: Scenario,
-    /// Engine configuration (algorithm, oracle, fault model knobs).
+    /// Engine configuration (algorithm, oracle, fault model knobs);
+    /// its own round cap is replaced by `max_time`.
     pub config: ConstructionConfig,
-    /// Virtual-time cap; the run halts when the schedule head passes it.
+    /// Round cap, in whole rounds: construction runs at most this many
+    /// rounds, and so does healing after a recovery's crash.
     pub max_time: f64,
     /// Journal ring capacity, applied once when the node reports merge
     /// (as in the simulator twin — the merged journal reproduces the
     /// same drops).
     pub journal_capacity: usize,
+}
+
+impl ScenarioSpec {
+    /// The round cap, `max_time` in whole rounds.
+    pub(crate) fn rounds(&self) -> u64 {
+        self.max_time as u64
+    }
+
+    /// The configuration the replicas and their twin run: `config`
+    /// with [`Self::rounds`] as its round cap.
+    fn capped_config(&self) -> ConstructionConfig {
+        self.config.with_max_rounds(self.rounds())
+    }
+
+    /// The terminal rule of this scenario from `seed`.
+    fn goal(&self, seed: u64) -> Goal {
+        match self.scenario {
+            Scenario::Construction => Goal::construction(self.rounds()),
+            Scenario::Recovery { crash_fraction } => {
+                let fault = FaultScenario {
+                    crash_fraction,
+                    ..FaultScenario::none()
+                };
+                Goal::recovery(fault, seed, self.rounds(), self.rounds())
+            }
+        }
+    }
+}
+
+/// What the simulator twin of a replicated run says, in the terms of a
+/// node report.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Twin {
+    /// The twin's journal, at the spec's capacity.
+    pub journal: Journal,
+    /// Engine counters at the end of the run.
+    pub counters: EngineCounters,
+    /// Round construction converged, if reached.
+    pub converged_at: Option<f64>,
+    /// Crashed cohort size (0 in construction).
+    pub crashed_peers: u64,
+    /// Round the overlay healed (recovery), if reached.
+    pub healed_at: Option<f64>,
+}
+
+/// The simulator twin of `spec` from `seed`: the observed round-clock
+/// verb the replicas step, [`Run::construct`] or [`Run::recover`] with
+/// the spec's crash fraction.
+pub fn twin(population: &Population, spec: &ScenarioSpec, seed: u64) -> Twin {
+    let config = spec.capped_config();
+    let run = Run::new(population, &config, seed).observe(spec.journal_capacity, 10);
+    let (trail, counters, converged_at, crashed_peers, healed_at) = match spec.scenario {
+        Scenario::Construction => {
+            let Observed { outcome, trail } = run.construct();
+            (trail, outcome.counters, outcome.converged_at, 0, None)
+        }
+        Scenario::Recovery { crash_fraction } => {
+            let fault = FaultScenario {
+                crash_fraction,
+                ..FaultScenario::none()
+            };
+            let Observed { outcome, trail } = run.recover(&fault, spec.rounds());
+            let healed_at = outcome.recovery_rounds.map(|r| outcome.crash_round + r);
+            let converged_at = outcome.construction_converged_at;
+            (
+                trail,
+                outcome.counters,
+                converged_at,
+                outcome.crashed_peers,
+                healed_at,
+            )
+        }
+    };
+    Twin {
+        journal: trail.expect("observed").journal,
+        counters,
+        converged_at: converged_at.map(|r| r as f64),
+        crashed_peers: crashed_peers as u64,
+        healed_at: healed_at.map(|r| r as f64),
+    }
 }
 
 /// A journal event with its global position and owner.
@@ -49,93 +157,106 @@ pub struct OwnedEvent {
 /// Result of applying one pending action.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AppliedAction {
-    /// Global online-action index (0-based).
+    /// Global action index (0-based).
     pub index: u64,
-    /// Virtual time of the action.
-    pub time: f64,
     /// The acting peer.
     pub peer: PeerId,
     /// Every event this apply produced, with owners: the acting peer
-    /// for action events, each victim for crash-injection events.
+    /// for its action's events; the peer an event concerns for those
+    /// of the round close and the crash injection that may follow it.
     pub events: Vec<OwnedEvent>,
     /// Whether this action ended the run.
     pub halted: bool,
 }
 
-/// The next online action waiting for permission.
+/// The next turn waiting for permission.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PendingAction {
-    /// Virtual time of the schedule entry.
-    pub time: f64,
     /// The acting peer.
     pub peer: PeerId,
 }
 
-/// A full engine replica stepping the shared clock.
+/// A full engine replica stepping the shared round clock.
 #[derive(Debug)]
 pub struct Replica {
     engine: Engine,
-    clock: EventClock<FixedActionDuration>,
-    lookahead: Option<(f64, PeerId)>,
+    goal: Goal,
+    turn: Option<PeerId>,
     per_peer_actions: Vec<u64>,
-    halted: bool,
+    actions: u64,
 }
 
 impl Replica {
-    /// Builds the replica: engine, journal, and the simulator's clock.
+    /// Builds the replica: engine, journal, and the scenario's goal,
+    /// with the first round open.
     pub fn new(population: &Population, spec: &ScenarioSpec, seed: u64) -> Self {
-        let mut engine = Engine::new(population, &spec.config, seed);
+        let mut engine = Engine::new(population, &spec.capped_config(), seed);
         // Unbounded: each apply hands every event on, so the ring
         // applies once, at merge.
         engine.obs_mut().enable_journal(usize::MAX);
-        let lockstep = FixedActionDuration(1.0);
-        Replica {
+        let mut goal = spec.goal(seed);
+        goal.check(&mut engine);
+        let mut replica = Replica {
             engine,
-            clock: EventClock::new(population, spec.scenario, seed, lockstep, spec.max_time),
-            lookahead: None,
+            goal,
+            turn: None,
             per_peer_actions: vec![0; population.len()],
-            halted: false,
+            actions: 0,
+        };
+        if replica.goal.runs_on(&replica.engine) {
+            replica.engine.open_turns();
+            replica.advance();
         }
+        replica
     }
 
-    /// The next *online* action (offline turns need no permission and
-    /// pass by), or `None` once halted — at the time limit, or after
-    /// the action that finished the scenario.
-    pub fn pending(&mut self) -> Option<PendingAction> {
-        if self.halted {
-            return None;
-        }
-        if self.lookahead.is_none() {
-            self.lookahead = self.clock.next(&self.engine);
-            self.halted = self.lookahead.is_none();
-        }
-        self.lookahead
-            .map(|(time, peer)| PendingAction { time, peer })
+    /// The next turn, or `None` once halted — at the round cap, or
+    /// after the round that finished the scenario.
+    pub fn pending(&self) -> Option<PendingAction> {
+        self.turn.map(|peer| PendingAction { peer })
     }
 
-    /// Applies the pending action (the caller has checked permissions),
-    /// as one iteration of the simulator loop: `act_on`, then the
-    /// clock's terminal rule, which may inject the recovery cohort.
+    /// Applies the pending turn (the caller has checked permissions).
+    /// If it was the round's last, the round closes, the goal is
+    /// checked — which may crash the recovery cohort — and the next
+    /// round opens, unless the run is over.
     ///
     /// # Panics
     ///
     /// Panics if there is no pending action.
     pub fn apply_pending(&mut self) -> AppliedAction {
-        let (time, peer) = self.lookahead.take().expect("pending() returned Some");
-        let index = self.clock.actions();
+        let peer = self.turn.take().expect("pending() returned Some");
+        let index = self.actions;
         self.engine.act_on(peer);
+        self.actions += 1;
         self.per_peer_actions[peer.index()] += 1;
         let mut events = Vec::new();
         self.hand_on(&mut events, |_| peer.get());
-        self.halted = self.clock.after_action(&mut self.engine, time);
-        // Each crash event belongs to its victim's node.
+        self.advance();
+        // Round-close and crash events belong to the peer they concern.
         self.hand_on(&mut events, Event::peer);
         AppliedAction {
             index,
-            time,
             peer,
             events,
-            halted: self.halted,
+            halted: self.halted(),
+        }
+    }
+
+    /// Takes the open round's next turn; a round out of turns closes,
+    /// the goal is checked, and the next opens while the goal runs on.
+    fn advance(&mut self) {
+        loop {
+            self.turn = self.engine.next_turn();
+            if self.turn.is_some() {
+                return;
+            }
+            self.engine.close_turns();
+            self.goal.check(&mut self.engine);
+            if !self.goal.runs_on(&self.engine) {
+                return;
+            }
+            self.engine.open_turns();
         }
     }
 
@@ -158,23 +279,23 @@ impl Replica {
 
     /// Whether the replica halted.
     pub fn halted(&self) -> bool {
-        self.halted
+        self.turn.is_none()
     }
 
-    /// Total online actions applied.
+    /// Total actions applied.
     pub fn actions(&self) -> u64 {
-        self.clock.actions()
+        self.actions
     }
 
-    /// Online actions applied for one peer — the token counter the
-    /// protocol gates on.
+    /// Actions applied for one peer — the token counter the protocol
+    /// gates on.
     pub fn peer_actions(&self, peer: PeerId) -> u64 {
         self.per_peer_actions[peer.index()]
     }
 
-    /// The clock: the scenario's convergence, cohort and healing.
-    pub fn clock(&self) -> &EventClock<FixedActionDuration> {
-        &self.clock
+    /// The goal: the scenario's convergence, cohort and healing.
+    pub fn goal(&self) -> &Goal {
+        &self.goal
     }
 
     /// The engine replica.
@@ -186,7 +307,9 @@ impl Replica {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lagover_core::{Algorithm, Constraints, OracleKind, Run, TimedRun};
+    use lagover_core::{Algorithm, Constraints, OracleKind};
+    use lagover_jsonio::to_string;
+    use proptest::prelude::*;
 
     fn population(n: u32) -> Population {
         let constraints = (0..n).map(|i| Constraints::new(3, i / 4 + 1)).collect();
@@ -203,19 +326,6 @@ mod tests {
         }
     }
 
-    /// The simulator twin of `spec`, plain or journaled.
-    fn twin<'a>(
-        pop: &'a Population,
-        spec: &'a ScenarioSpec,
-        observe: bool,
-    ) -> TimedRun<'a, FixedActionDuration> {
-        let mut run = Run::new(pop, &spec.config, 7);
-        if observe {
-            run = run.observe(spec.journal_capacity, 10);
-        }
-        run.timed(FixedActionDuration(1.0), spec.max_time)
-    }
-
     /// Drives a replica unconditionally (no token gating) and collects
     /// the full journal in (index, sub) order.
     fn drive(replica: &mut Replica) -> Vec<Event> {
@@ -230,26 +340,36 @@ mod tests {
         events
     }
 
+    /// Drives a replica of `spec` and checks it against its twin:
+    /// journal bytes, counters, convergence round, crashed count and
+    /// healed round.
+    fn assert_matches_twin(pop: &Population, spec: &ScenarioSpec, seed: u64) {
+        let mut replica = Replica::new(pop, spec, seed);
+        let events = drive(&mut replica);
+        let twin = twin(pop, spec, seed);
+        let mut journal = Journal::new(spec.journal_capacity);
+        for event in events {
+            journal.push(event);
+        }
+        assert_eq!(to_string(&journal), to_string(&twin.journal), "journal");
+        assert_eq!(*replica.engine().counters(), twin.counters, "counters");
+        let goal = replica.goal();
+        let round = |r: Option<u64>| r.map(|r| r as f64);
+        assert_eq!(round(goal.converged_at()), twin.converged_at, "converged");
+        assert_eq!(goal.victims().len() as u64, twin.crashed_peers, "crashed");
+        assert_eq!(round(goal.healed_at()), twin.healed_at, "healed");
+    }
+
     #[test]
     fn construction_matches_lockstep_twin() {
         let pop = population(24);
         let s = spec(Scenario::Construction);
+        assert_matches_twin(&pop, &s, 7);
         let mut replica = Replica::new(&pop, &s, 7);
-        let events = drive(&mut replica);
-        let observed = twin(&pop, &s, true).construct();
-        assert_eq!(
-            replica.clock().converged_at(),
-            observed.outcome.converged_at
-        );
-        assert_eq!(replica.actions(), observed.outcome.actions);
-        let journal = observed.trail.expect("observed").journal;
-        let twin_events: Vec<Event> = journal.iter().copied().collect();
-        assert_eq!(events, twin_events, "journal event streams must match");
-        let plain = twin(&pop, &s, false).construct().outcome;
-        assert_eq!(
-            replica.engine().satisfied_fraction(),
-            plain.final_satisfied_fraction
-        );
+        drive(&mut replica);
+        let converged = replica.goal().converged_at().expect("converges");
+        // One turn per online peer per round, every peer online.
+        assert_eq!(replica.actions(), converged * pop.len() as u64);
     }
 
     #[test]
@@ -258,21 +378,9 @@ mod tests {
         let s = spec(Scenario::Recovery {
             crash_fraction: 0.2,
         });
-        let mut replica = Replica::new(&pop, &s, 7);
-        let events = drive(&mut replica);
-        let observed = twin(&pop, &s, true).recover(0.2);
-        let outcome = &observed.outcome;
-        let clock = replica.clock();
-        assert_eq!(clock.converged_at(), outcome.construction_converged_at);
-        assert_eq!(clock.healed_at(), outcome.healed_at);
-        assert_eq!(clock.crashed_peers(), Some(outcome.crashed_peers));
-        assert_eq!(replica.actions(), outcome.actions);
-        assert_eq!(*replica.engine().counters(), outcome.counters);
-        let journal = observed.trail.expect("observed").journal;
-        let twin_events: Vec<Event> = journal.iter().copied().collect();
-        assert_eq!(events, twin_events, "journal event streams must match");
-        let plain = twin(&pop, &s, false).recover(0.2).outcome;
-        assert!(plain.healed());
+        assert_matches_twin(&pop, &s, 7);
+        let twin = twin(&pop, &s, 7);
+        assert!(twin.crashed_peers > 0 && twin.healed_at.is_some());
     }
 
     #[test]
@@ -296,5 +404,43 @@ mod tests {
             }
         }
         assert!(last_key.is_some(), "run must produce events");
+    }
+
+    /// An arbitrary population of 1 to 40 peers: feasible or not, so
+    /// runs cut at the round cap are drawn as well as finished ones.
+    fn populations() -> impl Strategy<Value = Population> {
+        let peer = (0u32..=4, 1u32..=6);
+        (1u32..=4, prop::collection::vec(peer, 1..=40)).prop_map(|(source, peers)| {
+            let constraints = peers
+                .into_iter()
+                .map(|(fanout, latency)| Constraints::new(fanout, latency))
+                .collect();
+            Population::new(source, constraints)
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// A replica stepped without token gating is its round-clock
+        /// twin, over arbitrary populations, seeds and crash fractions.
+        #[test]
+        fn replica_matches_the_round_clock_twin(
+            pop in populations(),
+            seed in any::<u64>(),
+            crash in prop::option::weighted(0.75, 0.0f64..0.6),
+        ) {
+            let scenario = match crash {
+                Some(crash_fraction) => Scenario::Recovery { crash_fraction },
+                None => Scenario::Construction,
+            };
+            let spec = ScenarioSpec {
+                scenario,
+                config: ConstructionConfig::new(Algorithm::Hybrid, OracleKind::RandomDelay),
+                max_time: 200.0,
+                journal_capacity: 512,
+            };
+            assert_matches_twin(&pop, &spec, seed);
+        }
     }
 }

@@ -39,15 +39,15 @@ pub enum Message {
     /// resent to any node that keeps hello-ing.
     Start,
     /// Cumulative progress token: `peer` has applied its first `upto`
-    /// own online actions. Later tokens subsume earlier ones.
+    /// own actions. Later tokens subsume earlier ones.
     Ordered {
         /// The announcing node.
         peer: u32,
-        /// Count of that node's own online actions applied.
+        /// Count of that node's own actions applied.
         upto: u64,
     },
-    /// The sender's replica halted (converged / healed / hit the time
-    /// limit); carries its final token so `Done` also closes any gap.
+    /// The sender's replica halted (converged / healed / hit the round
+    /// cap); carries its final token so `Done` also closes any gap.
     Done {
         /// The halting node.
         peer: u32,
@@ -175,6 +175,7 @@ pub fn decode(buf: &[u8]) -> Result<(Message, usize), DecodeError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     const ALL: [Message; 4] = [
         Message::Hello { peer: 7 },
@@ -252,5 +253,69 @@ mod tests {
             (expected_payload.len() as u32).to_be_bytes()
         );
         assert_eq!(&frame[PREFIX..], expected_payload.as_bytes());
+    }
+
+    fn messages() -> impl Strategy<Value = Message> {
+        prop_oneof![
+            any::<u32>().prop_map(|peer| Message::Hello { peer }),
+            Just(Message::Start),
+            (any::<u32>(), any::<u64>()).prop_map(|(peer, upto)| Message::Ordered { peer, upto }),
+            (any::<u32>(), any::<u64>()).prop_map(|(peer, upto)| Message::Done { peer, upto }),
+        ]
+    }
+
+    /// `decode`'s contract on any input: it returns (a panic fails the
+    /// case), and an `Ok` consumes at most the input.
+    fn decodes_within(bytes: &[u8]) -> Result<(), TestCaseError> {
+        if let Ok((_, consumed)) = decode(bytes) {
+            prop_assert!(
+                consumed <= bytes.len(),
+                "consumed {consumed} of {}",
+                bytes.len()
+            );
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn decode_never_panics_on_arbitrary_bytes(
+            bytes in prop::collection::vec(any::<u8>(), 0..=2 * MAX_FRAME + 8),
+        ) {
+            decodes_within(&bytes)?;
+        }
+
+        /// Arbitrary bytes behind a prefix that declares at most
+        /// `MAX_FRAME`, so the payload checks run, not only the length
+        /// checks.
+        #[test]
+        fn decode_never_panics_behind_a_plausible_prefix(
+            declared in 0u32..=MAX_FRAME as u32,
+            payload in prop::collection::vec(any::<u8>(), 0..=MAX_FRAME + 8),
+        ) {
+            let mut bytes = declared.to_be_bytes().to_vec();
+            bytes.extend_from_slice(&payload);
+            decodes_within(&bytes)?;
+        }
+
+        #[test]
+        fn decode_never_panics_on_a_frame_with_one_byte_flipped(
+            message in messages(),
+            at in any::<usize>(),
+            flip in 1u8..=255,
+        ) {
+            let mut frame = encode(&message);
+            let i = at % frame.len();
+            frame[i] ^= flip;
+            decodes_within(&frame)?;
+        }
+
+        #[test]
+        fn decode_inverts_encode(message in messages()) {
+            let frame = encode(&message);
+            prop_assert_eq!(decode(&frame), Ok((message, frame.len())));
+        }
     }
 }

@@ -9,13 +9,11 @@
 //! retransmits included — fires when armed. The merged journal must
 //! still be byte-equal to the simulator twin's.
 
-use lagover_core::{
-    Algorithm, Constraints, ConstructionConfig, FixedActionDuration, OracleKind, Population, Run,
-};
+use lagover_core::{Algorithm, Constraints, ConstructionConfig, OracleKind, Population};
 use lagover_jsonio::to_string;
 use lagover_node::{
-    merge_reports, Command, Input, JournalEntry, MergedRun, Message, NodeCore, Output, Scenario,
-    ScenarioSpec, TimerKind,
+    merge_reports, twin, Command, Input, JournalEntry, MergedRun, Message, NodeCore, Output,
+    Scenario, ScenarioSpec, TimerKind,
 };
 use lagover_sim::{EventQueue, SimRng};
 
@@ -135,24 +133,12 @@ fn assert_lossy_matches_twin(n: u32, seed: u64, scenario: Scenario) {
         net.duplicated,
         net.retransmits
     );
-    let twin = Run::new(&pop, &s.config, seed)
-        .observe(s.journal_capacity, 10)
-        .timed(FixedActionDuration(1.0), s.max_time);
-    let (trail, converged_at) = match scenario {
-        Scenario::Construction => {
-            let observed = twin.construct();
-            (observed.trail, observed.outcome.converged_at)
-        }
-        Scenario::Recovery { crash_fraction } => {
-            let observed = twin.recover(crash_fraction);
-            assert_eq!(merged.report.healed_at, observed.outcome.healed_at);
-            (observed.trail, observed.outcome.construction_converged_at)
-        }
-    };
-    assert_eq!(merged.report.converged_at, converged_at);
+    let twin = twin(&pop, &s, seed);
+    assert_eq!(merged.report.converged_at, twin.converged_at);
+    assert_eq!(merged.report.healed_at, twin.healed_at);
     assert_eq!(
         to_string(&merged.journal),
-        to_string(&trail.expect("observed").journal),
+        to_string(&twin.journal),
         "n={n} seed={seed} {}: lossy journal diverged from the twin",
         scenario.kind()
     );

@@ -1,8 +1,8 @@
 //! Replay-diff property: the in-process mesh, driven purely by wire
 //! tokens and timers, merges to a journal byte-identical to the
-//! simulator twin — the observed lockstep `Run::timed` clock, verbs
-//! `construct` and `recover` — across seeds and at both a small (16)
-//! and a wide (120) population.
+//! simulator twin — the observed round clock, verbs `construct` and
+//! `recover` — across seeds and at both a small (16) and a wide (120)
+//! population.
 //!
 //! Thread counts are pinned by CI instead: the `replay-diff` nodesim
 //! target re-runs this comparison under `LAGOVER_THREADS` ∈ {1, 8},
@@ -10,12 +10,9 @@
 
 use proptest::prelude::*;
 
-use lagover_core::{
-    Algorithm, Constraints, ConstructionConfig, FixedActionDuration, OracleKind, Population, Run,
-    TimedRun,
-};
+use lagover_core::{Algorithm, Constraints, ConstructionConfig, OracleKind, Population};
 use lagover_jsonio::to_string;
-use lagover_node::{run_mesh, Scenario, ScenarioSpec};
+use lagover_node::{run_mesh, twin, Scenario, ScenarioSpec};
 
 /// A feasible tiered population: four peers per latency tier, fanout 3
 /// (twelve child slots per tier), so construction always converges.
@@ -31,34 +28,22 @@ fn spec(scenario: Scenario) -> ScenarioSpec {
             .with_max_rounds(20_000),
         // Low enough that a pathological seed (slow heal) stays cheap:
         // the property is twin-identity, which holds just as well for
-        // a time-limited run — both sides cut at the same instant.
+        // a capped run — both sides cut at the same round.
         max_time: 1_500.0,
         journal_capacity: 16_384,
     }
-}
-
-/// The simulator twin of `spec`: observed, on the lockstep clock.
-fn twin<'a>(
-    pop: &'a Population,
-    spec: &'a ScenarioSpec,
-    seed: u64,
-) -> TimedRun<'a, FixedActionDuration> {
-    Run::new(pop, &spec.config, seed)
-        .observe(spec.journal_capacity, 10)
-        .timed(FixedActionDuration(1.0), spec.max_time)
 }
 
 fn assert_construction_matches(n: u32, seed: u64) {
     let pop = population(n);
     let s = spec(Scenario::Construction);
     let run = run_mesh(&pop, &s, seed).expect("mesh completes");
-    let twin = twin(&pop, &s, seed).construct();
-    assert_eq!(run.merged.report.converged_at, twin.outcome.converged_at);
-    assert_eq!(run.merged.report.actions, twin.outcome.actions);
-    assert_eq!(run.merged.report.counters, twin.outcome.counters);
+    let twin = twin(&pop, &s, seed);
+    assert_eq!(run.merged.report.converged_at, twin.converged_at);
+    assert_eq!(run.merged.report.counters, twin.counters);
     assert_eq!(
         to_string(&run.merged.journal),
-        to_string(&twin.trail.expect("observed").journal),
+        to_string(&twin.journal),
         "n={n} seed={seed}: merged mesh journal diverged from the twin"
     );
 }
@@ -71,23 +56,17 @@ fn assert_recovery_matches(n: u32, seed: u64, crash_fraction: f64) {
 fn assert_recovery_spec_matches(n: u32, seed: u64, crash_fraction: f64, s: &ScenarioSpec) {
     let pop = population(n);
     let run = run_mesh(&pop, s, seed).expect("mesh completes");
-    let twin = twin(&pop, s, seed).recover(crash_fraction);
+    let twin = twin(&pop, s, seed);
     assert_eq!(
         to_string(&run.merged.journal),
-        to_string(&twin.trail.as_ref().expect("observed").journal),
+        to_string(&twin.journal),
         "n={n} seed={seed} f={crash_fraction} capacity={}: recovery journal diverged from the twin",
         s.journal_capacity
     );
-    assert_eq!(
-        run.merged.report.converged_at,
-        twin.outcome.construction_converged_at
-    );
-    assert_eq!(run.merged.report.healed_at, twin.outcome.healed_at);
-    assert_eq!(
-        run.merged.report.crashed_peers,
-        twin.outcome.crashed_peers as u64
-    );
-    assert_eq!(run.merged.report.counters, twin.outcome.counters);
+    assert_eq!(run.merged.report.converged_at, twin.converged_at);
+    assert_eq!(run.merged.report.healed_at, twin.healed_at);
+    assert_eq!(run.merged.report.crashed_peers, twin.crashed_peers);
+    assert_eq!(run.merged.report.counters, twin.counters);
 }
 
 proptest! {

@@ -81,11 +81,6 @@ impl Journal {
         self.events.drain(..)
     }
 
-    /// Retained events concerning one peer, oldest first.
-    pub fn for_peer(&self, peer: u32) -> Vec<&Event> {
-        self.iter().filter(|e| e.peer() == peer).collect()
-    }
-
     /// Retained events per kind, in [`EventKind::ALL`] order — the fold
     /// the registry's counters must agree with when nothing was
     /// dropped.
@@ -194,7 +189,7 @@ mod tests {
         journal.push(attach(0, 1));
         journal.push(attach(1, 2));
         journal.push(Event::OracleMiss { round: 2, peer: 1 });
-        assert_eq!(journal.for_peer(1).len(), 2);
+        assert_eq!(journal.iter().filter(|e| e.peer() == 1).count(), 2);
         let counts = journal.counts_by_kind();
         assert_eq!(counts[0], (EventKind::Attach, 2));
         assert_eq!(counts[3], (EventKind::OracleMiss, 1));

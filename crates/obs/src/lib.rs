@@ -44,7 +44,7 @@ pub use report::ObsReport;
 
 // The metric primitives the registry is built from, re-exported so
 // downstream crates take them from the observability facade.
-pub use lagover_sim::{Counter, Histogram, TimeSeries};
+pub use lagover_sim::{Histogram, TimeSeries};
 
 use serde::{Deserialize, Serialize};
 

@@ -1,4 +1,4 @@
-//! Measurement primitives: counters, time series, histograms.
+//! Measurement primitives: time series and histograms.
 //!
 //! Every experiment in the harness records a per-round time series of the
 //! *satisfied fraction* (online peers whose latency constraint is met and
@@ -8,53 +8,6 @@
 //! serializable so the experiment runners can emit them as JSON/CSV.
 
 use serde::{Deserialize, Serialize};
-
-/// A monotonically increasing event counter.
-///
-/// # Example
-///
-/// ```
-/// use lagover_sim::metrics::Counter;
-/// let mut c = Counter::new("interactions");
-/// c.add(3);
-/// c.incr();
-/// assert_eq!(c.get(), 4);
-/// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct Counter {
-    name: String,
-    value: u64,
-}
-
-impl Counter {
-    /// Creates a zeroed counter with a display name.
-    pub fn new(name: impl Into<String>) -> Self {
-        Counter {
-            name: name.into(),
-            value: 0,
-        }
-    }
-
-    /// Adds one.
-    pub fn incr(&mut self) {
-        self.value += 1;
-    }
-
-    /// Adds `n`.
-    pub fn add(&mut self, n: u64) {
-        self.value += n;
-    }
-
-    /// Current value.
-    pub fn get(&self) -> u64 {
-        self.value
-    }
-
-    /// Display name.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-}
 
 /// A sequence of `(x, y)` samples, typically `(round, value)`.
 ///
@@ -234,24 +187,6 @@ impl Histogram {
 
 use lagover_jsonio::{object, FromJson, Json, JsonError, ToJson};
 
-impl ToJson for Counter {
-    fn to_json(&self) -> Json {
-        object(vec![
-            ("name", Json::Str(self.name.clone())),
-            ("value", Json::U64(self.value)),
-        ])
-    }
-}
-
-impl FromJson for Counter {
-    fn from_json(value: &Json) -> Result<Self, JsonError> {
-        Ok(Counter {
-            name: value.get("name")?.as_str()?.to_string(),
-            value: value.get("value")?.as_u64()?,
-        })
-    }
-}
-
 impl ToJson for TimeSeries {
     fn to_json(&self) -> Json {
         object(vec![
@@ -295,16 +230,6 @@ impl FromJson for Histogram {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn counter_accumulates() {
-        let mut c = Counter::new("x");
-        assert_eq!(c.get(), 0);
-        c.incr();
-        c.add(10);
-        assert_eq!(c.get(), 11);
-        assert_eq!(c.name(), "x");
-    }
 
     #[test]
     fn time_series_round_trip() {

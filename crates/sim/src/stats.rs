@@ -2,7 +2,7 @@
 //!
 //! The paper (§5.1) observes high run-to-run variance in convergence
 //! time and therefore reports *the median of 5 repetitions* for every
-//! experiment setting. [`median_of_runs`] implements that convention;
+//! experiment setting; [`median`] is that statistic, and
 //! [`Summary`] captures the spread that Figure 2 visualizes.
 
 use serde::{Deserialize, Serialize};
@@ -104,22 +104,6 @@ pub fn median(samples: &[f64]) -> Option<f64> {
     Summary::from_samples(samples).map(|s| s.median)
 }
 
-/// Applies the paper's reporting convention: run `runs` repetitions via
-/// `f(run_index)` and return the median outcome (§5.1: *"experiments were
-/// repeated 5 times and the median performance was chosen"*).
-///
-/// # Panics
-///
-/// Panics if `runs == 0`.
-pub fn median_of_runs<F>(runs: usize, mut f: F) -> f64
-where
-    F: FnMut(usize) -> f64,
-{
-    assert!(runs > 0, "need at least one run");
-    let samples: Vec<f64> = (0..runs).map(&mut f).collect();
-    median(&samples).expect("runs produced NaN")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -163,19 +147,6 @@ mod tests {
         assert_eq!(quantile_sorted(&sorted, 0.5), 5.0);
         assert_eq!(quantile_sorted(&sorted, 0.0), 0.0);
         assert_eq!(quantile_sorted(&sorted, 1.0), 10.0);
-    }
-
-    #[test]
-    fn median_of_runs_matches_direct_median() {
-        let outcomes = [9.0, 1.0, 5.0, 7.0, 3.0];
-        let m = median_of_runs(5, |i| outcomes[i]);
-        assert_eq!(m, 5.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one run")]
-    fn median_of_zero_runs_panics() {
-        median_of_runs(0, |_| 0.0);
     }
 }
 
