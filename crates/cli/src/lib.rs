@@ -41,7 +41,8 @@ use lagover_core::{
 };
 use lagover_feed::{compare_server_load, disseminate, DisseminationConfig, PublishSchedule};
 use lagover_node::{
-    run_harness, run_mesh, run_udp_node, HarnessOptions, Scenario, ScenarioSpec, UdpNodeOptions,
+    node_port, run_harness, run_mesh, run_udp_node, HarnessOptions, Scenario, ScenarioSpec,
+    UdpNodeOptions,
 };
 use lagover_obs::{Event, Node, ObsReport};
 use lagover_stream::{stream, StreamConfig};
@@ -869,6 +870,17 @@ fn node_summary(merged: &lagover_node::MergedRun) -> String {
 fn cmd_node(opts: &Options) -> Result<String, CliError> {
     let population = resolve_population(opts)?;
     let spec = node_spec(opts)?;
+    // Node i binds base-port + i: refuse before spawning anything if
+    // the last node's port does not exist.
+    let last_node = u32::try_from(population.len().saturating_sub(1)).unwrap_or(u32::MAX);
+    if opts.transport == "udp" && node_port(opts.base_port, last_node).is_none() {
+        return Err(err(format!(
+            "--base-port {} with {} peers needs ports up to {}, past 65535",
+            opts.base_port,
+            population.len(),
+            u64::from(opts.base_port) + u64::from(last_node)
+        )));
+    }
     let label = format!(
         "nodesim {} {} n={} seed={}",
         opts.transport,
@@ -1280,6 +1292,14 @@ mod tests {
         }
         let widest = parse_args(&args("node --max-time 9007199254740992")).unwrap();
         assert_eq!(widest.max_time, MAX_ROUND_CAP);
+    }
+
+    #[test]
+    fn node_udp_rejects_ports_past_65535_before_spawning() {
+        let opts =
+            parse_args(&args("node --transport udp --base-port 65000 --peers 1000")).unwrap();
+        let e = run(&opts).expect_err("node 999 would need port 65999");
+        assert!(e.0.contains("past 65535"), "{e}");
     }
 
     #[test]

@@ -173,16 +173,16 @@ impl NodeCore {
         self.started
     }
 
-    /// Handles one input, returning the outputs to execute, in order.
-    pub fn handle(&mut self, input: Input) -> impl Iterator<Item = Output> {
-        let mut out = Vec::new();
+    /// Handles one input, appending the outputs to execute, in order,
+    /// to `out`. The transport owns `out` and reuses it across calls,
+    /// so handling a frame allocates nothing once it has grown.
+    pub fn handle(&mut self, input: Input, out: &mut Vec<Output>) {
         match input {
-            Input::Command(Command::Start) => self.boot(&mut out),
-            Input::Frame(message) => self.on_frame(message, &mut out),
-            Input::Timer(TimerKind::Action) => self.on_action_timer(&mut out),
-            Input::Timer(TimerKind::Retransmit) => self.on_retransmit_timer(&mut out),
+            Input::Command(Command::Start) => self.boot(out),
+            Input::Frame(message) => self.on_frame(message, out),
+            Input::Timer(TimerKind::Action) => self.on_action_timer(out),
+            Input::Timer(TimerKind::Retransmit) => self.on_retransmit_timer(out),
         }
-        out.into_iter()
     }
 
     fn boot(&mut self, out: &mut Vec<Output>) {
@@ -268,7 +268,7 @@ impl NodeCore {
 
     fn on_retransmit_timer(&mut self, out: &mut Vec<Output>) {
         if self.halted {
-            out.extend(self.broadcast(self.done_token()));
+            self.broadcast(self.done_token(), out);
         } else if !self.started {
             if self.me != 0 {
                 out.push(Output::Send {
@@ -277,10 +277,11 @@ impl NodeCore {
                 });
             }
         } else {
-            out.extend(self.broadcast(Message::Ordered {
+            let token = Message::Ordered {
                 peer: self.me,
                 upto: self.replica.peer_actions(PeerId::new(self.me)),
-            }));
+            };
+            self.broadcast(token, out);
         }
         self.arm_retransmit(out);
     }
@@ -290,7 +291,7 @@ impl NodeCore {
             return;
         }
         self.started = true;
-        out.extend(self.broadcast(Message::Start));
+        self.broadcast(Message::Start, out);
         self.begin_acting(out);
     }
 
@@ -325,7 +326,7 @@ impl NodeCore {
                 break;
             }
             let applied = self.replica.apply_pending();
-            for owned in &applied.events {
+            for owned in applied.events {
                 if owned.owner == self.me {
                     out.push(Output::Journal(JournalEntry::from_owned(
                         applied.index,
@@ -333,19 +334,22 @@ impl NodeCore {
                     )));
                 }
             }
+            // The events borrow the replica; done with them here.
+            let halted = applied.halted;
             if peer.get() == self.me {
-                out.extend(self.broadcast(Message::Ordered {
+                let token = Message::Ordered {
                     peer: self.me,
                     upto: self.replica.peer_actions(peer),
-                }));
+                };
+                self.broadcast(token, out);
             }
-            if applied.halted {
+            if halted {
                 break;
             }
         }
         if self.replica.halted() {
             self.halted = true;
-            out.extend(self.broadcast(self.done_token()));
+            self.broadcast(self.done_token(), out);
             out.push(Output::Halted);
         }
     }
@@ -357,11 +361,12 @@ impl NodeCore {
         }
     }
 
-    fn broadcast(&self, message: Message) -> Vec<Output> {
-        (0..self.n)
-            .filter(|&q| q != self.me)
-            .map(|q| Output::Send { to: q, message })
-            .collect()
+    fn broadcast(&self, message: Message, out: &mut Vec<Output>) {
+        out.extend(
+            (0..self.n)
+                .filter(|&q| q != self.me)
+                .map(|q| Output::Send { to: q, message }),
+        );
     }
 
     fn arm_retransmit(&mut self, out: &mut Vec<Output>) {
@@ -433,6 +438,13 @@ mod tests {
         Population::new(4, constraints)
     }
 
+    /// Clears `out`, hands `node` the input, and returns its outputs.
+    fn outputs<'a>(node: &mut NodeCore, input: Input, out: &'a mut Vec<Output>) -> &'a [Output] {
+        out.clear();
+        node.handle(input, out);
+        out
+    }
+
     fn spec() -> ScenarioSpec {
         ScenarioSpec {
             scenario: Scenario::Construction,
@@ -448,10 +460,11 @@ mod tests {
         let pop = population(8);
         let s = spec();
         let mut zero = NodeCore::new(&pop, &s, 3, 0);
-        let boot: Vec<Output> = zero.handle(Input::Command(Command::Start)).collect();
+        let mut out = Vec::new();
+        let boot = outputs(&mut zero, Input::Command(Command::Start), &mut out);
         assert!(boot.is_empty(), "node 0 waits for hellos: {boot:?}");
         for peer in 1..7 {
-            let outs: Vec<Output> = zero.handle(Input::Frame(Message::Hello { peer })).collect();
+            let outs = outputs(&mut zero, Input::Frame(Message::Hello { peer }), &mut out);
             assert!(
                 !outs.iter().any(|o| matches!(
                     o,
@@ -463,9 +476,11 @@ mod tests {
                 "barrier must not open at {peer}/7 hellos"
             );
         }
-        let outs: Vec<Output> = zero
-            .handle(Input::Frame(Message::Hello { peer: 7 }))
-            .collect();
+        let outs = outputs(
+            &mut zero,
+            Input::Frame(Message::Hello { peer: 7 }),
+            &mut out,
+        );
         let starts = outs
             .iter()
             .filter(|o| {
@@ -487,16 +502,19 @@ mod tests {
         let pop = population(4);
         let s = spec();
         let mut zero = NodeCore::new(&pop, &s, 3, 0);
-        zero.handle(Input::Command(Command::Start)).count();
+        let mut out = Vec::new();
+        zero.handle(Input::Command(Command::Start), &mut out);
         for peer in 1..4 {
-            zero.handle(Input::Frame(Message::Hello { peer })).count();
+            zero.handle(Input::Frame(Message::Hello { peer }), &mut out);
         }
-        let outs: Vec<Output> = zero
-            .handle(Input::Frame(Message::Hello { peer: 2 }))
-            .collect();
+        let outs = outputs(
+            &mut zero,
+            Input::Frame(Message::Hello { peer: 2 }),
+            &mut out,
+        );
         assert_eq!(
             outs,
-            vec![Output::Send {
+            [Output::Send {
                 to: 2,
                 message: Message::Start,
             }]
@@ -508,8 +526,9 @@ mod tests {
         let pop = population(4);
         let s = spec();
         let mut node = NodeCore::new(&pop, &s, 3, 1);
-        node.handle(Input::Command(Command::Start)).count();
-        let on_start: Vec<Output> = node.handle(Input::Frame(Message::Start)).collect();
+        let mut out = Vec::new();
+        node.handle(Input::Command(Command::Start), &mut out);
+        let on_start = outputs(&mut node, Input::Frame(Message::Start), &mut out);
         // Started, but no Action fire yet: nothing applied, no token.
         assert!(
             !on_start.iter().any(|o| matches!(
@@ -525,13 +544,13 @@ mod tests {
         // on the global schedule (earlier remote entries may gate it) —
         // but with every remote token maxed out it must go through.
         for peer in [0u32, 2, 3] {
-            node.handle(Input::Frame(Message::Ordered {
+            let token = Message::Ordered {
                 peer,
                 upto: u64::MAX,
-            }))
-            .count();
+            };
+            node.handle(Input::Frame(token), &mut out);
         }
-        let outs: Vec<Output> = node.handle(Input::Timer(TimerKind::Action)).collect();
+        let outs = outputs(&mut node, Input::Timer(TimerKind::Action), &mut out);
         assert!(
             outs.iter().any(|o| matches!(
                 o,
@@ -549,31 +568,29 @@ mod tests {
         let pop = population(4);
         let s = spec();
         let mut node = NodeCore::new(&pop, &s, 3, 1);
-        node.handle(Input::Command(Command::Start)).count();
-        node.handle(Input::Frame(Message::Start)).count();
+        let mut out = Vec::new();
+        node.handle(Input::Command(Command::Start), &mut out);
+        node.handle(Input::Frame(Message::Start), &mut out);
         // Release everything: all remote tokens plus unlimited own
         // fires drives the replica to its terminal state single-handed.
         for peer in [0u32, 2, 3] {
-            node.handle(Input::Frame(Message::Ordered {
+            let token = Message::Ordered {
                 peer,
                 upto: u64::MAX,
-            }))
-            .count();
+            };
+            node.handle(Input::Frame(token), &mut out);
         }
         let mut halted = false;
         for _ in 0..100_000 {
-            if node
-                .handle(Input::Timer(TimerKind::Action))
-                .any(|o| o == Output::Halted)
-            {
+            let outs = outputs(&mut node, Input::Timer(TimerKind::Action), &mut out);
+            if outs.contains(&Output::Halted) {
                 halted = true;
                 break;
             }
         }
         assert!(halted, "run must finish");
-        let outs: Vec<Output> = node
-            .handle(Input::Frame(Message::Ordered { peer: 0, upto: 1 }))
-            .collect();
+        let token = Message::Ordered { peer: 0, upto: 1 };
+        let outs = outputs(&mut node, Input::Frame(token), &mut out);
         assert_eq!(outs.len(), 1);
         assert!(
             matches!(
@@ -592,10 +609,11 @@ mod tests {
         let pop = population(4);
         let s = spec();
         let mut node = NodeCore::new(&pop, &s, 3, 1);
-        node.handle(Input::Command(Command::Start)).count();
+        let mut out = Vec::new();
+        node.handle(Input::Command(Command::Start), &mut out);
         let mut last = 0.0f64;
         for _ in 0..24 {
-            let outs: Vec<Output> = node.handle(Input::Timer(TimerKind::Retransmit)).collect();
+            let outs = outputs(&mut node, Input::Timer(TimerKind::Retransmit), &mut out);
             let delay = outs
                 .iter()
                 .find_map(|o| match o {

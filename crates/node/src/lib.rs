@@ -26,13 +26,14 @@
 //! ## Layers
 //!
 //! * [`core`] — [`core::NodeCore`]: the sans-IO state machine.
-//!   `handle(Input) -> impl Iterator<Item = Output>`; inputs are wire
-//!   messages, timer fires, and local commands; outputs are sends,
-//!   timer arms, journal entries, and a halt marker. No I/O, no
-//!   clocks, no ambient RNG.
+//!   `handle(input, &mut out)`; inputs are wire messages, timer fires,
+//!   and local commands; outputs, appended to the transport's reused
+//!   buffer, are sends, timer arms, journal entries, and a halt
+//!   marker. No I/O, no clocks, no ambient RNG.
 //! * [`wire`] — message taxonomy and length-prefixed `jsonio` framing.
 //! * [`mesh`] — in-process transport: a virtual-time scheduler
-//!   delivering frames with zero latency; fully deterministic.
+//!   delivering frames with zero latency (a FIFO of in-flight frames
+//!   beside a heap of Action timers); fully deterministic.
 //! * [`udp`] — UDP loopback transport: real sockets, real time,
 //!   bounded-backoff retransmission of the idempotent tokens.
 //! * [`harness`] — multi-process integration harness: spawns one OS
@@ -53,5 +54,5 @@ pub use journal::{merge_reports, JournalEntry, MergedRun, NodeReport};
 pub use mesh::{run_mesh, MeshRun};
 pub use replica::{twin, Replica, Scenario, ScenarioSpec, Twin};
 #[cfg(feature = "wall-clock")]
-pub use udp::{run_udp_node, UdpNodeOptions};
+pub use udp::{node_port, run_udp_node, UdpNodeOptions};
 pub use wire::{decode, encode, DecodeError, Message, MAX_FRAME};

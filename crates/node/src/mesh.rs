@@ -2,8 +2,18 @@
 //!
 //! Every node's [`NodeCore`] runs in one address space; frames are
 //! delivered with zero latency and timers fire on a shared virtual
-//! clock (a binary heap ordered by `(time, arming sequence)` — FIFO
-//! among simultaneous events, like the simulator's `EventQueue`). The
+//! clock, in `(time, arming sequence)` order — FIFO among simultaneous
+//! events, like the simulator's `EventQueue`. The clock has two lanes.
+//! A frame is always armed at the current instant, after everything
+//! already armed, so in-flight frames wait in a FIFO; Action timers
+//! wait in a heap keyed `(time, seq)`, and a pop takes the smaller
+//! head. Time never passes a queued frame, so the FIFO is sorted and
+//! this is exactly the order of one heap over everything (a property
+//! test keeps that heap as its oracle) — at the cost of a queue slot
+//! per frame, not a heap sift, and holding in-flight frames only.
+//!
+//! Each node's outputs go through one reused buffer:
+//! [`NodeCore::handle`] appends to it and the mesh drains it. The
 //! whole run is a pure function of `(population, spec, seed)`:
 //! byte-identical journals on every execution, and — the property the
 //! replay-diff pins — byte-identical to the simulator twin.
@@ -16,7 +26,7 @@
 //! virtual time `r`.
 
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
 
 use lagover_core::Population;
 
@@ -34,30 +44,63 @@ pub struct MeshRun {
     pub merged: MergedRun,
 }
 
+/// What the schedule hands back: a frame to deliver or a node whose
+/// Action timer fired.
 #[derive(Debug, Clone, Copy, PartialEq)]
-enum Pending {
-    Deliver { to: u32, message: Message },
-    Timer { node: u32, kind: TimerKind },
+enum Due {
+    Frame { to: u32, message: Message },
+    Action { node: u32 },
 }
 
-/// The virtual-time event heap: pops in `(time, arming seq)` order.
-/// Times are non-negative, so `f64::to_bits` preserves their order.
+/// The two-lane virtual-time schedule of the module docs: pops in
+/// `(time, arming seq)` order. Times are non-negative, so
+/// `f64::to_bits` preserves their order.
 #[derive(Debug, Default)]
 struct Sched {
-    heap: BinaryHeap<Reverse<(u64, u64)>>,
-    pendings: Vec<Pending>,
+    now: f64,
+    seq: u64,
+    frames: VecDeque<(u64, u32, Message)>,
+    timers: BinaryHeap<Reverse<(u64, u64, u32)>>,
 }
 
 impl Sched {
-    fn push(&mut self, time: f64, pending: Pending) {
-        let seq = self.pendings.len() as u64;
-        self.pendings.push(pending);
-        self.heap.push(Reverse((time.to_bits(), seq)));
+    fn next_seq(&mut self) -> u64 {
+        self.seq += 1;
+        self.seq
     }
 
-    fn pop(&mut self) -> Option<(f64, Pending)> {
-        let Reverse((time_bits, seq)) = self.heap.pop()?;
-        Some((f64::from_bits(time_bits), self.pendings[seq as usize]))
+    /// Queues a frame for delivery at the current instant.
+    fn deliver(&mut self, to: u32, message: Message) {
+        let seq = self.next_seq();
+        self.frames.push_back((seq, to, message));
+    }
+
+    /// Arms `node`'s Action timer `delay` time units from now.
+    fn arm(&mut self, delay: f64, node: u32) {
+        let seq = self.next_seq();
+        let time = self.now + delay;
+        self.timers.push(Reverse((time.to_bits(), seq, node)));
+    }
+
+    /// The earliest due item, advancing `now` to its time.
+    fn pop(&mut self) -> Option<Due> {
+        // Every queued frame sits at `now`, and no timer is earlier, so
+        // a timer goes first only if it is due now and was armed first.
+        let timer_first = match (self.frames.front(), self.timers.peek()) {
+            (None, _) => true,
+            (Some(_), None) => false,
+            (Some(&(frame_seq, ..)), Some(&Reverse((time_bits, timer_seq, _)))) => {
+                (time_bits, timer_seq) < (self.now.to_bits(), frame_seq)
+            }
+        };
+        if timer_first {
+            let Reverse((time_bits, _, node)) = self.timers.pop()?;
+            self.now = f64::from_bits(time_bits);
+            Some(Due::Action { node })
+        } else {
+            let (_, to, message) = self.frames.pop_front()?;
+            Some(Due::Frame { to, message })
+        }
     }
 }
 
@@ -78,25 +121,20 @@ pub fn run_mesh(
     let mut nodes: Vec<NodeCore> = (0..n)
         .map(|me| NodeCore::new(population, spec, seed, me))
         .collect();
-    let mut entries: Vec<Vec<JournalEntry>> = vec![Vec::new(); n as usize];
-    let mut halted = vec![false; n as usize];
-    let mut halted_count = 0usize;
-    let mut sched = Sched::default();
+    let mut mesh = Mesh {
+        sched: Sched::default(),
+        entries: vec![Vec::new(); n as usize],
+        halted: vec![false; n as usize],
+        halted_count: 0,
+    };
+    // One output buffer for the whole run: `handle` appends to it and
+    // `execute` drains it.
+    let mut out: Vec<Output> = Vec::new();
 
     // Boot every node at t = 0, in node order.
     for me in 0..n {
-        let outs: Vec<Output> = nodes[me as usize]
-            .handle(Input::Command(Command::Start))
-            .collect();
-        execute(
-            me,
-            outs,
-            0.0,
-            &mut sched,
-            &mut entries,
-            &mut halted,
-            &mut halted_count,
-        );
+        nodes[me as usize].handle(Input::Command(Command::Start), &mut out);
+        mesh.execute(me, &mut out);
     }
 
     // A loose safety net: the protocol is deterministic, so any
@@ -107,75 +145,68 @@ pub fn run_mesh(
         .saturating_mul(u64::from(n).max(1))
         .saturating_add(1_000_000);
     let mut steps = 0u64;
-    while halted_count < n as usize {
-        let Some((now, pending)) = sched.pop() else {
-            return Err(format!("mesh ran dry with {halted_count}/{n} nodes halted"));
+    while mesh.halted_count < n as usize {
+        let Some(due) = mesh.sched.pop() else {
+            return Err(format!(
+                "mesh ran dry with {}/{n} nodes halted",
+                mesh.halted_count
+            ));
         };
         steps += 1;
         if steps > budget {
             return Err(format!(
-                "mesh exceeded its step budget ({budget}) with {halted_count}/{n} halted"
+                "mesh exceeded its step budget ({budget}) with {}/{n} halted",
+                mesh.halted_count
             ));
         }
-        let (target, input) = match pending {
-            Pending::Deliver { to, message } => (to, Input::Frame(message)),
-            Pending::Timer { node, kind } => (node, Input::Timer(kind)),
+        let (target, input) = match due {
+            Due::Frame { to, message } => (to, Input::Frame(message)),
+            // Halted nodes only answer frames (lost-Done recovery);
+            // their leftover timers are inert.
+            Due::Action { node } if mesh.halted[node as usize] => continue,
+            Due::Action { node } => (node, Input::Timer(TimerKind::Action)),
         };
-        // Halted nodes only answer frames (lost-Done recovery); their
-        // leftover timers are inert.
-        if halted[target as usize] && matches!(input, Input::Timer(_)) {
-            continue;
-        }
-        let outs: Vec<Output> = nodes[target as usize].handle(input).collect();
-        execute(
-            target,
-            outs,
-            now,
-            &mut sched,
-            &mut entries,
-            &mut halted,
-            &mut halted_count,
-        );
+        nodes[target as usize].handle(input, &mut out);
+        mesh.execute(target, &mut out);
     }
 
     let reports: Vec<NodeReport> = nodes
         .iter()
-        .zip(entries)
+        .zip(mesh.entries)
         .map(|(node, entries)| node.report("mesh", entries))
         .collect();
     let merged = merge_reports(&reports)?;
     Ok(MeshRun { reports, merged })
 }
 
-fn execute(
-    from: u32,
-    outs: Vec<Output>,
-    now: f64,
-    sched: &mut Sched,
-    entries: &mut [Vec<JournalEntry>],
-    halted: &mut [bool],
-    halted_count: &mut usize,
-) {
-    for output in outs {
-        match output {
-            Output::Send { to, message } => {
+/// The transport's state besides the nodes themselves.
+struct Mesh {
+    sched: Sched,
+    entries: Vec<Vec<JournalEntry>>,
+    halted: Vec<bool>,
+    halted_count: usize,
+}
+
+impl Mesh {
+    /// Executes (and drains) the outputs node `from` just emitted.
+    fn execute(&mut self, from: u32, out: &mut Vec<Output>) {
+        for output in out.drain(..) {
+            match output {
                 // Zero-latency link: delivered at the current instant,
                 // after everything already scheduled there (FIFO).
-                sched.push(now, Pending::Deliver { to, message });
-            }
-            Output::SetTimer { kind, delay } => match kind {
-                TimerKind::Action => {
-                    sched.push(now + delay, Pending::Timer { node: from, kind });
-                }
-                // Reliable transport: retransmission would only
-                // duplicate idempotent tokens. Dropped by policy.
-                TimerKind::Retransmit => {}
-            },
-            Output::Journal(entry) => entries[from as usize].push(entry),
-            Output::Halted => {
-                if !halted[from as usize] {
-                    halted[from as usize] = true;
-                    *halted_count += 1;
+                Output::Send { to, message } => self.sched.deliver(to, message),
+                Output::SetTimer { kind, delay } => match kind {
+                    TimerKind::Action => self.sched.arm(delay, from),
+                    // Reliable transport: retransmission would only
+                    // duplicate idempotent tokens. Dropped by policy.
+                    TimerKind::Retransmit => {}
+                },
+                Output::Journal(entry) => self.entries[from as usize].push(entry),
+                Output::Halted => {
+                    if !self.halted[from as usize] {
+                        self.halted[from as usize] = true;
+                        self.halted_count += 1;
+                    }
                 }
             }
         }
@@ -189,6 +220,7 @@ mod tests {
     use lagover_core::{Algorithm, Constraints, ConstructionConfig, OracleKind};
     use lagover_jsonio::to_string;
     use lagover_obs::Event;
+    use proptest::prelude::*;
 
     fn population(n: u32) -> Population {
         let constraints = (0..n).map(|i| Constraints::new(3, i / 4 + 1)).collect();
@@ -202,6 +234,72 @@ mod tests {
                 .with_max_rounds(10_000),
             max_time: 10_000.0,
             journal_capacity: 8_192,
+        }
+    }
+
+    /// The schedule before the split, kept as the oracle: one heap over
+    /// `(time, arming seq)` and every item ever armed.
+    #[derive(Default)]
+    struct HeapSched {
+        now: f64,
+        heap: BinaryHeap<Reverse<(u64, u64)>>,
+        pendings: Vec<Due>,
+    }
+
+    impl HeapSched {
+        fn push(&mut self, time: f64, due: Due) {
+            let seq = self.pendings.len() as u64;
+            self.pendings.push(due);
+            self.heap.push(Reverse((time.to_bits(), seq)));
+        }
+
+        fn pop(&mut self) -> Option<Due> {
+            let Reverse((time_bits, seq)) = self.heap.pop()?;
+            self.now = f64::from_bits(time_bits);
+            Some(self.pendings[seq as usize])
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Random interleavings of same-instant deliveries, timers
+        /// (delays 0, 1 and dyadic fractions, so times tie across
+        /// arming instants) and pops: the two lanes pop exactly what
+        /// the one heap pops, at the same time.
+        #[test]
+        fn two_lanes_pop_in_the_one_heap_order(
+            ops in prop::collection::vec((0u8..4, 0u32..64), 0..200),
+        ) {
+            let (mut sched, mut oracle) = (Sched::default(), HeapSched::default());
+            for (label, &(op, x)) in ops.iter().enumerate() {
+                let label = label as u32;
+                match op {
+                    0 | 1 => {
+                        let message = Message::Hello { peer: x };
+                        sched.deliver(label, message);
+                        oracle.push(oracle.now, Due::Frame { to: label, message });
+                    }
+                    2 => {
+                        let delay = match x % 3 {
+                            0 => 0.0,
+                            1 => 1.0,
+                            _ => f64::from(x) / 64.0,
+                        };
+                        sched.arm(delay, label);
+                        oracle.push(oracle.now + delay, Due::Action { node: label });
+                    }
+                    _ => {
+                        prop_assert_eq!(sched.pop(), oracle.pop());
+                        prop_assert_eq!(sched.now.to_bits(), oracle.now.to_bits());
+                    }
+                }
+            }
+            while let Some(due) = oracle.pop() {
+                prop_assert_eq!(sched.pop(), Some(due));
+                prop_assert_eq!(sched.now.to_bits(), oracle.now.to_bits());
+            }
+            prop_assert_eq!(sched.pop(), None);
         }
     }
 

@@ -154,9 +154,10 @@ pub struct OwnedEvent {
     pub event: Event,
 }
 
-/// Result of applying one pending action.
+/// Result of applying one pending action. Its events borrow the
+/// replica's buffer, which the next apply refills.
 #[derive(Debug, Clone, PartialEq)]
-pub struct AppliedAction {
+pub struct AppliedAction<'a> {
     /// Global action index (0-based).
     pub index: u64,
     /// The acting peer.
@@ -164,7 +165,7 @@ pub struct AppliedAction {
     /// Every event this apply produced, with owners: the acting peer
     /// for its action's events; the peer an event concerns for those
     /// of the round close and the crash injection that may follow it.
-    pub events: Vec<OwnedEvent>,
+    pub events: &'a [OwnedEvent],
     /// Whether this action ended the run.
     pub halted: bool,
 }
@@ -184,6 +185,7 @@ pub struct Replica {
     turn: Option<PeerId>,
     per_peer_actions: Vec<u64>,
     actions: u64,
+    events: Vec<OwnedEvent>,
 }
 
 impl Replica {
@@ -202,6 +204,7 @@ impl Replica {
             turn: None,
             per_peer_actions: vec![0; population.len()],
             actions: 0,
+            events: Vec::new(),
         };
         if replica.goal.runs_on(&replica.engine) {
             replica.engine.open_turns();
@@ -224,21 +227,21 @@ impl Replica {
     /// # Panics
     ///
     /// Panics if there is no pending action.
-    pub fn apply_pending(&mut self) -> AppliedAction {
+    pub fn apply_pending(&mut self) -> AppliedAction<'_> {
         let peer = self.turn.take().expect("pending() returned Some");
         let index = self.actions;
         self.engine.act_on(peer);
         self.actions += 1;
         self.per_peer_actions[peer.index()] += 1;
-        let mut events = Vec::new();
-        self.hand_on(&mut events, |_| peer.get());
+        self.events.clear();
+        self.hand_on(|_| peer.get());
         self.advance();
         // Round-close and crash events belong to the peer they concern.
-        self.hand_on(&mut events, Event::peer);
+        self.hand_on(Event::peer);
         AppliedAction {
             index,
             peer,
-            events,
+            events: &self.events,
             halted: self.halted(),
         }
     }
@@ -260,16 +263,17 @@ impl Replica {
         }
     }
 
-    /// Drains the journal into `events`, each owned by `owner(event)`.
-    fn hand_on(&mut self, events: &mut Vec<OwnedEvent>, owner: impl Fn(&Event) -> u32) {
+    /// Drains the journal into the event buffer, each event owned by
+    /// `owner(event)`.
+    fn hand_on(&mut self, owner: impl Fn(&Event) -> u32) {
         let journal = self
             .engine
             .obs_mut()
             .journal_mut()
             .expect("journal enabled");
         for event in journal.drain() {
-            let sub = events.len() as u32;
-            events.push(OwnedEvent {
+            let sub = self.events.len() as u32;
+            self.events.push(OwnedEvent {
                 owner: owner(&event),
                 sub,
                 event,
@@ -393,7 +397,7 @@ mod tests {
         let mut last_key = None;
         while replica.pending().is_some() {
             let applied = replica.apply_pending();
-            for owned in &applied.events {
+            for owned in applied.events {
                 let key = (applied.index, owned.sub);
                 assert!(Some(key) > last_key, "keys must strictly increase");
                 last_key = Some(key);

@@ -54,13 +54,22 @@ impl Default for UdpNodeOptions {
     }
 }
 
+/// The loopback port node `node` binds and is reached at,
+/// `base_port + node`, or `None` if that is past 65535.
+pub fn node_port(base_port: u16, node: u32) -> Option<u16> {
+    u32::from(base_port)
+        .checked_add(node)
+        .and_then(|port| u16::try_from(port).ok())
+}
+
 /// Runs node `options.me` over UDP loopback until it halts (plus the
 /// linger window), returning its [`NodeReport`].
 ///
 /// # Errors
 ///
-/// Returns a description of the failure if the socket cannot be bound
-/// or the node fails to halt within `hard_timeout_ms`.
+/// Returns a description of the failure if some node's port is past
+/// 65535, the socket cannot be bound, or the node fails to halt within
+/// `hard_timeout_ms`.
 pub fn run_udp_node(
     population: &Population,
     spec: &ScenarioSpec,
@@ -69,12 +78,21 @@ pub fn run_udp_node(
 ) -> Result<NodeReport, String> {
     let n = population.len() as u32;
     assert!(options.me < n, "node id out of range");
-    let port = options
-        .base_port
-        .checked_add(options.me as u16)
-        .ok_or("base_port + node id overflows a port number")?;
-    let socket = UdpSocket::bind(("127.0.0.1", port))
-        .map_err(|e| format!("node {} failed to bind 127.0.0.1:{port}: {e}", options.me))?;
+    let addrs: Vec<SocketAddr> = (0..n)
+        .map(|q| {
+            node_port(options.base_port, q).map(|port| SocketAddr::from(([127, 0, 0, 1], port)))
+        })
+        .collect::<Option<_>>()
+        .ok_or_else(|| {
+            format!(
+                "base port {} + node id {} is past port 65535",
+                options.base_port,
+                n - 1
+            )
+        })?;
+    let addr = addrs[options.me as usize];
+    let socket = UdpSocket::bind(addr)
+        .map_err(|e| format!("node {} failed to bind {addr}: {e}", options.me))?;
 
     let mut node = NodeCore::new(population, spec, seed, options.me);
     let mut entries: Vec<JournalEntry> = Vec::new();
@@ -87,20 +105,21 @@ pub fn run_udp_node(
     let mut retransmit_due: Option<Instant> = None;
     let mut linger_until: Option<Instant> = None;
 
-    let peer_addr =
-        |q: u32| -> SocketAddr { SocketAddr::from(([127, 0, 0, 1], options.base_port + q as u16)) };
-    let run_outputs = |outs: Vec<Output>,
+    // One output buffer for the whole run: `handle` appends to it and
+    // `run_outputs` drains it.
+    let mut out: Vec<Output> = Vec::new();
+    let run_outputs = |out: &mut Vec<Output>,
                        now: Instant,
                        action_due: &mut Option<Instant>,
                        retransmit_due: &mut Option<Instant>,
                        linger_until: &mut Option<Instant>,
                        entries: &mut Vec<JournalEntry>| {
-        for output in outs {
+        for output in out.drain(..) {
             match output {
                 Output::Send { to, message } => {
                     // Best-effort: a lost datagram is exactly what the
                     // retransmit machinery exists for.
-                    let _ = socket.send_to(&encode(&message), peer_addr(to));
+                    let _ = socket.send_to(&encode(&message), addrs[to as usize]);
                 }
                 Output::SetTimer { kind, delay } => {
                     let due = now + Duration::from_secs_f64(delay * tick / 1_000.0);
@@ -118,9 +137,9 @@ pub fn run_udp_node(
         }
     };
 
-    let boot: Vec<Output> = node.handle(Input::Command(Command::Start)).collect();
+    node.handle(Input::Command(Command::Start), &mut out);
     run_outputs(
-        boot,
+        &mut out,
         Instant::now(),
         &mut action_due,
         &mut retransmit_due,
@@ -161,9 +180,9 @@ pub fn run_udp_node(
         }
         if !fired.is_empty() {
             for kind in fired {
-                let outs: Vec<Output> = node.handle(Input::Timer(kind)).collect();
+                node.handle(Input::Timer(kind), &mut out);
                 run_outputs(
-                    outs,
+                    &mut out,
                     Instant::now(),
                     &mut action_due,
                     &mut retransmit_due,
@@ -195,9 +214,9 @@ pub fn run_udp_node(
         match socket.recv_from(&mut buf) {
             Ok((len, _)) => match decode(&buf[..len]) {
                 Ok((message, _)) => {
-                    let outs: Vec<Output> = node.handle(Input::Frame(message)).collect();
+                    node.handle(Input::Frame(message), &mut out);
                     run_outputs(
-                        outs,
+                        &mut out,
                         Instant::now(),
                         &mut action_due,
                         &mut retransmit_due,
@@ -245,6 +264,24 @@ mod tests {
             max_time: 10_000.0,
             journal_capacity: 8_192,
         }
+    }
+
+    /// Ports are checked, not wrapped: node 536 of base 65 000 and node
+    /// 65 536 of base 1 have none, and a node refuses to run (before
+    /// binding) when the population's last port is past 65535.
+    #[test]
+    fn node_ports_stop_at_65535_instead_of_wrapping() {
+        assert_eq!(node_port(47_000, 0), Some(47_000));
+        assert_eq!(node_port(65_000, 535), Some(65_535));
+        assert_eq!(node_port(65_000, 536), None);
+        assert_eq!(node_port(1, 65_536), None);
+        assert_eq!(node_port(u16::MAX, u32::MAX), None);
+        let options = UdpNodeOptions {
+            base_port: 65_530,
+            ..UdpNodeOptions::default()
+        };
+        let err = run_udp_node(&population(8), &spec(), 1, &options).expect_err("port 65537");
+        assert!(err.contains("past port 65535"), "{err}");
     }
 
     /// Eight UDP nodes on loopback (threads standing in for the

@@ -51,8 +51,9 @@ struct Network {
 }
 
 impl Network {
-    fn execute(&mut self, from: u32, outs: impl Iterator<Item = Output>) {
-        for output in outs {
+    /// Executes (and drains) the outputs node `from` just emitted.
+    fn execute(&mut self, from: u32, out: &mut Vec<Output>) {
+        for output in out.drain(..) {
             match output {
                 Output::Send { to, message } => {
                     if self.rng.chance(0.1) {
@@ -91,11 +92,10 @@ fn run_lossy(pop: &Population, spec: &ScenarioSpec, seed: u64) -> (MergedRun, Ne
         duplicated: 0,
         retransmits: 0,
     };
+    let mut out = Vec::new();
     for me in 0..n {
-        net.execute(
-            me,
-            nodes[me as usize].handle(Input::Command(Command::Start)),
-        );
+        nodes[me as usize].handle(Input::Command(Command::Start), &mut out);
+        net.execute(me, &mut out);
     }
     let mut steps = 0u64;
     while !nodes.iter().all(NodeCore::is_halted) {
@@ -111,7 +111,8 @@ fn run_lossy(pop: &Population, spec: &ScenarioSpec, seed: u64) -> (MergedRun, Ne
                 (node, Input::Timer(kind))
             }
         };
-        net.execute(target, nodes[target as usize].handle(input));
+        nodes[target as usize].handle(input, &mut out);
+        net.execute(target, &mut out);
     }
     let reports: Vec<_> = nodes
         .iter()
