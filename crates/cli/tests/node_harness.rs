@@ -80,3 +80,28 @@ fn udp_harness_converges_and_matches_the_mesh() {
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// `lagover node` reports rounds, as `lagover construct` does: the same
+/// run converges in the same round under both verbs, and the turns every
+/// replica applied — one per online peer per round — are reported as
+/// turns.
+#[test]
+fn node_and_construct_agree_on_the_convergence_round() {
+    let run = ["--workload", "rand", "--peers", "32", "--seed", "7"];
+    let (ok, construct, stderr) = lagover(&[&["construct"][..], &run].concat());
+    assert!(ok, "construct failed:\n{stderr}");
+    let rounds: u64 = construct
+        .strip_prefix("converged in ")
+        .and_then(|rest| rest.split(' ').next())
+        .and_then(|n| n.parse().ok())
+        .unwrap_or_else(|| panic!("no convergence round in:\n{construct}"));
+
+    let (ok, node, stderr) =
+        lagover(&[&["node"][..], &run, &["--max-time", "4000", "--json"]].concat());
+    assert!(ok, "node failed:\n{stderr}");
+    let report: lagover_obs::ObsReport = lagover_jsonio::from_str(&node).expect("an obs report");
+    assert_eq!(report.converged, 1);
+    assert_eq!(report.rounds, rounds);
+    assert_eq!(report.converged_rounds, rounds);
+    assert_eq!(report.turns, Some(32 * rounds));
+}

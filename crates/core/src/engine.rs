@@ -122,6 +122,49 @@ pub struct EngineSnapshot {
 }
 
 impl EngineSnapshot {
+    /// What a parsed document must hold beyond its shape before an
+    /// engine may run on it: every per-peer array sized to the `n`
+    /// peers, every peer id it names one of them, stamps that saturate
+    /// past every latency, a crashed peer offline, and a crash victim
+    /// whose detection completed referenced by nobody.
+    fn check(&self, n: usize) -> Result<(), JsonError> {
+        for (name, len) in [
+            ("overlay", self.overlay.len()),
+            ("online", self.online.len()),
+            ("proto", self.proto.len()),
+            ("crashed", self.crashed.len()),
+            ("crash_silent", self.crash_silent.len()),
+        ] {
+            if len != n {
+                return Err(JsonError(format!(
+                    "snapshot {name} has {len} entries for {n} peers"
+                )));
+            }
+        }
+        let referrals = self.proto.iter().filter_map(|s| match s.referral {
+            Some(Member::Peer(q)) => Some(q.get()),
+            _ => None,
+        });
+        let victims = self.faults.crashes().iter().map(|c| c.peer);
+        if let Some(q) = referrals.chain(victims).find(|&q| q as usize >= n) {
+            return Err(JsonError(format!("snapshot names peer {q} of {n}")));
+        }
+        let horizon = self.overlay.horizon();
+        if horizon <= self.population.max_latency() {
+            return Err(JsonError(format!(
+                "overlay horizon {horizon} is within the population's latencies"
+            )));
+        }
+        if let Some(i) = (0..n).find(|&i| self.crashed[i] && self.online[i]) {
+            return Err(JsonError(format!("crashed peer {i} is online")));
+        }
+        let timeout = self.config.detection_timeout;
+        let detected: Vec<bool> = (0..n)
+            .map(|i| self.crashed[i] && self.crash_silent[i] >= timeout)
+            .collect();
+        self.overlay.validate_liveness(&detected).map_err(JsonError)
+    }
+
     /// The round the snapshot was taken at.
     pub fn round(&self) -> Round {
         self.round
@@ -682,13 +725,46 @@ impl Engine {
     /// Always zero under graceful churn, which clears such edges in the
     /// departure round.
     ///
-    /// One O(N) pass: a walk up from an online peer stops at the first
-    /// offline ancestor (stale), the chain's end (fresh), a peer whose
-    /// verdict is known (inherited), or a peer of the walk itself — a
-    /// corrupted parent cycle, which can never deliver the feed and
+    /// On a forest whose child lists are vouched for
+    /// ([`Overlay::lists_may_lie`] is false) the count walks *down*:
+    /// from each offline peer through online children only, so every
+    /// stale peer is counted once, under its nearest offline ancestor.
+    /// That costs O(n/64 + offline peers + their children + stale
+    /// peers) — once detection has reclaimed the corpses, a word scan
+    /// and a child-count read per offline peer. Debug builds check
+    /// every such count against the walk up below.
+    pub fn stale_chain_count(&self) -> usize {
+        if self.overlay.lists_may_lie() {
+            return self.stale_chains_walked_up();
+        }
+        let mut stack = Vec::new();
+        let mut stale_chains = 0;
+        for dead in self.online.offline() {
+            stack.extend_from_slice(self.overlay.children(dead));
+            while let Some(q) = stack.pop() {
+                if self.online.contains(q) {
+                    stale_chains += 1;
+                    stack.extend_from_slice(self.overlay.children(q));
+                }
+            }
+        }
+        debug_assert_eq!(
+            stale_chains,
+            self.stale_chains_walked_up(),
+            "the walk down from the offline peers disagrees with the walk up"
+        );
+        stale_chains
+    }
+
+    /// [`Engine::stale_chain_count`] from the parent pointers alone,
+    /// the only exact count once the child lists may disagree with
+    /// them. One O(N) pass: a walk up from an online peer stops at the
+    /// first offline ancestor (stale), the chain's end (fresh), a peer
+    /// whose verdict is known (inherited), or a peer of the walk itself
+    /// — a corrupted parent cycle, which can never deliver the feed and
     /// counts as stale — and everybody walked past, online and below
     /// the same stop, takes the same verdict.
-    pub fn stale_chain_count(&self) -> usize {
+    fn stale_chains_walked_up(&self) -> usize {
         const UNKNOWN: u8 = 0;
         const FRESH: u8 = 1;
         const STALE: u8 = 2;
@@ -1655,9 +1731,9 @@ impl Engine {
 /// the population size: a chain that fails to terminate (a corrupted
 /// parent cycle) can never deliver the feed, so it counts as stale.
 /// The per-peer reference [`Engine::stale_chain_count`] is tested
-/// against.
+/// against, on either path.
 #[cfg(test)]
-fn chain_is_stale(overlay: &Overlay, online: &Liveness, p: PeerId) -> bool {
+pub(crate) fn chain_is_stale(overlay: &Overlay, online: &Liveness, p: PeerId) -> bool {
     let mut cur = p;
     let mut budget = online.len();
     loop {
@@ -1771,15 +1847,7 @@ impl FromJson for EngineSnapshot {
                 None => 0,
             },
         };
-        if snapshot.online.len() != n
-            || snapshot.proto.len() != n
-            || snapshot.crashed.len() != n
-            || snapshot.crash_silent.len() != n
-        {
-            return Err(JsonError(format!(
-                "snapshot per-peer vectors disagree with population size {n}"
-            )));
-        }
+        snapshot.check(n)?;
         Ok(snapshot)
     }
 }

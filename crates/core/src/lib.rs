@@ -75,6 +75,7 @@ mod oracle_index;
 mod schedule;
 mod schedule_tests;
 mod settled_tests;
+mod stale_chain_tests;
 
 pub use config::{Algorithm, ConstructionConfig, SourceMode};
 pub use engine::{Engine, EngineCounters, EngineSnapshot};

@@ -315,6 +315,33 @@ impl Liveness {
     pub(crate) fn words(&self) -> &[u64] {
         &self.words
     }
+
+    /// The offline peers, in ascending order: the complement of one
+    /// word at a time, the last word masked to the population, so
+    /// O(n/64 + the peers found).
+    pub(crate) fn offline(&self) -> impl Iterator<Item = PeerId> + '_ {
+        let tail = match self.len % 64 {
+            0 => u64::MAX,
+            bits => (1 << bits) - 1,
+        };
+        let last = self.words.len().saturating_sub(1);
+        (0u32..).zip(&self.words).flat_map(move |(w, &on)| {
+            let mask = if w as usize == last { tail } else { u64::MAX };
+            peers_in_word(w, !on & mask)
+        })
+    }
+}
+
+/// The peers whose bits are set in `word`, word `w` of a bitmap over
+/// peer indices (bit `i % 64` of word `i / 64`), in ascending order.
+pub(crate) fn peers_in_word(w: u32, mut word: u64) -> impl Iterator<Item = PeerId> {
+    std::iter::from_fn(move || {
+        (word != 0).then(|| {
+            let bit = word.trailing_zeros();
+            word &= word - 1;
+            PeerId::new(w * 64 + bit)
+        })
+    })
 }
 
 use lagover_jsonio::{object, FromJson, Json, JsonError, ToJson};
@@ -398,6 +425,20 @@ impl FromJson for Population {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn offline_scans_the_complement_up_to_the_last_peer() {
+        for n in [0usize, 1, 63, 64, 65, 130] {
+            let flags: Vec<bool> = (0..n).map(|i| i % 3 != 0).collect();
+            let offline: Vec<usize> = Liveness::from_flags(&flags)
+                .offline()
+                .map(PeerId::index)
+                .collect();
+            let expected: Vec<usize> = (0..n).filter(|i| i % 3 == 0).collect();
+            assert_eq!(offline, expected, "n = {n}");
+        }
+        assert_eq!(Liveness::all(70).offline().count(), 0);
+    }
 
     #[test]
     fn peer_id_round_trips() {

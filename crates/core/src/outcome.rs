@@ -218,6 +218,7 @@ impl<O> Observed<O> {
             runs: 1,
             seed,
             rounds: trail.rounds,
+            turns: None,
             converged: trail.reached_at.is_some() as u64,
             converged_rounds: trail.reached_at.unwrap_or(0),
             counters: trail.counters,

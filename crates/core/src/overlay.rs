@@ -46,6 +46,16 @@
 //! forest also reports which peers went from settled to unsettled, so
 //! the round can schedule them (DESIGN.md §13.4, "The schedule").
 //!
+//! # Checked forests
+//!
+//! `attach`, `detach`, `interpose` and `remove_peer` keep every child
+//! list in agreement with the parent pointers and the forest acyclic;
+//! so does a forest parsed from JSON, which is validated. The raw
+//! mutations and repair primitives do not, so each marks the forest
+//! *lists may lie* for good ([`Overlay::lists_may_lie`]). Readers that
+//! walk down the child lists — the engine's stale-chain count — trust
+//! them only on a forest without the mark.
+//!
 //! # Memory layout
 //!
 //! Storage is arena-backed struct-of-arrays (DESIGN.md §13): peers are
@@ -63,7 +73,7 @@ use std::fmt;
 
 use serde::{Deserialize, Serialize};
 
-use crate::node::{Member, PeerId, Population};
+use crate::node::{peers_in_word, Member, PeerId, Population};
 
 /// Packed `parent` sentinel: no parent.
 const NO_PARENT: u32 = u32::MAX;
@@ -213,6 +223,12 @@ pub struct Overlay {
     /// Whether [`Overlay::unsettle_all`] un-settled anybody since then.
     #[serde(skip)]
     woke_all: bool,
+    /// Whether a raw mutation or repair primitive ever wrote this
+    /// forest, so its child lists may disagree with its parent pointers
+    /// (see the module docs). Never cleared; carried by `Clone`, not
+    /// serialized, not compared.
+    #[serde(skip)]
+    lists_may_lie: bool,
     /// Reusable traversal stack of `(peer, its new hops)` for
     /// re-stamping. Always left empty between calls, so equality stays
     /// purely structural and serialization carries no transient state.
@@ -235,7 +251,8 @@ pub struct Overlay {
 }
 
 // Equality is logical: live child slices only, never pool garbage, the
-// settled bits or the transient scratch/delta state.
+// settled bits, the lists-may-lie mark or the transient scratch/delta
+// state.
 impl PartialEq for Overlay {
     fn eq(&self, other: &Self) -> bool {
         self.source_fanout == other.source_fanout
@@ -278,6 +295,7 @@ impl Overlay {
             reporting: false,
             woken: Vec::new(),
             woke_all: false,
+            lists_may_lie: false,
             scratch: Vec::new(),
             track_deltas: false,
             delay_deltas: Vec::new(),
@@ -374,16 +392,24 @@ impl Overlay {
     ) -> impl Iterator<Item = PeerId> + 'a {
         (0u32..)
             .zip(among.iter().zip(&self.settled))
-            .flat_map(|(w, (&mark, &settled))| {
-                let mut word = mark & !settled;
-                std::iter::from_fn(move || {
-                    (word != 0).then(|| {
-                        let bit = word.trailing_zeros();
-                        word &= word - 1;
-                        PeerId::new(w * 64 + bit)
-                    })
-                })
-            })
+            .flat_map(|(w, (&mark, &settled))| peers_in_word(w, mark & !settled))
+    }
+
+    /// Whether a raw mutation or repair primitive has written this
+    /// forest, so that a child list may disagree with the parent
+    /// pointers (a one-sided graft, an evicted entry) or the pointers
+    /// may cycle. `false` on a forest built only by the checked
+    /// mutations, or parsed from a validated document.
+    pub fn lists_may_lie(&self) -> bool {
+        self.lists_may_lie
+    }
+
+    /// What every raw mutation and repair primitive does first: nothing
+    /// it writes is tracked, so everybody is un-settled, and the child
+    /// lists are no longer vouched for.
+    fn mark_raw(&mut self) {
+        self.unsettle_all();
+        self.lists_may_lie = true;
     }
 
     /// Starts (a round opens) or stops (it closes) reporting which peers
@@ -1105,7 +1131,8 @@ impl Overlay {
     // After any raw mutation [`Overlay::validate`] may (intentionally)
     // fail until stabilization completes. None of them tracks whose
     // action reads the word it writes, so each un-settles everybody
-    // (they are rare). Delta records ARE maintained
+    // (they are rare) and marks the child lists untrusted
+    // (`mark_raw`). Delta records ARE maintained
     // here: the oracle sampling index stays subscribed through repair,
     // and a stale index would hide the very slots re-attachment needs.
     // ------------------------------------------------------------------
@@ -1113,14 +1140,14 @@ impl Overlay {
     /// Overwrites `p`'s parent pointer, touching no child list and no
     /// cache — the corrupt half of a dangling pointer or cycle splice.
     pub fn raw_set_parent(&mut self, p: PeerId, parent: Option<Member>) {
-        self.unsettle_all();
+        self.mark_raw();
         self.parent[p.index()] = pack_parent(parent);
     }
 
     /// Overwrites `p`'s cached chain root and hop count — forged
     /// depth/delay state ([`ChainRoot`] staleness included).
     pub fn raw_set_cache(&mut self, p: PeerId, root: ChainRoot, hops: u32) {
-        self.unsettle_all();
+        self.mark_raw();
         self.root[p.index()] = root.pack();
         self.hops[p.index()] = hops;
         if self.track_deltas {
@@ -1133,7 +1160,7 @@ impl Overlay {
     /// capacity (the build-time fanout), so only downward forgery —
     /// the kind that overflows the bound — is possible.
     pub fn raw_set_fanout(&mut self, p: PeerId, fanout: u32) {
-        self.unsettle_all();
+        self.mark_raw();
         self.fanout[p.index()] = fanout.min(self.child_capacity(p));
         self.note_fanout_delta(Member::Peer(p));
     }
@@ -1142,7 +1169,7 @@ impl Overlay {
     /// `child`'s parent pointer (a one-sided graft). Returns `false`
     /// when every physical slot is taken or the entry already exists.
     pub fn raw_add_child(&mut self, p: PeerId, child: PeerId) -> bool {
-        self.unsettle_all();
+        self.mark_raw();
         let i = p.index();
         if self.child_cnt[i] >= self.child_capacity(p) || self.kids(i).contains(&child) {
             return false;
@@ -1156,7 +1183,7 @@ impl Overlay {
     /// `child`'s parent pointer. The source list is unbounded storage,
     /// so this can overflow the source fanout.
     pub fn raw_push_source_child(&mut self, child: PeerId) {
-        self.unsettle_all();
+        self.mark_raw();
         self.source_children.push(child);
     }
 
@@ -1165,7 +1192,7 @@ impl Overlay {
     /// the counter-operation to a one-sided graft. Returns whether an
     /// entry was removed.
     pub fn evict_child(&mut self, parent: Member, child: PeerId) -> bool {
-        self.unsettle_all();
+        self.mark_raw();
         match parent {
             Member::Source => match self.source_children.iter().position(|&c| c == child) {
                 Some(pos) => {
@@ -1197,7 +1224,7 @@ impl Overlay {
     /// Repair primitive: restores `p`'s advertised fanout to the
     /// physical capacity it was built with.
     pub fn restore_fanout(&mut self, p: PeerId) {
-        self.unsettle_all();
+        self.mark_raw();
         self.fanout[p.index()] = self.child_capacity(p);
         self.note_fanout_delta(Member::Peer(p));
     }
@@ -1264,19 +1291,47 @@ impl FromJson for Overlay {
         let fanout = Vec::<u32>::from_json(value.get("fanout")?)?;
         let parent = Vec::<Option<Member>>::from_json(value.get("parent")?)?;
         let children = Vec::<Vec<PeerId>>::from_json(value.get("children")?)?;
+        let source_children = Vec::<PeerId>::from_json(value.get("source_children")?)?;
         let root = Vec::<ChainRoot>::from_json(value.get("root")?)?;
-        if children.len() != fanout.len() {
-            return Err(JsonError(format!(
-                "children lists ({}) disagree with fanout entries ({})",
-                children.len(),
-                fanout.len()
-            )));
+        let hops = Vec::<u32>::from_json(value.get("hops")?)?;
+        // `validate` indexes every per-peer array by every peer id it
+        // meets, so shapes and ids are checked first.
+        let n = fanout.len();
+        for (name, len) in [
+            ("parent", parent.len()),
+            ("children", children.len()),
+            ("root", root.len()),
+            ("hops", hops.len()),
+        ] {
+            if len != n {
+                return Err(JsonError(format!(
+                    "overlay {name} has {len} entries for {n} fanout entries"
+                )));
+            }
         }
-        let mut child_off = Vec::with_capacity(fanout.len() + 1);
+        let parents = parent.iter().filter_map(|&m| match m {
+            Some(Member::Peer(q)) => Some(q),
+            _ => None,
+        });
+        let fragment_roots = root.iter().filter_map(|&r| match r {
+            ChainRoot::Fragment(q) => Some(q),
+            ChainRoot::Source => None,
+        });
+        let named = children.iter().flatten().chain(&source_children).copied();
+        if let Some(q) = named
+            .chain(parents)
+            .chain(fragment_roots)
+            .find(|q| q.index() >= n)
+        {
+            return Err(JsonError(format!("overlay names {q} of {n} peers")));
+        }
+        let mut child_off = Vec::with_capacity(n + 1);
         let mut total = 0u32;
         for &f in &fanout {
             child_off.push(total);
-            total += f;
+            total = total
+                .checked_add(f)
+                .ok_or_else(|| JsonError("overlay fanouts overflow the child arena".into()))?;
         }
         child_off.push(total);
         let mut child_cnt = vec![0u32; fanout.len()];
@@ -1296,9 +1351,9 @@ impl FromJson for Overlay {
             child_off,
             child_cnt,
             child_pool,
-            source_children: Vec::from_json(value.get("source_children")?)?,
+            source_children,
             root: root.into_iter().map(ChainRoot::pack).collect(),
-            hops: Vec::from_json(value.get("hops")?)?,
+            hops,
             // A document that predates the horizon carries exact hops.
             horizon: match value.get_opt("horizon")? {
                 Some(v) => u32::from_json(v)?,
@@ -1308,6 +1363,7 @@ impl FromJson for Overlay {
             reporting: false,
             woken: Vec::new(),
             woke_all: false,
+            lists_may_lie: false,
             scratch: Vec::new(),
             track_deltas: false,
             delay_deltas: Vec::new(),

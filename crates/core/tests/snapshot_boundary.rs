@@ -1,0 +1,192 @@
+//! A snapshot document is input from outside the process: whatever its
+//! bytes, `EngineSnapshot::from_json_str` answers with a snapshot an
+//! engine can run on, or with an error — never a panic, neither while
+//! parsing nor in the rounds after the restore.
+
+use std::sync::OnceLock;
+
+use proptest::prelude::*;
+
+use lagover_core::node::{Constraints, Population};
+use lagover_core::{Algorithm, ConstructionConfig, Engine, EngineSnapshot, OracleKind};
+use lagover_jsonio::Json;
+use lagover_sim::FaultPlan;
+
+/// Two valid 6-peer snapshots: two rounds into a Greedy construction,
+/// with referrals in flight; and a converged Hybrid overlay one round
+/// after a crash inside it, with message loss, a blackout and one more
+/// crash scheduled.
+fn snapshots() -> &'static [String; 2] {
+    static SNAPSHOTS: OnceLock<[String; 2]> = OnceLock::new();
+    SNAPSHOTS.get_or_init(|| {
+        let population = Population::new(
+            2,
+            vec![
+                Constraints::new(2, 1),
+                Constraints::new(2, 2),
+                Constraints::new(1, 2),
+                Constraints::new(0, 3),
+                Constraints::new(1, 3),
+                Constraints::new(0, 4),
+            ],
+        );
+        let config = |algorithm| ConstructionConfig::new(algorithm, OracleKind::RandomDelay);
+
+        let mut early = Engine::new(&population, &config(Algorithm::Greedy), 7);
+        early.step();
+        early.step();
+
+        let mut crashed = Engine::new(&population, &config(Algorithm::Hybrid), 7);
+        crashed.run_to_convergence().expect("converges");
+        let round = crashed.round().get();
+        crashed.set_faults(
+            FaultPlan::none()
+                .with_message_loss(0.1)
+                .with_blackout(round + 2, 2)
+                .with_crash(round + 3, 4),
+        );
+        let interior = population
+            .peer_ids()
+            .find(|&p| !crashed.overlay().children(p).is_empty())
+            .expect("a converged overlay has an interior");
+        crashed.inject_crash(interior);
+        crashed.step();
+
+        [early, crashed].map(|engine| engine.snapshot().to_json_string())
+    })
+}
+
+/// Parses `text` and, if it parses, restores it, steps five rounds and
+/// reads every probe.
+fn restores_and_runs(text: &str) {
+    if let Ok(snapshot) = EngineSnapshot::from_json_str(text) {
+        let mut engine = Engine::restore(snapshot);
+        for _ in 0..5 {
+            engine.step();
+        }
+        engine.health_sample();
+    }
+}
+
+/// Every array element of `doc`: the path of child indices down to its
+/// array, and its index there.
+fn elements(doc: &Json, path: &mut Vec<usize>, out: &mut Vec<(Vec<usize>, usize)>) {
+    let children: Vec<&Json> = match doc {
+        Json::Array(items) => {
+            out.extend((0..items.len()).map(|i| (path.clone(), i)));
+            items.iter().collect()
+        }
+        Json::Object(fields) => fields.iter().map(|(_, v)| v).collect(),
+        _ => Vec::new(),
+    };
+    for (i, child) in children.into_iter().enumerate() {
+        path.push(i);
+        elements(child, path, out);
+        path.pop();
+    }
+}
+
+/// `doc` without element `i` of the array at `path`.
+fn without(doc: &Json, path: &[usize], i: usize) -> Json {
+    let mut doc = doc.clone();
+    let mut cur = &mut doc;
+    for &step in path {
+        cur = match cur {
+            Json::Array(items) => &mut items[step],
+            Json::Object(fields) => &mut fields[step].1,
+            _ => unreachable!("paths lead through containers"),
+        };
+    }
+    match cur {
+        Json::Array(items) => drop(items.remove(i)),
+        _ => unreachable!("paths end at arrays"),
+    }
+    doc
+}
+
+/// `text` without element `i` of its top-level field `field`.
+fn dropping(text: &str, field: &[&str], i: usize) -> String {
+    let doc = lagover_jsonio::parse(text).expect("a valid snapshot parses");
+    let mut path = Vec::new();
+    let mut cur = &doc;
+    for name in field {
+        let Json::Object(fields) = cur else {
+            unreachable!("snapshots are objects")
+        };
+        let at = fields.iter().position(|(k, _)| k == name).expect("field");
+        path.push(at);
+        cur = &fields[at].1;
+    }
+    without(&doc, &path, i).to_string_compact()
+}
+
+#[test]
+fn a_short_per_peer_array_is_an_error() {
+    let text = &snapshots()[1];
+    for field in [
+        &["overlay", "root"][..],
+        &["overlay", "parent"],
+        &["overlay", "hops"],
+        &["overlay", "fanout"],
+        &["online"],
+        &["crash_silent"],
+    ] {
+        let err = EngineSnapshot::from_json_str(&dropping(text, field, 5));
+        assert!(err.is_err(), "{field:?} one short parsed");
+    }
+}
+
+#[test]
+fn a_crashed_peer_marked_online_is_an_error() {
+    let mut doc = lagover_jsonio::parse(&snapshots()[1]).expect("a valid snapshot parses");
+    let Json::Object(fields) = &mut doc else {
+        unreachable!("snapshots are objects")
+    };
+    let field = |fields: &[(String, Json)], name: &str| {
+        fields.iter().position(|(k, _)| k == name).expect("field")
+    };
+    let crashed = fields[field(fields, "crashed")]
+        .1
+        .as_array()
+        .expect("flags");
+    let victim = crashed
+        .iter()
+        .position(|flag| flag.as_bool() == Ok(true))
+        .expect("a victim");
+    let online = field(fields, "online");
+    let Json::Array(online) = &mut fields[online].1 else {
+        unreachable!("flags are arrays")
+    };
+    online[victim] = Json::Bool(true);
+    assert!(EngineSnapshot::from_json_str(&doc.to_string_compact()).is_err());
+}
+
+#[test]
+fn dropping_any_one_array_element_parses_to_an_error_or_runs() {
+    for text in snapshots() {
+        let doc = lagover_jsonio::parse(text).expect("a valid snapshot parses");
+        let mut all = Vec::new();
+        elements(&doc, &mut Vec::new(), &mut all);
+        for (path, i) in all {
+            restores_and_runs(&without(&doc, &path, i).to_string_compact());
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4096))]
+
+    #[test]
+    fn a_snapshot_with_one_byte_flipped_parses_to_an_error_or_runs(
+        which in 0usize..2,
+        at in any::<usize>(),
+        flip in 1u8..=255,
+    ) {
+        let mut bytes = snapshots()[which].clone().into_bytes();
+        let i = at % bytes.len();
+        bytes[i] ^= flip;
+        if let Ok(text) = String::from_utf8(bytes) {
+            restores_and_runs(&text);
+        }
+    }
+}

@@ -100,6 +100,8 @@ pub struct NodeOutcome {
     pub actions: u64,
     /// Of those, this node's own.
     pub own_actions: u64,
+    /// Rounds the replica ran.
+    pub rounds: u64,
     /// Round construction converged, if reached.
     pub converged_at: Option<f64>,
     /// Round the overlay healed, if reached.
@@ -393,6 +395,7 @@ impl NodeCore {
         NodeOutcome {
             actions: self.replica.actions(),
             own_actions: self.replica.peer_actions(PeerId::new(self.me)),
+            rounds: engine.round().get(),
             converged_at: goal.converged_at().map(|r| r as f64),
             healed_at: goal.healed_at().map(|r| r as f64),
             crashed_peers: goal.victims().len() as u64,
@@ -414,6 +417,7 @@ impl NodeCore {
             transport: transport.to_string(),
             actions: outcome.actions,
             own_actions: outcome.own_actions,
+            rounds: outcome.rounds,
             converged_at: outcome.converged_at,
             healed_at: outcome.healed_at,
             crashed_peers: outcome.crashed_peers,

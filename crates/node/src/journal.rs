@@ -71,10 +71,12 @@ pub struct NodeReport {
     pub scenario: String,
     /// Transport label ("mesh" / "udp").
     pub transport: String,
-    /// Global actions this replica applied.
+    /// Global actions (turns) this replica applied.
     pub actions: u64,
     /// Of those, actions owned by this node.
     pub own_actions: u64,
+    /// Rounds this replica ran.
+    pub rounds: u64,
     /// Round construction converged, if reached.
     pub converged_at: Option<f64>,
     /// Round the overlay healed (recovery), if reached.
@@ -105,6 +107,7 @@ impl ToJson for NodeReport {
             ("transport", Json::Str(self.transport.clone())),
             ("actions", self.actions.to_json()),
             ("own_actions", self.own_actions.to_json()),
+            ("rounds", self.rounds.to_json()),
             ("converged_at", self.converged_at.to_json()),
             ("healed_at", self.healed_at.to_json()),
             ("crashed_peers", self.crashed_peers.to_json()),
@@ -131,6 +134,7 @@ impl FromJson for NodeReport {
             transport: String::from_json(value.get("transport")?)?,
             actions: u64::from_json(value.get("actions")?)?,
             own_actions: u64::from_json(value.get("own_actions")?)?,
+            rounds: u64::from_json(value.get("rounds")?)?,
             converged_at: Option::<f64>::from_json(value.get("converged_at")?)?,
             healed_at: Option::<f64>::from_json(value.get("healed_at")?)?,
             crashed_peers: u64::from_json(value.get("crashed_peers")?)?,
@@ -160,29 +164,33 @@ impl MergedRun {
     /// Whether the scenario finished (construction converged, or the
     /// recovery run healed) rather than hitting the round cap.
     pub fn finished(&self) -> bool {
+        self.finished_at().is_some()
+    }
+
+    /// The round construction converged at, or the recovery run
+    /// healed at.
+    fn finished_at(&self) -> Option<f64> {
         match self.report.scenario.as_str() {
-            "recovery" => self.report.healed_at.is_some(),
-            _ => self.report.converged_at.is_some(),
+            "recovery" => self.report.healed_at,
+            _ => self.report.converged_at,
         }
     }
 
     /// Folds the merged run into one [`ObsReport`] — the same document
     /// the simulator's observability pipeline produces, so downstream
     /// tooling (render, byte-compare) needs no special case for runs
-    /// that happened over a transport.
+    /// that happened over a transport. `rounds` counts rounds, as the
+    /// simulator's do; the turns every replica applied are `turns`.
     pub fn to_obs_report(&self, label: &str) -> ObsReport {
         ObsReport {
             label: label.to_string(),
             peers: self.report.peers,
             runs: 1,
             seed: self.report.seed,
-            rounds: self.report.actions,
+            rounds: self.report.rounds,
+            turns: Some(self.report.actions),
             converged: u64::from(self.finished()),
-            converged_rounds: if self.finished() {
-                self.report.actions
-            } else {
-                0
-            },
+            converged_rounds: self.finished_at().map_or(0, |round| round as u64),
             counters: self.report.counters,
             journal: Some(self.journal.clone()),
             ..ObsReport::default()
@@ -214,6 +222,7 @@ pub fn merge_reports(reports: &[NodeReport]) -> Result<MergedRun, String> {
             && r.seed == first.seed
             && r.scenario == first.scenario
             && r.actions == first.actions
+            && r.rounds == first.rounds
             && r.converged_at == first.converged_at
             && r.healed_at == first.healed_at
             && r.crashed_peers == first.crashed_peers
@@ -280,6 +289,7 @@ mod tests {
             transport: "mesh".into(),
             actions: 10,
             own_actions: entries.len() as u64,
+            rounds: 3,
             converged_at: Some(12.5),
             healed_at: None,
             crashed_peers: 0,

@@ -30,6 +30,10 @@ pub struct ObsReport {
     pub seed: u64,
     /// Rounds executed, summed over runs.
     pub rounds: u64,
+    /// Turns executed — one action of one peer — summed over runs, for
+    /// a run that counts them (the node runtime, which replicates every
+    /// turn); absent otherwise.
+    pub turns: Option<u64>,
     /// Runs that converged.
     pub converged: u64,
     /// Convergence round, summed over converged runs (divide by
@@ -60,6 +64,9 @@ impl ObsReport {
     pub fn merge(&mut self, other: &ObsReport) {
         self.runs += other.runs;
         self.rounds += other.rounds;
+        if let Some(turns) = other.turns {
+            *self.turns.get_or_insert(0) += turns;
+        }
         self.converged += other.converged;
         self.converged_rounds += other.converged_rounds;
         self.counters.merge(&other.counters);
@@ -81,9 +88,13 @@ impl ObsReport {
         let mut out = String::new();
         out.push_str(&format!("observability report: {}\n", self.label));
         out.push_str(&format!(
-            "peers {} | runs {} | first seed {} | rounds {}\n",
+            "peers {} | runs {} | first seed {} | rounds {}",
             self.peers, self.runs, self.seed, self.rounds
         ));
+        if let Some(turns) = self.turns {
+            out.push_str(&format!(" | turns {turns}"));
+        }
+        out.push('\n');
         match self.mean_converged_round() {
             Some(mean) => out.push_str(&format!(
                 "converged {}/{} runs, mean round {mean:.2}\n",
@@ -166,6 +177,9 @@ impl ToJson for ObsReport {
                 Json::Array(self.health.iter().map(ToJson::to_json).collect()),
             ),
         ];
+        if let Some(turns) = self.turns {
+            fields.push(("turns", turns.to_json()));
+        }
         if let Some(journal) = &self.journal {
             fields.push(("journal", journal.to_json()));
         }
@@ -181,6 +195,10 @@ impl FromJson for ObsReport {
             runs: u64::from_json(value.get("runs")?)?,
             seed: u64::from_json(value.get("seed")?)?,
             rounds: u64::from_json(value.get("rounds")?)?,
+            turns: match value.get_opt("turns")? {
+                Some(v) => Some(u64::from_json(v)?),
+                None => None,
+            },
             converged: u64::from_json(value.get("converged")?)?,
             converged_rounds: u64::from_json(value.get("converged_rounds")?)?,
             counters: EngineCounters::from_json(value.get("counters")?)?,
@@ -222,6 +240,7 @@ mod tests {
             runs: 1,
             seed,
             rounds: 10,
+            turns: None,
             converged: converged_at.is_some() as u64,
             converged_rounds: converged_at.unwrap_or(0),
             counters: EngineCounters {
@@ -270,6 +289,20 @@ mod tests {
         assert!(!json.contains("\"journal\""));
         let back: ObsReport = lagover_jsonio::from_str(&json).expect("parses");
         assert_eq!(back.journal, None);
+    }
+
+    #[test]
+    fn turns_are_written_summed_and_shown_only_when_counted() {
+        let mut report = single_run_report(9, Some(4));
+        assert!(!lagover_jsonio::to_string(&report).contains("\"turns\""));
+        assert!(!report.render().contains("turns"));
+        report.turns = Some(40);
+        let back: ObsReport =
+            lagover_jsonio::from_str(&lagover_jsonio::to_string(&report)).expect("parses");
+        assert_eq!(back, report);
+        assert!(report.render().contains("rounds 10 | turns 40\n"));
+        report.merge(&report.clone());
+        assert_eq!((report.rounds, report.turns), (20, Some(80)));
     }
 
     #[test]
