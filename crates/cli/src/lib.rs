@@ -37,7 +37,7 @@ use lagover_core::analysis;
 use lagover_core::node::{PeerId, Population};
 use lagover_core::{
     check_sufficiency, exact_feasibility, parallel_runs, Algorithm, ConstructionConfig, Engine,
-    FaultScenario, OracleKind, Run,
+    FaultScenario, OracleKind, Plan, Run,
 };
 use lagover_feed::{compare_server_load, disseminate, DisseminationConfig, PublishSchedule};
 use lagover_node::{
@@ -748,9 +748,9 @@ fn cmd_recover(opts: &Options) -> Result<String, CliError> {
         blackout_rounds: opts.blackout,
     };
     let outcome = Run::new(&population, &config, opts.seed)
-        .recover(&scenario, opts.rounds)
+        .perturb(&Plan::faults(scenario), opts.rounds)
         .outcome;
-    let mut out = match outcome.construction_converged_at {
+    let mut out = match outcome.converged_at {
         Some(round) => format!("constructed in {round} rounds\n"),
         None => format!(
             "construction did not converge within {} rounds\n",
@@ -759,7 +759,8 @@ fn cmd_recover(opts: &Options) -> Result<String, CliError> {
     };
     out += &format!(
         "crashed {} interior peer(s) at round {}",
-        outcome.crashed_peers, outcome.crash_round
+        outcome.victims.len(),
+        outcome.injected_at
     );
     if opts.blackout > 0 {
         out += &format!(", oracle blacked out for {} rounds", opts.blackout);
@@ -768,7 +769,7 @@ fn cmd_recover(opts: &Options) -> Result<String, CliError> {
         out += &format!(", message loss {}", opts.message_loss);
     }
     out += "\n";
-    out += &match outcome.recovery_rounds {
+    out += &match outcome.rounds_to_clean {
         Some(r) => format!("recovered in {r} rounds\n"),
         None => format!("NOT recovered within the {}-round horizon\n", opts.rounds),
     };
@@ -1394,6 +1395,36 @@ mod tests {
             "{e}"
         );
         std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn a_spec_fanout_past_the_population_constructs() {
+        // One fanout past any allocation, and two whose u32 sum wraps.
+        let dir = std::env::temp_dir().join("lagover-cli-test");
+        std::fs::create_dir_all(&dir).unwrap();
+        for (name, peers) in [
+            (
+                "huge-fanout.json",
+                r#"{"fanout": 4294967295, "latency": 1}"#,
+            ),
+            (
+                "wrapping-fanouts.json",
+                r#"{"fanout": 2147483648, "latency": 1}, {"fanout": 2147483648, "latency": 2},
+                   {"fanout": 0, "latency": 2}"#,
+            ),
+        ] {
+            let path = dir.join(name);
+            std::fs::write(
+                &path,
+                format!(r#"{{"source_fanout": 1, "peers": [{peers}]}}"#),
+            )
+            .unwrap();
+            let path = path.to_string_lossy().into_owned();
+            let opts = parse_args(&["construct".to_string(), "--spec".to_string(), path.clone()]);
+            let out = run(&opts.unwrap()).unwrap();
+            assert!(out.starts_with("converged in"), "{name}: {out}");
+            std::fs::remove_file(&path).ok();
+        }
     }
 
     #[test]

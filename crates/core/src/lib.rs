@@ -23,8 +23,8 @@
 //!   (Algorithm 1), executed by the [`Engine`];
 //! * [`sufficiency`] — the §3.3 existence condition and an exact
 //!   feasibility checker;
-//! * [`run`] — one [`Run`] description and its verbs (construct,
-//!   under churn, recover from crashes, stabilize from corruption) on
+//! * [`run`] — one [`Run`] description and its verbs (construct, and
+//!   perturb under a [`Plan`] of churn, crashes and corruption) on
 //!   the round clock, whose terminal rule ([`Goal`]) the node runtime
 //!   steps too, and construction under heterogeneous durations on
 //!   virtual time, observed or not; [`outcome`] holds what they
@@ -83,12 +83,9 @@ pub use forest::{carve, CarveError, ForestPlan, StreamBudgets, TreePlan};
 pub use lagover_obs::DetachCause;
 pub use node::{Constraints, Liveness, Member, PeerId, Population};
 pub use oracle::{Oracle, OracleKind, OracleView};
-pub use outcome::{
-    AsyncOutcome, ChurnOutcome, ConstructionOutcome, Observed, RecoveryOutcome,
-    StabilizationOutcome, Trail,
-};
+pub use outcome::{AsyncOutcome, ConstructionOutcome, Observed, PerturbOutcome, Trail};
 pub use overlay::{ChainRoot, Overlay, OverlayError};
-pub use run::{construct, FaultScenario, Goal, InteractionDurations, Run, TimedRun};
+pub use run::{construct, FaultScenario, Goal, InteractionDurations, Plan, Run, TimedRun};
 pub use runner::parallel_runs;
 pub use stabilize::apply_corruption;
 pub use sufficiency::{check as check_sufficiency, exact_feasibility, SufficiencyReport};

@@ -39,103 +39,74 @@ impl ConstructionOutcome {
     }
 }
 
-/// Everything recorded about a run under churn.
+/// Everything recorded about one perturbed run ([`crate::Run::perturb`]):
+/// construction, the injection, and the measured phase after it.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ChurnOutcome {
-    /// Round at which all online peers were first satisfied, if ever.
-    pub first_converged_at: Option<u64>,
-    /// Rounds executed.
-    pub rounds_run: u64,
-    /// Per-round satisfied fraction.
-    pub satisfied_series: TimeSeries,
-    /// Mean satisfied fraction over the final quarter of the run — the
-    /// steady-state quality under membership dynamics.
-    pub steady_state_fraction: f64,
-    /// Fraction of rounds in which all online peers were satisfied.
-    pub fully_satisfied_round_fraction: f64,
-    /// Event counters accumulated over the run.
-    pub counters: EngineCounters,
-}
-
-/// Everything recorded about one crash-and-heal run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct RecoveryOutcome {
-    /// Round at which the initial (pre-fault) construction converged,
-    /// if it did within the configured cap.
-    pub construction_converged_at: Option<u64>,
-    /// Round at which the faults were injected.
-    pub crash_round: u64,
-    /// Number of interior nodes crashed.
-    pub crashed_peers: usize,
+pub struct PerturbOutcome {
+    /// Round at which every online peer was first satisfied before any
+    /// one-shot injection, if it was within the round cap.
+    pub converged_at: Option<u64>,
+    /// Round the measured phase opened: 0 under churn, otherwise the
+    /// round the crash cohort and the corruption went in.
+    pub injected_at: u64,
     /// The interior nodes crashed, ascending.
     pub victims: Vec<PeerId>,
-    /// Rounds from injection until every live peer was satisfied again
-    /// with no chain crossing a corpse, if reached within the horizon.
-    pub recovery_rounds: Option<u64>,
-    /// Rounds actually executed after the injection.
-    pub rounds_run: u64,
-    /// Peak orphan population observed during recovery.
-    pub orphan_peak: u64,
-    /// Orphan population per round (x = round, y = orphans).
-    pub orphan_series: TimeSeries,
-    /// Rounds during which at least one live peer's chain crossed a
-    /// crashed-but-undetected ancestor (staleness violations).
-    pub stale_rounds: u64,
-    /// Event counters accumulated over the whole run.
-    pub counters: EngineCounters,
-}
-
-impl RecoveryOutcome {
-    /// Whether the overlay healed within the recovery horizon.
-    pub fn recovered(&self) -> bool {
-        self.recovery_rounds.is_some()
-    }
-
-    /// Recovery time as a float, with non-recovery mapped to `cap`.
-    pub fn recovery_or(&self, cap: f64) -> f64 {
-        self.recovery_rounds.map(|r| r as f64).unwrap_or(cap)
-    }
-}
-
-/// Everything recorded about one corrupt-and-stabilize run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct StabilizationOutcome {
-    /// Round at which the initial (pre-corruption) construction
-    /// converged, if it did within the configured cap.
-    pub construction_converged_at: Option<u64>,
-    /// Round at which the corruption plan was applied.
-    pub corruption_round: u64,
-    /// Peer states the plan actually mutated.
+    /// Peer states the corruption actually mutated.
     pub corrupted_states: u64,
-    /// Whether [`crate::Overlay::validate`] rejected the snapshot right
-    /// after injection (the structural corruption classes guarantee it;
-    /// pure cache forgeries may pass structure and fail only the cache
-    /// coherence checks).
+    /// Whether [`crate::Overlay::validate`] passed when the measured
+    /// phase opened (the structural corruption classes guarantee it
+    /// does not; pure cache forgeries may pass structure and fail only
+    /// the cache coherence checks).
     pub valid_after_injection: bool,
-    /// Rounds from injection until the overlay was validate-clean,
-    /// every live peer satisfied, and no chain crossed a corpse — the
-    /// *time to clean* — if reached within the horizon.
-    pub clean_rounds: Option<u64>,
+    /// Rounds from the injection until the overlay came clean (see
+    /// [`crate::Goal`]) — the *time to clean* — if it was clean when
+    /// the run ended. A run without churn ends on its first clean round.
+    pub rounds_to_clean: Option<u64>,
     /// Rounds actually executed after the injection.
     pub rounds_run: u64,
-    /// Per-round satisfied fraction from the corruption round on.
+    /// Peak orphan population of the measured phase.
+    pub orphan_peak: u64,
+    /// Measured rounds that ended with some live peer's chain not
+    /// reaching the source through live peers (a crashed-but-undetected
+    /// ancestor, or a corrupted cycle).
+    pub stale_rounds: u64,
+    /// Per-round satisfied fraction from the injection on.
     pub satisfied_series: TimeSeries,
-    /// Per-round cumulative repair actions from the corruption round on
-    /// — the time-to-clean series the stabilization experiment plots.
+    /// Orphan population per round from the injection on.
+    pub orphan_series: TimeSeries,
+    /// Per-round cumulative repair actions from the injection on — the
+    /// time-to-clean series the stabilization experiment plots.
     pub repair_series: TimeSeries,
     /// Event counters accumulated over the whole run.
     pub counters: EngineCounters,
 }
 
-impl StabilizationOutcome {
-    /// Whether the overlay re-stabilized within the horizon.
-    pub fn stabilized(&self) -> bool {
-        self.clean_rounds.is_some()
+impl PerturbOutcome {
+    /// Whether the overlay was clean when the run ended.
+    pub fn came_clean(&self) -> bool {
+        self.rounds_to_clean.is_some()
     }
 
-    /// Time-to-clean as a float, with non-recovery mapped to `cap`.
+    /// Time to clean as a float, with a run that did not come clean
+    /// mapped to `cap`.
     pub fn clean_or(&self, cap: f64) -> f64 {
-        self.clean_rounds.map(|r| r as f64).unwrap_or(cap)
+        self.rounds_to_clean.map(|r| r as f64).unwrap_or(cap)
+    }
+
+    /// Mean satisfied fraction over the final quarter of the measured
+    /// phase — the steady-state quality under membership dynamics.
+    pub fn steady_state_fraction(&self) -> f64 {
+        let series = &self.satisfied_series;
+        let window = (self.rounds_run as usize / 4).max(1).min(series.len());
+        series.tail_mean(window).unwrap_or(0.0)
+    }
+
+    /// Fraction of measured rounds that ended with every online peer
+    /// satisfied.
+    pub fn fully_satisfied_round_fraction(&self) -> f64 {
+        let ys = self.satisfied_series.ys();
+        let full = ys.iter().skip(1).filter(|&&y| y == 1.0).count();
+        full as f64 / self.rounds_run.max(1) as f64
     }
 }
 

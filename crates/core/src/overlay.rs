@@ -62,12 +62,12 @@
 //! dense `PeerId` indices into parallel `parent`/`root`/`hops` arrays
 //! (parent and root packed into `u32` sentinels), and all child lists
 //! live in one shared pool, each peer owning the fixed slice
-//! `child_pool[child_off[i] .. child_off[i] + fanout[i]]` of which the
-//! first `child_cnt[i]` slots are live. Child insertion appends to the
-//! slice; removal swap-removes within it — exactly the `Vec::push` /
-//! `Vec::swap_remove` ordering of the previous per-peer `Vec` layout,
-//! so iteration order (and therefore every RNG-visible choice built on
-//! it) is unchanged.
+//! `child_pool[child_off[i] .. child_off[i] + min(fanout[i], n)]` of
+//! which the first `child_cnt[i]` slots are live. Child insertion
+//! appends to the slice; removal swap-removes within it — exactly the
+//! `Vec::push` / `Vec::swap_remove` ordering of the previous per-peer
+//! `Vec` layout, so iteration order (and therefore every RNG-visible
+//! choice built on it) is unchanged.
 
 use std::fmt;
 
@@ -185,8 +185,10 @@ pub struct Overlay {
     /// Packed parent per peer: [`NO_PARENT`], [`PARENT_SOURCE`], or a
     /// peer id.
     parent: Vec<u32>,
-    /// Start of peer `i`'s child slice in `child_pool` (prefix sums of
-    /// `fanout`, one extra terminal entry).
+    /// The fanout each peer was built with, immune to forgery.
+    capacity: Vec<u32>,
+    /// Start of peer `i`'s child slice in `child_pool`, one extra
+    /// terminal entry (see [`child_layout`]).
     child_off: Vec<u32>,
     /// Live children of peer `i`: the first `child_cnt[i]` slots of its
     /// slice.
@@ -268,25 +270,36 @@ impl PartialEq for Overlay {
 
 impl Eq for Overlay {}
 
+/// The child arena's layout for the fanouts of `n` peers: where each
+/// peer's slice starts, plus the end. A peer can never hold more than
+/// n − 1 children, so a slice is at most `n` slots however large the
+/// fanout; `None` if even that overflows `u32` offsets.
+fn child_layout(fanout: &[u32]) -> Option<Vec<u32>> {
+    let n = u32::try_from(fanout.len()).ok()?;
+    let mut child_off = Vec::with_capacity(fanout.len() + 1);
+    let mut total = 0u32;
+    for &f in fanout {
+        child_off.push(total);
+        total = total.checked_add(f.min(n))?;
+    }
+    child_off.push(total);
+    Some(child_off)
+}
+
 impl Overlay {
     /// Creates an empty forest (every peer parent-less) for a population.
     pub fn new(population: &Population) -> Self {
         let n = population.len();
         let fanout: Vec<u32> = population.fanouts().to_vec();
-        let mut child_off = Vec::with_capacity(n + 1);
-        let mut total = 0u32;
-        for &f in &fanout {
-            child_off.push(total);
-            total += f;
-        }
-        child_off.push(total);
+        let child_off = child_layout(&fanout).expect("at most n^2 child slots fit u32 offsets");
         Overlay {
             source_fanout: population.source_fanout(),
+            capacity: fanout.clone(),
             fanout,
             parent: vec![NO_PARENT; n],
+            child_pool: vec![PeerId::new(u32::MAX); child_off[n] as usize],
             child_off,
             child_cnt: vec![0; n],
-            child_pool: vec![PeerId::new(u32::MAX); total as usize],
             source_children: Vec::new(),
             root: (0..n as u32).collect(),
             hops: vec![0; n],
@@ -301,6 +314,11 @@ impl Overlay {
             delay_deltas: Vec::new(),
             fanout_deltas: Vec::new(),
         }
+    }
+
+    /// The number of child slots of peer index `i` in the arena.
+    fn slots(&self, i: usize) -> u32 {
+        self.child_off[i + 1] - self.child_off[i]
     }
 
     /// The live child slice of peer index `i`.
@@ -570,16 +588,26 @@ impl Overlay {
         self.fanout[p.index()]
     }
 
-    /// The physical child-slot capacity of `p` — the fanout the forest
-    /// was built with, immune to forgery.
+    /// The child capacity of `p` — the fanout the forest was built
+    /// with, immune to forgery.
     pub fn child_capacity(&self, p: PeerId) -> u32 {
-        let i = p.index();
-        self.child_off[i + 1] - self.child_off[i]
+        self.capacity[p.index()]
     }
 
     /// Whether a member has unused fanout.
     pub fn has_free_fanout(&self, m: Member) -> bool {
         self.free_fanout(m) > 0
+    }
+
+    /// Whether `m` can take one more child: unused fanout, and for a
+    /// peer a free slot in the child arena (at most n, see
+    /// [`child_layout`]).
+    fn can_adopt(&self, m: Member) -> bool {
+        self.has_free_fanout(m)
+            && match m {
+                Member::Source => true,
+                Member::Peer(p) => self.child_cnt[p.index()] < self.slots(p.index()),
+            }
     }
 
     /// `Root(p)`: the source or the fragment root of `p`'s chain. O(1)
@@ -736,7 +764,7 @@ impl Overlay {
         if self.parent[child.index()] != NO_PARENT {
             return Err(OverlayError::HasParent);
         }
-        if !self.has_free_fanout(parent) {
+        if !self.can_adopt(parent) {
             return Err(OverlayError::ParentFull);
         }
         // A parent-less child is the root of its own fragment, so the
@@ -794,7 +822,7 @@ impl Overlay {
             .ok_or(OverlayError::NoParent)?;
         // Removing j frees the one slot i needs — unless a corruption
         // left the parent over its advertised fanout.
-        if siblings.len() as u32 > advertised || !self.has_free_fanout(Member::Peer(i)) {
+        if siblings.len() as u32 > advertised || !self.can_adopt(Member::Peer(i)) {
             return Err(OverlayError::ParentFull);
         }
         // attach(i, k) refuses a k inside i's fragment; attach(j, i)
@@ -878,16 +906,26 @@ impl Overlay {
     /// Removes a departing peer from the overlay (churn): detaches it
     /// from its parent and orphans each of its children, which keep
     /// their own subtrees and become fragment roots (§3.2 argues this
-    /// reuse of past structure matters).
+    /// reuse of past structure matters). The peer leaves as a bare
+    /// fragment root named in no list, even where a corruption forged
+    /// its stamp or grafted it into a list: an offline peer takes no
+    /// action that could repair either, and a re-stamp through a graft
+    /// would write its stamp.
     ///
     /// Returns the orphaned children.
     pub fn remove_peer(&mut self, p: PeerId) -> Vec<PeerId> {
         if self.parent[p.index()] != NO_PARENT {
             self.detach(p).expect("checked parent");
         }
+        if self.lists_may_lie {
+            while self.evict_child(Member::Source, p) {}
+            for q in 0..self.len() as u32 {
+                while self.evict_child(Member::Peer(PeerId::new(q)), p) {}
+            }
+        }
         let orphans: Vec<PeerId> = self.kids(p.index()).to_vec();
         self.child_cnt[p.index()] = 0;
-        self.unsettle(p);
+        self.update_subtree_cache(p, ChainRoot::Fragment(p).pack(), 0);
         self.note_fanout_delta(Member::Peer(p));
         for &c in &orphans {
             self.parent[c.index()] = NO_PARENT;
@@ -1171,7 +1209,7 @@ impl Overlay {
     pub fn raw_add_child(&mut self, p: PeerId, child: PeerId) -> bool {
         self.mark_raw();
         let i = p.index();
-        if self.child_cnt[i] >= self.child_capacity(p) || self.kids(i).contains(&child) {
+        if self.child_cnt[i] >= self.slots(i) || self.kids(i).contains(&child) {
             return false;
         }
         self.push_child(Member::Peer(p), child);
@@ -1325,19 +1363,12 @@ impl FromJson for Overlay {
         {
             return Err(JsonError(format!("overlay names {q} of {n} peers")));
         }
-        let mut child_off = Vec::with_capacity(n + 1);
-        let mut total = 0u32;
-        for &f in &fanout {
-            child_off.push(total);
-            total = total
-                .checked_add(f)
-                .ok_or_else(|| JsonError("overlay fanouts overflow the child arena".into()))?;
-        }
-        child_off.push(total);
-        let mut child_cnt = vec![0u32; fanout.len()];
-        let mut child_pool = vec![PeerId::new(u32::MAX); total as usize];
+        let child_off = child_layout(&fanout)
+            .ok_or_else(|| JsonError("overlay fanouts overflow the child arena".into()))?;
+        let mut child_cnt = vec![0u32; n];
+        let mut child_pool = vec![PeerId::new(u32::MAX); child_off[n] as usize];
         for (i, kids) in children.iter().enumerate() {
-            if kids.len() as u32 > fanout[i] {
+            if kids.len() > (child_off[i + 1] - child_off[i]) as usize {
                 return Err(JsonError(format!("peer {i} fanout exceeded")));
             }
             child_cnt[i] = kids.len() as u32;
@@ -1346,6 +1377,7 @@ impl FromJson for Overlay {
         }
         let overlay = Overlay {
             source_fanout: u32::from_json(value.get("source_fanout")?)?,
+            capacity: fanout.clone(),
             fanout,
             parent: parent.into_iter().map(pack_parent).collect(),
             child_off,
@@ -1744,6 +1776,32 @@ mod tests {
                 None => assert_eq!(o.delay(peer), None),
             }
         }
+    }
+
+    #[test]
+    fn fanouts_past_the_population_reserve_n_slots_each() {
+        // 2^31 + 2^31 wraps a u32 sum to 0; a peer reserves at most n
+        // slots, so the arena is 3 + 3 slots and nothing wraps.
+        let population = pop(1, &[(1 << 31, 1), (1 << 31, 2), (0, 2)]);
+        let mut o = Overlay::new(&population);
+        assert_eq!(o.child_off, vec![0, 3, 6, 6]);
+        assert_eq!(o.child_capacity(p(1)), 1 << 31, "the declared fanout");
+        o.attach(p(0), Member::Source).unwrap();
+        o.attach(p(1), Member::Peer(p(0))).unwrap();
+        o.attach(p(2), Member::Peer(p(0))).unwrap();
+        assert_eq!(o.children(p(0)), &[p(1), p(2)]);
+        o.validate().unwrap();
+        let back = Overlay::from_json(&o.to_json()).unwrap();
+        assert_eq!(o, back);
+        // A self-graft and a one-sided graft of 2 fill the three slots:
+        // fanout to spare, no room to attach 2 for real.
+        o.detach(p(2)).unwrap();
+        assert!(o.raw_add_child(p(0), p(0)) && o.raw_add_child(p(0), p(2)));
+        assert!(o.has_free_fanout(Member::Peer(p(0))));
+        assert_eq!(
+            o.attach(p(2), Member::Peer(p(0))),
+            Err(OverlayError::ParentFull)
+        );
     }
 
     #[test]

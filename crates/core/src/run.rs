@@ -3,12 +3,13 @@
 //! A [`Run`] describes *what* to run — population, configuration,
 //! seed, optionally a substrate oracle ([`Run::oracle`]) and the
 //! observability pipeline ([`Run::observe`]) — and a verb says what
-//! happens to the overlay: [`Run::construct`], [`Run::under_churn`],
-//! [`Run::recover`], [`Run::stabilize`]. The verbs run on the
-//! synchronous **round clock**, the lockstep schedule: every online
-//! peer acts once a round. Construction and recovery end by one
-//! terminal rule, [`Goal`], which the node runtime's replicas step
-//! too, a turn at a time.
+//! happens to the overlay: [`Run::construct`] builds it, and
+//! [`Run::perturb`] builds it under a [`Plan`] of churn, crash-stop
+//! faults and snapshot corruption and measures what follows. Both
+//! verbs run on the synchronous **round clock**, the lockstep
+//! schedule: every online peer acts once a round. Every lockstep run
+//! ends by one terminal rule, [`Goal`], which the node runtime's
+//! replicas step too, a turn at a time.
 //!
 //! [`Run::timed`] moves a construction onto the **virtual-time clock**,
 //! where each peer schedules its next action `duration(peer)` time
@@ -23,7 +24,7 @@
 
 use lagover_sim::faults::crash_cohort;
 use lagover_sim::{
-    ChurnProcess, CorruptionPlan, EventQueue, FaultPlan, Round, SimRng, TimeSeries, VirtualTime,
+    ChurnProcess, CorruptionPlan, EventQueue, FaultPlan, NoChurn, SimRng, TimeSeries, VirtualTime,
 };
 use serde::{Deserialize, Serialize};
 
@@ -31,10 +32,7 @@ use crate::config::ConstructionConfig;
 use crate::engine::{ActionLedger, Engine};
 use crate::node::{PeerId, Population};
 use crate::oracle::Oracle;
-use crate::outcome::{
-    AsyncOutcome, ChurnOutcome, ConstructionOutcome, Observed, RecoveryOutcome,
-    StabilizationOutcome, Trail,
-};
+use crate::outcome::{AsyncOutcome, ConstructionOutcome, Observed, PerturbOutcome, Trail};
 use crate::stabilize::apply_corruption;
 
 /// Runs construction (no churn) until convergence or the configured
@@ -64,9 +62,9 @@ pub fn construct(
     Run::new(population, config, seed).construct().outcome
 }
 
-/// A declarative fault scenario for [`Run::recover`]: crash a fraction
-/// of the converged overlay's interior, optionally black out the
-/// oracle and drop interactions while the overlay heals.
+/// A declarative crash-stop fault scenario for a [`Plan`]: crash a
+/// fraction of the converged overlay's interior, optionally black out
+/// the oracle and drop interactions while the overlay heals.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct FaultScenario {
     /// Fraction of *interior* nodes (online peers serving at least one
@@ -119,6 +117,65 @@ impl FaultScenario {
                 .with_blackout(engine.round().get(), self.blackout_rounds),
         );
         victims
+    }
+}
+
+/// What [`Run::perturb`] injects into a converging overlay: any mix of
+/// the three perturbation families, each at its fixed time.
+///
+/// * `churn` steps before every round from round 0 (the paper's §5.3
+///   protocol: everyone starts online; each round peers leave and
+///   rejoin at random).
+/// * `faults` crash a cohort of the interior and `corruption` mutates
+///   the snapshot, both once, on the round construction converges, or
+///   at the round cap if it does not.
+///
+/// A plan has no timing fields: no caller needs any other times.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Plan<C = NoChurn> {
+    /// Membership churn, stepped before every round.
+    pub churn: Option<C>,
+    /// Crash-stop faults, message loss and an oracle blackout (E15).
+    pub faults: Option<FaultScenario>,
+    /// A one-shot snapshot corruption (E16).
+    pub corruption: Option<CorruptionPlan>,
+}
+
+impl Plan {
+    /// Nothing injected: a plain construction.
+    pub fn none() -> Self {
+        Plan {
+            churn: None,
+            faults: None,
+            corruption: None,
+        }
+    }
+
+    /// Crash-stop faults alone.
+    pub fn faults(faults: FaultScenario) -> Self {
+        Plan {
+            faults: Some(faults),
+            ..Plan::none()
+        }
+    }
+
+    /// A snapshot corruption alone.
+    pub fn corruption(corruption: CorruptionPlan) -> Self {
+        Plan {
+            corruption: Some(corruption),
+            ..Plan::none()
+        }
+    }
+}
+
+impl<C> Plan<C> {
+    /// Churn alone.
+    pub fn churn(churn: C) -> Self {
+        Plan {
+            churn: Some(churn),
+            faults: None,
+            corruption: None,
+        }
     }
 }
 
@@ -259,7 +316,8 @@ impl<'a> Run<'a> {
     pub fn construct_on(&self, engine: &mut Engine) -> Observed<ConstructionOutcome> {
         let mut series = TimeSeries::new("satisfied_fraction");
         series.push(engine.round().get() as f64, engine.satisfied_fraction());
-        let mut goal = Goal::construction(engine.config().max_rounds);
+        let cap = engine.config().max_rounds;
+        let mut goal = Goal::new(&Plan::none(), self.seed, cap, cap);
         goal.check(engine);
         let (until, done) = (goal.until(), goal.done());
         let trail = rounds(engine, self.observe, until, None, done, |engine| {
@@ -277,145 +335,63 @@ impl<'a> Run<'a> {
         Observed { outcome, trail }
     }
 
-    /// Runs construction for exactly `rounds` rounds, applying one churn
-    /// step before each construction round (the paper's §5.3 protocol:
-    /// everyone starts online; each time step peers leave w.p. 0.01 and
-    /// rejoin w.p. 0.2).
-    pub fn under_churn(
-        mut self,
-        churn: &mut dyn ChurnProcess,
-        rounds_to_run: u64,
-    ) -> Observed<ChurnOutcome> {
-        let mut engine = self.engine();
-        let mut series = TimeSeries::new("satisfied_fraction");
-        series.push(0.0, engine.satisfied_fraction());
-        let mut first_converged_at = None;
-        let mut fully_satisfied_rounds = 0u64;
-        let after_step = |engine: &mut Engine| {
-            series.push(engine.round().get() as f64, engine.satisfied_fraction());
-            if engine.is_converged() {
-                fully_satisfied_rounds += 1;
-                first_converged_at.get_or_insert(engine.round().get());
-            }
-            false
-        };
-        let trail = rounds(
-            &mut engine,
-            self.observe,
-            rounds_to_run,
-            Some(churn),
-            false,
-            after_step,
-        );
-        let window = (rounds_to_run as usize / 4).max(1).min(series.len());
-        let outcome = ChurnOutcome {
-            first_converged_at,
-            rounds_run: rounds_to_run,
-            steady_state_fraction: series.tail_mean(window).unwrap_or(0.0),
-            satisfied_series: series,
-            fully_satisfied_round_fraction: fully_satisfied_rounds as f64
-                / rounds_to_run.max(1) as f64,
-            counters: *engine.counters(),
-        };
-        Observed { outcome, trail }
-    }
-
-    /// Builds the overlay to convergence, then injects the scenario —
-    /// crash-stop a cohort of interior nodes, start an oracle blackout,
-    /// switch on message loss — and measures self-healing for up to
-    /// `horizon` further rounds.
-    ///
-    /// Recovery means more than the paper's convergence criterion: every
-    /// live peer satisfied **and** no live chain crossing a crashed peer
-    /// (right after a silent crash the old chain still *looks* rooted, so
-    /// satisfaction alone would declare victory while peers reference a
-    /// corpse).
+    /// Builds the overlay under `plan` and measures the `horizon`
+    /// rounds that follow its first injection: round 0 under churn,
+    /// otherwise the round construction converges (or the round cap),
+    /// where the crash cohort and the corruption go in. Construction
+    /// before that round is not sampled. A churn plan runs its whole
+    /// horizon; any other plan stops at its first *clean* round
+    /// ([`Goal`]).
     ///
     /// The victim cohort is drawn from a stream split off the seed, not
     /// from the engine's own RNG, so the same peers crash regardless of
     /// how the construction phase consumed randomness.
-    pub fn recover(mut self, scenario: &FaultScenario, horizon: u64) -> Observed<RecoveryOutcome> {
+    pub fn perturb<C: ChurnProcess + Clone>(
+        mut self,
+        plan: &Plan<C>,
+        horizon: u64,
+    ) -> Observed<PerturbOutcome> {
         let mut engine = self.engine();
-        let cap = engine.config().max_rounds;
-        let mut goal = Goal::recovery(*scenario, self.seed, cap, horizon);
+        let mut goal = Goal::new(plan, self.seed, engine.config().max_rounds, horizon);
         goal.check(&mut engine);
-        // Construction is not sampled: the measured phase opens at the
-        // crash.
-        while goal.crash_round().is_none() {
+        while goal.injected_at().is_none() {
             engine.step();
             goal.check(&mut engine);
         }
-        let crash_round = engine.round().get();
+        let injected_at = engine.round().get();
+        let valid_after_injection = engine.overlay().validate().is_ok();
+        let repairs_at_injection = engine.counters().repair_actions;
+        let mut satisfied_series = TimeSeries::new("satisfied_fraction");
         let mut orphan_series = TimeSeries::new("orphans");
-        let mut orphan_peak = engine.orphan_count() as u64;
-        orphan_series.push(crash_round as f64, orphan_peak as f64);
-        let until = goal.until();
-        let trail = rounds(&mut engine, self.observe, until, None, false, |engine| {
-            let orphans = engine.orphan_count() as u64;
-            orphan_peak = orphan_peak.max(orphans);
-            orphan_series.push(engine.round().get() as f64, orphans as f64);
+        let mut repair_series = TimeSeries::new("repairs");
+        let mut record = |engine: &Engine| {
+            let round = engine.round().get() as f64;
+            satisfied_series.push(round, engine.satisfied_fraction());
+            orphan_series.push(round, engine.orphan_count() as f64);
+            let repairs = engine.counters().repair_actions - repairs_at_injection;
+            repair_series.push(round, repairs as f64);
+        };
+        record(&engine);
+        let mut churn = plan.churn.clone();
+        let churn = churn.as_mut().map(|c| c as &mut dyn ChurnProcess);
+        let (until, done) = (goal.until(), goal.done());
+        let trail = rounds(&mut engine, self.observe, until, churn, done, |engine| {
+            record(engine);
             goal.check(engine);
             goal.done()
         });
-        let outcome = RecoveryOutcome {
-            construction_converged_at: goal.converged_at(),
-            crash_round,
-            crashed_peers: goal.victims().len(),
+        let outcome = PerturbOutcome {
+            converged_at: goal.converged_at(),
+            injected_at,
             victims: goal.victims().to_vec(),
-            recovery_rounds: goal.healed_at().map(|round| round - crash_round),
-            rounds_run: engine.round().get() - crash_round,
-            orphan_peak,
-            orphan_series,
-            stale_rounds: goal.stale_rounds(),
-            counters: *engine.counters(),
-        };
-        Observed { outcome, trail }
-    }
-
-    /// Builds the overlay to convergence, applies `plan` as a one-shot
-    /// snapshot corruption, and measures self-stabilization for up to
-    /// `horizon` further rounds.
-    ///
-    /// *Clean* is stricter than the paper's convergence criterion: the
-    /// overlay must pass the full [`crate::Overlay::validate`] sweep (a
-    /// forged cache can make every peer *look* satisfied), every live
-    /// peer must be satisfied, and no chain may cross a crashed peer.
-    pub fn stabilize(
-        mut self,
-        plan: &CorruptionPlan,
-        horizon: u64,
-    ) -> Observed<StabilizationOutcome> {
-        let mut engine = self.engine();
-        let construction_converged_at = engine.run_to_convergence().map(Round::get);
-        let corruption_round = engine.round().get();
-        let corrupted_states = apply_corruption(&mut engine, plan);
-        let valid_after_injection = engine.overlay().validate().is_ok();
-
-        let repairs_at_injection = engine.counters().repair_actions;
-        let mut satisfied_series = TimeSeries::new("satisfied_fraction");
-        let mut repair_series = TimeSeries::new("repairs");
-        satisfied_series.push(corruption_round as f64, engine.satisfied_fraction());
-        repair_series.push(corruption_round as f64, 0.0);
-        let mut clean_rounds = None;
-        let until = corruption_round + horizon;
-        let trail = rounds(&mut engine, self.observe, until, None, false, |engine| {
-            let round = engine.round().get();
-            satisfied_series.push(round as f64, engine.satisfied_fraction());
-            let repairs = engine.counters().repair_actions - repairs_at_injection;
-            repair_series.push(round as f64, repairs as f64);
-            if is_clean(engine) {
-                clean_rounds = Some(round - corruption_round);
-            }
-            clean_rounds.is_some()
-        });
-        let outcome = StabilizationOutcome {
-            construction_converged_at,
-            corruption_round,
-            corrupted_states,
+            corrupted_states: goal.corrupted_states(),
             valid_after_injection,
-            clean_rounds,
-            rounds_run: engine.round().get() - corruption_round,
+            rounds_to_clean: goal.clean_at().map(|round| round - injected_at),
+            rounds_run: engine.round().get() - injected_at,
+            orphan_peak: orphan_series.ys().iter().fold(0.0, |a: f64, &b| a.max(b)) as u64,
+            stale_rounds: goal.stale_rounds,
             satisfied_series,
+            orphan_series,
             repair_series,
             counters: *engine.counters(),
         };
@@ -537,88 +513,121 @@ impl<D: InteractionDurations> EventClock<D> {
 }
 
 /// The terminal rule of a lockstep run, applied at every round
-/// boundary (and once before the first round). Construction is done
-/// once converged. A recovery constructs until converged or its round
-/// cap, crashes its cohort there ([`FaultScenario::inject`]), and is
-/// done once *healed* — converged with no stale chain — in a later
-/// round. The one copy of the rule: [`Run::construct`],
-/// [`Run::recover`] and the `lagover-node` replica all step it.
+/// boundary (and once before the first round), and the one-shot half
+/// of its [`Plan`].
+///
+/// The run's measured phase opens at the plan's first injection: round
+/// 0 under churn or with nothing to inject (a plain construction),
+/// otherwise the round construction converges, or the round cap, where
+/// the goal crashes the cohort ([`FaultScenario::inject`]) and applies
+/// the corruption. A later round is *clean* when every online peer is
+/// satisfied, no live chain crosses a corpse, and
+/// [`crate::Overlay::validate`] passes — validate last, so its O(n)
+/// sweep runs only on a candidate round. (A forged cache can make
+/// every peer merely *look* satisfied; right after a silent crash the
+/// old chains still look rooted.) A churn plan runs its whole horizon;
+/// a one-shot plan is done on its first clean round. A plan with
+/// nothing to inject is a plain construction, done once converged —
+/// with no corpse and no forgery, converged is clean — so its check
+/// reads nothing else. The one copy of the rule:
+/// [`Run::construct`], [`Run::perturb`] and the `lagover-node` replica
+/// all step it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Goal {
-    fault: Option<FaultScenario>,
+    churn: bool,
+    faults: Option<FaultScenario>,
+    corruption: Option<CorruptionPlan>,
     seed: u64,
     cap: u64,
     horizon: u64,
     converged_at: Option<u64>,
-    crash_round: Option<u64>,
+    injected_at: Option<u64>,
+    fired: bool,
     victims: Vec<PeerId>,
+    corrupted_states: u64,
     stale_rounds: u64,
-    healed_at: Option<u64>,
+    clean_at: Option<u64>,
 }
 
 impl Goal {
-    /// Construction, for at most `cap` rounds.
-    pub fn construction(cap: u64) -> Self {
+    /// The rule of `plan`: construction for at most `cap` rounds before
+    /// a one-shot injection, its cohort drawn from `seed`, and a
+    /// measured phase of at most `horizon` rounds.
+    pub fn new<C>(plan: &Plan<C>, seed: u64, cap: u64, horizon: u64) -> Self {
+        let one_shot = plan.faults.is_some() || plan.corruption.is_some();
         Goal {
-            fault: None,
-            seed: 0,
-            cap,
-            horizon: 0,
-            converged_at: None,
-            crash_round: None,
-            victims: Vec::new(),
-            stale_rounds: 0,
-            healed_at: None,
-        }
-    }
-
-    /// E15 recovery: construction for at most `cap` rounds, then
-    /// `fault` injected with its cohort drawn from `seed`, then healing
-    /// for at most `horizon` rounds.
-    pub fn recovery(fault: FaultScenario, seed: u64, cap: u64, horizon: u64) -> Self {
-        Goal {
-            fault: Some(fault),
+            churn: plan.churn.is_some(),
+            faults: plan.faults,
+            corruption: plan.corruption.clone(),
             seed,
+            cap,
             horizon,
-            ..Goal::construction(cap)
+            converged_at: None,
+            injected_at: (plan.churn.is_some() || !one_shot).then_some(0),
+            fired: false,
+            victims: Vec::new(),
+            corrupted_states: 0,
+            stale_rounds: 0,
+            clean_at: None,
         }
     }
 
     /// Applies the rule to `engine` at a round boundary.
     pub fn check(&mut self, engine: &mut Engine) {
         let round = engine.round().get();
-        let Some(fault) = self.fault else {
-            self.converged_at = engine.is_converged().then_some(round);
-            return;
-        };
-        if self.crash_round.is_none() {
-            self.converged_at = engine.is_converged().then_some(round);
-            if self.converged_at.is_some() || round >= self.cap {
-                self.victims = fault.inject(engine, self.seed);
-                self.crash_round = Some(round);
+        if !self.fired {
+            if self.converged_at.is_none() {
+                self.converged_at = engine.is_converged().then_some(round);
             }
-            return;
+            if self.faults.is_some() || self.corruption.is_some() {
+                if self.converged_at.is_some() || round >= self.cap {
+                    self.inject(engine, round);
+                }
+                return;
+            }
+            if !self.churn {
+                return;
+            }
         }
         let stale = engine.stale_chain_count();
         self.stale_rounds += u64::from(stale > 0);
-        if engine.is_converged() && stale == 0 {
-            self.healed_at = Some(round);
-        }
+        let clean = stale == 0 && engine.is_converged() && engine.overlay().validate().is_ok();
+        self.clean_at = if clean {
+            self.clean_at.or(Some(round))
+        } else {
+            None
+        };
     }
 
-    /// Whether the scenario is done: converged, or healed.
-    pub fn done(&self) -> bool {
-        match self.fault {
-            None => self.converged_at.is_some(),
-            Some(_) => self.healed_at.is_some(),
+    /// Crashes the cohort and applies the corruption on `round`.
+    fn inject(&mut self, engine: &mut Engine, round: u64) {
+        if let Some(faults) = self.faults {
+            self.victims = faults.inject(engine, self.seed);
         }
+        if let Some(corruption) = &self.corruption {
+            self.corrupted_states = apply_corruption(engine, corruption);
+        }
+        self.fired = true;
+        self.injected_at.get_or_insert(round);
+    }
+
+    /// Whether the run is done: converged if nothing was injected,
+    /// clean after an injection, never under churn.
+    pub fn done(&self) -> bool {
+        let reached = if self.fired {
+            self.clean_at
+        } else {
+            self.converged_at
+        };
+        !self.churn && reached.is_some()
     }
 
     /// The round the current phase is cut at: the cap while
-    /// constructing, `horizon` rounds past the crash once healing.
+    /// constructing toward an injection, `horizon` rounds past it once
+    /// measuring.
     pub(crate) fn until(&self) -> u64 {
-        match self.crash_round {
-            Some(crash) => crash.saturating_add(self.horizon),
+        match self.injected_at {
+            Some(injected) => injected.saturating_add(self.horizon),
             None => self.cap,
         }
     }
@@ -628,14 +637,15 @@ impl Goal {
         !self.done() && engine.round().get() < self.until()
     }
 
-    /// The round construction converged, once reached.
+    /// The round construction converged before any one-shot injection,
+    /// once reached.
     pub fn converged_at(&self) -> Option<u64> {
         self.converged_at
     }
 
-    /// The round the cohort crashed (recovery only), once injected.
-    pub(crate) fn crash_round(&self) -> Option<u64> {
-        self.crash_round
+    /// The round the measured phase opened, once it has.
+    pub fn injected_at(&self) -> Option<u64> {
+        self.injected_at
     }
 
     /// The crashed cohort, in ascending id order.
@@ -643,14 +653,14 @@ impl Goal {
         &self.victims
     }
 
-    /// Healing rounds that ended with a stale chain.
-    pub(crate) fn stale_rounds(&self) -> u64 {
-        self.stale_rounds
+    /// Peer states the corruption mutated (0 before it went in).
+    pub fn corrupted_states(&self) -> u64 {
+        self.corrupted_states
     }
 
-    /// The round the overlay healed (recovery only), once reached.
-    pub fn healed_at(&self) -> Option<u64> {
-        self.healed_at
+    /// The round the overlay came clean, if it still is.
+    pub fn clean_at(&self) -> Option<u64> {
+        self.clean_at
     }
 }
 
@@ -680,11 +690,6 @@ fn rounds(
     }
     let ran = engine.round().get() - start;
     sampler.map(|s| s.finish(engine, ran, done))
-}
-
-/// Validate-clean, every live peer satisfied, no chain across a corpse.
-fn is_clean(engine: &Engine) -> bool {
-    engine.overlay().validate().is_ok() && engine.is_converged() && engine.stale_chain_count() == 0
 }
 
 /// The sample cadence of an observed run, on either clock: once at the
@@ -915,9 +920,9 @@ mod tests {
             &[EventKind::Attach],
         );
         observation_row(
-            "under_churn / rounds",
+            "perturb churn / rounds",
             || Run::new(&pop, &hybrid, 9),
-            |run| run.under_churn(&mut BernoulliChurn::paper(), 600),
+            |run| run.perturb(&Plan::churn(BernoulliChurn::paper()), 600),
             |o| Facts {
                 counters: o.counters,
                 reached: false,
@@ -926,24 +931,24 @@ mod tests {
             &[EventKind::Attach],
         );
         let trail = observation_row(
-            "recover / rounds",
+            "perturb faults / rounds",
             || Run::new(&heal_pop, &hybrid, 11),
-            |run| run.recover(&scenario, 800),
+            |run| run.perturb(&Plan::faults(scenario), 800),
             |o| Facts {
                 counters: o.counters,
-                reached: o.recovered(),
+                reached: o.came_clean(),
                 actions: None,
             },
             &[EventKind::Crash],
         );
         assert!(trail.health.len() >= 2, "crash round plus healed round");
         observation_row(
-            "stabilize / rounds",
+            "perturb corruption / rounds",
             || Run::new(&heal_pop, &hybrid, 13),
-            |run| run.stabilize(&all_classes, 800),
+            |run| run.perturb(&Plan::corruption(all_classes.clone()), 800),
             |o| Facts {
                 counters: o.counters,
-                reached: o.stabilized(),
+                reached: o.came_clean(),
                 actions: None,
             },
             &[EventKind::InconsistencyDetected, EventKind::RepairAction],
@@ -1006,7 +1011,7 @@ mod tests {
         let (pop, config) = (population(), hybrid());
         let observed = Run::new(&pop, &config, 5)
             .observe(256, 5)
-            .under_churn(&mut NoChurn, 7);
+            .perturb(&Plan::churn(NoChurn), 7);
         let trail = observed.trail.expect("observed");
         assert_eq!(trail.sample_times, vec![0.0, 5.0]);
     }
@@ -1038,24 +1043,24 @@ mod tests {
     fn run_with_no_churn_matches_construct_quality() {
         let (pop, config) = (population(), greedy());
         let outcome = Run::new(&pop, &config, 5)
-            .under_churn(&mut NoChurn, 300)
+            .perturb(&Plan::churn(NoChurn), 300)
             .outcome;
-        assert!(outcome.first_converged_at.is_some());
-        assert_eq!(outcome.steady_state_fraction, 1.0);
-        assert!(outcome.fully_satisfied_round_fraction > 0.8);
+        assert!(outcome.converged_at.is_some());
+        assert_eq!(outcome.steady_state_fraction(), 1.0);
+        assert!(outcome.fully_satisfied_round_fraction() > 0.8);
+        assert_eq!(outcome.rounds_run, 300, "churn runs its whole horizon");
     }
 
     #[test]
     fn run_with_paper_churn_keeps_high_steady_state() {
         let (pop, config) = (population(), hybrid().with_max_rounds(10_000));
-        let mut churn = BernoulliChurn::paper();
         let outcome = Run::new(&pop, &config, 9)
-            .under_churn(&mut churn, 600)
+            .perturb(&Plan::churn(BernoulliChurn::paper()), 600)
             .outcome;
         assert!(
-            outcome.steady_state_fraction > 0.7,
+            outcome.steady_state_fraction() > 0.7,
             "steady state {} too low",
-            outcome.steady_state_fraction
+            outcome.steady_state_fraction()
         );
         assert!(outcome.counters.churn_departures > 0);
     }
@@ -1065,33 +1070,27 @@ mod tests {
         let config = ConstructionConfig::new(Algorithm::Greedy, OracleKind::Random);
         let pop = population();
         let outcome = Run::new(&pop, &config, 1)
-            .under_churn(&mut NoChurn, 0)
+            .perturb(&Plan::churn(NoChurn), 0)
             .outcome;
         assert_eq!(outcome.rounds_run, 0);
-        assert_eq!(outcome.fully_satisfied_round_fraction, 0.0);
+        assert_eq!(outcome.fully_satisfied_round_fraction(), 0.0);
     }
 
     #[test]
     fn recovery_run_heals_after_interior_crash() {
         let (pop, config) = (recovery_population(), hybrid());
         let outcome = Run::new(&pop, &config, 11)
-            .recover(
-                &FaultScenario {
-                    crash_fraction: 0.5,
-                    ..FaultScenario::none()
-                },
-                1_000,
-            )
+            .perturb(&Plan::faults(crash_only(0.5)), 1_000)
             .outcome;
-        assert!(outcome.construction_converged_at.is_some());
-        assert_eq!(outcome.crashed_peers, 1, "half of two interior nodes");
+        assert!(outcome.converged_at.is_some());
+        assert_eq!(outcome.victims.len(), 1, "half of two interior nodes");
         assert_eq!(outcome.counters.crashes, 1);
         assert!(
             outcome.stale_rounds >= 1,
             "silent crash must leave stale chains during the detection window"
         );
         assert!(outcome.orphan_peak >= 1, "someone is orphaned by detection");
-        assert!(outcome.recovered(), "survivors re-converge: {outcome:?}");
+        assert!(outcome.came_clean(), "survivors re-converge: {outcome:?}");
     }
 
     #[test]
@@ -1103,9 +1102,9 @@ mod tests {
             blackout_rounds: 20,
         };
         let outcome = Run::new(&pop, &config, 12)
-            .recover(&scenario, 1_500)
+            .perturb(&Plan::faults(scenario), 1_500)
             .outcome;
-        assert!(outcome.recovered(), "compound scenario heals: {outcome:?}");
+        assert!(outcome.came_clean(), "compound scenario heals: {outcome:?}");
         assert!(outcome.counters.oracle_outages > 0 || outcome.counters.messages_lost > 0);
     }
 
@@ -1117,8 +1116,9 @@ mod tests {
             message_loss: 0.05,
             blackout_rounds: 10,
         };
-        let a = Run::new(&pop, &config, 21).recover(&scenario, 800);
-        let b = Run::new(&pop, &config, 21).recover(&scenario, 800);
+        let plan = Plan::faults(scenario);
+        let a = Run::new(&pop, &config, 21).perturb(&plan, 800);
+        let b = Run::new(&pop, &config, 21).perturb(&plan, 800);
         assert_eq!(a, b);
     }
 
@@ -1129,26 +1129,20 @@ mod tests {
         let (pop, config) = (recovery_population(), hybrid());
         let outcome = Run::new(&pop, &config, 11)
             .oracle(OracleKind::RandomDelay.build())
-            .recover(
-                &FaultScenario {
-                    crash_fraction: 0.5,
-                    ..FaultScenario::none()
-                },
-                1_000,
-            )
+            .perturb(&Plan::faults(crash_only(0.5)), 1_000)
             .outcome;
-        assert!(outcome.recovered(), "oracle-realization path heals");
-        assert_eq!(outcome.crashed_peers, 1);
+        assert!(outcome.came_clean(), "oracle-realization path heals");
+        assert_eq!(outcome.victims.len(), 1);
     }
 
     #[test]
     fn faultless_scenario_recovers_instantly() {
         let (pop, config) = (recovery_population(), hybrid());
         let outcome = Run::new(&pop, &config, 5)
-            .recover(&FaultScenario::none(), 50)
+            .perturb(&Plan::faults(FaultScenario::none()), 50)
             .outcome;
-        assert_eq!(outcome.crashed_peers, 0);
-        assert!(outcome.recovered());
+        assert!(outcome.victims.is_empty());
+        assert!(outcome.came_clean());
         assert_eq!(outcome.orphan_peak, 0);
         assert_eq!(outcome.stale_rounds, 0);
     }
@@ -1157,14 +1151,16 @@ mod tests {
     fn stabilization_run_heals_every_class_at_once() {
         let (pop, config) = (recovery_population(), hybrid());
         let plan = CorruptionPlan::new(3).with_all_classes().with_severity(0.3);
-        let outcome = Run::new(&pop, &config, 11).stabilize(&plan, 1_000).outcome;
-        assert!(outcome.construction_converged_at.is_some());
+        let outcome = Run::new(&pop, &config, 11)
+            .perturb(&Plan::corruption(plan), 1_000)
+            .outcome;
+        assert!(outcome.converged_at.is_some());
         assert!(outcome.corrupted_states > 0);
         assert!(
             !outcome.valid_after_injection,
             "structural classes must break validation"
         );
-        assert!(outcome.stabilized(), "did not re-stabilize: {outcome:?}");
+        assert!(outcome.came_clean(), "did not re-stabilize: {outcome:?}");
         assert!(outcome.counters.inconsistencies_detected > 0);
         assert!(outcome.counters.repair_actions > 0);
         assert_eq!(
@@ -1177,20 +1173,20 @@ mod tests {
     #[test]
     fn stabilization_run_is_deterministic() {
         let (pop, config) = (recovery_population(), hybrid());
-        let plan = CorruptionPlan::new(8).with_all_classes().with_severity(0.4);
-        let a = Run::new(&pop, &config, 21).stabilize(&plan, 800);
-        let b = Run::new(&pop, &config, 21).stabilize(&plan, 800);
+        let plan = Plan::corruption(CorruptionPlan::new(8).with_all_classes().with_severity(0.4));
+        let a = Run::new(&pop, &config, 21).perturb(&plan, 800);
+        let b = Run::new(&pop, &config, 21).perturb(&plan, 800);
         assert_eq!(a, b);
     }
 
     #[test]
     fn empty_corruption_plan_is_clean_immediately() {
         let (pop, config) = (recovery_population(), hybrid());
-        let plan = CorruptionPlan::new(1);
-        let outcome = Run::new(&pop, &config, 5).stabilize(&plan, 50).outcome;
+        let plan = Plan::corruption(CorruptionPlan::new(1));
+        let outcome = Run::new(&pop, &config, 5).perturb(&plan, 50).outcome;
         assert_eq!(outcome.corrupted_states, 0);
         assert!(outcome.valid_after_injection);
-        assert_eq!(outcome.clean_rounds, Some(1), "clean at the first check");
+        assert_eq!(outcome.rounds_to_clean, Some(1), "clean at the first check");
         assert_eq!(outcome.counters.inconsistencies_detected, 0);
     }
 
@@ -1286,23 +1282,24 @@ mod tests {
         let (pop, config) = (wide_population(24), greedy());
         let fault = crash_only(0.2);
         let mut engine = Engine::new(&pop, &config, 7);
-        let mut goal = Goal::recovery(fault, 7, config.max_rounds, 10_000);
+        let plan = Plan::faults(fault);
+        let mut goal = Goal::new(&plan, 7, config.max_rounds, 10_000);
         goal.check(&mut engine);
         while goal.runs_on(&engine) {
             engine.step();
             goal.check(&mut engine);
         }
-        let crash = goal.crash_round().expect("injected");
+        let crash = goal.injected_at().expect("injected");
         assert_eq!(goal.converged_at(), Some(crash), "crashed on convergence");
         assert!(!goal.victims().is_empty(), "cohort must crash somebody");
-        let healed = goal.healed_at().expect("overlay must re-converge");
+        let healed = goal.clean_at().expect("overlay must re-converge");
         assert!(healed > crash);
         assert_eq!(engine.stale_chain_count(), 0);
-        // The twin verb reads the same rule.
-        let outcome = Run::new(&pop, &config, 7).recover(&fault, 10_000).outcome;
+        // The verb reads the same rule.
+        let outcome = Run::new(&pop, &config, 7).perturb(&plan, 10_000).outcome;
         assert_eq!(outcome.victims, goal.victims());
-        assert_eq!(outcome.recovery_rounds, Some(healed - crash));
-        assert_eq!(outcome.stale_rounds, goal.stale_rounds());
+        assert_eq!(outcome.rounds_to_clean, Some(healed - crash));
+        assert_eq!(outcome.stale_rounds, goal.stale_rounds);
         assert_eq!(outcome.counters, *engine.counters());
     }
 }

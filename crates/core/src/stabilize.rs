@@ -51,6 +51,11 @@ use crate::overlay::ChainRoot;
 /// own seeded streams — the engine's RNG is never touched, so a plan
 /// with no effect leaves the run byte-identical.
 ///
+/// A corruption models a transient fault in a running peer's memory,
+/// so an offline victim is passed over, and no list of an offline peer
+/// is grafted onto: an offline peer takes no action, so nothing could
+/// repair its state until it rejoins.
+///
 /// A non-zero application flips the engine into stabilizing mode
 /// (suspending the round-end invariant assertions that corrupted state
 /// is *supposed* to fail) and rebuilds the oracle index, since cached
@@ -63,7 +68,8 @@ pub fn apply_corruption(engine: &mut Engine, plan: &CorruptionPlan) -> u64 {
     let mut injected = 0u64;
     for &class in plan.classes() {
         for v in plan.victims(class, n) {
-            if corrupt_one(engine, plan, class, PeerId::new(v)) {
+            let p = PeerId::new(v);
+            if engine.is_online(p) && corrupt_one(engine, plan, class, p) {
                 injected += 1;
             }
         }
@@ -86,6 +92,10 @@ fn corrupt_one(
 ) -> bool {
     let n = engine.population().len() as u64;
     let payload = plan.payload(class, p.get());
+    // An orphan graft's target list: index n is the source's.
+    let graft = payload % (n + 1);
+    let graftable =
+        graft < n && graft != u64::from(p.get()) && engine.is_online(PeerId::new(graft as u32));
     let overlay = &mut engine.overlay;
     match class {
         CorruptionClass::ParentCycle => {
@@ -152,19 +162,13 @@ fn corrupt_one(
             true
         }
         CorruptionClass::OrphanGraft => {
-            // Graft p into a child list that never adopted it; index n
-            // selects the source, whose list is unbounded and therefore
-            // also models fanout overflow at the root.
-            let t = payload % (n + 1);
-            if t == n || t == u64::from(p.get()) {
+            // Graft p into a child list that never adopted it, or else
+            // the source's, whose list is unbounded and therefore also
+            // models fanout overflow at the root.
+            if !(graftable && overlay.raw_add_child(PeerId::new(graft as u32), p)) {
                 overlay.raw_push_source_child(p);
-                true
-            } else {
-                overlay.raw_add_child(PeerId::new(t as u32), p) || {
-                    overlay.raw_push_source_child(p);
-                    true
-                }
             }
+            true
         }
         CorruptionClass::StaleRoot => {
             match overlay.parent(p) {

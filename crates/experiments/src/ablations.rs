@@ -10,7 +10,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use lagover_core::{construct, Algorithm, ConstructionConfig, OracleKind, Run, SourceMode};
+use lagover_core::{construct, Algorithm, ConstructionConfig, OracleKind, Plan, Run, SourceMode};
 use lagover_sim::churn::{SessionChurn, SessionDistribution};
 use lagover_sim::stats;
 use lagover_workload::{ChurnSpec, TopologicalConstraint, WorkloadSpec};
@@ -163,30 +163,26 @@ pub fn run(params: &Params) -> AblationReport {
                 .expect("repairable");
             let config = ConstructionConfig::new(Algorithm::Hybrid, OracleKind::RandomDelay)
                 .with_max_rounds(params.max_rounds);
+            let run = Run::new(&population, &config, seed);
             let outcome = if i == 0 {
-                let mut churn = ChurnSpec::Paper.build();
-                Run::new(&population, &config, seed)
-                    .under_churn(churn.as_mut(), horizon)
-                    .outcome
+                run.perturb(&Plan::churn(ChurnSpec::Paper), horizon).outcome
             } else {
                 // Mean on-session 100 rounds (heavy-tailed), mean
                 // off-session ~5 rounds: same ~95% availability as the
                 // paper's rates, very different burst structure.
-                let mut churn = SessionChurn::new(
+                let churn = SessionChurn::new(
                     SessionDistribution::Pareto {
                         x_min: 25.0,
                         alpha: 1.5,
                     },
                     SessionDistribution::Exponential { mean: 5.0 },
                 );
-                Run::new(&population, &config, seed)
-                    .under_churn(&mut churn, horizon)
-                    .outcome
+                run.perturb(&Plan::churn(churn), horizon).outcome
             };
-            if outcome.first_converged_at.is_some() {
+            if outcome.converged_at.is_some() {
                 converged += 1;
             }
-            fractions.push(outcome.steady_state_fraction);
+            fractions.push(outcome.steady_state_fraction());
         }
         rows.push(AblationRow {
             knob: "churn_model".into(),

@@ -9,7 +9,9 @@
 
 use serde::{Deserialize, Serialize};
 
-use lagover_core::{construct, parallel_runs, Algorithm, ConstructionConfig, OracleKind, Run};
+use lagover_core::{
+    construct, parallel_runs, Algorithm, ConstructionConfig, OracleKind, Plan, Run,
+};
 use lagover_sim::stats;
 use lagover_sim::stats::mann_whitney_less;
 use lagover_workload::{ChurnSpec, TopologicalConstraint, WorkloadSpec};
@@ -112,8 +114,8 @@ pub fn run_on(params: &Params, class: TopologicalConstraint) -> Fig4Report {
     {
         for (ci, churn_spec) in [ChurnSpec::None, ChurnSpec::Paper].into_iter().enumerate() {
             // Each run derives everything from its own seed (`ChurnSpec`
-            // is `Copy`, so each run builds a private churn process), so
-            // the parallel map is bit-identical to the sequential loop.
+            // is a memoryless process each run copies), so the parallel
+            // map is bit-identical to the sequential loop.
             let results = parallel_runs(params.runs, |r| {
                 let seed = params.run_seed((ai * 2 + ci) as u64 + 100, r as u64);
                 let population = WorkloadSpec::new(class, params.peers)
@@ -131,17 +133,16 @@ pub fn run_on(params: &Params, class: TopologicalConstraint) -> Fig4Report {
                         )
                     }
                     _ => {
-                        let mut churn = churn_spec.build();
                         let outcome = Run::new(&population, &config, seed)
-                            .under_churn(churn.as_mut(), churn_rounds)
+                            .perturb(&Plan::churn(churn_spec), churn_rounds)
                             .outcome;
                         (
-                            outcome.first_converged_at.is_some(),
+                            outcome.converged_at.is_some(),
                             outcome
-                                .first_converged_at
+                                .converged_at
                                 .map(|v| v as f64)
                                 .unwrap_or(churn_rounds as f64),
-                            outcome.steady_state_fraction,
+                            outcome.steady_state_fraction(),
                         )
                     }
                 }

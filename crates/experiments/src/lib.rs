@@ -59,8 +59,13 @@ pub mod sufficiency;
 pub mod table;
 
 use lagover_core::node::Population;
+use lagover_core::{parallel_runs, Algorithm, ConstructionConfig, Oracle, OracleKind};
+use lagover_core::{PerturbOutcome, Plan, Run};
+use lagover_sim::SimRng;
 use lagover_workload::{TopologicalConstraint, WorkloadSpec};
 use serde::{Deserialize, Serialize};
+
+use crate::oracle_impls::{DirectoryOracle, GossipWalkOracle};
 
 /// Shared experiment sizing knobs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -126,6 +131,41 @@ pub(crate) fn satisfiable_population(
                 .ok()
         })
         .expect("repairable within 64 nudges")
+}
+
+/// The runs of one E15 / E16 cell: `params.runs` Rand populations of
+/// `peers`, run `r` seeded from `params.run_seed(salt, r)`, built by
+/// `algorithm` under `plan(seed)` and measured for `params.max_rounds`
+/// rounds. The oracle is the reference `kind`, or with a `substrate`
+/// stream split, a realization of it: an uninformed gossip walk for
+/// `Random`, else a refresh-lagged DHT directory whose ring churns.
+pub(crate) fn perturbed_runs(
+    params: &Params,
+    salt: u64,
+    peers: usize,
+    algorithm: Algorithm,
+    kind: OracleKind,
+    substrate: Option<u64>,
+    plan: impl Fn(u64) -> Plan + Sync,
+) -> Vec<PerturbOutcome> {
+    parallel_runs(params.runs, |r| {
+        let seed = params.run_seed(salt, r as u64);
+        let population = satisfiable_population(TopologicalConstraint::Rand, peers, seed);
+        let config = ConstructionConfig::new(algorithm, kind).with_max_rounds(params.max_rounds);
+        let mut run = Run::new(&population, &config, seed);
+        if let Some(split) = substrate {
+            let mut rng = SimRng::seed_from(seed).split(split);
+            let oracle: Box<dyn Oracle> = match kind {
+                OracleKind::Random => Box::new(GossipWalkOracle::new(peers, 6, 10, &mut rng)),
+                _ => Box::new(
+                    DirectoryOracle::new(kind, 32, 4 * peers as u64, 4, &mut rng)
+                        .with_ring_churn(0.02, 1),
+                ),
+            };
+            run = run.oracle(oracle);
+        }
+        run.perturb(&plan(seed), params.max_rounds).outcome
+    })
 }
 
 #[cfg(test)]

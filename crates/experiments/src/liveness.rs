@@ -101,10 +101,9 @@ pub fn run(params: &Params) -> LivenessReport {
                 let config = ConstructionConfig::new(algorithm, OracleKind::RandomDelay)
                     .with_max_rounds(params.max_rounds);
                 let mut engine = Engine::new(&population, &config, seed);
-                let mut churn = ChurnSpec::Bernoulli { p_off, p_on: 0.2 }.build();
                 let outcome = run_live(
                     &mut engine,
-                    churn.as_mut(),
+                    &mut ChurnSpec::Bernoulli { p_off, p_on: 0.2 },
                     &LiveConfig {
                         rounds: 600,
                         ..LiveConfig::default()

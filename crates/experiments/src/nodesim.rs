@@ -4,8 +4,8 @@
 //! trust is mutual: the `lagover-node` in-process mesh — n replicated
 //! state machines exchanging wire tokens, each journaling only the
 //! events it owns — must merge to the *byte-identical* journal the
-//! single-process simulator twin (`Run::construct` / `Run::recover` on
-//! the round clock) produces, for both fig2-style construction and
+//! single-process simulator twin (`Run::perturb` on the round clock)
+//! produces, for both fig2-style construction and
 //! E15-style crash recovery. The merged journal is
 //! embedded in the report so the replay-diff harness pins the
 //! cross-validation output itself.

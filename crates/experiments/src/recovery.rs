@@ -11,43 +11,29 @@
 use serde::{Deserialize, Serialize};
 
 use lagover_core::{
-    parallel_runs, Algorithm, ConstructionConfig, OracleKind, RecoveryOutcome, Run,
+    parallel_runs, Algorithm, ConstructionConfig, FaultScenario, OracleKind, PerturbOutcome, Plan,
+    Run,
 };
-use lagover_sim::{stats, SimRng, TimeSeries};
-use lagover_workload::{FaultSpec, TopologicalConstraint};
+use lagover_sim::{stats, TimeSeries};
+use lagover_workload::TopologicalConstraint;
 
-use crate::oracle_impls::{DirectoryOracle, GossipWalkOracle};
 use crate::table::TextTable;
-use crate::{satisfiable_population, Params};
+use crate::{perturbed_runs, satisfiable_population, Params};
 
-/// The fault scenarios swept, in report order.
-pub fn scenarios() -> Vec<(&'static str, FaultSpec)> {
+/// The fault scenarios swept, in report order: a tenth of the interior
+/// crashes, alone, under an oracle blackout, with lossy interactions,
+/// and with both.
+pub fn scenarios() -> Vec<(&'static str, FaultScenario)> {
+    let faults = |message_loss, blackout_rounds| FaultScenario {
+        crash_fraction: 0.10,
+        message_loss,
+        blackout_rounds,
+    };
     vec![
-        ("crash", FaultSpec::Crashes { fraction: 0.10 }),
-        (
-            "crash+blackout",
-            FaultSpec::Scenario {
-                crash_fraction: 0.10,
-                message_loss: 0.0,
-                blackout_rounds: 30,
-            },
-        ),
-        (
-            "crash+loss",
-            FaultSpec::Scenario {
-                crash_fraction: 0.10,
-                message_loss: 0.05,
-                blackout_rounds: 0,
-            },
-        ),
-        (
-            "compound",
-            FaultSpec::Scenario {
-                crash_fraction: 0.10,
-                message_loss: 0.05,
-                blackout_rounds: 30,
-            },
-        ),
+        ("crash", faults(0.0, 0)),
+        ("crash+blackout", faults(0.0, 30)),
+        ("crash+loss", faults(0.05, 0)),
+        ("compound", faults(0.05, 30)),
     ]
 }
 
@@ -133,102 +119,76 @@ impl RecoveryReport {
     }
 }
 
+/// Summarizes one cell's outcomes into its row.
+fn row(
+    scenario: &str,
+    algorithm: String,
+    horizon: u64,
+    outcomes: &[PerturbOutcome],
+) -> RecoveryRow {
+    let median = |f: &dyn Fn(&PerturbOutcome) -> f64| {
+        let values: Vec<f64> = outcomes.iter().map(f).collect();
+        stats::median(&values).expect("runs >= 1")
+    };
+    RecoveryRow {
+        scenario: scenario.to_string(),
+        algorithm,
+        median_crashed: median(&|o| o.victims.len() as f64),
+        median_recovery_rounds: median(&|o| o.clean_or(horizon as f64)),
+        median_orphan_peak: median(&|o| o.orphan_peak as f64),
+        median_stale_rounds: median(&|o| o.stale_rounds as f64),
+        recovered_runs: outcomes.iter().filter(|o| o.came_clean()).count(),
+        total_runs: outcomes.len(),
+        orphan_series: outcomes[0].orphan_series.clone(),
+    }
+}
+
 /// Runs the sweep.
 pub fn run(params: &Params) -> RecoveryReport {
     let class = TopologicalConstraint::Rand;
     let horizon = params.max_rounds;
     let mut rows = Vec::new();
-    for (si, (label, spec)) in scenarios().into_iter().enumerate() {
-        let scenario = spec.scenario();
+    for (si, (label, faults)) in scenarios().into_iter().enumerate() {
+        let plan = Plan::faults(faults);
         for (ai, algorithm) in [Algorithm::Greedy, Algorithm::Hybrid]
             .into_iter()
             .enumerate()
         {
-            let outcomes: Vec<RecoveryOutcome> = parallel_runs(params.runs, |r| {
-                let seed = params.run_seed(2_000 + (si * 2 + ai) as u64, r as u64);
-                let population = satisfiable_population(class, params.peers, seed);
-                let config = ConstructionConfig::new(algorithm, OracleKind::RandomDelay)
-                    .with_max_rounds(params.max_rounds);
-                Run::new(&population, &config, seed)
-                    .recover(&scenario, horizon)
-                    .outcome
-            });
-            let crashed: Vec<f64> = outcomes.iter().map(|o| o.crashed_peers as f64).collect();
-            let recovery: Vec<f64> = outcomes
-                .iter()
-                .map(|o| o.recovery_or(horizon as f64))
-                .collect();
-            let peaks: Vec<f64> = outcomes.iter().map(|o| o.orphan_peak as f64).collect();
-            let stale: Vec<f64> = outcomes.iter().map(|o| o.stale_rounds as f64).collect();
-            rows.push(RecoveryRow {
-                scenario: label.to_string(),
-                algorithm: algorithm.to_string(),
-                median_crashed: stats::median(&crashed).expect("runs >= 1"),
-                median_recovery_rounds: stats::median(&recovery).expect("runs >= 1"),
-                median_orphan_peak: stats::median(&peaks).expect("runs >= 1"),
-                median_stale_rounds: stats::median(&stale).expect("runs >= 1"),
-                recovered_runs: outcomes.iter().filter(|o| o.recovered()).count(),
-                total_runs: outcomes.len(),
-                orphan_series: outcomes[0].orphan_series.clone(),
-            });
+            let salt = 2_000 + (si * 2 + ai) as u64;
+            let kind = OracleKind::RandomDelay;
+            let outcomes =
+                perturbed_runs(params, salt, params.peers, algorithm, kind, None, |_| {
+                    plan.clone()
+                });
+            rows.push(row(label, algorithm.to_string(), horizon, &outcomes));
         }
     }
     // Substrate realizations: the compound scenario healed through
     // imperfect oracles — a DHT directory whose entries go stale under
     // its own ring churn, and a gossip random walk.
-    let mut realization_rows = Vec::new();
-    let compound = scenarios()[3].1.scenario();
-    let peers = params.peers;
-    let mut realized = |label: String, salt: u64, kind: OracleKind, split: u64| {
-        let outcomes: Vec<RecoveryOutcome> = parallel_runs(params.runs, |r| {
-            let seed = params.run_seed(salt, r as u64);
-            let population = satisfiable_population(class, peers, seed);
-            let config =
-                ConstructionConfig::new(Algorithm::Hybrid, kind).with_max_rounds(params.max_rounds);
-            let mut rng = SimRng::seed_from(seed).split(split);
-            let oracle: Box<dyn lagover_core::Oracle> = match kind {
-                OracleKind::Random => Box::new(GossipWalkOracle::new(peers, 6, 10, &mut rng)),
-                _ => Box::new(
-                    DirectoryOracle::new(kind, 32, 4 * peers as u64, 4, &mut rng)
-                        .with_ring_churn(0.02, 1),
-                ),
-            };
-            Run::new(&population, &config, seed)
-                .oracle(oracle)
-                .recover(&compound, horizon)
-                .outcome
-        });
-        let crashed: Vec<f64> = outcomes.iter().map(|o| o.crashed_peers as f64).collect();
-        let recovery: Vec<f64> = outcomes
-            .iter()
-            .map(|o| o.recovery_or(horizon as f64))
-            .collect();
-        let peaks: Vec<f64> = outcomes.iter().map(|o| o.orphan_peak as f64).collect();
-        let stale: Vec<f64> = outcomes.iter().map(|o| o.stale_rounds as f64).collect();
-        realization_rows.push(RecoveryRow {
-            scenario: "compound".to_string(),
-            algorithm: label,
-            median_crashed: stats::median(&crashed).expect("runs >= 1"),
-            median_recovery_rounds: stats::median(&recovery).expect("runs >= 1"),
-            median_orphan_peak: stats::median(&peaks).expect("runs >= 1"),
-            median_stale_rounds: stats::median(&stale).expect("runs >= 1"),
-            recovered_runs: outcomes.iter().filter(|o| o.recovered()).count(),
-            total_runs: outcomes.len(),
-            orphan_series: outcomes[0].orphan_series.clone(),
-        });
+    let compound = Plan::faults(scenarios()[3].1);
+    let realized = |label: &str, salt: u64, kind: OracleKind, split: u64| {
+        let hybrid = Algorithm::Hybrid;
+        let outcomes = perturbed_runs(
+            params,
+            salt,
+            params.peers,
+            hybrid,
+            kind,
+            Some(split),
+            |_| compound.clone(),
+        );
+        row("compound", label.to_string(), horizon, &outcomes)
     };
-    realized(
-        "Hybrid / directory, ring churn".to_string(),
-        2_950,
-        OracleKind::RandomDelay,
-        96,
-    );
-    realized(
-        "Hybrid / gossip walk".to_string(),
-        2_951,
-        OracleKind::Random,
-        97,
-    );
+    let realization_rows = vec![
+        realized(
+            "Hybrid / directory, ring churn",
+            2_950,
+            OracleKind::RandomDelay,
+            96,
+        ),
+        realized("Hybrid / gossip walk", 2_951, OracleKind::Random, 97),
+    ];
 
     RecoveryReport {
         params: *params,
@@ -246,7 +206,7 @@ pub fn run(params: &Params) -> RecoveryReport {
 pub fn observed(params: &Params) -> lagover_obs::ObsReport {
     let class = TopologicalConstraint::Rand;
     let horizon = params.max_rounds;
-    let scenario = scenarios()[0].1.scenario();
+    let plan = Plan::faults(scenarios()[0].1);
     // Salt of the (si = 0 "crash", ai = 1 Hybrid) cell: 2_000 + si*2 + ai.
     let salt = 2_001;
     let reports = parallel_runs(params.runs, |r| {
@@ -259,7 +219,7 @@ pub fn observed(params: &Params) -> lagover_obs::ObsReport {
                 crate::obs_exp::JOURNAL_CAPACITY,
                 crate::obs_exp::SAMPLE_INTERVAL,
             )
-            .recover(&scenario, horizon);
+            .perturb(&plan, horizon);
         let label = format!("recovery crash/hybrid {class} n={}", params.peers);
         observed.into_report(&label, population.len(), seed)
     });
@@ -330,9 +290,9 @@ mod tests {
         let config = ConstructionConfig::new(Algorithm::Greedy, OracleKind::RandomDelay)
             .with_max_rounds(params.max_rounds);
         let outcome = Run::new(&population, &config, seed)
-            .recover(&scenarios()[1].1.scenario(), params.max_rounds)
+            .perturb(&Plan::faults(scenarios()[1].1), params.max_rounds)
             .outcome;
-        assert!(!outcome.recovered());
+        assert!(!outcome.came_clean());
         assert!(check_sufficiency(&population).satisfied);
         let survivors = population
             .iter()

@@ -16,14 +16,13 @@
 use serde::{Deserialize, Serialize};
 
 use lagover_core::{
-    parallel_runs, Algorithm, ConstructionConfig, OracleKind, Run, StabilizationOutcome,
+    parallel_runs, Algorithm, ConstructionConfig, OracleKind, PerturbOutcome, Plan, Run,
 };
-use lagover_sim::{stats, CorruptionClass, SimRng, TimeSeries};
+use lagover_sim::{stats, CorruptionClass, TimeSeries};
 use lagover_workload::{CorruptionSpec, TopologicalConstraint};
 
-use crate::oracle_impls::{DirectoryOracle, GossipWalkOracle};
 use crate::table::TextTable;
-use crate::{satisfiable_population, Params};
+use crate::{perturbed_runs, satisfiable_population, Params};
 
 /// Severities swept for every corruption class.
 pub const SEVERITIES: [f64; 2] = [0.15, 0.4];
@@ -139,38 +138,29 @@ fn spec_for(classes: &[CorruptionClass], severity: f64) -> CorruptionSpec {
     }
 }
 
+/// Summarizes one cell's outcomes into its row.
 fn summarize(
     class: &str,
     severity: f64,
     algorithm: String,
     horizon: u64,
-    total_runs: usize,
-    outcomes: Vec<StabilizationOutcome>,
+    outcomes: &[PerturbOutcome],
 ) -> StabilizationRow {
-    let corrupted: Vec<f64> = outcomes.iter().map(|o| o.corrupted_states as f64).collect();
-    let clean: Vec<f64> = outcomes
-        .iter()
-        .map(|o| o.clean_or(horizon as f64))
-        .collect();
-    let detections: Vec<f64> = outcomes
-        .iter()
-        .map(|o| o.counters.inconsistencies_detected as f64)
-        .collect();
-    let repairs: Vec<f64> = outcomes
-        .iter()
-        .map(|o| o.counters.repair_actions as f64)
-        .collect();
+    let median = |f: &dyn Fn(&PerturbOutcome) -> f64| {
+        let values: Vec<f64> = outcomes.iter().map(f).collect();
+        stats::median(&values).expect("runs >= 1")
+    };
     StabilizationRow {
         class: class.to_string(),
         severity,
         algorithm,
-        median_corrupted: stats::median(&corrupted).expect("runs >= 1"),
-        median_clean_rounds: stats::median(&clean).expect("runs >= 1"),
-        median_detections: stats::median(&detections).expect("runs >= 1"),
-        median_repairs: stats::median(&repairs).expect("runs >= 1"),
+        median_corrupted: median(&|o| o.corrupted_states as f64),
+        median_clean_rounds: median(&|o| o.clean_or(horizon as f64)),
+        median_detections: median(&|o| o.counters.inconsistencies_detected as f64),
+        median_repairs: median(&|o| o.counters.repair_actions as f64),
         invalid_snapshots: outcomes.iter().filter(|o| !o.valid_after_injection).count(),
-        stabilized_runs: outcomes.iter().filter(|o| o.stabilized()).count(),
-        total_runs,
+        stabilized_runs: outcomes.iter().filter(|o| o.came_clean()).count(),
+        total_runs: outcomes.len(),
         repair_series: outcomes[0].repair_series.clone(),
         satisfied_series: outcomes[0].satisfied_series.clone(),
     }
@@ -188,23 +178,16 @@ pub fn run(params: &Params) -> StabilizationReport {
                 .enumerate()
             {
                 let salt = 8_000 + ((ci * SEVERITIES.len() + vi) * 2 + ai) as u64;
-                let outcomes: Vec<StabilizationOutcome> = parallel_runs(params.runs, |r| {
-                    let seed = params.run_seed(salt, r as u64);
-                    let population = satisfiable_population(class, params.peers, seed);
-                    let config = ConstructionConfig::new(algorithm, OracleKind::RandomDelay)
-                        .with_max_rounds(params.max_rounds);
-                    let plan = spec_for(&classes, severity).plan(seed);
-                    Run::new(&population, &config, seed)
-                        .stabilize(&plan, horizon)
-                        .outcome
-                });
+                let kind = OracleKind::RandomDelay;
+                let plan = |seed| Plan::corruption(spec_for(&classes, severity).plan(seed));
+                let outcomes =
+                    perturbed_runs(params, salt, params.peers, algorithm, kind, None, plan);
                 rows.push(summarize(
                     &label,
                     severity,
                     algorithm.to_string(),
                     horizon,
-                    params.runs,
-                    outcomes,
+                    &outcomes,
                 ));
             }
         }
@@ -213,58 +196,37 @@ pub fn run(params: &Params) -> StabilizationReport {
     // Substrate realizations (S1): the repair rule must re-stabilize
     // through imperfect oracles too — a refresh-lagged DHT directory
     // whose own ring churns, and an uninformed gossip random walk.
-    let mut realization_rows = Vec::new();
     let combined: Vec<CorruptionClass> = CorruptionClass::ALL.to_vec();
     let severity = SEVERITIES[1];
-    let mut realized = |label: String, salt: u64, kind: OracleKind, split: u64, peers: usize| {
-        let outcomes: Vec<StabilizationOutcome> = parallel_runs(params.runs, |r| {
-            let seed = params.run_seed(salt, r as u64);
-            let population = satisfiable_population(class, peers, seed);
-            let config =
-                ConstructionConfig::new(Algorithm::Hybrid, kind).with_max_rounds(params.max_rounds);
-            let plan = spec_for(&combined, severity).plan(seed);
-            let mut rng = SimRng::seed_from(seed).split(split);
-            let oracle: Box<dyn lagover_core::Oracle> = match kind {
-                OracleKind::Random => Box::new(GossipWalkOracle::new(peers, 6, 10, &mut rng)),
-                _ => Box::new(
-                    DirectoryOracle::new(kind, 32, 4 * peers as u64, 4, &mut rng)
-                        .with_ring_churn(0.02, 1),
-                ),
-            };
-            Run::new(&population, &config, seed)
-                .oracle(oracle)
-                .stabilize(&plan, horizon)
-                .outcome
-        });
-        realization_rows.push(summarize(
-            "combined",
-            severity,
-            label,
-            horizon,
-            params.runs,
-            outcomes,
-        ));
+    let realized = |label: &str, salt: u64, kind: OracleKind, split: u64, peers: usize| {
+        let plan = |seed| Plan::corruption(spec_for(&combined, severity).plan(seed));
+        let hybrid = Algorithm::Hybrid;
+        let outcomes = perturbed_runs(params, salt, peers, hybrid, kind, Some(split), plan);
+        summarize("combined", severity, label.to_string(), horizon, &outcomes)
     };
-    realized(
-        "Hybrid / directory, ring churn".to_string(),
-        8_950,
-        OracleKind::RandomDelay,
-        94,
-        params.peers,
-    );
-    // The uninformed walk hits any *specific* useful target with
-    // probability ~1/n per query, so even initial construction needs
-    // rounds superlinear in n — at 10^3 peers it regularly exceeds any
-    // reasonable horizon. The row demonstrates that repair does not
-    // depend on an informed oracle, not walk scalability, so it runs
-    // at a population the substrate can actually mix.
-    realized(
-        "Hybrid / gossip walk".to_string(),
-        8_951,
-        OracleKind::Random,
-        95,
-        params.peers.min(300),
-    );
+    let realization_rows = vec![
+        realized(
+            "Hybrid / directory, ring churn",
+            8_950,
+            OracleKind::RandomDelay,
+            94,
+            params.peers,
+        ),
+        // The uninformed walk hits any *specific* useful target with
+        // probability ~1/n per query, so even initial construction
+        // needs rounds superlinear in n — at 10^3 peers it regularly
+        // exceeds any reasonable horizon. The row demonstrates that
+        // repair does not depend on an informed oracle, not walk
+        // scalability, so it runs at a population the substrate can
+        // actually mix.
+        realized(
+            "Hybrid / gossip walk",
+            8_951,
+            OracleKind::Random,
+            95,
+            params.peers.min(300),
+        ),
+    ];
 
     StabilizationReport {
         params: *params,
@@ -291,13 +253,13 @@ pub fn observed(params: &Params) -> lagover_obs::ObsReport {
         let population = satisfiable_population(class, params.peers, seed);
         let config = ConstructionConfig::new(Algorithm::Hybrid, OracleKind::RandomDelay)
             .with_max_rounds(params.max_rounds);
-        let plan = spec_for(&combined, severity).plan(seed);
+        let plan = Plan::corruption(spec_for(&combined, severity).plan(seed));
         let observed = Run::new(&population, &config, seed)
             .observe(
                 crate::obs_exp::JOURNAL_CAPACITY,
                 crate::obs_exp::SAMPLE_INTERVAL,
             )
-            .stabilize(&plan, horizon);
+            .perturb(&plan, horizon);
         let label = format!("stabilization combined/hybrid {class} n={}", params.peers);
         observed.into_report(&label, population.len(), seed)
     });

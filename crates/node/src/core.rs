@@ -397,7 +397,7 @@ impl NodeCore {
             own_actions: self.replica.peer_actions(PeerId::new(self.me)),
             rounds: engine.round().get(),
             converged_at: goal.converged_at().map(|r| r as f64),
-            healed_at: goal.healed_at().map(|r| r as f64),
+            healed_at: goal.clean_at().map(|r| r as f64),
             crashed_peers: goal.victims().len() as u64,
             final_satisfied_fraction: engine.satisfied_fraction(),
             final_stale_chains: engine.stale_chain_count() as u64,

@@ -21,7 +21,7 @@
 //! healing are core's one terminal rule (`lagover_core::Goal`), met on
 //! the same round on every node, so the per-node journals merge back
 //! into the exact byte sequence the simulator twin ([`replica::twin`]:
-//! `Run::construct` / `Run::recover`) journals — pinned by replay-diff.
+//! `Run::perturb`) journals — pinned by replay-diff.
 //!
 //! ## Layers
 //!

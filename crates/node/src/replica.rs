@@ -6,7 +6,7 @@
 //! one turn in the round's keyed slot order (the all-peers round the
 //! active-set `Engine::step` is held byte-equal to), the round closes —
 //! and ends by core's terminal rule, [`Goal`], the one `Run::construct`
-//! and `Run::recover` step. The whole trajectory is a pure function of
+//! and `Run::perturb` step. The whole trajectory is a pure function of
 //! `(population, scenario, seed)`, so nodes never ship state — only
 //! *progress tokens* saying "my first k actions are executed", which
 //! [`crate::core::NodeCore`] turns into apply-permissions for the
@@ -17,8 +17,8 @@
 //! owner of each journal event.
 
 use lagover_core::{
-    ConstructionConfig, Engine, EngineCounters, FaultScenario, Goal, Observed, PeerId, Population,
-    Run,
+    ConstructionConfig, Engine, EngineCounters, FaultScenario, Goal, Observed, PeerId, Plan,
+    Population, Run,
 };
 use lagover_obs::{Event, Journal};
 
@@ -75,17 +75,14 @@ impl ScenarioSpec {
         self.config.with_max_rounds(self.rounds())
     }
 
-    /// The terminal rule of this scenario from `seed`.
-    fn goal(&self, seed: u64) -> Goal {
+    /// What this scenario injects: nothing, or the crash cohort.
+    fn plan(&self) -> Plan {
         match self.scenario {
-            Scenario::Construction => Goal::construction(self.rounds()),
-            Scenario::Recovery { crash_fraction } => {
-                let fault = FaultScenario {
-                    crash_fraction,
-                    ..FaultScenario::none()
-                };
-                Goal::recovery(fault, seed, self.rounds(), self.rounds())
-            }
+            Scenario::Construction => Plan::none(),
+            Scenario::Recovery { crash_fraction } => Plan::faults(FaultScenario {
+                crash_fraction,
+                ..FaultScenario::none()
+            }),
         }
     }
 }
@@ -107,39 +104,20 @@ pub struct Twin {
 }
 
 /// The simulator twin of `spec` from `seed`: the observed round-clock
-/// verb the replicas step, [`Run::construct`] or [`Run::recover`] with
-/// the spec's crash fraction.
+/// verb the replicas step, [`Run::perturb`] with the spec's plan.
 pub fn twin(population: &Population, spec: &ScenarioSpec, seed: u64) -> Twin {
     let config = spec.capped_config();
-    let run = Run::new(population, &config, seed).observe(spec.journal_capacity, 10);
-    let (trail, counters, converged_at, crashed_peers, healed_at) = match spec.scenario {
-        Scenario::Construction => {
-            let Observed { outcome, trail } = run.construct();
-            (trail, outcome.counters, outcome.converged_at, 0, None)
-        }
-        Scenario::Recovery { crash_fraction } => {
-            let fault = FaultScenario {
-                crash_fraction,
-                ..FaultScenario::none()
-            };
-            let Observed { outcome, trail } = run.recover(&fault, spec.rounds());
-            let healed_at = outcome.recovery_rounds.map(|r| outcome.crash_round + r);
-            let converged_at = outcome.construction_converged_at;
-            (
-                trail,
-                outcome.counters,
-                converged_at,
-                outcome.crashed_peers,
-                healed_at,
-            )
-        }
-    };
+    let Observed { outcome, trail } = Run::new(population, &config, seed)
+        .observe(spec.journal_capacity, 10)
+        .perturb(&spec.plan(), spec.rounds());
     Twin {
         journal: trail.expect("observed").journal,
-        counters,
-        converged_at: converged_at.map(|r| r as f64),
-        crashed_peers: crashed_peers as u64,
-        healed_at: healed_at.map(|r| r as f64),
+        counters: outcome.counters,
+        converged_at: outcome.converged_at.map(|r| r as f64),
+        crashed_peers: outcome.victims.len() as u64,
+        healed_at: outcome
+            .rounds_to_clean
+            .map(|r| (outcome.injected_at + r) as f64),
     }
 }
 
@@ -196,7 +174,8 @@ impl Replica {
         // Unbounded: each apply hands every event on, so the ring
         // applies once, at merge.
         engine.obs_mut().enable_journal(usize::MAX);
-        let mut goal = spec.goal(seed);
+        let rounds = spec.rounds();
+        let mut goal = Goal::new(&spec.plan(), seed, rounds, rounds);
         goal.check(&mut engine);
         let mut replica = Replica {
             engine,
@@ -361,7 +340,7 @@ mod tests {
         let round = |r: Option<u64>| r.map(|r| r as f64);
         assert_eq!(round(goal.converged_at()), twin.converged_at, "converged");
         assert_eq!(goal.victims().len() as u64, twin.crashed_peers, "crashed");
-        assert_eq!(round(goal.healed_at()), twin.healed_at, "healed");
+        assert_eq!(round(goal.clean_at()), twin.healed_at, "healed");
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! across `LAGOVER_THREADS` settings and chunkings.
 
 use lagover_core::{
-    Algorithm, Constraints, ConstructionConfig, FaultScenario, OracleKind, Population, Run,
+    Algorithm, Constraints, ConstructionConfig, FaultScenario, OracleKind, Plan, Population, Run,
 };
 use lagover_experiments::{fig2, fig3, fig4, obs_exp, recovery, stabilization, streams};
 use lagover_obs::ObsReport;
@@ -237,11 +237,11 @@ fn recovery_at_scale(name: &str, params: &PerfParams) -> ObsReport {
     let label = format!("{name} layered hybrid/oracle-random-delay n={peers}");
     Run::new(&population, &config, params.seed)
         .observe(SCALE_JOURNAL_CAPACITY, SCALE_SAMPLE_INTERVAL)
-        .recover(
-            &FaultScenario {
+        .perturb(
+            &Plan::faults(FaultScenario {
                 crash_fraction: SCALE_CRASH_FRACTION,
                 ..FaultScenario::none()
-            },
+            }),
             params.max_rounds,
         )
         .into_report(&label, peers, params.seed)

@@ -3,7 +3,8 @@
 
 use serde::{Deserialize, Serialize};
 
-use lagover_sim::churn::{BernoulliChurn, ChurnProcess, NoChurn};
+use lagover_sim::churn::{BernoulliChurn, ChurnProcess, NoChurn, Transitions};
+use lagover_sim::SimRng;
 
 /// A reproducible churn description.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -21,16 +22,21 @@ pub enum ChurnSpec {
     },
 }
 
-impl ChurnSpec {
-    /// Instantiates the process.
-    pub fn build(&self) -> Box<dyn ChurnProcess> {
+/// A spec steps as the process it describes: every variant is
+/// memoryless, so the description is the whole state.
+impl ChurnProcess for ChurnSpec {
+    fn step(&mut self, online: &mut [bool], rng: &mut SimRng) -> Transitions {
         match *self {
-            ChurnSpec::None => Box::new(NoChurn),
-            ChurnSpec::Paper => Box::new(BernoulliChurn::paper()),
-            ChurnSpec::Bernoulli { p_off, p_on } => Box::new(BernoulliChurn::new(p_off, p_on)),
+            ChurnSpec::None => NoChurn.step(online, rng),
+            ChurnSpec::Paper => BernoulliChurn::paper().step(online, rng),
+            ChurnSpec::Bernoulli { p_off, p_on } => {
+                BernoulliChurn::new(p_off, p_on).step(online, rng)
+            }
         }
     }
+}
 
+impl ChurnSpec {
     /// Whether the spec describes any membership dynamics at all.
     pub fn is_dynamic(&self) -> bool {
         // Comparison rather than a `matches!` float-literal pattern:
@@ -91,7 +97,7 @@ mod tests {
 
     #[test]
     fn build_none_is_inert() {
-        let mut churn = ChurnSpec::None.build();
+        let mut churn = ChurnSpec::None;
         let mut online = vec![true; 10];
         let t = churn.step(&mut online, &mut SimRng::seed_from(1));
         assert_eq!(t.total(), 0);
@@ -101,7 +107,7 @@ mod tests {
     #[test]
     fn paper_spec_is_dynamic() {
         assert!(ChurnSpec::Paper.is_dynamic());
-        let mut churn = ChurnSpec::Paper.build();
+        let mut churn = ChurnSpec::Paper;
         let mut online = vec![true; 5_000];
         let t = churn.step(&mut online, &mut SimRng::seed_from(2));
         // ~1% of 5000 should depart.
@@ -110,11 +116,10 @@ mod tests {
 
     #[test]
     fn custom_rates_apply() {
-        let spec = ChurnSpec::Bernoulli {
+        let mut churn = ChurnSpec::Bernoulli {
             p_off: 1.0,
             p_on: 0.0,
         };
-        let mut churn = spec.build();
         let mut online = vec![true; 10];
         churn.step(&mut online, &mut SimRng::seed_from(3));
         assert!(online.iter().all(|&o| !o));

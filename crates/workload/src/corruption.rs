@@ -1,6 +1,6 @@
 //! Corruption specifications (serializable descriptions of the
 //! adversarial snapshot mutation a run injects), mirroring
-//! [`crate::FaultSpec`] for the state-corruption axis.
+//! [`crate::ChurnSpec`] for the state-corruption axis.
 
 use serde::{Deserialize, Serialize};
 
@@ -8,7 +8,7 @@ use lagover_sim::{CorruptionClass, CorruptionPlan};
 
 /// A reproducible corruption description.
 ///
-/// Like [`crate::FaultSpec`], the spec is declarative: experiments
+/// Like [`crate::ChurnSpec`], the spec is declarative: experiments
 /// store it in their parameter block and lower it to a concrete
 /// [`CorruptionPlan`] with [`CorruptionSpec::plan`] when the run
 /// starts. The plan's own seed is derived from the run seed, so the

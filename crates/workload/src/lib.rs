@@ -37,7 +37,6 @@
 pub mod adversarial;
 pub mod churn;
 pub mod corruption;
-pub mod faults;
 pub mod generators;
 
 use std::fmt;
@@ -49,7 +48,6 @@ use lagover_core::node::Population;
 pub use adversarial::adversarial_population;
 pub use churn::ChurnSpec;
 pub use corruption::CorruptionSpec;
-pub use faults::FaultSpec;
 
 /// The §4.1 workload classes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -258,6 +256,9 @@ impl FromJson for WorkloadSpec {
         if spec.peers == 0 {
             return Err(JsonError("need at least one peer".into()));
         }
+        if spec.source_fanout == 0 {
+            return Err(JsonError("source fanout must be positive".into()));
+        }
         Ok(spec)
     }
 }
@@ -277,6 +278,14 @@ mod tests {
             .to_string(),
             "Adversarial(chain=2,hub=2)"
         );
+    }
+
+    #[test]
+    fn a_zero_source_fanout_is_a_parse_error() {
+        // Generation could never seat a peer, and the repair would
+        // relax latencies for good.
+        let doc = r#"{"constraint":"Tf1","peers":60,"source_fanout":0}"#;
+        assert!(lagover_jsonio::from_str::<WorkloadSpec>(doc).is_err());
     }
 
     #[test]

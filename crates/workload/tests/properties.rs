@@ -2,7 +2,9 @@
 
 use proptest::prelude::*;
 
-use lagover_core::check_sufficiency;
+use lagover_core::{
+    check_sufficiency, Algorithm, ConstructionConfig, Engine, OracleKind, Population,
+};
 use lagover_workload::{adversarial_population, TopologicalConstraint, WorkloadSpec};
 
 fn paper_class_strategy() -> impl Strategy<Value = TopologicalConstraint> {
@@ -103,5 +105,89 @@ proptest! {
             prop_assert!(c.latency >= 1);
             prop_assert!(c.fanout <= 8);
         }
+    }
+}
+
+/// `lagover spec --workload bicorr --peers 60`'s document: a population.
+fn population_document() -> String {
+    let spec = WorkloadSpec::new(TopologicalConstraint::BiCorr, 60);
+    lagover_jsonio::to_string_pretty(&spec.generate(42).expect("repairable"))
+}
+
+/// The document of a 60-peer workload spec of class `class` (of six).
+fn workload_document(class: usize) -> String {
+    let classes = [
+        TopologicalConstraint::Tf1,
+        TopologicalConstraint::Rand,
+        TopologicalConstraint::BiCorr,
+        TopologicalConstraint::BiUnCorr,
+        TopologicalConstraint::Zipf { exponent_x100: 150 },
+        TopologicalConstraint::Adversarial {
+            chain: 2,
+            hub_fanout: 2,
+        },
+    ];
+    lagover_jsonio::to_string(&WorkloadSpec::new(classes[class], 60))
+}
+
+fn population(text: &str) -> Option<Population> {
+    lagover_jsonio::from_str(text).ok()
+}
+
+fn workload(text: &str) -> Option<Population> {
+    let spec: WorkloadSpec = lagover_jsonio::from_str(text).ok()?;
+    spec.generate(7).ok()
+}
+
+/// `doc` with the byte at `at` (modulo its length) xored with `flip`.
+fn flipped(doc: String, at: usize, flip: u8) -> Vec<u8> {
+    let mut bytes = doc.into_bytes();
+    let i = at % bytes.len();
+    bytes[i] ^= flip;
+    bytes
+}
+
+/// The spec boundary's contract on any input: `parse` returns no
+/// population, or one an engine builds on and steps 5 rounds over (a
+/// panic fails the case).
+fn steps_if_parsed(bytes: &[u8], parse: fn(&str) -> Option<Population>) {
+    if let Some(population) = parse(&String::from_utf8_lossy(bytes)) {
+        let config = ConstructionConfig::new(Algorithm::Hybrid, OracleKind::RandomDelay);
+        let mut engine = Engine::new(&population, &config, 1);
+        for _ in 0..5 {
+            engine.step();
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn population_boundary_survives_arbitrary_bytes(
+        bytes in prop::collection::vec(any::<u8>(), 0..=512),
+    ) {
+        steps_if_parsed(&bytes, population);
+    }
+
+    #[test]
+    fn population_boundary_survives_one_byte_flipped(at in any::<usize>(), flip in 1u8..=255) {
+        steps_if_parsed(&flipped(population_document(), at, flip), population);
+    }
+
+    #[test]
+    fn workload_boundary_survives_arbitrary_bytes(
+        bytes in prop::collection::vec(any::<u8>(), 0..=512),
+    ) {
+        steps_if_parsed(&bytes, workload);
+    }
+
+    #[test]
+    fn workload_boundary_survives_one_byte_flipped(
+        class in 0usize..6,
+        at in any::<usize>(),
+        flip in 1u8..=255,
+    ) {
+        steps_if_parsed(&flipped(workload_document(class), at, flip), workload);
     }
 }

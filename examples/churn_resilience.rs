@@ -8,7 +8,7 @@
 //! cargo run --example churn_resilience
 //! ```
 
-use lagover::core::{Algorithm, ConstructionConfig, OracleKind, Run};
+use lagover::core::{Algorithm, ConstructionConfig, OracleKind, Plan, Run};
 use lagover::workload::{ChurnSpec, TopologicalConstraint, WorkloadSpec};
 
 fn sparkline(ys: &[f64]) -> String {
@@ -30,9 +30,8 @@ fn main() {
     for algorithm in [Algorithm::Greedy, Algorithm::Hybrid] {
         let config =
             ConstructionConfig::new(algorithm, OracleKind::RandomDelay).with_max_rounds(10_000);
-        let mut churn = ChurnSpec::Paper.build();
         let outcome = Run::new(&population, &config, 42)
-            .under_churn(churn.as_mut(), rounds)
+            .perturb(&Plan::churn(ChurnSpec::Paper), rounds)
             .outcome;
 
         // Downsample the series to an 80-character sparkline.
@@ -45,13 +44,13 @@ fn main() {
         println!(
             "  first fully satisfied: {}",
             outcome
-                .first_converged_at
+                .converged_at
                 .map(|r| format!("round {r}"))
                 .unwrap_or_else(|| "never".into())
         );
         println!(
             "  steady-state satisfied fraction: {:.3}",
-            outcome.steady_state_fraction
+            outcome.steady_state_fraction()
         );
         println!(
             "  churn events: {} departures, {} rejoins; {} maintenance detaches\n",

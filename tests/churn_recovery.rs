@@ -1,8 +1,8 @@
 //! Failure injection and churn-recovery integration tests.
 
-use lagover::core::{Algorithm, ConstructionConfig, Engine, FaultScenario, OracleKind, Run};
+use lagover::core::{Algorithm, ConstructionConfig, Engine, FaultScenario, OracleKind, Plan, Run};
 use lagover::sim::{ChurnProcess, FaultPlan, SimRng, Transitions};
-use lagover::workload::{ChurnSpec, FaultSpec, TopologicalConstraint, WorkloadSpec};
+use lagover::workload::{ChurnSpec, TopologicalConstraint, WorkloadSpec};
 
 /// Kills an explicit set of peers once, then does nothing.
 struct KillOnce {
@@ -104,14 +104,13 @@ fn paper_churn_sustains_high_satisfaction_on_all_workloads() {
         let population = WorkloadSpec::new(class, 60).generate(13).unwrap();
         let config = ConstructionConfig::new(Algorithm::Hybrid, OracleKind::RandomDelay)
             .with_max_rounds(10_000);
-        let mut churn = ChurnSpec::Paper.build();
         let outcome = Run::new(&population, &config, 13)
-            .under_churn(churn.as_mut(), 600)
+            .perturb(&Plan::churn(ChurnSpec::Paper), 600)
             .outcome;
         assert!(
-            outcome.steady_state_fraction > 0.6,
+            outcome.steady_state_fraction() > 0.6,
             "{class}: steady state {} too low under paper churn",
-            outcome.steady_state_fraction
+            outcome.steady_state_fraction()
         );
         assert!(outcome.counters.churn_departures > 0);
         assert!(outcome.counters.churn_arrivals > 0);
@@ -125,18 +124,17 @@ fn silent_crashes_heal_end_to_end_through_the_facade() {
         .unwrap();
     let config =
         ConstructionConfig::new(Algorithm::Hybrid, OracleKind::RandomDelay).with_max_rounds(10_000);
-    let scenario = FaultSpec::Scenario {
+    let scenario = FaultScenario {
         crash_fraction: 0.2,
         message_loss: 0.05,
         blackout_rounds: 15,
-    }
-    .scenario();
+    };
     let outcome = Run::new(&population, &config, 21)
-        .recover(&scenario, 5_000)
+        .perturb(&Plan::faults(scenario), 5_000)
         .outcome;
-    assert!(outcome.crashed_peers >= 1, "nothing crashed");
+    assert!(!outcome.victims.is_empty(), "nothing crashed");
     assert!(
-        outcome.recovered(),
+        outcome.came_clean(),
         "compound fault scenario did not heal: {outcome:?}"
     );
     assert!(
@@ -177,13 +175,13 @@ fn faultless_scenario_is_byte_identical_to_plain_construction() {
     let plain_converged = plain.run_to_convergence().map(|r| r.get());
     assert!(plain_converged.is_some());
     let outcome = Run::new(&population, &config, 29)
-        .recover(&FaultScenario::none(), 100)
+        .perturb(&Plan::faults(FaultScenario::none()), 100)
         .outcome;
     assert_eq!(
-        outcome.construction_converged_at, plain_converged,
+        outcome.converged_at, plain_converged,
         "an empty fault plan changed construction"
     );
-    assert_eq!(outcome.crashed_peers, 0);
+    assert!(outcome.victims.is_empty());
     assert_eq!(outcome.orphan_peak, 0);
     assert_eq!(outcome.stale_rounds, 0);
 }
