@@ -855,13 +855,15 @@ fn node_summary(merged: &lagover_node::MergedRun) -> String {
         r.final_satisfied_fraction,
         r.final_stale_chains,
     );
-    if let Some(t) = r.converged_at {
-        out += &format!("converged at t={t:.2}\n");
+    // The replicas run the lockstep round clock: both stamps are
+    // rounds, whatever the report's `f64` fields suggest.
+    if let Some(round) = r.converged_at {
+        out += &format!("converged at round {round:.0}\n");
     }
     if r.scenario == "recovery" {
         out += &format!("crashed {} interior peer(s)\n", r.crashed_peers);
         match r.healed_at {
-            Some(t) => out += &format!("healed at t={t:.2}\n"),
+            Some(round) => out += &format!("healed at round {round:.0}\n"),
             None => out += "NOT healed within the round cap\n",
         }
     }
@@ -1309,8 +1311,20 @@ mod tests {
         let out = run(&opts).unwrap();
         assert!(out.contains("in-process mesh transport"), "{out}");
         assert!(out.contains("halted: finished"), "{out}");
-        assert!(out.contains("converged at t="), "{out}");
         assert!(out.contains("observability report: nodesim mesh"), "{out}");
+        // The replicas run the simulator's round clock: the summary
+        // names the round `construct` converges in.
+        let construct =
+            run(&parse_args(&args("construct --workload rand --peers 16 --seed 3")).unwrap())
+                .unwrap();
+        let rounds = construct
+            .strip_prefix("converged in ")
+            .and_then(|rest| rest.split(' ').next())
+            .expect("construct converges");
+        assert!(
+            out.contains(&format!("converged at round {rounds}\n")),
+            "{out}"
+        );
     }
 
     #[test]
@@ -1322,7 +1336,7 @@ mod tests {
         .unwrap();
         let out = run(&opts).unwrap();
         assert!(out.contains("crashed"), "{out}");
-        assert!(out.contains("healed at t="), "{out}");
+        assert!(out.contains("healed at round "), "{out}");
     }
 
     #[test]

@@ -67,15 +67,6 @@ pub struct ConstructionConfig {
     pub maintenance_timeout: u32,
     /// Hard cap on construction rounds for convergence runs.
     pub max_rounds: u64,
-    /// Consecutive silent rounds after which a child declares its
-    /// parent crashed (crash-stop failures are silent, so liveness is
-    /// inferred, never announced). Graceful churn is unaffected.
-    pub detection_timeout: u32,
-    /// Cap (in rounds) on the exponential backoff a peer applies after
-    /// a *fault-induced* contact failure (lost interaction or oracle
-    /// blackout). The timeout-fallback-to-source rule bypasses backoff,
-    /// so this only paces oracle retries.
-    pub backoff_cap: u32,
 }
 
 impl ConstructionConfig {
@@ -90,8 +81,6 @@ impl ConstructionConfig {
             timeout_rounds: 4,
             maintenance_timeout: 3,
             max_rounds: 20_000,
-            detection_timeout: 3,
-            backoff_cap: 8,
         }
     }
 
@@ -134,31 +123,6 @@ impl ConstructionConfig {
     #[must_use]
     pub fn with_max_rounds(mut self, rounds: u64) -> Self {
         self.max_rounds = rounds;
-        self
-    }
-
-    /// Builder-style override of the crash-detection timeout.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `rounds == 0` (a peer cannot be declared dead before
-    /// a single silent round has been observed).
-    #[must_use]
-    pub fn with_detection_timeout(mut self, rounds: u32) -> Self {
-        assert!(rounds >= 1, "detection timeout must be at least one round");
-        self.detection_timeout = rounds;
-        self
-    }
-
-    /// Builder-style override of the retry-backoff cap.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `rounds == 0`.
-    #[must_use]
-    pub fn with_backoff_cap(mut self, rounds: u32) -> Self {
-        assert!(rounds >= 1, "backoff cap must be at least one round");
-        self.backoff_cap = rounds;
         self
     }
 }
@@ -206,8 +170,6 @@ impl ToJson for ConstructionConfig {
             ("timeout_rounds", self.timeout_rounds.to_json()),
             ("maintenance_timeout", self.maintenance_timeout.to_json()),
             ("max_rounds", self.max_rounds.to_json()),
-            ("detection_timeout", self.detection_timeout.to_json()),
-            ("backoff_cap", self.backoff_cap.to_json()),
         ])
     }
 }
@@ -221,16 +183,6 @@ impl FromJson for ConstructionConfig {
             timeout_rounds: u32::from_json(value.get("timeout_rounds")?)?,
             maintenance_timeout: u32::from_json(value.get("maintenance_timeout")?)?,
             max_rounds: u64::from_json(value.get("max_rounds")?)?,
-            // Absent in configs serialized before the fault subsystem
-            // existed; fall back to the documented defaults.
-            detection_timeout: match value.get_opt("detection_timeout")? {
-                Some(v) => u32::from_json(v)?,
-                None => 3,
-            },
-            backoff_cap: match value.get_opt("backoff_cap")? {
-                Some(v) => u32::from_json(v)?,
-                None => 8,
-            },
         })
     }
 }
@@ -246,8 +198,6 @@ mod tests {
         assert_eq!(c.timeout_rounds, 4);
         assert_eq!(c.maintenance_timeout, 3);
         assert_eq!(c.max_rounds, 20_000);
-        assert_eq!(c.detection_timeout, 3);
-        assert_eq!(c.backoff_cap, 8);
     }
 
     #[test]
@@ -256,34 +206,11 @@ mod tests {
             .with_source_mode(SourceMode::Push)
             .with_timeout_rounds(7)
             .with_maintenance_timeout(2)
-            .with_max_rounds(100)
-            .with_detection_timeout(5)
-            .with_backoff_cap(16);
+            .with_max_rounds(100);
         assert_eq!(c.source_mode, SourceMode::Push);
         assert_eq!(c.timeout_rounds, 7);
         assert_eq!(c.maintenance_timeout, 2);
         assert_eq!(c.max_rounds, 100);
-        assert_eq!(c.detection_timeout, 5);
-        assert_eq!(c.backoff_cap, 16);
-    }
-
-    #[test]
-    #[should_panic(expected = "detection timeout")]
-    fn zero_detection_timeout_rejected() {
-        let _ = ConstructionConfig::new(Algorithm::Greedy, OracleKind::Random)
-            .with_detection_timeout(0);
-    }
-
-    #[test]
-    fn pre_fault_json_parses_with_defaults() {
-        // Configs serialized before detection_timeout/backoff_cap
-        // existed must still round-trip.
-        let old = "{\"algorithm\":\"Hybrid\",\"oracle\":\"RandomDelay\",\
-                   \"source_mode\":\"pull\",\"timeout_rounds\":4,\
-                   \"maintenance_timeout\":3,\"max_rounds\":20000}";
-        let c: ConstructionConfig = lagover_jsonio::from_str(old).unwrap();
-        assert_eq!(c.detection_timeout, 3);
-        assert_eq!(c.backoff_cap, 8);
     }
 
     #[test]

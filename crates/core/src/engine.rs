@@ -37,6 +37,17 @@ pub use lagover_obs::EngineCounters;
 #[cfg(debug_assertions)]
 const FULL_VALIDATE_LIMIT: usize = 4096;
 
+/// Consecutive silent rounds after which a child declares its parent
+/// crashed (crash-stop failures are silent, so liveness is inferred,
+/// never announced). Graceful churn is unaffected.
+pub const DETECTION_TIMEOUT: u32 = 3;
+
+/// Cap (in rounds) on the exponential backoff a peer applies after a
+/// *fault-induced* contact failure (lost interaction or oracle
+/// blackout). The timeout-fallback-to-source rule bypasses backoff, so
+/// this only paces oracle retries.
+const BACKOFF_CAP: u32 = 8;
+
 /// Victim-selection policy for [`Engine::displace_into`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum DisplacePolicy {
@@ -61,7 +72,7 @@ pub(crate) struct ProtoState {
     /// the hybrid maintenance timeout.
     pub violation_rounds: u32,
     /// Consecutive own-actions that found the parent silent (offline
-    /// without a goodbye). Reaching `detection_timeout` declares the
+    /// without a goodbye). Reaching `DETECTION_TIMEOUT` declares the
     /// parent crashed. Always zero under graceful churn, where edges to
     /// departed peers are removed in the same round.
     pub parent_silent_rounds: u32,
@@ -158,9 +169,8 @@ impl EngineSnapshot {
         if let Some(i) = (0..n).find(|&i| self.crashed[i] && self.online[i]) {
             return Err(JsonError(format!("crashed peer {i} is online")));
         }
-        let timeout = self.config.detection_timeout;
         let detected: Vec<bool> = (0..n)
-            .map(|i| self.crashed[i] && self.crash_silent[i] >= timeout)
+            .map(|i| self.crashed[i] && self.crash_silent[i] >= DETECTION_TIMEOUT)
             .collect();
         self.overlay.validate_liveness(&detected).map_err(JsonError)
     }
@@ -247,9 +257,9 @@ pub struct Engine {
     /// graceful churn, which clears overlay edges immediately).
     pub(crate) crashed: Vec<bool>,
     /// Rounds each crashed peer has been silent, saturating at
-    /// `detection_timeout` once its remaining edges are reclaimed.
+    /// `DETECTION_TIMEOUT` once its remaining edges are reclaimed.
     pub(crate) crash_silent: Vec<u32>,
-    /// The crash victims still short of `detection_timeout`: what
+    /// The crash victims still short of `DETECTION_TIMEOUT`: what
     /// [`Engine::detect_crashes`] ages, in ascending index order once it
     /// has sorted them.
     undetected: Vec<PeerId>,
@@ -397,9 +407,8 @@ impl Engine {
         // Likewise the settled bits of the engine it was cloned from:
         // what they vouched for included that engine's mode.
         overlay.unsettle_all();
-        let timeout = snapshot.config.detection_timeout;
         let undetected = (0..snapshot.crashed.len())
-            .filter(|&i| snapshot.crashed[i] && snapshot.crash_silent[i] < timeout)
+            .filter(|&i| snapshot.crashed[i] && snapshot.crash_silent[i] < DETECTION_TIMEOUT)
             .map(|i| PeerId::new(i as u32))
             .collect();
         Engine {
@@ -606,7 +615,7 @@ impl Engine {
     /// Injects a crash-stop failure of `p` right now: the peer goes
     /// permanently silent, but — unlike a graceful churn departure —
     /// **keeps every overlay edge** until neighbours detect the silence
-    /// (`detection_timeout` consecutive silent rounds). Returns whether
+    /// (`DETECTION_TIMEOUT` consecutive silent rounds). Returns whether
     /// the crash was injected (`false` if `p` is already offline).
     pub fn inject_crash(&mut self, p: PeerId) -> bool {
         if !self.online.contains(p) {
@@ -815,7 +824,7 @@ impl Engine {
 
     /// Ages each crash victim's silence at the *end* of the round —
     /// after the act phase, so children counting the same silence via
-    /// `parent_silent_rounds` reach `detection_timeout` first and
+    /// `parent_silent_rounds` reach `DETECTION_TIMEOUT` first and
     /// `failure_detach` themselves. Once the engine's own count gets
     /// there it reclaims whatever edges neighbours could not drop on
     /// their own (the corpse's parent edge, offline children). Only the
@@ -825,16 +834,15 @@ impl Engine {
         if self.crashed_total == 0 {
             return;
         }
-        let timeout = self.config.detection_timeout;
         let mut undetected = std::mem::take(&mut self.undetected);
         undetected.sort_unstable();
         undetected.retain(|&p| {
             let silent = &mut self.crash_silent[p.index()];
-            if *silent >= timeout {
+            if *silent >= DETECTION_TIMEOUT {
                 return false;
             }
             *silent += 1;
-            let detected = *silent >= timeout;
+            let detected = *silent >= DETECTION_TIMEOUT;
             if detected {
                 self.reclaim_crashed(p);
             }
@@ -844,7 +852,7 @@ impl Engine {
         #[cfg(debug_assertions)]
         if self.population.len() <= FULL_VALIDATE_LIMIT && !self.stabilizing {
             let detected: Vec<bool> = (0..self.population.len())
-                .map(|i| self.crashed[i] && self.crash_silent[i] >= self.config.detection_timeout)
+                .map(|i| self.crashed[i] && self.crash_silent[i] >= DETECTION_TIMEOUT)
                 .collect();
             debug_assert_eq!(self.overlay.validate_liveness(&detected), Ok(()));
         }
@@ -1220,7 +1228,7 @@ impl Engine {
     /// Records a fault-induced contact failure (lost interaction or
     /// oracle blackout — never an ordinary oracle miss) and schedules
     /// the next oracle retry: bounded exponential backoff
-    /// (`min(2^attempts, backoff_cap)` rounds) plus deterministic
+    /// (`min(2^attempts, BACKOFF_CAP)` rounds) plus deterministic
     /// jitter. The jitter is an RNG-free hash of `(peer, attempt)`, so
     /// peers failed by the same round desynchronize their retries
     /// without advancing any random stream.
@@ -1230,7 +1238,7 @@ impl Engine {
         let base = 1u32
             .checked_shl(st.failed_attempts.min(16))
             .expect("shift bounded at 16")
-            .min(self.config.backoff_cap.max(1));
+            .min(BACKOFF_CAP);
         let key = (u64::from(p.get()) << 32) | u64::from(st.failed_attempts);
         st.backoff_remaining =
             (base - 1) + lagover_sim::faults::deterministic_jitter(key, base / 2);
@@ -1582,7 +1590,7 @@ impl Engine {
     }
 
     /// Detaches `p` from a parent it has declared crashed
-    /// (`detection_timeout` consecutive silent rounds) and resets its
+    /// (`DETECTION_TIMEOUT` consecutive silent rounds) and resets its
     /// protocol state so construction restarts next round. `p` keeps
     /// its own subtree, exactly like a maintenance detach.
     pub(crate) fn failure_detach(&mut self, p: PeerId) {
@@ -1771,19 +1779,9 @@ impl FromJson for ProtoState {
             referral: Option::from_json(value.get("referral")?)?,
             rounds_unparented: u32::from_json(value.get("rounds_unparented")?)?,
             violation_rounds: u32::from_json(value.get("violation_rounds")?)?,
-            // Absent in snapshots taken before the fault subsystem.
-            parent_silent_rounds: match value.get_opt("parent_silent_rounds")? {
-                Some(v) => u32::from_json(v)?,
-                None => 0,
-            },
-            failed_attempts: match value.get_opt("failed_attempts")? {
-                Some(v) => u32::from_json(v)?,
-                None => 0,
-            },
-            backoff_remaining: match value.get_opt("backoff_remaining")? {
-                Some(v) => u32::from_json(v)?,
-                None => 0,
-            },
+            parent_silent_rounds: u32::from_json(value.get("parent_silent_rounds")?)?,
+            failed_attempts: u32::from_json(value.get("failed_attempts")?)?,
+            backoff_remaining: u32::from_json(value.get("backoff_remaining")?)?,
         })
     }
 }
@@ -1812,7 +1810,6 @@ impl FromJson for EngineSnapshot {
     fn from_json(value: &Json) -> Result<Self, JsonError> {
         let population = Population::from_json(value.get("population")?)?;
         let n = population.len();
-        let rng = SimRng::from_json(value.get("rng")?)?;
         let snapshot = EngineSnapshot {
             population,
             config: ConstructionConfig::from_json(value.get("config")?)?,
@@ -1820,32 +1817,13 @@ impl FromJson for EngineSnapshot {
             online: Vec::from_json(value.get("online")?)?,
             proto: Vec::from_json(value.get("proto")?)?,
             counters: EngineCounters::from_json(value.get("counters")?)?,
-            // Absent in snapshots taken before the keyed schedule: a
-            // key derived from the stream state the document carries.
-            schedule_key: match value.get_opt("schedule_key")? {
-                Some(v) => u64::from_json(v)?,
-                None => schedule_key(&rng),
-            },
-            rng,
+            schedule_key: u64::from_json(value.get("schedule_key")?)?,
+            rng: SimRng::from_json(value.get("rng")?)?,
             round: Round::from_json(value.get("round")?)?,
-            // Absent in snapshots taken before the fault subsystem:
-            // no faults, nobody crashed.
-            faults: match value.get_opt("faults")? {
-                Some(v) => FaultPlan::from_json(v)?,
-                None => FaultPlan::none(),
-            },
-            crashed: match value.get_opt("crashed")? {
-                Some(v) => Vec::from_json(v)?,
-                None => vec![false; n],
-            },
-            crash_silent: match value.get_opt("crash_silent")? {
-                Some(v) => Vec::from_json(v)?,
-                None => vec![0; n],
-            },
-            next_crash: match value.get_opt("next_crash")? {
-                Some(v) => usize::from_json(v)?,
-                None => 0,
-            },
+            faults: FaultPlan::from_json(value.get("faults")?)?,
+            crashed: Vec::from_json(value.get("crashed")?)?,
+            crash_silent: Vec::from_json(value.get("crash_silent")?)?,
+            next_crash: usize::from_json(value.get("next_crash")?)?,
         };
         snapshot.check(n)?;
         Ok(snapshot)
@@ -2043,10 +2021,10 @@ mod tests {
             "live chain through a corpse"
         );
 
-        // After detection_timeout rounds every edge touching the victim
+        // After DETECTION_TIMEOUT rounds every edge touching the victim
         // is gone — either the children walked away or the engine
         // reclaimed them.
-        for _ in 0..=engine.config().detection_timeout {
+        for _ in 0..=DETECTION_TIMEOUT {
             engine.step();
         }
         assert_eq!(engine.overlay.parent(p(0)), None);

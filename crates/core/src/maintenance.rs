@@ -21,7 +21,7 @@
 //! the paper's trigger); fragments keep negotiating through their root.
 
 use crate::config::Algorithm;
-use crate::engine::Engine;
+use crate::engine::{Engine, DETECTION_TIMEOUT};
 use crate::node::{Member, PeerId};
 
 /// The answer to `p`'s liveness probe of its parent: `None` for the
@@ -38,7 +38,7 @@ fn parent_answers(engine: &Engine, p: PeerId) -> Option<bool> {
 /// Before the latency check, `p` probes its parent's liveness: a
 /// crash-stop failed parent is still in the overlay (crashes are
 /// silent), so `p` counts consecutive silent rounds and — once
-/// `detection_timeout` of them accumulate — declares the parent dead
+/// `DETECTION_TIMEOUT` of them accumulate — declares the parent dead
 /// and detaches, keeping its own subtree. Graceful churn never reaches
 /// this path: a churn departure clears its edges in the same round, so
 /// a parented peer's parent is online in every churn-only run.
@@ -51,7 +51,7 @@ pub(crate) fn maintain(engine: &mut Engine, p: PeerId) {
     match parent_answers(engine, p) {
         Some(false) => {
             engine.proto[p.index()].parent_silent_rounds += 1;
-            if engine.proto[p.index()].parent_silent_rounds >= engine.config.detection_timeout {
+            if engine.proto[p.index()].parent_silent_rounds >= DETECTION_TIMEOUT {
                 engine.failure_detach(p);
             }
             return;
@@ -211,7 +211,7 @@ mod tests {
 
     #[test]
     fn silent_parent_is_detected_after_timeout() {
-        // detection_timeout defaults to 3.
+        // DETECTION_TIMEOUT is 3.
         let mut e = violated_engine(Algorithm::Hybrid);
         e.inject_crash(p(0));
         // The edge survives while b is still counting silence.

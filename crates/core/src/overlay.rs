@@ -81,8 +81,6 @@ const NO_PARENT: u32 = u32::MAX;
 const PARENT_SOURCE: u32 = u32::MAX - 1;
 /// Packed `root` sentinel: the chain reaches the source.
 const ROOT_SOURCE: u32 = u32::MAX;
-/// `horizon` of a forest whose stamps never saturate.
-const NO_HORIZON: u32 = u32::MAX;
 
 /// Root of a peer's chain: either the source (the chain can actually
 /// receive the feed) or the topmost parent-less peer of a fragment.
@@ -208,8 +206,7 @@ pub struct Overlay {
     /// lockstep with `root`.
     hops: Vec<u32>,
     /// Where `hops` saturates: `max_latency + 1` of the population the
-    /// forest was built for ([`NO_HORIZON`] when restored from a
-    /// document that predates it, whose stamps are exact).
+    /// forest was built for.
     horizon: u32,
     /// One settled bit per peer, 64 to a word (see the module docs).
     /// Derived state: never serialized, never compared.
@@ -1300,15 +1297,15 @@ impl FromJson for ChainRoot {
 
 impl ToJson for Overlay {
     fn to_json(&self) -> Json {
-        // The wire shape predates the arena layout (per-peer `children`
-        // lists, `Option<Member>` parents, `ChainRoot` roots) and is
-        // kept byte-compatible so committed snapshots stay valid.
+        // The wire shape is per peer (`children` lists, `Option<Member>`
+        // parents, `ChainRoot` roots), not the arena: `from_json`
+        // rebuilds the arena from it.
         let parent: Vec<Option<Member>> = self.parent.iter().map(|&r| unpack_parent(r)).collect();
         let children: Vec<Vec<PeerId>> = (0..self.parent.len())
             .map(|i| self.kids(i).to_vec())
             .collect();
         let root: Vec<ChainRoot> = self.root.iter().map(|&r| ChainRoot::unpack(r)).collect();
-        let mut fields = vec![
+        object(vec![
             ("source_fanout", self.source_fanout.to_json()),
             ("fanout", self.fanout.to_json()),
             ("parent", parent.to_json()),
@@ -1316,11 +1313,8 @@ impl ToJson for Overlay {
             ("source_children", self.source_children.to_json()),
             ("root", root.to_json()),
             ("hops", self.hops.to_json()),
-        ];
-        if self.horizon != NO_HORIZON {
-            fields.push(("horizon", self.horizon.to_json()));
-        }
-        object(fields)
+            ("horizon", self.horizon.to_json()),
+        ])
     }
 }
 
@@ -1386,11 +1380,7 @@ impl FromJson for Overlay {
             source_children,
             root: root.into_iter().map(ChainRoot::pack).collect(),
             hops,
-            // A document that predates the horizon carries exact hops.
-            horizon: match value.get_opt("horizon")? {
-                Some(v) => u32::from_json(v)?,
-                None => NO_HORIZON,
-            },
+            horizon: u32::from_json(value.get("horizon")?)?,
             settled: vec![0; children.len().div_ceil(64)],
             reporting: false,
             woken: Vec::new(),
@@ -1819,34 +1809,12 @@ mod tests {
     }
 
     #[test]
-    fn json_round_trips_saturated_stamps_and_reads_bare_documents() {
+    fn json_round_trips_saturated_stamps() {
         // Stamps past the horizon survive the round trip with it.
         let o = long_chain(12);
         assert_eq!(o.stamped_hops(p(11)), o.horizon());
-        let Json::Object(mut fields) = o.to_json() else {
-            panic!("an overlay serializes as an object");
-        };
-        let back = Overlay::from_json(&Json::Object(fields.clone())).unwrap();
+        let back = Overlay::from_json(&o.to_json()).unwrap();
         assert_eq!(o, back);
-
-        // A document from before the horizon carries exact hops and
-        // restores as a forest that keeps stamping exactly.
-        fields.retain(|(key, _)| key != "horizon");
-        assert!(
-            Overlay::from_json(&Json::Object(fields.clone())).is_err(),
-            "saturated hops are not exact"
-        );
-        for (key, value) in &mut fields {
-            if key == "hops" {
-                let exact: Vec<u32> = (0..13).map(|i| o.hops_to_root(p(i))).collect();
-                *value = exact.to_json();
-            }
-        }
-        let mut bare = Overlay::from_json(&Json::Object(fields)).unwrap();
-        assert_eq!(bare.stamped_hops(p(11)), 12);
-        bare.attach(p(12), Member::Peer(p(11))).unwrap();
-        assert_eq!(bare.stamped_hops(p(12)), 13);
-        assert_eq!(bare.validate(), Ok(()));
-        assert!(matches!(bare.to_json().get_opt("horizon"), Ok(None)));
+        assert_eq!(back.horizon(), o.horizon());
     }
 }

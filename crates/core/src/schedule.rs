@@ -38,8 +38,8 @@ const SPREAD: u64 = 0x9E37_79B9_7F4A_7C15;
 
 /// The schedule key of an engine whose stream is in state `rng`: the
 /// first word of a stream split off it, so taking it draws nothing.
-/// Engines take it from their seed's fresh stream; a snapshot document
-/// that predates the key, from the stream state it carries.
+/// Engines take it from their seed's fresh stream, and a snapshot
+/// carries it.
 pub(crate) fn schedule_key(rng: &SimRng) -> u64 {
     rng.split(SCHEDULE_SALT).state()[0]
 }

@@ -187,18 +187,15 @@ fn rand_population(n: usize, seed: u64) -> Population {
     }
 }
 
-/// Fanout-8 layers, each a quarter full, with four rounds of latency
-/// slack — the benchmark's burst population.
+/// `lagover_workload::layered_population` (fanout-8 layers, each a
+/// quarter full, with four rounds of latency slack — the benchmark's
+/// burst population), rebuilt as this crate's `Population`: the
+/// dev-dependency links its own build of `lagover_core`.
 fn layered_population(n: usize) -> Population {
-    let (mut layer, mut slots, mut filled) = (1u32, 8u64, 0u64);
-    let peers = (0..n).map(|_| {
-        if filled == (slots / 4).max(1) {
-            (slots, layer, filled) = (filled * 8, layer + 1, 0);
-        }
-        filled += 1;
-        Constraints::new(8, layer + 4)
-    });
-    Population::new(8, peers.collect())
+    let layered = lagover_workload::layered_population(n);
+    let peers = layered.fanouts().iter().zip(layered.latencies());
+    let peers = peers.map(|(&f, &l)| Constraints::new(f, l)).collect();
+    Population::new(layered.source_fanout(), peers)
 }
 
 /// The property at n = 10^4 on the two benchmark shapes, to
@@ -360,37 +357,4 @@ fn a_snapshot_replays_identically_through_json() {
     let restored = Engine::restore(EngineSnapshot::from_json_str(&json).expect("parses"));
     assert_eq!(restored.snapshot().to_json_string(), json);
     assert_eq!(replay(restored, 40), replay(engine, 40));
-}
-
-/// A document from before the keyed schedule carries no key; it
-/// restores with one derived from the stream state it does carry —
-/// which, for an engine that has not drawn yet, is the key the engine
-/// itself was built with.
-#[test]
-fn a_snapshot_without_a_schedule_key_restores_with_one_from_its_stream() {
-    let strip = |json: &str| {
-        let at = json.find(",\"schedule_key\":").expect("key present");
-        let end = at + json[at + 1..].find(',').expect("a field follows") + 1;
-        format!("{}{}", &json[..at], &json[end..])
-    };
-    let fresh = Engine::new(&small_population(), &config(), 8);
-    let legacy = strip(&fresh.snapshot().to_json_string());
-    assert!(!legacy.contains("schedule_key"));
-    let restored = Engine::restore(EngineSnapshot::from_json_str(&legacy).expect("parses"));
-    assert_eq!(
-        restored.snapshot().to_json_string(),
-        fresh.snapshot().to_json_string()
-    );
-    assert_eq!(replay(restored, 40), replay(fresh, 40));
-
-    // Mid-run the derived key is a different one, but restoring is
-    // still a function of the document.
-    let mut engine = Engine::new(&small_population(), &config(), 8);
-    for _ in 0..3 {
-        engine.step();
-    }
-    let legacy = strip(&engine.snapshot().to_json_string());
-    let once = Engine::restore(EngineSnapshot::from_json_str(&legacy).expect("parses"));
-    let twice = Engine::restore(EngineSnapshot::from_json_str(&legacy).expect("parses"));
-    assert_eq!(replay(once, 40), replay(twice, 40));
 }

@@ -331,7 +331,7 @@ fn crashing_a_parent_unsettles_its_children_who_count_the_silence() {
         [p(3)],
         "0 is gone, 1 and 2 must probe"
     );
-    // detection_timeout defaults to 3: the edge survives two silent
+    // DETECTION_TIMEOUT is 3: the edge survives two silent
     // probes and falls at the third.
     for observed in 1..3 {
         engine.act_on(p(1));

@@ -41,7 +41,7 @@
 use lagover_obs::{InconsistencyCause, RepairKind};
 use lagover_sim::{CorruptionClass, CorruptionPlan};
 
-use crate::engine::Engine;
+use crate::engine::{Engine, DETECTION_TIMEOUT};
 use crate::node::{Member, PeerId};
 use crate::overlay::ChainRoot;
 
@@ -365,7 +365,7 @@ pub(crate) fn sweep(engine: &mut Engine) {
 
     // Fully-detected corpses must stay edge-free.
     for i in 0..engine.crashed.len() {
-        if !engine.crashed[i] || engine.crash_silent[i] < engine.config.detection_timeout {
+        if !engine.crashed[i] || engine.crash_silent[i] < DETECTION_TIMEOUT {
             continue;
         }
         let p = PeerId::new(i as u32);
@@ -648,7 +648,7 @@ mod tests {
         let mut engine = converged_engine(29);
         let victim = p(1);
         engine.inject_crash(victim);
-        for _ in 0..=u64::from(engine.config().detection_timeout) {
+        for _ in 0..=u64::from(DETECTION_TIMEOUT) {
             engine.step();
         }
         assert_eq!(engine.overlay().parent(victim), None, "already reclaimed");

@@ -15,6 +15,7 @@ use std::ops::RangeInclusive;
 
 use proptest::prelude::*;
 
+use lagover_core::engine::DETECTION_TIMEOUT;
 use lagover_core::node::{Constraints, Member, PeerId, Population};
 use lagover_core::overlay::Overlay;
 use lagover_core::sufficiency::{check, exact_feasibility, validate_assignment};
@@ -537,7 +538,7 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Crash-stop detection completes: after `detection_timeout + 1`
+    /// Crash-stop detection completes: after `DETECTION_TIMEOUT + 1`
     /// further rounds every trace of an arbitrary crashed cohort is
     /// gone — no live peer's parent chain traverses a corpse, crashed
     /// peers hold no edges, and both the structural and the liveness
@@ -557,7 +558,7 @@ proptest! {
                 engine.inject_crash(p);
             }
         }
-        for _ in 0..=config.detection_timeout {
+        for _ in 0..=DETECTION_TIMEOUT {
             engine.step();
         }
         prop_assert_eq!(engine.stale_chain_count(), 0);
@@ -1008,7 +1009,7 @@ fn drive_composed(
     let mut goal = Goal::new(plan, seed, config.max_rounds, COMPOSED_HORIZON);
     let mut churn = plan.churn;
     let mut quiet_from = if churn.is_some() { churn_stop } else { 0 };
-    let timeout = u64::from(config.detection_timeout);
+    let timeout = u64::from(DETECTION_TIMEOUT);
     let (mut crashed_at, mut corrupted, mut armed) = (None, false, true);
     goal.check(&mut engine);
     loop {

@@ -68,25 +68,32 @@ fn restores_and_runs(text: &str) {
     }
 }
 
-/// Every array element of `doc`: the path of child indices down to its
-/// array, and its index there.
-fn elements(doc: &Json, path: &mut Vec<usize>, out: &mut Vec<(Vec<usize>, usize)>) {
+/// Every entry of every container in `doc` — array element or object
+/// key: the path of child indices down to its container, and its index
+/// there — split into `(elements, keys)`.
+fn entries(doc: &Json, path: &mut Vec<usize>, out: &mut Entries) {
     let children: Vec<&Json> = match doc {
         Json::Array(items) => {
-            out.extend((0..items.len()).map(|i| (path.clone(), i)));
+            out.0.extend((0..items.len()).map(|i| (path.clone(), i)));
             items.iter().collect()
         }
-        Json::Object(fields) => fields.iter().map(|(_, v)| v).collect(),
+        Json::Object(fields) => {
+            out.1.extend((0..fields.len()).map(|i| (path.clone(), i)));
+            fields.iter().map(|(_, v)| v).collect()
+        }
         _ => Vec::new(),
     };
     for (i, child) in children.into_iter().enumerate() {
         path.push(i);
-        elements(child, path, out);
+        entries(child, path, out);
         path.pop();
     }
 }
 
-/// `doc` without element `i` of the array at `path`.
+/// Array elements and object keys, as [`entries`] lists them.
+type Entries = (Vec<(Vec<usize>, usize)>, Vec<(Vec<usize>, usize)>);
+
+/// `doc` without entry `i` of the container at `path`.
 fn without(doc: &Json, path: &[usize], i: usize) -> Json {
     let mut doc = doc.clone();
     let mut cur = &mut doc;
@@ -99,9 +106,31 @@ fn without(doc: &Json, path: &[usize], i: usize) -> Json {
     }
     match cur {
         Json::Array(items) => drop(items.remove(i)),
-        _ => unreachable!("paths end at arrays"),
+        Json::Object(fields) => drop(fields.remove(i)),
+        _ => unreachable!("paths end at containers"),
     }
     doc
+}
+
+/// The key names down to entry `i` of the container at `path`, for
+/// messages: `overlay.horizon`, `proto.3.referral`.
+fn key_path(doc: &Json, path: &[usize], i: usize) -> String {
+    let mut names = Vec::new();
+    let mut cur = doc;
+    for &step in path.iter().chain([&i]) {
+        match cur {
+            Json::Array(items) => {
+                names.push(step.to_string());
+                cur = &items[step];
+            }
+            Json::Object(fields) => {
+                names.push(fields[step].0.clone());
+                cur = &fields[step].1;
+            }
+            _ => unreachable!("paths lead through containers"),
+        }
+    }
+    names.join(".")
 }
 
 /// `text` without element `i` of its top-level field `field`.
@@ -165,11 +194,35 @@ fn a_crashed_peer_marked_online_is_an_error() {
 fn dropping_any_one_array_element_parses_to_an_error_or_runs() {
     for text in snapshots() {
         let doc = lagover_jsonio::parse(text).expect("a valid snapshot parses");
-        let mut all = Vec::new();
-        elements(&doc, &mut Vec::new(), &mut all);
-        for (path, i) in all {
+        let mut all = Entries::default();
+        entries(&doc, &mut Vec::new(), &mut all);
+        for (path, i) in all.0 {
             restores_and_runs(&without(&doc, &path, i).to_string_compact());
         }
+    }
+}
+
+/// `from_json` reads exactly what `to_json` writes: a snapshot taken
+/// after a crash restores byte-equal, and without any one of its keys —
+/// at the top level, in the config, the overlay, a peer's protocol
+/// state, the counters or anywhere else — it is an error, not a
+/// document read with a default.
+#[test]
+fn a_snapshot_document_has_one_shape() {
+    let text = &snapshots()[1];
+    let snapshot = EngineSnapshot::from_json_str(text).expect("a valid snapshot parses");
+    assert_eq!(&Engine::restore(snapshot).snapshot().to_json_string(), text);
+    let doc = lagover_jsonio::parse(text).expect("a valid snapshot parses");
+    let mut all = Entries::default();
+    entries(&doc, &mut Vec::new(), &mut all);
+    assert!(all.1.len() > 50, "{} keys", all.1.len());
+    for (path, i) in all.1 {
+        let missing = without(&doc, &path, i).to_string_compact();
+        assert!(
+            EngineSnapshot::from_json_str(&missing).is_err(),
+            "parsed without {}",
+            key_path(&doc, &path, i)
+        );
     }
 }
 

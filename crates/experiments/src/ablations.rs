@@ -11,9 +11,9 @@
 use serde::{Deserialize, Serialize};
 
 use lagover_core::{construct, Algorithm, ConstructionConfig, OracleKind, Plan, Run, SourceMode};
-use lagover_sim::churn::{SessionChurn, SessionDistribution};
+use lagover_sim::churn::{BernoulliChurn, SessionChurn, SessionDistribution};
 use lagover_sim::stats;
-use lagover_workload::{ChurnSpec, TopologicalConstraint, WorkloadSpec};
+use lagover_workload::{TopologicalConstraint, WorkloadSpec};
 
 use crate::table::TextTable;
 use crate::Params;
@@ -165,7 +165,8 @@ pub fn run(params: &Params) -> AblationReport {
                 .with_max_rounds(params.max_rounds);
             let run = Run::new(&population, &config, seed);
             let outcome = if i == 0 {
-                run.perturb(&Plan::churn(ChurnSpec::Paper), horizon).outcome
+                run.perturb(&Plan::churn(BernoulliChurn::paper()), horizon)
+                    .outcome
             } else {
                 // Mean on-session 100 rounds (heavy-tailed), mean
                 // off-session ~5 rounds: same ~95% availability as the

@@ -12,9 +12,9 @@ use serde::{Deserialize, Serialize};
 use lagover_core::{
     construct, parallel_runs, Algorithm, ConstructionConfig, OracleKind, Plan, Run,
 };
-use lagover_sim::stats;
 use lagover_sim::stats::mann_whitney_less;
-use lagover_workload::{ChurnSpec, TopologicalConstraint, WorkloadSpec};
+use lagover_sim::{stats, BernoulliChurn};
+use lagover_workload::{TopologicalConstraint, WorkloadSpec};
 
 use crate::table::TextTable;
 use crate::Params;
@@ -91,15 +91,21 @@ impl Fig4Report {
 
     /// Finds a row.
     pub fn row(&self, algorithm: Algorithm, with_churn: bool) -> &Fig4Row {
-        let churn = if with_churn {
-            "churn(0.01/0.2)"
-        } else {
-            "no churn"
-        };
+        let churn = churn_label(with_churn);
         self.rows
             .iter()
             .find(|r| r.algorithm == algorithm.to_string() && r.churn == churn)
             .expect("all four rows present")
+    }
+}
+
+/// The churn column's label: calm runs, or the paper's §5.3 churn
+/// ([`BernoulliChurn::paper`]).
+fn churn_label(with_churn: bool) -> &'static str {
+    if with_churn {
+        "churn(0.01/0.2)"
+    } else {
+        "no churn"
     }
 }
 
@@ -112,9 +118,9 @@ pub fn run_on(params: &Params, class: TopologicalConstraint) -> Fig4Report {
         .into_iter()
         .enumerate()
     {
-        for (ci, churn_spec) in [ChurnSpec::None, ChurnSpec::Paper].into_iter().enumerate() {
-            // Each run derives everything from its own seed (`ChurnSpec`
-            // is a memoryless process each run copies), so the parallel
+        for (ci, with_churn) in [false, true].into_iter().enumerate() {
+            // Each run derives everything from its own seed (the churn
+            // is a memoryless process each run builds), so the parallel
             // map is bit-identical to the sequential loop.
             let results = parallel_runs(params.runs, |r| {
                 let seed = params.run_seed((ai * 2 + ci) as u64 + 100, r as u64);
@@ -123,39 +129,36 @@ pub fn run_on(params: &Params, class: TopologicalConstraint) -> Fig4Report {
                     .expect("repairable");
                 let config = ConstructionConfig::new(algorithm, OracleKind::RandomDelay)
                     .with_max_rounds(params.max_rounds);
-                match churn_spec {
-                    ChurnSpec::None => {
-                        let outcome = construct(&population, &config, seed);
-                        (
-                            outcome.converged(),
-                            outcome.latency_or(params.max_rounds as f64),
-                            outcome.final_satisfied_fraction,
-                        )
-                    }
-                    _ => {
-                        let outcome = Run::new(&population, &config, seed)
-                            .perturb(&Plan::churn(churn_spec), churn_rounds)
-                            .outcome;
-                        (
-                            outcome.converged_at.is_some(),
-                            outcome
-                                .converged_at
-                                .map(|v| v as f64)
-                                .unwrap_or(churn_rounds as f64),
-                            outcome.steady_state_fraction(),
-                        )
-                    }
+                if with_churn {
+                    let outcome = Run::new(&population, &config, seed)
+                        .perturb(&Plan::churn(BernoulliChurn::paper()), churn_rounds)
+                        .outcome;
+                    (
+                        outcome.converged_at.is_some(),
+                        outcome
+                            .converged_at
+                            .map(|v| v as f64)
+                            .unwrap_or(churn_rounds as f64),
+                        outcome.steady_state_fraction(),
+                    )
+                } else {
+                    let outcome = construct(&population, &config, seed);
+                    (
+                        outcome.converged(),
+                        outcome.latency_or(params.max_rounds as f64),
+                        outcome.final_satisfied_fraction,
+                    )
                 }
             });
             let converged = results.iter().filter(|(c, _, _)| *c).count();
             let latencies: Vec<f64> = results.iter().map(|&(_, l, _)| l).collect();
             let steady: Vec<f64> = results.iter().map(|&(_, _, s)| s).collect();
-            if churn_spec == ChurnSpec::None {
+            if !with_churn {
                 no_churn_latencies[ai].extend_from_slice(&latencies);
             }
             rows.push(Fig4Row {
                 algorithm: algorithm.to_string(),
-                churn: churn_spec.to_string(),
+                churn: churn_label(with_churn).to_string(),
                 median_latency: stats::median(&latencies).expect("runs >= 1"),
                 converged_runs: converged,
                 total_runs: params.runs,

@@ -11,8 +11,8 @@ use serde::{Deserialize, Serialize};
 
 use lagover_core::{Algorithm, ConstructionConfig, Engine, OracleKind};
 use lagover_feed::{run_live, LiveConfig};
-use lagover_sim::stats;
-use lagover_workload::{ChurnSpec, TopologicalConstraint, WorkloadSpec};
+use lagover_sim::{stats, BernoulliChurn};
+use lagover_workload::{TopologicalConstraint, WorkloadSpec};
 
 use crate::table::TextTable;
 use crate::Params;
@@ -103,7 +103,7 @@ pub fn run(params: &Params) -> LivenessReport {
                 let mut engine = Engine::new(&population, &config, seed);
                 let outcome = run_live(
                     &mut engine,
-                    &mut ChurnSpec::Bernoulli { p_off, p_on: 0.2 },
+                    &mut BernoulliChurn::new(p_off, 0.2),
                     &LiveConfig {
                         rounds: 600,
                         ..LiveConfig::default()

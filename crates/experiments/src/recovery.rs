@@ -4,7 +4,7 @@
 //! overlay takes to re-converge with no live chain crossing a corpse.
 //!
 //! Unlike the churn experiments, crashes here are *silent*: children
-//! only learn their parent died after `detection_timeout` silent
+//! only learn their parent died after `DETECTION_TIMEOUT` silent
 //! rounds, so the report also tracks how long stale chains linger and
 //! how large the orphan population gets while the overlay heals.
 

@@ -18,8 +18,8 @@ use serde::{Deserialize, Serialize};
 use lagover_core::{
     parallel_runs, Algorithm, ConstructionConfig, OracleKind, PerturbOutcome, Plan, Run,
 };
-use lagover_sim::{stats, CorruptionClass, TimeSeries};
-use lagover_workload::{CorruptionSpec, TopologicalConstraint};
+use lagover_sim::{stats, CorruptionClass, CorruptionPlan, TimeSeries};
+use lagover_workload::TopologicalConstraint;
 
 use crate::table::TextTable;
 use crate::{perturbed_runs, satisfiable_population, Params};
@@ -129,13 +129,17 @@ impl StabilizationReport {
     }
 }
 
-/// The declarative spec for one cell at one severity: a cell is either
-/// a single class or the full combined adversary.
-fn spec_for(classes: &[CorruptionClass], severity: f64) -> CorruptionSpec {
-    match *classes {
-        [class] => CorruptionSpec::Single { class, severity },
-        _ => CorruptionSpec::All { severity },
-    }
+/// The plan for one cell at one severity in the run seeded `seed`: a
+/// cell is either a single class or the full combined adversary. The
+/// plan's own seed is derived from the run seed, so each run corrupts
+/// different states while staying reproducible.
+fn plan_for(classes: &[CorruptionClass], severity: f64, seed: u64) -> Plan {
+    let plan = CorruptionPlan::new(seed ^ 0x000C_022F_F7E0);
+    let plan = match *classes {
+        [class] => plan.with_class(class),
+        _ => plan.with_all_classes(),
+    };
+    Plan::corruption(plan.with_severity(severity))
 }
 
 /// Summarizes one cell's outcomes into its row.
@@ -179,7 +183,7 @@ pub fn run(params: &Params) -> StabilizationReport {
             {
                 let salt = 8_000 + ((ci * SEVERITIES.len() + vi) * 2 + ai) as u64;
                 let kind = OracleKind::RandomDelay;
-                let plan = |seed| Plan::corruption(spec_for(&classes, severity).plan(seed));
+                let plan = |seed| plan_for(&classes, severity, seed);
                 let outcomes =
                     perturbed_runs(params, salt, params.peers, algorithm, kind, None, plan);
                 rows.push(summarize(
@@ -199,7 +203,7 @@ pub fn run(params: &Params) -> StabilizationReport {
     let combined: Vec<CorruptionClass> = CorruptionClass::ALL.to_vec();
     let severity = SEVERITIES[1];
     let realized = |label: &str, salt: u64, kind: OracleKind, split: u64, peers: usize| {
-        let plan = |seed| Plan::corruption(spec_for(&combined, severity).plan(seed));
+        let plan = |seed| plan_for(&combined, severity, seed);
         let hybrid = Algorithm::Hybrid;
         let outcomes = perturbed_runs(params, salt, peers, hybrid, kind, Some(split), plan);
         summarize("combined", severity, label.to_string(), horizon, &outcomes)
@@ -253,7 +257,7 @@ pub fn observed(params: &Params) -> lagover_obs::ObsReport {
         let population = satisfiable_population(class, params.peers, seed);
         let config = ConstructionConfig::new(Algorithm::Hybrid, OracleKind::RandomDelay)
             .with_max_rounds(params.max_rounds);
-        let plan = Plan::corruption(spec_for(&combined, severity).plan(seed));
+        let plan = plan_for(&combined, severity, seed);
         let observed = Run::new(&population, &config, seed)
             .observe(
                 crate::obs_exp::JOURNAL_CAPACITY,

@@ -18,7 +18,6 @@ use serde::{Deserialize, Serialize};
 
 use lagover_core::node::{PeerId, Population};
 use lagover_core::overlay::Overlay;
-use lagover_obs::{Event, Journal};
 use lagover_sim::SimRng;
 
 use crate::schedule::PublishSchedule;
@@ -100,31 +99,6 @@ pub fn disseminate(
     config: &DisseminationConfig,
     seed: u64,
 ) -> DisseminationReport {
-    disseminate_inner(overlay, population, config, seed, None)
-}
-
-/// [`disseminate`] with an event journal attached: every item receipt
-/// is recorded as an [`Event::Delivery`] (round, consumer, overlay
-/// depth at delivery), so the obs report can interleave content
-/// delivery with the structural timeline. The report itself is
-/// byte-identical to the unobserved run's.
-pub fn disseminate_observed(
-    overlay: &Overlay,
-    population: &Population,
-    config: &DisseminationConfig,
-    seed: u64,
-    journal: &mut Journal,
-) -> DisseminationReport {
-    disseminate_inner(overlay, population, config, seed, Some(journal))
-}
-
-fn disseminate_inner(
-    overlay: &Overlay,
-    population: &Population,
-    config: &DisseminationConfig,
-    seed: u64,
-    mut journal: Option<&mut Journal>,
-) -> DisseminationReport {
     assert!(config.pull_interval >= 1, "pull interval must be positive");
     assert_eq!(
         overlay.len(),
@@ -150,19 +124,7 @@ fn disseminate_inner(
             config.pull_interval,
             r,
             &mut received,
-            |p, depth, from| {
-                if let Some(parent) = from {
-                    pushes_sent[parent.index()] += 1;
-                }
-                if let Some(journal) = journal.as_deref_mut() {
-                    journal.push(Event::Delivery {
-                        round: r,
-                        peer: p.get(),
-                        depth,
-                        chunk: None,
-                    });
-                }
-            },
+            |parent| pushes_sent[parent.index()] += 1,
         );
     }
 
@@ -223,9 +185,8 @@ pub(crate) fn depth_order(
 /// on a pull tick each direct source child takes every item published
 /// before `r`; every deeper peer takes what its parent already held at
 /// the end of round `r - 1` (one hop per round). `received[peer][item]`
-/// is the receipt round; `on_delivery(peer, depth, from)` sees each new
-/// receipt, `from` being the pushing parent (`None` for a pull).
-/// Returns the pulls the source served.
+/// is the receipt round; `on_push(parent)` sees each copy a parent
+/// pushes. Returns the pulls the source served.
 pub(crate) fn propagate_round(
     overlay: &Overlay,
     by_depth: &[(u32, PeerId)],
@@ -233,7 +194,7 @@ pub(crate) fn propagate_round(
     pull_interval: u64,
     r: u64,
     received: &mut [Vec<Option<u64>>],
-    mut on_delivery: impl FnMut(PeerId, u32, Option<PeerId>),
+    mut on_push: impl FnMut(PeerId),
 ) -> u64 {
     let mut source_pulls = 0;
     for &(depth, p) in by_depth {
@@ -245,7 +206,6 @@ pub(crate) fn propagate_round(
                     // next tick — "no staler than T".
                     if published < r && received[p.index()][item].is_none() {
                         received[p.index()][item] = Some(r);
-                        on_delivery(p, depth, None);
                     }
                 }
             }
@@ -255,7 +215,7 @@ pub(crate) fn propagate_round(
             for (item, slot) in row.iter_mut().enumerate() {
                 if slot.is_none() && received[parent.index()][item].is_some_and(|at| at < r) {
                     *slot = Some(r);
-                    on_delivery(p, depth, Some(parent));
+                    on_push(parent);
                 }
             }
             received[p.index()] = row;
@@ -394,23 +354,6 @@ mod tests {
         assert!(sent[0] >= items - 2 && sent[0] <= items, "{sent:?}");
         assert!(sent[1] >= items - 2 && sent[1] <= items, "{sent:?}");
         assert_eq!(sent[2], 0, "leaf with no children uploaded");
-    }
-
-    #[test]
-    fn observed_run_journals_every_delivery_without_perturbing_the_report() {
-        let (overlay, population) = chain();
-        let config = DisseminationConfig {
-            pull_interval: 1,
-            rounds: 40,
-            schedule: PublishSchedule::Periodic { interval: 4 },
-        };
-        let plain = disseminate(&overlay, &population, &config, 1);
-        let mut journal = Journal::new(4096);
-        let observed = disseminate_observed(&overlay, &population, &config, 1, &mut journal);
-        assert_eq!(observed, plain, "observation must not change the run");
-        let delivered: usize = plain.per_node.iter().map(|nd| nd.received).sum();
-        assert_eq!(journal.len(), delivered);
-        assert!(journal.iter().all(|e| matches!(e, Event::Delivery { .. })));
     }
 
     #[test]

@@ -50,9 +50,7 @@ pub mod multifeed;
 pub mod schedule;
 pub mod server_load;
 
-pub use dissemination::{
-    disseminate, disseminate_observed, DisseminationConfig, DisseminationReport, NodeDelivery,
-};
+pub use dissemination::{disseminate, DisseminationConfig, DisseminationReport, NodeDelivery};
 pub use live::{run_live, LiveConfig, LiveOutcome};
 pub use multifeed::{BudgetPolicy, FeedSpec, MultiFeedOutcome, MultiFeedSystem, Subscription};
 pub use schedule::PublishSchedule;

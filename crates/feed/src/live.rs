@@ -106,7 +106,7 @@ pub fn run_live(
             config.pull_interval,
             r,
             &mut received,
-            |_, _, _| {},
+            |_| {},
         );
     }
 

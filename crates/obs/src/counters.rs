@@ -34,7 +34,7 @@ pub struct EngineCounters {
     /// Crash-stop failures injected over the run.
     pub crashes: u64,
     /// Children that declared their parent crashed after
-    /// `detection_timeout` silent rounds.
+    /// `DETECTION_TIMEOUT` silent rounds.
     pub failure_detections: u64,
     /// Interactions lost in flight by the fault plan.
     pub messages_lost: u64,
@@ -125,41 +125,14 @@ impl FromJson for EngineCounters {
             maintenance_detaches: u64::from_json(value.get("maintenance_detaches")?)?,
             churn_departures: u64::from_json(value.get("churn_departures")?)?,
             churn_arrivals: u64::from_json(value.get("churn_arrivals")?)?,
-            // Absent in counters serialized before the fault subsystem.
-            crashes: match value.get_opt("crashes")? {
-                Some(v) => u64::from_json(v)?,
-                None => 0,
-            },
-            failure_detections: match value.get_opt("failure_detections")? {
-                Some(v) => u64::from_json(v)?,
-                None => 0,
-            },
-            messages_lost: match value.get_opt("messages_lost")? {
-                Some(v) => u64::from_json(v)?,
-                None => 0,
-            },
-            oracle_outages: match value.get_opt("oracle_outages")? {
-                Some(v) => u64::from_json(v)?,
-                None => 0,
-            },
-            backoff_rounds: match value.get_opt("backoff_rounds")? {
-                Some(v) => u64::from_json(v)?,
-                None => 0,
-            },
-            // Absent in counters serialized before the stabilization
-            // subsystem.
-            corruptions_injected: match value.get_opt("corruptions_injected")? {
-                Some(v) => u64::from_json(v)?,
-                None => 0,
-            },
-            inconsistencies_detected: match value.get_opt("inconsistencies_detected")? {
-                Some(v) => u64::from_json(v)?,
-                None => 0,
-            },
-            repair_actions: match value.get_opt("repair_actions")? {
-                Some(v) => u64::from_json(v)?,
-                None => 0,
-            },
+            crashes: u64::from_json(value.get("crashes")?)?,
+            failure_detections: u64::from_json(value.get("failure_detections")?)?,
+            messages_lost: u64::from_json(value.get("messages_lost")?)?,
+            oracle_outages: u64::from_json(value.get("oracle_outages")?)?,
+            backoff_rounds: u64::from_json(value.get("backoff_rounds")?)?,
+            corruptions_injected: u64::from_json(value.get("corruptions_injected")?)?,
+            inconsistencies_detected: u64::from_json(value.get("inconsistencies_detected")?)?,
+            repair_actions: u64::from_json(value.get("repair_actions")?)?,
         })
     }
 }
@@ -200,15 +173,5 @@ mod tests {
         assert_eq!(a.attaches, 7);
         assert_eq!(a.crashes, 1);
         assert_eq!(a.backoff_rounds, 2);
-    }
-
-    #[test]
-    fn legacy_json_without_fault_fields_parses() {
-        let json = r#"{"interactions":1,"oracle_queries":2,"oracle_misses":0,
-            "attaches":1,"detaches":0,"displacements":0,"source_contacts":0,
-            "maintenance_detaches":0,"churn_departures":0,"churn_arrivals":0}"#;
-        let counters: EngineCounters = lagover_jsonio::from_str(json).expect("parses");
-        assert_eq!(counters.interactions, 1);
-        assert_eq!(counters.crashes, 0);
     }
 }

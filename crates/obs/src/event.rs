@@ -69,7 +69,7 @@ pub enum DetachCause {
     Discarded,
     /// The peer (or its parent) churned offline.
     Churn,
-    /// A crash-stop failure was detected after `detection_timeout`
+    /// A crash-stop failure was detected after `DETECTION_TIMEOUT`
     /// silent rounds (either a child giving up on a dead parent, or the
     /// engine reclaiming a detected crash victim's remaining edges).
     Failure,
@@ -422,7 +422,7 @@ pub enum Event {
         /// The victim.
         peer: u32,
     },
-    /// `peer` declared its parent crashed after `detection_timeout`
+    /// `peer` declared its parent crashed after `DETECTION_TIMEOUT`
     /// silent rounds.
     FaultDetected {
         /// Round of the detection.

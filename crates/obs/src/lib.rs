@@ -7,9 +7,8 @@
 //! - **[`Event`] / [`Journal`]** — a structured, bounded event journal
 //!   covering the full taxonomy (attach/detach, oracle contacts,
 //!   backoff, message loss, crashes, fault detection, feed delivery).
-//! - **[`Registry`] / [`Scrape`]** — named counters, gauges, and
-//!   histograms with per-round scrapes; absorbs [`EngineCounters`] and
-//!   the `lagover-sim` metric primitives (re-exported below).
+//! - **[`Registry`] / [`Scrape`]** — named counters and gauges with
+//!   per-round scrapes; absorbs [`EngineCounters`].
 //! - **[`HealthSample`]** — the per-round overlay health probe (depth
 //!   histogram, slack distribution, orphans, fanout utilization, stale
 //!   chains, oracle load).
@@ -41,10 +40,6 @@ pub use journal::Journal;
 pub use profiler::{PhaseStats, Profiler, Work};
 pub use registry::{Registry, Scrape};
 pub use report::ObsReport;
-
-// The metric primitives the registry is built from, re-exported so
-// downstream crates take them from the observability facade.
-pub use lagover_sim::{Histogram, TimeSeries};
 
 use serde::{Deserialize, Serialize};
 

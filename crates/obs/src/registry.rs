@@ -1,14 +1,12 @@
-//! The metrics registry: named counters, gauges, and histograms with a
-//! per-round scrape.
+//! The metrics registry: named counters and gauges with a per-round
+//! scrape.
 //!
-//! Absorbs the `lagover-sim` metric primitives (re-exported from the
-//! crate root) and the engine's [`EngineCounters`] into one named,
-//! insertion-ordered surface. Everything is `Vec`-backed — no hash
+//! Absorbs the engine's [`EngineCounters`] and the journal's event
+//! counts into one named, insertion-ordered surface. Everything is `Vec`-backed — no hash
 //! maps — so iteration order, and therefore every serialized scrape,
 //! is deterministic.
 
 use lagover_jsonio::{object, FromJson, Json, JsonError, ToJson};
-use lagover_sim::Histogram;
 use serde::{Deserialize, Serialize};
 
 use crate::counters::EngineCounters;
@@ -24,7 +22,6 @@ const ENGINE_PREFIX: &str = "engine.";
 pub struct Registry {
     counters: Vec<(String, u64)>,
     gauges: Vec<(String, f64)>,
-    histograms: Vec<Histogram>,
     /// Where each event kind's counter sits in `counters`, indexed by
     /// [`EventKind`]: position + 1, or 0 until the kind is first
     /// recorded. Counters are only ever appended, so a position stays
@@ -36,9 +33,7 @@ pub struct Registry {
 // Equality is the metrics', not the lookup cache's.
 impl PartialEq for Registry {
     fn eq(&self, other: &Self) -> bool {
-        self.counters == other.counters
-            && self.gauges == other.gauges
-            && self.histograms == other.histograms
+        self.counters == other.counters && self.gauges == other.gauges
     }
 }
 
@@ -84,20 +79,6 @@ impl Registry {
     /// Current value of the gauge `name`.
     pub fn gauge(&self, name: &str) -> Option<f64> {
         self.gauges.iter().find(|(n, _)| n == name).map(|(_, v)| *v)
-    }
-
-    /// The histogram `name`, created empty on first use.
-    pub fn histogram_mut(&mut self, name: &str) -> &mut Histogram {
-        if let Some(at) = self.histograms.iter().position(|h| h.name() == name) {
-            return &mut self.histograms[at];
-        }
-        self.histograms.push(Histogram::new(name));
-        self.histograms.last_mut().expect("just pushed")
-    }
-
-    /// The registered histograms, in insertion order.
-    pub fn histograms(&self) -> &[Histogram] {
-        &self.histograms
     }
 
     /// Counts one journal event into the `events.<kind>` counter. The
@@ -229,10 +210,6 @@ impl ToJson for Registry {
         object(vec![
             ("counters", pairs_to_json(&self.counters)),
             ("gauges", pairs_to_json(&self.gauges)),
-            (
-                "histograms",
-                Json::Array(self.histograms.iter().map(ToJson::to_json).collect()),
-            ),
         ])
     }
 }
@@ -242,7 +219,6 @@ impl FromJson for Registry {
         Ok(Registry {
             counters: pairs_from_json(value.get("counters")?)?,
             gauges: pairs_from_json(value.get("gauges")?)?,
-            histograms: Vec::from_json(value.get("histograms")?)?,
             event_slots: Default::default(),
         })
     }
@@ -325,15 +301,12 @@ mod tests {
     }
 
     #[test]
-    fn gauges_and_histograms() {
+    fn gauges_are_overwritten() {
         let mut registry = Registry::new();
         registry.set_gauge("satisfied_fraction", 0.5);
         registry.set_gauge("satisfied_fraction", 0.75);
         assert_eq!(registry.gauge("satisfied_fraction"), Some(0.75));
-        registry.histogram_mut("depth").record(3);
-        registry.histogram_mut("depth").record(1);
-        assert_eq!(registry.histograms()[0].count(), 2);
-        assert_eq!(registry.histograms().len(), 1, "found, not duplicated");
+        assert_eq!(registry.gauges.len(), 1, "found, not duplicated");
     }
 
     #[test]
@@ -366,7 +339,6 @@ mod tests {
         let mut registry = Registry::new();
         registry.add("events.detach", 1);
         registry.set_gauge("stale", 0.0);
-        registry.histogram_mut("depth").record(2);
         let json = lagover_jsonio::to_string(&registry);
         let back: Registry = lagover_jsonio::from_str(&json).expect("parses");
         assert_eq!(lagover_jsonio::to_string(&back), json);

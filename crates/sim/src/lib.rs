@@ -29,7 +29,7 @@
 //!   scenarios ([`faults::FaultPlan`]) replayed deterministically,
 //! * [`corruption`] — adversarial snapshot-corruption plans
 //!   ([`corruption::CorruptionPlan`]) for self-stabilization runs,
-//! * [`metrics`] — time-series / histogram recorders,
+//! * [`metrics`] — the time-series recorder,
 //! * [`stats`] — summary statistics (median-of-k runs is the paper's
 //!   reporting convention, §5.1).
 //!
@@ -59,7 +59,7 @@ pub use churn::{BernoulliChurn, ChurnProcess, NoChurn, Transitions};
 pub use corruption::{CorruptionClass, CorruptionPlan};
 pub use event::EventQueue;
 pub use faults::{Blackout, CrashEvent, FaultPlan};
-pub use metrics::{Histogram, TimeSeries};
+pub use metrics::TimeSeries;
 pub use rng::SimRng;
 pub use stats::Summary;
 pub use time::{Round, VirtualTime};

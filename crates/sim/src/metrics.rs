@@ -1,11 +1,10 @@
-//! Measurement primitives: time series and histograms.
+//! Measurement primitive: the time series.
 //!
 //! Every experiment in the harness records a per-round time series of the
 //! *satisfied fraction* (online peers whose latency constraint is met and
-//! whose chain reaches the source), counters of interactions /
-//! reconfigurations / oracle queries, and histograms of convergence
-//! times. These types are deliberately simple, allocation-light, and
-//! serializable so the experiment runners can emit them as JSON/CSV.
+//! whose chain reaches the source). The type is deliberately simple,
+//! allocation-light, and serializable so the experiment runners can
+//! emit it as JSON/CSV.
 
 use serde::{Deserialize, Serialize};
 
@@ -94,97 +93,6 @@ impl TimeSeries {
     }
 }
 
-/// A histogram over non-negative integer samples (e.g. convergence
-/// rounds), retaining raw samples for exact quantiles.
-///
-/// # Example
-///
-/// ```
-/// use lagover_sim::metrics::Histogram;
-/// let mut h = Histogram::new("convergence_rounds");
-/// for v in [3, 1, 2, 5, 4] {
-///     h.record(v);
-/// }
-/// assert_eq!(h.count(), 5);
-/// assert_eq!(h.quantile(0.5), Some(3));
-/// assert_eq!(h.min(), Some(1));
-/// assert_eq!(h.max(), Some(5));
-/// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct Histogram {
-    name: String,
-    samples: Vec<u64>,
-    sorted: bool,
-}
-
-impl Histogram {
-    /// Creates an empty histogram with a display name.
-    pub fn new(name: impl Into<String>) -> Self {
-        Histogram {
-            name: name.into(),
-            samples: Vec::new(),
-            sorted: true,
-        }
-    }
-
-    /// Records a sample.
-    pub fn record(&mut self, value: u64) {
-        if let Some(&last) = self.samples.last() {
-            if value < last {
-                self.sorted = false;
-            }
-        }
-        self.samples.push(value);
-    }
-
-    /// Number of samples recorded.
-    pub fn count(&self) -> usize {
-        self.samples.len()
-    }
-
-    /// Smallest sample.
-    pub fn min(&self) -> Option<u64> {
-        self.samples.iter().copied().min()
-    }
-
-    /// Largest sample.
-    pub fn max(&self) -> Option<u64> {
-        self.samples.iter().copied().max()
-    }
-
-    /// Mean of the samples.
-    pub fn mean(&self) -> Option<f64> {
-        if self.samples.is_empty() {
-            None
-        } else {
-            Some(self.samples.iter().sum::<u64>() as f64 / self.samples.len() as f64)
-        }
-    }
-
-    /// Exact `q`-quantile using the nearest-rank method.
-    ///
-    /// Returns `None` on an empty histogram or a `q` outside `[0, 1]`.
-    pub fn quantile(&self, q: f64) -> Option<u64> {
-        if self.samples.is_empty() || !(0.0..=1.0).contains(&q) {
-            return None;
-        }
-        let mut sorted = self.samples.clone();
-        sorted.sort_unstable();
-        let rank = ((q * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
-        Some(sorted[rank - 1])
-    }
-
-    /// Raw samples in insertion order.
-    pub fn samples(&self) -> &[u64] {
-        &self.samples
-    }
-
-    /// Display name.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-}
-
 use lagover_jsonio::{object, FromJson, Json, JsonError, ToJson};
 
 impl ToJson for TimeSeries {
@@ -203,26 +111,6 @@ impl FromJson for TimeSeries {
             name: value.get("name")?.as_str()?.to_string(),
             xs: Vec::from_json(value.get("xs")?)?,
             ys: Vec::from_json(value.get("ys")?)?,
-        })
-    }
-}
-
-impl ToJson for Histogram {
-    fn to_json(&self) -> Json {
-        object(vec![
-            ("name", Json::Str(self.name.clone())),
-            ("samples", self.samples.to_json()),
-            ("sorted", Json::Bool(self.sorted)),
-        ])
-    }
-}
-
-impl FromJson for Histogram {
-    fn from_json(value: &Json) -> Result<Self, JsonError> {
-        Ok(Histogram {
-            name: value.get("name")?.as_str()?.to_string(),
-            samples: Vec::from_json(value.get("samples")?)?,
-            sorted: value.get("sorted")?.as_bool()?,
         })
     }
 }
@@ -256,40 +144,6 @@ mod tests {
         assert_eq!(s.tail_mean(10), Some(0.5));
         assert_eq!(s.tail_mean(11), None);
         assert_eq!(s.tail_mean(0), None);
-    }
-
-    #[test]
-    fn histogram_quantiles_nearest_rank() {
-        let mut h = Histogram::new("h");
-        for v in [10, 20, 30, 40, 50] {
-            h.record(v);
-        }
-        assert_eq!(h.quantile(0.0), Some(10));
-        assert_eq!(h.quantile(0.5), Some(30));
-        assert_eq!(h.quantile(1.0), Some(50));
-        assert_eq!(h.quantile(0.25), Some(20));
-        assert_eq!(h.quantile(1.5), None);
-    }
-
-    #[test]
-    fn histogram_stats_on_unsorted_input() {
-        let mut h = Histogram::new("h");
-        for v in [5, 1, 9, 3] {
-            h.record(v);
-        }
-        assert_eq!(h.min(), Some(1));
-        assert_eq!(h.max(), Some(9));
-        assert_eq!(h.mean(), Some(4.5));
-        assert_eq!(h.count(), 4);
-    }
-
-    #[test]
-    fn histogram_empty() {
-        let h = Histogram::new("h");
-        assert_eq!(h.min(), None);
-        assert_eq!(h.max(), None);
-        assert_eq!(h.mean(), None);
-        assert_eq!(h.quantile(0.5), None);
     }
 
     #[test]

@@ -2,7 +2,6 @@
 
 use proptest::prelude::*;
 
-use lagover_sim::metrics::Histogram;
 use lagover_sim::rng::SimRng;
 use lagover_sim::stats::{quantile_sorted, Summary};
 use lagover_sim::time::{Round, VirtualTime};
@@ -37,23 +36,6 @@ proptest! {
         prop_assert!(a <= b + 1e-12);
         prop_assert!(a >= samples[0] - 1e-12);
         prop_assert!(b <= samples[samples.len() - 1] + 1e-12);
-    }
-
-    /// Histogram nearest-rank quantiles return actual samples and are
-    /// monotone.
-    #[test]
-    fn histogram_quantiles_are_samples(values in prop::collection::vec(0u64..10_000, 1..100)) {
-        let mut h = Histogram::new("h");
-        for &v in &values {
-            h.record(v);
-        }
-        let q25 = h.quantile(0.25).unwrap();
-        let q75 = h.quantile(0.75).unwrap();
-        prop_assert!(values.contains(&q25));
-        prop_assert!(values.contains(&q75));
-        prop_assert!(q25 <= q75);
-        prop_assert_eq!(h.min().unwrap(), *values.iter().min().unwrap());
-        prop_assert_eq!(h.max().unwrap(), *values.iter().max().unwrap());
     }
 
     /// The event queue is a stable priority queue: events come out in

@@ -3,12 +3,16 @@
 
 //! # lagover-workload
 //!
-//! Workload generators for the LagOver evaluation (§4).
+//! Population generators for the LagOver evaluation (§4).
 //!
 //! The paper characterizes workloads by the peers' *topological
 //! constraints* — the joint distribution of latency constraints and
-//! fanouts — plus the churn process. Four classes are evaluated
-//! (§4.1), all reproduced here, plus the §3.3.1 adversarial family:
+//! fanouts — plus the churn process. This crate generates the
+//! populations only: a run's churn is a `lagover_sim` process
+//! (`BernoulliChurn::paper()` is §5.3's) and its adversary a
+//! `lagover_sim::CorruptionPlan`, passed straight to a `Plan`. Four
+//! classes are evaluated (§4.1), all reproduced here, plus the §3.3.1
+//! adversarial family:
 //!
 //! | Class | Meaning |
 //! |---|---|
@@ -35,9 +39,8 @@
 //! ```
 
 pub mod adversarial;
-pub mod churn;
-pub mod corruption;
 pub mod generators;
+pub mod layered;
 
 use std::fmt;
 
@@ -46,8 +49,7 @@ use serde::{Deserialize, Serialize};
 use lagover_core::node::Population;
 
 pub use adversarial::adversarial_population;
-pub use churn::ChurnSpec;
-pub use corruption::CorruptionSpec;
+pub use layered::layered_population;
 
 /// The §4.1 workload classes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]

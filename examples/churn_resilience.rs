@@ -9,7 +9,8 @@
 //! ```
 
 use lagover::core::{Algorithm, ConstructionConfig, OracleKind, Plan, Run};
-use lagover::workload::{ChurnSpec, TopologicalConstraint, WorkloadSpec};
+use lagover::sim::BernoulliChurn;
+use lagover::workload::{TopologicalConstraint, WorkloadSpec};
 
 fn sparkline(ys: &[f64]) -> String {
     const BARS: [char; 8] = ['▁', '▂', '▃', '▄', '▅', '▆', '▇', '█'];
@@ -31,7 +32,7 @@ fn main() {
         let config =
             ConstructionConfig::new(algorithm, OracleKind::RandomDelay).with_max_rounds(10_000);
         let outcome = Run::new(&population, &config, 42)
-            .perturb(&Plan::churn(ChurnSpec::Paper), rounds)
+            .perturb(&Plan::churn(BernoulliChurn::paper()), rounds)
             .outcome;
 
         // Downsample the series to an 80-character sparkline.

@@ -1,8 +1,8 @@
 //! Failure injection and churn-recovery integration tests.
 
 use lagover::core::{Algorithm, ConstructionConfig, Engine, FaultScenario, OracleKind, Plan, Run};
-use lagover::sim::{ChurnProcess, FaultPlan, SimRng, Transitions};
-use lagover::workload::{ChurnSpec, TopologicalConstraint, WorkloadSpec};
+use lagover::sim::{BernoulliChurn, ChurnProcess, FaultPlan, SimRng, Transitions};
+use lagover::workload::{TopologicalConstraint, WorkloadSpec};
 
 /// Kills an explicit set of peers once, then does nothing.
 struct KillOnce {
@@ -105,7 +105,7 @@ fn paper_churn_sustains_high_satisfaction_on_all_workloads() {
         let config = ConstructionConfig::new(Algorithm::Hybrid, OracleKind::RandomDelay)
             .with_max_rounds(10_000);
         let outcome = Run::new(&population, &config, 13)
-            .perturb(&Plan::churn(ChurnSpec::Paper), 600)
+            .perturb(&Plan::churn(BernoulliChurn::paper()), 600)
             .outcome;
         assert!(
             outcome.steady_state_fraction() > 0.6,
