@@ -45,24 +45,53 @@ use lagover_node::{
     UdpNodeOptions,
 };
 use lagover_obs::{Event, Node, ObsReport};
-use lagover_stream::{stream, StreamConfig};
+use lagover_stream::{stream, StreamConfig, StreamError};
 use lagover_workload::generators::MAX_RELAXED_LATENCY;
 use lagover_workload::{TopologicalConstraint, WorkloadSpec};
 
 /// A CLI failure with a user-facing message.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CliError(pub String);
+pub struct CliError {
+    /// What went wrong.
+    pub message: String,
+    /// The arguments themselves cannot be served — a run would need
+    /// a forest the budgets cannot carve or a horizon past what can be
+    /// held — as opposed to a run that was tried and failed.
+    pub usage: bool,
+}
+
+impl CliError {
+    /// The process exit status: 2 for a usage error, as for arguments
+    /// that do not parse, and 1 for a failed run.
+    pub fn exit_code(&self) -> u8 {
+        if self.usage {
+            2
+        } else {
+            1
+        }
+    }
+}
 
 impl fmt::Display for CliError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.0)
+        f.write_str(&self.message)
     }
 }
 
 impl std::error::Error for CliError {}
 
 fn err(msg: impl Into<String>) -> CliError {
-    CliError(msg.into())
+    CliError {
+        message: msg.into(),
+        usage: false,
+    }
+}
+
+fn usage(msg: impl Into<String>) -> CliError {
+    CliError {
+        message: msg.into(),
+        usage: true,
+    }
 }
 
 /// Parsed command-line options.
@@ -632,7 +661,8 @@ fn cmd_disseminate(opts: &Options) -> Result<String, CliError> {
             schedule: PublishSchedule::Periodic { interval: 3 },
         },
         opts.seed,
-    );
+    )
+    .map_err(|e| usage(format!("cannot disseminate: {e}")))?;
     let load = compare_server_load(engine.overlay(), &population, opts.pull_interval);
     Ok(format!(
         "published {} items over {} rounds\nmax staleness: {:?} (constraint violations: {})\nserver load: {:.1} req/round direct polling vs {:.1} via LagOver ({:.1}x reduction)\n",
@@ -647,6 +677,14 @@ fn cmd_disseminate(opts: &Options) -> Result<String, CliError> {
 }
 
 fn cmd_stream(opts: &Options) -> Result<String, CliError> {
+    // Chunks still in flight when publishing stops get twice as long
+    // again to land.
+    let drain_rounds = opts.rounds.checked_mul(2).ok_or_else(|| {
+        usage(format!(
+            "cannot stream: --rounds {} leaves no room on the round clock for its drain",
+            opts.rounds
+        ))
+    })?;
     let population = resolve_population(opts)?;
     let mut engine = build(opts, &population);
     engine
@@ -659,13 +697,17 @@ fn cmd_stream(opts: &Options) -> Result<String, CliError> {
         rate: opts.stream_rate,
         schedule: PublishSchedule::Periodic { interval: 1 },
         rounds: opts.rounds,
-        drain_rounds: 2 * opts.rounds,
+        drain_rounds,
         window: opts.window,
         ttl: opts.ttl,
         chunk_bytes: 1024,
     };
-    let report = stream(engine.overlay(), &population, &budgets, &config, opts.seed)
-        .map_err(|e| err(format!("cannot carve {} tree(s): {e}", opts.trees)))?;
+    let report = stream(engine.overlay(), &population, &budgets, &config, opts.seed).map_err(
+        |e| match e {
+            StreamError::Carve(e) => usage(format!("cannot carve {} tree(s): {e}", opts.trees)),
+            e => usage(format!("cannot stream: {e}")),
+        },
+    )?;
     if opts.json {
         return Ok(lagover_jsonio::to_string_pretty(&report));
     }
@@ -1157,8 +1199,39 @@ mod tests {
         ))
         .unwrap();
         let e = run(&opts).unwrap_err();
-        assert!(e.0.contains("cannot carve"), "{e}");
-        assert!(e.0.contains("infeasible"), "{e}");
+        assert!(e.message.contains("cannot carve"), "{e}");
+        assert!(e.message.contains("infeasible"), "{e}");
+        assert_eq!(e.exit_code(), 2, "the budgets cannot serve the request");
+    }
+
+    #[test]
+    fn a_horizon_past_the_round_clock_is_a_usage_error() {
+        // Fails before the publication list is allocated; a horizon that
+        // overflows only once allocated depends on the machine's memory.
+        for (verb, message) in [
+            ("stream", "leaves no room on the round clock"),
+            ("disseminate", "publishes more items than memory holds"),
+        ] {
+            let opts = parse_args(&args(&format!(
+                "{verb} --workload rand --peers 30 --seed 5 --rounds {}",
+                u64::MAX
+            )))
+            .unwrap();
+            let e = run(&opts).unwrap_err();
+            assert!(e.message.contains(message), "{verb}: {e}");
+            assert_eq!(e.exit_code(), 2, "{verb}: {e}");
+        }
+    }
+
+    #[test]
+    fn a_run_that_fails_is_not_a_usage_error() {
+        let opts = parse_args(&args(
+            "stream --workload rand --peers 30 --seed 5 --max-rounds 1",
+        ))
+        .unwrap();
+        let e = run(&opts).unwrap_err();
+        assert!(e.message.contains("did not converge"), "{e}");
+        assert_eq!(e.exit_code(), 1, "{e}");
     }
 
     #[test]
@@ -1302,7 +1375,7 @@ mod tests {
         let opts =
             parse_args(&args("node --transport udp --base-port 65000 --peers 1000")).unwrap();
         let e = run(&opts).expect_err("node 999 would need port 65999");
-        assert!(e.0.contains("past 65535"), "{e}");
+        assert!(e.message.contains("past 65535"), "{e}");
     }
 
     #[test]
@@ -1354,10 +1427,10 @@ mod tests {
     fn node_rejects_contradictory_modes() {
         let opts = parse_args(&args("node --node-id 1")).unwrap();
         let e = run(&opts).unwrap_err();
-        assert!(e.0.contains("--transport udp"), "{e}");
+        assert!(e.message.contains("--transport udp"), "{e}");
         let opts = parse_args(&args("node --transport udp --node-id 1")).unwrap();
         let e = run(&opts).unwrap_err();
-        assert!(e.0.contains("--out-dir"), "{e}");
+        assert!(e.message.contains("--out-dir"), "{e}");
     }
 
     #[test]
@@ -1381,13 +1454,16 @@ mod tests {
     #[test]
     fn zero_peers_is_a_clean_error() {
         let e = parse_args(&args("construct --peers 0")).unwrap_err();
-        assert!(e.0.contains("--peers must be at least 1"), "{e}");
+        assert!(e.message.contains("--peers must be at least 1"), "{e}");
     }
 
     #[test]
     fn zero_source_fanout_is_a_clean_error() {
         let e = parse_args(&args("construct --source-fanout 0")).unwrap_err();
-        assert!(e.0.contains("--source-fanout must be at least 1"), "{e}");
+        assert!(
+            e.message.contains("--source-fanout must be at least 1"),
+            "{e}"
+        );
     }
 
     #[test]
@@ -1405,7 +1481,8 @@ mod tests {
             parse_args(&["construct".to_string(), "--spec".to_string(), path.clone()]).unwrap();
         let e = run(&opts).unwrap_err();
         assert!(
-            e.0.contains("peer 1 has latency 4294967295, above the limit 60"),
+            e.message
+                .contains("peer 1 has latency 4294967295, above the limit 60"),
             "{e}"
         );
         std::fs::remove_file(&path).ok();
@@ -1450,6 +1527,6 @@ mod tests {
         ])
         .unwrap();
         let e = run(&opts).unwrap_err();
-        assert!(e.0.contains("cannot read"));
+        assert!(e.message.contains("cannot read"));
     }
 }

@@ -20,7 +20,7 @@ fn main() -> ExitCode {
         }
         Err(e) => {
             eprintln!("error: {e}");
-            ExitCode::FAILURE
+            ExitCode::from(e.exit_code())
         }
     }
 }

@@ -130,7 +130,7 @@ fn oracle_answers_pointing_at_offline_peers_are_misses() {
         engine.apply_churn(&mut KillPeer3);
         // Every oracle answer now names an offline peer: all misses. The
         // remaining three peers converge through timeouts on some seeds
-        // only (ROADMAP item 4), so the run just has to end cleanly.
+        // only (ROADMAP [L]), so the run just has to end cleanly.
         engine.run_to_convergence();
         engine.overlay().validate().unwrap();
         assert!(engine.counters().oracle_misses > 0, "seed {seed}");

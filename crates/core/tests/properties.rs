@@ -1114,7 +1114,7 @@ fn composed_case(case: Composed) -> Result<(), TestCaseError> {
     Ok(())
 }
 
-/// A counterexample the composed property found (ROADMAP item 2),
+/// A counterexample the composed property found,
 /// minimized to churn and one corruption class under Hybrid.
 fn churn_then_corruption(
     n: usize,
@@ -1173,11 +1173,11 @@ fn a_departing_peer_leaves_every_list() {
     assert_eq!(composed_case(case), Ok(()));
 }
 
-/// Runs a composed counterexample routed to ROADMAP item 2 (the frozen
+/// Runs a composed counterexample routed to ROADMAP [L] (the frozen
 /// fragment) and pins it as stuck: safe every round, but not clean once
 /// injection stops although the peers online are sufficient. A soak of
 /// the property at 20 000 cases found these beyond its committed ones.
-/// Fix item 2, then turn each into a `composed_case(..) == Ok(())`.
+/// Fix [L], then turn each into a `composed_case(..) == Ok(())`.
 fn stays_stuck(case: Composed) {
     let error = composed_case(case).expect_err("the run comes clean");
     assert!(
@@ -1234,7 +1234,7 @@ proptest! {
 
     /// Every mix of churn, crash-stop faults (with loss and blackout)
     /// and snapshot corruption keeps the overlay safe every round and
-    /// brings it back clean once injection stops (ROADMAP item 1).
+    /// brings it back clean once injection stops (DESIGN.md §6.2).
     #[test]
     fn composed_perturbations_stay_safe_and_come_clean(case in composed(24)) {
         composed_case(case)?;

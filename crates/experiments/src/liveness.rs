@@ -109,7 +109,8 @@ pub fn run(params: &Params) -> LivenessReport {
                         ..LiveConfig::default()
                     },
                     seed,
-                );
+                )
+                .expect("a 600-round horizon fits in memory");
                 delivery.push(outcome.delivery_ratio);
                 staleness.push(outcome.mean_staleness);
                 p99.push(outcome.p99_staleness.unwrap_or(0) as f64);

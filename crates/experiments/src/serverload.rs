@@ -98,7 +98,8 @@ pub fn run_sizes(params: &Params, sizes: &[usize]) -> ServerLoadReportE8 {
             &population,
             &DisseminationConfig::default(),
             seed,
-        );
+        )
+        .expect("the default horizon fits in memory");
         rows.push(LoadRow {
             peers,
             direct_rate: load.direct_polling_rate,

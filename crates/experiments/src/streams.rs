@@ -16,13 +16,12 @@ use serde::{Deserialize, Serialize};
 
 use lagover_core::node::Population;
 use lagover_core::{
-    parallel_runs, Algorithm, CarveError, ConstructionConfig, Engine, OracleKind, Run,
-    StreamBudgets,
+    parallel_runs, Algorithm, ConstructionConfig, Engine, OracleKind, Run, StreamBudgets,
 };
 use lagover_feed::PublishSchedule;
 use lagover_obs::ObsReport;
 use lagover_sim::stats;
-use lagover_stream::{stream, stream_observed, StreamConfig, StreamReport};
+use lagover_stream::{stream, stream_observed, StreamConfig, StreamError, StreamReport};
 use lagover_workload::TopologicalConstraint;
 
 use crate::table::TextTable;
@@ -198,7 +197,7 @@ pub fn run(params: &Params) -> StreamsReport {
             {
                 let salt = cell_salt(bi, ki, ai);
                 let config = cell_config(k);
-                let outcomes: Vec<Result<StreamReport, CarveError>> =
+                let outcomes: Vec<Result<StreamReport, StreamError>> =
                     parallel_runs(params.runs, |r| {
                         let seed = params.run_seed(salt, r as u64);
                         let population = satisfiable_population(class, params.peers, seed);
@@ -207,7 +206,7 @@ pub fn run(params: &Params) -> StreamsReport {
                         let budgets = StreamBudgets::uniform(params.peers, per_peer, SOURCE_BUDGET);
                         stream(&overlay, &population, &budgets, &config, seed)
                     });
-                let delivered: Vec<Result<&StreamReport, &CarveError>> =
+                let delivered: Vec<Result<&StreamReport, &StreamError>> =
                     outcomes.iter().map(|o| o.as_ref()).collect();
                 let ok: Vec<&StreamReport> = delivered.iter().filter_map(|o| o.ok()).collect();
                 let med = |f: &dyn Fn(&StreamReport) -> f64| {

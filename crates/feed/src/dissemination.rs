@@ -20,7 +20,7 @@ use lagover_core::node::{PeerId, Population};
 use lagover_core::overlay::Overlay;
 use lagover_sim::SimRng;
 
-use crate::schedule::PublishSchedule;
+use crate::schedule::{HorizonTooLong, PublishSchedule};
 
 /// Dissemination run parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -89,6 +89,10 @@ impl DisseminationReport {
 /// Unrooted consumers receive nothing (they are disconnected from the
 /// source); they appear in the report with `received = 0`.
 ///
+/// # Errors
+///
+/// [`HorizonTooLong`] when the publication list cannot be held.
+///
 /// # Panics
 ///
 /// Panics if `pull_interval == 0` or the overlay and population sizes
@@ -98,7 +102,7 @@ pub fn disseminate(
     population: &Population,
     config: &DisseminationConfig,
     seed: u64,
-) -> DisseminationReport {
+) -> Result<DisseminationReport, HorizonTooLong> {
     assert!(config.pull_interval >= 1, "pull interval must be positive");
     assert_eq!(
         overlay.len(),
@@ -106,7 +110,9 @@ pub fn disseminate(
         "overlay/population mismatch"
     );
     let mut rng = SimRng::seed_from(seed ^ 0xFEED_F00D);
-    let publish_rounds = config.schedule.publication_rounds(config.rounds, &mut rng);
+    let publish_rounds = config
+        .schedule
+        .publication_rounds(config.rounds, &mut rng)?;
     let n_items = publish_rounds.len();
     let n = population.len();
 
@@ -158,12 +164,12 @@ pub fn disseminate(
         });
     }
 
-    DisseminationReport {
+    Ok(DisseminationReport {
         items_published: n_items,
         per_node,
         constraint_violations: violations,
         source_pulls,
-    }
+    })
 }
 
 /// The rooted peers among `peers` as `(depth, peer)`, in the order one
@@ -258,7 +264,7 @@ mod tests {
             rounds: 50,
             schedule: PublishSchedule::Periodic { interval: 3 },
         };
-        let report = disseminate(&overlay, &population, &config, 1);
+        let report = disseminate(&overlay, &population, &config, 1).unwrap();
         assert!(report.constraint_violations.is_empty());
         for node in &report.per_node {
             let depth = node.depth.unwrap() as u64;
@@ -277,7 +283,7 @@ mod tests {
             rounds: 90,
             schedule: PublishSchedule::Periodic { interval: 1 },
         };
-        let report = disseminate(&overlay, &population, &config, 1);
+        let report = disseminate(&overlay, &population, &config, 1).unwrap();
         for node in &report.per_node {
             let depth = node.depth.unwrap() as u64;
             let bound = 3 + (depth - 1); // T at the puller + push hops
@@ -299,7 +305,8 @@ mod tests {
         let mut overlay = Overlay::new(&population);
         // Peer 1 dangles under unrooted peer 0.
         overlay.attach(p(1), Member::Peer(p(0))).unwrap();
-        let report = disseminate(&overlay, &population, &DisseminationConfig::default(), 1);
+        let report =
+            disseminate(&overlay, &population, &DisseminationConfig::default(), 1).unwrap();
         for node in &report.per_node {
             assert_eq!(node.received, 0);
             assert_eq!(node.depth, None);
@@ -315,7 +322,7 @@ mod tests {
             rounds: 100,
             schedule: PublishSchedule::Periodic { interval: 10 },
         };
-        let report = disseminate(&overlay, &population, &config, 1);
+        let report = disseminate(&overlay, &population, &config, 1).unwrap();
         // One depth-1 child pulling every 2 rounds over 100 rounds.
         assert_eq!(report.source_pulls, 50);
     }
@@ -328,7 +335,7 @@ mod tests {
             rounds: 500,
             schedule: PublishSchedule::Poisson { mean_interval: 7.0 },
         };
-        let report = disseminate(&overlay, &population, &config, 9);
+        let report = disseminate(&overlay, &population, &config, 9).unwrap();
         assert!(report.items_published > 30);
         let leaf = &report.per_node[2];
         // Everything published at least 3 rounds before the horizon
@@ -345,7 +352,7 @@ mod tests {
             rounds: 60,
             schedule: PublishSchedule::Periodic { interval: 2 },
         };
-        let report = disseminate(&overlay, &population, &config, 1);
+        let report = disseminate(&overlay, &population, &config, 1).unwrap();
         let items = report.items_published as u64;
         // Peer 0 pushes every item to its one child (peer 1), peer 1 to
         // peer 2; the leaf pushes nothing. Items still in flight at the
@@ -359,7 +366,8 @@ mod tests {
     #[test]
     fn report_max_staleness_is_global_max() {
         let (overlay, population) = chain();
-        let report = disseminate(&overlay, &population, &DisseminationConfig::default(), 1);
+        let report =
+            disseminate(&overlay, &population, &DisseminationConfig::default(), 1).unwrap();
         assert_eq!(report.max_staleness(), Some(3));
     }
 }

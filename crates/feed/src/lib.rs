@@ -40,7 +40,8 @@
 //!     &population,
 //!     &DisseminationConfig::default(),
 //!     5,
-//! );
+//! )
+//! .unwrap();
 //! assert!(report.constraint_violations.is_empty());
 //! ```
 
@@ -53,5 +54,5 @@ pub mod server_load;
 pub use dissemination::{disseminate, DisseminationConfig, DisseminationReport, NodeDelivery};
 pub use live::{run_live, LiveConfig, LiveOutcome};
 pub use multifeed::{BudgetPolicy, FeedSpec, MultiFeedOutcome, MultiFeedSystem, Subscription};
-pub use schedule::PublishSchedule;
+pub use schedule::{HorizonTooLong, PublishSchedule};
 pub use server_load::{compare_server_load, ServerLoadReport};

@@ -20,7 +20,7 @@ use lagover_core::Engine;
 use lagover_sim::{ChurnProcess, SimRng};
 
 use crate::dissemination::{depth_order, propagate_round};
-use crate::schedule::PublishSchedule;
+use crate::schedule::{HorizonTooLong, PublishSchedule};
 
 /// Parameters of a live run.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -72,15 +72,21 @@ pub struct LiveOutcome {
 /// Runs live dissemination. The `engine` is used as-is (typically
 /// freshly constructed — cold start — or pre-converged), and `churn`
 /// drives membership.
+///
+/// # Errors
+///
+/// [`HorizonTooLong`] when the publication list cannot be held.
 pub fn run_live(
     engine: &mut Engine,
     churn: &mut dyn ChurnProcess,
     config: &LiveConfig,
     seed: u64,
-) -> LiveOutcome {
+) -> Result<LiveOutcome, HorizonTooLong> {
     let n = engine.population().len();
     let mut rng = SimRng::seed_from(seed ^ 0x11FE);
-    let publish_rounds = config.schedule.publication_rounds(config.rounds, &mut rng);
+    let publish_rounds = config
+        .schedule
+        .publication_rounds(config.rounds, &mut rng)?;
     let n_items = publish_rounds.len();
     let mut received: Vec<Vec<Option<u64>>> = vec![vec![None; n_items]; n];
     let mut satisfied_sum = 0.0;
@@ -133,7 +139,7 @@ pub fn run_live(
     }
     stalenesses.sort_unstable();
     let pairs = counted.len() * n;
-    LiveOutcome {
+    Ok(LiveOutcome {
         items_published: n_items,
         items_counted: counted.len(),
         delivery_ratio: if pairs == 0 {
@@ -152,7 +158,7 @@ pub fn run_live(
             Some(stalenesses[((stalenesses.len() - 1) as f64 * 0.99) as usize])
         },
         mean_satisfied_fraction: satisfied_sum / config.rounds.max(1) as f64,
-    }
+    })
 }
 
 #[cfg(test)]
@@ -174,7 +180,7 @@ mod tests {
     #[test]
     fn cold_start_without_churn_delivers_everything_settled() {
         let mut e = engine(3);
-        let outcome = run_live(&mut e, &mut NoChurn, &LiveConfig::default(), 3);
+        let outcome = run_live(&mut e, &mut NoChurn, &LiveConfig::default(), 3).unwrap();
         assert!(outcome.items_published > 100);
         assert!(
             outcome.delivery_ratio > 0.99,
@@ -190,10 +196,10 @@ mod tests {
     #[test]
     fn churn_degrades_delivery_gracefully() {
         let mut quiet = engine(7);
-        let calm = run_live(&mut quiet, &mut NoChurn, &LiveConfig::default(), 7);
+        let calm = run_live(&mut quiet, &mut NoChurn, &LiveConfig::default(), 7).unwrap();
         let mut stormy = engine(7);
         let mut churn = BernoulliChurn::new(0.05, 0.3);
-        let rough = run_live(&mut stormy, &mut churn, &LiveConfig::default(), 7);
+        let rough = run_live(&mut stormy, &mut churn, &LiveConfig::default(), 7).unwrap();
         assert!(rough.delivery_ratio <= calm.delivery_ratio + 1e-9);
         // Even heavy churn (5%/round) keeps the majority of deliveries
         // flowing thanks to repair.
@@ -247,7 +253,7 @@ mod tests {
             settle_rounds: 60,
             ..LiveConfig::default()
         };
-        let outcome = run_live(&mut e, &mut churn, &config, 11);
+        let outcome = run_live(&mut e, &mut churn, &config, 11).unwrap();
         assert!(
             outcome.delivery_ratio > 0.95,
             "returnees did not catch up: {}",
@@ -266,7 +272,8 @@ mod tests {
                 ..LiveConfig::default()
             },
             1,
-        );
+        )
+        .unwrap();
         assert_eq!(outcome.items_published, 0);
         assert_eq!(outcome.delivery_ratio, 0.0);
     }

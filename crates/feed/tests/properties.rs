@@ -49,7 +49,7 @@ proptest! {
             rounds: 120,
             schedule,
         };
-        let report = disseminate(&overlay, &population, &config, seed);
+        let report = disseminate(&overlay, &population, &config, seed).expect("short horizon");
         for node in &report.per_node {
             let depth = overlay.delay(PeerId::new(node.peer)).unwrap() as u64;
             if node.received > 0 {
@@ -70,7 +70,7 @@ proptest! {
             rounds: 200,
             schedule: PublishSchedule::Periodic { interval: 5 },
         };
-        let report = disseminate(&overlay, &population, &config, seed);
+        let report = disseminate(&overlay, &population, &config, seed).expect("short horizon");
         let max_depth = (0..n)
             .filter_map(|i| overlay.delay(PeerId::new(i as u32)))
             .max()

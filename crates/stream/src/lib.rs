@@ -51,5 +51,6 @@ pub mod scheduler;
 
 pub use lagover_core::forest::{carve, CarveError, ForestPlan, StreamBudgets, TreePlan};
 pub use scheduler::{
-    stream, stream_observed, StalenessStats, StreamConfig, StreamObserved, StreamReport,
+    stream, stream_observed, StalenessStats, StreamConfig, StreamError, StreamObserved,
+    StreamReport,
 };

@@ -38,7 +38,8 @@ fn main() {
             schedule: PublishSchedule::Poisson { mean_interval: 6.0 },
         },
         7,
-    );
+    )
+    .expect("a 600-round horizon fits in memory");
     println!(
         "published {} items; every subscriber received feed items with max staleness {:?}",
         report.items_published,

@@ -34,7 +34,8 @@ fn every_workload_converges_and_delivers_within_constraints() {
                     schedule: PublishSchedule::Periodic { interval: 3 },
                 },
                 11,
-            );
+            )
+            .expect("short horizon");
             assert!(
                 report.constraint_violations.is_empty(),
                 "{algorithm}/{class}: staleness violations {:?}",
