@@ -16,7 +16,6 @@
 //! lagover evolve     (--spec FILE | --workload …) [--trace N]
 //! lagover recover    (--spec FILE | --workload …) [--crash-fraction F] [--message-loss P] [--blackout N]
 //! lagover obs        (--spec FILE | --workload …) [--runs N] [--json]
-//! lagover perf       [--scenario NAME]... [--peers N] [--runs N] [--max-rounds N] [--seed N] [--json]
 //! lagover node       (--spec FILE | --workload …) [--transport mesh|udp] [--scenario-kind construction|recovery]
 //!                    [--node-id I --out-dir DIR] [--base-port P] [--tick-ms T] [--deadline-ms T] [--max-time T]
 //! ```
@@ -144,14 +143,6 @@ pub struct Options {
     pub runs: usize,
     /// `--json` (obs: emit the report as JSON instead of text).
     pub json: bool,
-    /// `--scenario NAME` (perf: repeatable scenario subset; empty runs
-    /// the full registry).
-    pub scenarios: Vec<String>,
-    /// perf: the values of `--peers` / `--runs` / `--max-rounds` /
-    /// `--seed` that were actually given — each replaces that field of
-    /// every selected row's pinned parameters; a bare `lagover perf`
-    /// reproduces `BENCH.json`.
-    pub perf_overrides: lagover_perf::ParamOverrides,
     /// `--transport <mesh|udp>` (node).
     pub transport: String,
     /// `--scenario-kind <construction|recovery>` (node).
@@ -198,8 +189,6 @@ impl Default for Options {
             blackout: 0,
             runs: 1,
             json: false,
-            scenarios: Vec::new(),
-            perf_overrides: lagover_perf::ParamOverrides::default(),
             transport: "mesh".into(),
             scenario_kind: "construction".into(),
             node_id: None,
@@ -218,14 +207,13 @@ const MAX_ROUND_CAP: f64 = 9_007_199_254_740_992.0;
 
 /// The usage string.
 pub const USAGE: &str =
-    "usage: lagover <spec|check|construct|disseminate|stream|evolve|recover|obs|perf|node> \
+    "usage: lagover <spec|check|construct|disseminate|stream|evolve|recover|obs|node> \
 [--spec FILE] [--workload tf1|rand|bicorr|biuncorr|adversarial|zipf] [--peers N] [--seed N] \
 [--source-fanout F] [--algorithm greedy|hybrid] \
 [--oracle random|random-capacity|random-delay-capacity|random-delay] \
 [--max-rounds N] [--rounds N] [--pull-interval T] \
 [--trees K] [--stream-rate R] [--budget B] [--source-budget B] [--window W] [--ttl N] [--trace N] \
 [--crash-fraction F] [--message-loss P] [--blackout N] [--runs N] [--json] \
-[--scenario fig2|fig3|fig4|recovery|obs|...] \
 [--transport mesh|udp] [--scenario-kind construction|recovery] [--node-id I] \
 [--out-dir DIR] [--base-port P] [--tick-ms T] [--deadline-ms T] [--max-time T]";
 
@@ -246,7 +234,6 @@ pub fn parse_args(args: &[String]) -> Result<Options, CliError> {
         "evolve",
         "recover",
         "obs",
-        "perf",
         "node",
     ]
     .contains(&command.as_str())
@@ -273,13 +260,11 @@ pub fn parse_args(args: &[String]) -> Result<Options, CliError> {
                 if opts.peers == 0 {
                     return Err(err("--peers must be at least 1"));
                 }
-                opts.perf_overrides.peers = Some(opts.peers);
             }
             "--seed" => {
                 opts.seed = value()?
                     .parse()
                     .map_err(|_| err("--seed needs an integer"))?;
-                opts.perf_overrides.seed = Some(opts.seed);
             }
             "--source-fanout" => {
                 opts.source_fanout = value()?
@@ -309,7 +294,6 @@ pub fn parse_args(args: &[String]) -> Result<Options, CliError> {
                 opts.max_rounds = value()?
                     .parse()
                     .map_err(|_| err("--max-rounds needs an integer"))?;
-                opts.perf_overrides.max_rounds = Some(opts.max_rounds);
             }
             "--rounds" => {
                 opts.rounds = value()?
@@ -393,19 +377,8 @@ pub fn parse_args(args: &[String]) -> Result<Options, CliError> {
                 if opts.runs == 0 {
                     return Err(err("--runs must be at least 1"));
                 }
-                opts.perf_overrides.runs = Some(opts.runs);
             }
             "--json" => opts.json = true,
-            "--scenario" => {
-                let name = value()?;
-                if lagover_perf::scenario(&name).is_none() {
-                    return Err(err(format!(
-                        "unknown scenario '{name}' (expected one of {})",
-                        lagover_perf::scenario_names().join(", ")
-                    )));
-                }
-                opts.scenarios.push(name);
-            }
             "--transport" => {
                 opts.transport = value()?;
                 if !["mesh", "udp"].contains(&opts.transport.as_str()) {
@@ -523,7 +496,6 @@ pub fn run(opts: &Options) -> Result<String, CliError> {
         "evolve" => cmd_evolve(opts),
         "recover" => cmd_recover(opts),
         "obs" => cmd_obs(opts),
-        "perf" => cmd_perf(opts),
         "node" => cmd_node(opts),
         other => Err(err(format!("unknown command '{other}'"))),
     }
@@ -1072,15 +1044,6 @@ fn cmd_node(opts: &Options) -> Result<String, CliError> {
     }
 }
 
-fn cmd_perf(opts: &Options) -> Result<String, CliError> {
-    let baseline = lagover_perf::collect_baseline(&opts.scenarios, &opts.perf_overrides);
-    if opts.json {
-        Ok(lagover_jsonio::to_string_pretty(&baseline))
-    } else {
-        Ok(baseline.render())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1298,47 +1261,6 @@ mod tests {
     #[test]
     fn obs_rejects_zero_runs() {
         assert!(parse_args(&args("obs --runs 0")).is_err());
-    }
-
-    #[test]
-    fn perf_defaults_to_the_pinned_baseline_params() {
-        let opts = parse_args(&args("perf")).unwrap();
-        let pinned = lagover_perf::baseline_params();
-        assert_eq!(opts.perf_overrides.apply(pinned), pinned);
-        let opts = parse_args(&args("perf --seed 42 --peers 1000")).unwrap();
-        assert_eq!(
-            opts.perf_overrides.apply(pinned),
-            lagover_perf::PerfParams {
-                peers: 1000,
-                ..pinned
-            }
-        );
-    }
-
-    #[test]
-    fn perf_rejects_unknown_scenarios() {
-        assert!(parse_args(&args("perf --scenario nope")).is_err());
-        assert!(parse_args(&args("perf --wall 3")).is_err());
-    }
-
-    #[test]
-    fn perf_renders_table_and_json_round_trips() {
-        let opts = parse_args(&args(
-            "perf --peers 24 --runs 2 --max-rounds 300 --seed 7 --scenario fig2",
-        ))
-        .unwrap();
-        let table = run(&opts).unwrap();
-        assert!(table.contains("fig2"), "{table}");
-        assert!(table.contains("schema v"), "{table}");
-        let json_opts = Options {
-            json: true,
-            ..opts.clone()
-        };
-        let json = run(&json_opts).unwrap();
-        let baseline: lagover_perf::Baseline = lagover_jsonio::from_str(&json).unwrap();
-        assert_eq!(baseline.scenarios.len(), 1);
-        assert_eq!(baseline.scenarios[0].name, "fig2");
-        assert_eq!(baseline.scenarios[0].params.peers, 24);
     }
 
     #[test]

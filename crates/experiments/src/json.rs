@@ -1,12 +1,13 @@
 //! [`ToJson`] implementations for every experiment report, so figure
 //! JSON is produced by the in-tree writer (deterministic bytes, no
-//! external serializer) and `cargo xtask replay-diff` has real output to
-//! compare. Field order matches struct declaration order.
+//! external serializer) and the committed `results/` have real bytes to
+//! diff. Field order matches struct declaration order.
 
 use lagover_jsonio::{object, Json, ToJson};
 
 use crate::ablations::{AblationReport, AblationRow};
 use crate::asynchrony::{AsyncReport, AsyncRow};
+use crate::bench::{BenchReport, BenchRow, WorkLayer, SCHEMA_VERSION};
 use crate::counterexample::{CounterexampleReport, FamilyRow};
 use crate::fig2::{Fig2Report, WorkloadVariance};
 use crate::fig3::{Fig3Report, OracleCell};
@@ -32,6 +33,45 @@ impl ToJson for Params {
             ("runs", self.runs.to_json()),
             ("max_rounds", self.max_rounds.to_json()),
             ("seed", self.seed.to_json()),
+        ])
+    }
+}
+
+impl ToJson for WorkLayer {
+    fn to_json(&self) -> Json {
+        object(vec![
+            ("rounds", self.rounds.to_json()),
+            ("converged", self.converged.to_json()),
+            ("converged_rounds", self.converged_rounds.to_json()),
+            (
+                "metrics",
+                Json::Object(
+                    self.metrics
+                        .iter()
+                        .map(|(name, value)| (name.clone(), value.to_json()))
+                        .collect(),
+                ),
+            ),
+        ])
+    }
+}
+
+impl ToJson for BenchRow {
+    fn to_json(&self) -> Json {
+        object(vec![
+            ("name", Json::Str(self.name.clone())),
+            ("params", self.params.to_json()),
+            ("label", Json::Str(self.label.clone())),
+            ("work", self.work.to_json()),
+        ])
+    }
+}
+
+impl ToJson for BenchReport {
+    fn to_json(&self) -> Json {
+        object(vec![
+            ("schema_version", SCHEMA_VERSION.to_json()),
+            ("scenarios", self.rows.to_json()),
         ])
     }
 }

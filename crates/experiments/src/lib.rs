@@ -29,6 +29,7 @@
 //! | [`measured`] | fig3/fig4 axes re-run on the measured king-style RTT matrix (extension) |
 //! | [`nodesim`] | node-runtime cross-validation — mesh journals vs the simulator twin (extension) |
 //! | [`streams`] | multi-tree streaming under upload budgets — throughput, staleness, backpressure (extension) |
+//! | [`bench`] | the work-unit baseline — deterministic work per instrumented driver (DESIGN.md §12) |
 //!
 //! Every runner takes a [`Params`] (use [`Params::paper`] for the
 //! paper-scale settings and [`Params::quick`] in tests), is
@@ -37,6 +38,7 @@
 
 pub mod ablations;
 pub mod asynchrony;
+pub mod bench;
 pub mod counterexample;
 pub mod fig2;
 pub mod fig3;

@@ -1,17 +1,29 @@
-//! The `lagover-experiments` binary: regenerates every table and figure
-//! of the paper.
+//! The `lagover-experiments` binary: regenerates every committed
+//! document — the paper's tables and figures, the extensions, and the
+//! work-unit baseline.
 //!
 //! ```text
-//! lagover-experiments run <fig2|fig3|fig4|counterexample|async|sufficiency|serverload|realizations|all>
-//!                       [--quick] [--peers N] [--runs N] [--seed N] [--max-rounds N] [--json DIR]
+//! lagover-experiments run <EXPERIMENT|all> [--quick] [--peers N] [--runs N] [--seed N]
+//!                         [--max-rounds N] [--json DIR]
+//!
+//! EXPERIMENT: fig2 fig3 fig4 counterexample async sufficiency serverload realizations
+//!             locality multifeed ablations scaling liveness recovery stabilization obs
+//!             measured nodesim streams bench
 //! ```
+//!
+//! `run all --json results` writes every document under `results/`
+//! (`results/all_results.txt` is its output). The run starts from the
+//! paper's parameters, or from the small test ones under `--quick`
+//! wherever it stands; each sizing flag then replaces one field.
+//! `--peers` and `--runs` must be at least 1. A bad command line prints
+//! the usage line and exits 2.
 
 #![forbid(unsafe_code)]
 
 use std::process::ExitCode;
 
 use lagover_experiments::{
-    ablations, asynchrony, counterexample, fig2, fig3, fig4, liveness, locality, measured,
+    ablations, asynchrony, bench, counterexample, fig2, fig3, fig4, liveness, locality, measured,
     multifeed_exp, nodesim, obs_exp, realizations, recovery, scaling, serverload, stabilization,
     streams, sufficiency, Params,
 };
@@ -36,6 +48,7 @@ const EXPERIMENTS: &[&str] = &[
     "measured",
     "nodesim",
     "streams",
+    "bench",
 ];
 
 fn usage() -> ExitCode {
@@ -46,9 +59,14 @@ fn usage() -> ExitCode {
     ExitCode::from(2)
 }
 
+fn bad_flag(flag: &str, wants: &str) -> ExitCode {
+    eprintln!("lagover-experiments: {flag} needs {wants}");
+    usage()
+}
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut it = args.iter().peekable();
+    let mut it = args.iter();
     let Some(cmd) = it.next() else {
         return usage();
     };
@@ -59,34 +77,48 @@ fn main() -> ExitCode {
         return usage();
     };
 
-    let mut params = Params::paper();
+    let mut quick = false;
+    let (mut peers, mut runs, mut seed, mut max_rounds) = (None, None, None, None);
     let mut json_dir: Option<String> = None;
     while let Some(flag) = it.next() {
         match flag.as_str() {
-            "--quick" => params = Params::quick(),
+            "--quick" => quick = true,
             "--peers" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(v) => params.peers = v,
-                None => return usage(),
+                Some(0) | None => return bad_flag(flag, "a positive integer"),
+                v => peers = v,
             },
             "--runs" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(v) => params.runs = v,
-                None => return usage(),
+                Some(0) | None => return bad_flag(flag, "a positive integer"),
+                v => runs = v,
             },
             "--seed" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(v) => params.seed = v,
-                None => return usage(),
+                None => return bad_flag(flag, "an integer"),
+                v => seed = v,
             },
             "--max-rounds" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(v) => params.max_rounds = v,
-                None => return usage(),
+                None => return bad_flag(flag, "an integer"),
+                v => max_rounds = v,
             },
             "--json" => match it.next() {
                 Some(v) => json_dir = Some(v.clone()),
-                None => return usage(),
+                None => return bad_flag(flag, "a directory"),
             },
             _ => return usage(),
         }
     }
+    // `--quick` picks the base wherever it stands; the sizing flags
+    // replace single fields of it.
+    let base = if quick {
+        Params::quick()
+    } else {
+        Params::paper()
+    };
+    let params = Params {
+        peers: peers.unwrap_or(base.peers),
+        runs: runs.unwrap_or(base.runs),
+        max_rounds: max_rounds.unwrap_or(base.max_rounds),
+        seed: seed.unwrap_or(base.seed),
+    };
 
     let selected: Vec<&str> = if which == "all" {
         EXPERIMENTS.to_vec()
@@ -194,6 +226,10 @@ fn run_one(name: &str, params: &Params) -> (String, String) {
         }
         "streams" => {
             let report = streams::run(params);
+            (report.render(), lagover_jsonio::to_string_pretty(&report))
+        }
+        "bench" => {
+            let report = bench::run(params);
             (report.render(), lagover_jsonio::to_string_pretty(&report))
         }
         other => unreachable!("unknown experiment {other} filtered by main"),

@@ -7,8 +7,8 @@
 //! single-process simulator twin (`Run::perturb` on the round clock)
 //! produces, for both fig2-style construction and
 //! E15-style crash recovery. The merged journal is
-//! embedded in the report so the replay-diff harness pins the
-//! cross-validation output itself.
+//! embedded in the report so the committed `results/nodesim.json`
+//! pins the cross-validation output itself.
 
 use serde::{Deserialize, Serialize};
 

@@ -9,9 +9,9 @@
 //! numbers instead of sampling different ones.
 //!
 //! The document serializes deterministically (journal, scrapes, health,
-//! and the cost profile are all work-counter based), so `cargo xtask
-//! replay-diff` byte-compares it across thread counts and chunkings
-//! like any other figure.
+//! and the cost profile are all work-counter based), so it is diffed
+//! byte for byte across thread counts and chunkings like any other
+//! figure.
 
 use lagover_jsonio::{object, Json, ToJson};
 use lagover_obs::ObsReport;

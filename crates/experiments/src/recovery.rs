@@ -234,7 +234,7 @@ mod tests {
 
     #[test]
     fn every_scenario_heals() {
-        // Full quick params: the same cells `replay-diff` exercises.
+        // Full quick params: every cell of the document, at test size.
         let params = Params::quick();
         let report = run(&params);
         assert_eq!(report.rows.len(), 8);

@@ -276,7 +276,7 @@ mod tests {
 
     #[test]
     fn every_cell_stabilizes() {
-        // Full quick params: the same cells `replay-diff` exercises.
+        // Full quick params: every cell of the document, at test size.
         let params = Params::quick();
         let report = run(&params);
         assert_eq!(report.rows.len(), cells().len() * SEVERITIES.len() * 2);

@@ -3,7 +3,7 @@
 //!
 //! The experiment drivers and snapshot round-trips previously leaned on an
 //! external serializer, which made figure bytes unavailable in offline
-//! builds and left `cargo xtask replay-diff` with nothing to compare. This
+//! builds and left the committed `results/` with nothing to diff. This
 //! crate owns the byte format end to end:
 //!
 //! * objects preserve insertion order (`Vec<(String, Json)>`), so emitted

@@ -15,8 +15,8 @@
 //! Each node's outputs go through one reused buffer:
 //! [`NodeCore::handle`] appends to it and the mesh drains it. The
 //! whole run is a pure function of `(population, spec, seed)`:
-//! byte-identical journals on every execution, and — the property the
-//! replay-diff pins — byte-identical to the simulator twin.
+//! byte-identical journals on every execution, and — the property
+//! `results/nodesim.json` pins — byte-identical to the simulator twin.
 //!
 //! Because delivery is reliable and instant, the mesh *drops*
 //! [`TimerKind::Retransmit`] arms: nothing is ever lost, so the

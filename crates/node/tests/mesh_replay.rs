@@ -1,12 +1,13 @@
-//! Replay-diff property: the in-process mesh, driven purely by wire
+//! Replay property: the in-process mesh, driven purely by wire
 //! tokens and timers, merges to a journal byte-identical to the
 //! simulator twin — the observed round clock, verbs `construct` and
 //! `recover` — across seeds and at both a small (16) and a wide (120)
 //! population.
 //!
-//! Thread counts are pinned by CI instead: the `replay-diff` nodesim
-//! target re-runs this comparison under `LAGOVER_THREADS` ∈ {1, 8},
-//! which an in-process test cannot vary safely.
+//! Thread counts are pinned by CI instead: the `documents` step
+//! regenerates `results/nodesim.json`, which embeds this comparison,
+//! under `LAGOVER_THREADS` ∈ {1, 8}, which an in-process test cannot
+//! vary safely.
 
 use proptest::prelude::*;
 

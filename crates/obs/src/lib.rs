@@ -14,7 +14,7 @@
 //!   chains, oracle load).
 //! - **[`Profiler`]** — the deterministic cost-model profiler: work
 //!   counters instead of wall clocks, so profiles are byte-stable and
-//!   replay-diffable.
+//!   diffable.
 //! - **[`ObsReport`]** — the report generator behind `lagover obs`.
 //!
 //! Everything funnels through [`Pipeline`], the engine-facing facade.

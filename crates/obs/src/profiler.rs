@@ -2,7 +2,7 @@
 //!
 //! Wall clocks are nondeterministic, so profiles built on them can
 //! never be byte-compared across runs — and byte comparison is how
-//! this repo audits everything (`cargo xtask replay-diff`). The
+//! this repo audits everything (`results/` regenerated and diffed). The
 //! profiler therefore measures *work*, not time: per-phase counts of
 //! oracle contacts, pairwise interactions, structural operations, lost
 //! messages, and RNG draws. Two runs of the same seed produce the
@@ -118,8 +118,8 @@ impl Profiler {
 
     /// Flattens the per-phase work counters into `(name, value)` pairs
     /// — `"<phase>.<field>"`, phases in first-recorded order — the
-    /// export surface the perf baseline (`lagover-perf`) commits and
-    /// `cargo xtask bench-gate` diffs.
+    /// export surface the work-unit baseline (`results/bench.json`)
+    /// commits.
     pub fn to_named(&self) -> Vec<(String, u64)> {
         let mut out = Vec::with_capacity(self.phases.len() * 7);
         for phase in &self.phases {

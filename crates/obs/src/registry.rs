@@ -156,7 +156,7 @@ impl Scrape {
     /// The scrape as flat `(name, value)` pairs — the round stamp
     /// followed by every counter in registration order. Gauges are
     /// deliberately excluded: this is the exact-compare export surface
-    /// the perf baseline commits, and only integer metrics diff
+    /// the work-unit baseline commits, and only integer metrics diff
     /// byte-exactly across toolchains.
     pub fn to_named(&self) -> Vec<(String, u64)> {
         let mut out = Vec::with_capacity(1 + self.counters.len());

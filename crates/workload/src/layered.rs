@@ -4,7 +4,7 @@
 use lagover_core::node::{Constraints, Population};
 
 /// Deterministic capacity-rich population for the scale scenarios
-/// (`lagover-perf`'s `construction_*`/`recovery_*` rows):
+/// (the work-unit baseline's `construction_*`/`recovery_*` rows):
 /// every peer offers fanout 8 and tolerates its layer's depth plus
 /// four levels of slack. Each layer is filled to only a *quarter* of
 /// the slots the layer above offers, so every sufficiency level keeps

@@ -30,10 +30,9 @@ pub const LAYERS: &[(&str, u32)] = &[
     ("lagover-node", 5),
     ("lagover-stream", 6),
     ("lagover-experiments", 7),
-    ("lagover-perf", 8),
-    ("lagover", 9),
-    ("lagover-cli", 9),
-    ("xtask", 9),
+    ("lagover", 8),
+    ("lagover-cli", 8),
+    ("xtask", 8),
 ];
 
 fn tier(name: &str) -> Option<u32> {

@@ -1,4 +1,4 @@
-//! `cargo xtask` — the determinism & invariant audit harness.
+//! `cargo xtask` — the static audit harness.
 //!
 //! Subcommands:
 //!
@@ -8,20 +8,16 @@
 //!   gating, the `#![forbid(unsafe_code)]` check, ambient-RNG and
 //!   obs-facade bypass detection, with a deterministic report under
 //!   `target/analyze/`. Any finding fails it; there is no allowlist.
-//! * `replay-diff` — runs the figure drivers at `LAGOVER_THREADS=1` vs
-//!   `8` and byte-diffs the JSON outputs, proving the parallel run loop
-//!   is schedule-invariant.
 //! * `miri` — runs the core + sim unit tests under Miri when the
 //!   component is installed; detects its absence and skips cleanly.
-//! * `bench-gate` — regenerates the perf baseline with the
-//!   `lagover-perf` harness and diffs it exactly against the committed
-//!   `BENCH.json`, rendering a markdown regression table.
+//!
+//! That every committed document regenerates, at any thread count, is
+//! not an xtask: it is `lagover-experiments run all --json DIR` and
+//! `diff -r` against `results/` (DESIGN.md §9.2).
 
 #![forbid(unsafe_code)]
 
 mod analyze;
-mod bench_gate;
-mod replay;
 
 use std::path::PathBuf;
 use std::process::{Command, ExitCode};
@@ -30,9 +26,7 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
         Some("analyze") => analyze::run(&args[1..]),
-        Some("replay-diff") => replay::run(&args[1..]),
         Some("miri") => run_miri(),
-        Some("bench-gate") => bench_gate::run(&args[1..]),
         Some("help") | Some("--help") | Some("-h") | None => {
             print_usage();
             ExitCode::SUCCESS
@@ -55,15 +49,8 @@ fn print_usage() {
          \x20                       wall-clock gates, forbid(unsafe), ambient rng,\n\
          \x20                       obs bypass (--bless regenerates\n\
          \x20                       crates/xtask/rng_sites.toml)\n\
-         \x20 replay-diff [FIGS..]  byte-diff figure JSON between LAGOVER_THREADS=1\n\
-         \x20                       and 8 (default: every replay figure;\n\
-         \x20                       --full for paper-scale parameters)\n\
          \x20 miri                  run core+sim unit tests under Miri (skips if\n\
-         \x20                       the component is not installed)\n\
-         \x20 bench-gate            diff a fresh lagover-perf run of the `pr` rows\n\
-         \x20                       against the committed BENCH.json (--strict:\n\
-         \x20                       every row, warnings fail; --compare\n\
-         \x20                       BASE.json HEAD.json: diff two documents)"
+         \x20                       the component is not installed)"
     );
 }
 
