@@ -385,6 +385,27 @@ mod tests {
     }
 
     #[test]
+    fn render_lists_scenarios() {
+        let report = BenchReport {
+            rows: vec![BenchRow {
+                name: "fig3".to_string(),
+                params: Params::quick(),
+                label: "fig3".to_string(),
+                work: WorkLayer {
+                    rounds: 7,
+                    converged: 1,
+                    metrics: vec![("work.actions".to_string(), 42)],
+                    ..WorkLayer::default()
+                },
+            }],
+        };
+        let text = report.render();
+        assert!(text.contains(&format!("schema v{SCHEMA_VERSION}")), "{text}");
+        assert!(text.contains("fig3"), "{text}");
+        assert!(text.contains("42"), "{text}");
+    }
+
+    #[test]
     fn metric_lookup_finds_named_entries() {
         let layer = WorkLayer {
             metrics: vec![("work.actions".to_string(), 100)],
