@@ -404,9 +404,9 @@ impl Engine {
         // index from scratch, so drop them.
         let mut overlay = snapshot.overlay;
         overlay.set_delta_tracking(false);
-        // Likewise the settled bits of the engine it was cloned from:
-        // what they vouched for included that engine's mode.
-        overlay.unsettle_all();
+        // The settled bits of the engine it was cloned from stay: they
+        // are all clear if that engine was stabilizing, and nothing
+        // else they vouch for can differ here (DESIGN.md §13.4).
         let undetected = (0..snapshot.crashed.len())
             .filter(|&i| snapshot.crashed[i] && snapshot.crash_silent[i] < DETECTION_TIMEOUT)
             .map(|i| PeerId::new(i as u32))
@@ -566,9 +566,11 @@ impl Engine {
         self.online.count()
     }
 
-    /// The online peers that are not settled, in ascending order: all a
-    /// monitor has to look at, since a settled peer is online, parented
-    /// and satisfied (DESIGN.md §13.4). O(n/64 + the peers found).
+    /// The online peers that are not settled, in ascending order: with
+    /// the overlay's count of settled unrooted peers, all a monitor has
+    /// to look at, since a settled peer is online, parented, and
+    /// satisfied or unrooted (DESIGN.md §13.4). O(n/64 + the peers
+    /// found).
     fn active_peers(&self) -> impl Iterator<Item = PeerId> + '_ {
         self.overlay.unsettled_among(self.online.words())
     }
@@ -589,14 +591,15 @@ impl Engine {
         let unsatisfied = self
             .active_peers()
             .filter(|&p| !self.is_satisfied(p))
-            .count();
+            .count()
+            + self.overlay.settled_unrooted();
         (online - unsatisfied) as f64 / online as f64
     }
 
     /// Whether every online peer is satisfied — the paper's convergence
     /// criterion for construction latency.
     pub fn is_converged(&self) -> bool {
-        self.active_peers().all(|p| self.is_satisfied(p))
+        self.overlay.settled_unrooted() == 0 && self.active_peers().all(|p| self.is_satisfied(p))
     }
 
     /// Installs a fault plan, replacing any previous one. The crash
@@ -1810,7 +1813,7 @@ impl FromJson for EngineSnapshot {
     fn from_json(value: &Json) -> Result<Self, JsonError> {
         let population = Population::from_json(value.get("population")?)?;
         let n = population.len();
-        let snapshot = EngineSnapshot {
+        let mut snapshot = EngineSnapshot {
             population,
             config: ConstructionConfig::from_json(value.get("config")?)?,
             overlay: Overlay::from_json(value.get("overlay")?)?,
@@ -1826,6 +1829,9 @@ impl FromJson for EngineSnapshot {
             next_crash: usize::from_json(value.get("next_crash")?)?,
         };
         snapshot.check(n)?;
+        snapshot
+            .overlay
+            .set_latencies(snapshot.population.latencies());
         Ok(snapshot)
     }
 }

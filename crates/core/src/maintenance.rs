@@ -43,10 +43,12 @@ fn parent_answers(engine: &Engine, p: PeerId) -> Option<bool> {
 /// this path: a churn departure clears its edges in the same round, so
 /// a parented peer's parent is online in every churn-only run.
 ///
-/// A satisfied peer leaves here with both counters at zero and — its
+/// A satisfied peer, and a member of an unrooted fragment, leave here
+/// with the parent answering, both counters at zero and — their
 /// verification having passed on the way in — nothing to do until a
-/// neighbour changes: the one place a peer is marked settled
-/// (DESIGN.md §13.4).
+/// neighbour changes: the two places a peer is marked settled
+/// (DESIGN.md §13.4). Never while stabilizing: a stabilizing engine
+/// verifies past the neighbourhood (the saturated-cycle walk).
 pub(crate) fn maintain(engine: &mut Engine, p: PeerId) {
     match parent_answers(engine, p) {
         Some(false) => {
@@ -59,18 +61,13 @@ pub(crate) fn maintain(engine: &mut Engine, p: PeerId) {
         Some(true) => engine.proto[p.index()].parent_silent_rounds = 0,
         None => {}
     }
-    if engine.is_satisfied(p) {
+    // No actual DelayAt on an unrooted chain; the fragment root
+    // negotiates.
+    if engine.is_satisfied(p) || !engine.overlay.is_rooted(p) {
         engine.proto[p.index()].violation_rounds = 0;
-        // A stabilizing engine verifies past the neighbourhood (the
-        // saturated-cycle walk), so nobody settles under it.
         if !engine.stabilizing() {
             engine.overlay.settle(p);
         }
-        return;
-    }
-    if !engine.overlay.is_rooted(p) {
-        // No actual DelayAt; the fragment root negotiates.
-        engine.proto[p.index()].violation_rounds = 0;
         return;
     }
     match engine.config.algorithm {
@@ -89,16 +86,16 @@ pub(crate) fn maintain(engine: &mut Engine, p: PeerId) {
 }
 
 /// Whether [`maintain`] would leave everything at `p` as it is: the
-/// parent answers, `p` is satisfied, and neither counter has anything
-/// to forget. Read-only; with a clean [`crate::stabilize::diagnose`]
-/// this is what a settled bit claims.
+/// parent answers, `p` is satisfied or its chain unrooted, and neither
+/// counter has anything to forget. Read-only; with a clean
+/// [`crate::stabilize::diagnose`] this is what a settled bit claims.
 pub(crate) fn is_quiet(engine: &Engine, p: PeerId) -> bool {
     let st = &engine.proto[p.index()];
     let heard = match parent_answers(engine, p) {
         Some(answers) => answers && st.parent_silent_rounds == 0,
         None => true,
     };
-    heard && engine.is_satisfied(p) && st.violation_rounds == 0
+    heard && (engine.is_satisfied(p) || !engine.overlay.is_rooted(p)) && st.violation_rounds == 0
 }
 
 /// Whether `p`'s parent meets its own latency constraint (the source

@@ -39,12 +39,15 @@
 //! The forest also carries one private bit per peer for the engine's
 //! quiescence skip (DESIGN.md §13.4): *settled* means the peer's next
 //! action would change nothing. The engine sets it; the forest's part
-//! is to clear it whenever it writes a word that action reads — every
-//! peer a re-stamp visits, the peer whose child list a mutation edits,
-//! and everybody on any raw mutation. The bits are not serialized and
-//! take no part in equality. While the engine has a round open, the
-//! forest also reports which peers went from settled to unsettled, so
-//! the round can schedule them (DESIGN.md §13.4, "The schedule").
+//! is to clear it whenever a write changes what that action does — the
+//! peer a mutation moves, the peer whose child list it edits, every
+//! peer a re-stamp leaves rooted past its latency (every peer it visits
+//! while the lists may lie), and everybody on any raw mutation — and to
+//! count the settled peers whose stamp is unrooted. The bits are not
+//! serialized and take no part in equality. While the engine has a
+//! round open, the forest also reports which peers went from settled
+//! to unsettled, so the round can schedule them (DESIGN.md §13.4, "The
+//! schedule").
 //!
 //! # Checked forests
 //!
@@ -185,6 +188,11 @@ pub struct Overlay {
     parent: Vec<u32>,
     /// The fanout each peer was built with, immune to forgery.
     capacity: Vec<u32>,
+    /// Each peer's latency constraint: what a re-stamp compares a new
+    /// stamp with to decide whom it wakes. All zero in a forest parsed
+    /// on its own, which wakes every rooted peer a re-stamp visits,
+    /// until [`Overlay::set_latencies`] installs the population's.
+    latency: Vec<u32>,
     /// Start of peer `i`'s child slice in `child_pool`, one extra
     /// terminal entry (see [`child_layout`]).
     child_off: Vec<u32>,
@@ -212,6 +220,11 @@ pub struct Overlay {
     /// Derived state: never serialized, never compared.
     #[serde(skip)]
     settled: Vec<u64>,
+    /// How many settled peers carry an unrooted stamp: the settled
+    /// peers that are not satisfied, which the engine's monitor cannot
+    /// skip. Kept with the bits.
+    #[serde(skip)]
+    settled_unrooted: usize,
     /// Whether un-settle transitions are being reported (a round is
     /// open; see [`Overlay::report_wakes`]).
     #[serde(skip)]
@@ -292,6 +305,7 @@ impl Overlay {
         Overlay {
             source_fanout: population.source_fanout(),
             capacity: fanout.clone(),
+            latency: population.latencies().to_vec(),
             fanout,
             parent: vec![NO_PARENT; n],
             child_pool: vec![PeerId::new(u32::MAX); child_off[n] as usize],
@@ -302,6 +316,7 @@ impl Overlay {
             hops: vec![0; n],
             horizon: population.max_latency().saturating_add(1),
             settled: vec![0; n.div_ceil(64)],
+            settled_unrooted: 0,
             reporting: false,
             woken: Vec::new(),
             woke_all: false,
@@ -372,7 +387,11 @@ impl Overlay {
     /// change nothing.
     #[inline]
     pub(crate) fn settle(&mut self, p: PeerId) {
-        self.settled[p.index() >> 6] |= 1 << (p.index() & 63);
+        let (word, bit) = (p.index() >> 6, 1 << (p.index() & 63));
+        if self.settled[word] & bit == 0 {
+            self.settled[word] |= bit;
+            self.settled_unrooted += usize::from(!self.is_rooted(p));
+        }
     }
 
     /// Un-settles `p`: something its action reads is about to change.
@@ -382,6 +401,7 @@ impl Overlay {
         let (word, bit) = (p.index() >> 6, 1 << (p.index() & 63));
         if self.settled[word] & bit != 0 {
             self.settled[word] &= !bit;
+            self.settled_unrooted -= usize::from(!self.is_rooted(p));
             if self.reporting {
                 self.woken.push(p);
             }
@@ -396,6 +416,21 @@ impl Overlay {
             self.woke_all = true;
         }
         self.settled.fill(0);
+        self.settled_unrooted = 0;
+    }
+
+    /// How many settled peers carry an unrooted stamp — exactly the
+    /// settled peers that are not satisfied, since a re-stamp wakes a
+    /// settled peer it leaves rooted and violated. O(1).
+    pub(crate) fn settled_unrooted(&self) -> usize {
+        self.settled_unrooted
+    }
+
+    /// Installs the population's latency constraints, which a forest
+    /// parsed on its own does not know (see the `latency` field).
+    pub(crate) fn set_latencies(&mut self, latencies: &[u32]) {
+        debug_assert_eq!(latencies.len(), self.latency.len());
+        self.latency.copy_from_slice(latencies);
     }
 
     /// The peers marked in `among` (a bitmap over peer indices, 64 to a
@@ -471,21 +506,30 @@ impl Overlay {
     /// visits the whole subtree, a same-root shift only what lies above
     /// the horizon. This is the *only* place `attach`/`detach`/
     /// `interpose` change a stamp, and a delta record is pushed only for
-    /// a peer actually written. Every peer *visited* is un-settled,
-    /// written or not: a child pruned here compared its stamp with a
-    /// parent's that did change.
+    /// a peer actually written.
+    ///
+    /// `top`, whose parent pointer moved, is un-settled. A peer below
+    /// it keeps its bit unless its new stamp is rooted past its
+    /// latency (see [`Overlay::restamp_settled`]) — except on a forest
+    /// whose lists may lie, where a listed child need not be the
+    /// parent's, so every peer visited is un-settled.
     fn update_subtree_cache(&mut self, top: PeerId, packed_root: u32, hops: u32) {
         let rooted = packed_root == ROOT_SOURCE;
         let mut stack = std::mem::take(&mut self.scratch);
         debug_assert!(stack.is_empty());
         stack.push((top, hops));
+        self.unsettle(top);
         // A valid subtree visits each peer once; a corrupted child
         // structure (grafted ancestors) would go round until the stamps
         // saturate, so the writes are capped at the population size.
         let mut budget = self.parent.len();
         while let Some((s, hops)) = stack.pop() {
             let i = s.index();
-            self.unsettle(s);
+            if self.lists_may_lie {
+                self.unsettle(s);
+            } else {
+                self.restamp_settled(s, packed_root, hops);
+            }
             if self.root[i] == packed_root && self.hops[i] == hops {
                 continue;
             }
@@ -505,6 +549,30 @@ impl Overlay {
         }
         stack.clear();
         self.scratch = stack; // capacity retained
+    }
+
+    /// What a re-stamp does to the bit of a peer below its top, before
+    /// writing `(packed_root, hops)` over its stamp: the peer's parent
+    /// pointer, child lists, counters and liveness are untouched and
+    /// its new stamp agrees with its parent's, so its action changes
+    /// nothing again unless the stamp leaves it rooted and violated,
+    /// which wakes it. A kept peer whose stamp changes side moves in or
+    /// out of the unrooted count.
+    #[inline]
+    fn restamp_settled(&mut self, s: PeerId, packed_root: u32, hops: u32) {
+        if !self.is_settled(s) {
+            return;
+        }
+        let rooted = packed_root == ROOT_SOURCE;
+        if rooted && hops > self.latency[s.index()] {
+            self.unsettle(s);
+        } else if rooted != self.is_rooted(s) {
+            if rooted {
+                self.settled_unrooted -= 1;
+            } else {
+                self.settled_unrooted += 1;
+            }
+        }
     }
 
     /// The stamp a peer attached directly under `parent` takes on,
@@ -1372,6 +1440,7 @@ impl FromJson for Overlay {
         let overlay = Overlay {
             source_fanout: u32::from_json(value.get("source_fanout")?)?,
             capacity: fanout.clone(),
+            latency: vec![0; n],
             fanout,
             parent: parent.into_iter().map(pack_parent).collect(),
             child_off,
@@ -1382,6 +1451,7 @@ impl FromJson for Overlay {
             hops,
             horizon: u32::from_json(value.get("horizon")?)?,
             settled: vec![0; children.len().div_ceil(64)],
+            settled_unrooted: 0,
             reporting: false,
             woken: Vec::new(),
             woke_all: false,

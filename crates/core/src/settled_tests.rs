@@ -86,10 +86,13 @@ fn check_settled(engine: &mut Engine, after: &str) -> Result<(), TestCaseError> 
     );
     prop_assert_eq!(monitor, monitor_by_scan(engine), "monitor after {}", after);
     for q in settled_peers(engine) {
-        // What lets the monitor skip the settled peers.
+        // What lets the monitor skip the settled peers, counting the
+        // unrooted ones.
         prop_assert!(
-            engine.is_online(q) && engine.overlay.parent(q).is_some() && engine.is_satisfied(q),
-            "settled {q} is offline, orphaned or unsatisfied after {after}"
+            engine.is_online(q)
+                && engine.overlay.parent(q).is_some()
+                && (engine.is_satisfied(q) || !engine.overlay.is_rooted(q)),
+            "settled {q} is offline, orphaned or rooted and unsatisfied after {after}"
         );
         prop_assert!(!engine.stabilizing(), "{q} settled while stabilizing");
         prop_assert!(engine.action_is_noop(q), "audit fails at {q} after {after}");
@@ -117,6 +120,8 @@ enum Op {
     Crash(usize),
     Churn,
     Stabilizing(bool),
+    /// An in-memory restore, journal re-enabled.
+    Restore,
     Raw(RawOp),
 }
 
@@ -153,6 +158,7 @@ fn op_strategy(n: usize) -> impl Strategy<Value = Op> {
         Just(Op::Churn),
         // Nobody settles while the mode is on: mostly switch it off.
         (0u32..4).prop_map(|k| Op::Stabilizing(k == 0)),
+        Just(Op::Restore),
         raw_op_strategy(n).prop_map(Op::Raw),
         raw_op_strategy(n).prop_map(Op::Raw),
         raw_op_strategy(n).prop_map(Op::Raw),
@@ -214,6 +220,10 @@ fn apply(engine: &mut Engine, op: &Op, raw: &mut bool) {
             }
         }
         Op::Stabilizing(on) => engine.set_stabilizing(on),
+        Op::Restore => {
+            *engine = Engine::restore(engine.snapshot());
+            engine.obs_mut().enable_journal(1 << 16);
+        }
         Op::Raw(ref raw_op) => {
             *raw = true;
             match *raw_op {
@@ -233,14 +243,14 @@ fn apply(engine: &mut Engine, op: &Op, raw: &mut bool) {
     }
 }
 
-/// 2..=12 peers in latency tiers as wide as the source's fanout
+/// 2..=`max` peers in latency tiers as wide as the source's fanout
 /// (1..=3), each peer with fanout 1..=4 and up to two units of slack:
 /// every tier fits under the one above, so construction converges and
 /// the history below starts from a fully settled overlay.
-fn population_strategy() -> impl Strategy<Value = Population> {
+fn population_strategy(max: usize) -> impl Strategy<Value = Population> {
     (
         1u32..=3,
-        prop::collection::vec((1u32..=4, 0u32..=2), 2..=12),
+        prop::collection::vec((1u32..=4, 0u32..=2), 2..=max),
     )
         .prop_map(|(width, specs)| {
             let peers = specs
@@ -249,6 +259,31 @@ fn population_strategy() -> impl Strategy<Value = Population> {
                 .map(|((fanout, slack), i)| Constraints::new(fanout, i / width + 1 + slack));
             Population::new(width, peers.collect())
         })
+}
+
+/// Builds `population` to convergence, then runs `ops`, checking the
+/// settled peers after construction and after every single operation.
+fn settled_history(
+    population: &Population,
+    algorithm: Algorithm,
+    seed: u64,
+    ops: &[Op],
+) -> Result<(), TestCaseError> {
+    let config = ConstructionConfig::new(algorithm, OracleKind::RandomDelay).with_max_rounds(3_000);
+    let mut engine = Engine::new(population, &config, seed);
+    engine.obs_mut().enable_journal(1 << 16);
+    if engine.run_to_convergence().is_some() {
+        // One more round and everybody has found nothing to do.
+        engine.step();
+        prop_assert_eq!(settled_peers(&engine).len(), population.len());
+    }
+    check_settled(&mut engine, "construction")?;
+    let mut raw = false;
+    for op in ops {
+        apply(&mut engine, op, &mut raw);
+        check_settled(&mut engine, &format!("{op:?}"))?;
+    }
+    Ok(())
 }
 
 proptest! {
@@ -260,26 +295,30 @@ proptest! {
     /// action itself.
     #[test]
     fn a_settled_peer_never_has_anything_to_do(
-        population in population_strategy(),
+        population in population_strategy(12),
         algorithm in prop_oneof![Just(Algorithm::Greedy), Just(Algorithm::Hybrid)],
         seed in 0u64..100_000,
         ops in prop::collection::vec(op_strategy(12), 0..80),
     ) {
-        let config = ConstructionConfig::new(algorithm, OracleKind::RandomDelay)
-            .with_max_rounds(3_000);
-        let mut engine = Engine::new(&population, &config, seed);
-        engine.obs_mut().enable_journal(1 << 16);
-        if engine.run_to_convergence().is_some() {
-            // One more round and everybody has found nothing to do.
-            engine.step();
-            prop_assert_eq!(settled_peers(&engine).len(), population.len());
-        }
-        check_settled(&mut engine, "construction")?;
-        let mut raw = false;
-        for op in &ops {
-            apply(&mut engine, op, &mut raw);
-            check_settled(&mut engine, &format!("{op:?}"))?;
-        }
+        settled_history(&population, algorithm, seed, &ops)?;
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4096))]
+
+    /// The property above at 4 096 cases and up to 24 peers: too slow
+    /// for a debug build, so run weekly in release
+    /// (`cargo test --release -p lagover-core --lib -- --ignored`).
+    #[test]
+    #[ignore]
+    fn a_settled_peer_never_has_anything_to_do_at_scale(
+        population in population_strategy(24),
+        algorithm in prop_oneof![Just(Algorithm::Greedy), Just(Algorithm::Hybrid)],
+        seed in 0u64..100_000,
+        ops in prop::collection::vec(op_strategy(24), 0..80),
+    ) {
+        settled_history(&population, algorithm, seed, &ops)?;
     }
 }
 
@@ -341,8 +380,11 @@ fn crashing_a_parent_unsettles_its_children_who_count_the_silence() {
     engine.act_on(p(1));
     assert_eq!(engine.overlay.parent(p(1)), None, "parent declared crashed");
     assert_eq!(engine.counters().failure_detections, 1);
-    // 3 rode along into the fragment, and heard about it.
-    assert!(settled_peers(&engine).is_empty());
+    // 3 rode along into the fragment, whose root negotiates for it: its
+    // parent still answers, so it has nothing to do.
+    assert_eq!(engine.overlay.root(p(3)), ChainRoot::Fragment(p(1)));
+    assert_eq!(settled_peers(&engine), [p(3)]);
+    assert!(engine.action_is_noop(p(3)));
 }
 
 /// The causes journalled so far, in order.
@@ -494,16 +536,17 @@ fn every_raw_mutation_and_repair_primitive_unsettles_everyone() {
 }
 
 #[test]
-fn a_restored_engine_starts_with_nobody_settled_and_the_same_bytes() {
+fn an_in_memory_restore_keeps_the_bits_and_a_json_restore_replays_the_same_bytes() {
     let engine = settled_engine(&small_tree(), 5);
     let json = engine.snapshot().to_json_string();
 
-    // The bits are no part of the document …
+    // An in-memory snapshot clones the bits …
     let mut plain = Engine::restore(engine.snapshot());
-    assert!(settled_peers(&plain).is_empty(), "in-memory restore");
+    assert_eq!(settled_peers(&plain).len(), 4, "in-memory restore");
     assert_eq!(plain.snapshot().to_json_string(), json);
 
-    // … and a restored engine earns them again, replaying identically.
+    // … the document carries none, and a parsed engine earns them
+    // again, replaying identically.
     let mut parsed = Engine::restore(EngineSnapshot::from_json_str(&json).unwrap());
     assert!(settled_peers(&parsed).is_empty(), "restore from JSON");
     for engine in [&mut plain, &mut parsed] {
@@ -514,6 +557,113 @@ fn a_restored_engine_starts_with_nobody_settled_and_the_same_bytes() {
         plain.snapshot().to_json_string(),
         parsed.snapshot().to_json_string()
     );
+}
+
+/// The chain source ← 0 ← 1 ← 2, every peer settled, with 2's latency
+/// `l2`; then 3 is spliced in above 0, one hop deeper for all three.
+fn shift_a_settled_chain(l2: u32) -> Engine {
+    let population = Population::new(
+        1,
+        vec![
+            Constraints::new(1, 2),
+            Constraints::new(1, 3),
+            Constraints::new(0, l2),
+            Constraints::new(1, 1),
+        ],
+    );
+    let mut engine = Engine::new(&population, &hybrid(), 1);
+    engine.overlay.attach(p(0), Member::Source).unwrap();
+    engine.overlay.attach(p(1), Member::Peer(p(0))).unwrap();
+    engine.overlay.attach(p(2), Member::Peer(p(1))).unwrap();
+    for i in 0..3 {
+        engine.act_on(p(i));
+    }
+    assert_eq!(settled_peers(&engine), [p(0), p(1), p(2)]);
+    engine.overlay.interpose(p(3), p(0)).unwrap();
+    assert_eq!(engine.overlay.stamped_delay(p(2)), Some(4));
+    engine
+}
+
+#[test]
+fn a_restamp_that_leaves_a_peer_satisfied_keeps_it_settled() {
+    let engine = shift_a_settled_chain(4);
+    // 0 moved; 1 and 2 sank one hop each and are still satisfied.
+    assert_eq!(settled_peers(&engine), [p(1), p(2)]);
+}
+
+#[test]
+fn a_restamp_that_leaves_a_peer_violated_wakes_it() {
+    let mut engine = shift_a_settled_chain(3);
+    assert_eq!(settled_peers(&engine), [p(1)]);
+    assert!(!engine.action_is_noop(p(2)));
+    engine.act_on(p(2));
+    assert_eq!(
+        engine.proto[2].violation_rounds, 1,
+        "2 counts its violation"
+    );
+}
+
+#[test]
+fn a_fragment_that_roots_satisfied_wakes_nobody() {
+    // The fragment 0 ← 1 ← 2: its members have nothing to do while 0
+    // negotiates, so they settle, and the monitor counts them.
+    let population = Population::new(
+        1,
+        vec![
+            Constraints::new(1, 1),
+            Constraints::new(1, 2),
+            Constraints::new(0, 3),
+        ],
+    );
+    let mut engine = Engine::new(&population, &hybrid(), 1);
+    engine.overlay.attach(p(1), Member::Peer(p(0))).unwrap();
+    engine.overlay.attach(p(2), Member::Peer(p(1))).unwrap();
+    engine.act_on(p(1));
+    engine.act_on(p(2));
+    assert_eq!(settled_peers(&engine), [p(1), p(2)]);
+    assert!(!engine.is_converged());
+    assert_eq!(engine.satisfied_fraction(), 0.0);
+
+    // 0 takes the source slot: the whole fragment is re-stamped rooted
+    // and satisfied, and nobody is woken.
+    engine.overlay.report_wakes(true);
+    engine.overlay.attach(p(0), Member::Source).unwrap();
+    assert_eq!(engine.overlay.woken(), Some(&[][..]));
+    engine.overlay.report_wakes(false);
+    assert_eq!(settled_peers(&engine), [p(1), p(2)]);
+    assert!(engine.is_converged());
+    assert_eq!(engine.satisfied_fraction(), 1.0);
+}
+
+#[test]
+fn a_restamp_through_a_lying_child_list_wakes_every_peer_it_visits() {
+    // The source feeds 0 and 1; 2 hangs below one of them.
+    let population = Population::new(
+        2,
+        vec![
+            Constraints::new(2, 1),
+            Constraints::new(2, 1),
+            Constraints::new(0, 2),
+        ],
+    );
+    let mut engine = settled_engine(&population, 3);
+    let Some(Member::Peer(parent)) = engine.overlay.parent(p(2)) else {
+        panic!("2 hangs below a peer");
+    };
+    let other = p(1 - parent.index());
+    // Graft 2 onto the other's list, one-sidedly: the graft un-settles
+    // everybody, and 2, whose own neighbourhood is clean, settles again.
+    assert!(engine.overlay.raw_add_child(other, p(2)));
+    engine.act_on(p(2));
+    assert!(engine.overlay.is_settled(p(2)));
+    // Detaching the other re-stamps the peers it lists, 2 among them,
+    // into its fragment: a stamp 2's real parent contradicts.
+    engine.overlay.detach(other).unwrap();
+    assert_eq!(engine.overlay.root(p(2)), ChainRoot::Fragment(other));
+    assert!(!engine.overlay.is_settled(p(2)));
+    assert!(!engine.action_is_noop(p(2)));
+    engine.act_on(p(2));
+    assert_eq!(detected(&engine), [(2, InconsistencyCause::CacheMismatch)]);
 }
 
 #[test]

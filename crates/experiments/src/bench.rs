@@ -400,7 +400,10 @@ mod tests {
             }],
         };
         let text = report.render();
-        assert!(text.contains(&format!("schema v{SCHEMA_VERSION}")), "{text}");
+        assert!(
+            text.contains(&format!("schema v{SCHEMA_VERSION}")),
+            "{text}"
+        );
         assert!(text.contains("fig3"), "{text}");
         assert!(text.contains("42"), "{text}");
     }

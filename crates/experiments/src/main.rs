@@ -15,8 +15,11 @@
 //! (`results/all_results.txt` is its output). The run starts from the
 //! paper's parameters, or from the small test ones under `--quick`
 //! wherever it stands; each sizing flag then replaces one field.
-//! `--peers` and `--runs` must be at least 1. A bad command line prints
-//! the usage line and exits 2.
+//! `--peers` and `--runs` must be at least 1 (`--peers` at least 2 for
+//! `realizations`, whose gossip graph needs two peers). A bad command
+//! line, or parameters an experiment cannot draw an instance from (a
+//! `multifeed` feed nobody subscribes to), prints the usage line and
+//! exits 2.
 
 #![forbid(unsafe_code)]
 
@@ -128,8 +131,19 @@ fn main() -> ExitCode {
         return usage();
     };
 
+    // A gossip membership graph needs two peers.
+    if params.peers < 2 && selected.contains(&"realizations") {
+        return bad_flag("--peers", "at least 2 for realizations");
+    }
+
     for name in selected {
-        let (text, json) = run_one(name, &params);
+        let (text, json) = match run_one(name, &params) {
+            Ok(out) => out,
+            Err(e) => {
+                eprintln!("lagover-experiments: {name} cannot run with these flags: {e}");
+                return usage();
+            }
+        };
         println!("{text}");
         if let Some(dir) = &json_dir {
             if let Err(e) = std::fs::create_dir_all(dir) {
@@ -147,9 +161,10 @@ fn main() -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// Runs one experiment, returning (rendered text, JSON).
-fn run_one(name: &str, params: &Params) -> (String, String) {
-    match name {
+/// Runs one experiment, returning (rendered text, JSON), or why the
+/// parameters make no instance of it.
+fn run_one(name: &str, params: &Params) -> Result<(String, String), String> {
+    Ok(match name {
         "fig2" => {
             // The variance figure wants more repetitions than the
             // median-of-5 protocol.
@@ -189,7 +204,7 @@ fn run_one(name: &str, params: &Params) -> (String, String) {
             (report.render(), lagover_jsonio::to_string_pretty(&report))
         }
         "multifeed" => {
-            let report = multifeed_exp::run(params);
+            let report = multifeed_exp::run(params).map_err(|e| e.to_string())?;
             (report.render(), lagover_jsonio::to_string_pretty(&report))
         }
         "ablations" => {
@@ -233,5 +248,5 @@ fn run_one(name: &str, params: &Params) -> (String, String) {
             (report.render(), lagover_jsonio::to_string_pretty(&report))
         }
         other => unreachable!("unknown experiment {other} filtered by main"),
-    }
+    })
 }

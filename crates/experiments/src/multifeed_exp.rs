@@ -10,7 +10,7 @@
 use serde::{Deserialize, Serialize};
 
 use lagover_core::{Algorithm, ConstructionConfig, OracleKind};
-use lagover_feed::{BudgetPolicy, FeedSpec, MultiFeedSystem, Subscription};
+use lagover_feed::{BudgetPolicy, FeedError, FeedSpec, MultiFeedSystem, Subscription};
 use lagover_sim::{stats, SimRng};
 
 use crate::table::TextTable;
@@ -71,8 +71,8 @@ impl MultiFeedReport {
 
 /// Builds a random `k`-feed system over `peers` consumers: everyone
 /// subscribes to feed 0; each further feed draws a random ~half of the
-/// population.
-fn random_system(peers: usize, k: usize, rng: &mut SimRng) -> MultiFeedSystem {
+/// population — which, in a small population, may be nobody.
+fn random_system(peers: usize, k: usize, rng: &mut SimRng) -> Result<MultiFeedSystem, FeedError> {
     let peer_fanouts: Vec<u32> = (0..peers).map(|_| rng.range_u32(2, 8)).collect();
     let mut feeds = Vec::with_capacity(k);
     for f in 0..k {
@@ -91,11 +91,17 @@ fn random_system(peers: usize, k: usize, rng: &mut SimRng) -> MultiFeedSystem {
             subscriptions,
         });
     }
-    MultiFeedSystem::new(peer_fanouts, feeds)
+    MultiFeedSystem::try_new(peer_fanouts, feeds)
 }
 
 /// Runs the sweep over 1, 2, and 4 concurrent feeds.
-pub fn run(params: &Params) -> MultiFeedReport {
+///
+/// # Errors
+///
+/// The first drawn system that is not one ([`FeedError::NoSubscribers`]
+/// when a feed draws nobody, which only a population of a few peers
+/// makes likely).
+pub fn run(params: &Params) -> Result<MultiFeedReport, FeedError> {
     let mut rows = Vec::new();
     for (ki, k) in [1usize, 2, 4].into_iter().enumerate() {
         for policy in [BudgetPolicy::Shared, BudgetPolicy::Oversubscribed] {
@@ -105,7 +111,7 @@ pub fn run(params: &Params) -> MultiFeedReport {
             for r in 0..params.runs {
                 let seed = params.run_seed(900 + ki as u64, r as u64);
                 let mut rng = SimRng::seed_from(seed).split(0xFEED5);
-                let system = random_system(params.peers, k, &mut rng);
+                let system = random_system(params.peers, k, &mut rng)?;
                 let config = ConstructionConfig::new(Algorithm::Hybrid, OracleKind::RandomDelay)
                     .with_max_rounds(params.max_rounds);
                 let outcome = system.construct_all(&config, policy, seed);
@@ -125,10 +131,10 @@ pub fn run(params: &Params) -> MultiFeedReport {
             });
         }
     }
-    MultiFeedReport {
+    Ok(MultiFeedReport {
         params: *params,
         rows,
-    }
+    })
 }
 
 #[cfg(test)]
@@ -139,7 +145,7 @@ mod tests {
     fn shared_budget_never_overpromises() {
         let mut params = Params::quick();
         params.runs = 2;
-        let report = run(&params);
+        let report = run(&params).expect("every feed draws a subscriber");
         for row in &report.rows {
             if row.policy == "shared" {
                 assert!(

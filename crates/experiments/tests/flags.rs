@@ -57,3 +57,40 @@ fn quick_is_the_base_wherever_it_stands() {
     assert!(json.contains("\"peers\": 50"), "{json}");
     assert!(json.contains("\"runs\": 3"), "quick base kept: {json}");
 }
+
+#[test]
+fn a_round_cap_the_run_cannot_meet_is_a_row_not_a_panic() {
+    let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("serverload-capped");
+    let out = run(&[
+        "run",
+        "serverload",
+        "--quick",
+        "--max-rounds",
+        "1",
+        "--json",
+        dir.to_str().unwrap(),
+    ]);
+    assert!(out.status.success(), "{out:?}");
+    let json = std::fs::read_to_string(dir.join("serverload.json")).expect("written");
+    // One round serves nobody: every row counts its consumers broken.
+    assert!(json.contains("\"violations\": 30"), "{json}");
+    assert!(!json.contains("\"violations\": 0"), "{json}");
+}
+
+#[test]
+fn a_tiny_population_is_a_usage_error_or_a_run_never_a_panic() {
+    for peers in 1..=16 {
+        for experiment in ["multifeed", "realizations"] {
+            let out = run(&["run", experiment, "--quick", "--peers", &peers.to_string()]);
+            let code = out.status.code();
+            assert!(
+                matches!(code, Some(0 | 2)),
+                "{experiment} --peers {peers}: {out:?}"
+            );
+            if code == Some(2) {
+                let stderr = String::from_utf8_lossy(&out.stderr);
+                assert!(stderr.contains("usage: lagover-experiments"), "{stderr}");
+            }
+        }
+    }
+}

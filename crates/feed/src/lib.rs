@@ -53,6 +53,8 @@ pub mod server_load;
 
 pub use dissemination::{disseminate, DisseminationConfig, DisseminationReport, NodeDelivery};
 pub use live::{run_live, LiveConfig, LiveOutcome};
-pub use multifeed::{BudgetPolicy, FeedSpec, MultiFeedOutcome, MultiFeedSystem, Subscription};
+pub use multifeed::{
+    BudgetPolicy, FeedError, FeedSpec, MultiFeedOutcome, MultiFeedSystem, Subscription,
+};
 pub use schedule::{HorizonTooLong, PublishSchedule};
 pub use server_load::{compare_server_load, ServerLoadReport};

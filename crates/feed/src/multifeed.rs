@@ -101,33 +101,64 @@ pub struct MultiFeedSystem {
     pub feeds: Vec<FeedSpec>,
 }
 
+/// Why a set of feeds cannot form a [`MultiFeedSystem`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum FeedError {
+    /// The named feed has no subscribers, so no LagOver to build.
+    NoSubscribers(String),
+    /// A subscription references a peer outside the population.
+    UnknownPeer(u32),
+    /// A subscription tolerates a latency of zero.
+    ZeroLatency,
+}
+
+impl fmt::Display for FeedError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            FeedError::NoSubscribers(name) => write!(f, "feed {name} has no subscribers"),
+            FeedError::UnknownPeer(p) => write!(f, "subscription references unknown peer {p}"),
+            FeedError::ZeroLatency => f.write_str("zero latency subscription"),
+        }
+    }
+}
+
+impl std::error::Error for FeedError {}
+
 impl MultiFeedSystem {
+    /// Creates a system, or names the first feed or subscription that
+    /// cannot take part in one.
+    ///
+    /// # Errors
+    ///
+    /// [`FeedError::NoSubscribers`], [`FeedError::UnknownPeer`] (outside
+    /// `peer_fanouts`) or [`FeedError::ZeroLatency`].
+    pub fn try_new(peer_fanouts: Vec<u32>, feeds: Vec<FeedSpec>) -> Result<Self, FeedError> {
+        for feed in &feeds {
+            if feed.subscriptions.is_empty() {
+                return Err(FeedError::NoSubscribers(feed.name.clone()));
+            }
+            for sub in &feed.subscriptions {
+                if sub.peer as usize >= peer_fanouts.len() {
+                    return Err(FeedError::UnknownPeer(sub.peer));
+                }
+                if sub.latency == 0 {
+                    return Err(FeedError::ZeroLatency);
+                }
+            }
+        }
+        Ok(MultiFeedSystem {
+            peer_fanouts,
+            feeds,
+        })
+    }
+
     /// Creates a system.
     ///
     /// # Panics
     ///
-    /// Panics if any subscription references a peer outside
-    /// `peer_fanouts`, a feed has no subscribers, or a latency is zero.
+    /// On any [`FeedError`] of [`MultiFeedSystem::try_new`].
     pub fn new(peer_fanouts: Vec<u32>, feeds: Vec<FeedSpec>) -> Self {
-        for feed in &feeds {
-            assert!(
-                !feed.subscriptions.is_empty(),
-                "feed {} has no subscribers",
-                feed.name
-            );
-            for sub in &feed.subscriptions {
-                assert!(
-                    (sub.peer as usize) < peer_fanouts.len(),
-                    "subscription references unknown peer {}",
-                    sub.peer
-                );
-                assert!(sub.latency >= 1, "zero latency subscription");
-            }
-        }
-        MultiFeedSystem {
-            peer_fanouts,
-            feeds,
-        }
+        Self::try_new(peer_fanouts, feeds).unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Number of feeds.
