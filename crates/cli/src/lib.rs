@@ -303,7 +303,10 @@ pub fn parse_args(args: &[String]) -> Result<Options, CliError> {
             "--pull-interval" => {
                 opts.pull_interval = value()?
                     .parse()
-                    .map_err(|_| err("--pull-interval needs an integer"))?
+                    .map_err(|_| err("--pull-interval needs an integer"))?;
+                if opts.pull_interval == 0 {
+                    return Err(err("--pull-interval must be at least 1"));
+                }
             }
             "--trees" => {
                 opts.trees = value()?

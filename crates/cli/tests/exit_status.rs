@@ -34,3 +34,22 @@ fn a_horizon_past_the_round_clock_exits_2() {
         assert!(!stderr.contains("panicked"), "{verb}: {stderr}");
     }
 }
+
+#[test]
+fn a_zero_pull_interval_is_a_usage_error() {
+    let (code, stderr) = lagover(&[
+        "disseminate",
+        "--workload",
+        "rand",
+        "--peers",
+        "100",
+        "--pull-interval",
+        "0",
+    ]);
+    assert_eq!(code, Some(2), "{stderr}");
+    assert!(
+        stderr.contains("--pull-interval must be at least 1"),
+        "{stderr}"
+    );
+    assert!(!stderr.contains("panicked"), "{stderr}");
+}

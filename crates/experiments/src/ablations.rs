@@ -13,10 +13,10 @@ use serde::{Deserialize, Serialize};
 use lagover_core::{construct, Algorithm, ConstructionConfig, OracleKind, Plan, Run, SourceMode};
 use lagover_sim::churn::{BernoulliChurn, SessionChurn, SessionDistribution};
 use lagover_sim::stats;
-use lagover_workload::{TopologicalConstraint, WorkloadSpec};
+use lagover_workload::TopologicalConstraint;
 
 use crate::table::TextTable;
-use crate::Params;
+use crate::{satisfiable_population, Params};
 
 /// One ablation row.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -83,9 +83,7 @@ fn median_latency(params: &Params, config: &ConstructionConfig, setting: u64) ->
     let mut converged = 0usize;
     for r in 0..params.runs {
         let seed = params.run_seed(setting, r as u64);
-        let population = WorkloadSpec::new(TopologicalConstraint::BiCorr, params.peers)
-            .generate(seed)
-            .expect("repairable");
+        let population = satisfiable_population(TopologicalConstraint::BiCorr, params.peers, seed);
         let outcome = construct(&population, config, seed);
         if outcome.converged() {
             converged += 1;
@@ -158,9 +156,8 @@ pub fn run(params: &Params) -> AblationReport {
         let mut converged = 0usize;
         for r in 0..params.runs {
             let seed = params.run_seed(760 + i as u64, r as u64);
-            let population = WorkloadSpec::new(TopologicalConstraint::BiCorr, params.peers)
-                .generate(seed)
-                .expect("repairable");
+            let population =
+                satisfiable_population(TopologicalConstraint::BiCorr, params.peers, seed);
             let config = ConstructionConfig::new(Algorithm::Hybrid, OracleKind::RandomDelay)
                 .with_max_rounds(params.max_rounds);
             let run = Run::new(&population, &config, seed);

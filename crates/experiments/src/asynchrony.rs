@@ -18,10 +18,10 @@ use serde::{Deserialize, Serialize};
 use lagover_core::{Algorithm, ConstructionConfig, OracleKind, Run};
 use lagover_net::{DurationModel, SpaceSpec, SubstrateModel};
 use lagover_sim::{stats, SimRng};
-use lagover_workload::{TopologicalConstraint, WorkloadSpec};
+use lagover_workload::TopologicalConstraint;
 
 use crate::table::TextTable;
-use crate::Params;
+use crate::{satisfiable_population, Params};
 
 /// One (workload, mode) measurement.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -124,9 +124,7 @@ pub fn run(params: &Params) -> AsyncReport {
             let mut converged = 0usize;
             for r in 0..params.runs {
                 let seed = params.run_seed((200 + wi * 2 + mi) as u64, r as u64);
-                let population = WorkloadSpec::new(*class, params.peers)
-                    .generate(seed)
-                    .expect("repairable");
+                let population = satisfiable_population(*class, params.peers, seed);
                 let config = ConstructionConfig::new(Algorithm::Hybrid, OracleKind::RandomDelay)
                     .with_max_rounds(params.max_rounds);
                 let run = Run::new(&population, &config, seed);
@@ -184,9 +182,7 @@ pub fn observed(params: &Params) -> lagover_obs::ObsReport {
     let reports: Vec<lagover_obs::ObsReport> = (0..params.runs)
         .map(|r| {
             let seed = params.run_seed(salt, r as u64);
-            let population = WorkloadSpec::new(class, params.peers)
-                .generate(seed)
-                .expect("repairable");
+            let population = satisfiable_population(class, params.peers, seed);
             let config = ConstructionConfig::new(Algorithm::Hybrid, OracleKind::RandomDelay)
                 .with_max_rounds(params.max_rounds);
             let mut model_rng = SimRng::seed_from(seed).split(5);

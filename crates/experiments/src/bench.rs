@@ -19,10 +19,12 @@
 
 use lagover_core::{Algorithm, ConstructionConfig, FaultScenario, OracleKind, Plan, Run};
 use lagover_obs::ObsReport;
-use lagover_workload::{layered_population, TopologicalConstraint, WorkloadSpec};
+use lagover_workload::{layered_population, TopologicalConstraint};
 
 use crate::table::TextTable;
-use crate::{fig2, fig3, fig4, obs_exp, recovery, stabilization, streams, Params};
+use crate::{
+    fig2, fig3, fig4, obs_exp, recovery, satisfiable_population, stabilization, streams, Params,
+};
 
 /// Version stamp of the document layout: bump it whenever the metric
 /// set or the row structure changes incompatibly.
@@ -314,11 +316,7 @@ fn obs_footprint(params: &Params) -> ObsReport {
         &format!("obs rand hybrid/oracle-random-delay n={}", params.peers),
         params,
         OBS_SALT,
-        |seed| {
-            WorkloadSpec::new(TopologicalConstraint::Rand, params.peers)
-                .generate(seed)
-                .expect("Rand workloads are repairable")
-        },
+        |seed| satisfiable_population(TopologicalConstraint::Rand, params.peers, seed),
         || {
             ConstructionConfig::new(Algorithm::Hybrid, OracleKind::RandomDelay)
                 .with_max_rounds(params.max_rounds)

@@ -13,10 +13,10 @@ use serde::{Deserialize, Serialize};
 use lagover_core::{construct, parallel_runs, Algorithm, ConstructionConfig, OracleKind};
 use lagover_sim::stats::{bootstrap_median_ci, ConfidenceInterval, Summary};
 use lagover_sim::SimRng;
-use lagover_workload::{TopologicalConstraint, WorkloadSpec};
+use lagover_workload::TopologicalConstraint;
 
 use crate::table::TextTable;
-use crate::Params;
+use crate::{satisfiable_population, Params};
 
 /// Spread of convergence latency for one workload class.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -106,9 +106,7 @@ pub fn run(params: &Params, runs_per_workload: usize) -> Fig2Report {
         // to the sequential loop it replaces.
         let outcomes = parallel_runs(runs_per_workload, |r| {
             let seed = params.run_seed(wi as u64, r as u64);
-            let population = WorkloadSpec::new(*class, params.peers)
-                .generate(seed)
-                .expect("paper classes are repairable");
+            let population = satisfiable_population(*class, params.peers, seed);
             let config = ConstructionConfig::new(Algorithm::Greedy, OracleKind::RandomDelay)
                 .with_max_rounds(params.max_rounds);
             construct(&population, &config, seed).converged_at
@@ -140,11 +138,7 @@ pub fn observed(params: &Params) -> lagover_obs::ObsReport {
         &format!("fig2 {class} greedy/oracle-random-delay n={}", params.peers),
         params,
         0,
-        |seed| {
-            WorkloadSpec::new(class, params.peers)
-                .generate(seed)
-                .expect("paper classes are repairable")
-        },
+        |seed| satisfiable_population(class, params.peers, seed),
         || {
             ConstructionConfig::new(Algorithm::Greedy, OracleKind::RandomDelay)
                 .with_max_rounds(params.max_rounds)

@@ -15,10 +15,10 @@ use serde::{Deserialize, Serialize};
 
 use lagover_core::{construct, parallel_runs, Algorithm, ConstructionConfig, OracleKind};
 use lagover_sim::stats;
-use lagover_workload::{TopologicalConstraint, WorkloadSpec};
+use lagover_workload::TopologicalConstraint;
 
 use crate::table::TextTable;
-use crate::Params;
+use crate::{satisfiable_population, Params};
 
 /// One (workload, oracle) cell.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -103,9 +103,7 @@ pub fn run_with_algorithm(params: &Params, algorithm: Algorithm) -> Fig3Report {
             // sequential loop.
             let results = parallel_runs(params.runs, |r| {
                 let seed = params.run_seed((wi * 4 + oi) as u64, r as u64);
-                let population = WorkloadSpec::new(*class, params.peers)
-                    .generate(seed)
-                    .expect("paper classes are repairable");
+                let population = satisfiable_population(*class, params.peers, seed);
                 let config =
                     ConstructionConfig::new(algorithm, *kind).with_max_rounds(params.max_rounds);
                 let outcome = construct(&population, &config, seed);
@@ -151,11 +149,7 @@ pub fn observed(params: &Params) -> lagover_obs::ObsReport {
         &format!("fig3 {class} greedy/{} n={}", kind.label(), params.peers),
         params,
         oi as u64,
-        |seed| {
-            WorkloadSpec::new(class, params.peers)
-                .generate(seed)
-                .expect("paper classes are repairable")
-        },
+        |seed| satisfiable_population(class, params.peers, seed),
         || ConstructionConfig::new(Algorithm::Greedy, kind).with_max_rounds(params.max_rounds),
     )
 }

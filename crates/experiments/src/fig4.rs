@@ -14,10 +14,10 @@ use lagover_core::{
 };
 use lagover_sim::stats::mann_whitney_less;
 use lagover_sim::{stats, BernoulliChurn};
-use lagover_workload::{TopologicalConstraint, WorkloadSpec};
+use lagover_workload::TopologicalConstraint;
 
 use crate::table::TextTable;
-use crate::Params;
+use crate::{satisfiable_population, Params};
 
 /// One (algorithm, churn) measurement row.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -124,9 +124,7 @@ pub fn run_on(params: &Params, class: TopologicalConstraint) -> Fig4Report {
             // map is bit-identical to the sequential loop.
             let results = parallel_runs(params.runs, |r| {
                 let seed = params.run_seed((ai * 2 + ci) as u64 + 100, r as u64);
-                let population = WorkloadSpec::new(class, params.peers)
-                    .generate(seed)
-                    .expect("repairable");
+                let population = satisfiable_population(class, params.peers, seed);
                 let config = ConstructionConfig::new(algorithm, OracleKind::RandomDelay)
                     .with_max_rounds(params.max_rounds);
                 if with_churn {
@@ -193,11 +191,7 @@ pub fn observed(params: &Params) -> lagover_obs::ObsReport {
         &format!("fig4 {class} hybrid/no-churn n={}", params.peers),
         params,
         salt,
-        |seed| {
-            WorkloadSpec::new(class, params.peers)
-                .generate(seed)
-                .expect("repairable")
-        },
+        |seed| satisfiable_population(class, params.peers, seed),
         || {
             ConstructionConfig::new(Algorithm::Hybrid, OracleKind::RandomDelay)
                 .with_max_rounds(params.max_rounds)

@@ -120,7 +120,12 @@ impl Default for Params {
 }
 
 /// Generates the run's population, deterministically nudging the seed
-/// past the rare draws whose sufficiency repair loop gives up.
+/// past the rare draws the sufficiency repair cannot satisfy: a small
+/// population whose fanouts cannot carry it overloads a level at
+/// [`MAX_RELAXED_LATENCY`](lagover_workload::generators::MAX_RELAXED_LATENCY).
+/// Every paper-class run generates its population here, so such a draw
+/// moves to the next seed instead of panicking; a seed that generates
+/// is used as it is.
 pub(crate) fn satisfiable_population(
     class: TopologicalConstraint,
     peers: usize,

@@ -12,10 +12,10 @@ use serde::{Deserialize, Serialize};
 use lagover_core::{Algorithm, ConstructionConfig, Engine, OracleKind};
 use lagover_feed::{run_live, LiveConfig};
 use lagover_sim::{stats, BernoulliChurn};
-use lagover_workload::{TopologicalConstraint, WorkloadSpec};
+use lagover_workload::TopologicalConstraint;
 
 use crate::table::TextTable;
-use crate::Params;
+use crate::{satisfiable_population, Params};
 
 /// One (churn rate, algorithm) measurement.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -95,9 +95,7 @@ pub fn run(params: &Params) -> LivenessReport {
             let mut satisfied = Vec::new();
             for r in 0..params.runs {
                 let seed = params.run_seed(1_000 + ri as u64, r as u64);
-                let population = WorkloadSpec::new(class, params.peers)
-                    .generate(seed)
-                    .expect("repairable");
+                let population = satisfiable_population(class, params.peers, seed);
                 let config = ConstructionConfig::new(algorithm, OracleKind::RandomDelay)
                     .with_max_rounds(params.max_rounds);
                 let mut engine = Engine::new(&population, &config, seed);

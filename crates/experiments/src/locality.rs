@@ -16,11 +16,11 @@ use lagover_core::node::Member;
 use lagover_core::{Algorithm, ConstructionConfig, Engine, OracleKind};
 use lagover_net::{ClusterConfig, LatencyConfig, LatencySpace, SpaceSpec};
 use lagover_sim::{stats, SimRng};
-use lagover_workload::{TopologicalConstraint, WorkloadSpec};
+use lagover_workload::TopologicalConstraint;
 
 use crate::oracle_impls::LocalityDelayOracle;
 use crate::table::TextTable;
-use crate::Params;
+use crate::{satisfiable_population, Params};
 
 /// One oracle-variant measurement.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -161,9 +161,7 @@ pub fn run(params: &Params) -> LocalityReport {
             let mut converged = 0usize;
             for r in 0..params.runs {
                 let seed = params.run_seed(600, r as u64);
-                let population = WorkloadSpec::new(class, params.peers)
-                    .generate(seed)
-                    .expect("repairable");
+                let population = satisfiable_population(class, params.peers, seed);
                 let space = build_space(&spec, seed);
                 let config = ConstructionConfig::new(Algorithm::Hybrid, OracleKind::RandomDelay)
                     .with_max_rounds(params.max_rounds);

@@ -25,11 +25,11 @@ use serde::{Deserialize, Serialize};
 use lagover_core::{Algorithm, ConstructionConfig, OracleKind, Run};
 use lagover_net::{MeasuredConfig, MeasuredSpace, SpaceSpec};
 use lagover_sim::{stats, SimRng};
-use lagover_workload::{TopologicalConstraint, WorkloadSpec};
+use lagover_workload::TopologicalConstraint;
 
 use crate::asynchrony::NormalizedModel;
 use crate::table::TextTable;
-use crate::Params;
+use crate::{satisfiable_population, Params};
 
 /// One (substrate, algorithm, oracle) measurement.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -118,9 +118,7 @@ pub fn run(params: &Params) -> MeasuredReport {
             let mut converged = 0usize;
             for r in 0..params.runs {
                 let seed = params.run_seed(1_100 + (si * axes.len() + xi) as u64, r as u64);
-                let population = WorkloadSpec::new(class, params.peers)
-                    .generate(seed)
-                    .expect("repairable");
+                let population = satisfiable_population(class, params.peers, seed);
                 let config =
                     ConstructionConfig::new(*algorithm, *kind).with_max_rounds(params.max_rounds);
                 let mut model_rng = SimRng::seed_from(seed).split(5);

@@ -16,10 +16,10 @@ use lagover_core::{Algorithm, ConstructionConfig, OracleKind};
 use lagover_jsonio::to_string;
 use lagover_node::{run_mesh, twin, Scenario, ScenarioSpec};
 use lagover_obs::Journal;
-use lagover_workload::{TopologicalConstraint, WorkloadSpec};
+use lagover_workload::TopologicalConstraint;
 
 use crate::table::TextTable;
-use crate::Params;
+use crate::{satisfiable_population, Params};
 
 /// Shared journal ring capacity — small enough that the embedded
 /// journals keep the report readable, large enough that quick-scale
@@ -105,9 +105,7 @@ pub fn run(params: &Params) -> NodesimReport {
     .enumerate()
     {
         let seed = params.run_seed(1_200 + si as u64, 0);
-        let population = WorkloadSpec::new(class, params.peers)
-            .generate(seed)
-            .expect("repairable");
+        let population = satisfiable_population(class, params.peers, seed);
         let spec = ScenarioSpec {
             scenario,
             config: ConstructionConfig::new(Algorithm::Greedy, OracleKind::RandomDelay)

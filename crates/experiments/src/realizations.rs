@@ -11,11 +11,11 @@ use serde::{Deserialize, Serialize};
 
 use lagover_core::{construct, Algorithm, ConstructionConfig, OracleKind, Run};
 use lagover_sim::{stats, SimRng};
-use lagover_workload::{TopologicalConstraint, WorkloadSpec};
+use lagover_workload::TopologicalConstraint;
 
 use crate::oracle_impls::{DirectoryOracle, GossipWalkOracle};
 use crate::table::TextTable;
-use crate::Params;
+use crate::{satisfiable_population, Params};
 
 /// One oracle-implementation measurement.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -100,11 +100,7 @@ pub fn run(params: &Params) -> RealizationsReport {
 
     let peers = params.peers;
     let max_rounds = params.max_rounds;
-    let population_for = |seed: u64| {
-        WorkloadSpec::new(class, peers)
-            .generate(seed)
-            .expect("repairable")
-    };
+    let population_for = |seed: u64| satisfiable_population(class, peers, seed);
 
     measure("Random (reference)", &mut |seed| {
         let config = ConstructionConfig::new(Algorithm::Greedy, OracleKind::Random)

@@ -11,10 +11,10 @@ use serde::{Deserialize, Serialize};
 
 use lagover_core::{Algorithm, ConstructionConfig, Engine, OracleKind};
 use lagover_feed::{compare_server_load, disseminate, DisseminationConfig};
-use lagover_workload::{TopologicalConstraint, WorkloadSpec};
+use lagover_workload::TopologicalConstraint;
 
 use crate::table::TextTable;
-use crate::Params;
+use crate::{satisfiable_population, Params};
 
 /// One population-size measurement.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -85,9 +85,7 @@ pub fn run_sizes(params: &Params, sizes: &[usize]) -> ServerLoadReportE8 {
     let mut rows = Vec::new();
     for (i, &peers) in sizes.iter().enumerate() {
         let seed = params.run_seed(400 + i as u64, 0);
-        let population = WorkloadSpec::new(class, peers)
-            .generate(seed)
-            .expect("repairable");
+        let population = satisfiable_population(class, peers, seed);
         let config = ConstructionConfig::new(Algorithm::Hybrid, OracleKind::RandomDelay)
             .with_max_rounds(params.max_rounds);
         let mut engine = Engine::new(&population, &config, seed);

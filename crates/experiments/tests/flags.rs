@@ -94,3 +94,22 @@ fn a_tiny_population_is_a_usage_error_or_a_run_never_a_panic() {
         }
     }
 }
+
+#[test]
+fn the_paper_classes_generate_past_thirty_thousand_peers() {
+    // Every class of fig3 at n = 30 000, one capped run per cell: the
+    // populations must generate (BiCorr's seed-7 draw once hit a
+    // repair step cap and panicked).
+    let out = run(&[
+        "run",
+        "fig3",
+        "--quick",
+        "--peers",
+        "30000",
+        "--runs",
+        "1",
+        "--max-rounds",
+        "1",
+    ]);
+    assert!(out.status.success(), "{out:?}");
+}

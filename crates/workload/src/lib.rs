@@ -112,8 +112,10 @@ impl fmt::Display for TopologicalConstraint {
 /// Why generation failed.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum GenerateError {
-    /// The repair loop could not reach the sufficiency condition within
-    /// its iteration budget (pathologically low total capacity).
+    /// The sufficiency repair would have to relax a latency past
+    /// [`generators::MAX_RELAXED_LATENCY`]: the level at that bound is
+    /// overloaded (too little capacity kept below it, e.g. a small
+    /// population of fanout-0 peers).
     CannotSatisfy,
     /// Adversarial parameters are degenerate (zero chain or hub).
     DegenerateAdversarial,
@@ -181,9 +183,11 @@ impl WorkloadSpec {
     ///
     /// # Errors
     ///
-    /// [`GenerateError::CannotSatisfy`] if the sufficiency repair loop
-    /// fails; [`GenerateError::DegenerateAdversarial`] for degenerate
-    /// adversarial parameters.
+    /// [`GenerateError::CannotSatisfy`] for a random class whose
+    /// sufficiency repair would relax a latency past
+    /// [`generators::MAX_RELAXED_LATENCY`] — the repair's only failure:
+    /// it has no step budget. [`GenerateError::DegenerateAdversarial`]
+    /// for degenerate adversarial parameters.
     pub fn generate(&self, seed: u64) -> Result<Population, GenerateError> {
         match generators::generate(self, seed)? {
             (population, Some(mut rng)) => generators::repair(population, &mut rng),
