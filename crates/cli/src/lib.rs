@@ -57,6 +57,9 @@ pub struct CliError {
     /// a forest the budgets cannot carve or a horizon past what can be
     /// held — as opposed to a run that was tried and failed.
     pub usage: bool,
+    /// What the failed run still reports, for stdout: a run that did
+    /// not converge prints the state it stopped in.
+    pub report: String,
 }
 
 impl CliError {
@@ -83,14 +86,35 @@ fn err(msg: impl Into<String>) -> CliError {
     CliError {
         message: msg.into(),
         usage: false,
+        report: String::new(),
     }
 }
 
 fn usage(msg: impl Into<String>) -> CliError {
     CliError {
-        message: msg.into(),
         usage: true,
+        ..err(msg)
     }
+}
+
+/// `report` as the verb's output if its construction converged within
+/// `--max-rounds`, otherwise as the report of a failed run (exit
+/// status 1).
+fn converged_or_failed(
+    opts: &Options,
+    converged: bool,
+    report: String,
+) -> Result<String, CliError> {
+    if converged {
+        return Ok(report);
+    }
+    Err(CliError {
+        report,
+        ..err(format!(
+            "construction did not converge within {} rounds",
+            opts.max_rounds
+        ))
+    })
 }
 
 /// Parsed command-line options.
@@ -618,7 +642,7 @@ fn cmd_construct(opts: &Options) -> Result<String, CliError> {
     if let Some(g) = analysis::gradation_coefficient(engine.overlay(), &population) {
         out += &format!("latency gradation coefficient: {g:.3}\n");
     }
-    Ok(out)
+    converged_or_failed(opts, converged.is_some(), out)
 }
 
 fn cmd_disseminate(opts: &Options) -> Result<String, CliError> {
@@ -752,7 +776,7 @@ fn cmd_evolve(opts: &Options) -> Result<String, CliError> {
         ),
         None => format!("not converged after {} rounds\n", opts.max_rounds),
     };
-    Ok(out)
+    converged_or_failed(opts, converged.is_some(), out)
 }
 
 fn cmd_recover(opts: &Options) -> Result<String, CliError> {
@@ -798,7 +822,7 @@ fn cmd_recover(opts: &Options) -> Result<String, CliError> {
         outcome.counters.messages_lost,
         outcome.counters.oracle_outages,
     );
-    Ok(out)
+    converged_or_failed(opts, outcome.converged_at.is_some(), out)
 }
 
 /// Journal capacity for `lagover obs` runs.
@@ -832,11 +856,12 @@ fn cmd_obs(opts: &Options) -> Result<String, CliError> {
     for report in it {
         merged.merge(&report);
     }
-    if opts.json {
-        Ok(lagover_jsonio::to_string_pretty(&merged))
+    let out = if opts.json {
+        lagover_jsonio::to_string_pretty(&merged)
     } else {
-        Ok(merged.render())
-    }
+        merged.render()
+    };
+    converged_or_failed(opts, merged.converged == merged.runs, out)
 }
 
 fn node_scenario(opts: &Options) -> Result<Scenario, CliError> {

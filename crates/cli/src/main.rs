@@ -2,6 +2,7 @@
 
 #![forbid(unsafe_code)]
 
+use std::io::{ErrorKind, Write};
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
@@ -13,12 +14,27 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    match lagover_cli::run(&opts) {
-        Ok(text) => {
-            print!("{text}");
-            ExitCode::SUCCESS
+    // A failed run may still have a report for stdout.
+    let (report, failure) = match lagover_cli::run(&opts) {
+        Ok(report) => (report, None),
+        Err(mut e) => (std::mem::take(&mut e.report), Some(e)),
+    };
+    let mut stdout = std::io::stdout().lock();
+    match stdout
+        .write_all(report.as_bytes())
+        .and_then(|()| stdout.flush())
+    {
+        // A reader that stopped reading (`lagover … | head`) wanted no
+        // more of the report: that is not an error of the run.
+        Err(e) if e.kind() != ErrorKind::BrokenPipe => {
+            eprintln!("error: cannot write the report: {e}");
+            return ExitCode::from(1);
         }
-        Err(e) => {
+        _ => {}
+    }
+    match failure {
+        None => ExitCode::SUCCESS,
+        Some(e) => {
             eprintln!("error: {e}");
             ExitCode::from(e.exit_code())
         }

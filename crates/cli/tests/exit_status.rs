@@ -1,8 +1,9 @@
 //! The `lagover` binary's exit statuses: 2 when the arguments cannot be
 //! served, whether they fail to parse or ask for a horizon no run can
-//! hold.
+//! hold; 1 when a run was tried and failed, its report still on stdout;
+//! 0 when a run succeeds, even if the reader stops reading its report.
 
-use std::process::Command;
+use std::process::{Command, Stdio};
 
 /// Runs the built `lagover` binary; returns its exit status and stderr.
 fn lagover(args: &[&str]) -> (Option<i32>, String) {
@@ -52,4 +53,47 @@ fn a_zero_pull_interval_is_a_usage_error() {
         "{stderr}"
     );
     assert!(!stderr.contains("panicked"), "{stderr}");
+}
+
+#[test]
+fn a_run_that_does_not_converge_exits_1_after_its_report() {
+    for verb in ["construct", "obs", "recover", "evolve"] {
+        let run = |extra: &[&str]| {
+            Command::new(env!("CARGO_BIN_EXE_lagover"))
+                .args([verb, "--workload", "rand", "--peers", "30", "--seed", "5"])
+                .args(extra)
+                .output()
+                .expect("binary runs")
+        };
+        let cut = run(&["--max-rounds", "1"]);
+        let stderr = String::from_utf8_lossy(&cut.stderr);
+        assert_eq!(cut.status.code(), Some(1), "{verb}: {stderr}");
+        assert_eq!(
+            stderr, "error: construction did not converge within 1 rounds\n",
+            "{verb}"
+        );
+        assert!(!cut.stdout.is_empty(), "{verb} reports where it stopped");
+        let done = run(&[]);
+        assert_eq!(done.status.code(), Some(0), "{verb} converges");
+        assert!(done.stderr.is_empty(), "{verb}");
+    }
+}
+
+#[test]
+fn a_reader_that_stops_reading_ends_the_report_quietly() {
+    // Far more than a pipe holds, so a write meets the closed pipe
+    // however the reader's exit and the writer's output interleave.
+    for verb in ["spec", "construct"] {
+        let mut child = Command::new(env!("CARGO_BIN_EXE_lagover"))
+            .args([verb, "--workload", "rand", "--peers", "5000", "--seed", "1"])
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("binary runs");
+        drop(child.stdout.take());
+        let out = child.wait_with_output().expect("binary exits");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(0), "{verb}: {stderr}");
+        assert!(stderr.is_empty(), "{verb}: {stderr}");
+    }
 }

@@ -21,7 +21,7 @@ use crate::config::{Algorithm, ConstructionConfig};
 use crate::node::{member_to_node, Liveness, Member, PeerId, Population};
 use crate::oracle::{Oracle, OracleKind, OracleView};
 use crate::oracle_index::OracleIndex;
-use crate::overlay::Overlay;
+use crate::overlay::{ChainRoot, Overlay};
 use crate::schedule::{schedule_key, Schedule};
 use crate::{greedy, hybrid, maintenance, stabilize};
 
@@ -1045,11 +1045,18 @@ impl Engine {
             return;
         }
         // The stabilize rule: verify cached chain state against the
-        // neighbours' actual replies before acting on it. On a valid
-        // overlay this is a handful of reads (no RNG, no events), so
-        // corruption-free runs stay byte-identical; a detected
-        // inconsistency is repaired in place of the normal action.
-        if stabilize::verify(self, p) {
+        // neighbours' actual replies before acting on it, and repair a
+        // detected inconsistency in place of the normal action. Only a
+        // raw mutation or repair primitive can make that state lie, and
+        // each marks the forest for good, so on a forest written only by
+        // the checked mutations there is nothing to find (DESIGN.md
+        // §15.2) — which debug builds re-derive at every such action.
+        debug_assert!(
+            self.overlay.lists_may_lie() || stabilize::diagnose(self, p).is_none(),
+            "checked forest, yet {p} diagnoses {:?}",
+            stabilize::diagnose(self, p)
+        );
+        if self.overlay.lists_may_lie() && stabilize::verify(self, p) {
             return;
         }
         if self.overlay.parent(p).is_none() {
@@ -1557,11 +1564,26 @@ impl Engine {
         true
     }
 
-    /// Whether `node` lies in the subtree rooted at `root` (walking up
-    /// from `node`; O(depth)). Bounded by the population size: a walk
-    /// that fails to terminate (a corrupted parent cycle) conservatively
-    /// answers `true`, so every caller refuses its reconfiguration.
+    /// Whether `node` lies in the fragment of the parent-less peer
+    /// `root`, `root` itself included. On a checked forest every stamp's
+    /// root is exact, so this is the O(1) test [`Overlay::attach`]
+    /// makes; on a forest whose lists may lie a stamp may be forged, so
+    /// it walks up the parent pointers instead ([`Engine::walks_up_to`]).
     pub(crate) fn is_in_subtree_of(&self, node: PeerId, root: PeerId) -> bool {
+        debug_assert!(self.overlay.parent(root).is_none(), "{root} has a parent");
+        if self.overlay.lists_may_lie() {
+            return self.walks_up_to(node, root);
+        }
+        let inside = self.overlay.root(node) == ChainRoot::Fragment(root);
+        debug_assert_eq!(inside, self.walks_up_to(node, root), "{node} under {root}");
+        inside
+    }
+
+    /// Whether walking up the parent pointers from `node` reaches
+    /// `root` (O(depth)). Bounded by the population size: a walk that
+    /// fails to terminate (a corrupted parent cycle) conservatively
+    /// answers `true`, so every caller refuses its reconfiguration.
+    pub(crate) fn walks_up_to(&self, node: PeerId, root: PeerId) -> bool {
         let mut cur = node;
         let mut budget = self.population.len();
         loop {

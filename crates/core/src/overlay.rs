@@ -55,9 +55,11 @@
 //! list in agreement with the parent pointers and the forest acyclic;
 //! so does a forest parsed from JSON, which is validated. The raw
 //! mutations and repair primitives do not, so each marks the forest
-//! *lists may lie* for good ([`Overlay::lists_may_lie`]). Readers that
-//! walk down the child lists — the engine's stale-chain count — trust
-//! them only on a forest without the mark.
+//! *lists may lie* for good ([`Overlay::lists_may_lie`]). Three engine
+//! readers trust a forest without the mark: the stale-chain count
+//! walks down the child lists, the stabilize rule is skipped (nothing
+//! it checks can disagree), and the displacement cycle pre-check reads
+//! one stamp's root instead of walking up.
 //!
 //! # Memory layout
 //!
@@ -1102,6 +1104,14 @@ impl Overlay {
     /// round in test builds at paper scale — the engine size-gates it
     /// (see `Engine`) so 10^5-peer debug runs stay usable.
     ///
+    /// The invariants: fanout bounds; every child list entry, the
+    /// source's included, names its owner as the child's parent, and no
+    /// list names a child twice; every parented peer is listed by its
+    /// parent; no parent chain cycles; every stamp matches its chain.
+    /// A forest that passes is one the checked mutations could have
+    /// built, so nothing [`crate::stabilize`] diagnoses can hold in it —
+    /// what lets a parsed forest start without the lists-may-lie mark.
+    ///
     /// # Errors
     ///
     /// Returns a human-readable description of the first violation,
@@ -1137,6 +1147,24 @@ impl Overlay {
                     "backlink violated: source lists child {c}, but {c}'s parent is {:?}",
                     unpack_parent(self.parent[c.index()])
                 ));
+            }
+        }
+        // Every entry now names a peer whose parent owns the list, so no
+        // two lists share a peer, and the entries outnumber the parented
+        // peers exactly when some list names a child twice.
+        let entries =
+            self.child_cnt.iter().map(|&c| c as usize).sum::<usize>() + self.source_children.len();
+        if entries > self.attached_count() {
+            let lists = (0..self.parent.len())
+                .map(|i| (Member::Peer(PeerId::new(i as u32)), self.kids(i)))
+                .chain([(Member::Source, &self.source_children[..])]);
+            for (owner, kids) in lists {
+                if let Some(k) = (1..kids.len()).find(|&k| kids[..k].contains(&kids[k])) {
+                    return Err(format!(
+                        "duplicate entry: {owner} lists child {} twice",
+                        kids[k]
+                    ));
+                }
             }
         }
         for i in 0..self.parent.len() {

@@ -504,6 +504,8 @@ fn mutations_unsettle_the_peer_whose_child_list_they_edit() {
     assert!(!overlay.is_settled(p(3)), "remove_peer empties 3's list");
 }
 
+/// Every raw mutation and repair primitive also marks the forest, which
+/// is what turns the stabilize rule back on (DESIGN.md §15.2).
 #[test]
 fn every_raw_mutation_and_repair_primitive_unsettles_everyone() {
     type Raw = fn(&mut crate::overlay::Overlay);
@@ -530,7 +532,12 @@ fn every_raw_mutation_and_repair_primitive_unsettles_everyone() {
         // A bystander in the bitmap's second word.
         overlay.settle(p(0));
         overlay.settle(p(69));
+        assert!(!overlay.lists_may_lie());
         primitive(overlay);
+        assert!(
+            overlay.lists_may_lie(),
+            "{name} leaves the lists vouched for"
+        );
         assert!(settled_peers(&engine).is_empty(), "{name}");
     }
 }

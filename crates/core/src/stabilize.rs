@@ -9,19 +9,26 @@
 //!   rejects: parent cycles, forged caches, dangling pointers, fanout
 //!   overflows, orphaned-subtree grafts, stale `ChainRoot` entries.
 //! * **Detection and repair** — [`verify`] runs at the top of every
-//!   peer action that is not skipped as settled (the `stabilize`
-//!   maintenance rule; every corruption primitive un-settles
-//!   everybody, so detection is never delayed): the peer checks
+//!   peer action that is not skipped as settled, on a forest whose
+//!   lists may lie (the `stabilize` maintenance rule): the peer checks
 //!   its own cached chain state against its parent's actual reply and
-//!   its child list against each child's actual pointer. On a valid
-//!   overlay every check is a pure comparison — no RNG draw, no
-//!   counter, no event — so corruption-free runs are byte-identical to
-//!   builds without the rule. On an inconsistency the peer emits
-//!   `InconsistencyDetected` (with a cause from the
-//!   [`InconsistencyCause`] taxonomy), repairs with the *least*
-//!   destructive local action — cache rewrite, child eviction, fanout
-//!   restoration — and falls back to the detach/re-attach ladder
-//!   (`RepairKind::Detach`) only when the edge itself is the lie.
+//!   its child list against each child's actual pointer. Only a raw
+//!   mutation or repair primitive can make any of that state lie, and
+//!   each one marks the forest for good
+//!   ([`crate::overlay::Overlay::lists_may_lie`]) and un-settles
+//!   everybody, so detection is never delayed: the first action of
+//!   every peer after an injection runs the rule in full. On a forest
+//!   written only by the checked mutations, or parsed from a validated
+//!   document, [`diagnose`] has nothing to find — debug builds assert
+//!   so at every action — and the rule is skipped. Where it runs on a
+//!   valid overlay every check is a pure comparison — no RNG draw, no
+//!   counter, no event — so runs are byte-identical either way. On an
+//!   inconsistency the peer emits `InconsistencyDetected` (with a
+//!   cause from the [`InconsistencyCause`] taxonomy), repairs with the
+//!   *least* destructive local action — cache rewrite, child eviction,
+//!   fanout restoration — and falls back to the detach/re-attach
+//!   ladder (`RepairKind::Detach`) only when the edge itself is the
+//!   lie.
 //!
 //! Convergence (proved as a property test at n ∈ {16, 120, 1000}; the
 //! bound is argued in DESIGN.md §15): every forged cache is rewritten
@@ -213,8 +220,8 @@ pub(crate) enum Repair {
 /// actual reply, its child list against each child's actual pointer —
 /// naming the first inconsistency and its repair. Read-only, and on a
 /// valid overlay nothing but equality checks on cached state, which is
-/// what lets a corruption-free run pay nothing for it, and the
-/// settled-peer audit ([`Engine::action_is_noop`]) re-run it.
+/// what lets the settled-peer audit ([`Engine::action_is_noop`]) and
+/// the checked-forest audit in [`Engine::act_on`] re-run it.
 pub(crate) fn diagnose(engine: &Engine, p: PeerId) -> Option<(InconsistencyCause, Repair)> {
     let overlay = &engine.overlay;
     let parent = overlay.parent(p);
@@ -302,7 +309,8 @@ pub(crate) fn diagnose(engine: &Engine, p: PeerId) -> Option<(InconsistencyCause
 /// then carry out the repair it names. Returns whether an inconsistency
 /// was found (in which case the repair consumed `p`'s action for this
 /// round). A clean diagnosis draws no RNG, moves no counter and emits
-/// no event, which is what keeps corruption-free runs byte-identical.
+/// no event, which is what lets [`Engine::act_on`] skip the rule on a
+/// checked forest without moving a byte.
 pub(crate) fn verify(engine: &mut Engine, p: PeerId) -> bool {
     let Some((cause, repair)) = diagnose(engine, p) else {
         return false;

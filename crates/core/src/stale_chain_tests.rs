@@ -1,8 +1,11 @@
-//! Tests of the stale-chain count's two paths (DESIGN.md §13.3): on a
-//! checked forest [`Engine::stale_chain_count`] walks down from the
-//! offline peers; once a raw mutation or repair primitive has marked
-//! the forest "lists may lie" it walks up from every online peer. Both
-//! must count what the per-peer walk [`chain_is_stale`] finds.
+//! Tests of the readers that trust a checked forest. On a checked
+//! forest [`Engine::stale_chain_count`] walks down from the offline
+//! peers (DESIGN.md §13.3), [`Engine::act_on`] skips the stabilize rule
+//! and the displacement cycle pre-check reads one stamp (§15.2); once a
+//! raw mutation or repair primitive has marked the forest "lists may
+//! lie" the count walks up from every online peer, and the other two
+//! go back to verifying and walking. Each fast path must answer what
+//! its walk answers, and runs free of corruption must stay checked.
 
 #![cfg(test)]
 
@@ -104,6 +107,26 @@ fn population_strategy() -> impl Strategy<Value = Population> {
         })
 }
 
+/// Runs a checked history of `ops` from an empty forest, checking after
+/// every operation that the lists are still vouched for, and then
+/// `check`.
+fn checked_history(
+    population: &Population,
+    seed: u64,
+    ops: &[Op],
+    check: impl Fn(&Engine, &Op) -> Result<(), TestCaseError>,
+) -> Result<(), TestCaseError> {
+    let config =
+        ConstructionConfig::new(Algorithm::Hybrid, OracleKind::RandomDelay).with_max_rounds(3_000);
+    let mut engine = Engine::new(population, &config, seed);
+    for op in ops {
+        apply(&mut engine, op);
+        prop_assert!(!engine.overlay.lists_may_lie(), "{:?} marked the lists", op);
+        check(&engine, op)?;
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -116,15 +139,80 @@ proptest! {
         seed in 0u64..100_000,
         ops in prop::collection::vec(op_strategy(), 0..60),
     ) {
-        let config = ConstructionConfig::new(Algorithm::Hybrid, OracleKind::RandomDelay)
-            .with_max_rounds(3_000);
-        let mut engine = Engine::new(&population, &config, seed);
-        for op in &ops {
-            apply(&mut engine, op);
-            prop_assert!(!engine.overlay.lists_may_lie(), "{:?} marked the lists", op);
-            prop_assert_eq!(engine.stale_chain_count(), stale_by_walk(&engine), "after {:?}", op);
-        }
+        checked_history(&population, seed, &ops, |engine, op| {
+            prop_assert_eq!(engine.stale_chain_count(), stale_by_walk(engine), "after {:?}", op);
+            Ok(())
+        })?;
     }
+
+    /// The same histories: whether a peer lies in a fragment root's
+    /// fragment reads the same from its stamp as from the walk up its
+    /// parent pointers, for every pair.
+    #[test]
+    fn the_fragment_test_reads_what_the_walk_up_finds_on_checked_histories(
+        population in population_strategy(),
+        seed in 0u64..100_000,
+        ops in prop::collection::vec(op_strategy(), 0..60),
+    ) {
+        checked_history(&population, seed, &ops, |engine, op| {
+            let roots = population.peer_ids().filter(|&i| engine.overlay.parent(i).is_none());
+            for i in roots {
+                for j in population.peer_ids() {
+                    prop_assert_eq!(
+                        engine.is_in_subtree_of(j, i),
+                        engine.walks_up_to(j, i),
+                        "{} under {} after {:?}", j, i, op
+                    );
+                }
+            }
+            Ok(())
+        })?;
+    }
+}
+
+/// 60 peers in latency tiers three wide under a source that feeds
+/// three, fanouts 1–3, one unit of slack in every third peer.
+fn tiered_population() -> Population {
+    let peers = (0u32..60).map(|i| Constraints::new(1 + i % 3, i / 3 + 1 + u32::from(i % 3 == 0)));
+    Population::new(3, peers.collect())
+}
+
+/// Runs free of corruption never write through a raw mutation or repair
+/// primitive, so they end on a forest whose lists are vouched for — and
+/// every action on the way skipped the stabilize rule.
+#[test]
+fn construction_crash_recovery_and_churn_leave_the_lists_checked() {
+    let config =
+        ConstructionConfig::new(Algorithm::Hybrid, OracleKind::RandomDelay).with_max_rounds(3_000);
+    let mut engine = Engine::new(&tiered_population(), &config, 7);
+    assert!(engine.run_to_convergence().is_some(), "construction");
+    assert!(!engine.overlay.lists_may_lie(), "after construction");
+
+    let interior: Vec<PeerId> = engine
+        .population
+        .peer_ids()
+        .filter(|&q| !engine.overlay.children(q).is_empty())
+        .take(4)
+        .collect();
+    for &q in &interior {
+        assert!(engine.inject_crash(q));
+    }
+    let healed = (0..3_000).any(|_| {
+        engine.step();
+        engine.is_converged() && engine.stale_chain_count() == 0
+    });
+    assert!(healed, "crash recovery");
+    assert!(engine.counters().failure_detections > 0);
+    assert!(!engine.overlay.lists_may_lie(), "after crash recovery");
+
+    let mut churn = BernoulliChurn::paper();
+    for _ in 0..300 {
+        engine.apply_churn(&mut churn);
+        engine.step();
+    }
+    assert!(engine.counters().churn_departures > 0);
+    assert!(!engine.overlay.lists_may_lie(), "after churn");
+    assert_eq!(engine.counters().inconsistencies_detected, 0);
 }
 
 /// The source feeds 0 and 1; 0 feeds 2, which feeds 3; 1 feeds 4,

@@ -8,7 +8,7 @@ use std::sync::OnceLock;
 use proptest::prelude::*;
 
 use lagover_core::node::{Constraints, Population};
-use lagover_core::{Algorithm, ConstructionConfig, Engine, EngineSnapshot, OracleKind};
+use lagover_core::{Algorithm, ConstructionConfig, Engine, EngineSnapshot, OracleKind, Overlay};
 use lagover_jsonio::Json;
 use lagover_sim::FaultPlan;
 
@@ -224,6 +224,73 @@ fn a_snapshot_document_has_one_shape() {
             key_path(&doc, &path, i)
         );
     }
+}
+
+/// The value at `keys` below `doc`'s top-level object.
+fn at<'a>(doc: &'a mut Json, keys: &[&str]) -> &'a mut Json {
+    keys.iter().fold(doc, |cur, key| match cur {
+        Json::Object(fields) => &mut fields.iter_mut().find(|(k, _)| k == key).expect("field").1,
+        _ => unreachable!("snapshots are objects"),
+    })
+}
+
+/// A child list that names a child twice holds a ghost entry: both
+/// carry the child's backlink, so only a duplicate check can see it, and
+/// it pins a slot the sufficiency bound counts on. A document is input
+/// from outside, so the ghost is an error there — in a peer's list or
+/// the source's, in a snapshot or in an overlay document alone — while
+/// the same document with only the room for it parses.
+#[test]
+fn a_child_listed_twice_is_an_error() {
+    let mut roomy = lagover_jsonio::parse(&snapshots()[1]).expect("a valid snapshot parses");
+    let Json::Array(fanouts) = at(&mut roomy, &["overlay", "fanout"]) else {
+        unreachable!("fanouts are an array")
+    };
+    for f in fanouts.iter_mut() {
+        *f = Json::U64(f.as_u64().expect("a fanout") + 1);
+    }
+    let source_fanout = at(&mut roomy, &["overlay", "source_fanout"]);
+    *source_fanout = Json::U64(source_fanout.as_u64().expect("a fanout") + 1);
+    let text = roomy.to_string_compact();
+    assert!(
+        EngineSnapshot::from_json_str(&text).is_ok(),
+        "one more slot each"
+    );
+
+    let peers = at(&mut roomy, &["overlay", "children"])
+        .as_array()
+        .unwrap()
+        .len();
+    let mut ghosts = 0;
+    for owner in std::iter::once(None).chain((0..peers).map(Some)) {
+        let mut doc = roomy.clone();
+        let list = match owner {
+            None => at(&mut doc, &["overlay", "source_children"]),
+            Some(i) => match at(&mut doc, &["overlay", "children"]) {
+                Json::Array(lists) => &mut lists[i],
+                _ => unreachable!("lists are arrays"),
+            },
+        };
+        let Json::Array(list) = list else {
+            unreachable!("lists are arrays")
+        };
+        let Some(first) = list.first().cloned() else {
+            continue;
+        };
+        list.push(first);
+        ghosts += 1;
+        let err = EngineSnapshot::from_json_str(&doc.to_string_compact())
+            .expect_err("a snapshot with a ghost entry");
+        assert!(err.to_string().contains("twice"), "{owner:?}: {err}");
+        let overlay = at(&mut doc, &["overlay"]).to_string_compact();
+        let err = lagover_jsonio::from_str::<Overlay>(&overlay)
+            .expect_err("an overlay document with a ghost entry");
+        assert!(err.to_string().contains("twice"), "{owner:?}: {err}");
+    }
+    assert!(
+        ghosts >= 2,
+        "the source and at least one peer list children"
+    );
 }
 
 proptest! {

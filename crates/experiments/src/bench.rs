@@ -1,7 +1,8 @@
 //! `bench` — the work-unit baseline (DESIGN.md §12).
 //!
 //! Runs the instrumented drivers (fig2, fig3, fig4, recovery,
-//! stabilization, obs, streaming, and the n = 10^3 / 10^5 scale rows)
+//! stabilization, obs, streaming, and the n = 10^3 / 10^5 scale rows,
+//! the paper's Rand population among them)
 //! and records one row of **work units** per driver: rounds to
 //! converge, engine counters, RNG draws, oracle queries and the
 //! per-phase [`lagover_obs::Profiler`] deltas. Every row reuses an
@@ -17,7 +18,9 @@
 //! every other experiment; the n = 10^3 and n = 10^5 rows keep their
 //! own pinned parameters whatever the run's.
 
-use lagover_core::{Algorithm, ConstructionConfig, FaultScenario, OracleKind, Plan, Run};
+use lagover_core::{
+    Algorithm, ConstructionConfig, FaultScenario, OracleKind, Plan, Population, Run,
+};
 use lagover_obs::ObsReport;
 use lagover_workload::{layered_population, TopologicalConstraint};
 
@@ -73,7 +76,18 @@ const PIN_1E5: Params = Params {
     seed: 42,
 };
 
-static REGISTRY: [Scenario; 11] = [
+/// The n = 10^5 pin of the Rand construction row. The paper's own
+/// population converges only after a long tail (ROADMAP [R]): seed 1
+/// takes 39 949 rounds, the same run as `lagover construct --workload
+/// rand --peers 100000 --seed 1`, and the cap leaves it half again.
+const PIN_RAND_1E5: Params = Params {
+    peers: 100_000,
+    runs: 1,
+    max_rounds: 60_000,
+    seed: 1,
+};
+
+static REGISTRY: [Scenario; 12] = [
     Scenario {
         name: "fig2",
         pin: None,
@@ -123,6 +137,11 @@ static REGISTRY: [Scenario; 11] = [
         name: "construction_1e5",
         pin: Some(PIN_1E5),
         driver: construction_at_scale,
+    },
+    Scenario {
+        name: "construction_rand_1e5",
+        pin: Some(PIN_RAND_1E5),
+        driver: rand_construction_at_scale,
     },
     Scenario {
         name: "recovery_1e5",
@@ -275,12 +294,30 @@ fn collect<'a>(rows: impl Iterator<Item = (&'a Scenario, Params)>) -> BenchRepor
 /// An observed large-n Hybrid/Random-Delay construction on the
 /// layered population. Always one run (`params.runs` is not read).
 fn construction_at_scale(name: &str, params: &Params) -> ObsReport {
+    let population = layered_population(params.peers);
+    observed_construction(name, params, "layered", &population)
+}
+
+/// [`construction_at_scale`] on the paper's Rand population, generated
+/// from the run's seed.
+fn rand_construction_at_scale(name: &str, params: &Params) -> ObsReport {
+    let population = satisfiable_population(TopologicalConstraint::Rand, params.peers, params.seed);
+    observed_construction(name, params, "rand", &population)
+}
+
+/// One observed Hybrid/Random-Delay construction of `population`,
+/// whose workload `class` the label names.
+fn observed_construction(
+    name: &str,
+    params: &Params,
+    class: &str,
+    population: &Population,
+) -> ObsReport {
     let peers = params.peers;
-    let population = layered_population(peers);
     let config = ConstructionConfig::new(Algorithm::Hybrid, OracleKind::RandomDelay)
         .with_max_rounds(params.max_rounds);
-    let label = format!("{name} layered hybrid/oracle-random-delay n={peers}");
-    Run::new(&population, &config, params.seed)
+    let label = format!("{name} {class} hybrid/oracle-random-delay n={peers}");
+    Run::new(population, &config, params.seed)
         .observe(SCALE_JOURNAL_CAPACITY, SCALE_SAMPLE_INTERVAL)
         .construct()
         .into_report(&label, peers, params.seed)
@@ -347,6 +384,7 @@ mod tests {
                 ("obs_1e3", Some(1_000)),
                 ("recovery_1e3", Some(1_000)),
                 ("construction_1e5", Some(100_000)),
+                ("construction_rand_1e5", Some(100_000)),
                 ("recovery_1e5", Some(100_000)),
             ]
         );
@@ -432,6 +470,10 @@ mod tests {
         assert_eq!(construction.converged, 1, "construction converged");
         assert!(construction.converged_rounds > 0);
         assert!(construction.journal.as_ref().is_some_and(|j| !j.is_empty()));
+
+        let rand = rand_construction_at_scale("rand_test", &scale_params(600, 11));
+        assert_eq!(rand.converged, 1, "rand construction converged");
+        assert!(rand.label.contains(" rand "), "{}", rand.label);
 
         let healing = recovery_at_scale("recovery_test", &scale_params(600, 11));
         assert_eq!(healing.converged, 1, "overlay healed after the crash");
