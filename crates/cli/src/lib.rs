@@ -98,22 +98,24 @@ fn usage(msg: impl Into<String>) -> CliError {
 }
 
 /// `report` as the verb's output if its construction converged within
-/// `--max-rounds`, otherwise as the report of a failed run (exit
+/// `cap` rounds, otherwise as the report of a failed run (exit
 /// status 1).
-fn converged_or_failed(
-    opts: &Options,
-    converged: bool,
-    report: String,
-) -> Result<String, CliError> {
+fn converged_or_failed(cap: u64, converged: bool, report: String) -> Result<String, CliError> {
     if converged {
         return Ok(report);
     }
+    failed(
+        report,
+        format!("construction did not converge within {cap} rounds"),
+    )
+}
+
+/// A run that was tried and did not get where it was going: `report`
+/// still goes to stdout, `message` to stderr, and the exit status is 1.
+fn failed(report: String, message: String) -> Result<String, CliError> {
     Err(CliError {
         report,
-        ..err(format!(
-            "construction did not converge within {} rounds",
-            opts.max_rounds
-        ))
+        ..err(message)
     })
 }
 
@@ -136,8 +138,9 @@ pub struct Options {
     pub algorithm: Algorithm,
     /// `--oracle <random|random-capacity|random-delay-capacity|random-delay>`.
     pub oracle: OracleKind,
-    /// `--max-rounds N`.
-    pub max_rounds: u64,
+    /// `--max-rounds N`; without it the cap is the larger of 20 000
+    /// and the population size.
+    pub max_rounds: Option<u64>,
     /// `--rounds N` (dissemination horizon).
     pub rounds: u64,
     /// `--pull-interval T`.
@@ -198,7 +201,7 @@ impl Default for Options {
             source_fanout: 3,
             algorithm: Algorithm::Hybrid,
             oracle: OracleKind::RandomDelay,
-            max_rounds: 20_000,
+            max_rounds: None,
             rounds: 300,
             pull_interval: 1,
             trees: 2,
@@ -222,6 +225,21 @@ impl Default for Options {
             deadline_ms: 120_000,
             max_time: 4_000.0,
         }
+    }
+}
+
+impl Options {
+    /// The construction round cap for a population of `n` peers:
+    /// `--max-rounds` if given, else the larger of 20 000 and `n` (every
+    /// measured run of the paper's workloads from 10^3 to 10^6 peers
+    /// converged within one round per peer).
+    fn max_rounds_for(&self, n: usize) -> u64 {
+        self.max_rounds.unwrap_or((n as u64).max(20_000))
+    }
+
+    /// The construction configuration for a population of `n` peers.
+    fn config_for(&self, n: usize) -> ConstructionConfig {
+        ConstructionConfig::new(self.algorithm, self.oracle).with_max_rounds(self.max_rounds_for(n))
     }
 }
 
@@ -315,9 +333,11 @@ pub fn parse_args(args: &[String]) -> Result<Options, CliError> {
                 }
             }
             "--max-rounds" => {
-                opts.max_rounds = value()?
-                    .parse()
-                    .map_err(|_| err("--max-rounds needs an integer"))?;
+                opts.max_rounds = Some(
+                    value()?
+                        .parse()
+                        .map_err(|_| err("--max-rounds needs an integer"))?,
+                );
             }
             "--rounds" => {
                 opts.rounds = value()?
@@ -610,20 +630,18 @@ fn render_tree(engine: &Engine, population: &Population) -> String {
 }
 
 fn build(opts: &Options, population: &Population) -> Engine {
-    let config =
-        ConstructionConfig::new(opts.algorithm, opts.oracle).with_max_rounds(opts.max_rounds);
-    Engine::new(population, &config, opts.seed)
+    Engine::new(population, &opts.config_for(population.len()), opts.seed)
 }
 
 fn cmd_construct(opts: &Options) -> Result<String, CliError> {
     let population = resolve_population(opts)?;
     let mut engine = build(opts, &population);
     let converged = engine.run_to_convergence();
+    let cap = engine.config().max_rounds;
     let mut out = match converged {
         Some(round) => format!("converged in {} rounds\n", round.get()),
         None => format!(
-            "did not converge within {} rounds (satisfied fraction {:.3})\n",
-            opts.max_rounds,
+            "did not converge within {cap} rounds (satisfied fraction {:.3})\n",
             engine.satisfied_fraction()
         ),
     };
@@ -642,7 +660,7 @@ fn cmd_construct(opts: &Options) -> Result<String, CliError> {
     if let Some(g) = analysis::gradation_coefficient(engine.overlay(), &population) {
         out += &format!("latency gradation coefficient: {g:.3}\n");
     }
-    converged_or_failed(opts, converged.is_some(), out)
+    converged_or_failed(cap, converged.is_some(), out)
 }
 
 fn cmd_disseminate(opts: &Options) -> Result<String, CliError> {
@@ -740,6 +758,7 @@ fn cmd_evolve(opts: &Options) -> Result<String, CliError> {
     let mut engine = build(opts, &population);
     engine.obs_mut().enable_journal(1_000_000);
     let converged = engine.run_to_convergence();
+    let cap = engine.config().max_rounds;
     let journal = engine.obs_mut().take_journal().expect("journal enabled");
     // Only the structural (attach/detach) events, oldest first; only
     // the first `--trace` of them are rendered.
@@ -774,15 +793,14 @@ fn cmd_evolve(opts: &Options) -> Result<String, CliError> {
             round.get(),
             total
         ),
-        None => format!("not converged after {} rounds\n", opts.max_rounds),
+        None => format!("not converged after {cap} rounds\n"),
     };
-    converged_or_failed(opts, converged.is_some(), out)
+    converged_or_failed(cap, converged.is_some(), out)
 }
 
 fn cmd_recover(opts: &Options) -> Result<String, CliError> {
     let population = resolve_population(opts)?;
-    let config =
-        ConstructionConfig::new(opts.algorithm, opts.oracle).with_max_rounds(opts.max_rounds);
+    let config = opts.config_for(population.len());
     let scenario = FaultScenario {
         crash_fraction: opts.crash_fraction,
         message_loss: opts.message_loss,
@@ -795,7 +813,7 @@ fn cmd_recover(opts: &Options) -> Result<String, CliError> {
         Some(round) => format!("constructed in {round} rounds\n"),
         None => format!(
             "construction did not converge within {} rounds\n",
-            opts.max_rounds
+            config.max_rounds
         ),
     };
     out += &format!(
@@ -822,7 +840,16 @@ fn cmd_recover(opts: &Options) -> Result<String, CliError> {
         outcome.counters.messages_lost,
         outcome.counters.oracle_outages,
     );
-    converged_or_failed(opts, outcome.converged_at.is_some(), out)
+    if outcome.converged_at.is_some() && outcome.rounds_to_clean.is_none() {
+        return failed(
+            out,
+            format!(
+                "the crashed overlay did not recover within {} rounds",
+                opts.rounds
+            ),
+        );
+    }
+    converged_or_failed(config.max_rounds, outcome.converged_at.is_some(), out)
 }
 
 /// Journal capacity for `lagover obs` runs.
@@ -832,8 +859,7 @@ const OBS_SAMPLE_INTERVAL: u64 = 10;
 
 fn cmd_obs(opts: &Options) -> Result<String, CliError> {
     let population = resolve_population(opts)?;
-    let config =
-        ConstructionConfig::new(opts.algorithm, opts.oracle).with_max_rounds(opts.max_rounds);
+    let config = opts.config_for(population.len());
     let label = format!(
         "{} {}/{} n={}",
         opts.workload,
@@ -861,7 +887,7 @@ fn cmd_obs(opts: &Options) -> Result<String, CliError> {
     } else {
         merged.render()
     };
-    converged_or_failed(opts, merged.converged == merged.runs, out)
+    converged_or_failed(config.max_rounds, merged.converged == merged.runs, out)
 }
 
 fn node_scenario(opts: &Options) -> Result<Scenario, CliError> {
@@ -874,11 +900,10 @@ fn node_scenario(opts: &Options) -> Result<Scenario, CliError> {
     })
 }
 
-fn node_spec(opts: &Options) -> Result<ScenarioSpec, CliError> {
+fn node_spec(opts: &Options, n: usize) -> Result<ScenarioSpec, CliError> {
     Ok(ScenarioSpec {
         scenario: node_scenario(opts)?,
-        config: ConstructionConfig::new(opts.algorithm, opts.oracle)
-            .with_max_rounds(opts.max_rounds),
+        config: opts.config_for(n),
         max_time: opts.max_time,
         journal_capacity: OBS_JOURNAL_CAPACITY,
     })
@@ -914,7 +939,7 @@ fn node_summary(merged: &lagover_node::MergedRun) -> String {
 
 fn cmd_node(opts: &Options) -> Result<String, CliError> {
     let population = resolve_population(opts)?;
-    let spec = node_spec(opts)?;
+    let spec = node_spec(opts, population.len())?;
     // Node i binds base-port + i: refuse before spawning anything if
     // the last node's port does not exist.
     let last_node = u32::try_from(population.len().saturating_sub(1)).unwrap_or(u32::MAX);
@@ -933,22 +958,17 @@ fn cmd_node(opts: &Options) -> Result<String, CliError> {
         population.len(),
         opts.seed
     );
-    match (opts.transport.as_str(), opts.node_id) {
+    let (merged, obs, header) = match (opts.transport.as_str(), opts.node_id) {
         ("mesh", None) => {
             let run = run_mesh(&population, &spec, opts.seed).map_err(err)?;
             let obs = run.merged.to_obs_report(&label);
-            if opts.json {
-                Ok(lagover_jsonio::to_string_pretty(&obs))
-            } else {
-                Ok(format!(
-                    "{} peers over the in-process mesh transport\n{}{}",
-                    population.len(),
-                    node_summary(&run.merged),
-                    obs.render(),
-                ))
-            }
+            let header = format!(
+                "{} peers over the in-process mesh transport\n",
+                population.len()
+            );
+            (run.merged, obs, header)
         }
-        ("mesh", Some(_)) => Err(err("--node-id only applies to --transport udp")),
+        ("mesh", Some(_)) => return Err(err("--node-id only applies to --transport udp")),
         ("udp", Some(me)) => {
             // Child mode: run one node, write its report where the
             // harness will collect it.
@@ -981,7 +1001,7 @@ fn cmd_node(opts: &Options) -> Result<String, CliError> {
                 "node {me}: halted after {} own actions ({} global)",
                 report.own_actions, report.actions
             );
-            Ok(String::new())
+            return Ok(String::new());
         }
         ("udp", None) => {
             // Harness mode: spawn one child per node on loopback.
@@ -1016,7 +1036,7 @@ fn cmd_node(opts: &Options) -> Result<String, CliError> {
                     OracleKind::RandomDelay => "random-delay".into(),
                 },
                 "--max-rounds".into(),
-                opts.max_rounds.to_string(),
+                spec.config.max_rounds.to_string(),
                 "--max-time".into(),
                 opts.max_time.to_string(),
                 "--crash-fraction".into(),
@@ -1055,21 +1075,33 @@ fn cmd_node(opts: &Options) -> Result<String, CliError> {
                 label: label.clone(),
             })
             .map_err(err)?;
-            if opts.json {
-                Ok(lagover_jsonio::to_string_pretty(&outcome.obs))
-            } else {
-                Ok(format!(
-                    "{} node processes over UDP loopback (ports {}..{})\n{}{}",
-                    population.len(),
-                    opts.base_port,
-                    u32::from(opts.base_port) + population.len() as u32 - 1,
-                    node_summary(&outcome.merged),
-                    outcome.obs.render(),
-                ))
-            }
+            let header = format!(
+                "{} node processes over UDP loopback (ports {}..{})\n",
+                population.len(),
+                opts.base_port,
+                u32::from(opts.base_port) + population.len() as u32 - 1,
+            );
+            (outcome.merged, outcome.obs, header)
         }
-        (other, _) => Err(err(format!("unknown transport '{other}'"))),
+        (other, _) => return Err(err(format!("unknown transport '{other}'"))),
+    };
+    let report = if opts.json {
+        lagover_jsonio::to_string_pretty(&obs)
+    } else {
+        format!("{header}{}{}", node_summary(&merged), obs.render())
+    };
+    if merged.finished() {
+        return Ok(report);
     }
+    let goal = match merged.report.scenario.as_str() {
+        "recovery" => "healing",
+        _ => "converging",
+    };
+    let cap = opts.max_time;
+    failed(
+        report,
+        format!("the run stopped at its {cap}-round cap without {goal}"),
+    )
 }
 
 #[cfg(test)]
@@ -1093,7 +1125,7 @@ mod tests {
         assert_eq!(opts.seed, 9);
         assert_eq!(opts.algorithm, Algorithm::Greedy);
         assert_eq!(opts.oracle, OracleKind::Random);
-        assert_eq!(opts.max_rounds, 100);
+        assert_eq!(opts.max_rounds, Some(100));
         assert_eq!(opts.source_fanout, 5);
     }
 
@@ -1223,6 +1255,19 @@ mod tests {
         let e = run(&opts).unwrap_err();
         assert!(e.message.contains("did not converge"), "{e}");
         assert_eq!(e.exit_code(), 1, "{e}");
+    }
+
+    #[test]
+    fn the_default_round_cap_follows_the_population() {
+        let opts = parse_args(&args("construct --workload rand --peers 30")).unwrap();
+        let population = resolve_population(&opts).unwrap();
+        assert_eq!(build(&opts, &population).config().max_rounds, 20_000);
+        assert_eq!(opts.max_rounds_for(100_000), 100_000);
+        // An explicit flag wins either way.
+        let capped = parse_args(&args("construct --max-rounds 5")).unwrap();
+        assert_eq!(capped.max_rounds_for(100_000), 5);
+        let raised = parse_args(&args("construct --max-rounds 90000")).unwrap();
+        assert_eq!(raised.max_rounds_for(30), 90_000);
     }
 
     #[test]

@@ -79,6 +79,59 @@ fn a_run_that_does_not_converge_exits_1_after_its_report() {
     }
 }
 
+/// Runs `lagover` on a whitespace-separated argument line.
+fn run(line: &str) -> std::process::Output {
+    Command::new(env!("CARGO_BIN_EXE_lagover"))
+        .args(line.split_whitespace())
+        .output()
+        .expect("binary runs")
+}
+
+#[test]
+fn a_crashed_overlay_that_does_not_recover_exits_1_after_its_report() {
+    let recover = "recover --workload rand --peers 200 --crash-fraction 0.3";
+    let cut = run(&format!("{recover} --seed 3 --rounds 1"));
+    let stdout = String::from_utf8_lossy(&cut.stdout);
+    let stderr = String::from_utf8_lossy(&cut.stderr);
+    assert_eq!(cut.status.code(), Some(1), "{stderr}");
+    assert_eq!(
+        stderr,
+        "error: the crashed overlay did not recover within 1 rounds\n"
+    );
+    assert!(
+        stdout.contains("NOT recovered within the 1-round horizon"),
+        "{stdout}"
+    );
+    let healed = run(&format!("{recover} --seed 5 --rounds 300"));
+    assert_eq!(healed.status.code(), Some(0), "recovered in 300 rounds");
+    assert!(healed.stderr.is_empty());
+}
+
+#[test]
+fn a_node_run_cut_at_its_round_cap_exits_1_after_its_report() {
+    let dir = std::env::temp_dir().join(format!("lagover-exit-status-{}", std::process::id()));
+    let udp = format!(
+        "--transport udp --base-port 48540 --tick-ms 1 --out-dir {}",
+        dir.display()
+    );
+    for (kind, goal) in [("construction", "converging"), ("recovery", "healing")] {
+        for transport in ["--transport mesh", &udp] {
+            let node = format!(
+                "node --workload rand --peers 6 --seed 7 --scenario-kind {kind} {transport}"
+            );
+            let cut = run(&format!("{node} --max-time 1"));
+            let stderr = String::from_utf8_lossy(&cut.stderr);
+            assert_eq!(cut.status.code(), Some(1), "{node}: {stderr}");
+            let error = format!("error: the run stopped at its 1-round cap without {goal}\n");
+            assert!(stderr.ends_with(&error), "{node}: {stderr}");
+            let stdout = String::from_utf8_lossy(&cut.stdout);
+            assert!(stdout.contains("halted: round cap"), "{node}: {stdout}");
+            assert_eq!(run(&node).status.code(), Some(0), "{node} finishes");
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn a_reader_that_stops_reading_ends_the_report_quietly() {
     // Far more than a pipe holds, so a write meets the closed pipe

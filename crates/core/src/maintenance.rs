@@ -47,8 +47,9 @@ fn parent_answers(engine: &Engine, p: PeerId) -> Option<bool> {
 /// with the parent answering, both counters at zero and — their
 /// verification having passed on the way in — nothing to do until a
 /// neighbour changes: the two places a peer is marked settled
-/// (DESIGN.md §13.4). Never while stabilizing: a stabilizing engine
-/// verifies past the neighbourhood (the saturated-cycle walk).
+/// (DESIGN.md §13.4). Never while the lists may lie: there the
+/// stabilize rule verifies past the neighbourhood (the saturated-cycle
+/// walk).
 pub(crate) fn maintain(engine: &mut Engine, p: PeerId) {
     match parent_answers(engine, p) {
         Some(false) => {
@@ -65,7 +66,7 @@ pub(crate) fn maintain(engine: &mut Engine, p: PeerId) {
     // negotiates.
     if engine.is_satisfied(p) || !engine.overlay.is_rooted(p) {
         engine.proto[p.index()].violation_rounds = 0;
-        if !engine.stabilizing() {
+        if !engine.overlay.lists_may_lie() {
             engine.overlay.settle(p);
         }
         return;

@@ -17,7 +17,10 @@
 //!   each one marks the forest for good
 //!   ([`crate::overlay::Overlay::lists_may_lie`]) and un-settles
 //!   everybody, so detection is never delayed: the first action of
-//!   every peer after an injection runs the rule in full. On a forest
+//!   every peer after an injection runs the rule in full. The mark is
+//!   the engine's whole corruption mode: while it is set the round-end
+//!   invariant checks are off, the [`sweep`] runs every round and
+//!   nobody settles, and nothing clears it. On a forest
 //!   written only by the checked mutations, or parsed from a validated
 //!   document, [`diagnose`] has nothing to find — debug builds assert
 //!   so at every action — and the rule is skipped. Where it runs on a
@@ -36,8 +39,8 @@
 //! edge violating `hops(p) == min(hops(parent) + 1, horizon)` (hops
 //! cannot strictly increase around a cycle), so some member detects a
 //! mismatch, or has every member stamped at the horizon, where the
-//! clamp holds all the way round — so while the engine is stabilizing
-//! a saturated peer takes the walk regardless; either way the bounded
+//! clamp holds all the way round — so while the lists may lie a
+//! saturated peer takes the walk regardless; either way the bounded
 //! [`Overlay::checked_walk`] names the cycle and detaches it;
 //! one-sided edges are detected from both ends
 //! (`BrokenBacklink` by the child, `ForeignChild` by the parent), and
@@ -63,10 +66,10 @@ use crate::overlay::ChainRoot;
 /// is grafted onto: an offline peer takes no action, so nothing could
 /// repair its state until it rejoins.
 ///
-/// A non-zero application flips the engine into stabilizing mode
-/// (suspending the round-end invariant assertions that corrupted state
-/// is *supposed* to fail) and rebuilds the oracle index, since cached
-/// delays may have been forged wholesale.
+/// A non-zero application has marked the forest — every corruption is
+/// a raw write — which suspends the round-end invariant assertions
+/// that corrupted state is *supposed* to fail; it also rebuilds the
+/// oracle index, since cached delays may have been forged wholesale.
 pub fn apply_corruption(engine: &mut Engine, plan: &CorruptionPlan) -> u64 {
     if plan.is_empty() {
         return 0;
@@ -83,7 +86,7 @@ pub fn apply_corruption(engine: &mut Engine, plan: &CorruptionPlan) -> u64 {
     }
     if injected > 0 {
         engine.counters.corruptions_injected += injected;
-        engine.begin_stabilizing();
+        engine.rebuild_oracle_index();
     }
     injected
 }
@@ -281,11 +284,10 @@ pub(crate) fn diagnose(engine: &Engine, p: PeerId) -> Option<(InconsistencyCause
     // stale cache somewhere on the chain or a genuine cycle; the
     // bounded walk distinguishes the two. Saturation also makes a
     // cycle of peers stamped at the horizon locally consistent
-    // (`min(horizon + 1, horizon)` all the way round), so while a
-    // corruption is being repaired a saturated peer takes the walk
-    // regardless.
+    // (`min(horizon + 1, horizon)` all the way round), so while the
+    // lists may lie a saturated peer takes the walk regardless.
     let mismatch = !overlay.stamp_is_under(p, parent);
-    let suspect = engine.stabilizing() && overlay.stamped_hops(p) >= overlay.horizon();
+    let suspect = overlay.lists_may_lie() && overlay.stamped_hops(p) >= overlay.horizon();
     if mismatch || suspect {
         match overlay.checked_walk(p) {
             Err(_) => return Some((InconsistencyCause::Cycle, Repair::Detach)),
@@ -341,7 +343,7 @@ pub(crate) fn verify(engine: &mut Engine, p: PeerId) -> bool {
 }
 
 /// The engine-side stabilization sweep, run once per round while the
-/// engine is in stabilizing mode. Covers the two inconsistencies no
+/// lists may lie. Covers the two inconsistencies no
 /// peer action can reach:
 ///
 /// * the **source's** child list (the source never runs `act_on`) —
@@ -430,7 +432,6 @@ mod tests {
                 && engine.is_converged()
                 && engine.stale_chain_count() == 0
             {
-                engine.set_stabilizing(false);
                 return Some(round);
             }
         }
@@ -444,7 +445,7 @@ mod tests {
             let plan = CorruptionPlan::new(7).with_class(class).with_severity(0.5);
             let injected = apply_corruption(&mut engine, &plan);
             assert!(injected > 0, "{class}: nothing injected");
-            assert!(engine.stabilizing());
+            assert!(engine.overlay().lists_may_lie());
             let healed = heal(&mut engine, 600);
             assert!(healed.is_some(), "{class}: did not re-stabilize");
             assert!(engine.counters().inconsistencies_detected > 0, "{class}");
@@ -475,7 +476,7 @@ mod tests {
         let mut a = converged_engine(17);
         let b = converged_engine(17);
         assert_eq!(apply_corruption(&mut a, &CorruptionPlan::new(9)), 0);
-        assert!(!a.stabilizing());
+        assert!(!a.overlay().lists_may_lie());
         assert_eq!(
             a.snapshot().to_json_string(),
             b.snapshot().to_json_string(),
@@ -494,7 +495,6 @@ mod tests {
             .overlay
             .raw_set_parent(victim, Some(Member::Peer(victim)));
         engine.overlay.raw_add_child(victim, victim);
-        engine.begin_stabilizing();
         assert!(engine.overlay().validate().is_err());
         assert!(verify(&mut engine, victim), "self-parent detected");
         assert_eq!(engine.overlay().parent(victim), None);
@@ -519,7 +519,6 @@ mod tests {
         }
         engine.overlay.raw_set_parent(a, Some(Member::Peer(b)));
         engine.overlay.raw_add_child(b, a);
-        engine.begin_stabilizing();
         assert!(engine.overlay().validate().is_err());
         assert!(
             heal(&mut engine, 600).is_some(),
@@ -563,7 +562,6 @@ mod tests {
             assert_eq!(engine.overlay.spot_check(p(member)), Ok(()));
             assert!(engine.overlay.checked_walk(p(member)).is_err());
         }
-        engine.set_stabilizing(true);
         engine.obs_mut().enable_journal(64);
         engine.step();
         assert!(detected_causes(&engine).contains(&InconsistencyCause::Cycle));
@@ -585,7 +583,6 @@ mod tests {
             engine.overlay.attach(p(i), Member::Peer(p(i - 1))).unwrap();
         }
         engine.obs_mut().enable_journal(64);
-        engine.set_stabilizing(true);
         // A shallow peer (depth 2) and a deep one (depth 6, stamped 3).
         for (victim, truth) in [(p(1), 2), (p(5), 3)] {
             engine.overlay.raw_set_cache(victim, ChainRoot::Source, 9);
@@ -625,7 +622,6 @@ mod tests {
         engine
             .overlay
             .raw_set_parent(p(1), Some(Member::Peer(p(2))));
-        engine.begin_stabilizing();
         // p1 verifies first: p2 never agreed to serve it.
         assert!(verify(&mut engine, p(1)), "broken backlink detected");
         assert_eq!(engine.overlay.parent(p(1)), None);
@@ -691,6 +687,45 @@ mod tests {
             engine.counters().oracle_outages > 0,
             "blackout was exercised"
         );
+    }
+
+    proptest::proptest! {
+        /// What the engine's one corruption mode rests on: on a random
+        /// converged engine — some of it crashed, so that victims are
+        /// passed over — a plan of any class and severity injects
+        /// something exactly when it marks the forest.
+        #[test]
+        fn a_corruption_injects_something_exactly_when_it_marks_the_lists(
+            width in 1u32..=3,
+            specs in proptest::collection::vec((1u32..=3, 0u32..=2), 2..=16),
+            seed in 0u64..100_000,
+            crashes in proptest::collection::vec(0u32..16, 0..3),
+        ) {
+            // Latency tiers as wide as the source's fanout: converges.
+            let peers = specs
+                .iter()
+                .zip(0u32..)
+                .map(|(&(fanout, slack), i)| Constraints::new(fanout, i / width + 1 + slack));
+            let population = Population::new(width, peers.collect());
+            let config = ConstructionConfig::new(Algorithm::Hybrid, OracleKind::RandomDelay)
+                .with_max_rounds(3_000);
+            let mut converged = Engine::new(&population, &config, seed);
+            proptest::prop_assert!(converged.run_to_convergence().is_some());
+            for &q in &crashes {
+                converged.inject_crash(p(q % population.len() as u32));
+            }
+            for class in CorruptionClass::ALL {
+                for severity in [0.0, 0.05, 0.3, 1.0] {
+                    let mut engine = Engine::restore(converged.snapshot());
+                    let plan = CorruptionPlan::new(seed)
+                        .with_class(class)
+                        .with_severity(severity);
+                    let injected = apply_corruption(&mut engine, &plan) > 0;
+                    let marked = engine.overlay().lists_may_lie();
+                    proptest::prop_assert!(injected == marked, "{class} at {severity}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -14,8 +14,7 @@ use lagover_sim::FaultPlan;
 
 /// Two valid 6-peer snapshots: two rounds into a Greedy construction,
 /// with referrals in flight; and a converged Hybrid overlay one round
-/// after a crash inside it, with message loss, a blackout and one more
-/// crash scheduled.
+/// after a crash inside it, with message loss and a blackout.
 fn snapshots() -> &'static [String; 2] {
     static SNAPSHOTS: OnceLock<[String; 2]> = OnceLock::new();
     SNAPSHOTS.get_or_init(|| {
@@ -42,8 +41,7 @@ fn snapshots() -> &'static [String; 2] {
         crashed.set_faults(
             FaultPlan::none()
                 .with_message_loss(0.1)
-                .with_blackout(round + 2, 2)
-                .with_crash(round + 3, 4),
+                .with_blackout(round + 2, 2),
         );
         let interior = population
             .peer_ids()

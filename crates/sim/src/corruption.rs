@@ -366,12 +366,4 @@ mod tests {
         );
         assert!(err.is_err());
     }
-
-    #[test]
-    fn serde_round_trip() {
-        let plan = CorruptionPlan::new(2)
-            .with_class(CorruptionClass::OrphanGraft)
-            .with_severity(0.3);
-        assert_eq!(plan, plan.clone());
-    }
 }

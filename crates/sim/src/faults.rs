@@ -1,33 +1,25 @@
-//! Deterministic fault injection: crash-stop failures, message loss,
-//! and oracle blackout windows.
+//! Deterministic fault injection: message loss and an oracle blackout
+//! window.
 //!
 //! The paper's churn model (§5.3) is *graceful*: a departing peer is
 //! removed from the overlay in the same round, so its children are
 //! orphaned instantly and omnisciently. Real deployments instead see
 //! **crash-stop** failures (the peer goes silent and nobody is told),
-//! lossy pairwise interactions, and directory outages. [`FaultPlan`]
-//! describes such a scenario declaratively so the engine can replay it
-//! bit-for-bit: every probabilistic decision is drawn from the run's
-//! own [`SimRng`](crate::rng::SimRng) stream, and a plan with no
-//! faults consumes **zero** random draws, leaving fault-free runs
+//! lossy pairwise interactions, and directory outages. A crash-stop
+//! failure enters the engine one way, `Engine::inject_crash` in
+//! `lagover-core`, usually for a cohort picked by [`crash_cohort`];
+//! [`FaultPlan`] describes the rest declaratively so the engine can
+//! replay it bit-for-bit: every probabilistic decision is drawn from
+//! the run's own [`SimRng`](crate::rng::SimRng) stream, and a plan with
+//! no faults consumes **zero** random draws, leaving fault-free runs
 //! byte-identical to builds without the subsystem.
 
 use serde::{Deserialize, Serialize};
 
 use crate::rng::SimRng;
 
-/// A scheduled crash-stop failure: `peer` goes permanently silent at
-/// the start of round `round`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct CrashEvent {
-    /// Round at whose start the crash takes effect.
-    pub round: u64,
-    /// Raw peer index (the sim layer does not know `PeerId`).
-    pub peer: u32,
-}
-
 /// A half-open oracle outage window `[start, start + rounds)`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Blackout {
     /// First round of the outage.
     pub start: u64,
@@ -42,44 +34,24 @@ impl Blackout {
     }
 }
 
-/// A serializable, replay-deterministic fault scenario.
-///
-/// Composes three orthogonal fault classes:
-///
-/// * **crash-stop** peer failures ([`CrashEvent`]) — silent; the
-///   overlay keeps every edge to the victim until neighbours detect
-///   the silence,
-/// * per-interaction **message loss** with a fixed probability,
-/// * **oracle blackouts** ([`Blackout`]) during which every directory
-///   query fails.
-///
-/// The crash schedule is kept sorted by round so the engine can
-/// consume it with a cursor.
+/// A serializable, replay-deterministic fault scenario: per-interaction
+/// **message loss** with a fixed probability, and one **oracle
+/// blackout** ([`Blackout`]) during which every directory query fails.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct FaultPlan {
-    crashes: Vec<CrashEvent>,
     message_loss: f64,
-    blackouts: Vec<Blackout>,
+    blackout: Blackout,
 }
 
 impl FaultPlan {
-    /// The empty plan: no crashes, no loss, no blackouts.
+    /// The empty plan: no loss, no blackout.
     pub fn none() -> Self {
         FaultPlan::default()
     }
 
     /// Whether the plan injects no faults at all.
     pub fn is_empty(&self) -> bool {
-        self.crashes.is_empty() && self.message_loss <= 0.0 && self.blackouts.is_empty()
-    }
-
-    /// Schedules a crash-stop failure of `peer` at round `round`.
-    pub fn with_crash(mut self, round: u64, peer: u32) -> Self {
-        let at = self
-            .crashes
-            .partition_point(|c| (c.round, c.peer) <= (round, peer));
-        self.crashes.insert(at, CrashEvent { round, peer });
-        self
+        self.message_loss <= 0.0 && self.blackout.rounds == 0
     }
 
     /// Sets the per-interaction message-loss probability.
@@ -96,18 +68,15 @@ impl FaultPlan {
         self
     }
 
-    /// Adds an oracle outage of `rounds` rounds starting at `start`.
-    /// A zero-length window is dropped.
+    /// Sets the oracle outage to `rounds` rounds starting at `start`,
+    /// replacing any earlier one. A zero-length window is no outage.
     pub fn with_blackout(mut self, start: u64, rounds: u64) -> Self {
-        if rounds > 0 {
-            self.blackouts.push(Blackout { start, rounds });
-        }
+        self.blackout = if rounds > 0 {
+            Blackout { start, rounds }
+        } else {
+            Blackout::default()
+        };
         self
-    }
-
-    /// The crash schedule, sorted by round.
-    pub fn crashes(&self) -> &[CrashEvent] {
-        &self.crashes
     }
 
     /// The per-interaction message-loss probability.
@@ -115,14 +84,9 @@ impl FaultPlan {
         self.message_loss
     }
 
-    /// The oracle outage windows.
-    pub fn blackouts(&self) -> &[Blackout] {
-        &self.blackouts
-    }
-
     /// Whether the oracle is unreachable during `round`.
     pub fn oracle_blacked_out(&self, round: u64) -> bool {
-        self.blackouts.iter().any(|b| b.contains(round))
+        self.blackout.contains(round)
     }
 }
 
@@ -171,24 +135,6 @@ pub fn deterministic_jitter(key: u64, bound: u32) -> u32 {
 
 use lagover_jsonio::{object, FromJson, Json, JsonError, ToJson};
 
-impl ToJson for CrashEvent {
-    fn to_json(&self) -> Json {
-        object(vec![
-            ("round", self.round.to_json()),
-            ("peer", self.peer.to_json()),
-        ])
-    }
-}
-
-impl FromJson for CrashEvent {
-    fn from_json(value: &Json) -> Result<Self, JsonError> {
-        Ok(CrashEvent {
-            round: u64::from_json(value.get("round")?)?,
-            peer: u32::from_json(value.get("peer")?)?,
-        })
-    }
-}
-
 impl ToJson for Blackout {
     fn to_json(&self) -> Json {
         object(vec![
@@ -210,17 +156,14 @@ impl FromJson for Blackout {
 impl ToJson for FaultPlan {
     fn to_json(&self) -> Json {
         object(vec![
-            ("crashes", self.crashes.to_json()),
             ("message_loss", Json::F64(self.message_loss)),
-            ("blackouts", self.blackouts.to_json()),
+            ("blackout", self.blackout.to_json()),
         ])
     }
 }
 
 impl FromJson for FaultPlan {
     fn from_json(value: &Json) -> Result<Self, JsonError> {
-        let mut crashes: Vec<CrashEvent> = Vec::from_json(value.get("crashes")?)?;
-        crashes.sort_by_key(|c| (c.round, c.peer));
         let message_loss = value.get("message_loss")?.as_f64()?;
         if !(0.0..=1.0).contains(&message_loss) {
             return Err(JsonError(format!(
@@ -228,9 +171,8 @@ impl FromJson for FaultPlan {
             )));
         }
         Ok(FaultPlan {
-            crashes,
             message_loss,
-            blackouts: Vec::from_json(value.get("blackouts")?)?,
+            blackout: Blackout::from_json(value.get("blackout")?)?,
         })
     }
 }
@@ -242,26 +184,23 @@ mod tests {
     #[test]
     fn empty_plan_is_empty() {
         assert!(FaultPlan::none().is_empty());
-        assert!(!FaultPlan::none().with_crash(3, 1).is_empty());
         assert!(!FaultPlan::none().with_message_loss(0.1).is_empty());
         assert!(!FaultPlan::none().with_blackout(5, 2).is_empty());
-        // A zero-length blackout is no fault.
-        assert!(FaultPlan::none().with_blackout(5, 0).is_empty());
-    }
-
-    #[test]
-    fn crash_schedule_stays_sorted() {
-        let plan = FaultPlan::none()
-            .with_crash(9, 2)
-            .with_crash(3, 7)
-            .with_crash(3, 1);
-        let rounds: Vec<(u64, u32)> = plan.crashes().iter().map(|c| (c.round, c.peer)).collect();
-        assert_eq!(rounds, vec![(3, 1), (3, 7), (9, 2)]);
+        // A zero-length blackout is no fault, and replaces an earlier one.
+        assert_eq!(FaultPlan::none().with_blackout(5, 0), FaultPlan::none());
+        assert!(FaultPlan::none()
+            .with_blackout(5, 2)
+            .with_blackout(9, 0)
+            .is_empty());
     }
 
     #[test]
     fn blackout_windows_are_half_open() {
-        let plan = FaultPlan::none().with_blackout(10, 3);
+        let plan = FaultPlan::none().with_blackout(1, 4).with_blackout(10, 3);
+        assert!(
+            !plan.oracle_blacked_out(2),
+            "the later window replaces the earlier"
+        );
         assert!(!plan.oracle_blacked_out(9));
         assert!(plan.oracle_blacked_out(10));
         assert!(plan.oracle_blacked_out(12));
@@ -311,8 +250,6 @@ mod tests {
     #[test]
     fn jsonio_round_trip() {
         let plan = FaultPlan::none()
-            .with_crash(4, 9)
-            .with_crash(2, 3)
             .with_message_loss(0.05)
             .with_blackout(10, 30);
         let json = lagover_jsonio::to_string(&plan);
@@ -324,18 +261,9 @@ mod tests {
     }
 
     #[test]
-    fn serde_round_trip() {
-        // The serde derive path must agree with jsonio (specs embed
-        // plans through either backend).
-        let plan = FaultPlan::none().with_crash(1, 2).with_message_loss(0.5);
-        let cloned = plan.clone();
-        assert_eq!(plan, cloned);
-    }
-
-    #[test]
     fn bad_loss_probability_rejected() {
         let err = lagover_jsonio::from_str::<FaultPlan>(
-            "{\"crashes\":[],\"message_loss\":1.5,\"blackouts\":[]}",
+            "{\"message_loss\":1.5,\"blackout\":{\"start\":0,\"rounds\":0}}",
         );
         assert!(err.is_err());
     }

@@ -25,8 +25,9 @@
 //!   mode,
 //! * [`churn`] — membership-dynamics processes (the paper's Bernoulli
 //!   model plus session-length extensions),
-//! * [`faults`] — declarative crash-stop / message-loss / oracle-outage
-//!   scenarios ([`faults::FaultPlan`]) replayed deterministically,
+//! * [`faults`] — declarative message-loss / oracle-outage
+//!   scenarios ([`faults::FaultPlan`]) replayed deterministically, and
+//!   the crash-stop cohort ([`faults::crash_cohort`]),
 //! * [`corruption`] — adversarial snapshot-corruption plans
 //!   ([`corruption::CorruptionPlan`]) for self-stabilization runs,
 //! * [`metrics`] — the time-series recorder,
@@ -58,7 +59,7 @@ pub mod time;
 pub use churn::{BernoulliChurn, ChurnProcess, NoChurn, Transitions};
 pub use corruption::{CorruptionClass, CorruptionPlan};
 pub use event::EventQueue;
-pub use faults::{Blackout, CrashEvent, FaultPlan};
+pub use faults::{Blackout, FaultPlan};
 pub use metrics::TimeSeries;
 pub use rng::SimRng;
 pub use stats::Summary;

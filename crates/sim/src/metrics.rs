@@ -147,7 +147,7 @@ mod tests {
     }
 
     #[test]
-    fn serde_round_trip() {
+    fn jsonio_round_trip() {
         let mut s = TimeSeries::new("frac");
         s.push(1.0, 2.0);
         let json = lagover_jsonio::to_string(&s);
