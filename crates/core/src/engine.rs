@@ -256,9 +256,6 @@ pub struct Engine {
     /// [`Engine::detect_crashes`] ages, in ascending index order once it
     /// has sorted them.
     undetected: Vec<PeerId>,
-    /// Crash victims so far (kept to make the no-fault fast path in
-    /// [`Engine::detect_crashes`] a field read, not a vector scan).
-    crashed_total: usize,
 }
 
 /// Who answers an engine's oracle queries: the incremental sampling
@@ -359,7 +356,6 @@ impl Engine {
             crashed: vec![false; n],
             crash_silent: vec![0; n],
             undetected: Vec::new(),
-            crashed_total: 0,
         }
     }
 
@@ -426,7 +422,6 @@ impl Engine {
     }
 
     fn restore_with_sampler(snapshot: EngineSnapshot, custom: Option<Box<dyn Oracle>>) -> Self {
-        let crashed_total = snapshot.crashed.iter().filter(|&&c| c).count();
         // An in-memory snapshot cloned from a delta-tracking engine may
         // carry stale delta records; the restored engine rebuilds its
         // index from scratch, so drop them.
@@ -460,7 +455,6 @@ impl Engine {
             crashed: snapshot.crashed,
             crash_silent: snapshot.crash_silent,
             undetected,
-            crashed_total,
         }
     }
 
@@ -653,7 +647,6 @@ impl Engine {
         self.crashed[p.index()] = true;
         self.crash_silent[p.index()] = 0;
         self.undetected.push(p);
-        self.crashed_total += 1;
         self.counters.crashes += 1;
         if self.obs.is_enabled() {
             self.obs.record(Event::Crash {
@@ -707,11 +700,6 @@ impl Engine {
     /// Whether `p` has crash-stop failed.
     pub fn is_crashed(&self, p: PeerId) -> bool {
         self.crashed[p.index()]
-    }
-
-    /// Crash-stop failures so far.
-    pub fn crashed_count(&self) -> usize {
-        self.crashed_total
     }
 
     /// Number of online peers currently without a parent (fragment
@@ -812,7 +800,7 @@ impl Engine {
     /// victims still counting are visited, in ascending index order —
     /// the order of the reclaims' journal events.
     fn detect_crashes(&mut self) {
-        if self.crashed_total == 0 {
+        if self.undetected.is_empty() {
             return;
         }
         let mut undetected = std::mem::take(&mut self.undetected);
@@ -906,16 +894,9 @@ impl Engine {
 
     /// Hands the peers the last action woke to the open round.
     fn reschedule(&mut self) {
-        match self.overlay.woken() {
-            Some(woken) => {
-                for &q in woken {
-                    debug_assert!(self.online.contains(q), "a settled peer is online");
-                    self.schedule.wake(q);
-                }
-            }
-            None => self
-                .schedule
-                .reopen(self.overlay.unsettled_among(self.online.words())),
+        for &q in self.overlay.woken() {
+            debug_assert!(self.online.contains(q), "a settled peer is online");
+            self.schedule.wake(q);
         }
         self.overlay.clear_woken();
     }
@@ -2193,7 +2174,7 @@ mod tests {
         let json = engine.snapshot().to_json_string();
         let restored = Engine::restore(EngineSnapshot::from_json_str(&json).unwrap());
         assert!(restored.is_crashed(p(2)));
-        assert_eq!(restored.crashed_count(), 1);
+        assert_eq!(restored.counters().crashes, 1);
         assert_eq!(restored.snapshot().to_json_string(), json);
     }
 }

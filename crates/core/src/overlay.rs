@@ -234,9 +234,6 @@ pub struct Overlay {
     /// Peers un-settled since the last [`Overlay::clear_woken`].
     #[serde(skip)]
     woken: Vec<PeerId>,
-    /// Whether [`Overlay::unsettle_all`] un-settled anybody since then.
-    #[serde(skip)]
-    woke_all: bool,
     /// Whether a raw mutation or repair primitive ever wrote this
     /// forest, so its child lists may disagree with its parent pointers
     /// (see the module docs). Never cleared; carried by `Clone`, not
@@ -321,7 +318,6 @@ impl Overlay {
             settled_unrooted: 0,
             reporting: false,
             woken: Vec::new(),
-            woke_all: false,
             lists_may_lie: false,
             scratch: Vec::new(),
             track_deltas: false,
@@ -387,8 +383,17 @@ impl Overlay {
 
     /// Marks `p` settled. The caller has just watched `p`'s action
     /// change nothing.
+    ///
+    /// Nobody settles while the lists may lie, and [`Overlay::mark_raw`]
+    /// clears every bit before it marks: so a marked forest has no bit
+    /// set, and neither [`Overlay::unsettle_all`] nor a re-stamp through
+    /// a lying list ever finds a settled peer to wake.
     #[inline]
     pub(crate) fn settle(&mut self, p: PeerId) {
+        debug_assert!(
+            !self.lists_may_lie,
+            "nobody settles while the lists may lie"
+        );
         let (word, bit) = (p.index() >> 6, 1 << (p.index() & 63));
         if self.settled[word] & bit == 0 {
             self.settled[word] |= bit;
@@ -410,13 +415,11 @@ impl Overlay {
         }
     }
 
-    /// Un-settles everybody — the rule for the rare writers (raw
-    /// mutations, mode switches) that do not track whom they touch.
-    /// Reported as everybody woken if anybody was settled.
+    /// Un-settles everybody — the rule for the raw writers, which do not
+    /// track whom they touch. Mid-round it wakes nobody: only a marked
+    /// forest gets here then, and a marked forest has no bit set (see
+    /// [`Overlay::settle`]).
     pub(crate) fn unsettle_all(&mut self) {
-        if self.reporting && self.settled.iter().any(|&word| word != 0) {
-            self.woke_all = true;
-        }
         self.settled.fill(0);
         self.settled_unrooted = 0;
     }
@@ -465,23 +468,20 @@ impl Overlay {
     }
 
     /// Starts (a round opens) or stops (it closes) reporting which peers
-    /// [`Overlay::unsettle`] and [`Overlay::unsettle_all`] wake, dropping
-    /// whatever is pending.
+    /// [`Overlay::unsettle`] wakes, dropping whatever is pending.
     pub(crate) fn report_wakes(&mut self, on: bool) {
         self.reporting = on;
         self.clear_woken();
     }
 
-    /// The peers woken since the last [`Overlay::clear_woken`], or
-    /// `None` if [`Overlay::unsettle_all`] woke everybody.
-    pub(crate) fn woken(&self) -> Option<&[PeerId]> {
-        (!self.woke_all).then_some(&self.woken)
+    /// The peers woken since the last [`Overlay::clear_woken`].
+    pub(crate) fn woken(&self) -> &[PeerId] {
+        &self.woken
     }
 
     /// Forgets who was woken.
     pub(crate) fn clear_woken(&mut self) {
         self.woken.clear();
-        self.woke_all = false;
     }
 
     /// Un-settles the listed children of `p`, whose actions read what
@@ -512,9 +512,10 @@ impl Overlay {
     ///
     /// `top`, whose parent pointer moved, is un-settled. A peer below
     /// it keeps its bit unless its new stamp is rooted past its
-    /// latency (see [`Overlay::restamp_settled`]) — except on a forest
-    /// whose lists may lie, where a listed child need not be the
-    /// parent's, so every peer visited is un-settled.
+    /// latency (see [`Overlay::restamp_settled`]). On a forest whose
+    /// lists may lie a listed child need not be the parent's, but no
+    /// bit is set there (see [`Overlay::settle`]), so nobody visited
+    /// keeps one.
     fn update_subtree_cache(&mut self, top: PeerId, packed_root: u32, hops: u32) {
         let rooted = packed_root == ROOT_SOURCE;
         let mut stack = std::mem::take(&mut self.scratch);
@@ -527,17 +528,13 @@ impl Overlay {
         let mut budget = self.parent.len();
         while let Some((s, hops)) = stack.pop() {
             let i = s.index();
-            if self.lists_may_lie {
-                self.unsettle(s);
-            } else {
-                self.restamp_settled(s, packed_root, hops);
-            }
+            self.restamp_settled(s, packed_root, hops);
             if self.root[i] == packed_root && self.hops[i] == hops {
                 continue;
             }
             if budget == 0 {
-                // Children of re-stamped peers are still stacked.
-                self.unsettle_all();
+                // Children of re-stamped peers are still stacked; only
+                // lying lists loop, so none of them holds a bit.
                 break;
             }
             budget -= 1;
@@ -1482,7 +1479,6 @@ impl FromJson for Overlay {
             settled_unrooted: 0,
             reporting: false,
             woken: Vec::new(),
-            woke_all: false,
             lists_may_lie: false,
             scratch: Vec::new(),
             track_deltas: false,

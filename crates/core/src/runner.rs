@@ -15,13 +15,21 @@
 /// Indices are split into contiguous chunks, one scoped thread per
 /// chunk, capped at the machine's available parallelism (overridable
 /// via the `LAGOVER_THREADS` environment variable). Falls back to the
-/// plain sequential loop when only one worker would run.
+/// plain sequential loop when only one worker would run, and when
+/// called from inside a worker: a job that fans out again (a stream
+/// inside a median-of-k experiment) runs its inner jobs on its own thread,
+/// so the worker count never multiplies.
 pub fn parallel_runs<T, F>(count: usize, job: F) -> Vec<T>
 where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
     parallel_runs_with(count, default_threads(), job)
+}
+
+std::thread_local! {
+    /// Whether this thread is a [`parallel_runs_with`] worker.
+    static IN_WORKER: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
 }
 
 /// Worker count for [`parallel_runs`]: `LAGOVER_THREADS` when set to a
@@ -61,7 +69,7 @@ where
     F: Fn(usize) -> T + Sync,
 {
     let threads = threads.min(count);
-    if threads <= 1 {
+    if threads <= 1 || IN_WORKER.get() {
         return (0..count).map(job).collect();
     }
     let mut results: Vec<Option<T>> = Vec::new();
@@ -73,6 +81,7 @@ where
             let (slots, tail) = std::mem::take(&mut rest).split_at_mut(len);
             rest = tail;
             scope.spawn(move || {
+                IN_WORKER.set(true);
                 for (offset, slot) in slots.iter_mut().enumerate() {
                     *slot = Some(job(start + offset));
                 }
@@ -125,6 +134,23 @@ mod tests {
                 "results diverge at {threads} threads"
             );
         }
+    }
+
+    #[test]
+    fn a_nested_call_runs_on_the_workers_own_thread() {
+        let ids = parallel_runs_with(4, 2, |_| {
+            let outer = std::thread::current().id();
+            let inner = parallel_runs_with(3, 8, |_| std::thread::current().id());
+            (outer, inner)
+        });
+        let caller = std::thread::current().id();
+        for (outer, inner) in ids {
+            assert_ne!(outer, caller, "the outer jobs run on workers");
+            assert_eq!(inner, vec![outer; 3], "the inner jobs stay on the worker");
+        }
+        // Off a worker, the same inner call fans out again.
+        let spread = parallel_runs_with(2, 2, |_| std::thread::current().id());
+        assert!(spread.iter().all(|&id| id != caller));
     }
 
     #[test]

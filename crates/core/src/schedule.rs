@@ -71,8 +71,8 @@ pub(crate) struct Schedule {
     key: u64,
     /// The open round's key, `mix` of the schedule key and the round.
     round_key: u64,
-    /// Slots of the peers active when the round opened (or reopened),
-    /// ascending; `order[next..]` are still to act.
+    /// Slots of the peers active when the round opened, ascending;
+    /// `order[next..]` are still to act.
     order: Vec<u64>,
     next: usize,
     /// Slots of peers woken ahead of the cursor since.
@@ -101,21 +101,8 @@ impl Schedule {
         let round_key = mix(self.key ^ round.get().wrapping_mul(SPREAD));
         self.round_key = round_key;
         self.cursor = 0;
-        self.fill(active.map(|p| slot(round_key, p)));
-    }
-
-    /// Everybody was un-settled mid-round: what is left of the round is
-    /// every `active` peer (ascending ids) whose slot is ahead of the
-    /// cursor. Called only after [`Schedule::pop`].
-    pub(crate) fn reopen(&mut self, active: impl Iterator<Item = PeerId>) {
-        let (round_key, cursor) = (self.round_key, self.cursor);
-        self.fill(active.map(|p| slot(round_key, p)).filter(|&s| s > cursor));
-    }
-
-    /// Replaces what is left of the round with `slots` (in id order).
-    fn fill(&mut self, slots: impl Iterator<Item = u64>) {
         self.order.clear();
-        self.order.extend(slots);
+        self.order.extend(active.map(|p| slot(round_key, p)));
         if self.order.len() < RADIX_MIN {
             self.order.sort_unstable();
         } else {
@@ -235,11 +222,6 @@ mod tests {
         for p in peers(8).filter(|&p| p != middle) {
             schedule.wake(p);
         }
-        assert_eq!(drain(&mut schedule), full[5..]);
-        // Everybody woken at once: the same tail, rebuilt.
-        schedule.open(Round::new(4), std::iter::once(middle));
-        schedule.pop();
-        schedule.reopen(peers(8));
         assert_eq!(drain(&mut schedule), full[5..]);
     }
 

@@ -219,19 +219,15 @@ fn the_active_set_round_is_the_all_peers_round_at_ten_thousand_peers() {
     }
 }
 
-/// The case the property cannot reach: a repair that un-settles
-/// everybody while a peer ahead of the cursor is settled *and* has
-/// something to do. The engine never makes that state — only a raw
-/// write un-settles everybody, it marks the forest, and nobody settles
-/// while the lists may lie — but reopening the round is the schedule's
-/// own rule, so the bit is set by hand, as the overlay's tests set
-/// theirs. `p` is cut loose one-sidedly with a stale stamp and a forged
-/// fanout; its child `c`, which finds nothing to do while `p` repairs
-/// the fanout, is marked settled on the stale stamp, and when `p`
-/// rewrites the stamp next round, `c` must act after it in that same
-/// round.
+/// A repair un-settles everybody mid-round, yet the round needs no
+/// rebuilding: only a raw write un-settles everybody, it marks the
+/// forest, and nobody settles while the lists may lie, so no settled
+/// peer sits ahead of the cursor. `p` is cut loose one-sidedly with a
+/// stale stamp and a forged fanout; its child `c` finds nothing to do
+/// while `p` repairs the fanout, yet stays active, and when `p`
+/// rewrites the stamp next round, `c` acts after it in that same round.
 #[test]
-fn a_repair_that_wakes_everybody_brings_back_the_settled_peers_ahead_of_the_cursor() {
+fn a_repair_under_lying_lists_finds_nobody_settled_ahead_of_the_cursor() {
     use crate::node::Member;
     use crate::schedule::{schedule_key, Schedule};
     use lagover_sim::Round;
@@ -271,15 +267,12 @@ fn a_repair_that_wakes_everybody_brings_back_the_settled_peers_ahead_of_the_curs
         })
         .collect();
     for round in 3..5 {
-        if round == 4 {
-            for engine in &mut twins {
-                assert!(!engine.overlay.is_settled(c), "the lists may lie");
-                engine.overlay.settle(c);
-            }
-        }
         twins[0].step();
         twins[1].step_visiting_everyone();
         assert!(state(&twins[0]) == state(&twins[1]), "round {round}");
+        for q in [a, p, c] {
+            assert!(!twins[0].overlay.is_settled(q), "the lists may lie");
+        }
     }
     let caught_by_c = twins[0]
         .obs()

@@ -439,12 +439,13 @@ fn a_shift_that_saturates_a_parent_unsettles_the_children_it_prunes() {
 }
 
 #[test]
-fn a_restamp_that_runs_out_of_budget_unsettles_everyone() {
+fn a_restamp_through_looping_lists_stops_at_its_budget() {
     // The source feeds 0 ← 1 ← 2, 2 also feeds 4 — and lists its own
     // ancestor 0, so the child lists loop (1 → 2 → 0 → 3 → 1 …) once 3
     // is spliced in above 1. With the horizon (10) past the population
     // (6) the re-stamp is stopped by its budget, not by saturation,
-    // with 4 — whose parent it did re-stamp — still on the stack.
+    // with 4 — whose parent it did re-stamp — still on the stack. The
+    // graft marked the forest, so nobody holds a bit to lose.
     let population = Population::new(1, vec![Constraints::new(2, 9); 6]);
     let mut engine = Engine::new(&population, &hybrid(), 1);
     let overlay = &mut engine.overlay;
@@ -453,8 +454,6 @@ fn a_restamp_that_runs_out_of_budget_unsettles_everyone() {
     overlay.attach(p(2), Member::Peer(p(1))).unwrap();
     overlay.attach(p(4), Member::Peer(p(2))).unwrap();
     assert!(overlay.raw_add_child(p(2), p(0)));
-    overlay.settle(p(4));
-    overlay.settle(p(5));
     overlay.interpose(p(3), p(1)).unwrap();
     assert_eq!(overlay.stamped_hops(p(4)), 4, "never reached");
     assert!(settled_peers(&engine).is_empty());
@@ -619,7 +618,7 @@ fn a_fragment_that_roots_satisfied_wakes_nobody() {
     // and satisfied, and nobody is woken.
     engine.overlay.report_wakes(true);
     engine.overlay.attach(p(0), Member::Source).unwrap();
-    assert_eq!(engine.overlay.woken(), Some(&[][..]));
+    assert!(engine.overlay.woken().is_empty());
     engine.overlay.report_wakes(false);
     assert_eq!(settled_peers(&engine), [p(1), p(2)]);
     assert!(engine.is_converged());
@@ -627,7 +626,7 @@ fn a_fragment_that_roots_satisfied_wakes_nobody() {
 }
 
 #[test]
-fn a_restamp_through_a_lying_child_list_wakes_every_peer_it_visits() {
+fn a_restamp_through_a_lying_child_list_finds_nobody_settled() {
     // The source feeds 0 and 1; 2 hangs below one of them.
     let population = Population::new(
         2,
@@ -642,22 +641,37 @@ fn a_restamp_through_a_lying_child_list_wakes_every_peer_it_visits() {
         panic!("2 hangs below a peer");
     };
     let other = p(1 - parent.index());
+    assert!(!settled_peers(&engine).is_empty());
     // Graft 2 onto the other's list, one-sidedly: the graft un-settles
-    // everybody, and 2, whose own neighbourhood is clean, finds nothing
-    // to do — but nobody settles while the lists may lie, so the bit
-    // the overlay's rule clears is set by hand.
+    // everybody and marks the forest, and 2, whose own neighbourhood is
+    // clean, finds nothing to do — yet stays unsettled.
     assert!(engine.overlay.raw_add_child(other, p(2)));
+    assert!(settled_peers(&engine).is_empty());
     engine.act_on(p(2));
-    assert!(!engine.overlay.is_settled(p(2)));
-    engine.overlay.settle(p(2));
+    assert!(
+        settled_peers(&engine).is_empty(),
+        "nobody settles while the lists may lie"
+    );
     // Detaching the other re-stamps the peers it lists, 2 among them,
-    // into its fragment: a stamp 2's real parent contradicts.
+    // into its fragment: a stamp 2's real parent contradicts, and the
+    // re-stamp finds no bit to clear.
     engine.overlay.detach(other).unwrap();
     assert_eq!(engine.overlay.root(p(2)), ChainRoot::Fragment(other));
-    assert!(!engine.overlay.is_settled(p(2)));
+    assert!(settled_peers(&engine).is_empty());
     assert!(!engine.action_is_noop(p(2)));
     engine.act_on(p(2));
     assert_eq!(detected(&engine), [(2, InconsistencyCause::CacheMismatch)]);
+}
+
+/// What keeps every wake-everybody path dead: a bit set on a marked
+/// forest is refused.
+#[test]
+#[cfg(debug_assertions)]
+#[should_panic(expected = "nobody settles while the lists may lie")]
+fn settling_a_peer_on_a_marked_forest_is_refused() {
+    let mut engine = settled_engine(&small_tree(), 5);
+    engine.overlay.raw_push_source_child(p(0));
+    engine.overlay.settle(p(0));
 }
 
 /// The mark is the engine's corruption mode, and `Clone` carries it:

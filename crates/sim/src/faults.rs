@@ -49,11 +49,6 @@ impl FaultPlan {
         FaultPlan::default()
     }
 
-    /// Whether the plan injects no faults at all.
-    pub fn is_empty(&self) -> bool {
-        self.message_loss <= 0.0 && self.blackout.rounds == 0
-    }
-
     /// Sets the per-interaction message-loss probability.
     ///
     /// # Panics
@@ -182,19 +177,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn empty_plan_is_empty() {
-        assert!(FaultPlan::none().is_empty());
-        assert!(!FaultPlan::none().with_message_loss(0.1).is_empty());
-        assert!(!FaultPlan::none().with_blackout(5, 2).is_empty());
-        // A zero-length blackout is no fault, and replaces an earlier one.
-        assert_eq!(FaultPlan::none().with_blackout(5, 0), FaultPlan::none());
-        assert!(FaultPlan::none()
-            .with_blackout(5, 2)
-            .with_blackout(9, 0)
-            .is_empty());
-    }
-
-    #[test]
     fn blackout_windows_are_half_open() {
         let plan = FaultPlan::none().with_blackout(1, 4).with_blackout(10, 3);
         assert!(
@@ -205,6 +187,8 @@ mod tests {
         assert!(plan.oracle_blacked_out(10));
         assert!(plan.oracle_blacked_out(12));
         assert!(!plan.oracle_blacked_out(13));
+        // A zero-length blackout is no fault, and replaces an earlier one.
+        assert_eq!(plan.with_blackout(9, 0), FaultPlan::none());
     }
 
     #[test]
@@ -257,7 +241,7 @@ mod tests {
         assert_eq!(back, plan);
         let empty: FaultPlan =
             lagover_jsonio::from_str(&lagover_jsonio::to_string(&FaultPlan::none())).unwrap();
-        assert!(empty.is_empty());
+        assert_eq!(empty, FaultPlan::none());
     }
 
     #[test]

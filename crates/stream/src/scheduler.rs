@@ -43,14 +43,31 @@
 //!   one per sender; a leaf has none.
 //! * **Exactly-once.** Edges are FIFO and logs fill in chunk order, so
 //!   the chunks of one tree reach a peer in strictly increasing order:
-//!   one `n·k` array of the next chunk each (peer, tree) may receive
+//!   the next chunk each (peer, tree) may receive, n·k slots in all,
 //!   catches any duplicate, in every build.
 //! * **Staleness** is an exact histogram, grown to the largest
 //!   staleness seen.
+//!
+//! The rounds above are what one loop over the whole forest does; they
+//! run in three phases (DESIGN.md §17.2). Every peer forwards in one
+//! tree only, and in each tree it sits below one source child, so once
+//! the source has sent, the subtree of each (tree, source child) — a
+//! *unit* — evolves on its own:
+//!
+//! 1. **The source schedule.** The source's k logs read only the
+//!    publications, its shared budget and the rotation, so its sends,
+//!    drops and stalls are computed first, [`EPOCH`] rounds at a time.
+//! 2. **The units.** Each unit has its own relay logs, pending bitset,
+//!    exactly-once slots and histogram, and steps through the epoch fed
+//!    the source's sends to its root, on the `parallel_runs` workers.
+//! 3. **The merge.** Counters and histograms add up. With an obs sink
+//!    the units step one round at a time instead, and each round's
+//!    events are merged into the one-loop order.
 
 use lagover_core::forest::{carve, CarveError, ForestPlan, StreamBudgets};
 use lagover_core::node::{PeerId, Population};
 use lagover_core::overlay::Overlay;
+use lagover_core::parallel_runs;
 use lagover_feed::{HorizonTooLong, PublishSchedule};
 use lagover_jsonio::{object, Json, ToJson};
 use lagover_obs::{Event, Journal, Profiler, Registry, Scrape, Work};
@@ -58,14 +75,13 @@ use lagover_sim::SimRng;
 
 use std::collections::VecDeque;
 use std::fmt;
+use std::ops::RangeInclusive;
+use std::sync::Mutex;
 
 /// Salt folded into the run seed for the publish-schedule RNG stream,
 /// mirroring the feed layer's `^ 0xFEED_F00D` discipline so streaming
 /// never perturbs construction draws.
 const STREAM_SALT: u64 = 0x57A7_57A7;
-
-/// `relay_of` entry of a peer that sends in no tree.
-const NO_LOG: u32 = u32::MAX;
 
 /// Streaming parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -211,6 +227,16 @@ impl Histogram {
             self.counts.resize(s + 1, 0);
         }
         self.counts[s] += 1;
+    }
+
+    /// Adds `other`'s counts to this histogram's.
+    fn merge(&mut self, other: &Histogram) {
+        if other.counts.len() > self.counts.len() {
+            self.counts.resize(other.counts.len(), 0);
+        }
+        for (count, &more) in self.counts.iter_mut().zip(&other.counts) {
+            *count += more;
+        }
     }
 
     /// The statistics `from_sorted` takes of the sorted samples: rank
@@ -381,6 +407,39 @@ struct Counters {
     staleness_sum: u64,
 }
 
+impl Counters {
+    fn add(&mut self, other: &Counters) {
+        self.deliveries += other.deliveries;
+        self.stalls += other.stalls;
+        self.drops += other.drops;
+        self.sends += other.sends;
+        self.staleness_sum += other.staleness_sum;
+    }
+}
+
+/// One send: chunk `chunk` to `peer`, which sits at `to` — a slot of
+/// the sender's unit, or for the source, a unit.
+#[derive(Debug, Clone, Copy)]
+struct Arrival {
+    to: u32,
+    peer: PeerId,
+    chunk: u64,
+}
+
+/// An event and the carve rank of the sender it belongs to: the key
+/// that merges units' events into the one-loop order.
+type Tagged = (u32, Event);
+
+/// One out-edge of a relay log.
+#[derive(Debug, Clone, Copy)]
+struct Edge {
+    child: PeerId,
+    /// Where the child sits (see [`Arrival::to`]).
+    to: u32,
+    /// The absolute position of the next entry the edge carries.
+    cursor: usize,
+}
+
 /// One sender's relay log: the `(chunk, round enqueued)` sequence all
 /// of its out-edges carry, and one cursor per out-edge.
 struct RelayLog {
@@ -388,17 +447,22 @@ struct RelayLog {
     /// passed the ones before it.
     entries: VecDeque<(u64, u64)>,
     base: usize,
-    /// Out-edges in child order: the child, and the absolute position
-    /// of the next entry the edge carries.
-    edges: Vec<(PeerId, usize)>,
+    /// Out-edges in child order.
+    edges: Vec<Edge>,
 }
 
 impl RelayLog {
-    fn new(children: &[PeerId]) -> Self {
+    fn new(children: impl Iterator<Item = (PeerId, u32)>) -> Self {
         RelayLog {
             entries: VecDeque::new(),
             base: 0,
-            edges: children.iter().map(|&c| (c, 0)).collect(),
+            edges: children
+                .map(|(child, to)| Edge {
+                    child,
+                    to,
+                    cursor: 0,
+                })
+                .collect(),
         }
     }
 
@@ -414,15 +478,18 @@ impl RelayLog {
     /// to `window` round-robin passes over the edges from a
     /// round-rotated start, one chunk per edge per pass, then one stall
     /// per edge left pending. Then forgets the prefix every cursor has
-    /// passed. An empty log sends, stalls and drops nothing.
+    /// passed. An empty log sends, stalls and drops nothing. Drops and
+    /// stalls go to `events`, tagged `tag`.
+    #[allow(clippy::too_many_arguments)]
     fn drain(
         &mut self,
         budget: &mut u64,
         config: &StreamConfig,
         r: u64,
-        arrivals: &mut Vec<(PeerId, u64)>,
+        arrivals: &mut Vec<Arrival>,
         counters: &mut Counters,
-        sink: &mut Option<ObsSink>,
+        tag: u32,
+        mut events: Option<&mut Vec<Tagged>>,
     ) {
         if self.entries.is_empty() {
             return;
@@ -430,20 +497,24 @@ impl RelayLog {
         let end = self.base + self.entries.len();
         // Expire overdue heads first: drops consume no budget — the edge
         // gave up on those chunks.
-        for (child, cursor) in &mut self.edges {
-            while *cursor < end {
-                let (chunk, enqueued) = self.entries[*cursor - self.base];
+        for edge in &mut self.edges {
+            while edge.cursor < end {
+                let (chunk, enqueued) = self.entries[edge.cursor - self.base];
                 if r.saturating_sub(enqueued) <= config.ttl {
                     break;
                 }
-                *cursor += 1;
+                edge.cursor += 1;
                 counters.drops += 1;
-                if let Some(s) = sink.as_mut() {
-                    s.record(Event::ChunkDropped {
-                        round: r,
-                        peer: child.get(),
-                        chunk,
-                    });
+                if let Some(e) = events.as_deref_mut() {
+                    let peer = edge.child.get();
+                    e.push((
+                        tag,
+                        Event::ChunkDropped {
+                            round: r,
+                            peer,
+                            chunk,
+                        },
+                    ));
                 }
             }
         }
@@ -455,13 +526,17 @@ impl RelayLog {
         let (head, tail) = self.edges.split_at_mut(start);
         for _ in 0..config.window {
             let mut moved = false;
-            for (child, cursor) in tail.iter_mut().chain(head.iter_mut()) {
+            for edge in tail.iter_mut().chain(head.iter_mut()) {
                 if *budget == 0 {
                     break;
                 }
-                if *cursor < end {
-                    arrivals.push((*child, self.entries[*cursor - self.base].0));
-                    *cursor += 1;
+                if edge.cursor < end {
+                    arrivals.push(Arrival {
+                        to: edge.to,
+                        peer: edge.child,
+                        chunk: self.entries[edge.cursor - self.base].0,
+                    });
+                    edge.cursor += 1;
                     *budget -= 1;
                     moved = true;
                 }
@@ -471,16 +546,21 @@ impl RelayLog {
             }
         }
         let mut passed = end;
-        for &(child, cursor) in &self.edges {
-            passed = passed.min(cursor);
-            if cursor < end {
+        for edge in &self.edges {
+            passed = passed.min(edge.cursor);
+            if edge.cursor < end {
                 counters.stalls += 1;
-                if let Some(s) = sink.as_mut() {
-                    s.record(Event::ChunkStalled {
-                        round: r,
-                        peer: child.get(),
-                        chunk: self.entries[cursor - self.base].0,
-                    });
+                if let Some(e) = events.as_deref_mut() {
+                    let peer = edge.child.get();
+                    let chunk = self.entries[edge.cursor - self.base].0;
+                    e.push((
+                        tag,
+                        Event::ChunkStalled {
+                            round: r,
+                            peer,
+                            chunk,
+                        },
+                    ));
                 }
             }
         }
@@ -593,8 +673,300 @@ fn run(
     })
 }
 
+/// Rounds of source sends computed ahead of the units at a time, so
+/// the feeds handed to the units stay bounded whatever the horizon.
+const EPOCH: u64 = 1024;
+
+/// What every unit reads and none writes.
+struct Shared<'a> {
+    plan: &'a ForestPlan,
+    config: &'a StreamConfig,
+    publications: &'a [u64],
+}
+
+/// Phase 1: the source's k relay logs, one per tree, drained tree by
+/// tree from a round-rotated start so its shared budget interleaves
+/// trees fairly. Its edges land at units (see [`split`]). Nothing a
+/// unit does reaches back here, so the source runs ahead of the units.
+struct Source<'a> {
+    logs: Vec<RelayLog>,
+    budget: u64,
+    publications: &'a [u64],
+    next_publish: usize,
+    counters: Counters,
+}
+
+impl<'a> Source<'a> {
+    fn new(plan: &ForestPlan, budget: u64, publications: &'a [u64]) -> Self {
+        let mut first = 0;
+        let logs = plan
+            .trees
+            .iter()
+            .map(|t| {
+                let log = RelayLog::new(t.source_children.iter().copied().zip(first..));
+                first += t.source_children.len() as u32;
+                log
+            })
+            .collect();
+        Source {
+            logs,
+            budget,
+            publications,
+            next_publish: 0,
+            counters: Counters::default(),
+        }
+    }
+
+    /// Round `r`'s sends, appended to `arrivals`; its drops and stalls
+    /// go to `events`.
+    fn send(
+        &mut self,
+        r: u64,
+        config: &StreamConfig,
+        arrivals: &mut Vec<Arrival>,
+        mut events: Option<&mut Vec<Tagged>>,
+    ) {
+        let before = arrivals.len();
+        let mut budget = self.budget;
+        let trees = self.logs.len();
+        for t in 0..trees {
+            let log = &mut self.logs[(t + r as usize) % trees];
+            let counters = &mut self.counters;
+            log.drain(
+                &mut budget,
+                config,
+                r,
+                arrivals,
+                counters,
+                0,
+                events.as_deref_mut(),
+            );
+        }
+        self.counters.sends += (arrivals.len() - before) as u64;
+    }
+
+    /// Round `r`'s publications enter the logs of their trees.
+    fn publish(&mut self, r: u64, config: &StreamConfig) {
+        let k = self.logs.len();
+        while self.publications.get(self.next_publish) == Some(&r) {
+            let base = (self.next_publish as u64) * config.rate;
+            for c in base..base + config.rate {
+                self.logs[(c as usize) % k].push(c, r);
+            }
+            self.next_publish += 1;
+        }
+    }
+}
+
+/// Phase 2: the subtree of one source child in one tree. No budget,
+/// relay log or exactly-once slot is shared with another unit — a peer
+/// forwards in one tree only, and within a tree it sits below one
+/// source child — so once the source's sends to its root are known, a
+/// unit runs on its own.
+///
+/// Each subtree peer has a slot: the senders take slots `0..` in carve
+/// order, so slot j's relay log is log j, and the leaves follow.
+struct Unit {
+    tree: usize,
+    /// The source child, and its slot.
+    root: (PeerId, u32),
+    /// `next_chunk[s]`: the least chunk of the tree slot `s` may still
+    /// receive.
+    next_chunk: Vec<u64>,
+    logs: Vec<RelayLog>,
+    /// Each log's sender's budget and carve rank.
+    senders: Vec<(u64, u32)>,
+    /// Bit j is set iff log j holds an entry some edge has not passed.
+    pending: Vec<u64>,
+    arrivals: Vec<Arrival>,
+    counters: Counters,
+    staleness: Histogram,
+}
+
+impl Unit {
+    /// The unit under `root` in `tree`; `rank[v]` is v's position in
+    /// the carve order.
+    fn new(
+        plan: &ForestPlan,
+        budgets: &StreamBudgets,
+        rank: &[u32],
+        tree: usize,
+        root: PeerId,
+    ) -> Self {
+        let children = &plan.trees[tree].children;
+        let sends = |p: PeerId| !children[p.index()].is_empty();
+        let mut members = vec![root];
+        let mut i = 0;
+        while let Some(&p) = members.get(i) {
+            members.extend_from_slice(&children[p.index()]);
+            i += 1;
+        }
+        let mut senders: Vec<(u32, PeerId)> = members
+            .into_iter()
+            .filter(|&p| sends(p))
+            .map(|p| (rank[p.index()], p))
+            .collect();
+        senders.sort_unstable();
+        let mut slots = senders.len() as u32;
+        let mut slot = |p: PeerId| {
+            if sends(p) {
+                let found = senders.binary_search(&(rank[p.index()], p));
+                found.expect("a sender of this subtree") as u32
+            } else {
+                slots += 1;
+                slots - 1
+            }
+        };
+        let root = (root, slot(root));
+        let logs = senders
+            .iter()
+            .map(|&(_, p)| RelayLog::new(children[p.index()].iter().map(|&c| (c, slot(c)))))
+            .collect();
+        Unit {
+            tree,
+            root,
+            next_chunk: vec![0; slots as usize],
+            logs,
+            pending: vec![0; senders.len().div_ceil(64)],
+            senders: senders
+                .iter()
+                .map(|&(rank, p)| (budgets.peers[p.index()], rank))
+                .collect(),
+            arrivals: Vec::new(),
+            counters: Counters::default(),
+            staleness: Histogram::default(),
+        }
+    }
+
+    /// Round `r`: the pending logs drain in carve order, then the
+    /// source's sends to the root (`fed`) and the unit's own land. With
+    /// `events`, drops and stalls go to the first buffer and the
+    /// deliveries of the unit's own sends to the second, tagged with
+    /// their sender's carve rank.
+    fn step(
+        &mut self,
+        r: u64,
+        fed: impl Iterator<Item = u64>,
+        shared: &Shared,
+        mut events: Option<(&mut Vec<Tagged>, &mut Vec<Tagged>)>,
+    ) {
+        let config = shared.config;
+        for (w, word) in self.pending.iter_mut().enumerate() {
+            let mut bits = *word;
+            while bits != 0 {
+                let j = w * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                let (mut budget, rank) = self.senders[j];
+                let log = &mut self.logs[j];
+                let before = self.arrivals.len();
+                let counters = &mut self.counters;
+                let sent = events.as_mut().map(|(sent, _)| &mut **sent);
+                log.drain(
+                    &mut budget,
+                    config,
+                    r,
+                    &mut self.arrivals,
+                    counters,
+                    rank,
+                    sent,
+                );
+                if log.entries.is_empty() {
+                    *word &= !(1 << (j % 64));
+                }
+                if let Some((_, delivered)) = events.as_mut() {
+                    let depth = &shared.plan.trees[self.tree].depth;
+                    delivered.extend(
+                        self.arrivals[before..]
+                            .iter()
+                            .map(|a| (rank, delivery(r, a.peer, depth[a.peer.index()], a.chunk))),
+                    );
+                }
+            }
+        }
+        self.counters.sends += self.arrivals.len() as u64;
+
+        let (root, slot) = self.root;
+        for chunk in fed {
+            self.receive(slot, root, chunk, r, shared);
+        }
+        let mut arrivals = std::mem::take(&mut self.arrivals);
+        for a in &arrivals {
+            self.receive(a.to, a.peer, a.chunk, r, shared);
+        }
+        arrivals.clear();
+        self.arrivals = arrivals;
+    }
+
+    /// `peer`, at slot `s`, records `chunk` and, if it sends, relays it.
+    fn receive(&mut self, s: u32, peer: PeerId, chunk: u64, r: u64, shared: &Shared) {
+        let next = &mut self.next_chunk[s as usize];
+        assert!(
+            chunk >= *next,
+            "chunk {chunk} reached peer {} twice or out of order",
+            peer.get()
+        );
+        *next = chunk + 1;
+        self.counters.deliveries += 1;
+        let stale = r - shared.publications[(chunk / shared.config.rate) as usize];
+        self.staleness.record(stale);
+        self.counters.staleness_sum += stale;
+        if let Some(log) = self.logs.get_mut(s as usize) {
+            log.push(chunk, r);
+            self.pending[s as usize / 64] |= 1 << (s % 64);
+        }
+    }
+
+    /// Rounds `rounds`, fed the source's `(round, chunk)` sends to the
+    /// root in round order.
+    fn run(&mut self, rounds: RangeInclusive<u64>, feed: &[(u64, u64)], shared: &Shared) {
+        let mut at = 0;
+        for r in rounds {
+            let from = at;
+            while feed.get(at).is_some_and(|&(round, _)| round == r) {
+                at += 1;
+            }
+            let fed = feed[from..at].iter().map(|&(_, chunk)| chunk);
+            self.step(r, fed, shared, None);
+        }
+    }
+}
+
+fn delivery(round: u64, peer: PeerId, depth: u32, chunk: u64) -> Event {
+    Event::Delivery {
+        round,
+        peer: peer.get(),
+        depth,
+        chunk: Some(chunk),
+    }
+}
+
+/// The source and its units, numbered tree by tree in source-child
+/// order, as the source's edges land.
+fn split<'a>(
+    plan: &ForestPlan,
+    budgets: &StreamBudgets,
+    publications: &'a [u64],
+) -> (Source<'a>, Vec<Unit>) {
+    let mut rank = vec![u32::MAX; plan.group.len()];
+    for (i, p) in plan.rooted.iter().enumerate() {
+        rank[p.index()] = i as u32;
+    }
+    let units = plan
+        .trees
+        .iter()
+        .enumerate()
+        .flat_map(|(t, tree)| tree.source_children.iter().map(move |&c| (t, c)))
+        .map(|(tree, root)| Unit::new(plan, budgets, &rank, tree, root))
+        .collect();
+    (Source::new(plan, budgets.source, publications), units)
+}
+
 /// Drives the carved forest for `horizon` rounds, the source
-/// publishing `rate` chunks at each of `publications`.
+/// publishing `rate` chunks at each of `publications`: the source's
+/// sends first (phase 1), then every unit through the same rounds on
+/// the `parallel_runs` workers (phase 2), [`EPOCH`] rounds at a time,
+/// and the totals add up (phase 3). With a sink, [`relay_observed`]
+/// instead.
 fn relay(
     plan: &ForestPlan,
     budgets: &StreamBudgets,
@@ -603,112 +975,127 @@ fn relay(
     publications: &[u64],
     sink: &mut Option<ObsSink>,
 ) -> (Counters, StalenessStats) {
-    let n = plan.group.len();
-    let k = config.k;
-    // The source keeps one log per tree, drained tree by tree from a
-    // round-rotated start so its budget interleaves trees fairly.
-    let mut source: Vec<RelayLog> = plan
-        .trees
-        .iter()
-        .map(|t| RelayLog::new(&t.source_children))
-        .collect();
-    // One log per sender — a rooted peer with children in the one tree
-    // it is interior in — in carve order; `relay_of[v]` is v's log.
-    let mut senders: Vec<PeerId> = Vec::new();
-    let mut logs: Vec<RelayLog> = Vec::new();
-    let mut relay_of = vec![NO_LOG; n];
-    for &p in &plan.rooted {
-        let Some(tree) = plan.group[p.index()] else {
-            continue;
+    let (counters, staleness) = match sink {
+        Some(sink) => relay_observed(plan, budgets, config, horizon, publications, sink),
+        None => relay_split(plan, budgets, config, horizon, publications, EPOCH),
+    };
+    (counters, staleness.stats())
+}
+
+/// [`relay`] without a sink, its units on the workers `epoch` rounds
+/// at a time.
+fn relay_split(
+    plan: &ForestPlan,
+    budgets: &StreamBudgets,
+    config: &StreamConfig,
+    horizon: u64,
+    publications: &[u64],
+    epoch: u64,
+) -> (Counters, Histogram) {
+    let shared = Shared {
+        plan,
+        config,
+        publications,
+    };
+    let (mut source, units) = split(plan, budgets, publications);
+    let units: Vec<Mutex<Unit>> = units.into_iter().map(Mutex::new).collect();
+    let mut feeds: Vec<Vec<(u64, u64)>> = vec![Vec::new(); units.len()];
+    let mut arrivals = Vec::new();
+    let mut first = 1;
+    while first <= horizon {
+        let last = horizon.min(first.saturating_add(epoch - 1));
+        for r in first..=last {
+            source.send(r, config, &mut arrivals, None);
+            for a in arrivals.drain(..) {
+                feeds[a.to as usize].push((r, a.chunk));
+            }
+            source.publish(r, config);
+        }
+        parallel_runs(units.len(), |u| {
+            let mut unit = units[u].lock().expect("a unit panicked");
+            unit.run(first..=last, &feeds[u], &shared);
+        });
+        feeds.iter_mut().for_each(Vec::clear);
+        let Some(next) = last.checked_add(1) else {
+            break;
         };
-        let children = &plan.trees[tree].children[p.index()];
-        if !children.is_empty() {
-            relay_of[p.index()] = logs.len() as u32;
-            senders.push(p);
-            logs.push(RelayLog::new(children));
-        }
+        first = next;
     }
-    // Bit j is set iff log j holds an entry some edge has not passed.
-    let mut pending = vec![0u64; senders.len().div_ceil(64)];
-    // next_chunk[v·k + t]: the least chunk of tree t peer v may still
-    // receive.
-    let mut next_chunk = vec![0u64; n * k];
-    let mut staleness = Histogram::default();
-    let mut counters = Counters::default();
-    let mut arrivals: Vec<(PeerId, u64)> = Vec::new();
+    let units: Vec<Unit> = units
+        .into_iter()
+        .map(|unit| unit.into_inner().expect("a unit panicked"))
+        .collect();
+    totals(&source, &units)
+}
+
+/// [`relay_split`] one round at a time, merging each round's events
+/// into the order one loop over the whole forest records them: the
+/// source's drops and stalls, then the senders' in carve order, then
+/// the deliveries of the source's sends in send order, then those of
+/// the senders' sends in carve order.
+fn relay_observed(
+    plan: &ForestPlan,
+    budgets: &StreamBudgets,
+    config: &StreamConfig,
+    horizon: u64,
+    publications: &[u64],
+    sink: &mut ObsSink,
+) -> (Counters, Histogram) {
+    let shared = Shared {
+        plan,
+        config,
+        publications,
+    };
+    let (mut source, mut units) = split(plan, budgets, publications);
+    let mut feeds: Vec<Vec<u64>> = vec![Vec::new(); units.len()];
+    let (mut arrivals, mut sent, mut delivered) = (Vec::new(), Vec::new(), Vec::new());
     let chunks = publications.len() as u64 * config.rate;
-    let mut next_publish = 0usize; // index into publications
-
     for r in 1..=horizon {
-        // -- Send phase: source first, then the pending logs in carve
-        // order. An empty log would send, stall and drop nothing. --
-        let mut budget = budgets.source;
-        let trees = source.len();
-        for t in 0..trees {
-            let tree = (t + r as usize) % trees;
-            source[tree].drain(&mut budget, config, r, &mut arrivals, &mut counters, sink);
-        }
-        for (w, word) in pending.iter_mut().enumerate() {
-            let mut bits = *word;
-            while bits != 0 {
-                let j = w * 64 + bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                let mut budget = budgets.peers[senders[j].index()];
-                let log = &mut logs[j];
-                log.drain(&mut budget, config, r, &mut arrivals, &mut counters, sink);
-                if log.entries.is_empty() {
-                    *word &= !(1 << (j % 64));
-                }
-            }
-        }
-        counters.sends += arrivals.len() as u64;
-
-        // -- Receive phase: land the sends, extend the relay chain. --
-        for &(p, chunk) in &arrivals {
-            let tree = (chunk as usize) % k;
-            let next = &mut next_chunk[p.index() * k + tree];
-            assert!(
-                chunk >= *next,
-                "chunk {chunk} reached peer {} twice or out of order",
-                p.get()
-            );
-            *next = chunk + 1;
-            counters.deliveries += 1;
-            let stale = r - publications[(chunk / config.rate) as usize];
-            staleness.record(stale);
-            counters.staleness_sum += stale;
-            if let Some(s) = sink.as_mut() {
-                s.record(Event::Delivery {
-                    round: r,
-                    peer: p.get(),
-                    depth: plan.trees[tree].depth[p.index()],
-                    chunk: Some(chunk),
-                });
-            }
-            let j = relay_of[p.index()];
-            if j != NO_LOG && plan.group[p.index()] == Some(tree) {
-                logs[j as usize].push(chunk, r);
-                pending[j as usize / 64] |= 1 << (j % 64);
-            }
+        source.send(r, config, &mut arrivals, Some(&mut sent));
+        let source_events = sent.len();
+        for a in &arrivals {
+            feeds[a.to as usize].push(a.chunk);
+            let depth = plan.trees[units[a.to as usize].tree].depth[a.peer.index()];
+            delivered.push((0, delivery(r, a.peer, depth, a.chunk)));
         }
         arrivals.clear();
-
-        // -- Publish phase: this round's chunks enter the source. --
-        while next_publish < publications.len() && publications[next_publish] == r {
-            let base = (next_publish as u64) * config.rate;
-            for c in base..base + config.rate {
-                source[(c as usize) % k].push(c, r);
-            }
-            next_publish += 1;
+        let source_delivered = delivered.len();
+        for (unit, feed) in units.iter_mut().zip(&mut feeds) {
+            unit.step(
+                r,
+                feed.drain(..),
+                &shared,
+                Some((&mut sent, &mut delivered)),
+            );
         }
-
-        if let Some(s) = sink.as_mut() {
-            if r % s.sample_interval == 0 {
-                sample(s, r, &counters, chunks, config);
-            }
+        // Each unit's events are in carve order and no two units share
+        // a sender, so a stable sort of the units' tags interleaves
+        // them; the source's come first.
+        sent[source_events..].sort_by_key(|&(rank, _)| rank);
+        delivered[source_delivered..].sort_by_key(|&(rank, _)| rank);
+        for (_, event) in sent.drain(..).chain(delivered.drain(..)) {
+            sink.record(event);
+        }
+        source.publish(r, config);
+        if r % sink.sample_interval == 0 {
+            let mut counters = source.counters;
+            units.iter().for_each(|u| counters.add(&u.counters));
+            sample(sink, r, &counters, chunks, config);
         }
     }
-    (counters, staleness.stats())
+    totals(&source, &units)
+}
+
+/// Phase 3: the source's counters plus every unit's, and the units'
+/// histograms merged.
+fn totals(source: &Source, units: &[Unit]) -> (Counters, Histogram) {
+    let mut counters = source.counters;
+    let mut staleness = Histogram::default();
+    for unit in units {
+        counters.add(&unit.counters);
+        staleness.merge(&unit.staleness);
+    }
+    (counters, staleness)
 }
 
 fn sample(s: &mut ObsSink, round: u64, counters: &Counters, chunks: u64, config: &StreamConfig) {
@@ -997,8 +1384,57 @@ mod tests {
             ttl in 0u64..10,
             per_peer in 1u64..12,
             schedule in 0u8..3,
+            epoch in 1u64..9,
         ) {
-            relay_matches_reference(n, seed, k, window, ttl, per_peer, schedule)?;
+            let budgets = StreamBudgets::uniform(n, per_peer, 4 * per_peer + 4);
+            let case = Case { n, seed, k, window, ttl, schedule, epoch };
+            relay_matches_reference(case, &budgets, budgets.source)?;
+        }
+
+        /// The source's one budget, shared by its k logs, runs short:
+        /// the forest is carved for `4·per_peer + 4` chunks a round and
+        /// relayed with `source`, so the source stalls and drops, and
+        /// which tree it serves first decides who gets what.
+        #[test]
+        fn relay_matches_the_reference_when_the_source_budget_is_tight(
+            n in 12usize..48,
+            seed in 0u64..300,
+            k in 2usize..5,
+            window in 1u32..4,
+            ttl in 0u64..10,
+            per_peer in 1u64..12,
+            schedule in 0u8..3,
+            epoch in 1u64..9,
+            source in 1u64..8,
+        ) {
+            let budgets = StreamBudgets::uniform(n, per_peer, 4 * per_peer + 4);
+            let case = Case { n, seed, k, window, ttl, schedule, epoch };
+            let (_, c) = relay_matches_reference(case, &budgets, source)?;
+            prop_assert!(c.stalls + c.drops > 0 || c.sends == 0, "the source cannot keep up");
+        }
+
+        /// The source seats more children per tree than the tree has
+        /// interior peers, so some source child is a leaf: a unit with
+        /// no relay log.
+        #[test]
+        fn relay_matches_the_reference_when_a_source_child_is_a_leaf(
+            n in 12usize..48,
+            seed in 0u64..300,
+            k in 2usize..5,
+            window in 0u32..4,
+            ttl in 0u64..10,
+            per_peer in 1u64..12,
+            schedule in 0u8..3,
+            epoch in 1u64..9,
+        ) {
+            let rate = StreamConfig::default().rate;
+            let budgets = StreamBudgets::uniform(n, per_peer, rate * (n / k + 2) as u64);
+            let case = Case { n, seed, k, window, ttl, schedule, epoch };
+            let (plan, _) = relay_matches_reference(case, &budgets, budgets.source)?;
+            prop_assert!(plan
+                .trees
+                .iter()
+                .all(|t| t.source_children.iter().any(|c| t.children[c.index()].is_empty())));
         }
     }
 
@@ -1018,39 +1454,64 @@ mod tests {
             ttl in 0u64..10,
             per_peer in 1u64..12,
             schedule in 0u8..3,
+            epoch in 1u64..9,
         ) {
-            relay_matches_reference(n, seed, k, window, ttl, per_peer, schedule)?;
+            let budgets = StreamBudgets::uniform(n, per_peer, 4 * per_peer + 4);
+            let case = Case { n, seed, k, window, ttl, schedule, epoch };
+            relay_matches_reference(case, &budgets, budgets.source)?;
         }
     }
 
-    /// [`relay`] against [`reference::relay`], event for event, on one
-    /// carved forest; and the unobserved run (what [`stream`] takes)
-    /// against the observed one. `schedule` picks a publication every
-    /// round, a Poisson stream denser than one a round, or a Poisson
-    /// stream whose gaps outlast the forest's depth, so relay logs
-    /// drain empty and refill.
-    fn relay_matches_reference(
+    /// One draw of the relay properties.
+    struct Case {
         n: usize,
         seed: u64,
         k: usize,
         window: u32,
         ttl: u64,
-        per_peer: u64,
+        /// A publication every round, a Poisson stream denser than one
+        /// a round, or a Poisson stream whose gaps outlast the forest's
+        /// depth, so relay logs drain empty and refill.
         schedule: u8,
-    ) -> Result<(), TestCaseError> {
+        /// Rounds the split relay runs its units at a time.
+        epoch: u64,
+    }
+
+    /// [`relay`] against [`reference::relay`], event for event, on the
+    /// forest carved with `budgets` and relayed with the source budget
+    /// `source`; and the unobserved runs — what [`stream`] takes, and
+    /// [`relay_split`] `epoch` rounds at a time — against the observed
+    /// one. Returns the forest and the run's totals.
+    fn relay_matches_reference(
+        case: Case,
+        budgets: &StreamBudgets,
+        source: u64,
+    ) -> Result<(ForestPlan, Counters), TestCaseError> {
+        let Case {
+            n,
+            seed,
+            k,
+            window,
+            ttl,
+            schedule,
+            epoch,
+        } = case;
         let built = try_built(n, seed);
         prop_assume!(built.is_some());
         let (population, overlay) = built.expect("checked");
-        let budgets = StreamBudgets::uniform(n, per_peer, 4 * per_peer + 4);
         let plan = carve(
             &overlay,
             &population,
-            &budgets,
+            budgets,
             k,
             StreamConfig::default().rate,
         );
         prop_assume!(plan.is_ok());
         let plan = plan.expect("checked");
+        let budgets = StreamBudgets {
+            source,
+            ..budgets.clone()
+        };
         let depth = u64::from(plan.max_depth());
         let (schedule, rounds) = match schedule {
             0 => (PublishSchedule::Periodic { interval: 1 }, 24),
@@ -1098,7 +1559,10 @@ mod tests {
             relay(&plan, &budgets, &config, horizon, &publications, &mut None),
             observed
         );
-        Ok(())
+        let (counters, staleness) =
+            relay_split(&plan, &budgets, &config, horizon, &publications, epoch);
+        prop_assert_eq!((counters, staleness.stats()), observed);
+        Ok((plan, counters))
     }
 
     #[test]
