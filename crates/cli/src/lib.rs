@@ -1,4 +1,3 @@
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 //! # lagover-cli
@@ -294,7 +293,10 @@ pub fn parse_args(args: &[String]) -> Result<Options, CliError> {
         };
         match flag.as_str() {
             "--spec" => opts.spec_path = Some(value()?),
-            "--workload" => opts.workload = value()?,
+            "--workload" => {
+                opts.workload = value()?;
+                constraint_of(&opts.workload)?;
+            }
             "--peers" => {
                 opts.peers = value()?
                     .parse()
@@ -486,6 +488,22 @@ pub fn parse_args(args: &[String]) -> Result<Options, CliError> {
     Ok(opts)
 }
 
+/// The topological constraint a `--workload` name stands for.
+fn constraint_of(workload: &str) -> Result<TopologicalConstraint, CliError> {
+    Ok(match workload {
+        "tf1" => TopologicalConstraint::Tf1,
+        "rand" => TopologicalConstraint::Rand,
+        "bicorr" => TopologicalConstraint::BiCorr,
+        "biuncorr" => TopologicalConstraint::BiUnCorr,
+        "adversarial" => TopologicalConstraint::Adversarial {
+            chain: 2,
+            hub_fanout: 2,
+        },
+        "zipf" => TopologicalConstraint::Zipf { exponent_x100: 150 },
+        other => return Err(err(format!("unknown workload '{other}'"))),
+    })
+}
+
 /// Resolves the population: from `--spec` JSON if given, else generated
 /// from the workload flags.
 pub fn resolve_population(opts: &Options) -> Result<Population, CliError> {
@@ -510,19 +528,7 @@ pub fn resolve_population(opts: &Options) -> Result<Population, CliError> {
         }
         return Ok(population);
     }
-    let constraint = match opts.workload.as_str() {
-        "tf1" => TopologicalConstraint::Tf1,
-        "rand" => TopologicalConstraint::Rand,
-        "bicorr" => TopologicalConstraint::BiCorr,
-        "biuncorr" => TopologicalConstraint::BiUnCorr,
-        "adversarial" => TopologicalConstraint::Adversarial {
-            chain: 2,
-            hub_fanout: 2,
-        },
-        "zipf" => TopologicalConstraint::Zipf { exponent_x100: 150 },
-        other => return Err(err(format!("unknown workload '{other}'"))),
-    };
-    WorkloadSpec::new(constraint, opts.peers)
+    WorkloadSpec::new(constraint_of(&opts.workload)?, opts.peers)
         .with_source_fanout(opts.source_fanout)
         .generate(opts.seed)
         .map_err(|e| err(format!("generation failed: {e}")))
@@ -753,39 +759,74 @@ fn cmd_stream(opts: &Options) -> Result<String, CliError> {
     ))
 }
 
+/// The journal `evolve` reads its trace lines from, in events.
+const EVOLVE_JOURNAL: usize = 1_000_000;
+
 fn cmd_evolve(opts: &Options) -> Result<String, CliError> {
     let population = resolve_population(opts)?;
-    let mut engine = build(opts, &population);
-    engine.obs_mut().enable_journal(1_000_000);
-    let converged = engine.run_to_convergence();
+    evolve(opts, &population, EVOLVE_JOURNAL)
+}
+
+/// `evolve` over a journal of `capacity` events. The registry counts
+/// every event, so the structural total is exact. The journal is
+/// drained every round and switched off once the first `--trace`
+/// structural events are printed; a round whose events overflow it
+/// loses its oldest ones, and the report then says how many.
+fn evolve(opts: &Options, population: &Population, capacity: usize) -> Result<String, CliError> {
+    let mut engine = build(opts, population);
+    engine.obs_mut().enable_registry().enable_journal(capacity);
     let cap = engine.config().max_rounds;
-    let journal = engine.obs_mut().take_journal().expect("journal enabled");
-    // Only the structural (attach/detach) events, oldest first; only
-    // the first `--trace` of them are rendered.
-    let mut total = 0usize;
     let mut out = String::new();
-    for event in journal.iter() {
-        let line = match *event {
-            Event::Attach {
-                round,
-                child,
-                parent,
-            } => format!("r{round}: {} <- {parent}\n", Node::Peer(child)),
-            Event::Detach {
-                round,
-                child,
-                parent,
-                cause,
-            } => format!("r{round}: {} !<- {parent} ({cause})\n", Node::Peer(child)),
-            _ => continue,
-        };
-        total += 1;
-        if total <= opts.trace {
-            out += &line;
+    let mut shown = 0usize;
+    let mut evicted = 0u64;
+    let converged = loop {
+        let obs = engine.obs_mut();
+        if let Some(journal) = obs.journal_mut() {
+            for event in journal.drain() {
+                if shown == opts.trace {
+                    break;
+                }
+                out += &match event {
+                    Event::Attach {
+                        round,
+                        child,
+                        parent,
+                    } => format!("r{round}: {} <- {parent}\n", Node::Peer(child)),
+                    Event::Detach {
+                        round,
+                        child,
+                        parent,
+                        cause,
+                    } => format!("r{round}: {} !<- {parent} ({cause})\n", Node::Peer(child)),
+                    _ => continue,
+                };
+                shown += 1;
+            }
+            if shown == opts.trace {
+                evicted = obs.take_journal().map_or(0, |journal| journal.dropped());
+            }
         }
+        if engine.is_converged() {
+            break Some(engine.round());
+        }
+        if engine.round().get() >= cap {
+            break None;
+        }
+        engine.step();
+    };
+    if let Some(journal) = engine.obs_mut().take_journal() {
+        evicted = journal.dropped();
     }
-    if total > opts.trace {
-        out += &format!("… {} more events (raise --trace)\n", total - opts.trace);
+    let registry = engine.obs().registry().expect("registry enabled");
+    let total = registry.event_count("attach") + registry.event_count("detach");
+    if total > shown as u64 {
+        out += &format!("… {} more events (raise --trace)\n", total - shown as u64);
+    }
+    if evicted > 0 {
+        out += &format!(
+            "… {evicted} events overflowed the {capacity}-event journal within a round \
+             before they were read: the lines above skip them\n"
+        );
     }
     out += &match converged {
         Some(round) => format!(
@@ -1279,6 +1320,29 @@ mod tests {
         let out = run(&opts).unwrap();
         assert!(out.contains("<-"), "{out}");
         assert!(out.contains("converged in"), "{out}");
+    }
+
+    #[test]
+    fn evolve_prints_the_runs_first_events_and_its_exact_total() {
+        let opts = parse_args(&args(
+            "evolve --workload rand --peers 300 --seed 2 --trace 1",
+        ))
+        .unwrap();
+        let population = resolve_population(&opts).unwrap();
+        assert_eq!(
+            evolve(&opts, &population, EVOLVE_JOURNAL).unwrap(),
+            "r3: peer 298 <- source\n\
+             … 633 more events (raise --trace)\n\
+             converged in 58 rounds, 634 structural events\n"
+        );
+        // A round that overflows the journal loses its oldest events:
+        // the report says how many, and the total stays exact.
+        let cramped = evolve(&opts, &population, 8).unwrap();
+        assert!(
+            cramped.contains("events overflowed the 8-event journal"),
+            "{cramped}"
+        );
+        assert!(cramped.ends_with("converged in 58 rounds, 634 structural events\n"));
     }
 
     #[test]

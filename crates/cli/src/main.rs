@@ -1,7 +1,5 @@
 //! The `lagover` binary — see [`lagover_cli`] for the command set.
 
-#![forbid(unsafe_code)]
-
 use std::io::{ErrorKind, Write};
 use std::process::ExitCode;
 

@@ -56,6 +56,13 @@ fn a_zero_pull_interval_is_a_usage_error() {
 }
 
 #[test]
+fn an_unknown_workload_is_a_usage_error() {
+    let (code, stderr) = lagover(&["construct", "--workload", "foo", "--peers", "30"]);
+    assert_eq!(code, Some(2), "{stderr}");
+    assert_eq!(stderr, "unknown workload 'foo'\n");
+}
+
+#[test]
 fn a_run_that_does_not_converge_exits_1_after_its_report() {
     for verb in ["construct", "obs", "recover", "evolve"] {
         let run = |extra: &[&str]| {

@@ -395,7 +395,7 @@ mod tests {
         let (o, pop, online) = fixture();
         let view = OracleView::new(&o, &pop, &online);
         let mut rng = SimRng::seed_from(1);
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for _ in 0..200 {
             let s = RandomOracle.sample(p(2), &view, &mut rng).unwrap();
             assert_ne!(s, p(2));
@@ -436,7 +436,7 @@ mod tests {
         let (o, pop, online) = fixture();
         let view = OracleView::new(&o, &pop, &online);
         let mut rng = SimRng::seed_from(4);
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for _ in 0..100 {
             let s = RandomDelayOracle.sample(p(2), &view, &mut rng).unwrap();
             // delay(0)=1 < 3, delay(1)=2 < 3 — both valid despite being

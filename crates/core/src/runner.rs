@@ -12,9 +12,10 @@
 /// what lets the median-of-k experiment drivers parallelize without
 /// perturbing any published figure.
 ///
-/// Indices are split into contiguous chunks, one scoped thread per
-/// chunk, capped at the machine's available parallelism (overridable
-/// via the `LAGOVER_THREADS` environment variable). Falls back to the
+/// Indices are split into contiguous chunks, one worker per chunk,
+/// capped at the machine's available parallelism (overridable via the
+/// `LAGOVER_THREADS` environment variable); the calling thread works the
+/// first chunk and a scoped thread each of the others. Falls back to the
 /// plain sequential loop when only one worker would run, and when
 /// called from inside a worker: a job that fans out again (a stream
 /// inside a median-of-k experiment) runs its inner jobs on its own thread,
@@ -75,18 +76,25 @@ where
     let mut results: Vec<Option<T>> = Vec::new();
     results.resize_with(count, || None);
     let job = &job;
+    let fill = move |slots: &mut [Option<T>], start: usize| {
+        IN_WORKER.set(true);
+        for (offset, slot) in slots.iter_mut().enumerate() {
+            *slot = Some(job(start + offset));
+        }
+    };
     std::thread::scope(|scope| {
-        let mut rest = results.as_mut_slice();
-        for (start, len) in chunk_plan(count, threads) {
+        let mut chunks = chunk_plan(count, threads).into_iter();
+        let (_, first) = chunks.next().expect("threads > 1 implies count > 1");
+        let (own, mut rest) = results.split_at_mut(first);
+        for (start, len) in chunks {
             let (slots, tail) = std::mem::take(&mut rest).split_at_mut(len);
             rest = tail;
-            scope.spawn(move || {
-                IN_WORKER.set(true);
-                for (offset, slot) in slots.iter_mut().enumerate() {
-                    *slot = Some(job(start + offset));
-                }
-            });
+            scope.spawn(move || fill(slots, start));
         }
+        // The caller works the first chunk instead of idling at the
+        // barrier, then is no worker again.
+        fill(own, 0);
+        IN_WORKER.set(false);
     });
     results
         .into_iter()
@@ -144,13 +152,16 @@ mod tests {
             (outer, inner)
         });
         let caller = std::thread::current().id();
+        let outer: Vec<_> = ids.iter().map(|(outer, _)| *outer).collect();
+        assert_eq!(outer[..2], [caller; 2], "the caller works the first chunk");
+        assert!(outer[2..].iter().all(|&id| id != caller && id == outer[2]));
         for (outer, inner) in ids {
-            assert_ne!(outer, caller, "the outer jobs run on workers");
             assert_eq!(inner, vec![outer; 3], "the inner jobs stay on the worker");
         }
-        // Off a worker, the same inner call fans out again.
+        // Back off a worker, the caller fans the same call out again.
         let spread = parallel_runs_with(2, 2, |_| std::thread::current().id());
-        assert!(spread.iter().all(|&id| id != caller));
+        assert_eq!(spread[0], caller);
+        assert_ne!(spread[1], caller);
     }
 
     #[test]

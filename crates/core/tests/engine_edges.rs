@@ -1,7 +1,7 @@
 //! Engine edge cases: adversarial oracles, journal coherence, and
 //! referral robustness.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 use lagover_core::node::{node_to_member, Constraints, Member, PeerId, Population};
 use lagover_core::oracle::{Oracle, OracleView};
@@ -157,7 +157,7 @@ fn trace_replay_reconstructs_the_final_overlay() {
     // Replay every structural event over an empty parent map; the
     // result must equal the engine's final parent map. This proves the
     // journal is complete (no unjournaled mutation paths).
-    let mut parents: HashMap<PeerId, Member> = HashMap::new();
+    let mut parents: BTreeMap<PeerId, Member> = BTreeMap::new();
     let log = engine.obs().journal().expect("enabled");
     assert_eq!(log.dropped(), 0, "capacity must not truncate this test");
     for event in log.iter() {

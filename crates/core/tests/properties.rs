@@ -376,7 +376,7 @@ proptest! {
             let depths = exact_feasibility(&population);
             prop_assert!(depths.is_some(), "sufficient but infeasible: {population:?}");
             validate_assignment(&population, &depths.unwrap())
-                .map_err(|e| TestCaseError::fail(e))?;
+                .map_err(TestCaseError::fail)?;
         }
     }
 
@@ -386,7 +386,7 @@ proptest! {
     fn exact_feasibility_witnesses_validate(population in population_strategy()) {
         if let Some(depths) = exact_feasibility(&population) {
             validate_assignment(&population, &depths)
-                .map_err(|e| TestCaseError::fail(e))?;
+                .map_err(TestCaseError::fail)?;
         }
     }
 

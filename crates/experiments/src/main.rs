@@ -21,8 +21,6 @@
 //! `multifeed` feed nobody subscribes to), prints the usage line and
 //! exits 2.
 
-#![forbid(unsafe_code)]
-
 use std::process::ExitCode;
 
 use lagover_experiments::{

@@ -64,7 +64,7 @@ proptest! {
         let mut rng = SimRng::seed_from(seed);
         let g = MembershipGraph::random_connected(n, 3, &mut rng);
         let mut mh = MhWalkSampler::new(g, 16);
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for _ in 0..64 {
             if let Some(s) = mh.sample_peer(0, &mut rng) {
                 seen.insert(s);

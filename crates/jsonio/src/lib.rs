@@ -15,8 +15,6 @@
 //! * non-finite floats serialize as `null` (like serde_json) and parse
 //!   back as NaN where an `f64` is expected.
 
-#![forbid(unsafe_code)]
-
 use std::fmt;
 
 mod parse;

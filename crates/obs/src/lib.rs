@@ -23,8 +23,6 @@
 //! byte-identically — including RNG draw counts — with observability
 //! off.
 
-#![forbid(unsafe_code)]
-
 pub mod counters;
 pub mod event;
 pub mod health;

@@ -19,8 +19,6 @@
 //!   run draws the same deterministic case sequence, so there are no
 //!   "regression" cases to replay.
 
-#![forbid(unsafe_code)]
-
 use std::marker::PhantomData;
 use std::ops::{Range, RangeInclusive};
 
@@ -230,7 +228,7 @@ macro_rules! __propcheck_fns {
       $($rest:tt)*
     ) => {
         $(#[$meta])*
-        #[allow(unreachable_code, unused_mut, unused_variables, clippy::all)]
+        #[allow(unreachable_code, unused_mut, unused_variables)]
         fn $name() {
             let config: $crate::ProptestConfig = $cfg;
             $crate::test_runner::run_cases(

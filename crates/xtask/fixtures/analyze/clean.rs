@@ -1,7 +1,6 @@
 //! Fixture: a clean crate root (scanned as `crates/core/src/lib.rs`) —
-//! deterministic RNG, ordered maps, messaged expects, the forbid
-//! attribute. Expected findings: none, under every rule.
-#![forbid(unsafe_code)]
+//! deterministic RNG, ordered maps, messaged expects. Expected
+//! findings: none, under every rule.
 
 use std::collections::BTreeMap;
 

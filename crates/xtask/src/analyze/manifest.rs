@@ -2,9 +2,10 @@
 //! the workspace's `Cargo.toml`s actually use (sections, `[[bin]]`
 //! tables, `key = "string"`, `key.workspace = true`, single-line inline
 //! tables and arrays), assembled into a crate DAG the layering rule
-//! checks. Zero external dependencies, same philosophy as the draw-site
-//! registry parser: anything outside the subset is a parse error, which
-//! keeps the manifests honest.
+//! checks, with each manifest's lint wiring. Zero external
+//! dependencies, same philosophy as the draw-site registry parser:
+//! anything outside the subset is a parse error, which keeps the
+//! manifests honest.
 
 use std::fs;
 use std::path::Path;
@@ -42,10 +43,6 @@ pub struct Manifest {
     /// Workspace-relative directory with forward slashes (`""` for the
     /// root manifest).
     pub dir: String,
-    /// Explicit `[lib] path`, if any.
-    pub lib_path: Option<String>,
-    /// Explicit `[[bin]] path`s.
-    pub bin_paths: Vec<String>,
     pub deps: Vec<Dep>,
     /// Declared `[features]` names.
     pub features: Vec<String>,
@@ -53,6 +50,11 @@ pub struct Manifest {
     pub workspace_deps: Vec<(String, DepSource)>,
     /// `[patch.crates-io]` name → path (root manifest only).
     pub patches: Vec<(String, String)>,
+    /// `[lints] workspace = true`: the crate inherits the workspace lints.
+    pub inherits_lints: bool,
+    /// `[workspace.lints.rust] unsafe_code = "forbid"` (root manifest
+    /// only).
+    pub forbids_unsafe: bool,
 }
 
 /// The parsed workspace: root manifest plus every `crates/*` member,
@@ -176,8 +178,8 @@ pub fn parse(text: &str, dir: &str) -> Result<Manifest, String> {
     #[derive(PartialEq, Clone, Copy)]
     enum Section {
         Package,
-        Lib,
-        Bin,
+        Lints,
+        WorkspaceLintsRust,
         Deps { dev: bool },
         Features,
         WorkspaceDeps,
@@ -195,11 +197,8 @@ pub fn parse(text: &str, dir: &str) -> Result<Manifest, String> {
             let header = header.trim_end_matches(']');
             section = match header.trim_matches('[') {
                 "package" => Section::Package,
-                "lib" => Section::Lib,
-                "bin" => {
-                    m.bin_paths.push(String::new());
-                    Section::Bin
-                }
+                "lints" => Section::Lints,
+                "workspace.lints.rust" => Section::WorkspaceLintsRust,
                 "dependencies" => Section::Deps { dev: false },
                 "dev-dependencies" => Section::Deps { dev: true },
                 "features" => Section::Features,
@@ -220,15 +219,14 @@ pub fn parse(text: &str, dir: &str) -> Result<Manifest, String> {
                     m.name = unquote(value, lineno)?;
                 }
             }
-            Section::Lib => {
-                if key == "path" {
-                    m.lib_path = Some(unquote(value, lineno)?);
+            Section::Lints => {
+                if key == "workspace" {
+                    m.inherits_lints = value == "true";
                 }
             }
-            Section::Bin => {
-                if key == "path" {
-                    *m.bin_paths.last_mut().expect("inside a [[bin]] table") =
-                        unquote(value, lineno)?;
+            Section::WorkspaceLintsRust => {
+                if key == "unsafe_code" {
+                    m.forbids_unsafe = unquote(value, lineno)? == "forbid";
                 }
             }
             Section::Features => {
@@ -350,6 +348,9 @@ name = "demo"
 [lib]
 path = "src/lib.rs"
 
+[lints]
+workspace = true
+
 [dependencies]
 lagover-sim.workspace = true
 rand = "0.8"
@@ -368,8 +369,8 @@ path = "src/main.rs"
 "#;
         let m = parse(text, "crates/demo").unwrap();
         assert_eq!(m.name, "demo");
-        assert_eq!(m.lib_path.as_deref(), Some("src/lib.rs"));
-        assert_eq!(m.bin_paths, ["src/main.rs"]);
+        assert!(m.inherits_lints);
+        assert!(!m.forbids_unsafe);
         assert_eq!(m.features, ["wall-clock"]);
         assert_eq!(m.deps.len(), 5);
         assert_eq!(m.deps[0].source, DepSource::Workspace);
@@ -389,10 +390,15 @@ rand = "0.8"
 
 [patch.crates-io]
 rand = { path = "stubs/rand" }
+
+[workspace.lints.rust]
+unsafe_code = "forbid"
 "#;
         let m = parse(text, "").unwrap();
         assert_eq!(m.workspace_deps.len(), 2);
         assert_eq!(m.patches, [("rand".to_string(), "stubs/rand".to_string())]);
+        assert!(m.forbids_unsafe);
+        assert!(!m.inherits_lints);
     }
 
     #[test]

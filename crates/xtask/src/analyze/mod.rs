@@ -2,27 +2,24 @@
 //! workspace (DESIGN.md §14).
 //!
 //! It builds a model first — every source file tokenized with exact
-//! byte offsets ([`lexer`]), `use`-aliases resolved per file
-//! ([`aliases`]), `#[cfg(...)]` regions tracked by brace depth
-//! ([`lexer::CfgMap`]), and every `Cargo.toml` parsed into a crate DAG
-//! ([`manifest`]) — and then runs its rules over it ([`rules`]):
+//! byte offsets ([`lexer`]), `#[cfg(...)]` regions tracked by brace
+//! depth ([`lexer::CfgMap`]), and every `Cargo.toml` parsed into a
+//! crate DAG ([`manifest`]) — and then runs its rules over it
+//! ([`rules`]). It keeps only what the compiler cannot check; hash
+//! containers, `RandomState` and `unsafe` are the toolchain's (the root
+//! `clippy.toml` and `[workspace.lints]`, DESIGN.md §14.2):
 //!
 //! * `rng-discipline` — every `SimRng` draw call site diffed against
 //!   the committed registry `crates/xtask/rng_sites.toml`; re-bless
 //!   with `cargo xtask analyze --bless` (or `LAGOVER_BLESS=1`).
-//! * `alias-unordered-iter` — `HashMap`/`HashSet` workspace-wide,
-//!   through renames and type aliases.
 //! * `panic-surface` — tiered unwrap/expect/panic audit of
 //!   `crates/core/src` and the input boundary (`cli`, `workload`,
 //!   `jsonio`, `node::wire`).
 //! * `layering` — the declared crate DAG holds; externals resolve to
-//!   `stubs/`.
+//!   `stubs/`; every member inherits the workspace lints, and the root
+//!   forbids `unsafe_code`.
 //! * `feature-gate` — wall-clock reads sit inside
 //!   `#[cfg(feature = "wall-clock")]` regions.
-//! * `forbid-unsafe` — every crate root carries
-//!   `#![forbid(unsafe_code)]`.
-//! * `nondet-rng` — no ambient RNG (`thread_rng`, `rand::random`) in
-//!   any tree, tests included.
 //! * `obs-bypass` — no raw prints or ad-hoc `*Counters` structs in
 //!   `crates/core/src`.
 //!
@@ -30,7 +27,6 @@
 //! `target/analyze/REPORT.json` + `REPORT.md`, rendered
 //! deterministically — byte-identical across runs on the same tree.
 
-pub mod aliases;
 pub mod lexer;
 pub mod manifest;
 pub mod model;
@@ -46,9 +42,7 @@ use std::process::ExitCode;
 use model::Model;
 use report::Report;
 use rules::rng_discipline::{self, DrawSite};
-use rules::{
-    feature_gate, forbid_unsafe, layering, nondet_rng, obs_bypass, panic_surface, unordered,
-};
+use rules::{feature_gate, layering, obs_bypass, panic_surface};
 pub use rules::{Finding, RULES};
 
 /// Relative path of the draw-site registry, from the workspace root.
@@ -65,13 +59,10 @@ pub struct Analysis {
 pub fn analyze(model: &Model, registry: &[DrawSite]) -> Analysis {
     let sites = rng_discipline::enumerate(model);
     let mut findings = rng_discipline::diff(&sites, registry, REGISTRY_PATH);
-    findings.extend(unordered::check(model));
     let (panic_findings, panic) = panic_surface::check(model);
     findings.extend(panic_findings);
     findings.extend(layering::check(&model.workspace));
     findings.extend(feature_gate::check(model));
-    findings.extend(forbid_unsafe::check(model));
-    findings.extend(nondet_rng::check(model));
     findings.extend(obs_bypass::check(model));
     findings.sort_by(|a, b| {
         (&a.path, a.line, a.rule, &a.excerpt).cmp(&(&b.path, b.line, b.rule, &b.excerpt))
@@ -207,10 +198,10 @@ mod tests {
     }
 
     /// A one-crate workspace — a virtual root plus `lagover-core` at
-    /// `crates/core` — holding one fixture: a source file at `path`, or,
-    /// for a `Cargo.toml` path, the core manifest itself.
+    /// `crates/core`, lints wired — holding one fixture: a source file
+    /// at `path`, or, for a `Cargo.toml` path, the core manifest itself.
     fn fixture_model(path: &str, text: &str) -> Model {
-        let mut core = "[package]\nname = \"lagover-core\"\n";
+        let mut core = "[package]\nname = \"lagover-core\"\n[lints]\nworkspace = true\n";
         let mut files = Vec::new();
         if path.ends_with("Cargo.toml") {
             core = text;
@@ -224,7 +215,8 @@ mod tests {
         Model {
             workspace: WorkspaceModel {
                 manifests: vec![
-                    manifest::parse("[workspace]\n", "").expect("root parses"),
+                    manifest::parse("[workspace.lints.rust]\nunsafe_code = \"forbid\"\n", "")
+                        .expect("root parses"),
                     manifest::parse(core, "crates/core").expect("fixture manifest parses"),
                 ],
             },
@@ -244,11 +236,6 @@ mod tests {
                 include_str!("../../fixtures/analyze/rng_sites.rs"),
             ),
             (
-                unordered::RULE,
-                "crates/core/src/engine.rs",
-                include_str!("../../fixtures/analyze/alias_unordered.rs"),
-            ),
-            (
                 panic_surface::RULE,
                 "crates/core/src/engine.rs",
                 include_str!("../../fixtures/analyze/panic_tiers.rs"),
@@ -262,16 +249,6 @@ mod tests {
                 feature_gate::RULE,
                 "crates/core/src/engine.rs",
                 include_str!("../../fixtures/analyze/feature_gate.rs"),
-            ),
-            (
-                forbid_unsafe::RULE,
-                "crates/core/src/lib.rs",
-                include_str!("../../fixtures/analyze/forbid_unsafe_missing.rs"),
-            ),
-            (
-                nondet_rng::RULE,
-                "crates/core/src/engine.rs",
-                include_str!("../../fixtures/analyze/nondet_rng.rs"),
             ),
             (
                 obs_bypass::RULE,
@@ -296,6 +273,34 @@ mod tests {
             &[],
         );
         assert_eq!(clean.findings, Vec::new());
+    }
+
+    /// Clippy is not part of `cargo test`: this keeps the root
+    /// `clippy.toml` from dropping a type no analyzer rule checks any
+    /// more.
+    #[test]
+    fn clippy_toml_bans_the_unordered_types() {
+        let text = std::fs::read_to_string(crate::workspace_root().join("clippy.toml"))
+            .expect("clippy.toml committed");
+        let (_, list) = text
+            .split_once("disallowed-types = [")
+            .expect("clippy.toml has a disallowed-types list");
+        let list: Vec<&str> = list
+            .lines()
+            .take_while(|line| *line != "]")
+            .filter(|line| !line.trim_start().starts_with('#'))
+            .collect();
+        for ty in [
+            "std::collections::HashMap",
+            "std::collections::HashSet",
+            "std::hash::RandomState",
+        ] {
+            let entry = format!("path = \"{ty}\"");
+            assert!(
+                list.iter().any(|line| line.contains(&entry)),
+                "clippy.toml no longer bans {ty}"
+            );
+        }
     }
 
     /// The committed registry is byte-identical to what `--bless`

@@ -16,9 +16,9 @@ use super::lexer::{self, CfgMap};
 use super::manifest::WorkspaceModel;
 
 /// Which target tree a file belongs to. Rules scope themselves by
-/// kind: e.g. `nondet-rng` applies everywhere (a nondeterministic test
-/// is still a broken test), while `feature-gate` exempts `tests/` and
-/// `benches/` (measuring a benchmark is the point).
+/// kind: e.g. `panic-surface` audits `src/` only, while `feature-gate`
+/// exempts `tests/` and `benches/` (measuring a benchmark is the
+/// point).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum FileKind {
     Src,

@@ -12,8 +12,8 @@ use super::lexer::{find_idents, is_ident_byte, line_of, strip_code, CfgMap};
 
 /// Source fragments the generator splices together. Deliberately
 /// adversarial: nested block comments, raw strings with hashes,
-/// escaped quotes, char literals, lifetimes, cfg attributes, and the
-/// hazard tokens the rules search for.
+/// escaped quotes, char literals, lifetimes, cfg attributes, and an
+/// identifier next to look-alikes that extend it.
 const PIECES: &[&str] = &[
     "fn f() {\n",
     "}\n",

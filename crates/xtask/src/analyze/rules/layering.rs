@@ -7,6 +7,10 @@
 //! core ⇄ workload) but must still resolve in-workspace or to a stub.
 //! External crates.io dependencies are banned unless patched onto an
 //! in-tree `stubs/` crate — the build stays hermetic by construction.
+//! The same manifests carry the lint wiring the compiler enforces: the
+//! root forbids `unsafe_code` in `[workspace.lints.rust]`, and every
+//! member inherits it through `[lints] workspace = true`, so no crate
+//! or target can opt out of the lint by omission.
 
 use super::super::manifest::{Manifest, Resolved, WorkspaceModel};
 use super::Finding;
@@ -41,6 +45,12 @@ fn tier(name: &str) -> Option<u32> {
 
 pub fn check(workspace: &WorkspaceModel) -> Vec<Finding> {
     let mut findings = Vec::new();
+    if !workspace.root().forbids_unsafe {
+        findings.push(finding(
+            workspace.root(),
+            "[workspace.lints.rust] must set unsafe_code = \"forbid\"".to_string(),
+        ));
+    }
     for (name, path) in &workspace.root().patches {
         if !path.starts_with("stubs/") {
             findings.push(finding(
@@ -52,6 +62,15 @@ pub fn check(workspace: &WorkspaceModel) -> Vec<Finding> {
     for m in &workspace.manifests {
         if m.name.is_empty() {
             continue; // virtual manifest
+        }
+        if !m.inherits_lints {
+            findings.push(finding(
+                m,
+                format!(
+                    "crate `{}` must inherit the workspace lints ([lints] workspace = true)",
+                    m.name
+                ),
+            ));
         }
         let Some(my_tier) = tier(&m.name) else {
             findings.push(finding(
@@ -133,10 +152,16 @@ rayon = "1"
 
 [patch.crates-io]
 rand = { path = "stubs/rand" }
+
+[lints]
+workspace = true
+
+[workspace.lints.rust]
+unsafe_code = "forbid"
 "#;
         let mut manifests = vec![parse(root, "").unwrap()];
         for (dir, text) in members {
-            manifests.push(parse(text, dir).unwrap());
+            manifests.push(parse(&format!("{text}[lints]\nworkspace = true\n"), dir).unwrap());
         }
         WorkspaceModel { manifests }
     }
@@ -214,5 +239,26 @@ rand = { path = "stubs/rand" }
         assert!(findings[0]
             .excerpt
             .contains("not in the declared layer map"));
+    }
+
+    #[test]
+    fn lint_wiring_is_checked_on_the_root_and_every_member() {
+        let member = "[package]\nname = \"lagover-sim\"\n";
+        let root = "[package]\nname = \"lagover\"\n[lints]\nworkspace = true\n";
+        let ws = WorkspaceModel {
+            manifests: vec![
+                parse(root, "").unwrap(),
+                parse(member, "crates/sim").unwrap(),
+            ],
+        };
+        let excerpts: Vec<_> = check(&ws)
+            .into_iter()
+            .map(|f| (f.path, f.excerpt))
+            .collect();
+        assert_eq!(excerpts.len(), 2, "{excerpts:?}");
+        assert_eq!(excerpts[0].0, "Cargo.toml");
+        assert!(excerpts[0].1.contains("unsafe_code = \"forbid\""));
+        assert_eq!(excerpts[1].0, "crates/sim/Cargo.toml");
+        assert!(excerpts[1].1.contains("[lints] workspace = true"));
     }
 }

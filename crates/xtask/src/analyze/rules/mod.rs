@@ -4,13 +4,10 @@
 //! wires them together and `analyze::run` renders the report.
 
 pub mod feature_gate;
-pub mod forbid_unsafe;
 pub mod layering;
-pub mod nondet_rng;
 pub mod obs_bypass;
 pub mod panic_surface;
 pub mod rng_discipline;
-pub mod unordered;
 
 /// One analyzer hit. Every finding fails `cargo xtask analyze`.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -28,11 +25,8 @@ pub struct Finding {
 /// Every rule `cargo xtask analyze` runs, in report order.
 pub const RULES: &[&str] = &[
     rng_discipline::RULE,
-    unordered::RULE,
     panic_surface::RULE,
     layering::RULE,
     feature_gate::RULE,
-    forbid_unsafe::RULE,
-    nondet_rng::RULE,
     obs_bypass::RULE,
 ];

@@ -2,20 +2,20 @@
 //!
 //! Subcommands:
 //!
-//! * `analyze` — the one static analyzer (DESIGN.md §14): the SimRng
-//!   draw-site registry, alias-aware hash-container detection, the
-//!   tiered panic-surface audit, crate-DAG layering, wall-clock feature
-//!   gating, the `#![forbid(unsafe_code)]` check, ambient-RNG and
-//!   obs-facade bypass detection, with a deterministic report under
-//!   `target/analyze/`. Any finding fails it; there is no allowlist.
+//! * `analyze` — the one static analyzer (DESIGN.md §14), for what
+//!   the compiler cannot check: the SimRng draw-site registry, the
+//!   tiered panic-surface audit, crate-DAG layering and lint wiring,
+//!   wall-clock feature gating and obs-facade bypass detection, with a
+//!   deterministic report under `target/analyze/`. Any finding fails
+//!   it; there is no allowlist. Hash containers, `RandomState` and
+//!   `unsafe` are the toolchain's: the root `clippy.toml` and
+//!   `[workspace.lints]`.
 //! * `miri` — runs the core + sim unit tests under Miri when the
 //!   component is installed; detects its absence and skips cleanly.
 //!
 //! That every committed document regenerates, at any thread count, is
 //! not an xtask: it is `lagover-experiments run all --json DIR` and
 //! `diff -r` against `results/` (DESIGN.md §9.2).
-
-#![forbid(unsafe_code)]
 
 mod analyze;
 
@@ -45,10 +45,11 @@ fn print_usage() {
          \n\
          subcommands:\n\
          \x20 analyze [--bless]     static analysis: rng draw-site registry,\n\
-         \x20                       hash containers, panic surface, layering,\n\
-         \x20                       wall-clock gates, forbid(unsafe), ambient rng,\n\
-         \x20                       obs bypass (--bless regenerates\n\
-         \x20                       crates/xtask/rng_sites.toml)\n\
+         \x20                       panic surface, layering and lint wiring,\n\
+         \x20                       wall-clock gates, obs bypass (--bless\n\
+         \x20                       regenerates crates/xtask/rng_sites.toml);\n\
+         \x20                       hash containers and unsafe are clippy's\n\
+         \x20                       and rustc's (clippy.toml, [workspace.lints])\n\
          \x20 miri                  run core+sim unit tests under Miri (skips if\n\
          \x20                       the component is not installed)"
     );
